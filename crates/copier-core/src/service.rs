@@ -388,8 +388,7 @@ impl Copier {
         });
         let dispatcher = Rc::new(Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), dma));
         dispatcher.set_verify(cfg.verify, cfg.repair_limit);
-        let atcache = Rc::new(ATCache::new(cfg.atcache_capacity.max(1)));
-        atcache.set_enabled(cfg.atcache_capacity > 0);
+        let atcache = Rc::new(ATCache::new(cfg.atcache_capacity));
         let nshards = cfg.shards.max(1);
         if nshards > 1 {
             assert!(
@@ -2156,7 +2155,8 @@ impl Copier {
         len: usize,
         write: bool,
     ) -> Result<(Vec<Extent>, Vec<FrameId>), CopyFault> {
-        if let Some(extents) = self.atcache.lookup(space, va, len) {
+        if let Some(extents) = self.atcache.lookup(space, va, len, write) {
+            // One charge per lookup, however many pages the range spans.
             core.advance(self.cost.atc_hit).await;
             let stale = self
                 .cfg
@@ -2172,7 +2172,7 @@ impl Copier {
             }
             // Injected stale hit: the cached translation cannot be trusted;
             // pay the hit, fall through to a full walk (which re-validates
-            // and refreshes the entry).
+            // it).
         }
         let pages = len.div_ceil(PAGE_SIZE).max(1) as u64;
         // Sequential walks over one range share PT cache lines (8 PTEs per
@@ -2193,7 +2193,7 @@ impl Copier {
                 }
                 core.advance(cost).await;
                 self.stats.borrow_mut().proactive_faults += faults;
-                self.atcache.insert(space, va, len, extents.clone());
+                self.atcache.insert(space, va, len, write, &extents);
                 Ok((extents, frames))
             }
             Err(e) => {
@@ -2525,7 +2525,9 @@ impl Copier {
         Ok(copied)
     }
 
-    /// Builds the hardware plan for one entry's executable gaps.
+    /// Builds the hardware plan for one entry's executable gaps. Both
+    /// sides are translated and pinned gap by gap, so a task served over
+    /// several rounds pins each of its frames once.
     async fn plan_entry(
         &self,
         core: &Rc<Core>,
@@ -2535,17 +2537,17 @@ impl Copier {
         gaps: &[(usize, usize)],
     ) -> Result<PlannedCopy, CopyFault> {
         let t = &e.task;
-        let (dst_ex, dst_frames) = self
-            .translate_pin(core, &t.dst_space, t.dst, t.len, true)
-            .await?;
-        client
-            .pinned
-            .set(client.pinned.get() + dst_frames.len() as u64);
-        e.pins
-            .borrow_mut()
-            .push((Rc::clone(&t.dst_space), dst_frames));
+        // Pins stay on the entry until `finalize`.
+        let hold = |space: &Rc<AddressSpace>, frames: Vec<FrameId>| {
+            client.pinned.set(client.pinned.get() + frames.len() as u64);
+            e.pins.borrow_mut().push((Rc::clone(space), frames));
+        };
         let mut subtasks = Vec::new();
         for &(glo, ghi) in gaps {
+            let (dst_ex, dst_frames) = self
+                .translate_pin(core, &t.dst_space, t.dst.add(glo), ghi - glo, true)
+                .await?;
+            hold(&t.dst_space, dst_frames);
             for p in &plan.pieces {
                 let lo = glo.max(p.off);
                 let hi = ghi.min(p.off + p.len);
@@ -2556,11 +2558,8 @@ impl Copier {
                 let (src_ex, src_frames) = self
                     .translate_pin(core, &p.space, src_va, hi - lo, false)
                     .await?;
-                client
-                    .pinned
-                    .set(client.pinned.get() + src_frames.len() as u64);
-                e.pins.borrow_mut().push((Rc::clone(&p.space), src_frames));
-                let dst_slice = slice_extents(&dst_ex, lo, hi - lo);
+                hold(&p.space, src_frames);
+                let dst_slice = slice_extents(&dst_ex, lo - glo, hi - lo);
                 for mut st in split_subtasks(&dst_slice, &src_ex) {
                     st.task_off += lo;
                     subtasks.push(st);
@@ -2852,6 +2851,9 @@ impl Copier {
         client.inflight_bytes.set(0);
         client.pinned.set(0);
         client.credits.set(client.credit_cap.get());
+        // Its translations die with it: the frames go back to the pool
+        // when the process's address space is torn down.
+        self.atcache.purge(&client.uspace);
         // Incremental-aggregate exits (DESIGN.md §18): the client leaves
         // the active set, the cached min-vruntime, and — when delta-folded
         // hashing is on — the shard hash sums. Its window is empty now

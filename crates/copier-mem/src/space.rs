@@ -16,6 +16,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::phys::{FrameId, PhysError, PhysMem, PAGE_SIZE};
 
@@ -171,9 +172,14 @@ pub struct Extent {
 /// Identifies an address space (process) for diagnostics.
 pub type AsId = u32;
 
+/// Source of [`AddressSpace::instance`] tokens. Only ever compared for
+/// equality, so the values a run happens to draw do not reach any output.
+static NEXT_INSTANCE: AtomicU64 = AtomicU64::new(0);
+
 /// A simulated process address space.
 pub struct AddressSpace {
     id: AsId,
+    instance: u64,
     pm: Rc<PhysMem>,
     vmas: RefCell<BTreeMap<u64, Vma>>,
     pt: RefCell<BTreeMap<u64, Pte>>,
@@ -188,6 +194,7 @@ impl AddressSpace {
     pub fn new(id: AsId, pm: Rc<PhysMem>) -> Rc<Self> {
         Rc::new(AddressSpace {
             id,
+            instance: NEXT_INSTANCE.fetch_add(1, Ordering::Relaxed),
             pm,
             vmas: RefCell::new(BTreeMap::new()),
             pt: RefCell::new(BTreeMap::new()),
@@ -200,6 +207,14 @@ impl AddressSpace {
     /// This space's id.
     pub fn id(&self) -> AsId {
         self.id
+    }
+
+    /// A token no other `AddressSpace` of this process ever carries, not
+    /// even one created later with the same [`AsId`]: what a translation
+    /// cache must key on, since ids are caller-chosen and generations
+    /// restart at 0.
+    pub fn instance(&self) -> u64 {
+        self.instance
     }
 
     /// The backing physical pool.
@@ -325,6 +340,23 @@ impl AddressSpace {
         }
         drop(pt);
         self.vmas.borrow_mut().remove(&va.0);
+        self.bump();
+        Ok(())
+    }
+
+    /// Changes the protection of the mapping that starts at `va` (whole
+    /// mappings only, like [`Self::munmap`]). Present pages lose or regain
+    /// write permission with it; CoW pages stay write-protected until
+    /// their fault breaks the sharing.
+    pub fn mprotect(&self, va: VirtAddr, prot: Prot) -> Result<(), MemError> {
+        let mut vmas = self.vmas.borrow_mut();
+        let vma = vmas.get_mut(&va.0).ok_or(MemError::Segv(va))?;
+        vma.prot = prot;
+        let (first, end) = (va.vpn(), vma.end / PAGE_SIZE as u64);
+        drop(vmas);
+        for (_, pte) in self.pt.borrow_mut().range_mut(first..end) {
+            pte.writable = prot.write && !pte.cow;
+        }
         self.bump();
         Ok(())
     }
@@ -1331,6 +1363,27 @@ mod tests {
         let mut buf = [0u8; 1];
         asp.read_bytes(va, &mut buf).unwrap(); // plain hit: no bump
         assert_eq!(asp.generation(), g2);
+    }
+
+    #[test]
+    fn mprotect_revokes_and_restores_write_access() {
+        let (_, asp) = setup(16, AllocPolicy::Sequential);
+        let va = asp.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        let g = asp.generation();
+        asp.mprotect(va, Prot::RO).unwrap();
+        assert!(asp.generation() > g);
+        assert!(matches!(asp.resolve(va, true), Err(MemError::Segv(_))));
+        assert!(asp.resolve_range(va, 2 * PAGE_SIZE, true).is_err());
+        assert!(asp.resolve(va, false).is_ok());
+        assert!(!asp.translate(va).unwrap().writable);
+        asp.mprotect(va, Prot::RW).unwrap();
+        asp.write_bytes(va.add(PAGE_SIZE), &[7]).unwrap();
+        // Only whole mappings, named by their base.
+        assert!(asp.mprotect(va.add(PAGE_SIZE), Prot::RO).is_err());
+        // A CoW page stays write-protected until its fault breaks the share.
+        let _child = asp.fork(2).unwrap();
+        asp.mprotect(va, Prot::RW).unwrap();
+        assert!(!asp.translate(va).unwrap().writable);
     }
 
     #[test]

@@ -12,6 +12,12 @@ cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --offline --locked -- -D warnings
 
+# The repo benchmark is a package of its own (own lock file, path deps on
+# crates/*), so the workspace commands above never compile it: a crate API
+# change that breaks it must fail here, not in the benchmark pipeline. Its
+# smoke test drives every workload at 1/50 scale through the real binary.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
+
 # Host-perf smoke: the wall-clock bench must run end to end and emit
 # parseable JSON (tiny sizes; this is a plumbing check, not a perf gate).
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
