@@ -278,9 +278,8 @@ pub struct Client {
     /// doorbell). Maintained only on the O(active) fast path.
     pub active: Cell<bool>,
     /// Cached per-client trace-hash contribution `(hp, hx)` plus a dirty
-    /// flag, for the delta-folded multi-shard trace hashes (§18). Only
-    /// meaningful while the service runs with a tracer, `shards > 1`, and
-    /// the fast path enabled.
+    /// flag, for the delta-folded trace state hashes (§18). Only
+    /// meaningful while the service runs with a tracer on the fast path.
     pub hash_cache: Cell<(u64, u64)>,
     /// Whether `hash_cache` is stale (client was touched since the last
     /// fold). Guards duplicate entries in the shard's dirty list.

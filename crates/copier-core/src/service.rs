@@ -96,7 +96,7 @@ pub struct ControlObs {
     /// (full-sweep mode only; the fast path reads the pending aggregate).
     pub autoscale_sweeps: u64,
     /// Per-client trace-hash contributions re-folded (dirty clients at a
-    /// traced round close). The legacy path re-folded every client.
+    /// traced round close); the full-sweep oracle folds every client.
     pub hash_refolds: u64,
 }
 
@@ -279,8 +279,7 @@ struct ShardState {
     min_valid: Cell<bool>,
     /// Commutative per-shard trace-hash accumulators: wrapping sums of
     /// every shard client's cached `(hp, hx)` contribution. Maintained
-    /// only while delta-folded hashing is on (tracer + `shards > 1` +
-    /// fast path).
+    /// only while delta-folded hashing is on (tracer + fast path).
     hp_sum: Cell<u64>,
     hx_sum: Cell<u64>,
     /// Clients whose hash contribution went stale since the last fold.
@@ -502,10 +501,24 @@ impl Copier {
     /// Snapshot of the service statistics.
     pub fn stats(&self) -> CopierStats {
         let mut s = *self.stats.borrow();
-        s.quarantined_channels = self.dispatcher.dma().map_or(0, |d| d.quarantined() as u64);
-        s.pressure_events = self.pm.pressure_events();
-        s.corrupt_quarantined = self.dispatcher.dma().map_or(0, |d| d.corrupt_quarantined());
+        (
+            s.quarantined_channels,
+            s.pressure_events,
+            s.corrupt_quarantined,
+        ) = self.stats_gauges();
         s
+    }
+
+    /// The `(quarantined_channels, pressure_events, corrupt_quarantined)`
+    /// stats that live in the DMA engine and the frame pool and are read
+    /// at snapshot time instead of being counted here.
+    fn stats_gauges(&self) -> (u64, u64, u64) {
+        let dma = self.dispatcher.dma();
+        (
+            dma.map_or(0, |d| d.quarantined() as u64),
+            self.pm.pressure_events(),
+            dma.map_or(0, |d| d.corrupt_quarantined()),
+        )
     }
 
     /// Bytes currently admitted into service windows across all clients
@@ -649,12 +662,15 @@ impl Copier {
         !self.cfg.full_sweep && (self.nshards() > 1 || self.cores.len() == 1)
     }
 
-    /// Whether per-shard trace hashes are maintained as delta-folded
-    /// per-client contributions (multi-shard traced fast path). The
-    /// single-shard hash chain keeps the legacy sequential fold — it is
-    /// pinned by the committed `.cptr` repro corpus.
+    /// Whether the trace state hashes are maintained as delta-folded
+    /// per-client contributions: every traced service on the fast path,
+    /// at any shard count. It shares the fast path's precondition — one
+    /// thread owns all of a shard's clients, so nothing touches a client
+    /// behind the round that marked it dirty — and where that fails (the
+    /// unsharded multi-thread service, `full_sweep`) every traced round
+    /// recomputes the same sums from scratch.
     fn hash_cached(&self) -> bool {
-        self.cfg.tracer.is_some() && self.nshards() > 1 && !self.cfg.full_sweep
+        self.cfg.tracer.is_some() && self.fast_path()
     }
 
     /// Submission doorbell (DESIGN.md §18): marks `client` active on its
@@ -885,56 +901,53 @@ impl Copier {
         }
     }
 
-    /// The `(pending, index, stats)` state hashes closing an active
-    /// traced round (DESIGN.md §14). Every component is iterated in a
-    /// deterministic order (registration order for clients and sets,
-    /// window-key order for entries, BTreeMap order inside the index),
-    /// so equal states hash equal regardless of how they were reached.
-    fn trace_hashes(&self) -> (u64, u64, u64) {
-        let mut hp = FNV_OFFSET;
-        let mut hx = FNV_OFFSET;
-        for c in self.clients.borrow().iter() {
-            fold_client_state(c, &mut hp, &mut hx);
+    /// The `(pending, index)` client-state hashes of shard `idx`
+    /// (DESIGN.md §14), one definition at every shard count. They are
+    /// *commutative*: each client folds its own window and index state
+    /// from a fresh FNV offset ([`fold_client_commutative`]) and the
+    /// shard's hash is the wrapping sum of those contributions, so equal
+    /// states hash equal regardless of how they were reached. That shape
+    /// admits the §18 delta fold — only clients touched since the last
+    /// traced round re-fold; the sums absorb the difference — and the
+    /// cached and full-recompute forms agree bit for bit (checked by the
+    /// soak differential suite, which replays a cached recording through
+    /// the `full_sweep` recompute).
+    fn client_hash_sums(&self, idx: usize) -> (u64, u64) {
+        if self.hash_cached() {
+            self.refold_dirty(idx);
+            let sh = &self.shards[idx];
+            return (sh.hp_sum.get(), sh.hx_sum.get());
         }
+        let mut hp = 0u64;
+        let mut hx = 0u64;
+        for c in self
+            .clients
+            .borrow()
+            .iter()
+            .filter(|c| c.shard.get() == idx)
+        {
+            let (p, x) = fold_client_commutative(c);
+            hp = hp.wrapping_add(p);
+            hx = hx.wrapping_add(x);
+        }
+        (hp, hx)
+    }
+
+    /// The `(pending, index, stats)` state hashes closing an active
+    /// traced round of the unsharded service: its one shard's client
+    /// sums and the digest of the service-wide stats.
+    fn trace_hashes(&self) -> (u64, u64, u64) {
+        let (hp, hx) = self.client_hash_sums(0);
         (hp, hx, self.stats_digest())
     }
 
-    /// [`Self::trace_hashes`] restricted to shard `idx`: its clients'
-    /// window/index state plus the shard's private stats deltas. Closing
+    /// [`Self::trace_hashes`] for shard `idx` of a sharded service: its
+    /// clients' sums plus the shard's private stats deltas. Closing
     /// every shard round with these is what lets replay divergence
     /// localize to a `(shard, round)` pair instead of "somewhere this
     /// generation".
-    ///
-    /// Multi-shard hashes are *commutative*: each client folds its own
-    /// state from a fresh FNV offset and the shard hash is the wrapping
-    /// sum of the per-client contributions. That shape admits the §18
-    /// delta fold — only clients touched since the last traced round
-    /// re-fold; the sums absorb the difference — while staying
-    /// order-independent, so the cached and full-recompute forms agree
-    /// bit for bit (checked by the soak differential suite). The
-    /// single-shard chain keeps the legacy sequential fold in
-    /// [`Self::trace_hashes`]: its values are pinned by the committed
-    /// `.cptr` repro corpus.
     fn shard_trace_hashes(&self, idx: usize) -> (u64, u64, u64) {
-        let (hp, hx) = if self.hash_cached() {
-            self.refold_dirty(idx);
-            let sh = &self.shards[idx];
-            (sh.hp_sum.get(), sh.hx_sum.get())
-        } else {
-            let mut hp = 0u64;
-            let mut hx = 0u64;
-            for c in self
-                .clients
-                .borrow()
-                .iter()
-                .filter(|c| c.shard.get() == idx)
-            {
-                let (p, x) = fold_client_commutative(c);
-                hp = hp.wrapping_add(p);
-                hx = hx.wrapping_add(x);
-            }
-            (hp, hx)
-        };
+        let (hp, hx) = self.client_hash_sums(idx);
         let sh = &self.shards[idx];
         let mut hs = FNV_OFFSET;
         for v in [
@@ -979,13 +992,18 @@ impl Copier {
         stats_to_vec(&self.stats())
     }
 
-    /// FNV-1a fold of [`Copier::stats_vec`].
+    /// FNV-1a fold of [`Copier::stats_vec`], taken once per active traced
+    /// round: the slots are flattened on the stack straight from a borrow
+    /// of the counters, with the three point-in-time slots read the way
+    /// [`Self::stats`] reads them.
     fn stats_digest(&self) -> u64 {
-        let mut h = FNV_OFFSET;
-        for v in self.stats_vec() {
-            h = fnv_fold(h, v);
-        }
-        h
+        use stats_layout::*;
+        let mut v = stats_slots(&self.stats.borrow());
+        let (quarantined, pressure_events, corrupt_quarantined) = self.stats_gauges();
+        v[QUARANTINED_CHANNELS] = quarantined;
+        v[PRESSURE_EVENTS] = pressure_events;
+        v[CORRUPT_QUARANTINED] = corrupt_quarantined;
+        v.into_iter().fold(FNV_OFFSET, fnv_fold)
     }
 
     /// Resets the statistics.
@@ -3271,50 +3289,39 @@ impl Copier {
     }
 }
 
-/// Folds one client's window and index state into the `(pending, index)`
-/// trace hashes. Every component is iterated in a deterministic order
-/// (registration order for sets, window-key order for entries, BTreeMap
-/// order inside the index), so equal states hash equal regardless of how
-/// they were reached.
-fn fold_client_state(c: &Rc<Client>, hp: &mut u64, hx: &mut u64) {
-    fold_client_state_inner(c, hp, hx)
-}
-
-/// One client's contribution to the commutative multi-shard hashes:
-/// the same per-client fold as [`fold_client_state`], but from a fresh
-/// FNV offset so contributions can be summed (and later subtracted)
-/// independently of iteration order.
+/// One client's contribution to the `(pending, index)` trace hashes: its
+/// window and index state folded from a fresh FNV offset, so
+/// contributions can be summed (and later subtracted) independently of
+/// iteration order. Inside a client every component is iterated in a
+/// deterministic order (registration order for sets, window-key order
+/// for entries, BTreeMap order inside the index).
 fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
     let mut hp = FNV_OFFSET;
     let mut hx = FNV_OFFSET;
-    fold_client_state_inner(c, &mut hp, &mut hx);
-    (hp, hx)
-}
-
-fn fold_client_state_inner(c: &Rc<Client>, hp: &mut u64, hx: &mut u64) {
     let mut si = 0;
     while let Some(set) = c.set_at(si) {
         si += 1;
         for e in set.pending.borrow().iter() {
-            *hp = fnv_fold(*hp, e.tid);
-            *hp = fnv_fold(*hp, e.key.0);
-            *hp = fnv_fold(*hp, e.key.1 as u64);
-            *hp = fnv_fold(*hp, e.key.2);
-            *hp = fnv_fold(*hp, e.task.len as u64);
+            hp = fnv_fold(hp, e.tid);
+            hp = fnv_fold(hp, e.key.0);
+            hp = fnv_fold(hp, e.key.1 as u64);
+            hp = fnv_fold(hp, e.key.2);
+            hp = fnv_fold(hp, e.task.len as u64);
             for ivs in [&e.copied, &e.inflight, &e.deferred] {
                 for (lo, hi) in ivs.borrow().iter() {
-                    *hp = fnv_fold(*hp, lo as u64);
-                    *hp = fnv_fold(*hp, hi as u64);
+                    hp = fnv_fold(hp, lo as u64);
+                    hp = fnv_fold(hp, hi as u64);
                 }
-                *hp = fnv_fold(*hp, u64::MAX); // interval-set sentinel
+                hp = fnv_fold(hp, u64::MAX); // interval-set sentinel
             }
             let flags = (e.promoted.get() as u64)
                 | (e.aborted.get() as u64) << 1
                 | (e.failed.get().map_or(0, |f| copy_fault_code(f) as u64)) << 2;
-            *hp = fnv_fold(*hp, flags);
+            hp = fnv_fold(hp, flags);
         }
-        *hx = fnv_fold(*hx, set.index.digest());
+        hx = fnv_fold(hx, set.index.digest());
     }
+    (hp, hx)
 }
 
 /// Cuts a gap list down to at most `cap` total bytes (copy-slice rounds).
@@ -3507,8 +3514,14 @@ pub mod stats_layout {
 /// Canonical flattening of [`CopierStats`] into the append-only
 /// [`stats_layout`] vector shape.
 pub fn stats_to_vec(s: &CopierStats) -> Vec<u64> {
+    stats_slots(s).to_vec()
+}
+
+/// [`stats_to_vec`] without the allocation: the per-round trace state
+/// hash folds this.
+fn stats_slots(s: &CopierStats) -> [u64; stats_layout::LEN] {
     use stats_layout::*;
-    let mut v = vec![0u64; LEN];
+    let mut v = [0u64; LEN];
     v[TASKS_COMPLETED] = s.tasks_completed;
     v[BYTES_COPIED] = s.bytes_copied;
     v[BYTES_ABSORBED] = s.bytes_absorbed;
@@ -3674,6 +3687,39 @@ mod tests {
         for (pos, &idx) in assigned.iter().enumerate() {
             assert_eq!(idx, pos, "stats_layout index renumbered at slot {pos}");
         }
+    }
+
+    /// The per-round `stats_digest` folds exactly what the journal
+    /// checkpoint flattens (`stats_to_vec` of the `stats()` snapshot),
+    /// slot for slot, including the three slots `stats()` reads from the
+    /// DMA engine and the frame pool instead of the counters.
+    #[test]
+    fn stats_digest_folds_the_stats_vec() {
+        let sim = copier_sim::Sim::new();
+        let h = sim.handle();
+        let machine = copier_sim::Machine::new(&h, 1);
+        let pm = Rc::new(PhysMem::new(16, copier_mem::AllocPolicy::Sequential));
+        let svc = Copier::new(
+            &h,
+            Rc::clone(&pm),
+            vec![machine.core(0)],
+            Rc::new(CostModel::default()),
+            CopierConfig {
+                use_dma: true,
+                ..Default::default()
+            },
+        );
+        let distinct: Vec<u64> = (1000..1000 + stats_layout::LEN as u64).collect();
+        *svc.stats.borrow_mut() = stats_from_vec(&distinct);
+        // One pressure event, so that gauge differs from its counter slot.
+        pm.set_watermarks(0, 1);
+        pm.alloc().unwrap();
+        assert!(pm.pressure());
+        let v = stats_to_vec(&svc.stats());
+        assert_eq!(v[stats_layout::PRESSURE_EVENTS], 1);
+        assert_eq!(v[stats_layout::QUARANTINED_CHANNELS], 0);
+        assert_eq!(v[stats_layout::TASKS_COMPLETED], 1000);
+        assert_eq!(svc.stats_digest(), v.into_iter().fold(FNV_OFFSET, fnv_fold));
     }
 
     /// `stats_from_vec(stats_to_vec(s))` is the identity on every field

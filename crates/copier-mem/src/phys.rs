@@ -83,6 +83,55 @@ pub struct PhysMem {
     pressured: Cell<bool>,
     /// Transitions into the pressured state.
     pressure_events: Cell<u64>,
+    /// Whether [`Self::digest`] has been called: from then on every arena
+    /// write and every allocation or free queues the frames it touches.
+    /// The one `Cell` read is all an undigested pool pays per write.
+    digest_on: Cell<bool>,
+    digest: RefCell<DigestState>,
+}
+
+/// Bookkeeping of the incremental [`PhysMem::digest`]. Empty (nothing
+/// allocated) until the first call sizes it to the pool: 9 bytes per
+/// frame that an undigested pool never commits.
+#[derive(Default)]
+struct DigestState {
+    /// The wrapping sum of `term`.
+    sum: u64,
+    /// Per frame, the term currently inside `sum` (0 for a free frame).
+    term: Vec<u64>,
+    /// Frames written, allocated or freed since `sum` was last brought up
+    /// to date, each at most once (`queued` dedups).
+    dirty: Vec<u32>,
+    queued: Vec<bool>,
+    /// Frames re-hashed by all `digest` calls so far.
+    hashed: u64,
+}
+
+/// One allocated frame's term of [`PhysMem::digest`]: word-at-a-time
+/// FNV-1a over its bytes (one multiply per 8 bytes) in four interleaved
+/// lanes, so the multiplies of one 32-byte step do not wait on each
+/// other; `PAGE_SIZE` is a multiple of 32, so nothing is dropped. The
+/// lanes and the frame id are then folded together and put through the
+/// splitmix64 finalizer. Terms are summed, so each must be well mixed on
+/// its own, and the id keeps identical bytes in different frames from
+/// cancelling under a swap.
+fn frame_term(id: usize, bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x100_0000_01b3;
+    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut lanes = [OFFSET, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
+    for step in bytes.chunks_exact(32) {
+        for (lane, w) in lanes.iter_mut().zip(step.chunks_exact(8)) {
+            let x = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+            *lane = (*lane ^ x).wrapping_mul(PRIME);
+        }
+    }
+    let h = lanes
+        .into_iter()
+        .fold(OFFSET, |h, lane| (h ^ lane).wrapping_mul(PRIME));
+    let mut z = h ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl PhysMem {
@@ -124,6 +173,8 @@ impl PhysMem {
             wmark_low: Cell::new((frames - frames / 4).min(frames.saturating_sub(1))),
             pressured: Cell::new(false),
             pressure_events: Cell::new(0),
+            digest_on: Cell::new(false),
+            digest: RefCell::new(DigestState::default()),
         }
     }
 
@@ -155,6 +206,7 @@ impl PhysMem {
             self.arena.borrow_mut()[base..base + PAGE_SIZE].fill(0);
         }
         self.allocated.set(self.allocated.get() + 1);
+        self.mark_dirty(f.0 as usize, 1);
         Ok(f)
     }
 
@@ -205,6 +257,7 @@ impl PhysMem {
             }
         }
         self.allocated.set(self.allocated.get() + n);
+        self.mark_dirty(start, n);
         Ok(FrameId(start as u32))
     }
 
@@ -225,6 +278,7 @@ impl PhysMem {
             assert_eq!(slot.pins.get(), 0, "freeing a pinned frame {f:?}");
             self.free.borrow_mut().push(f);
             self.allocated.set(self.allocated.get() - 1);
+            self.mark_dirty(f.0 as usize, 1);
         }
     }
 
@@ -343,6 +397,7 @@ impl PhysMem {
         self.check_run(f, off, buf.len());
         let base = f.0 as usize * PAGE_SIZE + off;
         self.arena.borrow_mut()[base..base + buf.len()].copy_from_slice(buf);
+        self.mark_bytes_dirty(base, buf.len());
     }
 
     /// Copies bytes between frames — the real data movement behind every
@@ -388,6 +443,7 @@ impl PhysMem {
             // Overlapping runs: memmove.
             arena.copy_within(s0..s0 + len, d0);
         }
+        self.mark_bytes_dirty(d0, len);
     }
 
     /// Per-page baseline of [`Self::copy_run`]: identical semantics, but
@@ -451,30 +507,74 @@ impl PhysMem {
         PAGE_SIZE
     }
 
-    /// FNV-1a digest over the contents of every *allocated* frame
-    /// (frame id folded in first, so identical bytes in different frames
-    /// still produce distinct digests). Free frames are excluded: their
-    /// arena bytes are reinitialization detail, not system state. Used
-    /// by the record/replay layer's memory checkpoints (DESIGN.md §14).
-    pub fn digest(&self) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let arena = self.arena.borrow();
-        for (i, m) in self.meta.iter().enumerate() {
-            if m.refcnt.get() == 0 {
-                continue;
-            }
-            h = (h ^ i as u64).wrapping_mul(PRIME);
-            // Word-at-a-time FNV: one multiply per 8 bytes, not per byte —
-            // the digest runs at trace checkpoints over every allocated
-            // frame, so its cost bounds the record overhead (DESIGN.md
-            // §14). PAGE_SIZE is a multiple of 8, so nothing is dropped.
-            for w in arena[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].chunks_exact(8) {
-                let x = u64::from_le_bytes(w.try_into().unwrap());
-                h = (h ^ x).wrapping_mul(PRIME);
+    /// Queues frames `[first, first + n)` for the next [`Self::digest`].
+    fn mark_dirty(&self, first: usize, n: usize) {
+        if !self.digest_on.get() {
+            return;
+        }
+        let mut d = self.digest.borrow_mut();
+        let d = &mut *d;
+        for f in first..first + n {
+            if !std::mem::replace(&mut d.queued[f], true) {
+                d.dirty.push(f as u32);
             }
         }
-        h
+    }
+
+    /// [`Self::mark_dirty`] for the frames under arena bytes
+    /// `[base, base + len)`, `len > 0`.
+    fn mark_bytes_dirty(&self, base: usize, len: usize) {
+        let first = base / PAGE_SIZE;
+        self.mark_dirty(first, (base + len - 1) / PAGE_SIZE - first + 1);
+    }
+
+    /// Digest of the pool's state: the wrapping sum, over every
+    /// *allocated* frame, of a well-mixed hash of the frame's id and
+    /// bytes (`frame_term`). Free frames contribute nothing: their arena
+    /// bytes are reinitialization detail, not system state. A sum is
+    /// order-free, so equal contents digest equal whatever history
+    /// produced them, and it can be kept up to date by difference: each
+    /// call re-hashes only the frames written, allocated or freed since
+    /// the previous one. The first call hashes every allocated frame and
+    /// switches that tracking on; a pool that is never digested allocates
+    /// none of it. Used by the record/replay layer's memory checkpoints
+    /// (DESIGN.md §14).
+    pub fn digest(&self) -> u64 {
+        if !self.digest_on.replace(true) {
+            {
+                let mut d = self.digest.borrow_mut();
+                d.term = vec![0; self.meta.len()];
+                d.queued = vec![false; self.meta.len()];
+            }
+            for (i, m) in self.meta.iter().enumerate() {
+                if m.refcnt.get() > 0 {
+                    self.mark_dirty(i, 1);
+                }
+            }
+        }
+        let mut d = self.digest.borrow_mut();
+        let d = &mut *d;
+        let arena = self.arena.borrow();
+        for f in d.dirty.drain(..) {
+            let f = f as usize;
+            d.queued[f] = false;
+            let term = if self.meta[f].refcnt.get() > 0 {
+                d.hashed += 1;
+                frame_term(f, &arena[f * PAGE_SIZE..(f + 1) * PAGE_SIZE])
+            } else {
+                0
+            };
+            d.sum = d.sum.wrapping_sub(d.term[f]).wrapping_add(term);
+            d.term[f] = term;
+        }
+        d.sum
+    }
+
+    /// Frames re-hashed by every [`Self::digest`] call so far: what the
+    /// checkpoints of a traced run cost (`fig_trace` reports it per
+    /// checkpoint).
+    pub fn digest_frames_hashed(&self) -> u64 {
+        self.digest.borrow().hashed
     }
 }
 
@@ -684,6 +784,259 @@ mod tests {
         pm.write(c, 7, b"payload");
         pm.decref(b);
         assert_ne!(pm.digest(), after_write, "frame identity is folded in");
+    }
+
+    /// The digest recomputed from nothing: every allocated frame through
+    /// the same per-frame function, no tracking state read.
+    fn digest_from_scratch(pm: &PhysMem) -> u64 {
+        let arena = pm.arena.borrow();
+        (0..pm.meta.len())
+            .filter(|&f| pm.meta[f].refcnt.get() > 0)
+            .fold(0u64, |sum, f| {
+                sum.wrapping_add(frame_term(f, &arena[f * PAGE_SIZE..(f + 1) * PAGE_SIZE]))
+            })
+    }
+
+    #[test]
+    fn digest_sees_a_frame_freed_and_allocated_again() {
+        let pm = PhysMem::new(4, AllocPolicy::Sequential);
+        let keep = pm.alloc().unwrap();
+        let f = pm.alloc().unwrap();
+        pm.write(keep, 0, b"bystander");
+        let zeroed = pm.digest();
+        pm.write(f, 100, b"stale bytes");
+        let written = pm.digest();
+        assert_ne!(written, zeroed);
+        pm.decref(f);
+        let freed = pm.digest();
+        assert_eq!(freed, digest_from_scratch(&pm));
+        assert_ne!(freed, written, "a freed frame leaves the digest");
+        // Sequential pops the frame just freed; it comes back zero-filled.
+        assert_eq!(pm.alloc().unwrap(), f);
+        assert_eq!(pm.digest(), zeroed, "the re-allocated frame reads zero");
+        // Freed and re-allocated between two digests, none in between.
+        pm.write(f, 100, b"stale bytes");
+        assert_eq!(pm.digest(), written);
+        pm.decref(f);
+        assert_eq!(pm.alloc().unwrap(), f);
+        assert_eq!(pm.digest(), zeroed);
+    }
+
+    /// One step of a random pool history. Frames are named by rank among
+    /// the allocated ones and lengths are clamped to the allocated run
+    /// when the step executes, so every script is legal however it is
+    /// shrunk.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Alloc,
+        AllocContiguous(usize),
+        Decref(usize),
+        Write {
+            at: usize,
+            off: usize,
+            len: usize,
+            fill: u8,
+        },
+        /// `copy_run`, source and destination each `(rank, offset)`:
+        /// cross-frame, overlapping and same-frame runs all occur.
+        CopyRun {
+            dst: (usize, usize),
+            src: (usize, usize),
+            len: usize,
+        },
+        CopyFrame {
+            dst: usize,
+            src: usize,
+        },
+        Digest,
+    }
+
+    const POOL: usize = 12;
+
+    fn gen_op(rng: &mut copier_testkit::TestRng) -> Op {
+        let off = |rng: &mut copier_testkit::TestRng| {
+            if rng.gen_bool(0.5) {
+                // Near a page end, where a run crosses into the next frame.
+                PAGE_SIZE - 1 - rng.range_usize(0, 16)
+            } else {
+                rng.range_usize(0, PAGE_SIZE)
+            }
+        };
+        let len = |rng: &mut copier_testkit::TestRng| {
+            if rng.gen_bool(0.3) {
+                rng.range_usize(1, 3 * PAGE_SIZE)
+            } else {
+                rng.range_usize(1, 64)
+            }
+        };
+        match rng.gen_range(10) {
+            0 | 1 => Op::Alloc,
+            2 => Op::AllocContiguous(rng.range_usize(2, 5)),
+            3 => Op::Decref(rng.range_usize(0, POOL)),
+            4 | 5 => Op::Write {
+                at: rng.range_usize(0, POOL),
+                off: off(rng),
+                len: len(rng),
+                fill: rng.next_u64() as u8,
+            },
+            6 | 7 => {
+                let dst = rng.range_usize(0, POOL);
+                // Mostly the same or the next frame: overlapping runs.
+                let src = if rng.gen_bool(0.6) {
+                    dst + rng.range_usize(0, 2)
+                } else {
+                    rng.range_usize(0, POOL)
+                };
+                Op::CopyRun {
+                    dst: (dst, off(rng)),
+                    src: (src, off(rng)),
+                    len: len(rng),
+                }
+            }
+            8 => Op::CopyFrame {
+                dst: rng.range_usize(0, POOL),
+                src: rng.range_usize(0, POOL),
+            },
+            _ => Op::Digest,
+        }
+    }
+
+    /// Applies `op`. A `Digest` step returns the incremental digest next
+    /// to the from-scratch one when `digests` is on and is skipped
+    /// otherwise (the untracked twin).
+    fn apply(pm: &PhysMem, op: &Op, digests: bool) -> Option<(u64, u64)> {
+        let live: Vec<usize> = (0..POOL)
+            .filter(|&f| pm.refcount(FrameId(f as u32)) > 0)
+            .collect();
+        // Bytes from `(rank, off)` to the end of its allocated run.
+        let run = |rank: usize, off: usize| -> Option<(FrameId, usize)> {
+            let f = *live.get(rank % live.len().max(1))?;
+            let frames = (f..POOL)
+                .take_while(|&g| pm.refcount(FrameId(g as u32)) > 0)
+                .count();
+            Some((FrameId(f as u32), frames * PAGE_SIZE - off))
+        };
+        match *op {
+            Op::Alloc => {
+                let _ = pm.alloc();
+            }
+            Op::AllocContiguous(n) => {
+                let _ = pm.alloc_contiguous(n);
+            }
+            Op::Decref(rank) => {
+                if let Some((f, _)) = run(rank, 0) {
+                    pm.decref(f);
+                }
+            }
+            Op::Write { at, off, len, fill } => {
+                if let Some((f, room)) = run(at, off) {
+                    let data: Vec<u8> = (0..len.min(room))
+                        .map(|i| fill.wrapping_add(i as u8))
+                        .collect();
+                    pm.write_run(f, off, &data);
+                }
+            }
+            Op::CopyRun { dst, src, len } => {
+                if let (Some((d, droom)), Some((s, sroom))) = (run(dst.0, dst.1), run(src.0, src.1))
+                {
+                    pm.copy_run(d, dst.1, s, src.1, len.min(droom).min(sroom));
+                }
+            }
+            Op::CopyFrame { dst, src } => {
+                if let (Some((d, _)), Some((s, _))) = (run(dst, 0), run(src, 0)) {
+                    pm.copy_frame(d, s);
+                }
+            }
+            Op::Digest if digests => return Some((pm.digest(), digest_from_scratch(pm))),
+            Op::Digest => {}
+        }
+        None
+    }
+
+    /// The incremental digest against the from-scratch recompute over
+    /// random histories, with three pools that must end equal: one
+    /// digested at random points, one never digested until the end (the
+    /// first call after a long untracked history), and one that reaches
+    /// the same contents by a different route.
+    #[test]
+    fn incremental_digest_matches_from_scratch_recompute() {
+        use copier_testkit::{check_with, prop_assert_eq, shrink_vec, Config};
+        check_with(
+            &Config::from_env(),
+            |rng| {
+                let n = rng.range_usize(1, 80);
+                (0..n).map(|_| gen_op(rng)).collect::<Vec<Op>>()
+            },
+            |ops| shrink_vec(ops, |_| Vec::new()),
+            |ops: &Vec<Op>| {
+                let tracked = PhysMem::new(POOL, AllocPolicy::Sequential);
+                let untracked = PhysMem::new(POOL, AllocPolicy::Sequential);
+                for (i, op) in ops.iter().enumerate() {
+                    if let Some((inc, scratch)) = apply(&tracked, op, true) {
+                        prop_assert_eq!(inc, scratch, "digest at step {i}");
+                    }
+                    apply(&untracked, op, false);
+                }
+                let end = tracked.digest();
+                prop_assert_eq!(end, digest_from_scratch(&tracked), "closing digest");
+                prop_assert_eq!(untracked.digest(), end, "first digest after the history");
+
+                // A different history to the same contents: everything
+                // allocated and scribbled on, digested, then cut down to
+                // the same frames and filled with the same bytes.
+                let other = PhysMem::new(POOL, AllocPolicy::Sequential);
+                let all = other.alloc_contiguous(POOL).unwrap();
+                other.write_run(all, 0, &vec![0x5A; POOL * PAGE_SIZE]);
+                other.digest();
+                let mut page = vec![0u8; PAGE_SIZE];
+                for f in (0..POOL as u32).map(FrameId) {
+                    if tracked.refcount(f) == 0 {
+                        other.decref(f);
+                    } else {
+                        tracked.read(f, 0, &mut page);
+                        other.write(f, 0, &page);
+                    }
+                }
+                prop_assert_eq!(other.digest(), end, "same contents, other history");
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn undigested_pool_allocates_no_tracking() {
+        let pm = PhysMem::new(64, AllocPolicy::Sequential);
+        let f = pm.alloc_contiguous(8).unwrap();
+        pm.write_run(f, 0, &[7u8; 8 * PAGE_SIZE]);
+        pm.copy_run(f, 0, FrameId(f.0 + 4), 0, 4 * PAGE_SIZE);
+        pm.decref(f);
+        let d = pm.digest.borrow();
+        assert_eq!(
+            d.term.capacity() + d.queued.capacity() + d.dirty.capacity(),
+            0
+        );
+    }
+
+    #[test]
+    fn digest_rehashes_only_what_changed() {
+        let pm = PhysMem::new(64, AllocPolicy::Sequential);
+        let f = pm.alloc_contiguous(32).unwrap();
+        pm.digest();
+        assert_eq!(
+            pm.digest_frames_hashed(),
+            32,
+            "first call hashes every frame"
+        );
+        pm.digest();
+        assert_eq!(
+            pm.digest_frames_hashed(),
+            32,
+            "nothing written, nothing hashed"
+        );
+        pm.write_run(FrameId(f.0 + 3), PAGE_SIZE - 1, &[1, 2]); // frames 3 and 4
+        pm.write(FrameId(f.0 + 3), 0, &[9]); // frame 3 again
+        pm.digest();
+        assert_eq!(pm.digest_frames_hashed(), 34);
     }
 
     #[test]

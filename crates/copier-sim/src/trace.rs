@@ -25,8 +25,13 @@ use std::rc::Rc;
 
 /// Magic prefix of an encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CPTR";
-/// Encoding version.
-pub const TRACE_VERSION: u8 = 1;
+/// Encoding version. 2: `MemDigest` is the order-free per-frame sum and
+/// every `RoundEnd` closes with the commutative per-client sums that
+/// `ShardRoundEnd` always used (DESIGN.md §14). The event set and codec
+/// are those of version 1, but its hash values mean something else, so a
+/// version-1 trace is refused here instead of replaying to a spurious
+/// divergence at its first checkpoint.
+pub const TRACE_VERSION: u8 = 2;
 
 /// FNV-1a offset basis — the digest seed used by every state hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -411,6 +416,23 @@ impl Trace {
         out
     }
 
+    /// Decodes exactly `n` events that fill `body` (the wire format past
+    /// its header, which is also how a [`Tracer`] buffers its stream).
+    fn decode_events(body: &[u8], n: usize) -> Result<Trace, String> {
+        if n > body.len() {
+            return Err("event count exceeds trace size".into());
+        }
+        let mut pos = 0usize;
+        let mut events = Vec::with_capacity(n);
+        for _ in 0..n {
+            events.push(TraceEvent::decode_from(body, &mut pos)?);
+        }
+        if pos != body.len() {
+            return Err(format!("{} trailing bytes after events", body.len() - pos));
+        }
+        Ok(Trace { events })
+    }
+
     /// Decodes the binary wire format.
     pub fn decode(buf: &[u8]) -> Result<Trace, String> {
         if buf.len() < 5 || buf[..4] != TRACE_MAGIC {
@@ -421,17 +443,7 @@ impl Trace {
         }
         let mut pos = 5usize;
         let n = get_varint(buf, &mut pos)? as usize;
-        if n > buf.len() {
-            return Err("event count exceeds trace size".into());
-        }
-        let mut events = Vec::with_capacity(n);
-        for _ in 0..n {
-            events.push(TraceEvent::decode_from(buf, &mut pos)?);
-        }
-        if pos != buf.len() {
-            return Err(format!("{} trailing bytes after events", buf.len() - pos));
-        }
-        Ok(Trace { events })
+        Trace::decode_events(&buf[pos..], n)
     }
 
     /// Writes the encoded trace to `path`.
@@ -526,11 +538,11 @@ enum Mode {
     Replay,
 }
 
-/// Default active-round interval between physical-memory digests. The
-/// digest walks every allocated frame, so its cadence — not the event
-/// log — bounds record overhead; 256 active rounds keeps full-workload
-/// recording under the 10% bar while still bracketing a divergence to a
-/// few hundred rounds of memory history (`fig_trace` measures both).
+/// Default active-round interval between physical-memory digests. A
+/// digest re-hashes the frames written since the previous one, so the
+/// interval sets how much memory history brackets a divergence (a few
+/// hundred rounds) and how often a frame written every round is
+/// re-hashed, not what a checkpoint costs (`fig_trace` measures both).
 pub const DEFAULT_MEM_INTERVAL: u64 = 256;
 
 /// The live recorder / replay checker handed to the service and the
@@ -539,8 +551,12 @@ pub const DEFAULT_MEM_INTERVAL: u64 = 256;
 pub struct Tracer {
     mode: Mode,
     /// Events this run produced (record and replay both re-record, so a
-    /// faithful replay's `finish()` byte-equals the original trace).
-    events: RefCell<Vec<TraceEvent>>,
+    /// faithful replay's `finish()` byte-equals the original trace),
+    /// each appended in its wire encoding as it is emitted: a few bytes
+    /// per event instead of a 48-byte enum in a doubling `Vec`.
+    stream: RefCell<Vec<u8>>,
+    /// Events in `stream`.
+    emitted: Cell<usize>,
     /// The reference stream (replay mode only).
     recorded: Vec<TraceEvent>,
     cursor: Cell<usize>,
@@ -573,7 +589,7 @@ impl std::fmt::Debug for Tracer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tracer")
             .field("mode", &self.mode)
-            .field("events", &self.events.borrow().len())
+            .field("events", &self.emitted.get())
             .field("cursor", &self.cursor.get())
             .field("diverged", &self.diverged.borrow().is_some())
             .finish()
@@ -584,7 +600,8 @@ impl Tracer {
     fn new(mode: Mode, recorded: Vec<TraceEvent>) -> Rc<Self> {
         Rc::new(Tracer {
             mode,
-            events: RefCell::new(Vec::new()),
+            stream: RefCell::new(Vec::new()),
+            emitted: Cell::new(0),
             recorded,
             cursor: Cell::new(0),
             diverged: RefCell::new(None),
@@ -621,7 +638,7 @@ impl Tracer {
 
     /// Events emitted so far (bench instrumentation).
     pub fn events_len(&self) -> usize {
-        self.events.borrow().len()
+        self.emitted.get()
     }
 
     fn mark_divergence(&self, got: String) {
@@ -635,6 +652,12 @@ impl Tracer {
         });
     }
 
+    /// Appends `ev` to this run's stream.
+    fn append(&self, ev: &TraceEvent) {
+        ev.encode_into(&mut self.stream.borrow_mut());
+        self.emitted.set(self.emitted.get() + 1);
+    }
+
     /// Appends `ev` and, in replay mode, checks it against the recorded
     /// stream. After the first divergence checking stops (the replay
     /// keeps running on live draws so it still terminates cleanly).
@@ -646,7 +669,7 @@ impl Tracer {
                 _ => self.mark_divergence(format!("{ev:?}")),
             }
         }
-        self.events.borrow_mut().push(ev);
+        self.append(&ev);
     }
 
     fn flush_header(&self) {
@@ -790,7 +813,7 @@ impl Tracer {
         match self.recorded.get(pos) {
             Some(&TraceEvent::DmaDraw { fault }) => {
                 self.cursor.set(pos + 1);
-                self.events.borrow_mut().push(TraceEvent::DmaDraw { fault });
+                self.append(&TraceEvent::DmaDraw { fault });
                 Some(fault)
             }
             _ => {
@@ -814,7 +837,7 @@ impl Tracer {
         match self.recorded.get(pos) {
             Some(&TraceEvent::AtcDraw { stale }) => {
                 self.cursor.set(pos + 1);
-                self.events.borrow_mut().push(TraceEvent::AtcDraw { stale });
+                self.append(&TraceEvent::AtcDraw { stale });
                 Some(stale)
             }
             _ => {
@@ -840,9 +863,7 @@ impl Tracer {
         match self.recorded.get(pos) {
             Some(&TraceEvent::CrashDraw { point: p, fire }) if p == point => {
                 self.cursor.set(pos + 1);
-                self.events
-                    .borrow_mut()
-                    .push(TraceEvent::CrashDraw { point, fire });
+                self.append(&TraceEvent::CrashDraw { point, fire });
                 Some(fire)
             }
             _ => {
@@ -868,9 +889,7 @@ impl Tracer {
         match self.recorded.get(pos) {
             Some(&TraceEvent::CorruptDraw { kind, arg }) => {
                 self.cursor.set(pos + 1);
-                self.events
-                    .borrow_mut()
-                    .push(TraceEvent::CorruptDraw { kind, arg });
+                self.append(&TraceEvent::CorruptDraw { kind, arg });
                 Some((kind, arg))
             }
             _ => {
@@ -895,9 +914,7 @@ impl Tracer {
         match self.recorded.get(pos) {
             Some(&TraceEvent::RotDraw { hit, pos: p }) => {
                 self.cursor.set(pos + 1);
-                self.events
-                    .borrow_mut()
-                    .push(TraceEvent::RotDraw { hit, pos: p });
+                self.append(&TraceEvent::RotDraw { hit, pos: p });
                 Some((hit, p))
             }
             _ => {
@@ -920,13 +937,10 @@ impl Tracer {
         }
         let pos = self.cursor.get();
         match self.recorded.get(pos) {
-            Some(TraceEvent::RaceTimes { times }) if times.len() == n => {
-                let times = times.clone();
+            Some(ev @ TraceEvent::RaceTimes { times }) if times.len() == n => {
                 self.cursor.set(pos + 1);
-                self.events.borrow_mut().push(TraceEvent::RaceTimes {
-                    times: times.clone(),
-                });
-                Some(times)
+                self.append(ev);
+                Some(times.clone())
             }
             _ => {
                 self.mark_divergence(format!("a batch of {n} race times was requested"));
@@ -954,9 +968,8 @@ impl Tracer {
                 self.recorded.len() - self.cursor.get()
             ));
         }
-        Trace {
-            events: self.events.borrow().clone(),
-        }
+        Trace::decode_events(&self.stream.borrow(), self.emitted.get())
+            .expect("the tracer's own encoding decodes")
     }
 }
 
@@ -1042,13 +1055,24 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Trace::decode(b"").is_err());
         assert!(Trace::decode(b"NOPE\x01\x00").is_err());
-        assert!(Trace::decode(b"CPTR\x02\x00").is_err(), "bad version");
+        assert!(Trace::decode(b"CPTR\x03\x00").is_err(), "bad version");
         let mut bytes = Trace::new(sample_events()).encode();
         bytes.push(0xff);
         assert!(Trace::decode(&bytes).is_err(), "trailing bytes");
         bytes.pop();
         bytes.pop();
         assert!(Trace::decode(&bytes).is_err(), "truncated");
+    }
+
+    /// A version-1 trace carries hashes this build defines differently:
+    /// it is refused by name, not replayed to a false divergence.
+    #[test]
+    fn version_1_header_is_refused() {
+        let mut bytes = Trace::new(sample_events()).encode();
+        assert_eq!(bytes[4], TRACE_VERSION);
+        bytes[4] = 1;
+        let err = Trace::decode(&bytes).unwrap_err();
+        assert_eq!(err, "unsupported trace version 1");
     }
 
     #[test]

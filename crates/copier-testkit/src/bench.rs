@@ -122,9 +122,117 @@ impl Bench {
     }
 }
 
+/// Median of `xs` (the upper middle for an even count).
+pub fn median(xs: &[f64]) -> f64 {
+    assert!(!xs.is_empty(), "median of no samples");
+    let mut v = xs.to_vec();
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
+/// Median absolute deviation of `xs` from their median: the spread
+/// statistic that, like the median, one slow outlier does not move.
+pub fn mad(xs: &[f64]) -> f64 {
+    let m = median(xs);
+    median(&xs.iter().map(|x| (x - m).abs()).collect::<Vec<_>>())
+}
+
+/// Wall-clock milliseconds of two variants of one workload, measured as
+/// interleaved pairs: repetition `i` runs both back to back, alternating
+/// which goes first, so machine drift during the measurement lands on
+/// both variants instead of on whichever ran last.
+#[derive(Debug, Clone)]
+pub struct PairedRuns {
+    /// Variant A (the baseline), one sample per repetition.
+    pub a_ms: Vec<f64>,
+    /// Variant B, one sample per repetition.
+    pub b_ms: Vec<f64>,
+}
+
+impl PairedRuns {
+    /// Runs `reps` interleaved pairs of `a` and `b`.
+    pub fn measure(reps: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> Self {
+        assert!(reps > 0, "need at least one pair");
+        let time = |f: &mut dyn FnMut()| {
+            let t = Instant::now();
+            f();
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let mut out = PairedRuns {
+            a_ms: Vec::with_capacity(reps),
+            b_ms: Vec::with_capacity(reps),
+        };
+        for i in 0..reps {
+            if i % 2 == 0 {
+                out.a_ms.push(time(&mut a));
+                out.b_ms.push(time(&mut b));
+            } else {
+                out.b_ms.push(time(&mut b));
+                out.a_ms.push(time(&mut a));
+            }
+        }
+        out
+    }
+
+    /// B's cost over A's, per pair: `b / a − 1`.
+    pub fn overheads(&self) -> Vec<f64> {
+        self.a_ms
+            .iter()
+            .zip(&self.b_ms)
+            .map(|(a, b)| b / a - 1.0)
+            .collect()
+    }
+
+    /// Median per-pair overhead: the number to hold against a bar.
+    pub fn overhead(&self) -> f64 {
+        median(&self.overheads())
+    }
+
+    /// MAD of the per-pair overheads: the measurement's noise floor. A
+    /// bar means something only when it sits well above this.
+    pub fn noise_floor(&self) -> f64 {
+        mad(&self.overheads())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn median_and_mad_ignore_one_outlier() {
+        let xs = [10.0, 11.0, 9.0, 10.5, 500.0];
+        assert_eq!(median(&xs), 10.5);
+        assert_eq!(mad(&xs), 0.5);
+        assert_eq!(mad(&[3.0]), 0.0);
+    }
+
+    #[test]
+    fn paired_runs_alternate_and_compare() {
+        let order = std::cell::RefCell::new(String::new());
+        let spin = |n: u64| {
+            let mut acc = 0u64;
+            for i in 0..n {
+                acc = acc.wrapping_add(black_box(i));
+            }
+            black_box(acc);
+        };
+        let r = PairedRuns::measure(
+            4,
+            || {
+                order.borrow_mut().push('a');
+                spin(20_000);
+            },
+            || {
+                order.borrow_mut().push('b');
+                spin(200_000);
+            },
+        );
+        assert_eq!(*order.borrow(), "abbaabba");
+        assert_eq!((r.a_ms.len(), r.b_ms.len()), (4, 4));
+        assert!(r.overhead() > 1.0, "10x the work: {:?}", r.overheads());
+        assert!(r.noise_floor() >= 0.0);
+    }
 
     #[test]
     fn produces_requested_samples() {

@@ -27,7 +27,7 @@ pub mod latency;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{black_box, Bench, BenchResult};
+pub use bench::{black_box, mad, median, Bench, BenchResult, PairedRuns};
 pub use latency::{peak_rss_bytes, LatencyRecorder, Percentiles};
 pub use prop::{check, check_with, minimize, shrink_vec, Arbitrary, Config, PropResult};
 pub use rng::TestRng;

@@ -41,11 +41,16 @@ echo "BENCH_ctrlperf.json OK"
 # Trace smoke: record a fig07-class run, replay it in lockstep, and
 # localize an injected perturbation — the bench asserts all three, and
 # the JSON must confirm the replay was bit-identical (DESIGN.md §14).
+# The small-op group must be there too, and long enough even in smoke
+# mode to have taken a periodic memory checkpoint (the incremental
+# digest path, not just the closing one).
 TRACE_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_trace
 if command -v jq >/dev/null 2>&1; then
-    jq -e '.replay.identical == true' BENCH_trace.json >/dev/null
+    jq -e '.replay.identical == true
+       and .small_ops.checkpoints >= 1
+       and ([.summary[] | select(.name == "record_overhead_small_ops")] | length == 1)' BENCH_trace.json >/dev/null
 else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_trace.json")); sys.exit(0 if d["replay"]["identical"] else 1)'
+    python3 -c 'import json,sys; d=json.load(open("BENCH_trace.json")); rows=[r for r in d["summary"] if r["name"]=="record_overhead_small_ops"]; sys.exit(0 if d["replay"]["identical"] and d["small_ops"]["checkpoints"] >= 1 and len(rows) == 1 else 1)'
 fi
 echo "BENCH_trace.json OK"
 
@@ -112,7 +117,9 @@ echo "BENCH_soak.json OK"
 
 # Repro-corpus replay: every committed .cptr trace under tests/repros/
 # must replay through the current build without divergence — a frozen
-# regression net over the corruption-draw wire format and the service's
-# round structure.
+# regression net over the corruption-draw wire format, the service's
+# round structure and the state-hash definitions. The corpus is trace
+# version 2 (re-recorded in PR 13 with REPRO_RECORD=1); an older file is
+# refused by version, not replayed.
 REPRO_REPLAY=1 cargo test -q --offline --locked --test integrity repro_corpus_replays_identically
 echo "repro corpus OK"

@@ -622,15 +622,15 @@ fn scrub_heal_reactivates_idle_clients_identically() {
     }
 }
 
-/// Tier 4, strongest hash check: a 4-shard chaos run *recorded* with the
-/// fast path (delta-folded commutative hash sums) *replays* through the
+/// Tier 4, strongest hash check: a chaos run *recorded* with the fast
+/// path (delta-folded commutative hash sums) *replays* through the
 /// full-sweep build (fresh commutative recompute every round) with zero
 /// divergence — so the cached sums equal the recompute at every traced
-/// round, not just at the end.
+/// round, not just at the end. At 4 shards (`ShardRoundEnd`) and at 1
+/// (`RoundEnd`, which closes with the same sums).
 #[test]
 fn fast_recording_replays_through_full_sweep() {
-    fn run_traced(case: &SoakCase, full_sweep: bool, tracer: Rc<Tracer>) -> Exact {
-        let shards = 4;
+    fn run_traced(case: &SoakCase, shards: usize, full_sweep: bool, tracer: Rc<Tracer>) -> Exact {
         let mut sim = Sim::new();
         let h = sim.handle();
         let machine = Machine::new(&h, case.tenants + shards);
@@ -714,16 +714,18 @@ fn fast_recording_replays_through_full_sweep() {
         gen_chaos,
         no_shrink,
         |case: &SoakCase| -> PropResult {
-            let rec = Tracer::record();
-            let recorded = run_traced(case, false, Rc::clone(&rec));
-            let rep = Tracer::replay(rec.finish());
-            let replayed = run_traced(case, true, Rc::clone(&rep));
-            prop_assert!(
-                rep.divergence().is_none(),
-                "full-sweep replay of a fast-path trace diverged: {:?}",
-                rep.divergence()
-            );
-            prop_assert_eq!(&recorded, &replayed, "replay landed a different outcome");
+            for shards in [1, 4] {
+                let rec = Tracer::record();
+                let recorded = run_traced(case, shards, false, Rc::clone(&rec));
+                let rep = Tracer::replay(rec.finish());
+                let replayed = run_traced(case, shards, true, Rc::clone(&rep));
+                prop_assert!(
+                    rep.divergence().is_none(),
+                    "full-sweep replay of a fast-path trace diverged at {shards} shard(s): {:?}",
+                    rep.divergence()
+                );
+                prop_assert_eq!(&recorded, &replayed, "replay landed a different outcome");
+            }
             Ok(())
         },
     );

@@ -213,3 +213,141 @@ fn saved_trace_replays_from_disk() {
     assert!(rep.divergence().is_none(), "{}", rep.divergence().unwrap());
     assert_eq!(a, b);
 }
+
+/// What [`small_op_run`] reports besides the tracer's own stream.
+struct SmallOps {
+    end: u64,
+    /// Per-client hash contributions the service re-folded.
+    hash_refolds: u64,
+    /// Tracer stream length when the scratch buffer was written.
+    events_at_scribble: usize,
+}
+
+/// A single-shard, fault-free run of `ncopies` small sequential copies
+/// (amemcpy then csync, so every copy is at least one active round) by
+/// one tenant, next to `idle` registered tenants that never submit.
+/// Halfway through, the tenant fills a scratch buffer no copy touches
+/// with `scribble`: two runs that differ only in that argument differ
+/// in memory and in nothing the control plane sees.
+fn small_op_run(ncopies: usize, idle: usize, scribble: u8, tracer: &Rc<Tracer>) -> SmallOps {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, 2);
+    let os = Os::boot(&h, machine, 2048);
+    let svc = os.install_copier(
+        vec![os.machine.core(1)],
+        CopierConfig {
+            tracer: Some(Rc::clone(tracer)),
+            ..Default::default()
+        },
+    );
+    let proc = os.spawn_process();
+    let _idle: Vec<_> = (0..idle).map(|_| os.spawn_process()).collect();
+    let lib = proc.lib();
+    let uspace = Rc::clone(&lib.uspace);
+    let len = 2048usize;
+    let src = uspace.mmap(len, Prot::RW, true).unwrap();
+    let dst = uspace.mmap(len, Prot::RW, true).unwrap();
+    let scratch = uspace.mmap(4096, Prot::RW, true).unwrap();
+    uspace.write_bytes(src, &vec![0xA5; len]).unwrap();
+    let events_at_scribble = Rc::new(std::cell::Cell::new(0usize));
+    let seen = Rc::clone(&events_at_scribble);
+    let svc2 = Rc::clone(&svc);
+    let tracer2 = Rc::clone(tracer);
+    let core = os.machine.core(0);
+    sim.spawn("client", async move {
+        for i in 0..ncopies {
+            if i == ncopies / 2 {
+                seen.set(tracer2.events_len());
+                lib.uspace.write_bytes(scratch, &[scribble; 64]).unwrap();
+            }
+            lib.amemcpy(&core, dst, src, len).await.expect("admitted");
+            lib.csync(&core, dst, len).await.expect("clean copy");
+        }
+        svc2.stop();
+    });
+    let end = sim.run();
+    SmallOps {
+        end: end.as_nanos(),
+        hash_refolds: svc.control_obs().hash_refolds,
+        events_at_scribble: events_at_scribble.get(),
+    }
+}
+
+/// The memory checkpoints are incremental (only frames written since the
+/// last one are re-hashed), so a write must be seen by the very next
+/// one: a replay whose only difference is one byte value in a buffer
+/// written between two checkpoints agrees on every control-plane event
+/// and diverges at the first `MemDigest` after the write.
+#[test]
+fn flipped_byte_between_checkpoints_is_caught_at_the_next_mem_digest() {
+    let rec = Tracer::record();
+    rec.set_mem_interval(16);
+    let a = small_op_run(200, 0, 0x11, &rec);
+    let trace = rec.finish();
+    let is_mem = |e: &TraceEvent| matches!(e, TraceEvent::MemDigest { .. });
+    let w = a.events_at_scribble;
+    assert!(
+        trace.events()[..w].iter().any(is_mem),
+        "the write must land after a first checkpoint"
+    );
+    let next = w + trace.events()[w..]
+        .iter()
+        .position(is_mem)
+        .expect("a checkpoint follows the write");
+    assert!(
+        trace.events()[next + 1..].iter().any(is_mem),
+        "caught by a periodic checkpoint, not the closing one"
+    );
+
+    let rep = Tracer::replay(trace.clone());
+    rep.set_mem_interval(16);
+    let b = small_op_run(200, 0, 0x10, &rep);
+    assert_eq!(a.end, b.end, "the scratch byte moves no virtual time");
+    let d = rep.divergence().expect("a differing byte must diverge");
+    assert_eq!(d.pos, next, "caught at the next checkpoint: {d}");
+    assert_eq!(d.expected.as_ref(), Some(&trace.events()[next]), "{d}");
+
+    // The same byte value replays clean through every checkpoint.
+    let same = Tracer::replay(trace);
+    same.set_mem_interval(16);
+    small_op_run(200, 0, 0x11, &same);
+    assert!(
+        same.divergence().is_none(),
+        "{}",
+        same.divergence().unwrap()
+    );
+}
+
+/// One hash definition at every shard count: the single-shard service
+/// closes its rounds with the delta-folded per-client sums too, so a
+/// long run beside registered-but-idle tenants re-folds the one busy
+/// tenant per round, not every tenant, and still replays in lockstep.
+#[test]
+fn single_shard_round_hashes_refold_only_touched_clients() {
+    let idle = 7usize;
+    let rec = Tracer::record();
+    let a = small_op_run(1200, idle, 0, &rec);
+    let trace = rec.finish();
+    let rounds = trace.rounds() as u64;
+    assert!(rounds >= 1000, "only {rounds} active rounds");
+    let clients = idle as u64 + 1;
+    // Each idle tenant folds once (its registration); the busy one once
+    // per active round that closes with it assigned.
+    assert!(
+        (rounds..=rounds + clients).contains(&a.hash_refolds),
+        "{} refolds over {rounds} rounds",
+        a.hash_refolds
+    );
+    assert!(
+        a.hash_refolds * 3 < rounds * clients,
+        "{} refolds is not far below {rounds} rounds x {clients} clients",
+        a.hash_refolds
+    );
+
+    let rep = Tracer::replay(trace.clone());
+    let b = small_op_run(1200, idle, 0, &rep);
+    assert!(rep.divergence().is_none(), "{}", rep.divergence().unwrap());
+    assert_eq!(a.end, b.end);
+    assert_eq!(rep.finish().encode(), trace.encode());
+}
