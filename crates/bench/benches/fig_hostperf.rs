@@ -20,17 +20,30 @@
 //! - `overlap-move`   — `memmove` within one region (arena `copy_within`
 //!   vs. page-tiled moves).
 //!
+//! The `executor` group times what one simulated event costs the host:
+//! a `sleep` wake-up, an `advance` on a free core and on a shared one, a
+//! `Notify` round trip. Each is also given as a multiple of a floor
+//! measured in the same round of the same run (a `BinaryHeap` push+pop
+//! of a 32-byte entry plus a `VecDeque` push+pop: what a timer event
+//! cannot avoid), and the bars are on the multiples, because this host's
+//! speed swings by whole factors within minutes and a bar in ns cannot
+//! hold.
+//!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
 //! Set `HOSTPERF_SMOKE=1` for a tiny, fast run (CI smoke).
 
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::rc::Rc;
 use std::time::Instant;
 
 use copier_bench::json::Json;
 use copier_bench::{kb, section};
 use copier_mem::{frames_of, AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr, PAGE_SIZE};
-use copier_testkit::{black_box, Bench};
+use copier_sim::{Machine, Nanos, Notify, Sim};
+use copier_testkit::{black_box, median, Bench};
 
 /// One measured layout: fast vs. per-page GB/s over the same bytes.
 struct LayoutResult {
@@ -234,6 +247,154 @@ fn run_overlapping(bench: &Bench, pages: usize) -> LayoutResult {
     }
 }
 
+/// One executor primitive and the bar on its cost over the floor.
+struct ExecCase {
+    name: &'static str,
+    /// `over_floor` at or below this passes. Set between what this bench
+    /// read on the day for the executor before it (a waker allocated per
+    /// poll, a locked ready queue, cores as tasks: 8.8, 25, 17 and 16
+    /// floors) and for this one (3.0, 4.7, 3.0 and 5.6).
+    bar: f64,
+    /// Host ns per event over this many events.
+    run: fn(u64) -> f64,
+}
+
+const EXEC_CASES: [ExecCase; 4] = [
+    ExecCase {
+        name: "sleep",
+        bar: 5.0,
+        run: sleep_ns,
+    },
+    ExecCase {
+        name: "advance",
+        bar: 10.0,
+        run: |n| advance_ns(n, 1),
+    },
+    ExecCase {
+        name: "advance_contended",
+        bar: 8.0,
+        run: |n| advance_ns(n, 2),
+    },
+    ExecCase {
+        name: "notify_round_trip",
+        bar: 10.0,
+        run: notify_ns,
+    },
+];
+
+/// A case's host ns per event and that over the floor, each the median
+/// over the rounds.
+struct ExecRow {
+    case: &'static ExecCase,
+    ns: f64,
+    over_floor: f64,
+}
+
+/// Host ns per iteration of `events` iterations of the floor: the heap
+/// and queue traffic of one timer event with nothing else around it.
+fn floor_ns(events: u64) -> f64 {
+    let mut heap: BinaryHeap<Reverse<(u64, u64, u64, u64)>> = BinaryHeap::new();
+    let mut ready: VecDeque<usize> = VecDeque::new();
+    let t0 = Instant::now();
+    for i in 0..events {
+        heap.push(Reverse(black_box((i, i, 0, 0))));
+        let Reverse((_, id, _, _)) = heap.pop().expect("just pushed");
+        ready.push_back(black_box(id as usize));
+        black_box(ready.pop_front());
+    }
+    t0.elapsed().as_nanos() as f64 / events as f64
+}
+
+/// Runs `build`'s simulation to its end; host ns per event of `events`.
+fn sim_ns(events: u64, build: impl FnOnce(&mut Sim)) -> f64 {
+    let mut sim = Sim::new();
+    build(&mut sim);
+    let t0 = Instant::now();
+    sim.run();
+    t0.elapsed().as_nanos() as f64 / events as f64
+}
+
+fn sleep_ns(events: u64) -> f64 {
+    sim_ns(events, |sim| {
+        let h = sim.handle();
+        sim.spawn("sleeper", async move {
+            for _ in 0..events {
+                h.sleep(Nanos(1)).await;
+            }
+        });
+    })
+}
+
+/// `tasks` threads share one core, `events` sub-quantum advances in all.
+fn advance_ns(events: u64, tasks: u64) -> f64 {
+    sim_ns(events, |sim| {
+        let machine = Machine::new(&sim.handle(), 1);
+        for _ in 0..tasks {
+            let core = machine.core(0);
+            sim.spawn("worker", async move {
+                for _ in 0..events / tasks {
+                    core.advance(Nanos(100)).await;
+                }
+            });
+        }
+    })
+}
+
+/// Two tasks hand a count back and forth through two `Notify` cells; one
+/// event is one round trip (two notifies, two waits).
+fn notify_ns(events: u64) -> f64 {
+    sim_ns(events, |sim| {
+        let ping = Rc::new((Notify::new(), Cell::new(0u64)));
+        let pong = Rc::new((Notify::new(), Cell::new(0u64)));
+        let (ping2, pong2) = (Rc::clone(&ping), Rc::clone(&pong));
+        sim.spawn("caller", async move {
+            for i in 1..=events {
+                ping.1.set(i);
+                ping.0.notify_one();
+                while pong.1.get() < i {
+                    pong.0.notified().await;
+                }
+            }
+        });
+        sim.spawn("echo", async move {
+            for i in 1..=events {
+                while ping2.1.get() < i {
+                    ping2.0.notified().await;
+                }
+                pong2.1.set(i);
+                pong2.0.notify_one();
+            }
+        });
+    })
+}
+
+/// The executor group: `rounds` rounds, each timing the floor and the
+/// four primitives back to back so that a swing of the host lands on a
+/// round's numerator and denominator alike.
+fn run_executor(rounds: usize, events: u64) -> (f64, Vec<ExecRow>) {
+    let mut floors = Vec::with_capacity(rounds);
+    let mut ns = vec![Vec::with_capacity(rounds); EXEC_CASES.len()];
+    for _ in 0..rounds {
+        floors.push(floor_ns(events));
+        for (case, ns) in EXEC_CASES.iter().zip(&mut ns) {
+            ns.push((case.run)(events));
+        }
+    }
+    let rows = EXEC_CASES
+        .iter()
+        .zip(&ns)
+        .map(|(case, ns)| {
+            let over: Vec<f64> = ns.iter().zip(&floors).map(|(t, f)| t / f).collect();
+            ExecRow {
+                case,
+                ns: median(ns),
+                over_floor: median(&over),
+            }
+        })
+        .collect();
+    (median(&floors), rows)
+}
+
 fn main() {
     let smoke = std::env::var("HOSTPERF_SMOKE").is_ok_and(|v| v == "1");
     let bench = if smoke {
@@ -256,6 +417,19 @@ fn main() {
         run_gather(&bench, "gather-scattered", AllocPolicy::Scattered, depth, 4),
         run_overlapping(&bench, if smoke { 16 } else { 1024 }),
     ];
+    section("executor: host cost of one simulated event");
+    let (floor, executor) = if smoke {
+        run_executor(3, 20_000)
+    } else {
+        run_executor(15, 400_000)
+    };
+    println!("  floor (heap push+pop of 32 B, queue push+pop): {floor:.1} ns");
+    for r in &executor {
+        println!(
+            "  {:<18} {:>7.1} ns  = {:>5.2}x floor  (bar {}x)",
+            r.case.name, r.ns, r.over_floor, r.case.bar
+        );
+    }
     let suite_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     section("summary (GB/s, higher is better)");
@@ -292,6 +466,22 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("executor_floor_ns", Json::Num(floor)),
+        (
+            "executor",
+            Json::Arr(
+                executor
+                    .iter()
+                    .map(|r| {
+                        Json::obj([
+                            ("name", Json::Str(r.case.name.into())),
+                            ("ns", Json::Num(r.ns)),
+                            ("over_floor", Json::Num(r.over_floor)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         (
             "summary",
             Json::Arr(
@@ -310,6 +500,14 @@ fn main() {
                             r.speedup(),
                         )
                     })
+                    .chain(executor.iter().map(|r| {
+                        Json::summary(
+                            &format!("exec_{}", r.case.name),
+                            "over_floor_max",
+                            r.case.bar,
+                            r.over_floor,
+                        )
+                    }))
                     .collect(),
             ),
         ),

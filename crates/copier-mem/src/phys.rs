@@ -53,6 +53,8 @@ struct FrameMeta {
     /// Whether the frame was ever allocated: its arena bytes may be dirty
     /// and must be re-zeroed on the next allocation (fresh frames read 0).
     touched: Cell<bool>,
+    /// Scratch for [`PhysMem::compact_free`]; false outside it.
+    kept: Cell<bool>,
 }
 
 /// Errors from the physical allocator.
@@ -70,7 +72,16 @@ pub struct PhysMem {
     /// One allocation backing every frame's bytes.
     arena: RefCell<Box<[u8]>>,
     meta: Vec<FrameMeta>,
+    /// The hand-out order of [`Self::alloc`], popped from the back. A free
+    /// frame's entry is the last one naming it; `alloc_contiguous` takes
+    /// frames without looking theirs up, so entries naming an allocated
+    /// frame, or buried under a later one for the same frame, are stale
+    /// and `alloc` pops past them.
     free: RefCell<Vec<FrameId>>,
+    /// Stale entries in `free`, to know when to compact it.
+    stale: Cell<usize>,
+    /// No frame below this index is free: where `alloc_contiguous` starts.
+    lowest_free: Cell<usize>,
     policy: Cell<AllocPolicy>,
     allocated: Cell<usize>,
     /// Allocated-frame high watermark: at or above, the pool reports
@@ -146,6 +157,7 @@ impl PhysMem {
                 refcnt: Cell::new(0),
                 pins: Cell::new(0),
                 touched: Cell::new(false),
+                kept: Cell::new(false),
             })
             .collect();
         let mut free: Vec<FrameId> = (0..frames as u32).map(FrameId).collect();
@@ -165,6 +177,8 @@ impl PhysMem {
             arena: RefCell::new(vec![0u8; frames * PAGE_SIZE].into_boxed_slice()),
             meta,
             free: RefCell::new(free),
+            stale: Cell::new(0),
+            lowest_free: Cell::new(0),
             policy: Cell::new(policy),
             allocated: Cell::new(0),
             // Default watermarks: pressure at 7/8 of the pool, recovery at
@@ -195,9 +209,17 @@ impl PhysMem {
 
     /// Allocates one frame with refcount 1. Its contents are zeroed.
     pub fn alloc(&self) -> Result<FrameId, PhysError> {
-        let f = self.free.borrow_mut().pop().ok_or(PhysError::OutOfMemory)?;
+        let f = {
+            let mut free = self.free.borrow_mut();
+            loop {
+                let f = free.pop().ok_or(PhysError::OutOfMemory)?;
+                if self.meta[f.0 as usize].refcnt.get() == 0 {
+                    break f;
+                }
+                self.stale.set(self.stale.get() - 1);
+            }
+        };
         let slot = &self.meta[f.0 as usize];
-        debug_assert_eq!(slot.refcnt.get(), 0);
         slot.refcnt.set(1);
         // Fresh frames must read as zero; the arena starts zeroed, so only
         // previously used frames pay for re-zeroing.
@@ -213,41 +235,30 @@ impl PhysMem {
     /// Allocates `n` physically contiguous frames (refcount 1 each).
     ///
     /// Used for kernel buffers (sk_buffs) and huge-page-like regions. This
-    /// scans for a run of free ids, so it succeeds even under `Scattered`.
+    /// takes the lowest run of `n` free ids, so it succeeds even under
+    /// `Scattered`. The scan starts at the lowest frame that can be free
+    /// and the free list is not searched: the run's entries are left in it
+    /// as stale (see `free`).
     pub fn alloc_contiguous(&self, n: usize) -> Result<FrameId, PhysError> {
         assert!(n > 0);
         if n == 1 {
             return self.alloc();
         }
-        // Find the lowest run of n free frames.
-        let mut run = 0usize;
-        let mut start = 0usize;
-        let mut found = None;
-        for (i, s) in self.meta.iter().enumerate() {
-            if s.refcnt.get() == 0 {
-                if run == 0 {
-                    start = i;
-                }
-                run += 1;
-                if run == n {
-                    found = Some(start);
-                    break;
-                }
-            } else {
-                run = 0;
-            }
+        let unallocated = self.meta.len() - self.allocated.get();
+        if unallocated < n {
+            return Err(PhysError::OutOfMemory);
         }
-        let start = found.ok_or_else(|| {
-            if self.free.borrow().len() >= n {
-                PhysError::Fragmented
-            } else {
-                PhysError::OutOfMemory
-            }
-        })?;
-        // Remove the run's ids from the free list.
-        self.free
-            .borrow_mut()
-            .retain(|f| (f.0 as usize) < start || (f.0 as usize) >= start + n);
+        let is_free = |i: &usize| self.meta[*i].refcnt.get() == 0;
+        let first = (self.lowest_free.get()..self.meta.len())
+            .find(is_free)
+            .expect("frames are unallocated and none of them is below the bound");
+        self.lowest_free.set(first);
+        let mut run = 0usize;
+        let found = (first..self.meta.len()).find_map(|i| {
+            run = if is_free(&i) { run + 1 } else { 0 };
+            (run == n).then(|| i + 1 - n)
+        });
+        let start = found.ok_or(PhysError::Fragmented)?;
         let mut arena = self.arena.borrow_mut();
         for i in start..start + n {
             let slot = &self.meta[i];
@@ -256,9 +267,37 @@ impl PhysMem {
                 arena[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].fill(0);
             }
         }
+        drop(arena);
         self.allocated.set(self.allocated.get() + n);
+        self.stale.set(self.stale.get() + n);
+        if self.stale.get() > unallocated - n {
+            self.compact_free();
+        }
         self.mark_dirty(start, n);
         Ok(FrameId(start as u32))
+    }
+
+    /// Drops every stale entry from the free list, keeping the others in
+    /// order. Called when they outnumber the live ones, so the list never
+    /// holds more than two entries per frame of the pool.
+    fn compact_free(&self) {
+        let mut free = self.free.borrow_mut();
+        // From the back, the first entry met for a free frame is its live
+        // one; live entries slide to the back in place.
+        let mut w = free.len();
+        for r in (0..free.len()).rev() {
+            let f = free[r];
+            let slot = &self.meta[f.0 as usize];
+            if slot.refcnt.get() == 0 && !slot.kept.replace(true) {
+                w -= 1;
+                free[w] = f;
+            }
+        }
+        free.drain(..w);
+        for f in free.iter() {
+            self.meta[f.0 as usize].kept.set(false);
+        }
+        self.stale.set(0);
     }
 
     /// Increments a frame's share count (CoW fork).
@@ -277,6 +316,8 @@ impl PhysMem {
         if rc == 1 {
             assert_eq!(slot.pins.get(), 0, "freeing a pinned frame {f:?}");
             self.free.borrow_mut().push(f);
+            self.lowest_free
+                .set(self.lowest_free.get().min(f.0 as usize));
             self.allocated.set(self.allocated.get() - 1);
             self.mark_dirty(f.0 as usize, 1);
         }
@@ -1087,5 +1128,161 @@ mod tests {
         let f = pm.alloc().unwrap();
         pm.pin(f);
         pm.decref(f);
+    }
+    /// The allocator as it was before the free list went lazy: the lowest
+    /// run found by a scan from frame 0, its ids removed from the list by
+    /// a `retain` over all of it. What `alloc_contiguous` must still
+    /// return, and the order `alloc` must still hand frames out in.
+    struct RetainModel {
+        refcnt: Vec<u16>,
+        free: Vec<FrameId>,
+    }
+
+    impl RetainModel {
+        fn alloc(&mut self) -> Result<FrameId, PhysError> {
+            let f = self.free.pop().ok_or(PhysError::OutOfMemory)?;
+            self.refcnt[f.0 as usize] = 1;
+            Ok(f)
+        }
+
+        fn alloc_contiguous(&mut self, n: usize) -> Result<FrameId, PhysError> {
+            if n == 1 {
+                return self.alloc();
+            }
+            let mut run = 0;
+            let start = self.refcnt.iter().enumerate().find_map(|(i, rc)| {
+                run = if *rc == 0 { run + 1 } else { 0 };
+                (run == n).then(|| i + 1 - n)
+            });
+            let start = start.ok_or(if self.free.len() >= n {
+                PhysError::Fragmented
+            } else {
+                PhysError::OutOfMemory
+            })?;
+            self.free
+                .retain(|f| (f.0 as usize) < start || (f.0 as usize) >= start + n);
+            self.refcnt[start..start + n].fill(1);
+            Ok(FrameId(start as u32))
+        }
+
+        fn decref(&mut self, f: FrameId) {
+            self.refcnt[f.0 as usize] = 0;
+            self.free.push(f);
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum AllocOp {
+        Alloc,
+        Contiguous(usize),
+        /// Frees the allocated frame of this rank, if any is allocated.
+        Free(usize),
+        /// Frees a whole run, as an sk_buff's owner does.
+        FreeRun(usize, usize),
+    }
+
+    #[test]
+    fn lazy_free_list_matches_the_scan_and_retain_allocator() {
+        use copier_testkit::{check_with, prop_assert, prop_assert_eq, shrink_vec, Config};
+        check_with(
+            &Config::from_env(),
+            |rng| {
+                let frames = rng.range_usize(4, 48);
+                let policy = if rng.gen_bool(0.5) {
+                    AllocPolicy::Sequential
+                } else {
+                    AllocPolicy::Scattered
+                };
+                let ops = (0..rng.range_usize(1, 200))
+                    .map(|_| match rng.gen_range(8) {
+                        0..=2 => AllocOp::Alloc,
+                        3 | 4 => AllocOp::Contiguous(rng.range_usize(2, 7)),
+                        5 | 6 => AllocOp::Free(rng.range_usize(0, frames)),
+                        _ => AllocOp::FreeRun(rng.range_usize(0, frames), rng.range_usize(2, 7)),
+                    })
+                    .collect::<Vec<_>>();
+                (frames, policy, ops)
+            },
+            |(frames, policy, ops)| {
+                shrink_vec(ops, |_| Vec::new())
+                    .into_iter()
+                    .map(|ops| (*frames, *policy, ops))
+                    .collect()
+            },
+            |(frames, policy, ops)| {
+                let pm = PhysMem::new(*frames, *policy);
+                let mut model = RetainModel {
+                    refcnt: vec![0; *frames],
+                    free: pm.free.borrow().clone(),
+                };
+                let free_one = |model: &mut RetainModel, f: usize| {
+                    if model.refcnt[f] > 0 {
+                        model.decref(FrameId(f as u32));
+                        pm.decref(FrameId(f as u32));
+                    }
+                };
+                for (i, op) in ops.iter().enumerate() {
+                    match *op {
+                        AllocOp::Alloc => prop_assert_eq!(pm.alloc(), model.alloc(), "step {i}"),
+                        AllocOp::Contiguous(n) => prop_assert_eq!(
+                            pm.alloc_contiguous(n),
+                            model.alloc_contiguous(n),
+                            "step {i}"
+                        ),
+                        AllocOp::Free(rank) => {
+                            let live: Vec<usize> =
+                                (0..*frames).filter(|&f| model.refcnt[f] > 0).collect();
+                            if !live.is_empty() {
+                                free_one(&mut model, live[rank % live.len()]);
+                            }
+                        }
+                        AllocOp::FreeRun(at, n) => {
+                            for f in at..(at + n).min(*frames) {
+                                free_one(&mut model, f);
+                            }
+                        }
+                    }
+                    let unallocated = *frames - pm.allocated();
+                    let listed = pm.free.borrow().len();
+                    prop_assert_eq!(
+                        listed - unallocated,
+                        pm.stale.get(),
+                        "stale count, step {i}"
+                    );
+                    prop_assert!(
+                        listed <= 2 * *frames,
+                        "{listed} entries for {frames} frames"
+                    );
+                    prop_assert!(
+                        (0..pm.lowest_free.get()).all(|f| model.refcnt[f] > 0),
+                        "a free frame below the scan start, step {i}"
+                    );
+                }
+                // Whatever is left comes out of `alloc` in the same order.
+                loop {
+                    let (got, want) = (pm.alloc(), model.alloc());
+                    prop_assert_eq!(got, want, "draining");
+                    if got.is_err() {
+                        break;
+                    }
+                }
+                prop_assert_eq!(pm.stale.get(), 0);
+                Ok(())
+            },
+        );
+    }
+
+    #[test]
+    fn repeated_runs_do_not_grow_the_free_list() {
+        // The sk_buff pattern: the same lowest run taken and given back.
+        let pm = PhysMem::new(64, AllocPolicy::Scattered);
+        for _ in 0..10_000 {
+            let f = pm.alloc_contiguous(4).unwrap();
+            for i in 0..4 {
+                pm.decref(FrameId(f.0 + i));
+            }
+        }
+        assert!(pm.free.borrow().len() <= 128);
+        assert_eq!(pm.allocated(), 0);
     }
 }

@@ -6,32 +6,54 @@
 //! also carries a tiny cache-residency model (see [`crate::cache`]) used by
 //! the §6.3.5 micro-architectural experiment, and per-core busy-time
 //! accounting used by the energy proxy (Fig. 13-c).
+//!
+//! A core is not a task. It is an executor [`Resource`] with two steps,
+//! "take the next demand and arm one slice" and "the slice elapsed", which
+//! the executor calls where a driver task's wake-up and its sleep timer
+//! would have sat in the schedule (DESIGN.md §12).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
-use std::task::Waker;
+use std::task::{Context, Poll, Waker};
 
 use crate::cache::CacheModel;
-use crate::exec::SimHandle;
-use crate::sync::Notify;
+use crate::exec::{Kernel, Port, Resource, SimHandle};
 use crate::time::Nanos;
 
 /// Default round-robin quantum for contended cores.
 pub const DEFAULT_QUANTUM: Nanos = Nanos::from_micros(20);
 
-struct Req {
-    remaining: Cell<u64>,
-    done: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
+/// One `advance` call's claim on the core, in a slot of `Sched::demands`.
+struct Demand {
+    /// Nanoseconds still to serve; zero once the demand is complete.
+    remaining: u64,
+    /// The task to wake at completion. It outlives a dropped [`Advance`]:
+    /// the time is still consumed and the task still woken when it is.
+    waker: Option<Waker>,
+    /// The `Advance` that filed this was dropped; nobody will collect the
+    /// slot, so the core frees it at completion.
+    orphan: bool,
+}
+
+struct Sched {
+    demands: Vec<Demand>,
+    free: Vec<usize>,
+    /// Demands waiting for a slice, FIFO; excludes the one being served.
+    queue: VecDeque<usize>,
+    /// The demand being served and the length of the slice armed for it.
+    running: Option<(usize, u64)>,
+    /// This core has a ready-queue entry that has not run yet.
+    kicked: bool,
 }
 
 /// One simulated CPU core.
 pub struct Core {
     id: usize,
-    h: SimHandle,
-    queue: RefCell<VecDeque<Rc<Req>>>,
-    work: Notify,
+    port: Port,
+    sched: RefCell<Sched>,
     quantum: Cell<Nanos>,
     busy: Cell<u64>,
     /// Cache-residency model for the micro-architectural proxy experiment.
@@ -54,27 +76,22 @@ impl Core {
         self.quantum.set(q);
     }
 
-    /// Number of threads currently queued or running on this core.
+    /// Number of threads queued on this core behind the one it is serving.
     pub fn load(&self) -> usize {
-        self.queue.borrow().len()
+        self.sched.borrow().queue.len()
     }
 
     /// Consumes `dur` of this core's time, waiting in line if contended.
     ///
     /// This is the only way simulated computation costs time: a thread that
-    /// never calls `advance` is free (it models pure waiting).
-    pub async fn advance(self: &Rc<Self>, dur: Nanos) {
-        if dur == Nanos::ZERO {
-            return;
+    /// never calls `advance` is free (it models pure waiting). The demand is
+    /// filed when the future is first polled. Dropping the future later does
+    /// not take it back: the core still spends the time.
+    pub fn advance(self: &Rc<Self>, dur: Nanos) -> Advance<'_> {
+        Advance {
+            core: self,
+            state: AdvanceState::New(dur.as_nanos()),
         }
-        let req = Rc::new(Req {
-            remaining: Cell::new(dur.as_nanos()),
-            done: Cell::new(false),
-            waker: RefCell::new(None),
-        });
-        self.queue.borrow_mut().push_back(Rc::clone(&req));
-        self.work.notify_one();
-        ReqDone { req }.await;
     }
 
     /// Consumes core time inflated by the cache model and updates residency.
@@ -86,50 +103,131 @@ impl Core {
         self.advance(inflated).await;
     }
 
-    /// The driver loop: serves queued demands round-robin.
-    async fn drive(self: Rc<Self>) {
-        loop {
-            let next = self.queue.borrow_mut().pop_front();
-            let req = match next {
-                Some(r) => r,
-                None => {
-                    self.work.notified().await;
-                    continue;
+    /// Queues a demand of `ns`; an idle core gets its ready-queue entry.
+    fn file(&self, ns: u64, waker: Waker) -> usize {
+        let mut s = self.sched.borrow_mut();
+        let demand = Demand {
+            remaining: ns,
+            waker: Some(waker),
+            orphan: false,
+        };
+        let slot = match s.free.pop() {
+            Some(slot) => {
+                s.demands[slot] = demand;
+                slot
+            }
+            None => {
+                s.demands.push(demand);
+                s.demands.len() - 1
+            }
+        };
+        s.queue.push_back(slot);
+        if !s.kicked && s.running.is_none() {
+            s.kicked = true;
+            self.port.kick();
+        }
+        slot
+    }
+
+    /// Takes the next demand, if any, and arms one quantum slice for it.
+    fn arm_next(&self, s: &mut Sched, k: &Kernel) {
+        if let Some(slot) = s.queue.pop_front() {
+            let quantum = self.quantum.get().as_nanos().max(1);
+            let slice = s.demands[slot].remaining.min(quantum);
+            k.arm(Nanos(k.now().0.saturating_add(slice)), &self.port);
+            s.running = Some((slot, slice));
+        }
+    }
+}
+
+impl Resource for Core {
+    fn on_ready(&self, k: &Kernel) {
+        let mut s = self.sched.borrow_mut();
+        s.kicked = false;
+        self.arm_next(&mut s, k);
+    }
+
+    fn on_timer(&self, k: &Kernel) {
+        let mut s = self.sched.borrow_mut();
+        let (slot, slice) = s
+            .running
+            .take()
+            .expect("a core's timer fires only for the slice it armed");
+        self.busy.set(self.busy.get() + slice);
+        let d = &mut s.demands[slot];
+        d.remaining -= slice;
+        let finished = if d.remaining == 0 {
+            let waker = d.waker.take();
+            if d.orphan {
+                s.free.push(slot);
+            }
+            waker
+        } else {
+            s.queue.push_back(slot);
+            None
+        };
+        self.arm_next(&mut s, k);
+        drop(s);
+        if let Some(waker) = finished {
+            waker.wake();
+        }
+    }
+}
+
+enum AdvanceState {
+    /// Not polled yet; the nanoseconds to ask for.
+    New(u64),
+    /// Filed in this slot of the core's demand table.
+    Filed(usize),
+    Done,
+}
+
+/// Future returned by [`Core::advance`].
+pub struct Advance<'a> {
+    core: &'a Core,
+    state: AdvanceState,
+}
+
+impl Future for Advance<'_> {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        match self.state {
+            AdvanceState::New(0) | AdvanceState::Done => {
+                self.state = AdvanceState::Done;
+                Poll::Ready(())
+            }
+            AdvanceState::New(ns) => {
+                let slot = self.core.file(ns, cx.waker().clone());
+                self.state = AdvanceState::Filed(slot);
+                Poll::Pending
+            }
+            AdvanceState::Filed(slot) => {
+                let mut s = self.core.sched.borrow_mut();
+                let d = &mut s.demands[slot];
+                if d.remaining == 0 {
+                    s.free.push(slot);
+                    drop(s);
+                    self.state = AdvanceState::Done;
+                    return Poll::Ready(());
                 }
-            };
-            let remaining = req.remaining.get();
-            let slice = remaining.min(self.quantum.get().as_nanos().max(1));
-            self.h.sleep(Nanos(slice)).await;
-            self.busy.set(self.busy.get() + slice);
-            let left = remaining - slice;
-            req.remaining.set(left);
-            if left == 0 {
-                req.done.set(true);
-                if let Some(w) = req.waker.borrow_mut().take() {
-                    w.wake();
+                if let Some(w) = &mut d.waker {
+                    w.clone_from(cx.waker());
                 }
-            } else {
-                self.queue.borrow_mut().push_back(req);
+                Poll::Pending
             }
         }
     }
 }
 
-struct ReqDone {
-    req: Rc<Req>,
-}
-
-impl std::future::Future for ReqDone {
-    type Output = ();
-    fn poll(
-        self: std::pin::Pin<&mut Self>,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<()> {
-        if self.req.done.get() {
-            std::task::Poll::Ready(())
-        } else {
-            *self.req.waker.borrow_mut() = Some(cx.waker().clone());
-            std::task::Poll::Pending
+impl Drop for Advance<'_> {
+    fn drop(&mut self) {
+        if let AdvanceState::Filed(slot) = self.state {
+            let mut s = self.core.sched.borrow_mut();
+            if s.demands[slot].remaining == 0 {
+                s.free.push(slot);
+            } else {
+                s.demands[slot].orphan = true;
+            }
         }
     }
 }
@@ -160,23 +258,33 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Builds a machine with `n` cores and spawns their driver tasks.
+    /// Builds a machine with `n` cores, registered with the executor.
     pub fn new(h: &SimHandle, n: usize) -> Rc<Self> {
         assert!(n > 0, "a machine needs at least one core");
-        let mut cores = Vec::with_capacity(n);
-        for id in 0..n {
-            let core = Rc::new(Core {
-                id,
-                h: h.clone(),
-                queue: RefCell::new(VecDeque::new()),
-                work: Notify::new(),
-                quantum: Cell::new(DEFAULT_QUANTUM),
-                busy: Cell::new(0),
-                cache: CacheModel::default_enabled(false),
-            });
-            h.spawn(&format!("core-{id}"), Rc::clone(&core).drive());
-            cores.push(core);
-        }
+        let cores = (0..n)
+            .map(|id| {
+                h.add_resource(|port| {
+                    // Each core looks at its queue once when the executor
+                    // first reaches it, so a demand filed before then is
+                    // served from that position and not from its own.
+                    port.kick();
+                    Core {
+                        id,
+                        port,
+                        sched: RefCell::new(Sched {
+                            demands: Vec::new(),
+                            free: Vec::new(),
+                            queue: VecDeque::new(),
+                            running: None,
+                            kicked: true,
+                        }),
+                        quantum: Cell::new(DEFAULT_QUANTUM),
+                        busy: Cell::new(0),
+                        cache: CacheModel::default_enabled(false),
+                    }
+                })
+            })
+            .collect();
         Rc::new(Machine {
             h: h.clone(),
             cores,
@@ -223,7 +331,6 @@ impl Machine {
 mod tests {
     use super::*;
     use crate::exec::Sim;
-    use std::cell::Cell;
 
     #[test]
     fn advance_costs_exact_time_uncontended() {
@@ -317,8 +424,104 @@ mod tests {
         let m = Machine::new(&h, 1);
         let core = m.core(0);
         sim.spawn("w", async move {
-            core.advance(Nanos::ZERO).await;
+            for _ in 0..10 {
+                core.advance(Nanos::ZERO).await;
+            }
         });
         assert_eq!(sim.run(), Nanos::ZERO);
+        assert!(m.core(0).sched.borrow().demands.is_empty());
+    }
+
+    #[test]
+    fn a_machine_is_no_task() {
+        let sim = Sim::new();
+        let m = Machine::new(&sim.handle(), 4);
+        assert_eq!((sim.spawned_tasks(), sim.live_tasks()), (0, 0));
+        assert_eq!(m.num_cores(), 4);
+    }
+
+    /// Polls `f` once and reports whether it finished.
+    async fn poll_once<F: Future + Unpin>(f: &mut F) -> bool {
+        std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *f).poll(cx).is_ready())).await
+    }
+
+    #[test]
+    fn a_dropped_advance_still_costs_its_time_and_frees_the_core() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        let core = m.core(0);
+        let done_at = Rc::new(Cell::new(Nanos::ZERO));
+        let done_at2 = Rc::clone(&done_at);
+        sim.spawn("w", async move {
+            // 50 us asked for, abandoned after 5 us, two slices to go.
+            let mut adv = core.advance(Nanos::from_micros(50));
+            assert!(!poll_once(&mut adv).await);
+            h.sleep(Nanos::from_micros(5)).await;
+            drop(adv);
+            assert_eq!(
+                core.busy_time(),
+                Nanos::ZERO,
+                "the first slice is still running"
+            );
+            // The next demand shares the core with the abandoned one
+            // (round-robin from 20 us on) and is served in full.
+            core.advance(Nanos::from_micros(30)).await;
+            done_at2.set(h.now());
+        });
+        let end = sim.run();
+        assert_eq!(done_at.get(), Nanos::from_micros(70));
+        assert_eq!(
+            end,
+            Nanos::from_micros(80),
+            "the abandoned demand runs out last"
+        );
+        let core = m.core(0);
+        assert_eq!(core.busy_time(), Nanos::from_micros(80));
+        assert_eq!(core.load(), 0);
+        let s = core.sched.borrow();
+        assert_eq!(
+            (s.demands.len(), s.free.len()),
+            (2, 2),
+            "both slots came back"
+        );
+        assert!(s.running.is_none() && !s.kicked);
+    }
+
+    #[test]
+    fn an_advance_dropped_after_it_finished_frees_its_slot_once() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        let core = m.core(0);
+        sim.spawn("w", async move {
+            let mut adv = core.advance(Nanos::from_micros(1));
+            assert!(!poll_once(&mut adv).await);
+            h.sleep(Nanos::from_micros(2)).await;
+            // Finished, never polled again.
+            drop(adv);
+            core.advance(Nanos::from_micros(1)).await;
+        });
+        sim.run();
+        let core = m.core(0);
+        let s = core.sched.borrow();
+        assert_eq!((s.demands.len(), s.free.len()), (1, 1));
+    }
+
+    #[test]
+    fn steady_advances_reuse_one_demand_slot() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        for _ in 0..2 {
+            let core = m.core(0);
+            sim.spawn("w", async move {
+                for _ in 0..1000 {
+                    core.advance(Nanos::from_micros(30)).await;
+                }
+            });
+        }
+        assert_eq!(sim.run(), Nanos::from_millis(60));
+        assert_eq!(m.core(0).sched.borrow().demands.len(), 2);
     }
 }

@@ -2,61 +2,164 @@
 //!
 //! The executor owns a set of tasks (futures), a FIFO ready queue, and a
 //! timer heap keyed by virtual time. A run proceeds by draining the ready
-//! queue; when no task is ready, the clock jumps to the earliest timer and
-//! the timer's waker fires. Determinism follows from:
+//! queue; when nothing is ready, the clock jumps to the earliest timer and
+//! the timer fires. Determinism follows from:
 //!
 //! * a single host thread (no OS scheduling nondeterminism),
 //! * FIFO ready-queue order,
 //! * a monotonic sequence number breaking ties between equal-time timers.
 //!
 //! Simulated "threads" are ordinary futures spawned with [`SimHandle::spawn`].
+//! Simulated hardware that only ever reacts to "a demand arrived" and "my
+//! timer fired" (a [`crate::Core`]) is a [`Resource`]: it takes the same
+//! ready-queue and timer positions a driver task would, but the executor
+//! calls it directly, with no future to poll and no waker to clone.
+//!
+//! What defines an event's position, and why a spurious poll is one too,
+//! is written down in DESIGN.md §12 "What one simulated event costs".
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::time::Nanos;
 
 /// Identifies a spawned task within one simulation.
 pub type TaskId = usize;
 
-/// The shared ready queue, written by wakers (which must be `Send + Sync`).
+/// One ready-queue entry: what the executor runs next.
+enum Runnable {
+    Task(TaskId),
+    /// Index into `Kernel::resources`.
+    Resource(usize),
+}
+
+/// The ready queue, shared by the kernel, every task waker and every
+/// resource port. It points back at none of them, so it closes no cycle.
 struct ReadyQueue {
-    queue: Mutex<VecDeque<TaskId>>,
+    queue: RefCell<VecDeque<Runnable>>,
+    /// The thread that built the `Sim`; see the contract on [`Sim`].
+    #[cfg(debug_assertions)]
+    owner: std::thread::ThreadId,
 }
 
-/// Waker payload: re-enqueues the owning task on wake.
-struct TaskWaker {
-    id: TaskId,
-    ready: Arc<ReadyQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.ready.queue.lock().unwrap().push_back(self.id);
+impl ReadyQueue {
+    fn new() -> Rc<Self> {
+        Rc::new(ReadyQueue {
+            queue: RefCell::new(VecDeque::new()),
+            #[cfg(debug_assertions)]
+            owner: std::thread::current().id(),
+        })
     }
+
+    /// Debug builds: the caller is on the thread that built the `Sim`.
+    fn assert_owner(&self) {
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            self.owner,
+            std::thread::current().id(),
+            "a copier-sim waker left the thread that built its Sim"
+        );
+    }
+
+    fn push(&self, r: Runnable) {
+        self.assert_owner();
+        self.queue.borrow_mut().push_back(r);
+    }
+
+    fn pop(&self) -> Option<Runnable> {
+        self.queue.borrow_mut().pop_front()
+    }
+}
+
+/// What a task waker points at: the slot to re-enqueue and where.
+struct WakeCell {
+    id: TaskId,
+    ready: Rc<ReadyQueue>,
+}
+
+/// A task's waker is an `Rc<WakeCell>` behind the `RawWaker` data pointer:
+/// clone and drop are plain counter bumps and wake is a `VecDeque` push.
+/// `Waker` is `Send + Sync` by type and an `Rc` is neither; what makes
+/// this sound is the single-thread contract documented on [`Sim`], which
+/// debug builds assert in every vtable entry.
+static TASK_WAKER: RawWakerVTable =
+    RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
+
+fn task_waker(id: TaskId, ready: &Rc<ReadyQueue>) -> Waker {
+    let cell = Rc::new(WakeCell {
+        id,
+        ready: Rc::clone(ready),
+    });
+    // SAFETY: the data pointer comes from `Rc::into_raw` of a `WakeCell`,
+    // which is what every `TASK_WAKER` entry casts it back to, and the
+    // strong count that `into_raw` keeps is the one this `Waker` owns and
+    // `waker_drop` (or `waker_wake`) gives back.
+    unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(cell).cast(), &TASK_WAKER)) }
+}
+
+unsafe fn waker_clone(p: *const ()) -> RawWaker {
+    let p = p.cast::<WakeCell>();
+    // SAFETY: `p` is the `Rc::into_raw` pointer of a live waker (the
+    // caller holds one), so the cell is alive for this borrow.
+    unsafe { &*p }.ready.assert_owner();
+    // SAFETY: as above; the extra strong count belongs to the new waker.
+    unsafe { Rc::increment_strong_count(p) };
+    RawWaker::new(p.cast(), &TASK_WAKER)
+}
+
+unsafe fn waker_wake(p: *const ()) {
+    // SAFETY: `wake` consumes the waker, so its strong count is ours to
+    // turn back into the `Rc` it came from; dropped at the end of scope.
+    let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
+    cell.ready.push(Runnable::Task(cell.id));
+}
+
+unsafe fn waker_wake_by_ref(p: *const ()) {
+    // SAFETY: the caller still holds the waker, so the cell outlives this
+    // borrow; no count changes hands.
+    let cell = unsafe { &*p.cast::<WakeCell>() };
+    cell.ready.push(Runnable::Task(cell.id));
+}
+
+unsafe fn waker_drop(p: *const ()) {
+    // SAFETY: the waker being dropped owns one strong count; turning the
+    // pointer back into an `Rc` and dropping it releases exactly that one.
+    let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
+    cell.ready.assert_owner();
 }
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 struct TaskSlot {
+    /// `None` while the task is being polled and while the slot is vacant.
     future: Option<BoxFuture>,
-    /// Human-readable label used for debugging and trace output.
-    name: String,
-    /// Set once the future completes; the slot is then recycled.
-    done: bool,
+    /// Human-readable label for leak diagnostics; `None` = vacant slot.
+    name: Option<String>,
+    /// The slot's one waker, made when the slot is and shared by every
+    /// task that ever occupies it: a waker still held somewhere after its
+    /// task finished wakes the slot's next occupant, and that spurious
+    /// poll is part of the schedule.
+    waker: Waker,
+}
+
+/// What a timer does when it fires.
+enum Fire {
+    Wake(Waker),
+    /// Index into `Kernel::resources`: calls [`Resource::on_timer`].
+    Resource(usize),
 }
 
 struct TimerEntry {
     when: Nanos,
     seq: u64,
-    waker: Waker,
+    fire: Fire,
 }
 
 impl PartialEq for TimerEntry {
@@ -76,11 +179,37 @@ impl Ord for TimerEntry {
     }
 }
 
+/// A simulated device the executor runs by direct call instead of through
+/// a task. It occupies the schedule exactly as a driver task would: a
+/// [`Port::kick`] takes the ready-queue position the task's wake-up would
+/// have taken, [`Kernel::arm`] the timer `(when, seq)` its sleep would
+/// have registered. Neither callback may block or run user code.
+pub(crate) trait Resource {
+    /// The ready-queue entry placed by [`Port::kick`] reached the front.
+    fn on_ready(&self, k: &Kernel);
+    /// The timer armed with [`Kernel::arm`] fired; `k.now()` is its time.
+    fn on_timer(&self, k: &Kernel);
+}
+
+/// A resource's way back into the executor, handed to it at registration.
+pub(crate) struct Port {
+    index: usize,
+    ready: Rc<ReadyQueue>,
+}
+
+impl Port {
+    /// Appends this resource to the ready queue.
+    pub(crate) fn kick(&self) {
+        self.ready.push(Runnable::Resource(self.index));
+    }
+}
+
 /// Executor internals shared between the driver and task handles.
 pub(crate) struct Kernel {
-    tasks: RefCell<Vec<Option<TaskSlot>>>,
+    tasks: RefCell<Vec<TaskSlot>>,
     free: RefCell<Vec<TaskId>>,
-    ready: Arc<ReadyQueue>,
+    resources: RefCell<Vec<Rc<dyn Resource>>>,
+    ready: Rc<ReadyQueue>,
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     now: Cell<Nanos>,
     seq: Cell<u64>,
@@ -94,9 +223,8 @@ impl Kernel {
         Rc::new(Kernel {
             tasks: RefCell::new(Vec::new()),
             free: RefCell::new(Vec::new()),
-            ready: Arc::new(ReadyQueue {
-                queue: Mutex::new(VecDeque::new()),
-            }),
+            resources: RefCell::new(Vec::new()),
+            ready: ReadyQueue::new(),
             timers: RefCell::new(BinaryHeap::new()),
             now: Cell::new(Nanos::ZERO),
             seq: Cell::new(0),
@@ -105,84 +233,90 @@ impl Kernel {
         })
     }
 
-    fn next_seq(&self) -> u64 {
-        let s = self.seq.get();
-        self.seq.set(s + 1);
-        s
+    pub(crate) fn now(&self) -> Nanos {
+        self.now.get()
     }
 
-    fn register_timer(&self, when: Nanos, waker: Waker) {
+    fn push_timer(&self, when: Nanos, fire: Fire) {
         debug_assert!(when >= self.now.get(), "timer scheduled in the past");
-        self.timers.borrow_mut().push(Reverse(TimerEntry {
-            when,
-            seq: self.next_seq(),
-            waker,
-        }));
+        let seq = self.seq.get();
+        self.seq.set(seq + 1);
+        self.timers
+            .borrow_mut()
+            .push(Reverse(TimerEntry { when, seq, fire }));
+    }
+
+    /// Arms a timer that calls `port`'s resource back at `when`.
+    pub(crate) fn arm(&self, when: Nanos, port: &Port) {
+        self.push_timer(when, Fire::Resource(port.index));
+    }
+
+    fn resource(&self, index: usize) -> Rc<dyn Resource> {
+        Rc::clone(&self.resources.borrow()[index])
     }
 
     fn spawn_boxed(&self, name: &str, fut: BoxFuture) -> TaskId {
-        let slot = TaskSlot {
-            future: Some(fut),
-            name: name.to_string(),
-            done: false,
+        let mut tasks = self.tasks.borrow_mut();
+        let id = match self.free.borrow_mut().pop() {
+            Some(id) => id,
+            None => {
+                let id = tasks.len();
+                tasks.push(TaskSlot {
+                    future: None,
+                    name: None,
+                    waker: task_waker(id, &self.ready),
+                });
+                id
+            }
         };
-        let id = if let Some(id) = self.free.borrow_mut().pop() {
-            self.tasks.borrow_mut()[id] = Some(slot);
-            id
-        } else {
-            let mut tasks = self.tasks.borrow_mut();
-            tasks.push(Some(slot));
-            tasks.len() - 1
-        };
+        tasks[id].future = Some(fut);
+        tasks[id].name = Some(name.to_string());
         self.live_tasks.set(self.live_tasks.get() + 1);
         self.spawned.set(self.spawned.get() + 1);
-        self.ready.queue.lock().unwrap().push_back(id);
+        self.ready.push(Runnable::Task(id));
         id
     }
 
-    /// Polls one task to completion-or-pending. Returns false if the id is stale.
-    fn poll_task(self: &Rc<Self>, id: TaskId) -> bool {
+    /// Polls one task once. A wake-up for a vacant slot does nothing.
+    fn poll_task(&self, id: TaskId) {
         // Take the future out of the slot so the task may re-borrow the
         // kernel (spawn, timers) while being polled.
-        let mut fut = {
+        let (mut fut, waker) = {
             let mut tasks = self.tasks.borrow_mut();
-            match tasks.get_mut(id).and_then(|s| s.as_mut()) {
-                Some(slot) if !slot.done => match slot.future.take() {
-                    Some(f) => f,
-                    // Already being polled higher up the stack (cannot
-                    // happen with a single-threaded driver) or spurious.
-                    None => return false,
-                },
-                _ => return false,
+            let slot = &mut tasks[id];
+            match slot.future.take() {
+                Some(fut) => (fut, slot.waker.clone()),
+                None => return,
             }
         };
-        let waker = Waker::from(Arc::new(TaskWaker {
-            id,
-            ready: Arc::clone(&self.ready),
-        }));
         let mut cx = Context::from_waker(&waker);
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                let mut tasks = self.tasks.borrow_mut();
-                if let Some(slot) = tasks.get_mut(id) {
-                    *slot = None;
-                }
-                self.free.borrow_mut().push(id);
-                self.live_tasks.set(self.live_tasks.get() - 1);
-                true
-            }
-            Poll::Pending => {
-                let mut tasks = self.tasks.borrow_mut();
-                if let Some(Some(slot)) = tasks.get_mut(id).map(|s| s.as_mut()) {
-                    slot.future = Some(fut);
-                }
-                true
-            }
+        let finished = fut.as_mut().poll(&mut cx).is_ready();
+        let mut tasks = self.tasks.borrow_mut();
+        if finished {
+            tasks[id].name = None;
+            self.free.borrow_mut().push(id);
+            self.live_tasks.set(self.live_tasks.get() - 1);
+        } else {
+            tasks[id].future = Some(fut);
         }
     }
 }
 
 /// A deterministic discrete-event simulation.
+///
+/// # Single-thread contract
+///
+/// A `Sim`, its [`SimHandle`]s and everything spawned on it live on the
+/// thread that called [`Sim::new`], and so must every [`Waker`] a task is
+/// polled with, including clones stored in timers and wait queues: the
+/// waker is a reference-counted pointer with a non-atomic count and an
+/// unlocked ready queue behind it. `Waker` is `Send + Sync` by type, so
+/// the compiler cannot enforce this; nothing in the simulator hands a
+/// waker to another thread, and debug builds assert the owning thread on
+/// every waker clone, wake and drop.
+///
+/// Dropping the `Sim` drops every task still blocked, every pending timer
+/// and every registered resource, releasing what they hold.
 ///
 /// # Examples
 ///
@@ -204,6 +338,26 @@ pub struct Sim {
 impl Default for Sim {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+impl Drop for Sim {
+    fn drop(&mut self) {
+        // Blocked tasks hold `SimHandle`s, so the kernel would keep itself
+        // alive through them. Each container is emptied with its borrow
+        // already released, because a future's `Drop` may wake or spawn.
+        // Not while unwinding: a second panic from such a `Drop` aborts.
+        if std::thread::panicking() {
+            return;
+        }
+        let k = &self.kernel;
+        let tasks = std::mem::take(&mut *k.tasks.borrow_mut());
+        drop(tasks);
+        let timers = std::mem::take(&mut *k.timers.borrow_mut());
+        drop(timers);
+        let resources = std::mem::take(&mut *k.resources.borrow_mut());
+        drop(resources);
+        k.ready.queue.borrow_mut().clear();
     }
 }
 
@@ -247,38 +401,32 @@ impl Sim {
 
     /// Runs until the given virtual deadline (exclusive for timers beyond it).
     pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
+        let k = &*self.kernel;
         loop {
             // Drain everything runnable at the current instant.
-            loop {
-                let next = self.kernel.ready.queue.lock().unwrap().pop_front();
+            while let Some(next) = k.ready.pop() {
                 match next {
-                    Some(id) => {
-                        self.kernel.poll_task(id);
-                    }
-                    None => break,
+                    Runnable::Task(id) => k.poll_task(id),
+                    Runnable::Resource(i) => k.resource(i).on_ready(k),
                 }
             }
             // Advance to the earliest timer.
-            let entry = {
-                let mut timers = self.kernel.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(e)) if e.when <= deadline => timers.pop().map(|r| r.0),
-                    _ => None,
-                }
+            let entry = match k.timers.borrow_mut().peek_mut() {
+                Some(top) if top.0.when <= deadline => PeekMut::pop(top).0,
+                _ => break,
             };
-            match entry {
-                Some(e) => {
-                    debug_assert!(e.when >= self.kernel.now.get());
-                    self.kernel.now.set(e.when);
-                    e.waker.wake();
-                }
-                None => break,
+            debug_assert!(entry.when >= k.now.get());
+            k.now.set(entry.when);
+            match entry.fire {
+                Fire::Wake(waker) => waker.wake(),
+                Fire::Resource(i) => k.resource(i).on_timer(k),
             }
         }
-        self.kernel.now.get()
+        k.now.get()
     }
 
     /// Number of tasks that have been spawned but not yet completed.
+    /// Simulated cores are not tasks and are not counted.
     pub fn live_tasks(&self) -> usize {
         self.kernel.live_tasks.get()
     }
@@ -294,8 +442,7 @@ impl Sim {
             .tasks
             .borrow()
             .iter()
-            .flatten()
-            .map(|t| t.name.clone())
+            .filter_map(|t| t.name.clone())
             .collect()
     }
 }
@@ -336,18 +483,14 @@ impl SimHandle {
     }
 
     /// Sleeps for `dur` of virtual time without occupying any core.
-    pub fn sleep(&self, dur: Nanos) -> Sleep {
-        Sleep {
-            kernel: Rc::clone(&self.kernel),
-            deadline: Nanos(self.kernel.now.get().0.saturating_add(dur.0)),
-            registered: false,
-        }
+    pub fn sleep(&self, dur: Nanos) -> Sleep<'_> {
+        self.sleep_until(Nanos(self.kernel.now.get().0.saturating_add(dur.0)))
     }
 
     /// Sleeps until an absolute virtual instant.
-    pub fn sleep_until(&self, deadline: Nanos) -> Sleep {
+    pub fn sleep_until(&self, deadline: Nanos) -> Sleep<'_> {
         Sleep {
-            kernel: Rc::clone(&self.kernel),
+            kernel: &self.kernel,
             deadline: deadline.max(self.kernel.now.get()),
             registered: false,
         }
@@ -359,7 +502,22 @@ impl SimHandle {
     }
 
     pub(crate) fn register_timer(&self, when: Nanos, waker: Waker) {
-        self.kernel.register_timer(when, waker);
+        self.kernel.push_timer(when, Fire::Wake(waker));
+    }
+
+    /// Registers the resource `build` makes around its [`Port`]. It is
+    /// called back from the executor until the `Sim` drops.
+    pub(crate) fn add_resource<R: Resource + 'static>(
+        &self,
+        build: impl FnOnce(Port) -> R,
+    ) -> Rc<R> {
+        let mut resources = self.kernel.resources.borrow_mut();
+        let r = Rc::new(build(Port {
+            index: resources.len(),
+            ready: Rc::clone(&self.kernel.ready),
+        }));
+        resources.push(Rc::clone(&r) as Rc<dyn Resource>);
+        r
     }
 }
 
@@ -400,13 +558,13 @@ impl<T> Future for JoinHandle<T> {
 }
 
 /// Future returned by [`SimHandle::sleep`].
-pub struct Sleep {
-    kernel: Rc<Kernel>,
+pub struct Sleep<'a> {
+    kernel: &'a Kernel,
     deadline: Nanos,
     registered: bool,
 }
 
-impl Future for Sleep {
+impl Future for Sleep<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         if self.kernel.now.get() >= self.deadline {
@@ -414,8 +572,8 @@ impl Future for Sleep {
         }
         if !self.registered {
             self.registered = true;
-            let deadline = self.deadline;
-            self.kernel.register_timer(deadline, cx.waker().clone());
+            self.kernel
+                .push_timer(self.deadline, Fire::Wake(cx.waker().clone()));
         }
         Poll::Pending
     }
@@ -551,5 +709,96 @@ mod tests {
             v
         }
         assert_eq!(run_once(), run_once());
+    }
+    /// A future that hands out a clone of the waker it is polled with.
+    struct GrabWaker(Rc<RefCell<Option<Waker>>>);
+
+    impl Future for GrabWaker {
+        type Output = ();
+        fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+            *self.0.borrow_mut() = Some(cx.waker().clone());
+            Poll::Ready(())
+        }
+    }
+
+    fn strong_count(w: &Waker) -> usize {
+        assert!(std::ptr::eq(w.vtable(), &TASK_WAKER));
+        // SAFETY: a waker with this vtable carries an `Rc<WakeCell>`
+        // pointer; the `Rc` rebuilt here is never dropped, so the count
+        // it reads is left as it was.
+        let rc = std::mem::ManuallyDrop::new(unsafe { Rc::from_raw(w.data().cast::<WakeCell>()) });
+        Rc::strong_count(&rc)
+    }
+
+    #[test]
+    fn waker_count_returns_to_one_when_the_sim_drops() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let grabbed = Rc::new(RefCell::new(None));
+        let grabbed2 = Rc::clone(&grabbed);
+        // One task, polled a hundred times, then parked on a timer that
+        // will not fire, next to a child that never finishes.
+        sim.spawn("t", async move {
+            GrabWaker(grabbed2).await;
+            for _ in 0..100 {
+                h.sleep(Nanos(10)).await;
+            }
+            h.spawn("never", std::future::pending::<()>());
+            h.sleep(Nanos::from_secs(1)).await;
+        });
+        sim.run_until(Nanos::from_millis(1));
+        assert_eq!(sim.live_tasks(), 2);
+        let w = grabbed.borrow_mut().take().expect("the task ran");
+        // Ours, the slot's and the pending timer's: polls added none.
+        assert_eq!(strong_count(&w), 3);
+        drop(sim);
+        assert_eq!(strong_count(&w), 1);
+        // Waking a waker whose simulation is gone is harmless.
+        w.wake();
+    }
+
+    #[test]
+    fn a_stale_waker_polls_the_slots_next_task() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let grabbed = Rc::new(RefCell::new(None));
+        let first = sim.spawn("first", GrabWaker(Rc::clone(&grabbed)));
+        sim.run();
+        let polls = Rc::new(Cell::new(0));
+        let polls2 = Rc::clone(&polls);
+        let second = sim.spawn(
+            "second",
+            std::future::poll_fn(move |_| {
+                polls2.set(polls2.get() + 1);
+                if h.now() >= Nanos(5) {
+                    Poll::Ready(())
+                } else {
+                    Poll::<()>::Pending
+                }
+            }),
+        );
+        assert_eq!(first.id(), second.id(), "the slot is reused");
+        sim.run();
+        assert_eq!((polls.get(), sim.live_tasks()), (1, 1));
+        grabbed.borrow_mut().take().expect("first ran").wake();
+        sim.run();
+        assert_eq!(polls.get(), 2, "the old waker reaches the new occupant");
+    }
+
+    #[test]
+    fn task_slots_and_their_wakers_are_reused() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let h2 = h.clone();
+        sim.spawn("parent", async move {
+            for _ in 0..1000 {
+                let h3 = h2.clone();
+                h2.spawn("child", async move { h3.sleep(Nanos(1)).await })
+                    .await;
+            }
+        });
+        sim.run();
+        assert_eq!(sim.spawned_tasks(), 1001);
+        assert_eq!(sim.kernel.tasks.borrow().len(), 2);
     }
 }

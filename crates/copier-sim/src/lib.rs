@@ -25,6 +25,10 @@ pub mod cache;
 pub mod cpu;
 pub mod exec;
 pub mod fault;
+#[cfg(test)]
+mod order_oracle;
+#[cfg(test)]
+mod reference;
 pub mod rng;
 pub mod sync;
 pub mod time;

@@ -6,7 +6,7 @@
 //! single-host-thread types (`Rc`-based) — the simulation executor is
 //! single-threaded by design.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -16,23 +16,63 @@ use std::task::{Context, Poll, Waker};
 use crate::exec::SimHandle;
 use crate::time::Nanos;
 
-#[derive(Default)]
-struct Waiter {
-    fired: bool,
-    cancelled: bool,
-    waker: Option<Waker>,
+/// One wait's slot in a [`Notify`]. The wait's future holds the slot's
+/// index; `fifo` holds it too until a notify reaches it.
+enum Waiter {
+    /// In `fifo`, to be woken through this waker.
+    Waiting(Waker),
+    /// In `fifo`, but its future is gone: the notify that reaches it
+    /// passes over it and frees the slot.
+    Abandoned,
+    /// Notified and out of `fifo`; the future has yet to let go of it.
+    Fired,
+    Vacant,
 }
 
 struct NotifyInner {
     permits: usize,
-    waiters: VecDeque<Rc<RefCell<Waiter>>>,
+    /// Waiter slots, reused through `free`: a wait allocates only when
+    /// more waits are in flight at once than ever before.
+    slots: Vec<Waiter>,
+    free: Vec<usize>,
+    /// Slots in the order their waits began.
+    fifo: VecDeque<usize>,
+}
+
+impl NotifyInner {
+    /// Wakes the longest-waiting live waiter, freeing abandoned slots on
+    /// the way. False if there was none.
+    fn wake_next(&mut self) -> bool {
+        while let Some(key) = self.fifo.pop_front() {
+            match std::mem::replace(&mut self.slots[key], Waiter::Fired) {
+                Waiter::Waiting(waker) => {
+                    waker.wake();
+                    return true;
+                }
+                Waiter::Abandoned => self.vacate(key),
+                Waiter::Fired | Waiter::Vacant => unreachable!("only waits in progress are queued"),
+            }
+        }
+        false
+    }
+
+    fn is_abandoned(&self, key: Option<&usize>) -> bool {
+        key.is_some_and(|&k| matches!(self.slots[k], Waiter::Abandoned))
+    }
+
+    fn vacate(&mut self, key: usize) {
+        self.slots[key] = Waiter::Vacant;
+        self.free.push(key);
+    }
 }
 
 /// An async notification cell.
 ///
 /// `notify_one` wakes one pending waiter, or stores a permit consumed by the
 /// next `notified().await` — so a notification sent just before a task starts
-/// waiting is not lost.
+/// waiting is not lost. Like a condition variable it can also return with
+/// nothing to find: a wait that was woken puts one permit back when its
+/// future drops, so wait in a loop around the condition.
 pub struct Notify {
     inner: RefCell<NotifyInner>,
 }
@@ -49,7 +89,9 @@ impl Notify {
         Notify {
             inner: RefCell::new(NotifyInner {
                 permits: 0,
-                waiters: VecDeque::new(),
+                slots: Vec::new(),
+                free: Vec::new(),
+                fifo: VecDeque::new(),
             }),
         }
     }
@@ -57,40 +99,22 @@ impl Notify {
     /// Wakes one waiter, or stores a single permit if none is waiting.
     pub fn notify_one(&self) {
         let mut inner = self.inner.borrow_mut();
-        while let Some(w) = inner.waiters.pop_front() {
-            let mut w = w.borrow_mut();
-            if w.cancelled {
-                continue;
-            }
-            w.fired = true;
-            if let Some(waker) = w.waker.take() {
-                waker.wake();
-            }
-            return;
+        if !inner.wake_next() {
+            inner.permits += 1;
         }
-        inner.permits += 1;
     }
 
     /// Wakes all current waiters (does not store permits).
     pub fn notify_all(&self) {
         let mut inner = self.inner.borrow_mut();
-        while let Some(w) = inner.waiters.pop_front() {
-            let mut w = w.borrow_mut();
-            if w.cancelled {
-                continue;
-            }
-            w.fired = true;
-            if let Some(waker) = w.waker.take() {
-                waker.wake();
-            }
-        }
+        while inner.wake_next() {}
     }
 
     /// Waits for a notification.
     pub fn notified(&self) -> Notified<'_> {
         Notified {
             notify: self,
-            waiter: None,
+            key: None,
         }
     }
 
@@ -99,10 +123,9 @@ impl Notify {
     /// Resolves to `true` if notified, `false` on timeout.
     pub fn wait_timeout<'a>(&'a self, h: &SimHandle, dur: Nanos) -> WaitTimeout<'a> {
         WaitTimeout {
-            notify: self,
+            wait: self.notified(),
             h: h.clone(),
             deadline: Nanos(h.now().0.saturating_add(dur.0)),
-            waiter: None,
             timer_registered: false,
         }
     }
@@ -117,88 +140,120 @@ impl Notify {
         }
     }
 
-    fn register(&self, waker: Waker) -> Rc<RefCell<Waiter>> {
-        let w = Rc::new(RefCell::new(Waiter {
-            fired: false,
-            cancelled: false,
-            waker: Some(waker),
-        }));
-        self.inner.borrow_mut().waiters.push_back(Rc::clone(&w));
-        w
+    fn register(&self, waker: Waker) -> usize {
+        let mut inner = self.inner.borrow_mut();
+        let key = match inner.free.pop() {
+            Some(key) => {
+                inner.slots[key] = Waiter::Waiting(waker);
+                key
+            }
+            None => {
+                inner.slots.push(Waiter::Waiting(waker));
+                inner.slots.len() - 1
+            }
+        };
+        inner.fifo.push_back(key);
+        key
+    }
+
+    /// Whether the wait in slot `key` was notified; if not, it will be
+    /// woken through `waker` from now on.
+    fn fired(&self, key: usize, waker: &Waker) -> bool {
+        match &mut self.inner.borrow_mut().slots[key] {
+            Waiter::Fired => true,
+            Waiter::Waiting(w) => {
+                w.clone_from(waker);
+                false
+            }
+            Waiter::Abandoned | Waiter::Vacant => unreachable!("the wait still owns its slot"),
+        }
+    }
+
+    /// The future of the wait in slot `key` is done with it.
+    fn release(&self, key: usize) {
+        let mut inner = self.inner.borrow_mut();
+        match std::mem::replace(&mut inner.slots[key], Waiter::Abandoned) {
+            Waiter::Fired => {
+                // Every woken wait hands a permit back here, whether or not
+                // its task saw the wake-up. Schedules depend on it (the next
+                // wait returns at once), so it stays as it is.
+                inner.vacate(key);
+                inner.permits += 1;
+            }
+            Waiter::Waiting(_) => {
+                // Still queued. A notify would pass over it; when it sits
+                // at either end, free it now, so that a waiter timing out
+                // again and again, alone or behind one that stays, does
+                // not grow the queue.
+                while inner.is_abandoned(inner.fifo.front()) {
+                    let k = inner.fifo.pop_front().expect("checked");
+                    inner.vacate(k);
+                }
+                while inner.is_abandoned(inner.fifo.back()) {
+                    let k = inner.fifo.pop_back().expect("checked");
+                    inner.vacate(k);
+                }
+            }
+            Waiter::Abandoned | Waiter::Vacant => unreachable!("the wait still owns its slot"),
+        }
     }
 }
 
 /// Future returned by [`Notify::notified`].
 pub struct Notified<'a> {
     notify: &'a Notify,
-    waiter: Option<Rc<RefCell<Waiter>>>,
+    /// The wait's slot, once it had to queue.
+    key: Option<usize>,
 }
 
 impl Future for Notified<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if let Some(w) = &self.waiter {
-            let mut w = w.borrow_mut();
-            if w.fired {
-                return Poll::Ready(());
+        let ready = match self.key {
+            Some(key) => self.notify.fired(key, cx.waker()),
+            None if self.notify.try_take_permit() => true,
+            None => {
+                self.key = Some(self.notify.register(cx.waker().clone()));
+                false
             }
-            w.waker = Some(cx.waker().clone());
-            return Poll::Pending;
+        };
+        if ready {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
         }
-        if self.notify.try_take_permit() {
-            return Poll::Ready(());
-        }
-        self.waiter = Some(self.notify.register(cx.waker().clone()));
-        Poll::Pending
     }
 }
 
 impl Drop for Notified<'_> {
     fn drop(&mut self) {
-        if let Some(w) = &self.waiter {
-            let mut w = w.borrow_mut();
-            if w.fired {
-                // The permit was consumed by a waiter that never observed
-                // it; hand it back so no notification is lost.
-                drop(w);
-                self.notify.inner.borrow_mut().permits += 1;
-            } else {
-                w.cancelled = true;
-            }
+        if let Some(key) = self.key {
+            self.notify.release(key);
         }
     }
 }
 
 /// Future returned by [`Notify::wait_timeout`].
 pub struct WaitTimeout<'a> {
-    notify: &'a Notify,
+    wait: Notified<'a>,
     h: SimHandle,
     deadline: Nanos,
-    waiter: Option<Rc<RefCell<Waiter>>>,
     timer_registered: bool,
 }
 
 impl Future for WaitTimeout<'_> {
     type Output = bool;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        if let Some(w) = &self.waiter {
-            if w.borrow().fired {
-                return Poll::Ready(true);
-            }
-        } else {
-            if self.notify.try_take_permit() {
-                return Poll::Ready(true);
-            }
-            self.waiter = Some(self.notify.register(cx.waker().clone()));
+        if Pin::new(&mut self.wait).poll(cx).is_ready() {
+            return Poll::Ready(true);
         }
         if self.h.now() >= self.deadline {
-            if let Some(w) = &self.waiter {
-                w.borrow_mut().cancelled = true;
+            // Out of the queue now, not when the future drops: a notify
+            // in between must not be spent on a wait that has given up.
+            if let Some(key) = self.wait.key.take() {
+                self.wait.notify.release(key);
             }
             return Poll::Ready(false);
-        }
-        if let Some(w) = &self.waiter {
-            w.borrow_mut().waker = Some(cx.waker().clone());
         }
         if !self.timer_registered {
             self.timer_registered = true;
@@ -208,31 +263,17 @@ impl Future for WaitTimeout<'_> {
     }
 }
 
-impl Drop for WaitTimeout<'_> {
-    fn drop(&mut self) {
-        if let Some(w) = &self.waiter {
-            let mut w = w.borrow_mut();
-            if w.fired {
-                drop(w);
-                self.notify.inner.borrow_mut().permits += 1;
-            } else {
-                w.cancelled = true;
-            }
-        }
-    }
-}
-
 struct ChanInner<T> {
-    queue: VecDeque<T>,
+    queue: RefCell<VecDeque<T>>,
     notify: Notify,
-    closed: bool,
+    closed: Cell<bool>,
 }
 
 /// An unbounded multi-producer channel in virtual time.
 ///
 /// Cloning shares the underlying queue; any clone may send or receive.
 pub struct Chan<T> {
-    inner: Rc<RefCell<ChanInner<T>>>,
+    inner: Rc<ChanInner<T>>,
 }
 
 impl<T> Clone for Chan<T> {
@@ -253,41 +294,39 @@ impl<T> Chan<T> {
     /// Creates an empty open channel.
     pub fn new() -> Self {
         Chan {
-            inner: Rc::new(RefCell::new(ChanInner {
-                queue: VecDeque::new(),
+            inner: Rc::new(ChanInner {
+                queue: RefCell::new(VecDeque::new()),
                 notify: Notify::new(),
-                closed: false,
-            })),
+                closed: Cell::new(false),
+            }),
         }
     }
 
     /// Enqueues a value, waking one receiver.
     pub fn send(&self, v: T) {
-        let mut inner = self.inner.borrow_mut();
-        inner.queue.push_back(v);
-        inner.notify.notify_one();
+        self.inner.queue.borrow_mut().push_back(v);
+        self.inner.notify.notify_one();
     }
 
     /// Non-blocking receive.
     pub fn try_recv(&self) -> Option<T> {
-        self.inner.borrow_mut().queue.pop_front()
+        self.inner.queue.borrow_mut().pop_front()
     }
 
     /// Number of queued values.
     pub fn len(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.inner.queue.borrow().len()
     }
 
     /// Whether the queue is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.inner.borrow().queue.is_empty()
+        self.inner.queue.borrow().is_empty()
     }
 
     /// Marks the channel closed; pending and future `recv`s see `None` once drained.
     pub fn close(&self) {
-        let mut inner = self.inner.borrow_mut();
-        inner.closed = true;
-        inner.notify.notify_all();
+        self.inner.closed.set(true);
+        self.inner.notify.notify_all();
     }
 
     /// Receives the next value, waiting in virtual time.
@@ -295,70 +334,13 @@ impl<T> Chan<T> {
     /// Returns `None` once the channel is closed and drained.
     pub async fn recv(&self) -> Option<T> {
         loop {
-            {
-                let mut inner = self.inner.borrow_mut();
-                if let Some(v) = inner.queue.pop_front() {
-                    return Some(v);
-                }
-                if inner.closed {
-                    return None;
-                }
+            if let Some(v) = self.try_recv() {
+                return Some(v);
             }
-            // SAFETY-free wait: the Notified future keeps only a shared
-            // borrow while polled; the channel borrow above is released.
-            let notified = {
-                let inner = self.inner.borrow();
-                // Extend the lifetime by re-borrowing through Rc each loop.
-                // We cannot hold `inner` across await, so wait on a clone.
-                drop(inner);
-                WaitOnChan {
-                    chan: Rc::clone(&self.inner),
-                    waiter: None,
-                }
-            };
-            notified.await;
-        }
-    }
-}
-
-/// Internal future: waits for the channel's notify without borrowing across await.
-struct WaitOnChan<T> {
-    chan: Rc<RefCell<ChanInner<T>>>,
-    waiter: Option<Rc<RefCell<Waiter>>>,
-}
-
-impl<T> Future for WaitOnChan<T> {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if let Some(w) = &self.waiter {
-            let mut w = w.borrow_mut();
-            if w.fired {
-                return Poll::Ready(());
+            if self.inner.closed.get() {
+                return None;
             }
-            w.waker = Some(cx.waker().clone());
-            return Poll::Pending;
-        }
-        let chan = self.chan.borrow();
-        if !chan.queue.is_empty() || chan.closed || chan.notify.try_take_permit() {
-            return Poll::Ready(());
-        }
-        let w = chan.notify.register(cx.waker().clone());
-        drop(chan);
-        self.waiter = Some(w);
-        Poll::Pending
-    }
-}
-
-impl<T> Drop for WaitOnChan<T> {
-    fn drop(&mut self) {
-        if let Some(w) = &self.waiter {
-            let mut wb = w.borrow_mut();
-            if wb.fired {
-                drop(wb);
-                self.chan.borrow().notify.inner.borrow_mut().permits += 1;
-            } else {
-                wb.cancelled = true;
-            }
+            self.inner.notify.notified().await;
         }
     }
 }
@@ -491,5 +473,104 @@ mod tests {
         });
         sim.run();
         assert!(done.get());
+    }
+    #[test]
+    fn a_waiter_timing_out_again_and_again_reuses_one_slot() {
+        // Alone in the queue, then behind a waiter that never leaves.
+        for stayers in [0, 1] {
+            let mut sim = Sim::new();
+            let h = sim.handle();
+            let n = Rc::new(Notify::new());
+            for _ in 0..stayers {
+                let n = Rc::clone(&n);
+                sim.spawn("stays", async move { n.notified().await });
+            }
+            let n2 = Rc::clone(&n);
+            sim.spawn("w", async move {
+                for _ in 0..1000 {
+                    assert!(!n2.wait_timeout(&h, Nanos(10)).await);
+                }
+            });
+            assert_eq!(sim.run(), Nanos(10_000));
+            let inner = n.inner.borrow();
+            assert_eq!(
+                (inner.slots.len(), inner.fifo.len()),
+                (stayers + 1, stayers)
+            );
+        }
+    }
+
+    #[test]
+    fn notified_waits_reuse_their_slots() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let n = Rc::new(Notify::new());
+        let woken = Rc::new(Cell::new(0));
+        for _ in 0..3 {
+            let (n, woken) = (Rc::clone(&n), Rc::clone(&woken));
+            sim.spawn("w", async move {
+                loop {
+                    n.notified().await;
+                    woken.set(woken.get() + 1);
+                }
+            });
+        }
+        let n2 = Rc::clone(&n);
+        sim.spawn("k", async move {
+            for _ in 0..300 {
+                h.sleep(Nanos(5)).await;
+                n2.notify_one();
+            }
+        });
+        sim.run();
+        // Each wake-up through the queue is followed by one through the
+        // permit its finished wait handed back.
+        assert_eq!(woken.get(), 600);
+        assert_eq!(n.inner.borrow().slots.len(), 3);
+    }
+
+    #[test]
+    fn a_wait_dropped_in_the_middle_is_passed_over_in_order() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let n = Rc::new(Notify::new());
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for i in 0..3 {
+            let (n, log, h) = (Rc::clone(&n), Rc::clone(&log), h.clone());
+            sim.spawn("w", async move {
+                if i == 1 {
+                    // Queues between the other two, then gives up.
+                    let mut wait = n.notified();
+                    let queued =
+                        std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut wait).poll(cx)));
+                    assert!(queued.await.is_pending());
+                    h.sleep(Nanos(5)).await;
+                    drop(wait);
+                } else {
+                    n.notified().await;
+                }
+                log.borrow_mut().push(i);
+            });
+        }
+        let n2 = Rc::clone(&n);
+        sim.spawn("k", async move {
+            h.sleep(Nanos(10)).await;
+            assert_eq!(
+                n2.inner.borrow().fifo.len(),
+                3,
+                "the dropped wait is still queued"
+            );
+            n2.notify_one();
+            n2.notify_one();
+        });
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 0, 2]);
+        let inner = n.inner.borrow();
+        assert!(inner.fifo.is_empty());
+        // A woken wait hands its permit back when it drops.
+        assert_eq!(
+            (inner.slots.len(), inner.free.len(), inner.permits),
+            (3, 3, 2)
+        );
     }
 }

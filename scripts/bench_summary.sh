@@ -22,7 +22,7 @@ python3 - "${files[@]}" <<'EOF'
 import json, sys
 
 fail = 0
-print(f"{'bench':<18} {'name':<26} {'metric':<12} {'bar':>8} {'value':>10}  status")
+print(f"{'bench':<18} {'name':<26} {'metric':<14} {'bar':>8} {'value':>10}  status")
 for path in sys.argv[1:]:
     with open(path) as f:
         d = json.load(f)
@@ -43,6 +43,6 @@ for path in sys.argv[1:]:
         else:
             status = "MISS"
             fail = 1
-        print(f"{bench:<18} {name:<26} {metric:<12} {bar:>8.3g} {value:>10.4g}  {status}")
+        print(f"{bench:<18} {name:<26} {metric:<14} {bar:>8.3g} {value:>10.4g}  {status}")
 sys.exit(fail)
 EOF

@@ -12,6 +12,13 @@ cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --offline --locked -- -D warnings
 
+# Order oracle: the executor, Notify/Chan and Core against their
+# `#[cfg(test)]` reference (the Arc/Mutex executor and driver-task cores
+# they replaced) on random programs; every poll and resumption, each
+# core's busy time and the end time must match. The workspace run above
+# did the default 3000 programs; this is the deeper pass.
+TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked order_oracle
+
 # The repo benchmark is a package of its own (own lock file, path deps on
 # crates/*), so the workspace commands above never compile it: a crate API
 # change that breaks it must fail here, not in the benchmark pipeline. Its
@@ -19,12 +26,25 @@ cargo clippy --workspace --offline --locked -- -D warnings
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Host-perf smoke: the wall-clock bench must run end to end and emit
-# parseable JSON (tiny sizes; this is a plumbing check, not a perf gate).
+# parseable JSON (tiny sizes; this is a plumbing check, not a perf gate),
+# with all four executor rows and their over-floor summary rows.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 if command -v jq >/dev/null 2>&1; then
-    jq -e '.layouts | length > 0' BENCH_hostperf.json >/dev/null
+    jq -e '(.layouts | length > 0)
+       and ([.executor[].name] == ["sleep", "advance", "advance_contended", "notify_round_trip"])
+       and ([.executor[] | .ns > 0 and .over_floor > 0] | all)
+       and ([.summary[] | select(.metric == "over_floor_max")] | length == 4)' BENCH_hostperf.json >/dev/null
 else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_hostperf.json")); sys.exit(0 if d["layouts"] else 1)'
+    python3 - <<'PY'
+import json, sys
+d = json.load(open("BENCH_hostperf.json"))
+rows = d["executor"]
+ok = bool(d["layouts"])
+ok = ok and [r["name"] for r in rows] == ["sleep", "advance", "advance_contended", "notify_round_trip"]
+ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in rows)
+ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 4
+sys.exit(0 if ok else 1)
+PY
 fi
 echo "BENCH_hostperf.json OK"
 
@@ -120,6 +140,10 @@ echo "BENCH_soak.json OK"
 # regression net over the corruption-draw wire format, the service's
 # round structure and the state-hash definitions. The corpus is trace
 # version 2 (re-recorded in PR 13 with REPRO_RECORD=1); an older file is
-# refused by version, not replayed.
+# refused by version, not replayed. It is the corpus as committed that
+# must pass: any build replays traces it has just re-recorded itself
+# (REPRO_RECORD=1), so uncommitted changes under tests/repros fail the
+# script.
 REPRO_REPLAY=1 cargo test -q --offline --locked --test integrity repro_corpus_replays_identically
+git diff --exit-code -- tests/repros
 echo "repro corpus OK"
