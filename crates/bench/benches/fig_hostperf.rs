@@ -29,6 +29,13 @@
 //! speed swings by whole factors within minutes and a bar in ns cannot
 //! hold.
 //!
+//! The `progress` group times, against the same floor, the bookkeeping
+//! one landed page costs the service (the three steps of its
+//! `mark_progress`: copied set, in-flight set, descriptor bits) on a
+//! 256 KiB task of 256 segments, and what one `csync` poll of that
+//! descriptor costs the client (`range_ready` over all 256 segments, the
+//! last one missing, so no early exit helps).
+//!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
 //! Set `HOSTPERF_SMOKE=1` for a tiny, fast run (CI smoke).
@@ -41,6 +48,7 @@ use std::time::Instant;
 
 use copier_bench::json::Json;
 use copier_bench::{kb, section};
+use copier_core::{IntervalSet, SegDescriptor, DEFAULT_SEGMENT};
 use copier_mem::{frames_of, AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr, PAGE_SIZE};
 use copier_sim::{Machine, Nanos, Notify, Sim};
 use copier_testkit::{black_box, median, Bench};
@@ -247,7 +255,7 @@ fn run_overlapping(bench: &Bench, pages: usize) -> LayoutResult {
     }
 }
 
-/// One executor primitive and the bar on its cost over the floor.
+/// One primitive and the bar on its cost over the floor.
 struct ExecCase {
     name: &'static str,
     /// `over_floor` at or below this passes. Set between what this bench
@@ -281,6 +289,61 @@ const EXEC_CASES: [ExecCase; 4] = [
         run: notify_ns,
     },
 ];
+
+/// The task of the `progress` group: 256 segments, 64 pages.
+const PROGRESS_LEN: usize = 256 * 1024;
+
+/// What one landed page costs, and one poll of the descriptor it lands
+/// in. Bars between what this bench read for the code before (a `covers`
+/// search per touched segment, `Vec::splice`, one asserted `is_marked`
+/// per polled segment: 5.0 and 38 floors) and for this one (1.9 and 0.44).
+const PROGRESS_CASES: [ExecCase; 2] = [
+    ExecCase {
+        name: "landing_4k",
+        bar: 3.5,
+        run: landing_ns,
+    },
+    ExecCase {
+        name: "range_ready_256",
+        bar: 4.0,
+        run: poll_ns,
+    },
+];
+
+/// Host ns per landing: the task's 64 pages land alternately from the
+/// front (the CPU's share) and from the back (the DMA's), `events`
+/// landings in all.
+fn landing_ns(events: u64) -> f64 {
+    let pages = PROGRESS_LEN / PAGE_SIZE;
+    let d = SegDescriptor::new(PROGRESS_LEN, DEFAULT_SEGMENT);
+    let t0 = Instant::now();
+    for _ in 0..(events as usize).div_ceil(pages) {
+        d.reset();
+        let mut copied = IntervalSet::new();
+        let mut inflight = IntervalSet::from_range(0, PROGRESS_LEN);
+        for i in 0..pages {
+            let page = if i % 2 == 0 { i / 2 } else { pages - 1 - i / 2 };
+            let (off, end) = black_box((page * PAGE_SIZE, (page + 1) * PAGE_SIZE));
+            copied.insert(off, end);
+            inflight.remove(off, end);
+            d.mark_landed(&copied, off, end);
+        }
+        assert!(d.all_ready() && inflight.is_empty());
+    }
+    t0.elapsed().as_nanos() as f64 / events as f64
+}
+
+/// Host ns per `range_ready` over the whole descriptor, all segments but
+/// the last marked.
+fn poll_ns(events: u64) -> f64 {
+    let d = SegDescriptor::new(PROGRESS_LEN, DEFAULT_SEGMENT);
+    d.mark_range(0, d.num_segments() - 2);
+    let t0 = Instant::now();
+    for _ in 0..events {
+        assert!(!black_box(&d).range_ready(0, black_box(PROGRESS_LEN)));
+    }
+    t0.elapsed().as_nanos() as f64 / events as f64
+}
 
 /// A case's host ns per event and that over the floor, each the median
 /// over the rounds.
@@ -368,19 +431,19 @@ fn notify_ns(events: u64) -> f64 {
     })
 }
 
-/// The executor group: `rounds` rounds, each timing the floor and the
-/// four primitives back to back so that a swing of the host lands on a
-/// round's numerator and denominator alike.
-fn run_executor(rounds: usize, events: u64) -> (f64, Vec<ExecRow>) {
+/// A group of cases: `rounds` rounds, each timing the floor and the
+/// cases back to back so that a swing of the host lands on a round's
+/// numerator and denominator alike.
+fn run_cases(cases: &'static [ExecCase], rounds: usize, events: u64) -> (f64, Vec<ExecRow>) {
     let mut floors = Vec::with_capacity(rounds);
-    let mut ns = vec![Vec::with_capacity(rounds); EXEC_CASES.len()];
+    let mut ns = vec![Vec::with_capacity(rounds); cases.len()];
     for _ in 0..rounds {
         floors.push(floor_ns(events));
-        for (case, ns) in EXEC_CASES.iter().zip(&mut ns) {
+        for (case, ns) in cases.iter().zip(&mut ns) {
             ns.push((case.run)(events));
         }
     }
-    let rows = EXEC_CASES
+    let rows = cases
         .iter()
         .zip(&ns)
         .map(|(case, ns)| {
@@ -393,6 +456,30 @@ fn run_executor(rounds: usize, events: u64) -> (f64, Vec<ExecRow>) {
         })
         .collect();
     (median(&floors), rows)
+}
+
+fn print_cases(floor: f64, rows: &[ExecRow]) {
+    println!("  floor (heap push+pop of 32 B, queue push+pop): {floor:.1} ns");
+    for r in rows {
+        println!(
+            "  {:<18} {:>7.1} ns  = {:>5.2}x floor  (bar {}x)",
+            r.case.name, r.ns, r.over_floor, r.case.bar
+        );
+    }
+}
+
+fn cases_json(rows: &[ExecRow]) -> Json {
+    Json::Arr(
+        rows.iter()
+            .map(|r| {
+                Json::obj([
+                    ("name", Json::Str(r.case.name.into())),
+                    ("ns", Json::Num(r.ns)),
+                    ("over_floor", Json::Num(r.over_floor)),
+                ])
+            })
+            .collect(),
+    )
 }
 
 fn main() {
@@ -418,18 +505,12 @@ fn main() {
         run_overlapping(&bench, if smoke { 16 } else { 1024 }),
     ];
     section("executor: host cost of one simulated event");
-    let (floor, executor) = if smoke {
-        run_executor(3, 20_000)
-    } else {
-        run_executor(15, 400_000)
-    };
-    println!("  floor (heap push+pop of 32 B, queue push+pop): {floor:.1} ns");
-    for r in &executor {
-        println!(
-            "  {:<18} {:>7.1} ns  = {:>5.2}x floor  (bar {}x)",
-            r.case.name, r.ns, r.over_floor, r.case.bar
-        );
-    }
+    let (rounds, events) = if smoke { (3, 20_000) } else { (15, 400_000) };
+    let (floor, executor) = run_cases(&EXEC_CASES, rounds, events);
+    print_cases(floor, &executor);
+    section("progress: host cost of one landed page and of one csync poll");
+    let (progress_floor, progress) = run_cases(&PROGRESS_CASES, rounds, events);
+    print_cases(progress_floor, &progress);
     let suite_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     section("summary (GB/s, higher is better)");
@@ -467,21 +548,9 @@ fn main() {
             ),
         ),
         ("executor_floor_ns", Json::Num(floor)),
-        (
-            "executor",
-            Json::Arr(
-                executor
-                    .iter()
-                    .map(|r| {
-                        Json::obj([
-                            ("name", Json::Str(r.case.name.into())),
-                            ("ns", Json::Num(r.ns)),
-                            ("over_floor", Json::Num(r.over_floor)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+        ("executor", cases_json(&executor)),
+        ("progress_floor_ns", Json::Num(progress_floor)),
+        ("progress", cases_json(&progress)),
         (
             "summary",
             Json::Arr(
@@ -500,14 +569,20 @@ fn main() {
                             r.speedup(),
                         )
                     })
-                    .chain(executor.iter().map(|r| {
-                        Json::summary(
-                            &format!("exec_{}", r.case.name),
-                            "over_floor_max",
-                            r.case.bar,
-                            r.over_floor,
-                        )
-                    }))
+                    .chain(
+                        [("exec", &executor), ("progress", &progress)]
+                            .into_iter()
+                            .flat_map(|(group, rows)| {
+                                rows.iter().map(move |r| {
+                                    Json::summary(
+                                        &format!("{group}_{}", r.case.name),
+                                        "over_floor_max",
+                                        r.case.bar,
+                                        r.over_floor,
+                                    )
+                                })
+                            }),
+                    )
                     .collect(),
             ),
         ),

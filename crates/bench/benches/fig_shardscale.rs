@@ -60,6 +60,10 @@ struct Out {
     per_shard: Vec<(u64, u64, u64)>,
     /// End-of-run service stats.
     stats: CopierStats,
+    /// ATCache hits / lookups. A tenant's pool (2 × `POOL` buffers) fits
+    /// its own table, so what misses is first touches and entries growing
+    /// to a longer drawn length.
+    atc_hit_frac: f64,
     /// Frames still pinned after the drain (must be 0).
     pinned: usize,
     /// Virtual end time.
@@ -180,6 +184,7 @@ fn run(shards: usize, tenants: usize, horizon: Nanos, load: f64, seed: u64) -> O
         per_tenant,
         per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
         stats: svc.stats(),
+        atc_hit_frac: svc.atcache().stats().hit_frac(),
         pinned: pm.pinned_frames(),
         end: end.get(),
     }
@@ -209,6 +214,7 @@ fn main() {
             ("offered-GB/s", format!("{:.1}", o.offered)),
             ("goodput-GB/s", format!("{:.1}", o.goodput)),
             ("svc-rej", format!("{}", o.stats.admission_rejected)),
+            ("atc-hit", format!("{:.3}", o.atc_hit_frac)),
             ("busy-shards", format!("{busy}/{s}")),
             (
                 "tenant-min/max",
@@ -229,6 +235,7 @@ fn main() {
     let b = run(4.min(top), tenants, horizon, load, 42);
     let identical = a.per_tenant == b.per_tenant
         && a.end == b.end
+        && a.atc_hit_frac == b.atc_hit_frac
         && stats_to_vec(&a.stats) == stats_to_vec(&b.stats)
         && a.per_shard == b.per_shard;
     row(&[
@@ -254,6 +261,7 @@ fn main() {
                             ("offered_gbps", Json::Num(o.offered)),
                             ("goodput_gbps", Json::Num(o.goodput)),
                             ("rejected", Json::Int(o.stats.admission_rejected)),
+                            ("atc_hit_frac", Json::Num(o.atc_hit_frac)),
                             ("end_ns", Json::Int(o.end.as_nanos())),
                         ])
                     })

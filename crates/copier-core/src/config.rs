@@ -77,7 +77,9 @@ pub struct CopierConfig {
     /// (per descriptor) and the ATCache path (per hit). `None` disables
     /// injection entirely.
     pub fault_plan: Option<Rc<FaultPlan>>,
-    /// ATCache entries (0 disables the cache).
+    /// ATCache entries (cached buffer translations) per address space:
+    /// each space the service translates owns a table this large, freed
+    /// with the space. 0 disables the cache.
     pub atcache_capacity: usize,
     /// Polling behavior.
     pub polling: PollMode,

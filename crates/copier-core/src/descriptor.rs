@@ -11,6 +11,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use crate::interval::IntervalSet;
+
 /// Why a copy failed; surfaced to `csync` as an error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CopyFault {
@@ -45,6 +47,8 @@ pub const DEFAULT_SEGMENT: usize = 1024;
 pub struct SegDescriptor {
     len: usize,
     seg: usize,
+    nsegs: usize,
+    /// One bit per segment; bits past `nsegs` are never set.
     bits: Vec<AtomicU64>,
     poisoned: AtomicBool,
     fault: std::cell::Cell<Option<CopyFault>>,
@@ -74,6 +78,7 @@ impl SegDescriptor {
         SegDescriptor {
             len,
             seg,
+            nsegs,
             bits: (0..words).map(|_| AtomicU64::new(0)).collect(),
             poisoned: AtomicBool::new(false),
             fault: std::cell::Cell::new(None),
@@ -98,7 +103,7 @@ impl SegDescriptor {
 
     /// Number of segments.
     pub fn num_segments(&self) -> usize {
-        self.len.div_ceil(self.seg)
+        self.nsegs
     }
 
     /// Marks segment `idx` complete.
@@ -113,7 +118,43 @@ impl SegDescriptor {
         self.bits[idx / 64].load(Ordering::Acquire) & (1 << (idx % 64)) != 0
     }
 
-    /// Whether every segment overlapping `[off, off+len)` is complete.
+    /// Marks segments `first..=last` complete: one `fetch_or` per bitmap
+    /// word, however many segments a landing finished.
+    pub fn mark_range(&self, first: usize, last: usize) {
+        assert!(first <= last && last < self.nsegs);
+        for (w, mask) in words(first, last) {
+            self.bits[w].fetch_or(mask, Ordering::Release);
+        }
+    }
+
+    /// Service side of a landing: flips the bits that `[off, end)` (not
+    /// empty) completed, given the set of bytes copied so far, which
+    /// already holds it. Of the segments the landing touches, those are
+    /// the ones wholly inside the one merged range of `copied` that now
+    /// contains it; every segment strictly between the landing's first and
+    /// last is inside the landing itself, so only those two need the
+    /// range's bounds.
+    pub fn mark_landed(&self, copied: &IntervalSet, off: usize, end: usize) {
+        debug_assert!(off < end);
+        let (lo, hi) = copied
+            .range_containing(off)
+            .expect("the landing was just inserted");
+        let first = lo.div_ceil(self.seg).max(off / self.seg);
+        // One past the last segment that ends at or before `hi`; the tail
+        // segment ends with the copy, wherever that is.
+        let past = if hi >= self.len {
+            self.nsegs
+        } else {
+            hi / self.seg
+        };
+        let past = past.min((end - 1) / self.seg + 1);
+        if first < past {
+            self.mark_range(first, past - 1);
+        }
+    }
+
+    /// Whether every segment overlapping `[off, off+len)` is complete:
+    /// one load per bitmap word the range touches.
     pub fn range_ready(&self, off: usize, len: usize) -> bool {
         if len == 0 || self.len == 0 {
             return true;
@@ -121,7 +162,9 @@ impl SegDescriptor {
         let end = (off + len).min(self.len);
         let first = off / self.seg;
         let last = (end - 1) / self.seg;
-        (first..=last).all(|i| self.is_marked(i))
+        first > last
+            || words(first, last)
+                .all(|(w, mask)| self.bits[w].load(Ordering::Acquire) & mask == mask)
     }
 
     /// Whether the whole copy is complete.
@@ -131,9 +174,10 @@ impl SegDescriptor {
 
     /// Count of completed segments.
     pub fn ready_segments(&self) -> usize {
-        (0..self.num_segments())
-            .filter(|&i| self.is_marked(i))
-            .count()
+        self.bits
+            .iter()
+            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .sum()
     }
 
     /// The byte range covered by segment `idx` (tail segment may be short).
@@ -184,9 +228,186 @@ impl SegDescriptor {
     }
 }
 
+/// The bitmap words that hold segments `first..=last`, each with the mask
+/// of those segments' bits in it.
+fn words(first: usize, last: usize) -> impl Iterator<Item = (usize, u64)> {
+    let (first_word, last_word) = (first / 64, last / 64);
+    (first_word..=last_word).map(move |w| {
+        let lo = if w == first_word { first % 64 } else { 0 };
+        let hi = if w == last_word { last % 64 } else { 63 };
+        (w, (u64::MAX << lo) & (u64::MAX >> (63 - hi)))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copier_testkit::{check_with, Config, TestRng};
+    use copier_testkit::{prop_assert, prop_assert_eq};
+
+    /// The readers and the range marker as they were before they went
+    /// word-wise, one `is_marked` / `mark` per segment: the oracle of
+    /// `word_wise_equals_bit_at_a_time`.
+    impl SegDescriptor {
+        fn range_ready_bitwise(&self, off: usize, len: usize) -> bool {
+            if len == 0 || self.len == 0 {
+                return true;
+            }
+            let end = (off + len).min(self.len);
+            let first = off / self.seg;
+            let last = (end - 1) / self.seg;
+            (first..=last).all(|i| self.is_marked(i))
+        }
+
+        fn ready_segments_bitwise(&self) -> usize {
+            (0..self.num_segments())
+                .filter(|&i| self.is_marked(i))
+                .count()
+        }
+
+        fn mark_range_bitwise(&self, first: usize, last: usize) {
+            (first..=last).for_each(|i| self.mark(i));
+        }
+
+        /// `mark_landed` as it was: one `covers` binary search per touched
+        /// segment. The oracle of `mark_landed_equals_the_covers_loop`.
+        fn mark_landed_covers_loop(&self, copied: &IntervalSet, off: usize, end: usize) {
+            if self.nsegs == 0 {
+                return;
+            }
+            let first = off / self.seg;
+            let last = ((end - 1) / self.seg).min(self.nsegs - 1);
+            for i in first..=last {
+                let (s, t) = self.segment_range(i);
+                if copied.covers(s, t) {
+                    self.mark(i);
+                }
+            }
+        }
+    }
+
+    /// A descriptor shape `(len, seg)`: segment counts around the word
+    /// boundaries as often as anywhere else, and a short tail segment most
+    /// of the time.
+    fn gen_shape(rng: &mut TestRng) -> (usize, usize) {
+        let seg = [1, 7, 64, 1024, 4096][rng.range_usize(0, 5)];
+        let nsegs = if rng.gen_bool(0.5) {
+            [1, 63, 64, 65, 127, 128, 129][rng.range_usize(0, 7)]
+        } else {
+            rng.range_usize(1, 300)
+        };
+        ((nsegs - 1) * seg + rng.range_usize(1, seg + 1), seg)
+    }
+
+    /// `(len, seg, [(mark?, off, n)])`: a descriptor shape and a script of
+    /// byte ranges to mark the segments of, or to ask about.
+    type WordCase = (usize, usize, Vec<(bool, usize, usize)>);
+
+    fn gen_word_case(rng: &mut TestRng) -> WordCase {
+        let (len, seg) = gen_shape(rng);
+        let ops = (0..rng.range_usize(1, 60))
+            .map(|_| {
+                let off = rng.range_usize(0, len + seg);
+                let n = if rng.gen_bool(0.3) {
+                    rng.range_usize(0, len + seg)
+                } else {
+                    rng.range_usize(0, 3 * seg + 1)
+                };
+                (rng.gen_bool(0.5), off, n)
+            })
+            .collect();
+        (len, seg, ops)
+    }
+
+    #[test]
+    fn word_wise_equals_bit_at_a_time() {
+        check_with(
+            &Config::from_env(),
+            gen_word_case,
+            |_| Vec::new(),
+            |(len, seg, ops): &WordCase| {
+                let (len, seg) = (*len, *seg);
+                let (fast, slow) = (SegDescriptor::new(len, seg), SegDescriptor::new(len, seg));
+                prop_assert_eq!(fast.num_segments(), len.div_ceil(seg));
+                for &(mark, off, n) in ops {
+                    if mark && n > 0 && off < len {
+                        let (first, last) = (off / seg, ((off + n).min(len) - 1) / seg);
+                        fast.mark_range(first, last);
+                        slow.mark_range_bitwise(first, last);
+                    }
+                    prop_assert_eq!(
+                        fast.range_ready(off, n),
+                        slow.range_ready_bitwise(off, n),
+                        "range_ready({off}, {n}) of len {len} seg {seg}"
+                    );
+                    for i in 0..fast.num_segments() {
+                        prop_assert!(
+                            fast.is_marked(i) == slow.is_marked(i),
+                            "segment {i} after ({mark}, {off}, {n}) of len {len} seg {seg}"
+                        );
+                    }
+                    prop_assert_eq!(fast.ready_segments(), slow.ready_segments_bitwise());
+                    prop_assert_eq!(fast.all_ready(), slow.range_ready_bitwise(0, len));
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// `(len, seg, [(off, n)])`: a task shape and the landings of its
+    /// bytes, in whatever order and overlap the units finished them.
+    type Landings = (usize, usize, Vec<(usize, usize)>);
+
+    fn gen_landings(rng: &mut TestRng) -> Landings {
+        let (len, seg) = gen_shape(rng);
+        // Page-like pieces, aligned or not, in random order and not all of
+        // them, plus arbitrary overlapping ranges.
+        let piece = rng.range_usize(1, 4 * seg + 2);
+        let skew = rng.range_usize(0, piece);
+        let mut lands: Vec<(usize, usize)> = (0..len.div_ceil(piece) + 1)
+            .map(|i| ((i * piece).saturating_sub(skew), piece))
+            .collect();
+        for _ in 0..rng.range_usize(0, 20) {
+            lands.push((rng.range_usize(0, len), rng.range_usize(0, len + 1)));
+        }
+        for i in (1..lands.len()).rev() {
+            lands.swap(i, rng.range_usize(0, i + 1));
+        }
+        lands.truncate(rng.range_usize(1, lands.len() + 1));
+        (len, seg, lands)
+    }
+
+    #[test]
+    fn mark_landed_equals_the_covers_loop() {
+        check_with(
+            &Config::from_env(),
+            gen_landings,
+            |_| Vec::new(),
+            |(len, seg, lands): &Landings| {
+                let (fast, slow) = (
+                    SegDescriptor::new(*len, *seg),
+                    SegDescriptor::new(*len, *seg),
+                );
+                let mut copied = IntervalSet::new();
+                for &(off, n) in lands {
+                    let end = (off + n).min(*len);
+                    if end <= off {
+                        continue;
+                    }
+                    copied.insert(off, end);
+                    fast.mark_landed(&copied, off, end);
+                    slow.mark_landed_covers_loop(&copied, off, end);
+                    for i in 0..fast.num_segments() {
+                        prop_assert!(
+                            fast.is_marked(i) == slow.is_marked(i),
+                            "segment {i} after landing [{off}, {end}) of len {len} seg {seg}"
+                        );
+                    }
+                }
+                Ok(())
+            },
+        );
+    }
 
     #[test]
     fn segment_math_with_short_tail() {

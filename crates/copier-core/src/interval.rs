@@ -78,13 +78,23 @@ impl IntervalSet {
             .iter()
             .map(|&(s, e)| e.min(end) - s.max(start))
             .sum();
-        // Up to two boundary slivers survive; splice them over the window
-        // in place instead of rebuilding the whole vector.
+        // Up to two boundary slivers survive. They are written over the
+        // window's own slots; what is left of the window goes, and only a
+        // hole punched into a single range has to open a new slot.
         let (s_first, _) = self.ranges[lo];
         let (_, e_last) = self.ranges[hi - 1];
         let left = (s_first < start).then_some((s_first, start));
         let right = (e_last > end).then_some((end, e_last));
-        self.ranges.splice(lo..hi, left.into_iter().chain(right));
+        let mut at = lo;
+        for sliver in left.into_iter().chain(right) {
+            if at < hi {
+                self.ranges[at] = sliver;
+            } else {
+                self.ranges.insert(at, sliver);
+            }
+            at += 1;
+        }
+        self.ranges.drain(at.min(hi)..hi);
         removed
     }
 
@@ -163,8 +173,13 @@ impl IntervalSet {
     /// The end of the stored range containing `pos`, if any. Lets callers
     /// skip covered prefixes without materializing gap lists.
     pub fn end_of_covering_range(&self, pos: usize) -> Option<usize> {
+        self.range_containing(pos).map(|(_, e)| e)
+    }
+
+    /// The stored range containing `pos`, if any.
+    pub fn range_containing(&self, pos: usize) -> Option<(usize, usize)> {
         let i = self.ranges.partition_point(|&(s, _)| s <= pos);
-        (i > 0 && self.ranges[i - 1].1 > pos).then(|| self.ranges[i - 1].1)
+        (i > 0 && self.ranges[i - 1].1 > pos).then(|| self.ranges[i - 1])
     }
 
     /// Iterates the stored ranges.
@@ -266,6 +281,11 @@ mod tests {
                 assert_eq!(delta, expect, "insert({lo},{hi}) delta");
                 model[lo..hi].iter_mut().for_each(|x| *x = true);
             }
+            let stored: Vec<_> = s.iter().collect();
+            assert!(
+                stored.iter().all(|&(a, b)| a < b) && stored.windows(2).all(|w| w[0].1 < w[1].0),
+                "not sorted, disjoint and non-adjacent: {stored:?}"
+            );
             let total_model = model.iter().filter(|&&b| b).count();
             assert_eq!(s.total(), total_model);
             let q = (rnd() % 512) as usize;

@@ -3366,21 +3366,7 @@ fn mark_progress(e: &Rc<PendEntry>, off: usize, len: usize) -> (usize, usize) {
     }
     let added = e.copied.borrow_mut().insert(off, end);
     let removed = e.inflight.borrow_mut().remove(off, end);
-    let d = &e.task.descr;
-    let nsegs = d.num_segments();
-    if nsegs == 0 {
-        return (added, removed);
-    }
-    let seg = d.segment_size();
-    let first = off / seg;
-    let last = ((end - 1) / seg).min(nsegs - 1);
-    let copied = e.copied.borrow();
-    for i in first..=last {
-        let (s, t) = d.segment_range(i);
-        if copied.covers(s, t) {
-            d.mark(i);
-        }
-    }
+    e.task.descr.mark_landed(&e.copied.borrow(), off, end);
     (added, removed)
 }
 

@@ -3,7 +3,7 @@
 //! prefix (and smallest coordinates) that still disagrees.
 //!
 //! The set's fast paths (partition-point window search in `insert` /
-//! `remove` / `covers` / `intersects`, splice-based removal) must be
+//! `remove` / `covers` / `intersects`, in-place sliver removal) must be
 //! behaviorally identical to "paint bits in an array" — every op is
 //! followed by a full behavioral comparison, so any divergence is caught
 //! at the op that introduced it.

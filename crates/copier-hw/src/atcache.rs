@@ -9,15 +9,24 @@
 //! extents. Re-translating the same base at a greater length grows the
 //! entry; nothing shrinks it.
 //!
-//! Two things keep a hit truthful:
+//! That locality is per application, so the cache is too: every address
+//! space ([`AddressSpace::instance`]) that has been translated owns one
+//! table, bounded by the cache's capacity and evicted FIFO on its own. A
+//! tenant cycling through its pool can push out only its own entries,
+//! kernel-buffer churn cannot push out user buffers, and the hit rate of a
+//! fleet is the hit rate of its tenants, however many there are.
 //!
-//! * entries belong to an address-space *instance*
-//!   ([`AddressSpace::instance`]), so a later space that re-uses the id
-//!   can never be handed a dead process's frames, and [`ATCache::purge`]
-//!   drops an instance's entries when its client is reaped;
-//! * entries carry the space's *generation*: any mapping change bumps it
-//!   and thereby invalidates every cached translation of that space. A
-//!   stale entry is dropped by the lookup that finds it.
+//! Three things keep a hit truthful:
+//!
+//! * a table belongs to an address-space *instance*, so a later space that
+//!   re-uses the id can never be handed a dead process's frames;
+//! * a table dies with its space: [`ATCache::purge`] drops it when its
+//!   client is reaped, and the tables of spaces that went away any other
+//!   way (a forked child, a binder peer, a process exit) are swept when
+//!   new ones are made;
+//! * a table carries the space's *generation*: any mapping change bumps it
+//!   and thereby invalidates every cached translation of that space, so the
+//!   first lookup or insert that sees a newer generation empties the table.
 //!
 //! A translation resolved for reading says nothing about write access
 //! (the page may be CoW-shared or its mapping read-only), so each entry
@@ -26,17 +35,13 @@
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 
 use copier_mem::{AddressSpace, Extent, VirtAddr};
 
 use crate::units::slice_extents;
 
-/// `(address-space instance, base va)`.
-type Key = (u64, u64);
-
 struct Entry {
-    generation: u64,
     /// Bytes from the base the extents translate.
     covered: usize,
     /// Prefix of `covered` that was resolved for writing.
@@ -44,7 +49,7 @@ struct Entry {
     extents: Rc<[Extent]>,
 }
 
-/// Lookup and replacement counters.
+/// Lookup and replacement counters, summed over every space.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AtcStats {
     /// Lookups that returned a valid translation.
@@ -52,43 +57,72 @@ pub struct AtcStats {
     /// Lookups that did not (nothing covers the range, or what did was
     /// stale).
     pub misses: u64,
-    /// Live entries pushed out by capacity, oldest first.
+    /// Live entries pushed out of their space's table by capacity, oldest
+    /// first.
     pub evictions: u64,
     /// Entries dropped because their generation had passed.
     pub stale: u64,
 }
 
-/// `order` lists exactly the keys of `map`, each once, oldest first.
-#[derive(Default)]
-struct Table {
-    map: BTreeMap<Key, Entry>,
-    order: VecDeque<Key>,
-}
-
-impl Table {
-    fn remove(&mut self, key: Key) {
-        self.map.remove(&key);
-        if let Some(i) = self.order.iter().position(|&k| k == key) {
-            self.order.remove(i);
-        }
-        debug_assert_eq!(self.order.len(), self.map.len());
+impl AtcStats {
+    /// Hits per lookup; 0 before the first lookup.
+    pub fn hit_frac(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
     }
 }
 
-/// A bounded FIFO translation cache; `capacity` counts buffers (entries).
+/// One address space's translations, all captured at `generation`.
+/// `order` lists exactly the keys of `map`, each once, oldest first.
+struct SpaceTable {
+    owner: Weak<AddressSpace>,
+    generation: u64,
+    /// Base va → entry.
+    map: BTreeMap<u64, Entry>,
+    order: VecDeque<u64>,
+}
+
+impl SpaceTable {
+    /// Empties the table if the space's mappings changed since its entries
+    /// were captured; returns how many entries that dropped.
+    fn refresh(&mut self, generation: u64) -> u64 {
+        if self.generation == generation {
+            return 0;
+        }
+        self.generation = generation;
+        self.order.clear();
+        let dropped = self.map.len() as u64;
+        self.map.clear();
+        dropped
+    }
+}
+
+/// A translation cache of one bounded FIFO table per address space;
+/// `capacity` counts buffers (entries) per space.
+///
+/// Memory bound: entries that can still hit ≤ live touched spaces ×
+/// `capacity`. A space is *touched* once a translation of it is inserted
+/// (a registered tenant that never copies owns nothing here). The table of
+/// a dead space can never hit (instances are never re-used); it goes at
+/// `purge`, or else at the first new table after the number of tables has
+/// doubled since the last sweep, so there are never more than 2 × the
+/// touched spaces live at that sweep + 1 tables.
 pub struct ATCache {
     capacity: usize,
-    table: RefCell<Table>,
+    /// [`AddressSpace::instance`] → that space's table.
+    tables: RefCell<BTreeMap<u64, SpaceTable>>,
+    /// Table count at which the next new table first sweeps dead ones.
+    sweep_at: Cell<usize>,
     stats: Cell<AtcStats>,
 }
 
 impl ATCache {
-    /// Creates a cache holding up to `capacity` buffer translations; 0
-    /// turns it off (the Fig. 9 ablation).
+    /// Creates a cache holding up to `capacity` buffer translations per
+    /// address space; 0 turns it off (the Fig. 9 ablation).
     pub fn new(capacity: usize) -> Self {
         ATCache {
             capacity,
-            table: RefCell::new(Table::default()),
+            tables: RefCell::new(BTreeMap::new()),
+            sweep_at: Cell::new(0),
             stats: Cell::new(AtcStats::default()),
         }
     }
@@ -99,10 +133,10 @@ impl ATCache {
         self.stats.set(s);
     }
 
-    /// The cached translation of `[va, va+len)`, if the entry with the
-    /// greatest base at or below `va` in this space is fresh and covers the
-    /// range (for `write`, inside its write-resolved prefix). Stale entries
-    /// met on the way are dropped.
+    /// The cached translation of `[va, va+len)`, if this space's entry
+    /// with the greatest base at or below `va` covers the range (for
+    /// `write`, inside its write-resolved prefix) and the space's mappings
+    /// have not changed since; if they have, its table is emptied.
     pub fn lookup(
         &self,
         asp: &AddressSpace,
@@ -113,22 +147,16 @@ impl ATCache {
         if self.capacity == 0 {
             return None;
         }
-        let inst = asp.instance();
-        let mut t = self.table.borrow_mut();
-        let hit = loop {
-            let Some((&key, e)) = t.map.range((inst, 0)..=(inst, va.0)).next_back() else {
-                break None;
-            };
-            if e.generation != asp.generation() {
-                t.remove(key);
-                self.count(|s| s.stale += 1);
-                continue;
-            }
-            let off = va.0 - key.1;
+        let mut tables = self.tables.borrow_mut();
+        let hit = tables.get_mut(&asp.instance()).and_then(|t| {
+            let stale = t.refresh(asp.generation());
+            self.count(|s| s.stale += stale);
+            let (&base, e) = t.map.range(..=va.0).next_back()?;
+            let off = va.0 - base;
             let limit = if write { e.write_covered } else { e.covered } as u64;
-            break (off <= limit && len as u64 <= limit - off)
-                .then(|| slice_extents(&e.extents, off as usize, len));
-        };
+            (off <= limit && len as u64 <= limit - off)
+                .then(|| slice_extents(&e.extents, off as usize, len))
+        });
         self.count(|s| match hit {
             Some(_) => s.hits += 1,
             None => s.misses += 1,
@@ -137,11 +165,12 @@ impl ATCache {
     }
 
     /// Records the translation of `[va, va+len)` captured at the space's
-    /// current generation (`write`: resolved for writing). A fresh entry
-    /// at the same base grows to the longer of the two; it never shrinks.
+    /// current generation (`write`: resolved for writing). An entry at the
+    /// same base grows to the longer of the two; it never shrinks. A
+    /// space's first insert makes its table.
     pub fn insert(
         &self,
-        asp: &AddressSpace,
+        asp: &Rc<AddressSpace>,
         va: VirtAddr,
         len: usize,
         write: bool,
@@ -150,41 +179,41 @@ impl ATCache {
         if self.capacity == 0 {
             return;
         }
-        let key = (asp.instance(), va.0);
-        let generation = asp.generation();
-        let mut t = self.table.borrow_mut();
-        match t.map.get_mut(&key) {
+        let mut tables = self.tables.borrow_mut();
+        if !tables.contains_key(&asp.instance()) && tables.len() >= self.sweep_at.get() {
+            tables.retain(|_, t| t.owner.strong_count() > 0);
+            self.sweep_at.set(2 * tables.len() + 1);
+        }
+        let t = tables.entry(asp.instance()).or_insert_with(|| SpaceTable {
+            owner: Rc::downgrade(asp),
+            generation: asp.generation(),
+            map: BTreeMap::new(),
+            order: VecDeque::new(),
+        });
+        let stale = t.refresh(asp.generation());
+        self.count(|s| s.stale += stale);
+        if let Some(e) = t.map.get_mut(&va.0) {
             // Same generation, same page table: the longer translation
             // extends the shorter one frame for frame.
-            Some(e) if e.generation == generation => {
-                if len > e.covered {
-                    e.covered = len;
-                    e.extents = extents.into();
-                }
-                if write {
-                    e.write_covered = e.write_covered.max(len);
-                }
-                return;
+            if len > e.covered {
+                e.covered = len;
+                e.extents = extents.into();
             }
-            // A dead translation under this key gives its successor no
-            // seniority: the new entry queues at the back.
-            Some(_) => {
-                t.remove(key);
-                self.count(|s| s.stale += 1);
+            if write {
+                e.write_covered = e.write_covered.max(len);
             }
-            None => {}
+            return;
         }
         t.map.insert(
-            key,
+            va.0,
             Entry {
-                generation,
                 covered: len,
                 write_covered: if write { len } else { 0 },
                 extents: extents.into(),
             },
         );
-        t.order.push_back(key);
-        while t.map.len() > self.capacity {
+        t.order.push_back(va.0);
+        if t.map.len() > self.capacity {
             let old = t.order.pop_front().expect("order lists every key of map");
             t.map.remove(&old);
             self.count(|s| s.evictions += 1);
@@ -192,13 +221,14 @@ impl ATCache {
         debug_assert_eq!(t.order.len(), t.map.len());
     }
 
-    /// Drops every entry of this address-space instance (its owner died).
+    /// Drops this address-space instance's table (its owner died).
     pub fn purge(&self, asp: &AddressSpace) {
-        let inst = asp.instance();
-        let mut t = self.table.borrow_mut();
-        let Table { map, order } = &mut *t;
-        order.retain(|&(i, _)| i != inst);
-        map.retain(|&(i, _), _| i != inst);
+        self.tables.borrow_mut().remove(&asp.instance());
+    }
+
+    /// Tables currently held, dead spaces' not yet swept included.
+    pub fn tables(&self) -> usize {
+        self.tables.borrow().len()
     }
 
     /// Counter snapshot.
@@ -221,7 +251,7 @@ mod tests {
     }
 
     /// Resolves `[va, va+len)` and caches it, like the service's miss path.
-    fn fill(atc: &ATCache, asp: &AddressSpace, va: VirtAddr, len: usize, write: bool) {
+    fn fill(atc: &ATCache, asp: &Rc<AddressSpace>, va: VirtAddr, len: usize, write: bool) {
         let (ex, _) = asp.resolve_range(va, len, write).unwrap();
         atc.insert(asp, va, len, write, &ex);
     }
@@ -392,11 +422,47 @@ mod tests {
         fill(&atc, &a, va, PAGE_SIZE, false);
         fill(&atc, &b, vb, PAGE_SIZE, false);
         atc.purge(&a);
+        assert_eq!(atc.tables(), 1);
         assert!(atc.lookup(&a, va, PAGE_SIZE, false).is_none());
         assert!(atc.lookup(&b, vb, PAGE_SIZE, false).is_some());
-        // The freed slot is usable: nothing is evicted to refill it.
+    }
+
+    #[test]
+    fn a_space_evicts_only_its_own_entries() {
+        let pm = pool();
+        let atc = ATCache::new(2);
+        let (a, b) = (
+            AddressSpace::new(1, Rc::clone(&pm)),
+            AddressSpace::new(2, pm),
+        );
+        let va = a.mmap(PAGE_SIZE, Prot::RW, true).unwrap();
+        let vbs: Vec<_> = (0..8)
+            .map(|_| b.mmap(PAGE_SIZE, Prot::RW, true).unwrap())
+            .collect();
         fill(&atc, &a, va, PAGE_SIZE, false);
-        assert!(atc.lookup(&b, vb, PAGE_SIZE, false).is_some());
-        assert_eq!(atc.stats().evictions, 0);
+        for &vb in &vbs {
+            fill(&atc, &b, vb, PAGE_SIZE, false);
+        }
+        assert_eq!(atc.stats().evictions, 6);
+        assert!(atc.lookup(&a, va, PAGE_SIZE, false).is_some());
+        assert!(atc.lookup(&b, vbs[5], PAGE_SIZE, false).is_none());
+        assert!(atc.lookup(&b, vbs[6], PAGE_SIZE, false).is_some());
+    }
+
+    #[test]
+    fn a_dropped_space_takes_its_table_with_it() {
+        let pm = pool();
+        let atc = ATCache::new(2);
+        let keeper = AddressSpace::new(1, Rc::clone(&pm));
+        let vk = keeper.mmap(PAGE_SIZE, Prot::RW, true).unwrap();
+        fill(&atc, &keeper, vk, PAGE_SIZE, false);
+        for id in 2..100 {
+            // Nobody reaps these: the space just goes away.
+            let asp = AddressSpace::new(id, Rc::clone(&pm));
+            let va = asp.mmap(PAGE_SIZE, Prot::RW, true).unwrap();
+            fill(&atc, &asp, va, PAGE_SIZE, false);
+            assert!(atc.tables() <= 3, "{} tables", atc.tables());
+        }
+        assert!(atc.lookup(&keeper, vk, PAGE_SIZE, false).is_some());
     }
 }

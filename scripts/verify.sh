@@ -19,6 +19,17 @@ cargo clippy --workspace --offline --locked -- -D warnings
 # did the default 3000 programs; this is the deeper pass.
 TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked order_oracle
 
+# Translation-cache oracle (every hit == a fresh page-table read over 1–64
+# spaces, a neighbour cycling its pool changes nothing for a space, dropped
+# spaces leave no tables) and the landing bookkeeping against its
+# `#[cfg(test)]` bit-at-a-time / `covers`-loop references (word-wise
+# `range_ready`/`mark_range`, `mark_landed`), deeper than the workspace run
+# above; the fleet differential (`tests/atcache_differential.rs`) ran there
+# in full.
+TESTKIT_CASES=2000 cargo test -q -p copier-hw --offline --locked --test atcache_oracle
+TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --lib descriptor::
+TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --test interval_props
+
 # The repo benchmark is a package of its own (own lock file, path deps on
 # crates/*), so the workspace commands above never compile it: a crate API
 # change that breaks it must fail here, not in the benchmark pipeline. Its
@@ -27,22 +38,24 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Host-perf smoke: the wall-clock bench must run end to end and emit
 # parseable JSON (tiny sizes; this is a plumbing check, not a perf gate),
-# with all four executor rows and their over-floor summary rows.
+# with all four executor rows, both progress rows (a landed page, a csync
+# poll) and an over-floor summary row for each of the six.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 if command -v jq >/dev/null 2>&1; then
     jq -e '(.layouts | length > 0)
        and ([.executor[].name] == ["sleep", "advance", "advance_contended", "notify_round_trip"])
-       and ([.executor[] | .ns > 0 and .over_floor > 0] | all)
-       and ([.summary[] | select(.metric == "over_floor_max")] | length == 4)' BENCH_hostperf.json >/dev/null
+       and ([.progress[].name] == ["landing_4k", "range_ready_256"])
+       and ([.executor[], .progress[] | .ns > 0 and .over_floor > 0] | all)
+       and ([.summary[] | select(.metric == "over_floor_max")] | length == 6)' BENCH_hostperf.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_hostperf.json"))
-rows = d["executor"]
 ok = bool(d["layouts"])
-ok = ok and [r["name"] for r in rows] == ["sleep", "advance", "advance_contended", "notify_round_trip"]
-ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in rows)
-ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 4
+ok = ok and [r["name"] for r in d["executor"]] == ["sleep", "advance", "advance_contended", "notify_round_trip"]
+ok = ok and [r["name"] for r in d["progress"]] == ["landing_4k", "range_ready_256"]
+ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in d["executor"] + d["progress"])
+ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 6
 sys.exit(0 if ok else 1)
 PY
 fi
@@ -102,11 +115,16 @@ echo "BENCH_integrity.json OK"
 # end to end, drain every pin, and replay the same seed to a bit-identical
 # outcome at 4 shards (DESIGN.md §17). The ≥3× goodput bar is full-mode
 # only — smoke workloads are too small for the speedup to be meaningful.
+# Every point reports its ATCache hit fraction; at 4 shards the tenants'
+# recycled pools must hit more often than not (per-space tables: a
+# tenant's hits do not depend on its neighbours).
 SHARDSCALE_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_shardscale
 if command -v jq >/dev/null 2>&1; then
-    jq -e '(.sweep | length > 0) and ([.summary[] | select(.name == "shard_determinism")] | all(.value == 1))' BENCH_shardscale.json >/dev/null
+    jq -e '(.sweep | length > 0)
+       and ([.sweep[] | select(.shards == 4) | .atc_hit_frac > 0.5] == [true])
+       and ([.summary[] | select(.name == "shard_determinism")] | all(.value == 1))' BENCH_shardscale.json >/dev/null
 else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_shardscale.json")); det=[r for r in d["summary"] if r["name"]=="shard_determinism"]; sys.exit(0 if d["sweep"] and det and all(r["value"]==1 for r in det) else 1)'
+    python3 -c 'import json,sys; d=json.load(open("BENCH_shardscale.json")); det=[r for r in d["summary"] if r["name"]=="shard_determinism"]; hit=[p["atc_hit_frac"] for p in d["sweep"] if p["shards"]==4]; sys.exit(0 if d["sweep"] and len(hit)==1 and hit[0]>0.5 and det and all(r["value"]==1 for r in det) else 1)'
 fi
 echo "BENCH_shardscale.json OK"
 

@@ -8,8 +8,12 @@
 //!    handler's fire count must agree between the two runs — and with a
 //!    sequential `memcpy` model of the tenant's program — and no pin may
 //!    survive either run.
-//! 2. **Pins.** A task served over several rounds pins each frame once.
-//! 3. **Lifetime.** A reaped client's translations are purged, and a new
+//! 2. **Fleet.** The same differential over 32 tenants × 16 buffers on 4
+//!    shards, twice the buffers one table holds: every tenant's pool fits
+//!    its own table, so nothing is evicted and the fleet hits like one
+//!    tenant would.
+//! 3. **Pins.** A task served over several rounds pins each frame once.
+//! 4. **Lifetime.** A reaped client's translations are purged, and a new
 //!    process that re-uses its address-space id gets its own frames.
 //!
 //! Reproduce failures with the printed `TESTKIT_REPRO=<seed>` line.
@@ -27,16 +31,29 @@ use copier::sim::{
 use copier_testkit::prop::{check_with, Config, PropResult};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
 
-/// Buffers per tenant; any may be a source or a destination.
-const NBUF: usize = 4;
-const BUF: usize = 48 * 1024;
-/// Below `BUF`, so the longer copies are served over several rounds.
+/// Below the small cases' buffer size, so their longer copies are served
+/// over several rounds, from wherever the round before stopped.
 const SLICE: usize = 16 * 1024;
 
 #[derive(Debug, Clone)]
 struct Case {
     seed: u64,
     tenants: usize,
+    /// Buffers per tenant; any may be a source or a destination.
+    nbuf: usize,
+    /// Bytes per buffer.
+    buf: usize,
+    shards: usize,
+    copy_slice: usize,
+    mean_gap: Nanos,
+    horizon: Nanos,
+    /// Whether the pool is buffer *pairs*: sources from its first half,
+    /// destinations from its second. Otherwise any buffer may be either,
+    /// and chains of dependent copies form.
+    pairs: bool,
+    /// Probability that a copy starts somewhere inside its buffers rather
+    /// than at their bases.
+    inside: f64,
     stale: f64,
     dma: bool,
 }
@@ -45,6 +62,14 @@ fn gen_case(rng: &mut TestRng) -> Case {
     Case {
         seed: rng.next_u64(),
         tenants: rng.range_usize(1, 4),
+        nbuf: 4,
+        buf: 48 * 1024,
+        shards: 1,
+        copy_slice: SLICE,
+        mean_gap: Nanos::from_micros(2),
+        horizon: Nanos::from_micros(120),
+        pairs: false,
+        inside: 0.4,
         stale: rng.gen_f64() * 0.3,
         dma: rng.gen_bool(0.5),
     }
@@ -59,9 +84,10 @@ struct Op {
     len: usize,
 }
 
-fn fill(tenant: usize, buf: usize, seed: u64) -> Vec<u8> {
-    let mut rng = TestRng::new(seed ^ ((tenant * NBUF + buf) as u64).wrapping_mul(0x9E37_79B9));
-    let mut v = vec![0u8; BUF];
+fn fill(case: &Case, tenant: usize, buf: usize) -> Vec<u8> {
+    let mut rng =
+        TestRng::new(case.seed ^ ((tenant * case.nbuf + buf) as u64).wrapping_mul(0x9E37_79B9));
+    let mut v = vec![0u8; case.buf];
     rng.fill_bytes(&mut v);
     v
 }
@@ -72,10 +98,10 @@ fn programs(case: &Case) -> Vec<Vec<Op>> {
     let plan = WorkloadPlan::new(WorkloadConfig {
         seed: case.seed,
         tenants: case.tenants,
-        mean_gap: Nanos::from_micros(2),
+        mean_gap: case.mean_gap,
         len_min: 1,
-        len_max: BUF,
-        horizon: Nanos::from_micros(120),
+        len_max: case.buf,
+        horizon: case.horizon,
         ..Default::default()
     });
     (0..case.tenants)
@@ -84,15 +110,20 @@ fn programs(case: &Case) -> Vec<Vec<Op>> {
             plan.tenant(t)
                 .iter()
                 .map(|a| {
-                    let src = rng.range_usize(0, NBUF);
-                    let dst = (src + rng.range_usize(1, NBUF)) % NBUF;
+                    let (src, dst) = if case.pairs {
+                        let half = case.nbuf / 2;
+                        (rng.range_usize(0, half), rng.range_usize(half, case.nbuf))
+                    } else {
+                        let src = rng.range_usize(0, case.nbuf);
+                        (src, (src + rng.range_usize(1, case.nbuf)) % case.nbuf)
+                    };
                     // Recycled pools name buffers by their base most of
                     // the time; the rest start anywhere.
                     let off = |rng: &mut TestRng| {
-                        if rng.gen_bool(0.6) {
-                            0
+                        if rng.gen_bool(case.inside) {
+                            rng.range_usize(0, case.buf - a.len + 1)
                         } else {
-                            rng.range_usize(0, BUF - a.len + 1)
+                            0
                         }
                     };
                     Op {
@@ -126,8 +157,9 @@ struct Run {
 fn run(case: &Case, atcache_capacity: usize) -> Run {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let machine = Machine::new(&h, case.tenants + 1);
-    let pm = Rc::new(PhysMem::new(4096, AllocPolicy::Scattered));
+    let machine = Machine::new(&h, case.tenants + case.shards);
+    let frames = case.tenants * case.nbuf * case.buf.div_ceil(PAGE_SIZE);
+    let pm = Rc::new(PhysMem::new(frames + 1024, AllocPolicy::Scattered));
     let plan = FaultPlan::new(FaultConfig {
         seed: case.seed ^ 0xA7C,
         atc_stale_prob: case.stale,
@@ -136,13 +168,16 @@ fn run(case: &Case, atcache_capacity: usize) -> Run {
     let svc = Copier::new(
         &h,
         Rc::clone(&pm),
-        vec![machine.core(case.tenants)],
+        (0..case.shards)
+            .map(|i| machine.core(case.tenants + i))
+            .collect(),
         Rc::new(CostModel::default()),
         CopierConfig {
             atcache_capacity,
-            copy_slice: SLICE,
+            copy_slice: case.copy_slice,
             use_dma: case.dma,
             fault_plan: Some(Rc::clone(&plan)),
+            shards: case.shards,
             ..Default::default()
         },
     );
@@ -154,10 +189,10 @@ fn run(case: &Case, atcache_capacity: usize) -> Run {
     for (t, ops) in programs(case).into_iter().enumerate() {
         let space = AddressSpace::new(t as u32 + 1, Rc::clone(&pm));
         let lib = CopierHandle::new(&svc, Rc::clone(&space));
-        let bufs: Vec<VirtAddr> = (0..NBUF)
+        let bufs: Vec<VirtAddr> = (0..case.nbuf)
             .map(|b| {
-                let va = space.mmap(BUF, Prot::RW, true).unwrap();
-                space.write_bytes(va, &fill(t, b, case.seed)).unwrap();
+                let va = space.mmap(case.buf, Prot::RW, true).unwrap();
+                space.write_bytes(va, &fill(case, t, b)).unwrap();
                 va
             })
             .collect();
@@ -209,7 +244,7 @@ fn run(case: &Case, atcache_capacity: usize) -> Run {
             .map(|(space, bufs, _)| {
                 bufs.iter()
                     .map(|&va| {
-                        let mut got = vec![0u8; BUF];
+                        let mut got = vec![0u8; case.buf];
                         space.read_bytes(va, &mut got).unwrap();
                         got
                     })
@@ -243,7 +278,7 @@ fn model(case: &Case) -> Outcome {
             .iter()
             .enumerate()
             .map(|(t, ops)| {
-                let mut bufs: Vec<Vec<u8>> = (0..NBUF).map(|b| fill(t, b, case.seed)).collect();
+                let mut bufs: Vec<Vec<u8>> = (0..case.nbuf).map(|b| fill(case, t, b)).collect();
                 for op in ops {
                     let src = bufs[op.src.0][op.src.1..op.src.1 + op.len].to_vec();
                     bufs[op.dst.0][op.dst.1..op.dst.1 + op.len].copy_from_slice(&src);
@@ -288,6 +323,41 @@ fn cache_on_and_off_agree_with_sequential_memcpy() {
         hits.get(),
         stale.get()
     );
+}
+
+/// Twice the buffers one table holds, spread over 32 spaces: each tenant's
+/// pool fits its own table, so after the first touches (and each longer
+/// length growing its entry once) everything hits and nothing is evicted.
+/// With one machine-wide table of 256 this case hit 0.31 and evicted
+/// 46 725 times.
+#[test]
+fn a_fleet_hits_like_one_tenant() {
+    let case = Case {
+        seed: 0xF1EE7,
+        tenants: 32,
+        nbuf: 16,
+        buf: 16 * 1024,
+        shards: 4,
+        copy_slice: CopierConfig::default().copy_slice,
+        // About half of what four AVX2 cores can copy.
+        mean_gap: Nanos::from_micros(13),
+        horizon: Nanos::from_millis(20),
+        pairs: true,
+        inside: 0.0,
+        stale: 0.02,
+        dma: false,
+    };
+    let want = model(&case);
+    assert!(want.ops.iter().all(|ops| ops.len() > 1000));
+    let off = run(&case, 0);
+    let on = run(&case, 256);
+    assert!(off.outcome == want, "cache off departs from memcpy");
+    assert!(on.outcome == want, "cache on departs from memcpy");
+    assert_eq!(off.atc, AtcStats::default());
+    assert!(on.stale_injected > 0);
+    let hit_frac = on.atc.hit_frac();
+    assert!(hit_frac >= 0.9, "hit fraction {hit_frac:.3}: {:?}", on.atc);
+    assert_eq!(on.atc.evictions, 0);
 }
 
 /// One service core, one client core, no DMA.
