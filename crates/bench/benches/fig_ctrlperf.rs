@@ -25,7 +25,6 @@
 //! Set `CTRLPERF_SMOKE=1` for a fast run (CI smoke; same depths, fewer
 //! samples).
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
@@ -33,7 +32,7 @@ use copier_bench::json::Json;
 use copier_bench::section;
 use copier_core::absorb::{self, AbsorbPlan};
 use copier_core::interval::ranges_overlap;
-use copier_core::{CopyTask, IntervalSet, PendEntry, PendIndex, RangeKind, SegDescriptor};
+use copier_core::{CopyTask, PendEntry, PendIndex, RangeKind, SegDescriptor};
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, VirtAddr};
 use copier_sim::{Nanos, WorkloadConfig, WorkloadPlan};
 use copier_testkit::{black_box, Bench};
@@ -49,10 +48,10 @@ struct Window {
 }
 
 fn entry(tid: u64, sp: &Rc<AddressSpace>, src: u64, dst: u64, len: usize) -> Rc<PendEntry> {
-    Rc::new(PendEntry {
+    Rc::new(PendEntry::new(
         tid,
-        key: (0, 1, tid),
-        task: CopyTask {
+        (0, 1, tid),
+        CopyTask {
             dst_space: Rc::clone(sp),
             dst: VirtAddr(dst),
             src_space: Rc::clone(sp),
@@ -64,17 +63,8 @@ fn entry(tid: u64, sp: &Rc<AddressSpace>, src: u64, dst: u64, len: usize) -> Rc<
             lazy: false,
             verify: false,
         },
-        copied: RefCell::new(IntervalSet::new()),
-        inflight: RefCell::new(IntervalSet::new()),
-        deferred: RefCell::new(IntervalSet::new()),
-        defer_until: Cell::new(Nanos::ZERO),
-        promoted: Cell::new(false),
-        aborted: Cell::new(false),
-        failed: Cell::new(None),
-        submitted_at: Nanos::ZERO,
-        pins: RefCell::new(Vec::new()),
-        finalized: Cell::new(false),
-    })
+        Nanos::ZERO,
+    ))
 }
 
 /// Builds a `depth`-entry window from the merged multi-tenant arrival

@@ -38,7 +38,7 @@ fn main() {
         let pcore = os.machine.core(threads + t);
         let h4 = h.clone();
         sim.spawn("proxy", async move {
-            proxy.pump(&pcore, prx, ptx, msgs).await;
+            proxy.pump(&pcore, prx, ptx, msgs).await.expect("forward");
             eprintln!("proxy {t} done at {}", h4.now());
         });
         let os2 = Rc::clone(&os);

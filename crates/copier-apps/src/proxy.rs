@@ -12,14 +12,42 @@ use std::rc::Rc;
 
 use copier_baselines::Zio;
 use copier_client::sync_memcpy;
+use copier_core::CopyFault;
 use copier_mem::{MemError, Prot, VirtAddr};
-use copier_os::{IoMode, NetStack, Os, Process, Socket};
+use copier_os::{IoMode, NetStack, Os, Process, SendHandle, Socket};
 use copier_sim::{Core, Nanos};
 
 /// Header scan + routing decision cost.
 pub const ROUTE_COST: Nanos = Nanos(400);
 /// Bytes of header the proxy reads and rewrites.
 pub const HEADER_LEN: usize = 64;
+/// A send that finds no socket buffer would block: it is retried this
+/// many times, sleeping `SEND_BACKOFF << attempt` (capped at 64 ×) in
+/// between — ≈ 700 µs in all, far past any buffer's reclaim.
+const SEND_RETRIES: u32 = 16;
+const SEND_BACKOFF: Nanos = Nanos(1000);
+
+/// Why a pump stopped before its limit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProxyError {
+    /// A socket or buffer operation failed (socket-buffer exhaustion only
+    /// after the bounded retries).
+    Mem(MemError),
+    /// A copy the forward had to wait for faulted.
+    Copy(CopyFault),
+}
+
+impl From<MemError> for ProxyError {
+    fn from(e: MemError) -> Self {
+        ProxyError::Mem(e)
+    }
+}
+
+impl From<CopyFault> for ProxyError {
+    fn from(f: CopyFault) -> Self {
+        ProxyError::Copy(f)
+    }
+}
 
 /// Proxy data-path variants.
 #[derive(Clone)]
@@ -85,19 +113,47 @@ impl Proxy {
         }))
     }
 
-    /// Forwards `limit` messages from `downstream` to `upstream`.
+    /// Forwards `limit` messages from `downstream` to `upstream`; the
+    /// first one that cannot be forwarded ends the pump with its error.
     pub async fn pump(
         self: &Rc<Self>,
         core: &Rc<Core>,
         downstream: Rc<Socket>,
         upstream: Rc<Socket>,
         limit: u64,
-    ) {
+    ) -> Result<(), ProxyError> {
         for _ in 0..limit {
-            self.forward_one(core, &downstream, &upstream)
-                .await
-                .expect("forward");
+            self.forward_one(core, &downstream, &upstream).await?;
             self.forwarded.set(self.forwarded.get() + 1);
+        }
+        Ok(())
+    }
+
+    /// `send`s `[va, va + n)` upstream. No socket buffer
+    /// (`Fragmented`/`OutOfMemory`) is would-block, retried after a
+    /// bounded back-off; the error comes back once the retries are spent.
+    async fn send(
+        &self,
+        core: &Rc<Core>,
+        upstream: &Rc<Socket>,
+        va: VirtAddr,
+        n: usize,
+        mode: IoMode,
+    ) -> Result<SendHandle, MemError> {
+        let mut attempt = 0u32;
+        loop {
+            let sent = self
+                .net
+                .send_opts(core, &self.proc, upstream, va, n, mode, self.fd)
+                .await;
+            match sent {
+                Err(MemError::Fragmented | MemError::OutOfMemory) if attempt < SEND_RETRIES => {
+                    let wait = Nanos(SEND_BACKOFF.as_nanos() << attempt.min(6));
+                    self.os.h.sleep(wait).await;
+                    attempt += 1;
+                }
+                sent => return sent,
+            }
         }
     }
 
@@ -106,7 +162,7 @@ impl Proxy {
         core: &Rc<Core>,
         downstream: &Rc<Socket>,
         upstream: &Rc<Socket>,
-    ) -> Result<(), MemError> {
+    ) -> Result<(), ProxyError> {
         let space = &self.proc.space;
         match &self.mode {
             ProxyMode::Baseline | ProxyMode::Zio(_) => {
@@ -137,8 +193,7 @@ impl Proxy {
                         sync_memcpy(core, &self.os.cost, space, self.obuf, self.ubuf, n).await?;
                     }
                 }
-                self.net
-                    .send(core, &self.proc, upstream, self.obuf, n, IoMode::Sync)
+                self.send(core, upstream, self.obuf, n, IoMode::Sync)
                     .await?;
             }
             ProxyMode::Copier => {
@@ -162,16 +217,13 @@ impl Proxy {
                 // (Fig. 8's "modified part" then flows from U, the rest
                 // short-circuits from the kernel source).
                 lib.csync_in(core, space.id(), self.ubuf, HEADER_LEN, self.fd)
-                    .await
-                    .expect("hdr");
+                    .await?;
                 let mut hdr = [0u8; 8];
                 space.read_bytes(self.ubuf, &mut hdr)?;
                 hdr[0] ^= 0x80;
                 space.write_bytes(self.ubuf, &hdr)?;
                 // Async reorganize (also never executed thanks to
-                // absorption into the send). Under overload the lazy
-                // reorganize is simply skipped — it is an optimization
-                // copy, and the send below still carries the bytes.
+                // absorption into the send).
                 let reorg_d = lib
                     ._amemcpy(
                         core,
@@ -186,22 +238,24 @@ impl Proxy {
                     )
                     .await
                     .ok();
-                let done = self
-                    .net
-                    .send_opts(
-                        core,
-                        &self.proc,
-                        upstream,
-                        self.obuf,
-                        n,
-                        IoMode::Copier,
-                        self.fd,
-                    )
-                    .await?;
+                // A refused reorganize wrote nothing into `obuf`: the
+                // message is still in `ubuf`, where only the header is
+                // known to have landed — sync the rest and send from there.
+                let out = if reorg_d.is_some() {
+                    self.obuf
+                } else {
+                    lib.csync_in(core, space.id(), self.ubuf, n, self.fd)
+                        .await?;
+                    self.ubuf
+                };
+                let done = self.send(core, upstream, out, n, IoMode::Copier).await?;
                 // Once the NIC confirms the forward, discard the two
                 // intermediate lazy copies (§4.4 abort).
                 if let Some(d) = done.descriptor() {
                     while !d.all_ready() {
+                        if let Some(fault) = d.fault() {
+                            return Err(fault.into());
+                        }
                         core.advance(Nanos(200)).await;
                     }
                 }
@@ -263,7 +317,10 @@ mod tests {
         let pcore = os.machine.core(1);
         let proxy2 = Rc::clone(&proxy);
         sim.spawn("proxy", async move {
-            proxy2.pump(&pcore, proxy_rx, proxy_tx, msgs).await;
+            proxy2
+                .pump(&pcore, proxy_rx, proxy_tx, msgs)
+                .await
+                .expect("forward");
         });
 
         // Upstream verifies every received message.
@@ -323,6 +380,80 @@ mod tests {
         });
         sim.run();
         (elapsed.get(), ok.get())
+    }
+
+    /// One message through a proxy whose send finds every free frame
+    /// taken for `starve_for`. Returns how the pump ended and whether the
+    /// message reached the upstream socket.
+    fn run_starved(mode: ProxyMode, starve_for: Nanos) -> (Result<(), ProxyError>, bool) {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let machine = Machine::new(&h, 3);
+        let os = Os::boot(&h, machine, 256);
+        if matches!(mode, ProxyMode::Copier) {
+            os.install_copier(vec![os.machine.core(2)], Default::default());
+        }
+        let net = NetStack::new(&os);
+        let proxy = Proxy::new(&os, &net, mode, 16 * 1024).unwrap();
+        let (client_tx, proxy_rx) = net.socket_pair();
+        let (proxy_tx, upstream_rx) = net.socket_pair();
+        let ended = Rc::new(std::cell::Cell::new(None));
+        let (ended2, pcore) = (Rc::clone(&ended), os.machine.core(1));
+        sim.spawn("proxy", async move {
+            ended2.set(Some(proxy.pump(&pcore, proxy_rx, proxy_tx, 1).await));
+        });
+        let (os2, ccore) = (Rc::clone(&os), os.machine.core(0));
+        sim.spawn("client", async move {
+            let proc = os2.spawn_process();
+            let buf = proc.space.mmap(16 * 1024, Prot::RW, true).unwrap();
+            net.send(&ccore, &proc, &client_tx, buf, 16 * 1024, IoMode::Sync)
+                .await
+                .unwrap();
+            // The message is on its way: keep taking every frame that is
+            // left, or that the proxy's recv hands back.
+            let t0 = os2.h.now();
+            let mut hog = Vec::new();
+            while os2.h.now() - t0 < starve_for {
+                hog.extend(std::iter::from_fn(|| os2.pm.alloc().ok()));
+                os2.h.sleep(Nanos(100)).await;
+            }
+            hog.iter().for_each(|&f| os2.pm.decref(f));
+            os2.h.sleep(Nanos::from_millis(1)).await;
+            if let Some(svc) = os2.copier.borrow().as_ref() {
+                svc.stop();
+            }
+        });
+        sim.run();
+        (
+            ended.take().expect("pump returned"),
+            upstream_rx.rx_depth() == 1,
+        )
+    }
+
+    #[test]
+    fn a_send_without_socket_buffers_blocks_then_goes_out() {
+        for mode in [ProxyMode::Baseline, ProxyMode::Copier] {
+            let (ended, delivered) = run_starved(mode, Nanos::from_micros(100));
+            assert_eq!(ended, Ok(()));
+            assert!(delivered);
+        }
+    }
+
+    #[test]
+    fn spent_retries_end_the_pump_with_the_error() {
+        for mode in [ProxyMode::Baseline, ProxyMode::Copier] {
+            let (ended, delivered) = run_starved(mode, Nanos::from_millis(2));
+            assert!(
+                matches!(
+                    ended,
+                    Err(ProxyError::Mem(
+                        MemError::OutOfMemory | MemError::Fragmented
+                    ))
+                ),
+                "{ended:?}"
+            );
+            assert!(!delivered);
+        }
     }
 
     #[test]

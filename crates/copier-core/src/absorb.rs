@@ -11,7 +11,9 @@
 //!
 //! The analysis also detects the hazards that forbid reordering:
 //! write-after-write on the destination and write-after-read against an
-//! earlier task's still-unread source. Those block the batch instead.
+//! earlier task's still-unread source. Those block the batch instead. So
+//! does read-after-write when layering is off: nothing else orders a
+//! consumer behind the unfinished producer it reads from.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -71,10 +73,12 @@ pub const MAX_ABSORB_DEPTH: u32 = 4;
 
 /// Analyzes `entry` against the `earlier` unfinished entries of its window
 /// (in window order). `enabled = false` degrades to the identity plan with
-/// hazard detection only (the absorption ablation of Fig. 12-c).
+/// hazard detection only (the absorption ablation of Fig. 12-c); an
+/// unfinished earlier producer of the task's source is then a hazard too.
 pub fn analyze(entry: &PendEntry, earlier: &[Rc<PendEntry>], enabled: bool) -> AbsorbPlan {
     let t = &entry.task;
     let dst_r = (t.dst.0 as usize, t.dst.0 as usize + t.len);
+    let src_r = (t.src.0 as usize, t.src.0 as usize + t.len);
 
     // Hazard scan.
     let mut blocked = false;
@@ -96,6 +100,14 @@ pub fn analyze(entry: &PendEntry, earlier: &[Rc<PendEntry>], enabled: bool) -> A
         if et.src_space.id() == t.dst_space.id() {
             let r = (et.src.0 as usize, et.src.0 as usize + et.len);
             if ranges_overlap(dst_r, r) {
+                hazard = true;
+            }
+        }
+        // RAW: layering is what lets a reader run before its producer;
+        // without it the producer's bytes have to land first.
+        if !enabled && et.dst_space.id() == t.src_space.id() {
+            let r = (et.dst.0 as usize, et.dst.0 as usize + et.len);
+            if ranges_overlap(src_r, r) {
                 hazard = true;
             }
         }
@@ -238,11 +250,18 @@ pub fn analyze_indexed(entry: &PendEntry, index: &PendIndex, enabled: bool) -> (
     let mut hits = 0u64;
 
     // Hazard scan: WAW = earlier destinations overlapping our destination,
-    // WAR = earlier sources overlapping it. Dedup by key (one entry can
-    // match both queries); key order reproduces the window scan's order.
+    // WAR = earlier sources overlapping it, and with layering off RAW =
+    // earlier destinations overlapping our source. Dedup by key (one entry
+    // can match several queries); key order reproduces the window scan's
+    // order.
     let mut hazard: BTreeMap<OrderKey, Rc<PendEntry>> = BTreeMap::new();
-    for kind in [RangeKind::Dst, RangeKind::Src] {
-        hits += index.for_each_overlap(kind, dsp, dlo, dhi, |e| {
+    let raw = (!enabled).then(|| (RangeKind::Dst, t.src_range()));
+    let queries = [
+        (RangeKind::Dst, (dsp, dlo, dhi)),
+        (RangeKind::Src, (dsp, dlo, dhi)),
+    ];
+    for (kind, (sp, lo, hi)) in queries.into_iter().chain(raw) {
+        hits += index.for_each_overlap(kind, sp, lo, hi, |e| {
             if e.key < bound && !e.finished() {
                 hazard.entry(e.key).or_insert_with(|| Rc::clone(e));
             }
@@ -390,11 +409,9 @@ mod tests {
     use super::*;
     use crate::client::PendEntry;
     use crate::descriptor::SegDescriptor;
-    use crate::interval::IntervalSet;
     use crate::task::CopyTask;
     use copier_mem::{AllocPolicy, PhysMem};
     use copier_sim::Nanos;
-    use std::cell::{Cell, RefCell};
 
     fn space(id: u32) -> Rc<AddressSpace> {
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
@@ -409,10 +426,10 @@ mod tests {
         dst: u64,
         len: usize,
     ) -> Rc<PendEntry> {
-        Rc::new(PendEntry {
+        Rc::new(PendEntry::new(
             tid,
-            key: (0, 1, tid),
-            task: CopyTask {
+            (0, 1, tid),
+            CopyTask {
                 dst_space: Rc::clone(dst_space),
                 dst: VirtAddr(dst),
                 src_space: Rc::clone(src_space),
@@ -424,17 +441,8 @@ mod tests {
                 lazy: false,
                 verify: false,
             },
-            copied: RefCell::new(IntervalSet::new()),
-            inflight: RefCell::new(IntervalSet::new()),
-            deferred: RefCell::new(IntervalSet::new()),
-            defer_until: Cell::new(Nanos::ZERO),
-            promoted: Cell::new(false),
-            aborted: Cell::new(false),
-            failed: Cell::new(None),
-            submitted_at: Nanos::ZERO,
-            pins: RefCell::new(Vec::new()),
-            finalized: Cell::new(false),
-        })
+            Nanos::ZERO,
+        ))
     }
 
     #[test]
@@ -539,16 +547,19 @@ mod tests {
     }
 
     #[test]
-    fn disabled_analysis_never_redirects_but_still_detects_hazards() {
+    fn disabled_analysis_never_redirects_and_orders_readers_behind_producers() {
         let k = space(1);
         let u = space(2);
         let a = entry(1, &k, 0x1000, &u, 0x8000, 4096);
         let b = entry(2, &u, 0x8000, &u, 0x20000, 4096);
-        let plan = analyze(&b, &[a], false);
-        assert!(!plan.blocked);
+        let plan = analyze(&b, &[Rc::clone(&a)], false);
+        assert!(plan.blocked, "RAW: A has not produced B's source yet");
+        assert!(Rc::ptr_eq(&plan.blockers[0], &a));
         assert_eq!(plan.absorbed_bytes, 0);
         assert_eq!(plan.pieces.len(), 1);
         assert_eq!(plan.pieces[0].depth, 0);
+        a.copied.borrow_mut().insert(0, 4096);
+        assert!(!analyze(&b, &[a], false).blocked, "a finished producer");
     }
 
     #[test]

@@ -70,8 +70,11 @@ pub struct PendEntry {
     pub deferred: RefCell<IntervalSet>,
     /// Don't execute deferred/lazy bytes before this virtual instant.
     pub defer_until: Cell<Nanos>,
-    /// Raised by a Sync Task; promoted tasks run ahead of the FIFO.
-    pub promoted: Cell<bool>,
+    /// Byte ranges a Sync Task asked for (§4.2.2): they run ahead of the
+    /// FIFO and of the lazy and deferral timers. A whole-task promotion is
+    /// the full range `[0, len)`; a `csync` of part of a lazy task is the
+    /// segments it touches. The promotion is over once those bytes landed.
+    pub promoted: RefCell<IntervalSet>,
     /// Abort requested (§4.4): discard the remaining work.
     pub aborted: Cell<bool>,
     /// Planning failed (fault); the descriptor has been poisoned.
@@ -87,6 +90,44 @@ pub struct PendEntry {
 }
 
 impl PendEntry {
+    /// A fresh window entry: nothing copied, deferred or promoted.
+    pub fn new(tid: TaskId, key: OrderKey, task: CopyTask, submitted_at: Nanos) -> Self {
+        PendEntry {
+            tid,
+            key,
+            task,
+            copied: RefCell::new(IntervalSet::new()),
+            inflight: RefCell::new(IntervalSet::new()),
+            deferred: RefCell::new(IntervalSet::new()),
+            defer_until: Cell::new(Nanos::ZERO),
+            promoted: RefCell::new(IntervalSet::new()),
+            aborted: Cell::new(false),
+            failed: Cell::new(None),
+            submitted_at,
+            pins: RefCell::new(Vec::new()),
+            finalized: Cell::new(false),
+        }
+    }
+
+    /// Promotes the task-relative bytes `[lo, hi)`.
+    pub fn promote(&self, lo: usize, hi: usize) {
+        self.promoted.borrow_mut().insert(lo, hi.min(self.task.len));
+    }
+
+    /// Promotes the whole task.
+    pub fn promote_all(&self) {
+        self.promote(0, self.task.len);
+    }
+
+    /// Whether promoted bytes are still to land.
+    pub fn is_promoted(&self) -> bool {
+        let copied = self.copied.borrow();
+        self.promoted
+            .borrow()
+            .iter()
+            .any(|(lo, hi)| !copied.covers(lo, hi))
+    }
+
     /// Bytes not yet copied, aborted, or in flight.
     pub fn remaining(&self) -> usize {
         let done = self.copied.borrow().total() + self.inflight.borrow().total();
@@ -100,16 +141,21 @@ impl PendEntry {
             || self.copied.borrow().covers(0, self.task.len)
     }
 
-    /// Whether any executable gap exists — the allocation-free form of
-    /// `!executable_gaps(force).is_empty()` used on the poll fast path.
-    /// Walks the task range skipping covered prefixes instead of
-    /// materializing the gap list.
-    pub fn has_executable_gaps(&self, force: bool) -> bool {
+    /// Whether the task is lazy and still inside its lazy period: only its
+    /// promoted bytes may run.
+    fn held_lazy(&self, now: Nanos, lazy_period: Nanos) -> bool {
+        self.task.lazy && now < self.submitted_at + lazy_period
+    }
+
+    /// Whether any byte of `[lo, hi)` is neither copied nor in flight nor,
+    /// unless `force`, deferred. Walks the range skipping covered prefixes
+    /// instead of materializing the gap list (the poll fast path).
+    fn has_gap_in(&self, lo: usize, hi: usize, force: bool) -> bool {
         let copied = self.copied.borrow();
         let inflight = self.inflight.borrow();
         let deferred = self.deferred.borrow();
-        let mut cur = 0;
-        while cur < self.task.len {
+        let mut cur = lo;
+        while cur < hi {
             if let Some(e) = copied.end_of_covering_range(cur) {
                 cur = e;
                 continue;
@@ -129,25 +175,61 @@ impl PendEntry {
         false
     }
 
-    /// The gaps still to copy, excluding deferred ranges unless `force`.
-    pub fn executable_gaps(&self, force: bool) -> Vec<(usize, usize)> {
+    /// The parts of `[lo, hi)` still to copy, excluding deferred ranges
+    /// unless `force`.
+    fn gaps_in(&self, lo: usize, hi: usize, force: bool) -> Vec<(usize, usize)> {
         let copied = self.copied.borrow();
         let inflight = self.inflight.borrow();
         let deferred = self.deferred.borrow();
         let mut out = Vec::new();
-        for (s, e) in copied.gaps(0, self.task.len) {
+        for (s, e) in copied.gaps(lo, hi) {
             // Subtract in-flight pieces.
             for (s2, e2) in inflight.gaps(s, e) {
                 if force {
                     out.push((s2, e2));
                 } else {
-                    for g in deferred.gaps(s2, e2) {
-                        out.push(g);
-                    }
+                    out.extend(deferred.gaps(s2, e2));
                 }
             }
         }
         out
+    }
+
+    /// Whether [`Self::runnable_gaps`] is non-empty, without building it.
+    pub fn has_runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> bool {
+        (!self.held_lazy(now, lazy_period)
+            && self.has_gap_in(0, self.task.len, now >= self.defer_until.get()))
+            || self
+                .promoted
+                .borrow()
+                .iter()
+                .any(|(lo, hi)| self.has_gap_in(lo, hi, true))
+    }
+
+    /// The gaps a round at `now` may copy: every promoted byte, and —
+    /// once a lazy task's period is over — every other byte that is not
+    /// deferred, or all of them after the deferral timer. Bytes copied or
+    /// in flight are never in it.
+    pub fn runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> Vec<(usize, usize)> {
+        let timed = if self.held_lazy(now, lazy_period) {
+            Vec::new()
+        } else {
+            self.gaps_in(0, self.task.len, now >= self.defer_until.get())
+        };
+        let promoted = self.promoted.borrow();
+        if promoted.is_empty() {
+            return timed;
+        }
+        let mut all = IntervalSet::new();
+        for (lo, hi) in timed {
+            all.insert(lo, hi);
+        }
+        for (plo, phi) in promoted.iter() {
+            for (lo, hi) in self.gaps_in(plo, phi, true) {
+                all.insert(lo, hi);
+            }
+        }
+        all.iter().collect()
     }
 }
 
@@ -374,22 +456,10 @@ impl Client {
                 || !s.kq.copy.is_empty()
                 || !s.uq.sync.is_empty()
                 || !s.kq.sync.is_empty()
-                || s.pending.borrow().iter().any(|p| {
-                    if p.finished() {
-                        return false;
-                    }
-                    if p.promoted.get() {
-                        return true;
-                    }
-                    if p.task.lazy && now < p.submitted_at + lazy_period {
-                        return false;
-                    }
-                    if p.has_executable_gaps(false) {
-                        return true;
-                    }
-                    // Deferred obligations become runnable at expiry.
-                    p.defer_until.get() <= now && p.has_executable_gaps(true)
-                })
+                || s.pending
+                    .borrow()
+                    .iter()
+                    .any(|p| !p.finished() && p.has_runnable_gaps(now, lazy_period))
         })
     }
 }
@@ -418,33 +488,51 @@ mod tests {
     }
 
     fn entry(len: usize) -> PendEntry {
-        PendEntry {
-            tid: 1,
-            key: (0, 1, 0),
-            task: dummy_task(len),
-            copied: RefCell::new(IntervalSet::new()),
-            inflight: RefCell::new(IntervalSet::new()),
-            deferred: RefCell::new(IntervalSet::new()),
-            defer_until: Cell::new(Nanos::ZERO),
-            promoted: Cell::new(false),
-            aborted: Cell::new(false),
-            failed: Cell::new(None),
-            submitted_at: Nanos::ZERO,
-            pins: RefCell::new(Vec::new()),
-            finalized: Cell::new(false),
-        }
+        PendEntry::new(1, (0, 1, 0), dummy_task(len), Nanos::ZERO)
     }
 
     #[test]
-    fn executable_gaps_subtract_copied_inflight_deferred() {
+    fn runnable_gaps_subtract_copied_inflight_deferred() {
         let e = entry(4096);
         e.copied.borrow_mut().insert(0, 1024);
         e.inflight.borrow_mut().insert(1024, 2048);
         e.deferred.borrow_mut().insert(3000, 4096);
-        assert_eq!(e.executable_gaps(false), vec![(2048, 3000)]);
-        assert_eq!(e.executable_gaps(true), vec![(2048, 4096)]);
+        e.defer_until.set(Nanos(10));
+        let period = Nanos(50);
+        assert_eq!(e.runnable_gaps(Nanos(9), period), vec![(2048, 3000)]);
+        assert_eq!(e.runnable_gaps(Nanos(10), period), vec![(2048, 4096)]);
         assert_eq!(e.remaining(), 4096 - 2048);
         assert!(!e.finished());
+    }
+
+    #[test]
+    fn promoted_ranges_run_ahead_of_the_lazy_and_deferral_timers() {
+        let period = Nanos(50);
+        let mut t = dummy_task(4096);
+        t.lazy = true;
+        let e = PendEntry::new(1, (0, 1, 0), t, Nanos::ZERO);
+        assert!(!e.has_runnable_gaps(Nanos(49), period));
+        assert_eq!(e.runnable_gaps(Nanos(49), period), vec![]);
+        // One synced segment: it alone runs inside the lazy period, even
+        // where an absorbing consumer deferred it.
+        e.deferred.borrow_mut().insert(0, 4096);
+        e.defer_until.set(Nanos(80));
+        e.promote(1024, 2048);
+        assert!(e.is_promoted() && e.has_runnable_gaps(Nanos(49), period));
+        assert_eq!(e.runnable_gaps(Nanos(49), period), vec![(1024, 2048)]);
+        // Landed: the promotion is over, the rest waits for its timers.
+        e.copied.borrow_mut().insert(1024, 2048);
+        assert!(!e.is_promoted() && !e.has_runnable_gaps(Nanos(79), period));
+        assert_eq!(
+            e.runnable_gaps(Nanos(80), period),
+            vec![(0, 1024), (2048, 4096)]
+        );
+        // A whole-task promotion is the full range of the same set.
+        let whole = PendEntry::new(2, (0, 1, 1), e.task.clone(), Nanos(100));
+        whole.deferred.borrow_mut().insert(512, 1024);
+        whole.defer_until.set(Nanos(300));
+        whole.promote_all();
+        assert_eq!(whole.runnable_gaps(Nanos(101), period), vec![(0, 4096)]);
     }
 
     #[test]

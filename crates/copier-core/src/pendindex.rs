@@ -213,11 +213,10 @@ mod tests {
     use super::*;
     use crate::client::PendEntry;
     use crate::descriptor::SegDescriptor;
-    use crate::interval::{ranges_overlap, IntervalSet};
+    use crate::interval::ranges_overlap;
     use crate::task::CopyTask;
     use copier_mem::{AddressSpace, AllocPolicy, PhysMem, VirtAddr};
     use copier_sim::Nanos;
-    use std::cell::{Cell, RefCell};
 
     fn space(id: u32) -> Rc<AddressSpace> {
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
@@ -225,10 +224,10 @@ mod tests {
     }
 
     fn entry(tid: u64, sp: &Rc<AddressSpace>, src: u64, dst: u64, len: usize) -> Rc<PendEntry> {
-        Rc::new(PendEntry {
+        Rc::new(PendEntry::new(
             tid,
-            key: (0, 1, tid),
-            task: CopyTask {
+            (0, 1, tid),
+            CopyTask {
                 dst_space: Rc::clone(sp),
                 dst: VirtAddr(dst),
                 src_space: Rc::clone(sp),
@@ -240,17 +239,8 @@ mod tests {
                 lazy: false,
                 verify: false,
             },
-            copied: RefCell::new(IntervalSet::new()),
-            inflight: RefCell::new(IntervalSet::new()),
-            deferred: RefCell::new(IntervalSet::new()),
-            defer_until: Cell::new(Nanos::ZERO),
-            promoted: Cell::new(false),
-            aborted: Cell::new(false),
-            failed: Cell::new(None),
-            submitted_at: Nanos::ZERO,
-            pins: RefCell::new(Vec::new()),
-            finalized: Cell::new(false),
-        })
+            Nanos::ZERO,
+        ))
     }
 
     fn dst_tids(ix: &PendIndex, sp: u32, lo: u64, hi: u64) -> Vec<u64> {

@@ -1589,11 +1589,11 @@ impl Copier {
             while let Some(set) = c.set_at(si) {
                 si += 1;
                 while let Some(st) = set.kq.sync.pop() {
-                    self.handle_sync(&set, st);
+                    self.handle_sync(c, &set, st);
                     synced += 1;
                 }
                 while let Some(st) = set.uq.sync.pop() {
-                    self.handle_sync(&set, st);
+                    self.handle_sync(c, &set, st);
                     synced += 1;
                 }
             }
@@ -1676,9 +1676,8 @@ impl Copier {
 
     /// Round-end active-set maintenance (fast path only): every assigned
     /// client that ended the round fully settled leaves the shard's
-    /// active set. Aborted-but-unfinalized leftovers are inert (never
-    /// selected; reclaimed by reap), so a settled client generates no
-    /// control-plane work until its next doorbell.
+    /// active set; it generates no control-plane work until its next
+    /// doorbell.
     fn settle_pass(&self, idx: usize, scratch: &mut RoundScratch) {
         if !self.fast_path() {
             return;
@@ -1920,21 +1919,7 @@ impl Copier {
         }
         let tid = self.next_tid.get();
         self.next_tid.set(tid + 1);
-        let entry = Rc::new(PendEntry {
-            tid,
-            key,
-            task: t,
-            copied: RefCell::new(IntervalSet::new()),
-            inflight: RefCell::new(IntervalSet::new()),
-            deferred: RefCell::new(IntervalSet::new()),
-            defer_until: Cell::new(Nanos::ZERO),
-            promoted: Cell::new(false),
-            aborted: Cell::new(false),
-            failed: Cell::new(None),
-            submitted_at: self.h.now(),
-            pins: RefCell::new(Vec::new()),
-            finalized: Cell::new(false),
-        });
+        let entry = Rc::new(PendEntry::new(tid, key, t, self.h.now()));
         let len = entry.task.len as u64;
         // Journal the admission before it becomes visible to scheduling:
         // the pre-copy extent digests of both ranges are what recovery
@@ -1984,7 +1969,7 @@ impl Copier {
     }
 
     /// Serves one Sync Task: promotion (with dependency closure) or abort.
-    fn handle_sync(&self, set: &Rc<QueueSet>, st: SyncTask) {
+    fn handle_sync(&self, client: &Rc<Client>, set: &Rc<QueueSet>, st: SyncTask) {
         self.stats.borrow_mut().syncs += 1;
         let pending = set.pending.borrow();
         let lo = st.addr.0 as usize;
@@ -2020,33 +2005,48 @@ impl Copier {
             return;
         };
         if st.abort {
+            // Abort retires (§4.4): the task is poisoned and leaves the
+            // window now, handing back pins, credit and admission share
+            // and running its handler. With bytes in flight the round that
+            // lands them finalizes it instead (its completion pass).
             let e = Rc::clone(&pending[ti]);
             drop(pending);
             e.aborted.set(true);
             e.task.descr.poison(CopyFault::Aborted);
             self.stats.borrow_mut().aborts += 1;
+            if e.inflight.borrow().is_empty() {
+                self.finalize(client, set, &e);
+            }
             return;
         }
-        // Promote the target and its dependency closure (§4.2.2). Reads
-        // (RAW) from a still-pending producer do *not* force the producer
-        // when absorption is on — layering will source the bytes directly.
+        // Promote the target and its dependency closure (§4.2.2). Readiness
+        // is one bit per segment, so a csync of part of a *lazy* target
+        // promotes the segments it touches and leaves the rest under the
+        // lazy timer; any other target (and one named by descriptor, which
+        // carries no range) is promoted whole. Reads (RAW) from
+        // a still-pending producer do *not* force the producer when
+        // absorption is on — layering will source the bytes directly.
         // Write hazards (WAW on the destination, WAR against a pending
         // reader's source) always force the earlier task ahead.
+        let target = &pending[ti];
+        let t = &target.task;
+        let (plo, phi) = if t.lazy && st.target.is_none() {
+            let seg = t.seg.max(1);
+            let rel_lo = lo.saturating_sub(t.dst.0 as usize);
+            let rel_hi = (hi - t.dst.0 as usize).min(t.len);
+            (rel_lo / seg * seg, rel_hi.next_multiple_of(seg).min(t.len))
+        } else {
+            (0, t.len)
+        };
+        target.promote(plo, phi);
+        self.stats.borrow_mut().promotions += 1;
         let overlap = |ranges: &[(u32, usize, usize)], sp: u32, lo: usize, hi: usize| {
             ranges.iter().any(|&(s, l, h)| s == sp && l < hi && lo < h)
         };
-        let mut needed_src: Vec<(u32, usize, usize)> = Vec::new();
-        let mut needed_dst: Vec<(u32, usize, usize)> = Vec::new();
-        {
-            let t = &pending[ti].task;
-            needed_src.push((t.src_space.id(), t.src.0 as usize, t.src.0 as usize + t.len));
-            needed_dst.push((t.dst_space.id(), t.dst.0 as usize, t.dst.0 as usize + t.len));
-            pending[ti].promoted.set(true);
-            pending[ti].defer_until.set(Nanos::ZERO);
-        }
-        self.stats.borrow_mut().promotions += 1;
-        for i in (0..ti).rev() {
-            let p = &pending[i];
+        let at = |base: VirtAddr, off: usize| base.0 as usize + off;
+        let mut needed_src = vec![(t.src_space.id(), at(t.src, plo), at(t.src, phi))];
+        let mut needed_dst = vec![(t.dst_space.id(), at(t.dst, plo), at(t.dst, phi))];
+        for p in pending.iter().take(ti).rev() {
             if p.finished() {
                 continue;
             }
@@ -2055,18 +2055,11 @@ impl Copier {
             let waw = overlap(&needed_dst, d.0, d.1 as usize, d.2 as usize);
             let war = overlap(&needed_dst, sr.0, sr.1 as usize, sr.2 as usize);
             let raw = overlap(&needed_src, d.0, d.1 as usize, d.2 as usize);
-            let dep = waw || war || (raw && !self.cfg.absorption);
-            if dep {
-                p.promoted.set(true);
-                p.defer_until.set(Nanos::ZERO);
+            if waw || war || (raw && !self.cfg.absorption) {
+                p.promote_all();
                 needed_src.push((sr.0, sr.1 as usize, sr.2 as usize));
                 needed_dst.push((d.0, d.1 as usize, d.2 as usize));
                 self.stats.borrow_mut().promotions += 1;
-            } else if raw {
-                // The promoted reader will layer over this producer's
-                // source; make sure the producer's own source ranges are
-                // also protected transitively.
-                needed_src.push((sr.0, sr.1 as usize, sr.2 as usize));
             }
         }
     }
@@ -2098,22 +2091,15 @@ impl Copier {
             // set's address index, so no `earlier` snapshot is needed —
             // "earlier" is exactly the index records with a smaller key.
             let pending = set.pending.borrow();
-            let any_promoted = pending.iter().any(|p| p.promoted.get() && !p.finished());
+            // While promoted bytes are outstanding only their tasks run;
+            // the gate lifts the round after they land.
+            let any_promoted = pending.iter().any(|p| p.is_promoted() && !p.finished());
             for e in pending.iter() {
                 if e.finished() {
                     continue;
                 }
-                let promoted = e.promoted.get();
-                let skip = if any_promoted && !promoted {
-                    true
-                } else if promoted {
-                    false
-                } else if e.task.lazy && now < e.submitted_at + self.cfg.lazy_period {
-                    true
-                } else {
-                    e.defer_until.get() > now && !e.has_executable_gaps(false)
-                };
-                if skip {
+                let promoted = e.is_promoted();
+                if (any_promoted && !promoted) || !e.has_runnable_gaps(now, self.cfg.lazy_period) {
                     continue;
                 }
                 let (plan, hits) = absorb::analyze_indexed(e, &set.index, absorption);
@@ -2127,7 +2113,7 @@ impl Copier {
                         b.defer_until.set(Nanos::ZERO);
                         *b.deferred.borrow_mut() = IntervalSet::new();
                         if b.task.lazy || promoted {
-                            b.promoted.set(true);
+                            b.promote_all();
                         }
                     }
                     break;
@@ -2253,8 +2239,7 @@ impl Copier {
             if e.finished() {
                 continue;
             }
-            let force = e.promoted.get() || now >= e.defer_until.get();
-            let gaps = truncate_gaps(e.executable_gaps(force), s.cap);
+            let gaps = truncate_gaps(e.runnable_gaps(now, self.cfg.lazy_period), s.cap);
             if gaps.is_empty() {
                 continue;
             }
@@ -2443,8 +2428,7 @@ impl Copier {
             if e.finished() {
                 continue;
             }
-            let force = e.promoted.get() || now >= e.defer_until.get();
-            let gaps = truncate_gaps(e.executable_gaps(force), s.cap);
+            let gaps = truncate_gaps(e.runnable_gaps(now, self.cfg.lazy_period), s.cap);
             if gaps.is_empty() {
                 continue;
             }
@@ -3314,10 +3298,20 @@ fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
                 }
                 hp = fnv_fold(hp, u64::MAX); // interval-set sentinel
             }
-            let flags = (e.promoted.get() as u64)
+            let promoted = e.promoted.borrow();
+            let flags = (!promoted.is_empty() as u64)
                 | (e.aborted.get() as u64) << 1
                 | (e.failed.get().map_or(0, |f| copy_fault_code(f) as u64)) << 2;
             hp = fnv_fold(hp, flags);
+            // A whole-task promotion is the flag alone (what every v2
+            // trace recorded); a partial one adds its ranges.
+            if !promoted.is_empty() && !promoted.covers(0, e.task.len) {
+                for (lo, hi) in promoted.iter() {
+                    hp = fnv_fold(hp, lo as u64);
+                    hp = fnv_fold(hp, hi as u64);
+                }
+                hp = fnv_fold(hp, u64::MAX);
+            }
         }
         hx = fnv_fold(hx, set.index.digest());
     }

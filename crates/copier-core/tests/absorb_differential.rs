@@ -12,17 +12,19 @@
 //! failing case shrinks to a locally minimal window and prints a
 //! `TESTKIT_REPRO` seed.
 //!
-//! A second property exercises index *maintenance*: removing entries (as
+//! With absorption disabled the analyses must also block a reader on every
+//! unfinished earlier producer of its source (stated independently of both
+//! implementations): nothing else enforces RAW once layering is off.
+//!
+//! A further property exercises index *maintenance*: removing entries (as
 //! finalize does, including re-removal of already-gone records) must keep
 //! the index an exact mirror of the surviving window.
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use copier_core::absorb::{analyze, analyze_indexed, AbsorbPlan};
 use copier_core::client::PendEntry;
 use copier_core::descriptor::{CopyFault, SegDescriptor};
-use copier_core::interval::IntervalSet;
 use copier_core::pendindex::PendIndex;
 use copier_core::task::CopyTask;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, VirtAddr};
@@ -143,10 +145,10 @@ fn build(specs: &[TaskSpec]) -> Vec<Rc<PendEntry>> {
             let len = LENS[s.len_sel as usize % LENS.len()];
             let src = VirtAddr(((s.src_page as usize + 1) * PAGE) as u64);
             let dst = VirtAddr(((s.dst_page as usize + 1) * PAGE) as u64);
-            let e = Rc::new(PendEntry {
+            let e = Rc::new(PendEntry::new(
                 tid,
-                key: (0, 1, tid),
-                task: CopyTask {
+                (0, 1, tid),
+                CopyTask {
                     dst_space: Rc::clone(&spaces[s.dst_space as usize % SPACES]),
                     dst,
                     src_space: Rc::clone(&spaces[s.src_space as usize % SPACES]),
@@ -158,17 +160,8 @@ fn build(specs: &[TaskSpec]) -> Vec<Rc<PendEntry>> {
                     lazy: false,
                     verify: false,
                 },
-                copied: RefCell::new(IntervalSet::new()),
-                inflight: RefCell::new(IntervalSet::new()),
-                deferred: RefCell::new(IntervalSet::new()),
-                defer_until: Cell::new(Nanos::ZERO),
-                promoted: Cell::new(false),
-                aborted: Cell::new(false),
-                failed: Cell::new(None),
-                submitted_at: Nanos::ZERO,
-                pins: RefCell::new(Vec::new()),
-                finalized: Cell::new(false),
-            });
+                Nanos::ZERO,
+            ));
             {
                 let mut copied = e.copied.borrow_mut();
                 match s.copied_sel % 5 {
@@ -265,6 +258,49 @@ fn indexed_analysis_matches_linear_reference() {
                 e.tid,
                 case.enabled
             );
+        }
+        Ok(())
+    });
+}
+
+/// With layering off nothing but the hazard scan orders a reader behind
+/// its producer: every unfinished earlier entry writing into the task's
+/// source must be a blocker of both analyses, and the plan must read the
+/// task's own source.
+#[test]
+fn disabled_analysis_blocks_on_unfinished_producers() {
+    check_with(&cfg(), gen_case, shrink_case, |case| {
+        let entries = build(&case.specs);
+        let index = PendIndex::new();
+        for e in &entries {
+            index.insert(e);
+        }
+        for (i, e) in entries.iter().enumerate() {
+            let (ssp, slo, shi) = e.task.src_range();
+            let producers: Vec<u64> = entries[..i]
+                .iter()
+                .filter(|p| {
+                    let (dsp, dlo, dhi) = p.task.dst_range();
+                    !p.finished() && dsp == ssp && dlo < shi && slo < dhi
+                })
+                .map(|p| p.tid)
+                .collect();
+            for plan in [
+                analyze(e, &entries[..i], false),
+                analyze_indexed(e, &index, false).0,
+            ] {
+                let blockers: Vec<u64> = plan.blockers.iter().map(|b| b.tid).collect();
+                prop_assert!(
+                    producers.iter().all(|t| blockers.contains(t)),
+                    "entry {}: producers {:?} not all in blockers {:?}",
+                    i,
+                    producers,
+                    blockers
+                );
+                prop_assert_eq!(plan.blocked, !blockers.is_empty());
+                prop_assert_eq!(plan.absorbed_bytes, 0);
+                prop_assert!(plan.pieces.len() == 1 && plan.pieces[0].depth == 0);
+            }
         }
         Ok(())
     });

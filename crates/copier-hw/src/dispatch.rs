@@ -7,7 +7,10 @@
 //!    candidates are drawn from the task's own tail (*i-piggyback*); for a
 //!    run of smaller tasks, from the later tasks of the batch
 //!    (*e-piggyback*) — later bytes have longer Copy-Use windows. The DMA
-//!    byte share targets equal AVX/DMA completion times.
+//!    byte share targets equal AVX/DMA completion times: a candidate that
+//!    would carry the device past that balance point is cut there and only
+//!    its tail goes to DMA (a subtask is a contiguous extent pair, so it
+//!    may be cut at any byte).
 //! 2. **Parallel execution** — DMA descriptors are submitted first (their
 //!    submission cost burns copier-core CPU), AVX subtasks execute while the
 //!    device streams, and completions are confirmed last.
@@ -209,16 +212,9 @@ impl Dispatcher {
         &self.cost
     }
 
-    /// Re-chunks any subtask larger than [`CostModel::max_subtask`] so the
-    /// piggyback split has balancing granularity.
-    pub fn normalize(&self, batch: &[PlannedCopy]) -> Vec<PlannedCopy> {
-        let mut out = Vec::new();
-        self.normalize_into(batch, &mut out, &mut Vec::new());
-        out
-    }
-
-    /// [`Self::normalize`] into caller-owned storage, drawing inner vectors
-    /// from `pool` instead of the allocator.
+    /// Re-chunks any subtask larger than [`CostModel::max_subtask`] (real
+    /// DMA engines cap per-descriptor transfer sizes) into caller-owned
+    /// storage, drawing inner vectors from `pool` instead of the allocator.
     fn normalize_into(
         &self,
         batch: &[PlannedCopy],
@@ -238,11 +234,7 @@ impl Dispatcher {
                 let mut off = 0usize;
                 while off < st.len() {
                     let take = (st.len() - off).min(max);
-                    subtasks.push(SubTask {
-                        task_off: st.task_off + off,
-                        src: crate::units::slice_extents(&[st.src], off, take)[0],
-                        dst: crate::units::slice_extents(&[st.dst], off, take)[0],
-                    });
+                    subtasks.push(st.slice(off, take));
                     off += take;
                 }
             }
@@ -255,33 +247,25 @@ impl Dispatcher {
         }
     }
 
-    /// Plans a batch: returns per-(batch-index, subtask) assignments,
-    /// `true` meaning DMA. Exposed for tests and ablation studies.
-    pub fn plan(&self, batch: &[PlannedCopy]) -> Vec<Vec<bool>> {
-        let mut assign = Vec::new();
-        self.plan_into(batch, &mut assign, &mut Vec::new());
-        assign
+    /// Plans a batch: returns it as the hardware will see it — re-chunked,
+    /// and with the subtask at the balance point cut in two — plus the
+    /// per-(batch-index, subtask) assignments, `true` meaning DMA. Exposed
+    /// for tests and ablation studies.
+    pub fn plan(&self, batch: &[PlannedCopy]) -> (Vec<PlannedCopy>, Vec<Vec<bool>>) {
+        let (mut planned, mut assign) = (Vec::new(), Vec::new());
+        self.normalize_into(batch, &mut planned, &mut Vec::new());
+        self.plan_into(&mut planned, &mut assign, &mut Vec::new());
+        (planned, assign)
     }
 
-    /// [`Self::plan`] into caller-owned storage, drawing inner vectors from
-    /// `pool` instead of the allocator.
-    fn plan_into(
-        &self,
-        batch: &[PlannedCopy],
-        assign: &mut Vec<Vec<bool>>,
-        pool: &mut Vec<Vec<bool>>,
-    ) {
-        assign.clear();
-        for t in batch {
-            let mut row = pool.pop().unwrap_or_default();
-            debug_assert!(row.is_empty());
-            row.resize(t.subtasks.len(), false);
-            assign.push(row);
-        }
+    /// The DMA byte count that lets AVX and DMA finish together on a round
+    /// of `total` bytes (§4.3), or `None` where submission overhead is not
+    /// worth it: no live channel, or a lone task below the i-piggyback
+    /// floor.
+    fn dma_target(&self, batch: &[PlannedCopy]) -> Option<usize> {
         // A fully quarantined engine is as good as absent: plan pure CPU.
-        let live = self.dma.as_ref().map_or(0, |d| d.live_channels());
-        if live == 0 {
-            return;
+        if self.dma.as_ref().map_or(0, |d| d.live_channels()) == 0 {
+            return None;
         }
         // Balance against the bytes actually in this round's subtasks (a
         // copy-slice round may carry only part of a large task).
@@ -291,27 +275,59 @@ impl Dispatcher {
             .sum();
         let single_large = batch.len() == 1 && total >= self.cost.ipiggyback_min;
         let fused_small = batch.len() > 1;
-        if !(single_large || fused_small) {
-            // A lone small task: submission overhead not worth it.
-            return;
+        (single_large || fused_small).then(|| (total as f64 * self.cost.dma_share()) as usize)
+    }
+
+    /// Assigns subtasks of the (normalized) `batch` to DMA, into
+    /// caller-owned storage, drawing inner vectors from `pool` instead of
+    /// the allocator. Walks candidates from the batch tail — later bytes
+    /// have longer Copy-Use windows — taking each whole while the device
+    /// stays within a quarter of [`Self::dma_target`] past it. A candidate
+    /// that would overshoot is cut instead: its last `target − picked`
+    /// bytes become a DMA subtask of their own when that is still a
+    /// candidate's worth, which lands DMA exactly on the target; otherwise
+    /// it is passed over. So DMA never carries more than `target +
+    /// target / 4`, and ends less than one `dma_candidate_min` short of
+    /// `target` unless every candidate went to it.
+    fn plan_into(
+        &self,
+        batch: &mut [PlannedCopy],
+        assign: &mut Vec<Vec<bool>>,
+        pool: &mut Vec<Vec<bool>>,
+    ) {
+        assign.clear();
+        for t in batch.iter() {
+            let mut row = pool.pop().unwrap_or_default();
+            debug_assert!(row.is_empty());
+            row.resize(t.subtasks.len(), false);
+            assign.push(row);
         }
-        // Target DMA bytes so AVX and DMA finish together.
-        let target = (total as f64 * self.cost.dma_share()) as usize;
+        let Some(target) = self.dma_target(batch) else {
+            return;
+        };
+        let min = self.cost.dma_candidate_min;
         let mut picked = 0usize;
-        // Walk from the batch tail: later bytes have longer Copy-Use windows.
-        'outer: for (ti, task) in batch.iter().enumerate().rev() {
-            for (si, st) in task.subtasks.iter().enumerate().rev() {
-                if st.len() >= self.cost.dma_candidate_min {
-                    // Don't overshoot the balance point: a too-large pick
-                    // leaves the CPU idle-waiting on the device.
-                    if picked > 0 && picked + st.len() > target + target / 4 {
-                        continue;
-                    }
+        for (ti, task) in batch.iter_mut().enumerate().rev() {
+            for si in (0..task.subtasks.len()).rev() {
+                let st = task.subtasks[si];
+                if st.len() < min {
+                    continue;
+                }
+                if picked + st.len() <= target + target / 4 {
                     assign[ti][si] = true;
                     picked += st.len();
-                    if picked >= target {
-                        break 'outer;
-                    }
+                } else if target - picked >= min {
+                    // A too-large pick leaves the CPU idle-waiting on the
+                    // device: give it the tail up to the balance point.
+                    let head = st.len() - (target - picked);
+                    task.subtasks[si] = st.slice(0, head);
+                    task.subtasks
+                        .insert(si + 1, st.slice(head, st.len() - head));
+                    assign[ti].insert(si + 1, true);
+                    picked = target;
+                }
+                if picked >= target {
+                    return;
                 }
             }
         }
@@ -329,7 +345,7 @@ impl Dispatcher {
         // await, and a re-entrant call simply starts from an empty default.
         let mut scr = self.scratch.take();
         self.normalize_into(batch, &mut scr.normalized, &mut scr.subtask_pool);
-        self.plan_into(&scr.normalized, &mut scr.assign, &mut scr.bool_pool);
+        self.plan_into(&mut scr.normalized, &mut scr.assign, &mut scr.bool_pool);
         let batch = &scr.normalized;
         let assign = &scr.assign;
         let mut report = DispatchReport::default();
@@ -627,7 +643,7 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
         let task = planned(&pm, 1, 1); // 4 KB < 12 KB i-piggyback floor
-        let plan = d.plan(&[task]);
+        let (_, plan) = d.plan(&[task]);
         assert!(plan[0].iter().all(|&x| !x));
     }
 
@@ -640,7 +656,8 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), Some(dma));
         let task = split_pages(planned(&pm, 1, 8)); // 32 KB in 8 page subtasks
-        let plan = d.plan(&[task.clone()]);
+        let (hw, plan) = d.plan(&[task.clone()]);
+        assert_eq!(hw[0].subtasks, task.subtasks, "pages fit: nothing is cut");
         let dma_idx: Vec<usize> = plan[0]
             .iter()
             .enumerate()
@@ -652,11 +669,206 @@ mod tests {
         assert_eq!(*dma_idx.iter().max().unwrap(), 7);
         let dma_bytes: usize = dma_idx.len() * PAGE_SIZE;
         let target = (task.len as f64 * cost.dma_share()) as usize;
-        // The overshoot guard keeps the pick near (within ±25% + one page
-        // of) the balance target.
+        // The overshoot guard keeps the pick within a quarter above and
+        // less than a page below the balance target.
         assert!(
-            dma_bytes as f64 >= target as f64 * 0.6 && dma_bytes <= target + target / 4 + PAGE_SIZE,
+            dma_bytes + PAGE_SIZE > target && dma_bytes <= target + target / 4,
             "dma {dma_bytes} vs target {target}"
+        );
+    }
+
+    #[test]
+    fn a_contiguous_task_is_cut_at_the_balance_point() {
+        let pm = Rc::new(PhysMem::new(128, AllocPolicy::Sequential));
+        let cost = Rc::new(CostModel::default());
+        let sim = Sim::new();
+        let h = sim.handle();
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let d = Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), Some(dma));
+        // 16 KB skb → skb: one subtask, the whole of which used to go to
+        // the device at 4.2 B/ns while the CPU sat waiting.
+        let task = planned(&pm, 1, 4);
+        let (whole, len) = (task.subtasks[0], task.len);
+        let target = (len as f64 * cost.dma_share()) as usize;
+        let (hw, plan) = d.plan(&[task]);
+        assert_eq!(plan[0], vec![false, true], "the tail goes to DMA");
+        assert_eq!(
+            hw[0].subtasks,
+            vec![
+                whole.slice(0, len - target),
+                whole.slice(len - target, target)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_small_fused_batch_parks_no_whole_page_on_the_device() {
+        let pm = Rc::new(PhysMem::new(128, AllocPolicy::Sequential));
+        let cost = Rc::new(CostModel::default());
+        let sim = Sim::new();
+        let h = sim.handle();
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
+        // 8 KB over two tasks: the balance point is 2.2 KB, below what a
+        // descriptor amortizes, and a page would be 1.8 × that.
+        let batch: Vec<PlannedCopy> = (0..2).map(|i| planned(&pm, i, 1)).collect();
+        let (hw, plan) = d.plan(&batch);
+        assert!(plan.iter().flatten().all(|&dma| !dma));
+        assert!(hw.iter().zip(&batch).all(|(a, b)| a.subtasks == b.subtasks));
+    }
+
+    /// A batch as extent lengths per task: one length is a physically
+    /// contiguous copy, several are scattered pieces.
+    type Shapes = Vec<Vec<usize>>;
+
+    fn gen_shapes(rng: &mut copier_testkit::TestRng) -> Shapes {
+        (0..rng.range_usize(1, 5))
+            .map(|_| {
+                if rng.gen_bool(0.4) {
+                    vec![rng.range_usize(1, 50) * PAGE_SIZE + rng.range_usize(0, 2) * 777]
+                } else {
+                    (0..rng.range_usize(1, 40))
+                        .map(|_| match rng.gen_range(4) {
+                            0 => rng.range_usize(1, PAGE_SIZE),
+                            1 => rng.range_usize(PAGE_SIZE, 3 * PAGE_SIZE),
+                            _ => PAGE_SIZE,
+                        })
+                        .collect()
+                }
+            })
+            .collect()
+    }
+
+    /// Source and destination runs far apart, each piece on frames of its
+    /// own: `plan` never touches the bytes.
+    fn shaped(shapes: &Shapes) -> Vec<PlannedCopy> {
+        let mut frame = 0u32;
+        let mut take = |len: usize| {
+            let e = Extent {
+                frame: FrameId(frame),
+                off: 0,
+                len,
+            };
+            frame += len.div_ceil(PAGE_SIZE) as u32 + 1;
+            e
+        };
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(ti, lens)| {
+                let mut task_off = 0;
+                let subtasks: Vec<SubTask> = lens
+                    .iter()
+                    .map(|&len| {
+                        let st = SubTask {
+                            task_off,
+                            src: take(len),
+                            dst: take(len),
+                        };
+                        task_off += len;
+                        st
+                    })
+                    .collect();
+                PlannedCopy {
+                    task_id: ti as u64,
+                    len: task_off,
+                    subtasks,
+                    verify: false,
+                }
+            })
+            .collect()
+    }
+
+    /// What `plan_into` guarantees, on random contiguous and scattered
+    /// batches: every byte planned once and in order; DMA carries at most
+    /// `target + target / 4`; it ends at `target` or beyond, or less than
+    /// one `dma_candidate_min` short of it, unless every candidate is on
+    /// it; at most one subtask is cut, and the device gets its tail.
+    /// Mutants tried, each caught here: no cut (the shortfall bound, 16 KB
+    /// contiguous), cutting the head off instead of the tail (the tail
+    /// check), exempting the first pick from the overshoot guard (the
+    /// upper bound, two small tasks).
+    #[test]
+    fn the_dma_share_lands_on_the_balance_point() {
+        use copier_testkit::{check_with, prop_assert, prop_assert_eq, shrink_vec, Config};
+        let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
+        let cost = Rc::new(CostModel::default());
+        let sim = Sim::new();
+        let dma = DmaEngine::new(&sim.handle(), Rc::clone(&pm), Rc::clone(&cost));
+        let d = Dispatcher::new(pm, Rc::clone(&cost), Some(dma));
+        let (min, max) = (cost.dma_candidate_min, cost.max_subtask);
+        let shrink = |shapes: &Shapes| {
+            shrink_vec(shapes, |lens| {
+                shrink_vec(lens, |&len| {
+                    if len > 1 {
+                        vec![len / 2, len - 1]
+                    } else {
+                        Vec::new()
+                    }
+                })
+                .into_iter()
+                .filter(|lens| !lens.is_empty())
+                .collect()
+            })
+            .into_iter()
+            .filter(|shapes| !shapes.is_empty())
+            .collect()
+        };
+        check_with(
+            &Config::from_env(),
+            gen_shapes,
+            shrink,
+            |shapes: &Shapes| {
+                let batch = shaped(shapes);
+                let (hw, assign) = d.plan(&batch);
+                prop_assert_eq!(hw.len(), batch.len());
+                let (mut dma_bytes, mut cuts, mut idle_candidates) = (0, 0, 0);
+                for ((task, planned), row) in batch.iter().zip(&hw).zip(&assign) {
+                    prop_assert_eq!(row.len(), planned.subtasks.len());
+                    let mut pieces = planned.subtasks.iter().zip(row).peekable();
+                    for whole in &task.subtasks {
+                        // The pieces of `whole`, back to back from its start.
+                        let mut off = 0;
+                        while off < whole.len() {
+                            let Some((piece, &on_dma)) = pieces.next() else {
+                                return Err(format!("task {} ends early", task.task_id));
+                            };
+                            prop_assert!(off + piece.len() <= whole.len());
+                            prop_assert_eq!(*piece, whole.slice(off, piece.len()));
+                            off += piece.len();
+                            if on_dma {
+                                dma_bytes += piece.len();
+                                prop_assert!(piece.len() >= min, "a sliver on the device");
+                            } else if piece.len() >= min {
+                                idle_candidates += 1;
+                            }
+                            // Re-chunking cuts at multiples of `max_subtask`;
+                            // any other inner boundary is the balance cut.
+                            if off < whole.len() && off % max != 0 {
+                                cuts += 1;
+                                let tail_on_dma = pieces.peek().is_some_and(|(_, &dma)| dma);
+                                prop_assert!(!on_dma && tail_on_dma, "the device gets the tail");
+                            }
+                        }
+                    }
+                    prop_assert!(pieces.next().is_none(), "bytes planned twice");
+                }
+                prop_assert!(cuts <= 1);
+                let Some(target) = d.dma_target(&batch) else {
+                    prop_assert_eq!(dma_bytes, 0);
+                    return Ok(());
+                };
+                prop_assert!(dma_bytes <= target + target / 4, "{dma_bytes} of {target}");
+                prop_assert!(
+                    dma_bytes >= target || dma_bytes + min > target || idle_candidates == 0,
+                    "{dma_bytes} of {target} with {idle_candidates} candidates left"
+                );
+                prop_assert!(
+                    cuts == 0 || dma_bytes == target,
+                    "a cut lands on the target"
+                );
+                Ok(())
+            },
         );
     }
 
@@ -669,7 +881,7 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
         let batch: Vec<PlannedCopy> = (0..4).map(|i| planned(&pm, i, 1)).collect();
-        let plan = d.plan(&batch);
+        let (_, plan) = d.plan(&batch);
         let picked: usize = plan.iter().flatten().filter(|&&b| b).count();
         assert!(picked >= 1, "fused batch should engage DMA");
         // Later tasks are preferred.

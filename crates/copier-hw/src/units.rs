@@ -34,6 +34,17 @@ impl SubTask {
     pub fn is_empty(&self) -> bool {
         self.src.len == 0
     }
+
+    /// The piece `[off, off + len)` of this subtask: both extents are
+    /// contiguous, so it may be cut at any byte.
+    pub fn slice(&self, off: usize, len: usize) -> SubTask {
+        debug_assert!(off + len <= self.len());
+        SubTask {
+            task_off: self.task_off + off,
+            src: sub_extent(&self.src, off, len),
+            dst: sub_extent(&self.dst, off, len),
+        }
+    }
 }
 
 /// Splits a copy into subtasks at every source or destination

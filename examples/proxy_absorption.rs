@@ -30,7 +30,10 @@ fn run(mode: ProxyMode, with_copier: bool, label: &str) {
     let pcore = os.machine.core(1);
     let proxy2 = Rc::clone(&proxy);
     sim.spawn("proxy", async move {
-        proxy2.pump(&pcore, proxy_rx, proxy_tx, msgs).await;
+        proxy2
+            .pump(&pcore, proxy_rx, proxy_tx, msgs)
+            .await
+            .expect("forward");
     });
     let os2 = Rc::clone(&os);
     let net2 = Rc::clone(&net);

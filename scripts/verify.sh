@@ -30,6 +30,17 @@ TESTKIT_CASES=2000 cargo test -q -p copier-hw --offline --locked --test atcache_
 TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --lib descriptor::
 TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --test interval_props
 
+# Abort retires, promotion by byte range, the dispatcher's balance cut
+# (DESIGN.md §3), deeper than the workspace run above: random
+# submit/copy/abort/csync interleavings (every abort returns its credit,
+# fires its handler once, leaves window == index == live tasks), partly
+# synced lazy chains against sequential memcpy, and the bounds `plan_into`
+# guarantees on random contiguous/scattered batches. `tests/proxy_soak.rs`
+# (20 000 messages end to end) and `absorb_differential` ran there in full.
+TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test abort_retire
+TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test lazy_promotion
+TESTKIT_CASES=20000 cargo test -q -p copier-hw --offline --locked --lib dispatch::
+
 # The repo benchmark is a package of its own (own lock file, path deps on
 # crates/*), so the workspace commands above never compile it: a crate API
 # change that breaks it must fail here, not in the benchmark pipeline. Its
@@ -152,6 +163,35 @@ sys.exit(0 if ok else 1)
 PY
 fi
 echo "BENCH_soak.json OK"
+
+# Fig. 12 smoke: the proxy chain through a verifying sink (150 messages a
+# point; the bench asserts the same rows itself). One payload copy per
+# 16 KB message, a pending index that does not grow with the run, no
+# damaged payload in any column — the absorption-off ablations included —
+# and Copier ahead of the baseline at every size. Virtual time, so the
+# smoke values are exact too.
+FIG12_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig12_proxy
+if command -v jq >/dev/null 2>&1; then
+    jq -e '([.summary[] | select(.name == "copied_per_payload_16k") | .value <= 1.15] == [true])
+       and ([.summary[] | select(.name == "index_entries_peak") | .value <= 16] == [true])
+       and ([.summary[] | select(.name == "damaged_payloads") | .value == 0] == [true])
+       and ([.summary[] | select(.name | startswith("copier_vs_baseline_")) | .value >= 1] == [true, true, true, true])
+       and (.points | length == 24)
+       and ([.points[] | .damaged == 0] | all)' BENCH_fig12.json >/dev/null
+else
+    python3 - <<'PY'
+import json, sys
+d = json.load(open("BENCH_fig12.json"))
+rows = {r["name"]: r["value"] for r in d["summary"]}
+ok = rows["copied_per_payload_16k"] <= 1.15 and rows["index_entries_peak"] <= 16
+ok = ok and rows["damaged_payloads"] == 0
+vs = [v for n, v in rows.items() if n.startswith("copier_vs_baseline_")]
+ok = ok and len(vs) == 4 and all(v >= 1 for v in vs)
+ok = ok and len(d["points"]) == 24 and all(p["damaged"] == 0 for p in d["points"])
+sys.exit(0 if ok else 1)
+PY
+fi
+echo "BENCH_fig12.json OK"
 
 # Repro-corpus replay: every committed .cptr trace under tests/repros/
 # must replay through the current build without divergence — a frozen
