@@ -5,8 +5,10 @@
 //! at full utilization it still cuts latency (≈ −18%) but costs a few
 //! percent of throughput to submission/polling cycles.
 //!
-//! Our miniature Redis diverges at saturation — dedicating 1 of 4 cores
-//! costs ≈ a core of throughput instead of the paper's −4–6% (see
+//! Our miniature Redis still diverges at saturation for 8 KB values —
+//! −17% of throughput against the paper's −4.3% — while 16 KB values
+//! now keep the baseline's throughput (+2%; paper −6.5%), since one
+//! round serves every instance's copy out of one slice (see
 //! EXPERIMENTS.md). `BENCH_saturation.json` pins both halves of that
 //! story: the idle-core wins must hold, and the saturation loss may not
 //! regress below the measured floor.
@@ -162,7 +164,7 @@ fn main() {
             Json::Arr(vec![
                 Json::summary("idle_tput_gain", "ratio_min", 1.0, idle_tput),
                 Json::summary("idle_lat_ratio", "ratio_max", 1.0, idle_lat),
-                Json::summary("saturation_tput_floor", "ratio_min", 0.70, sat_tput),
+                Json::summary("saturation_tput_floor", "ratio_min", 0.80, sat_tput),
             ]),
         ),
     ]);

@@ -64,10 +64,21 @@ struct Out {
     /// its own table, so what misses is first touches and entries growing
     /// to a longer drawn length.
     atc_hit_frac: f64,
+    /// Share of the service cores' run time spent parked at the round
+    /// barrier: `barrier_wait_ns` ÷ (shards × end). 0 at one shard.
+    barrier_wait_frac: f64,
     /// Frames still pinned after the drain (must be 0).
     pinned: usize,
     /// Virtual end time.
     end: Nanos,
+}
+
+impl Out {
+    /// Copy tasks completed per active round — how full the rounds (and
+    /// so the barrier generations) ran.
+    fn tasks_per_round(&self) -> f64 {
+        self.stats.tasks_completed as f64 / self.stats.rounds_active.max(1) as f64
+    }
 }
 
 fn run(shards: usize, tenants: usize, horizon: Nanos, load: f64, seed: u64) -> Out {
@@ -185,6 +196,8 @@ fn run(shards: usize, tenants: usize, horizon: Nanos, load: f64, seed: u64) -> O
         per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
         stats: svc.stats(),
         atc_hit_frac: svc.atcache().stats().hit_frac(),
+        barrier_wait_frac: svc.control_obs().barrier_wait_ns as f64
+            / (shards as u64 * end.get().as_nanos()) as f64,
         pinned: pm.pinned_frames(),
         end: end.get(),
     }
@@ -215,6 +228,8 @@ fn main() {
             ("goodput-GB/s", format!("{:.1}", o.goodput)),
             ("svc-rej", format!("{}", o.stats.admission_rejected)),
             ("atc-hit", format!("{:.3}", o.atc_hit_frac)),
+            ("barrier-wait", format!("{:.3}", o.barrier_wait_frac)),
+            ("tasks/round", format!("{:.2}", o.tasks_per_round())),
             ("busy-shards", format!("{busy}/{s}")),
             (
                 "tenant-min/max",
@@ -224,6 +239,11 @@ fn main() {
         ]);
         results.push((s, o));
     }
+    let wait4 = results
+        .iter()
+        .find(|(s, _)| *s == 4)
+        .map(|(_, o)| o.barrier_wait_frac)
+        .expect("the sweep has a 4-shard point");
     let g1 = results.first().map(|(_, o)| o.goodput).unwrap();
     let gn = results.last().map(|(_, o)| o.goodput).unwrap();
     let speedup = gn / g1;
@@ -262,6 +282,8 @@ fn main() {
                             ("goodput_gbps", Json::Num(o.goodput)),
                             ("rejected", Json::Int(o.stats.admission_rejected)),
                             ("atc_hit_frac", Json::Num(o.atc_hit_frac)),
+                            ("barrier_wait_frac", Json::Num(o.barrier_wait_frac)),
+                            ("tasks_per_active_round", Json::Num(o.tasks_per_round())),
                             ("end_ns", Json::Int(o.end.as_nanos())),
                         ])
                     })
@@ -273,6 +295,13 @@ fn main() {
             Json::Arr(vec![
                 // The tentpole bar: ≥ 3× goodput at the top of the sweep.
                 Json::summary(&format!("goodput_x{top}"), "speedup_min", 3.0, speedup),
+                // Share of four service cores parked at the round barrier.
+                // One-client rounds left it at 0.366 (generations as long
+                // as the fullest shard's round, most rounds far from full);
+                // rounds that fill their slice measure 0.312. What is left
+                // is mostly placement: the tenants hash unevenly onto the
+                // shards, and the lighter shards wait for the heaviest.
+                Json::summary("barrier_wait_frac_4", "frac_max", 0.34, wait4),
                 Json::summary(
                     "shard_determinism",
                     "identical_min",

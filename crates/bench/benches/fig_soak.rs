@@ -78,6 +78,9 @@ struct Out {
     /// Control-plane observability counters.
     assign_rebuilds: u64,
     activations: u64,
+    /// The process's resident-set high-water mark when this run ended:
+    /// the footprint of the largest run so far, this one included.
+    peak_rss: Option<u64>,
 }
 
 /// SLO for per-tenant attainment: a copy should settle within this much
@@ -231,6 +234,7 @@ fn run(scale: &Scale, full_sweep: bool, seed: u64) -> Out {
         reg_wall,
         assign_rebuilds: obs.assign_rebuilds,
         activations: obs.activations,
+        peak_rss: peak_rss_bytes(),
     }
 }
 
@@ -261,7 +265,7 @@ fn point_json(label: &str, scale: &Scale, o: &Out, full: Option<&Out>) -> Json {
             Json::Num(f.wall.as_secs_f64() / o.wall.as_secs_f64()),
         ));
     }
-    if let Some(rss) = peak_rss_bytes() {
+    if let Some(rss) = o.peak_rss {
         fields.push(("peak_rss_bytes", Json::Int(rss)));
     }
     Json::obj(fields)
@@ -362,8 +366,13 @@ fn main() {
     let big_out = run(&big, false, 43);
     print_point("big", &big_out);
     let big_wall_s = big_out.wall.as_secs_f64() + big_out.reg_wall.as_secs_f64();
-    if let Some(rss) = peak_rss_bytes() {
-        println!("  peak RSS: {:.2} GiB", rss as f64 / (1u64 << 30) as f64);
+    for (label, o) in [("small", &fast), ("big", &big_out)] {
+        if let Some(rss) = o.peak_rss {
+            println!(
+                "  peak RSS after {label}: {:.2} GiB",
+                rss as f64 / (1u64 << 30) as f64
+            );
+        }
     }
 
     let json = Json::obj([

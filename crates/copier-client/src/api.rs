@@ -436,8 +436,9 @@ impl CopierHandle {
         .await;
         match r {
             Ok(_) => {
-                for i in 0..descr.num_segments() {
-                    descr.mark(i);
+                // A zero-length descriptor has no segment to mark.
+                if let Some(last) = descr.num_segments().checked_sub(1) {
+                    descr.mark_range(0, last);
                 }
                 if descr.claim_delivery() {
                     if let Some(Handler::UFunc(f)) = &task.func {
@@ -1107,5 +1108,75 @@ impl Drop for KernelSection {
         if placed {
             self.lib.doorbell();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use copier_core::{Copier, CopierConfig};
+    use copier_mem::{AllocPolicy, PhysMem, Prot};
+    use copier_sim::{FaultConfig, FaultPlan, Machine, Sim};
+
+    /// The crash-window fallback marks a finished descriptor whole — a
+    /// zero-length one (no segment to mark) and one spanning several
+    /// bitmap words both come back `all_ready()`.
+    #[test]
+    fn sync_fallback_marks_every_segment() {
+        const SEG: usize = 64;
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let machine = Machine::new(&h, 2);
+        let pm = Rc::new(PhysMem::new(256, AllocPolicy::Sequential));
+        // The first drained submission kills the service (MidDrain).
+        let plan = FaultPlan::new(FaultConfig {
+            crash_prob: 1.0,
+            max_crashes: 1,
+            ..Default::default()
+        });
+        let svc = Copier::new(
+            &h,
+            Rc::clone(&pm),
+            vec![machine.core(1)],
+            Rc::new(CostModel::default()),
+            CopierConfig {
+                fault_plan: Some(plan),
+                ..Default::default()
+            },
+        );
+        svc.start();
+        let space = AddressSpace::new(1, pm);
+        let lib = CopierHandle::new(&svc, Rc::clone(&space));
+        let core = machine.core(0);
+        let len = 300 * SEG;
+        let src = space.mmap(len, Prot::RW, true).unwrap();
+        let dst = space.mmap(len, Prot::RW, true).unwrap();
+        let bytes: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
+        space.write_bytes(src, &bytes).unwrap();
+        let checked = Rc::new(Cell::new(false));
+        let checked2 = Rc::clone(&checked);
+        sim.spawn("client", async move {
+            lib.amemcpy(&core, dst, src, SEG).await.expect("admitted");
+            while !svc.has_crashed() {
+                h.sleep(Nanos(1_000)).await;
+            }
+            for len in [0, len] {
+                let opts = AmemcpyOpts {
+                    seg: SEG,
+                    ..Default::default()
+                };
+                let d = lib._amemcpy(&core, dst, src, len, opts).await.unwrap();
+                assert_eq!(d.num_segments(), len / SEG);
+                assert!(d.all_ready() && d.fault().is_none(), "len {len}");
+                assert_eq!(d.ready_segments(), len / SEG);
+            }
+            assert_eq!(lib.sync_fallbacks(), 2);
+            let mut got = vec![0u8; len];
+            space.read_bytes(dst, &mut got).unwrap();
+            assert_eq!(got, bytes);
+            checked2.set(true);
+        });
+        sim.run();
+        assert!(checked.get(), "the client task ran to its end");
     }
 }

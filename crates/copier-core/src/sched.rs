@@ -2,12 +2,15 @@
 //!
 //! Copy is managed as a first-class resource whose unit is *copy length* —
 //! not CPU time, whose correspondence to work varies with cache/TLB state.
-//! Each Copier thread runs a CFS-like pick: the runnable cgroup with the
-//! minimum share-weighted copied length, then the client with the minimum
-//! total copied length inside it. A *copy slice* bounds the bytes served
-//! per scheduling decision.
+//! Each Copier thread serves its runnable clients in CFS-like order: the
+//! cgroup with the minimum share-weighted copied length first, then the
+//! client with the minimum total copied length inside it. A *copy slice*
+//! bounds the bytes served per scheduling decision — one round walks that
+//! order until the slice is spent ([`RunOrder`]).
 
 use std::cell::{Cell, RefCell};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
 use copier_sim::Nanos;
@@ -55,6 +58,24 @@ pub struct CGroup {
     pub shares: Cell<u64>,
     /// Share-weighted copied length (the cgroup vruntime).
     pub vruntime: Cell<u64>,
+}
+
+/// One round's service order, built by [`Scheduler::order_into`]: the
+/// runnable clients' positions in the assignment list, popped
+/// least-served first. Reused across rounds (the heap keeps its buffer).
+#[derive(Default)]
+pub struct RunOrder {
+    /// Min-heap on (cgroup vruntime, client vruntime, position), the
+    /// vruntimes as wrap-safe distances from the first candidate's.
+    heap: BinaryHeap<Reverse<(i64, i64, usize)>>,
+}
+
+impl RunOrder {
+    /// The next client to serve, as its position in the `clients` slice
+    /// the order was built from.
+    pub fn pop(&mut self) -> Option<usize> {
+        self.heap.pop().map(|Reverse((_, _, pos))| pos)
+    }
 }
 
 /// The per-service scheduler.
@@ -111,18 +132,30 @@ impl Scheduler {
         self.copy_slice.get()
     }
 
-    /// Picks the next client to serve among `clients` with work.
+    /// Fills `order` with the service order of one round: every client in
+    /// `clients` with work at `now`, least-served first.
     ///
-    /// Two-level min-vruntime: cgroup first (share-weighted), then client.
-    pub fn pick(
+    /// Two-level min-vruntime: cgroup first (share-weighted), then client,
+    /// ties to the earlier position in `clients`. The keys are read once,
+    /// here — charges made while the round serves the order do not
+    /// re-rank it. O(clients) to build; each [`RunOrder::pop`] is
+    /// O(log runnable), so a round that spends its slice on the first few
+    /// clients never sorts the rest.
+    pub fn order_into(
         &self,
         clients: &[Rc<Client>],
         now: Nanos,
         lazy_period: Nanos,
-    ) -> Option<Rc<Client>> {
+        order: &mut RunOrder,
+    ) {
         let groups = self.cgroups.borrow();
-        let mut best: Option<(u64, u64, Rc<Client>)> = None;
-        for c in clients {
+        let mut keys = std::mem::take(&mut order.heap).into_vec();
+        keys.clear();
+        // Vruntimes are ranked by their signed distance from the first
+        // candidate's — `vruntime_before` made a total order, exact under
+        // the same bound (no two live vruntimes `u64::MAX / 2` apart).
+        let mut base: Option<(u64, u64)> = None;
+        for (pos, c) in clients.iter().enumerate() {
             if !c.has_work(now, lazy_period) {
                 continue;
             }
@@ -131,19 +164,14 @@ impl Scheduler {
                 .map(|g| g.vruntime.get())
                 .unwrap_or(0);
             let cv = c.copied_total.get();
-            let better = match &best {
-                None => true,
-                Some((bgv, bcv, _)) => {
-                    // Lexicographic (cgroup, client) order, each level
-                    // compared wrap-safely.
-                    vruntime_before(gv, *bgv) || (gv == *bgv && vruntime_before(cv, *bcv))
-                }
-            };
-            if better {
-                best = Some((gv, cv, Rc::clone(c)));
-            }
+            let (bg, bc) = *base.get_or_insert((gv, cv));
+            keys.push(Reverse((
+                gv.wrapping_sub(bg) as i64,
+                cv.wrapping_sub(bc) as i64,
+                pos,
+            )));
         }
-        best.map(|(_, _, c)| c)
+        order.heap = BinaryHeap::from(keys);
     }
 
     /// Charges `bytes` of copy to the client and its cgroup. The
@@ -192,35 +220,50 @@ mod tests {
         c
     }
 
-    #[test]
-    fn picks_min_copied_client() {
-        let s = Scheduler::new();
-        let a = client_with_work(1);
-        let b = client_with_work(2);
-        a.copied_total.set(1000);
-        b.copied_total.set(10);
-        let picked = s
-            .pick(&[Rc::clone(&a), Rc::clone(&b)], Nanos::ZERO, Nanos::ZERO)
-            .unwrap();
-        assert_eq!(picked.id, 2);
+    /// The ids of `clients` in the order one round would serve them.
+    fn run(s: &Scheduler, clients: &[Rc<Client>]) -> Vec<u32> {
+        let mut order = RunOrder::default();
+        s.order_into(clients, Nanos::ZERO, Nanos::ZERO, &mut order);
+        std::iter::from_fn(|| order.pop())
+            .map(|pos| clients[pos].id)
+            .collect()
     }
 
     #[test]
-    fn skips_idle_clients() {
+    fn run_is_ordered_by_copied_length() {
+        let s = Scheduler::new();
+        let a = client_with_work(1);
+        let b = client_with_work(2);
+        let c = client_with_work(3);
+        a.copied_total.set(1000);
+        b.copied_total.set(10);
+        c.copied_total.set(500);
+        assert_eq!(run(&s, &[a, b, c]), [2, 3, 1]);
+    }
+
+    #[test]
+    fn run_skips_idle_clients() {
         let s = Scheduler::new();
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
         let idle = Client::new(9, AddressSpace::new(9, pm), 16);
         idle.copied_total.set(0);
         let busy = client_with_work(1);
         busy.copied_total.set(99999);
-        let picked = s
-            .pick(&[idle, Rc::clone(&busy)], Nanos::ZERO, Nanos::ZERO)
-            .unwrap();
-        assert_eq!(picked.id, 1);
+        assert_eq!(run(&s, &[idle, busy]), [1]);
+        assert_eq!(run(&s, &[]), [] as [u32; 0]);
     }
 
     #[test]
-    fn cgroup_shares_weight_the_pick() {
+    fn ties_go_to_the_earlier_position() {
+        let s = Scheduler::new();
+        let clients: Vec<_> = [4, 2, 7, 5].into_iter().map(client_with_work).collect();
+        clients[2].copied_total.set(1);
+        // 4, 2 and 5 tie at zero: assignment order decides, not the id.
+        assert_eq!(run(&s, &clients), [4, 2, 5, 7]);
+    }
+
+    #[test]
+    fn cgroup_shares_weight_the_run() {
         let s = Scheduler::new();
         let small = s.create_cgroup("small", 256); // quarter share
         let big = s.create_cgroup("big", 1024);
@@ -228,15 +271,34 @@ mod tests {
         a.cgroup.set(small);
         let b = client_with_work(2);
         b.cgroup.set(big);
-        // Charge both the same raw bytes; the small-shares group's
-        // vruntime grows 4× faster, so client b is preferred next.
+        let c = client_with_work(3);
+        c.cgroup.set(big);
+        // Charge both groups the same raw bytes; the small-shares group's
+        // vruntime grows 4× faster, so the big group runs first — all of
+        // it, whatever its clients' own totals — ordered inside by client.
         s.charge(&a, 4096);
         s.charge(&b, 4096);
         assert!(s.cgroup(small).vruntime.get() > s.cgroup(big).vruntime.get());
-        let picked = s
-            .pick(&[Rc::clone(&a), Rc::clone(&b)], Nanos::ZERO, Nanos::ZERO)
-            .unwrap();
-        assert_eq!(picked.id, 2);
+        c.copied_total.set(1 << 20);
+        assert_eq!(run(&s, &[a, c, b]), [2, 3, 1]);
+    }
+
+    #[test]
+    fn the_order_is_as_of_its_build() {
+        let s = Scheduler::new();
+        let a = client_with_work(1);
+        let b = client_with_work(2);
+        b.copied_total.set(100);
+        let clients = [a, b];
+        let mut order = RunOrder::default();
+        s.order_into(&clients, Nanos::ZERO, Nanos::ZERO, &mut order);
+        assert_eq!(order.pop(), Some(0));
+        // Serving the first client moves it past the second; the run
+        // already under way is not re-ranked, the next one is.
+        s.charge(&clients[0], 4096);
+        assert_eq!(order.pop(), Some(1));
+        assert_eq!(order.pop(), None);
+        assert_eq!(run(&s, &clients), [2, 1]);
     }
 
     #[test]
@@ -280,14 +342,42 @@ mod tests {
         s.charge(&a, 8192); // wraps: a is now 8 KiB *ahead* of b
         assert!(a.copied_total.get() < b.copied_total.get(), "a wrapped");
         assert!(vruntime_before(b.copied_total.get(), a.copied_total.get()));
-        let picked = s
-            .pick(&[Rc::clone(&a), Rc::clone(&b)], Nanos::ZERO, Nanos::ZERO)
-            .unwrap();
-        assert_eq!(picked.id, 2, "the client that copied less is preferred");
+        let clients = [a, b];
+        assert_eq!(run(&s, &clients), [2, 1], "who copied less runs first");
         // And the cgroup level wraps the same way.
         let g = s.cgroup(0);
         g.vruntime.set(u64::MAX - 10);
-        s.charge(&a, 4096);
+        s.charge(&clients[0], 4096);
         assert!(g.vruntime.get() < u64::MAX - 10, "cgroup vruntime wrapped");
+    }
+
+    #[test]
+    fn one_run_orders_across_the_wrap() {
+        // Wrapped and unwrapped vruntimes inside a single run, with the
+        // first candidate (the distance base) in the middle of the band
+        // and at either end of it: numeric order would put 5 first.
+        let s = Scheduler::new();
+        let vrs = [u64::MAX - 10, 5, u64::MAX - 4000, 3000, u64::MAX];
+        let sorted = [3, 1, 5, 2, 4];
+        for rot in 0..vrs.len() {
+            let clients: Vec<_> = (0..vrs.len())
+                .map(|i| {
+                    let i = (i + rot) % vrs.len();
+                    let c = client_with_work(i as u32 + 1);
+                    c.copied_total.set(vrs[i]);
+                    c
+                })
+                .collect();
+            assert_eq!(run(&s, &clients), sorted, "rotation {rot}");
+        }
+        // The cgroup level, wrapped, still outranks the client level.
+        let g = s.create_cgroup("wrapped", 1024);
+        s.cgroup(0).vruntime.set(u64::MAX - 100);
+        s.cgroup(g).vruntime.set(100);
+        let early = client_with_work(1);
+        early.copied_total.set(1 << 40);
+        let late = client_with_work(2);
+        late.cgroup.set(g);
+        assert_eq!(run(&s, &[late, early]), [1, 2]);
     }
 }

@@ -6,9 +6,12 @@
 //!    u-mode and k-mode order via barrier keys (§4.2.1);
 //! 2. **Serve Sync Tasks** (k-mode first): promotion with dependency
 //!    closure, or `abort` (§4.2.2, §4.4);
-//! 3. **Schedule** a client (CFS-by-copy-length within cgroups, §4.5.3);
-//! 4. **Select** a batch of runnable, mutually independent tasks, applying
-//!    layered copy absorption (§4.4) and deferring absorbed obligations;
+//! 3. **Schedule** the runnable clients (CFS-by-copy-length within
+//!    cgroups, §4.5.3) and serve them in that order, steps 4–7 for one
+//!    client after another, until the round's copy slice is spent;
+//! 4. **Select** a batch of runnable, mutually independent tasks from
+//!    what is left of the slice, applying layered copy absorption (§4.4)
+//!    and deferring absorbed obligations;
 //! 5. **Plan** each task: proactive fault handling — resolve + pin every
 //!    page, via the ATCache when possible (§4.5.4, §4.3);
 //! 6. **Dispatch** the batch to the piggybacked AVX+DMA units (§4.3),
@@ -35,7 +38,7 @@ use crate::config::{CopierConfig, PollMode};
 use crate::descriptor::{CopyFault, SegDescriptor};
 use crate::interval::IntervalSet;
 use crate::journal::{AdmitRec, Journal, JournalStats, Recovered, TaintRec};
-use crate::sched::{min_live_vruntime, vruntime_before, Scheduler};
+use crate::sched::{min_live_vruntime, vruntime_before, RunOrder, Scheduler};
 use crate::task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};
 
 /// Per-thread dispatch progress map, reused across rounds (cleared, not
@@ -58,6 +61,8 @@ struct RoundScratch {
     /// mid-round was absent from the round-start snapshot).
     reg_watermark: u64,
     by_tid: ByTidMap,
+    /// The round's service order over `clients` (heap buffer reused).
+    order: RunOrder,
 }
 
 impl RoundScratch {
@@ -67,6 +72,7 @@ impl RoundScratch {
             epoch: u64::MAX,
             reg_watermark: u64::MAX,
             by_tid: Rc::new(RefCell::new(BTreeMap::new())),
+            order: RunOrder::default(),
         }
     }
 }
@@ -98,6 +104,11 @@ pub struct ControlObs {
     /// Per-client trace-hash contributions re-folded (dirty clients at a
     /// traced round close); the full-sweep oracle folds every client.
     pub hash_refolds: u64,
+    /// Virtual ns shards spent parked at the round barrier, from arriving
+    /// to the generation's release, summed over shards (the last arriver
+    /// of a generation waits 0). Divided by shards × run time it is the
+    /// share of every service core the lockstep costs.
+    pub barrier_wait_ns: u64,
 }
 
 #[derive(Default)]
@@ -109,6 +120,7 @@ struct ObsCells {
     autoscale_calls: Cell<u64>,
     autoscale_sweeps: Cell<u64>,
     hash_refolds: Cell<u64>,
+    barrier_wait_ns: Cell<u64>,
 }
 
 /// Aggregate service statistics.
@@ -563,6 +575,7 @@ impl Copier {
             autoscale_calls: self.obs.autoscale_calls.get(),
             autoscale_sweeps: self.obs.autoscale_sweeps.get(),
             hash_refolds: self.obs.hash_refolds.get(),
+            barrier_wait_ns: self.obs.barrier_wait_ns.get(),
         }
     }
 
@@ -1326,9 +1339,14 @@ impl Copier {
             // The check-then-await is race-free on the cooperative
             // single-threaded host: no other task runs between the
             // condition read and the waker registration.
+            let arrived_at = self.h.now();
             while self.barrier_gen.get() == generation && !self.stopping.get() {
                 self.barrier_wake.notified().await;
             }
+            let waited = (self.h.now() - arrived_at).as_nanos();
+            self.obs
+                .barrier_wait_ns
+                .set(self.obs.barrier_wait_ns.get() + waited);
         }
         self.barrier_any.get()
     }
@@ -1631,35 +1649,66 @@ impl Copier {
             // is never one with partial undigested progress.
             self.journal_flush();
         }
-        // 3. Schedule a client.
-        let now = self.h.now();
+        // 3. Schedule: the runnable clients, least-served first as of now.
+        // The round's unit is the copy slice, not a client — it serves
+        // down this order until the slice is spent, so everything above
+        // (the sweep, the settle pause, the flush, a barrier generation
+        // under shards) is paid once per slice however little the
+        // least-served client had queued. Nothing drained or charged
+        // while the round runs re-ranks it; that is the next round's.
         self.assigned_into(idx, scratch);
-        let picked = self.sched.pick(&scratch.clients, now, self.cfg.lazy_period);
-        let Some(client) = picked else {
-            self.stats.borrow_mut().rounds_settled += 1;
-            self.settle_pass(idx, scratch);
-            return drained + synced > 0;
-        };
-        self.temit(
-            client.shard.get(),
-            TraceEvent::SchedPick { client: client.id },
+        self.sched.order_into(
+            &scratch.clients,
+            self.h.now(),
+            self.cfg.lazy_period,
+            &mut scratch.order,
         );
-        // 4. Select a batch.
-        let selected = self.select_batch(&client, now);
-        if selected.is_empty() {
-            self.stats.borrow_mut().rounds_settled += 1;
-            self.settle_pass(idx, scratch);
-            return drained + synced > 0;
+        let mut left = self.sched.copy_slice();
+        // Whether some batch went to `execute`, and whether one acted.
+        let (mut ran, mut acted) = (false, false);
+        while left > 0 {
+            let Some(pos) = scratch.order.pop() else {
+                break;
+            };
+            let client = &scratch.clients[pos];
+            let now = self.h.now();
+            // A client reaped, or served by a peer thread, while an
+            // earlier one's batch was in flight has nothing left to pick.
+            if !client.has_work(now, self.cfg.lazy_period) {
+                continue;
+            }
+            self.temit(
+                client.shard.get(),
+                TraceEvent::SchedPick { client: client.id },
+            );
+            // 4. Select a batch from what is left of the slice. A client
+            // with nothing selectable (over its pin quota, head entry
+            // hazard-blocked) spends none of it.
+            let (selected, bytes) = self.select_batch(client, now, left);
+            if selected.is_empty() {
+                continue;
+            }
+            left -= bytes;
+            // 5–7. Plan, dispatch, complete — one client at a time, so its
+            // handlers and credits fire when its own bytes have landed,
+            // not when the whole slice has. A batch whose every selected
+            // gap is already in flight (a peer thread's open round holds
+            // it across an autoscale reassignment) plans nothing and
+            // charges nothing; a round of only such batches counts as
+            // settled, not active, so the thread takes the idle path and
+            // the clock can advance to the peer's completion.
+            ran = true;
+            acted |= self.execute(core, client, selected, &scratch.by_tid).await;
+            if self.crashed.get() {
+                break;
+            }
         }
-        // 5–7. Plan, dispatch, complete. A batch whose every selected gap
-        // is already in flight (a peer thread's open round holds it across
-        // an autoscale reassignment) plans nothing and charges nothing —
-        // count that round as settled, not active, so the thread takes the
-        // idle path and the clock can advance to the peer's completion.
-        let acted = self.execute(core, &client, selected, &scratch.by_tid).await;
         if acted {
             self.stats.borrow_mut().rounds_active += 1;
-            let sh = &self.shards[client.shard.get()];
+            // Every client a thread serves lives on one shard: the
+            // thread's own when sharded, shard 0 otherwise.
+            let shard = if self.nshards() > 1 { idx } else { 0 };
+            let sh = &self.shards[shard];
             sh.rounds_active.set(sh.rounds_active.get() + 1);
         } else {
             self.stats.borrow_mut().rounds_settled += 1;
@@ -1667,7 +1716,7 @@ impl Copier {
         // Completion records staged by finalize become durable at round
         // end; a crash inside `execute` loses them and the tasks replay
         // as live, to be reconciled by digest at adoption.
-        if !self.crashed.get() {
+        if ran && !self.crashed.get() {
             self.journal_flush();
         }
         self.settle_pass(idx, scratch);
@@ -1801,7 +1850,7 @@ impl Copier {
     }
 
     /// Whether `client` is (tied for) the least-served live client — the
-    /// same yardstick as [`Scheduler::pick`]'s fairness order. The
+    /// same yardstick as [`Scheduler::order_into`]'s fairness order. The
     /// exemption is strict: under a symmetric overload every tenant takes
     /// its turn at the minimum, so shedding rotates fairly instead of
     /// exempting the whole band and never shedding at all.
@@ -2064,19 +2113,24 @@ impl Copier {
         }
     }
 
-    /// Selects a batch of runnable, mutually independent tasks.
-    fn select_batch(&self, client: &Rc<Client>, now: Nanos) -> Vec<Selected> {
+    /// Selects a batch of runnable, mutually independent tasks of at most
+    /// `budget` bytes; returns it with the bytes it takes.
+    fn select_batch(
+        &self,
+        client: &Rc<Client>,
+        now: Nanos,
+        budget: usize,
+    ) -> (Vec<Selected>, usize) {
         // Pinned-frame quota: past it the client's work is *deferred*
         // (left in the window for a later round), not shed — completions
         // release pins and the backlog drains without failing anything.
         if client.pinned.get() >= self.cfg.admission.max_client_pinned {
-            return Vec::new();
+            return (Vec::new(), 0);
         }
         // Under memory pressure absorption is off: absorbed obligations
         // hold their producer's window entry (and pins) alive longer,
         // exactly what a pressured pool cannot afford (§4.6 fallback).
         let absorption = self.cfg.absorption && !self.pm.pressure();
-        let budget = self.sched.copy_slice();
         let mut out: Vec<Selected> = Vec::new();
         let mut bytes = 0usize;
         let mut hazard_scans = 0u64;
@@ -2146,7 +2200,7 @@ impl Copier {
         st.bytes_absorbed += absorbed;
         st.hazard_scans += hazard_scans;
         st.index_hits += index_hits;
-        out
+        (out, bytes)
     }
 
     /// Translates and pins a range, via the ATCache when possible.

@@ -41,6 +41,16 @@ TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test abor
 TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test lazy_promotion
 TESTKIT_CASES=20000 cargo test -q -p copier-hw --offline --locked --lib dispatch::
 
+# Round structure (DESIGN.md §3), deeper than the workspace run above: a
+# round is one copy slice served down the vruntime order. Recorded
+# multi-tenant runs at 1 and 4 shards walked with an exact model of the
+# selection — bytes per round, pick order, early stops, backlogged
+# fairness and the 1:4 cgroup split — plus chained tenants against
+# sequential memcpy and record → replay identity. The two fixed
+# regressions (a deferred least-served client, three clients in one
+# slice) ran there.
+TESTKIT_CASES=200 cargo test -q --offline --locked --test slice_rounds
+
 # The repo benchmark is a package of its own (own lock file, path deps on
 # crates/*), so the workspace commands above never compile it: a crate API
 # change that breaks it must fail here, not in the benchmark pipeline. Its
@@ -128,14 +138,18 @@ echo "BENCH_integrity.json OK"
 # only — smoke workloads are too small for the speedup to be meaningful.
 # Every point reports its ATCache hit fraction; at 4 shards the tenants'
 # recycled pools must hit more often than not (per-space tables: a
-# tenant's hits do not depend on its neighbours).
+# tenant's hits do not depend on its neighbours). Every point also reports
+# the share of its service cores' time spent parked at the round barrier
+# (a fraction; 0 at one shard, where there is no barrier).
 SHARDSCALE_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_shardscale
 if command -v jq >/dev/null 2>&1; then
     jq -e '(.sweep | length > 0)
        and ([.sweep[] | select(.shards == 4) | .atc_hit_frac > 0.5] == [true])
+       and ([.sweep[] | .barrier_wait_frac | type == "number" and . >= 0 and . < 1] | all)
+       and ([.sweep[] | select(.shards == 1) | .barrier_wait_frac == 0] | all)
        and ([.summary[] | select(.name == "shard_determinism")] | all(.value == 1))' BENCH_shardscale.json >/dev/null
 else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_shardscale.json")); det=[r for r in d["summary"] if r["name"]=="shard_determinism"]; hit=[p["atc_hit_frac"] for p in d["sweep"] if p["shards"]==4]; sys.exit(0 if d["sweep"] and len(hit)==1 and hit[0]>0.5 and det and all(r["value"]==1 for r in det) else 1)'
+    python3 -c 'import json,sys; d=json.load(open("BENCH_shardscale.json")); det=[r for r in d["summary"] if r["name"]=="shard_determinism"]; hit=[p["atc_hit_frac"] for p in d["sweep"] if p["shards"]==4]; wait=all(isinstance(p.get("barrier_wait_frac"),(int,float)) and 0<=p["barrier_wait_frac"]<1 and (p["shards"]>1 or p["barrier_wait_frac"]==0) for p in d["sweep"]); sys.exit(0 if d["sweep"] and len(hit)==1 and hit[0]>0.5 and wait and det and all(r["value"]==1 for r in det) else 1)'
 fi
 echo "BENCH_shardscale.json OK"
 
