@@ -4,12 +4,13 @@
 //! Many open-loop tenants offer several times one service core's copy
 //! bandwidth; the sweep grows the control plane from 1 to 8 shards over
 //! dedicated cores. Desired shape: goodput scales near-linearly until
-//! the offered load is absorbed (≥ 3× at 8 shards is the bar — hash
+//! the offered load is absorbed (≥ 5.5× at 8 shards is the bar — hash
 //! imbalance across tenants and the round barrier are the honest gap to
-//! 8×), tenants are never starved, and a fixed shard count is perfectly
-//! deterministic: the same seed replays to bit-identical outcomes,
-//! checked here by running the 4-shard point twice and comparing every
-//! per-tenant byte count and the full stats vector.
+//! 8×), more shards never end the run later, tenants are never starved,
+//! and a fixed shard count is perfectly deterministic: the same seed
+//! replays to bit-identical outcomes, checked here by running the
+//! 4-shard point twice and comparing every per-tenant byte count and the
+//! full stats vector.
 //!
 //! DMA is off so every copy runs on its shard's own core (the AVX2
 //! service path) — the clean configuration for measuring *control-plane*
@@ -36,9 +37,9 @@ const POOL: usize = 8;
 /// Largest shard count in the sweep.
 const MAX_SHARDS: usize = 8;
 
-/// Window quotas: roomy per client, with a global watermark high enough
-/// that eight saturated shards are not throttled by it, yet low enough
-/// to bound the drain tail of the overloaded single-shard run.
+/// Window quotas: roomy per client, with a watermark whose per-shard
+/// share still holds a dozen copy slices at eight shards (3 MiB), yet low
+/// enough to bound the drain tail of the overloaded single-shard run.
 fn admission() -> AdmissionConfig {
     AdmissionConfig {
         max_client_tasks: 64,
@@ -244,6 +245,7 @@ fn main() {
         .find(|(s, _)| *s == 4)
         .map(|(_, o)| o.barrier_wait_frac)
         .expect("the sweep has a 4-shard point");
+    let monotone = results.windows(2).all(|w| w[1].1.end <= w[0].1.end);
     let g1 = results.first().map(|(_, o)| o.goodput).unwrap();
     let gn = results.last().map(|(_, o)| o.goodput).unwrap();
     let speedup = gn / g1;
@@ -293,15 +295,22 @@ fn main() {
         (
             "summary",
             Json::Arr(vec![
-                // The tentpole bar: ≥ 3× goodput at the top of the sweep.
-                Json::summary(&format!("goodput_x{top}"), "speedup_min", 3.0, speedup),
+                // The tentpole bar: ≥ 5.5× goodput at the top of the sweep.
+                Json::summary(&format!("goodput_x{top}"), "speedup_min", 5.5, speedup),
                 // Share of four service cores parked at the round barrier.
-                // One-client rounds left it at 0.366 (generations as long
-                // as the fullest shard's round, most rounds far from full);
-                // rounds that fill their slice measure 0.312. What is left
-                // is mostly placement: the tenants hash unevenly onto the
-                // shards, and the lighter shards wait for the heaviest.
-                Json::summary("barrier_wait_frac_4", "frac_max", 0.34, wait4),
+                // Under the global watermark it read 0.312: shards the
+                // budget left with nothing admitted waited for the one
+                // that held it. With a share each, every shard has a full
+                // slice every generation and the wait is what differs
+                // between four full rounds, 0.060.
+                Json::summary("barrier_wait_frac_4", "frac_max", 0.10, wait4),
+                // More shards never end the run later.
+                Json::summary(
+                    "end_ns_monotone",
+                    "monotone_min",
+                    1.0,
+                    if monotone { 1.0 } else { 0.0 },
+                ),
                 Json::summary(
                     "shard_determinism",
                     "identical_min",

@@ -165,15 +165,11 @@ pub fn analyze(entry: &PendEntry, earlier: &[Rc<PendEntry>], enabled: bool) -> A
                 // already copied (entry-relative coordinates).
                 let e_rel = (lo - e_dst_lo, hi - e_dst_lo);
                 let copied = e.copied.borrow();
-                let copied_parts = copied.overlaps(e_rel.0, e_rel.1);
-                let gap_parts = copied.gaps(e_rel.0, e_rel.1);
-                drop(copied);
-                for (s, epart) in copied_parts
-                    .iter()
+                for (s, (es, ee)) in copied
+                    .overlaps(e_rel.0, e_rel.1)
                     .map(|r| (true, r))
-                    .chain(gap_parts.iter().map(|r| (false, r)))
+                    .chain(copied.gaps(e_rel.0, e_rel.1).map(|r| (false, r)))
                 {
-                    let (es, ee) = *epart;
                     let task_off = p.off + (e_dst_lo + es - p_lo);
                     if s {
                         // Already copied: data (possibly client-modified)
@@ -278,7 +274,10 @@ pub fn analyze_indexed(entry: &PendEntry, index: &PendIndex, enabled: bool) -> (
     // latest live producer below its bound whose destination overlaps it;
     // the split parts inherit that producer's key as their new bound, so
     // transitive chains terminate exactly where the backward sweep would.
-    let mut work: Vec<(SrcPiece, OrderKey)> = vec![(
+    // The task's own source starts outside the list: a task nothing
+    // layers under, the usual one, never allocates it.
+    let mut work: Vec<(SrcPiece, OrderKey)> = Vec::new();
+    let mut first = Some((
         SrcPiece {
             off: 0,
             len: t.len,
@@ -287,8 +286,8 @@ pub fn analyze_indexed(entry: &PendEntry, index: &PendIndex, enabled: bool) -> (
             depth: 0,
         },
         bound,
-    )];
-    while let Some((p, pb)) = work.pop() {
+    ));
+    while let Some((p, pb)) = first.take().or_else(|| work.pop()) {
         if !enabled || blocked || p.depth >= MAX_ABSORB_DEPTH {
             pieces.push(p);
             continue;
@@ -341,15 +340,11 @@ pub fn analyze_indexed(entry: &PendEntry, index: &PendIndex, enabled: bool) -> (
         }
         let e_rel = (lo - e_dst_lo, hi - e_dst_lo);
         let copied = e.copied.borrow();
-        let copied_parts = copied.overlaps(e_rel.0, e_rel.1);
-        let gap_parts = copied.gaps(e_rel.0, e_rel.1);
-        drop(copied);
-        for (already, epart) in copied_parts
-            .iter()
+        for (already, (es, ee)) in copied
+            .overlaps(e_rel.0, e_rel.1)
             .map(|r| (true, r))
-            .chain(gap_parts.iter().map(|r| (false, r)))
+            .chain(copied.gaps(e_rel.0, e_rel.1).map(|r| (false, r)))
         {
-            let (es, ee) = *epart;
             let task_off = p.off + (e_dst_lo + es - p_lo);
             if already {
                 work.push((

@@ -175,13 +175,12 @@ impl PendEntry {
         false
     }
 
-    /// The parts of `[lo, hi)` still to copy, excluding deferred ranges
-    /// unless `force`.
-    fn gaps_in(&self, lo: usize, hi: usize, force: bool) -> Vec<(usize, usize)> {
+    /// Appends to `out` the parts of `[lo, hi)` still to copy, excluding
+    /// deferred ranges unless `force`.
+    fn gaps_in(&self, lo: usize, hi: usize, force: bool, out: &mut Vec<(usize, usize)>) {
         let copied = self.copied.borrow();
         let inflight = self.inflight.borrow();
         let deferred = self.deferred.borrow();
-        let mut out = Vec::new();
         for (s, e) in copied.gaps(lo, hi) {
             // Subtract in-flight pieces.
             for (s2, e2) in inflight.gaps(s, e) {
@@ -192,10 +191,10 @@ impl PendEntry {
                 }
             }
         }
-        out
     }
 
-    /// Whether [`Self::runnable_gaps`] is non-empty, without building it.
+    /// Whether [`Self::runnable_gaps_into`] would find any, without building
+    /// the list.
     pub fn has_runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> bool {
         (!self.held_lazy(now, lazy_period)
             && self.has_gap_in(0, self.task.len, now >= self.defer_until.get()))
@@ -206,30 +205,34 @@ impl PendEntry {
                 .any(|(lo, hi)| self.has_gap_in(lo, hi, true))
     }
 
-    /// The gaps a round at `now` may copy: every promoted byte, and —
-    /// once a lazy task's period is over — every other byte that is not
-    /// deferred, or all of them after the deferral timer. Bytes copied or
-    /// in flight are never in it.
-    pub fn runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> Vec<(usize, usize)> {
-        let timed = if self.held_lazy(now, lazy_period) {
-            Vec::new()
-        } else {
-            self.gaps_in(0, self.task.len, now >= self.defer_until.get())
-        };
+    /// Fills `out` with the gaps a round at `now` may copy: every promoted
+    /// byte, and — once a lazy task's period is over — every other byte
+    /// that is not deferred, or all of them after the deferral timer.
+    /// Bytes copied or in flight are never in it.
+    pub fn runnable_gaps_into(
+        &self,
+        now: Nanos,
+        lazy_period: Nanos,
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        out.clear();
+        if !self.held_lazy(now, lazy_period) {
+            self.gaps_in(0, self.task.len, now >= self.defer_until.get(), out);
+        }
         let promoted = self.promoted.borrow();
         if promoted.is_empty() {
-            return timed;
-        }
-        let mut all = IntervalSet::new();
-        for (lo, hi) in timed {
-            all.insert(lo, hi);
+            return;
         }
         for (plo, phi) in promoted.iter() {
-            for (lo, hi) in self.gaps_in(plo, phi, true) {
-                all.insert(lo, hi);
-            }
+            self.gaps_in(plo, phi, true, out);
         }
-        all.iter().collect()
+        // Timed and promoted gaps may overlap: merge them.
+        let mut all = IntervalSet::new();
+        for &(lo, hi) in out.iter() {
+            all.insert(lo, hi);
+        }
+        out.clear();
+        out.extend(all.iter());
     }
 }
 
@@ -491,6 +494,12 @@ mod tests {
         PendEntry::new(1, (0, 1, 0), dummy_task(len), Nanos::ZERO)
     }
 
+    fn runnable_gaps(e: &PendEntry, now: Nanos, period: Nanos) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        e.runnable_gaps_into(now, period, &mut out);
+        out
+    }
+
     #[test]
     fn runnable_gaps_subtract_copied_inflight_deferred() {
         let e = entry(4096);
@@ -499,8 +508,8 @@ mod tests {
         e.deferred.borrow_mut().insert(3000, 4096);
         e.defer_until.set(Nanos(10));
         let period = Nanos(50);
-        assert_eq!(e.runnable_gaps(Nanos(9), period), vec![(2048, 3000)]);
-        assert_eq!(e.runnable_gaps(Nanos(10), period), vec![(2048, 4096)]);
+        assert_eq!(runnable_gaps(&e, Nanos(9), period), vec![(2048, 3000)]);
+        assert_eq!(runnable_gaps(&e, Nanos(10), period), vec![(2048, 4096)]);
         assert_eq!(e.remaining(), 4096 - 2048);
         assert!(!e.finished());
     }
@@ -512,19 +521,19 @@ mod tests {
         t.lazy = true;
         let e = PendEntry::new(1, (0, 1, 0), t, Nanos::ZERO);
         assert!(!e.has_runnable_gaps(Nanos(49), period));
-        assert_eq!(e.runnable_gaps(Nanos(49), period), vec![]);
+        assert_eq!(runnable_gaps(&e, Nanos(49), period), vec![]);
         // One synced segment: it alone runs inside the lazy period, even
         // where an absorbing consumer deferred it.
         e.deferred.borrow_mut().insert(0, 4096);
         e.defer_until.set(Nanos(80));
         e.promote(1024, 2048);
         assert!(e.is_promoted() && e.has_runnable_gaps(Nanos(49), period));
-        assert_eq!(e.runnable_gaps(Nanos(49), period), vec![(1024, 2048)]);
+        assert_eq!(runnable_gaps(&e, Nanos(49), period), vec![(1024, 2048)]);
         // Landed: the promotion is over, the rest waits for its timers.
         e.copied.borrow_mut().insert(1024, 2048);
         assert!(!e.is_promoted() && !e.has_runnable_gaps(Nanos(79), period));
         assert_eq!(
-            e.runnable_gaps(Nanos(80), period),
+            runnable_gaps(&e, Nanos(80), period),
             vec![(0, 1024), (2048, 4096)]
         );
         // A whole-task promotion is the full range of the same set.
@@ -532,7 +541,7 @@ mod tests {
         whole.deferred.borrow_mut().insert(512, 1024);
         whole.defer_until.set(Nanos(300));
         whole.promote_all();
-        assert_eq!(whole.runnable_gaps(Nanos(101), period), vec![(0, 4096)]);
+        assert_eq!(runnable_gaps(&whole, Nanos(101), period), vec![(0, 4096)]);
     }
 
     #[test]

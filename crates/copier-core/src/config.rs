@@ -24,7 +24,7 @@ pub enum PollMode {
     ScenarioDriven,
 }
 
-/// Per-client quotas and global watermarks for admission control.
+/// Per-client quotas and the byte watermarks for admission control.
 ///
 /// Submissions past quota are rejected with [`crate::CopyFault::Overloaded`]
 /// instead of silently queued; the matching client-side mechanism is the
@@ -39,10 +39,13 @@ pub struct AdmissionConfig {
     /// Per-client pinned-frame quota: past it, the client's tasks are
     /// deferred (not shed) until completions release pins.
     pub max_client_pinned: u64,
-    /// Global windowed-byte high watermark: above it the service sheds
-    /// submissions priority-aware (the least-served client is exempt).
+    /// Windowed-byte high watermark, split evenly over the shards: a
+    /// shard whose own admitted bytes reach `global_high_bytes / shards`
+    /// sheds submissions priority-aware (the least-served client is
+    /// exempt).
     pub global_high_bytes: u64,
-    /// Global low watermark: shedding stops once the window drains to it.
+    /// Low watermark, split the same way: a shard stops shedding once its
+    /// window drains to `global_low_bytes / shards`.
     pub global_low_bytes: u64,
 }
 

@@ -130,44 +130,31 @@ impl IntervalSet {
     }
 
     /// The parts of `[start, end)` *not* covered by the set, in order.
-    pub fn gaps(&self, start: usize, end: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
-        let mut cur = start;
-        // Skip straight to the first range that can affect the query.
+    pub fn gaps(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        // Skip straight to the first range that can affect the query; the
+        // closing `(end, end)` ends the gap after the last one.
         let lo = self.ranges.partition_point(|&(_, e)| e <= start);
-        for &(s, e) in &self.ranges[lo..] {
-            if s >= end {
-                break;
-            }
-            if s > cur {
-                out.push((cur, s.min(end)));
-            }
-            cur = cur.max(e);
-            if cur >= end {
-                break;
-            }
-        }
-        if cur < end {
-            out.push((cur, end));
-        }
-        out
+        let mut cur = start;
+        self.ranges[lo..]
+            .iter()
+            .copied()
+            .take_while(move |&(s, _)| s < end)
+            .chain(std::iter::once((end, end)))
+            .filter_map(move |(s, e)| {
+                let gap = (s > cur).then_some((cur, s));
+                cur = cur.max(e);
+                gap
+            })
     }
 
     /// The parts of `[start, end)` covered by the set, in order.
-    pub fn overlaps(&self, start: usize, end: usize) -> Vec<(usize, usize)> {
-        let mut out = Vec::new();
+    pub fn overlaps(&self, start: usize, end: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
         let first = self.ranges.partition_point(|&(_, e)| e <= start);
-        for &(s, e) in &self.ranges[first..] {
-            if s >= end {
-                break;
-            }
-            let lo = s.max(start);
-            let hi = e.min(end);
-            if lo < hi {
-                out.push((lo, hi));
-            }
-        }
-        out
+        self.ranges[first..]
+            .iter()
+            .take_while(move |&&(s, _)| s < end)
+            .map(move |&(s, e)| (s.max(start), e.min(end)))
+            .filter(|&(lo, hi)| lo < hi)
     }
 
     /// The end of the stored range containing `pos`, if any. Lets callers
@@ -228,10 +215,11 @@ mod tests {
         let mut s = IntervalSet::new();
         s.insert(10, 20);
         s.insert(30, 40);
-        assert_eq!(s.gaps(0, 50), vec![(0, 10), (20, 30), (40, 50)]);
-        assert_eq!(s.gaps(12, 18), vec![]);
-        assert_eq!(s.gaps(15, 35), vec![(20, 30)]);
-        assert_eq!(IntervalSet::new().gaps(3, 7), vec![(3, 7)]);
+        let gaps = |s: &IntervalSet, lo, hi| s.gaps(lo, hi).collect::<Vec<_>>();
+        assert_eq!(gaps(&s, 0, 50), vec![(0, 10), (20, 30), (40, 50)]);
+        assert_eq!(gaps(&s, 12, 18), vec![]);
+        assert_eq!(gaps(&s, 15, 35), vec![(20, 30)]);
+        assert_eq!(gaps(&IntervalSet::new(), 3, 7), vec![(3, 7)]);
     }
 
     #[test]
@@ -239,8 +227,11 @@ mod tests {
         let mut s = IntervalSet::new();
         s.insert(10, 20);
         s.insert(30, 40);
-        assert_eq!(s.overlaps(15, 35), vec![(15, 20), (30, 35)]);
-        assert_eq!(s.overlaps(0, 5), vec![]);
+        assert_eq!(
+            s.overlaps(15, 35).collect::<Vec<_>>(),
+            vec![(15, 20), (30, 35)]
+        );
+        assert_eq!(s.overlaps(0, 5).count(), 0);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use copier_hw::{
-    slice_extents, split_subtasks, ATCache, CostModel, CpuCopyKind, DispatchReport, Dispatcher,
-    DmaEngine, PlannedCopy, ProgressFn,
+    slice_extents_into, split_subtasks_into, ATCache, CostModel, CpuCopyKind, DispatchReport,
+    Dispatcher, DmaEngine, PlannedCopy, ProgressFn, SubTask,
 };
 use copier_mem::{
     frames_of, AddressSpace, Extent, FrameId, MemError, PhysMem, VirtAddr, PAGE_SIZE,
@@ -41,13 +41,15 @@ use crate::journal::{AdmitRec, Journal, JournalStats, Recovered, TaintRec};
 use crate::sched::{min_live_vruntime, vruntime_before, RunOrder, Scheduler};
 use crate::task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};
 
-/// Per-thread dispatch progress map, reused across rounds (cleared, not
-/// reallocated — host-only optimization).
-type ByTidMap = Rc<RefCell<BTreeMap<TaskId, Rc<PendEntry>>>>;
+/// Per-thread dispatch progress lookup, reused across rounds (cleared, not
+/// reallocated — host-only optimization): the batch's entries by task id,
+/// sorted once the batch is planned.
+type ByTid = Rc<RefCell<Vec<(TaskId, Rc<PendEntry>)>>>;
 
 /// Per-thread round scratch, reused across polls so a settled round
-/// allocates nothing: the assigned-client list is refilled in place and
-/// the dispatch progress map is cleared, not rebuilt.
+/// allocates nothing and a served copy only what outlives the round (its
+/// window entry, its plan's pieces, its pin lists): the lists below are
+/// refilled in place.
 struct RoundScratch {
     clients: Vec<Rc<Client>>,
     /// Assignment epoch the `clients` buffer was built at. While the
@@ -60,19 +62,78 @@ struct RoundScratch {
     /// mirroring the legacy snapshot semantics (a client registered
     /// mid-round was absent from the round-start snapshot).
     reg_watermark: u64,
-    by_tid: ByTidMap,
     /// The round's service order over `clients` (heap buffer reused).
     order: RunOrder,
+    /// The batch selected for the client being served; empty otherwise.
+    selected: Vec<Selected>,
+    by_tid: ByTid,
+    /// Marks bytes landed on `by_tid`'s entries; one closure per thread.
+    progress: ProgressFn,
+    /// The gaps of the entry being planned.
+    gaps: Vec<(usize, usize)>,
+    /// The batch as handed to the dispatcher.
+    planned: Vec<PlannedCopy>,
+    plan: PlanScratch,
+}
+
+/// `plan_entry`'s working vectors.
+#[derive(Default)]
+struct PlanScratch {
+    /// Recycled inner vectors for `RoundScratch::planned`.
+    subtask_pool: Vec<Vec<SubTask>>,
+    /// Translations of the gap being planned, and the destination's part
+    /// under one source piece.
+    dst_ex: Vec<Extent>,
+    src_ex: Vec<Extent>,
+    dst_slice: Vec<Extent>,
 }
 
 impl RoundScratch {
-    fn new() -> Self {
+    /// The scratch of the thread that serves `shard`'s clients.
+    fn new(svc: &Rc<Copier>, shard: usize) -> Self {
+        let by_tid = ByTid::default();
+        let (map, me) = (Rc::clone(&by_tid), Rc::downgrade(svc));
+        let progress: ProgressFn = Rc::new(move |tid, off, len| {
+            // A dead incarnation processes no completions: once this
+            // service has crashed, a late DMA landing must not mark
+            // the (shared, adoption-surviving) entry or any segment.
+            // The successor re-adds `remaining()` at adoption and
+            // re-copies unmarked gaps idempotently; letting the old
+            // kernel mark bytes after that point would silently
+            // shrink `remaining()` under the successor's aggregate.
+            let Some(svc) = me.upgrade() else { return };
+            if svc.crashed.get() {
+                return;
+            }
+            // Clone out of the list before marking: the short borrow
+            // never outlives the callback's own bookkeeping.
+            let entry = {
+                let map = map.borrow();
+                map.binary_search_by_key(&tid, |(t, _)| *t)
+                    .ok()
+                    .map(|i| Rc::clone(&map[i].1))
+            };
+            if let Some(e) = entry {
+                let (added, removed) = mark_progress(&e, off, len);
+                // DMA-path progress moves bytes inflight → copied, so
+                // the net pending-load delta is usually zero; the
+                // arithmetic stays exact for partial overlaps.
+                let sh = &svc.shards[shard];
+                let p = sh.pending.get() + removed as u64;
+                sh.pending.set(p.saturating_sub(added as u64));
+            }
+        });
         RoundScratch {
             clients: Vec::new(),
             epoch: u64::MAX,
             reg_watermark: u64::MAX,
-            by_tid: Rc::new(RefCell::new(BTreeMap::new())),
             order: RunOrder::default(),
+            selected: Vec::new(),
+            by_tid,
+            progress,
+            gaps: Vec::new(),
+            planned: Vec::new(),
+            plan: PlanScratch::default(),
         }
     }
 }
@@ -243,26 +304,25 @@ struct ScrubRegion {
 }
 
 /// One control-plane shard's private state (DESIGN.md §17). The hot
-/// counters (`bytes`, the stats deltas) are written only by the owning
-/// shard during its round; the `peer_*` mirrors are rewritten for every
-/// shard by the last arriver at the round barrier, from one snapshot
-/// taken in shard-id order — the deterministic "message round". Reads of
-/// cross-shard state therefore never observe a peer mid-round, which is
-/// what keeps N-shard runs bit-reproducible from a seed.
+/// counters (`bytes`, the stats deltas) are written and read only by the
+/// owning shard during its round; the one cross-shard value, the
+/// `peer_min_vr` mirror, is rewritten for every shard by the last arriver
+/// at the round barrier, in shard-id order — the deterministic "message
+/// round". Reads of cross-shard state therefore never observe a peer
+/// mid-round, which is what keeps N-shard runs bit-reproducible from a
+/// seed.
 #[derive(Default)]
 struct ShardState {
-    /// Bytes currently admitted by this shard's clients — this shard's
-    /// slice of `global_bytes`.
+    /// Bytes currently admitted by this shard's clients — what the
+    /// shard's share of the watermarks gates.
     bytes: Cell<u64>,
-    /// Sum of every *other* shard's `bytes` as of the last barrier.
-    peer_bytes: Cell<u64>,
     /// Wrap-safe minimum live vruntime across every *other* shard as of
     /// the last barrier (`None`: peers have no live clients). Keeps the
     /// least-served admission exemption global without scanning peer
     /// client tables mid-round.
     peer_min_vr: Cell<Option<u64>>,
-    /// Latched watermark-shedding state (per-shard hysteresis latch over
-    /// the shared watermarks).
+    /// Latched watermark-shedding state (hysteresis over this shard's
+    /// share of the watermarks).
     shedding: Cell<bool>,
     /// Monotone per-shard round counter (trace round identity).
     round_no: Cell<u64>,
@@ -318,15 +378,9 @@ pub struct Copier {
     next_client: Cell<ClientId>,
     stats: RefCell<CopierStats>,
     stopping: Cell<bool>,
-    /// Bytes currently admitted into service windows (all clients).
-    global_bytes: Cell<u64>,
-    /// Latched global-watermark shedding state (hysteresis).
-    shedding: Cell<bool>,
-    /// Per-shard control planes; `len() == cfg.shards.max(1)`. At one
-    /// shard the slot exists but every legacy code path stays in force —
-    /// the per-shard counters are maintained unconditionally (host-side
-    /// `Cell` writes, no virtual time), the sharded decision paths are
-    /// not taken.
+    /// Per-shard control planes; `len() == cfg.shards.max(1)`. The
+    /// per-shard counters are maintained at every shard count (host-side
+    /// `Cell` writes, no virtual time).
     shards: Vec<ShardState>,
     /// Round-barrier generation (bumped by the last arriver).
     barrier_gen: Cell<u64>,
@@ -463,8 +517,6 @@ impl Copier {
             next_client: Cell::new(1),
             stats: RefCell::new(stats),
             stopping: Cell::new(false),
-            global_bytes: Cell::new(0),
-            shedding: Cell::new(false),
             shards: (0..nshards).map(|_| ShardState::default()).collect(),
             barrier_gen: Cell::new(0),
             barrier_arrived: Cell::new(0),
@@ -533,10 +585,16 @@ impl Copier {
         )
     }
 
-    /// Bytes currently admitted into service windows across all clients
-    /// (the quantity the global watermarks gate).
+    /// Bytes currently admitted into service windows across all clients.
     pub fn admitted_bytes(&self) -> u64 {
-        self.global_bytes.get()
+        self.shards.iter().map(|s| s.bytes.get()).sum()
+    }
+
+    /// Bytes currently admitted by shard `idx`'s clients — the quantity
+    /// the shard's share of the watermarks gates. Valid for
+    /// `idx < nshards()`.
+    pub fn shard_admitted_bytes(&self, idx: usize) -> u64 {
+        self.shards[idx].bytes.get()
     }
 
     /// Number of control-plane shards (1 = the classic single-instance
@@ -888,8 +946,8 @@ impl Copier {
         (sh.min_count.get() > 0).then(|| sh.min_vr.get())
     }
 
-    /// Adds admitted bytes to the owning shard's slice of the global
-    /// window (host-side `Cell`; maintained at every shard count).
+    /// Adds admitted bytes to the owning shard's window count (host-side
+    /// `Cell`).
     fn shard_bytes_add(&self, client: &Client, len: u64) {
         let sh = &self.shards[client.shard.get()];
         sh.bytes.set(sh.bytes.get() + len);
@@ -1165,11 +1223,12 @@ impl Copier {
         }
         let core = Rc::clone(&self.cores[idx]);
         let mut idle_streak = 0u32;
-        // Per-thread round scratch: the dispatch progress map is cleared
+        // Per-thread round scratch: the dispatch progress list is cleared
         // and refilled each round instead of reallocated. Each thread owns
         // its own, and a round's DMA callbacks all settle before
         // `execute_batch` returns, so clearing at the next round is safe.
-        let mut scratch = RoundScratch::new();
+        // Every client an unsharded thread serves lives on shard 0.
+        let mut scratch = RoundScratch::new(&self, 0);
         loop {
             if self.stopping.get() {
                 // Closing memory checkpoint: the trace ends with a full
@@ -1256,15 +1315,15 @@ impl Copier {
     /// Sharded service thread (DESIGN.md §17): shard `idx` owns the
     /// clients hashed to it and runs the classic round loop over them,
     /// then meets every other shard at a deterministic round barrier
-    /// where byte counts and fairness minima are exchanged. Rounds are
-    /// thus lockstep generations: admission and least-served decisions
-    /// in generation g read only peer state published at the end of
-    /// generation g-1 — never a peer's mid-round state — which is what
-    /// keeps N-shard runs bit-reproducible from a seed.
+    /// where fairness minima are exchanged. Rounds are thus lockstep
+    /// generations: least-served decisions in generation g read only
+    /// peer state published at the end of generation g-1 — never a
+    /// peer's mid-round state — which is what keeps N-shard runs
+    /// bit-reproducible from a seed. Admission reads no peer state.
     async fn shard_loop(self: Rc<Self>, idx: usize) {
         let core = Rc::clone(&self.cores[idx]);
         let mut idle_streak = 0u32;
-        let mut scratch = RoundScratch::new();
+        let mut scratch = RoundScratch::new(&self, idx);
         let PollMode::Napi {
             spin_rounds,
             park_timeout,
@@ -1352,36 +1411,25 @@ impl Copier {
     }
 
     /// The cross-shard message round (DESIGN.md §17), executed by the
-    /// last barrier arriver: reads each shard's published byte count and
-    /// live-vruntime minimum in shard-id order — one deterministic
-    /// snapshot — and rewrites every shard's `peer_*` mirrors from it.
-    /// Generation g+1 therefore sees one consistent cross-shard view no
-    /// matter how the shards' rounds interleaved inside generation g.
+    /// last barrier arriver: every shard's `peer_min_vr` becomes the
+    /// wrap-safe minimum of its peers' live-vruntime minima, read in
+    /// shard-id order (a prefix pass, then a suffix pass). Generation g+1
+    /// therefore sees one consistent cross-shard view no matter how the
+    /// shards' rounds interleaved inside generation g.
     fn exchange(&self) {
-        let bytes: Vec<u64> = self.shards.iter().map(|s| s.bytes.get()).collect();
-        let minvr: Vec<Option<u64>> = (0..self.nshards()).map(|i| self.shard_min_vr(i)).collect();
+        let min = |a: Option<u64>, b: Option<u64>| match (a, b) {
+            (Some(a), Some(b)) => Some(if vruntime_before(b, a) { b } else { a }),
+            (a, b) => a.or(b),
+        };
+        let mut before = None;
         for (i, sh) in self.shards.iter().enumerate() {
-            let peer: u64 = bytes
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, b)| *b)
-                .sum();
-            sh.peer_bytes.set(peer);
-            let mut pm: Option<u64> = None;
-            for v in minvr
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .filter_map(|(_, v)| *v)
-            {
-                pm = Some(match pm {
-                    None => v,
-                    Some(m) if vruntime_before(v, m) => v,
-                    Some(m) => m,
-                });
-            }
-            sh.peer_min_vr.set(pm);
+            sh.peer_min_vr.set(before);
+            before = min(before, self.shard_min_vr(i));
+        }
+        let mut after = None;
+        for (i, sh) in self.shards.iter().enumerate().rev() {
+            sh.peer_min_vr.set(min(sh.peer_min_vr.get(), after));
+            after = min(after, self.shard_min_vr(i));
         }
     }
 
@@ -1670,7 +1718,7 @@ impl Copier {
             let Some(pos) = scratch.order.pop() else {
                 break;
             };
-            let client = &scratch.clients[pos];
+            let client = &Rc::clone(&scratch.clients[pos]);
             let now = self.h.now();
             // A client reaped, or served by a peer thread, while an
             // earlier one's batch was in flight has nothing left to pick.
@@ -1684,11 +1732,10 @@ impl Copier {
             // 4. Select a batch from what is left of the slice. A client
             // with nothing selectable (over its pin quota, head entry
             // hazard-blocked) spends none of it.
-            let (selected, bytes) = self.select_batch(client, now, left);
-            if selected.is_empty() {
+            left -= self.select_batch(client, now, left, &mut scratch.selected);
+            if scratch.selected.is_empty() {
                 continue;
             }
-            left -= bytes;
             // 5–7. Plan, dispatch, complete — one client at a time, so its
             // handlers and credits fire when its own bytes have landed,
             // not when the whole slice has. A batch whose every selected
@@ -1698,7 +1745,8 @@ impl Copier {
             // settled, not active, so the thread takes the idle path and
             // the clock can advance to the peer's completion.
             ran = true;
-            acted |= self.execute(core, client, selected, &scratch.by_tid).await;
+            acted |= self.execute(core, client, scratch).await;
+            scratch.selected.clear();
             if self.crashed.get() {
                 break;
             }
@@ -1732,16 +1780,9 @@ impl Copier {
             return;
         }
         self.assigned_into(idx, scratch);
-        // Collect-then-deactivate: deactivation mutates the active map
-        // the scratch list mirrors, and bumps the epoch so the next
-        // round rebuilds.
-        let settled: Vec<Rc<Client>> = scratch
-            .clients
-            .iter()
-            .filter(|c| self.settled(c))
-            .cloned()
-            .collect();
-        for c in &settled {
+        // Deactivation mutates the active map, not the scratch list that
+        // mirrors it; the epoch bump makes the next round rebuild that.
+        for c in scratch.clients.iter().filter(|c| self.settled(c)) {
             self.deactivate(c);
         }
     }
@@ -1800,11 +1841,15 @@ impl Copier {
     }
 
     /// Admission decision for one submission. Per-client quotas are
-    /// unconditional. The global byte watermark sheds with hysteresis
-    /// (latched above `global_high_bytes`, released below
-    /// `global_low_bytes`) and is priority-aware: the least-served live
-    /// client — the one the copied-length scheduler would favor — is
-    /// exempt, so overload never starves a light tenant.
+    /// unconditional. The byte watermark is a per-shard budget: a shard
+    /// sheds with hysteresis against its own admitted bytes (latched at
+    /// `global_high_bytes / nshards`, released at `global_low_bytes /
+    /// nshards`) and never reads a peer's count, so a backlogged peer
+    /// cannot make it shed, and what it admits under the watermark sums
+    /// over the shards to less than `global_high_bytes` plus one task per
+    /// shard. Shedding is priority-aware: the least-served live client —
+    /// the one the copied-length scheduler would favor — is exempt (up to
+    /// its own quotas), so overload never starves a light tenant.
     fn admit(&self, client: &Rc<Client>, t: &CopyTask) -> bool {
         let q = &self.cfg.admission;
         if client.inflight_tasks.get() >= q.max_client_tasks {
@@ -1813,37 +1858,14 @@ impl Copier {
         if client.inflight_bytes.get().saturating_add(t.len as u64) > q.max_client_bytes {
             return false;
         }
-        if self.nshards() > 1 {
-            return self.admit_global_sharded(client);
-        }
-        let g = self.global_bytes.get();
-        if self.shedding.get() {
-            if g <= q.global_low_bytes {
-                self.shedding.set(false);
-            }
-        } else if g >= q.global_high_bytes {
-            self.shedding.set(true);
-        }
-        !self.shedding.get() || self.least_served(client)
-    }
-
-    /// Sharded global-watermark decision: the shard's live byte count
-    /// plus every peer's count as published at the last round barrier.
-    /// The peer snapshot only changes at barriers, so the decision is
-    /// independent of how rounds interleave inside a generation — the
-    /// same hysteresis latch as the legacy path, per shard. Staleness is
-    /// bounded by one generation and errs at most `nshards - 1` rounds
-    /// of admissions past the high watermark, the price of not taking a
-    /// global lock on the hot path.
-    fn admit_global_sharded(&self, client: &Rc<Client>) -> bool {
-        let q = &self.cfg.admission;
         let sh = &self.shards[client.shard.get()];
-        let g = sh.bytes.get().saturating_add(sh.peer_bytes.get());
+        let n = self.nshards() as u64;
+        let g = sh.bytes.get();
         if sh.shedding.get() {
-            if g <= q.global_low_bytes {
+            if g <= q.global_low_bytes / n {
                 sh.shedding.set(false);
             }
-        } else if g >= q.global_high_bytes {
+        } else if g >= q.global_high_bytes / n {
             sh.shedding.set(true);
         }
         !sh.shedding.get() || self.least_served(client)
@@ -2011,7 +2033,6 @@ impl Copier {
         // Admission accounting: the task now occupies window capacity.
         client.inflight_tasks.set(client.inflight_tasks.get() + 1);
         client.inflight_bytes.set(client.inflight_bytes.get() + len);
-        self.global_bytes.set(self.global_bytes.get() + len);
         self.shard_bytes_add(client, len);
         // A fresh entry's remaining() is its full length.
         self.shard_pending_add(client, len);
@@ -2114,24 +2135,26 @@ impl Copier {
     }
 
     /// Selects a batch of runnable, mutually independent tasks of at most
-    /// `budget` bytes; returns it with the bytes it takes.
+    /// `budget` bytes into `out` (replacing what it held); returns the
+    /// bytes it takes.
     fn select_batch(
         &self,
         client: &Rc<Client>,
         now: Nanos,
         budget: usize,
-    ) -> (Vec<Selected>, usize) {
+        out: &mut Vec<Selected>,
+    ) -> usize {
+        out.clear();
         // Pinned-frame quota: past it the client's work is *deferred*
         // (left in the window for a later round), not shed — completions
         // release pins and the backlog drains without failing anything.
         if client.pinned.get() >= self.cfg.admission.max_client_pinned {
-            return (Vec::new(), 0);
+            return 0;
         }
         // Under memory pressure absorption is off: absorbed obligations
         // hold their producer's window entry (and pins) alive longer,
         // exactly what a pressured pool cannot afford (§4.6 fallback).
         let absorption = self.cfg.absorption && !self.pm.pressure();
-        let mut out: Vec<Selected> = Vec::new();
         let mut bytes = 0usize;
         let mut hazard_scans = 0u64;
         let mut index_hits = 0u64;
@@ -2189,7 +2212,7 @@ impl Copier {
         // the pre-round state).
         let now_defer = now + self.cfg.lazy_period;
         let mut absorbed = 0u64;
-        for s in &out {
+        for s in out.iter() {
             for (tgt, lo, hi) in &s.plan.defers {
                 tgt.deferred.borrow_mut().insert(*lo, *hi);
                 tgt.defer_until.set(now_defer);
@@ -2200,11 +2223,12 @@ impl Copier {
         st.bytes_absorbed += absorbed;
         st.hazard_scans += hazard_scans;
         st.index_hits += index_hits;
-        (out, bytes)
+        bytes
     }
 
-    /// Translates and pins a range, via the ATCache when possible.
-    /// Returns the extents plus the fault work performed.
+    /// Translates and pins a range, via the ATCache when possible: fills
+    /// `extents` and returns the pinned frames (the fault work performed
+    /// is charged here).
     async fn translate_pin(
         &self,
         core: &Rc<Core>,
@@ -2212,8 +2236,9 @@ impl Copier {
         va: VirtAddr,
         len: usize,
         write: bool,
-    ) -> Result<(Vec<Extent>, Vec<FrameId>), CopyFault> {
-        if let Some(extents) = self.atcache.lookup(space, va, len, write) {
+        extents: &mut Vec<Extent>,
+    ) -> Result<Vec<FrameId>, CopyFault> {
+        if self.atcache.lookup_into(space, va, len, write, extents) {
             // One charge per lookup, however many pages the range spans.
             core.advance(self.cost.atc_hit).await;
             let stale = self
@@ -2222,11 +2247,11 @@ impl Copier {
                 .as_ref()
                 .is_some_and(|p| p.decide_atc_stale());
             if !stale {
-                let frames = frames_of(&extents);
+                let frames = frames_of(extents);
                 for &f in &frames {
                     self.pm.pin(f);
                 }
-                return Ok((extents, frames));
+                return Ok(frames);
             }
             // Injected stale hit: the cached translation cannot be trusted;
             // pay the hit, fall through to a full walk (which re-validates
@@ -2241,7 +2266,7 @@ impl Copier {
         // emits the extents. Fault accounting — and therefore every charged
         // duration below — is identical to the per-page reference path.
         match space.resolve_and_pin_range_extents(va, len, write) {
-            Ok((extents, frames, work)) => {
+            Ok((walked, frames, work)) => {
                 // Charge the walk and any proactive fault handling.
                 let mut cost = walk_cost;
                 let faults = (work.demand_zero + work.cow_remap + work.cow_copy) as u64;
@@ -2251,8 +2276,9 @@ impl Copier {
                 }
                 core.advance(cost).await;
                 self.stats.borrow_mut().proactive_faults += faults;
-                self.atcache.insert(space, va, len, write, &extents);
-                Ok((extents, frames))
+                self.atcache.insert(space, va, len, write, &walked);
+                *extents = walked;
+                Ok(frames)
             }
             Err(e) => {
                 core.advance(walk_cost).await;
@@ -2264,19 +2290,30 @@ impl Copier {
         }
     }
 
-    /// Plans, dispatches, and completes a selected batch.
+    /// Plans, dispatches, and completes `scratch.selected`.
     async fn execute(
         self: &Rc<Self>,
         core: &Rc<Core>,
         client: &Rc<Client>,
-        sel: Vec<Selected>,
-        by_tid: &ByTidMap,
+        scratch: &mut RoundScratch,
     ) -> bool {
+        let RoundScratch {
+            selected: sel,
+            by_tid,
+            progress,
+            gaps,
+            planned,
+            plan: bufs,
+            ..
+        } = scratch;
         let now = self.h.now();
         if self.pm.pressure() {
-            return self.execute_degraded(core, client, &sel, now).await;
+            return self.execute_degraded(core, client, sel, gaps, now).await;
         }
-        let mut planned: Vec<PlannedCopy> = Vec::new();
+        // Last batch's vectors go back to the pool (a crashed round
+        // returns early and leaves them here).
+        bufs.subtask_pool
+            .extend(planned.drain(..).map(|pc| pc.subtasks));
         by_tid.borrow_mut().clear();
         let mut planned_bytes = 0usize;
         // Whether this call did anything observable (planned bytes, took a
@@ -2288,16 +2325,17 @@ impl Copier {
         // completion timer that only an idle park lets fire.
         let mut acted = false;
 
-        for s in &sel {
+        for s in sel.iter() {
             let e = &s.entry;
             if e.finished() {
                 continue;
             }
-            let gaps = truncate_gaps(e.runnable_gaps(now, self.cfg.lazy_period), s.cap);
+            e.runnable_gaps_into(now, self.cfg.lazy_period, gaps);
+            truncate_gaps(gaps, s.cap);
             if gaps.is_empty() {
                 continue;
             }
-            let plan_res = self.plan_entry(core, client, e, &s.plan, &gaps).await;
+            let plan_res = self.plan_entry(core, client, e, &s.plan, gaps, bufs).await;
             if self.crashed.get() {
                 // Zombie resume: a peer shard crashed this incarnation
                 // while `plan_entry` was suspended in translate/pin. Pins
@@ -2306,7 +2344,7 @@ impl Copier {
                 // entry already), so release the whole batch now and
                 // abandon the round — a crashed kernel dispatches
                 // nothing.
-                self.drain_batch_pins(client, &sel);
+                self.drain_batch_pins(client, sel);
                 return true;
             }
             match plan_res {
@@ -2314,21 +2352,19 @@ impl Copier {
                     let deferred_exec: usize = {
                         let d = e.deferred.borrow();
                         gaps.iter()
-                            .map(|&(lo, hi)| {
-                                d.overlaps(lo, hi).iter().map(|(a, b)| b - a).sum::<usize>()
-                            })
+                            .map(|&(lo, hi)| d.overlaps(lo, hi).map(|(a, b)| b - a).sum::<usize>())
                             .sum()
                     };
                     self.stats.borrow_mut().bytes_deferred_executed += deferred_exec as u64;
                     planned_bytes += pc.subtasks.iter().map(|st| st.len()).sum::<usize>();
-                    for &(lo, hi) in &gaps {
+                    for &(lo, hi) in gaps.iter() {
                         let inflight = e.inflight.borrow_mut().insert(lo, hi);
                         e.deferred.borrow_mut().remove(lo, hi);
                         // In-flight bytes leave the pending-load aggregate
                         // (remaining() excludes them).
                         self.shard_pending_sub(client, inflight as u64);
                     }
-                    by_tid.borrow_mut().insert(e.tid, Rc::clone(e));
+                    by_tid.borrow_mut().push((e.tid, Rc::clone(e)));
                     planned.push(pc);
                 }
                 Err(fault) => {
@@ -2352,47 +2388,20 @@ impl Copier {
         // lands as the run winds down (tenants fail fast on a dead
         // service), and nothing else would unpin these frames.
         if self.maybe_crash(CrashPoint::MidDispatch) {
-            self.drain_batch_pins(client, &sel);
+            self.drain_batch_pins(client, sel);
             return true;
         }
         if !planned.is_empty() {
-            let map = Rc::clone(by_tid);
-            let me = Rc::downgrade(self);
-            let shard = client.shard.get();
-            let progress: ProgressFn = Rc::new(move |tid, off, len| {
-                // A dead incarnation processes no completions: once this
-                // service has crashed, a late DMA landing must not mark
-                // the (shared, adoption-surviving) entry or any segment.
-                // The successor re-adds `remaining()` at adoption and
-                // re-copies unmarked gaps idempotently; letting the old
-                // kernel mark bytes after that point would silently
-                // shrink `remaining()` under the successor's aggregate.
-                let Some(svc) = me.upgrade() else { return };
-                if svc.crashed.get() {
-                    return;
-                }
-                // Clone out of the map before marking: the short borrow
-                // never outlives the callback's own bookkeeping.
-                let entry = map.borrow().get(&tid).cloned();
-                if let Some(e) = entry {
-                    let (added, removed) = mark_progress(&e, off, len);
-                    // DMA-path progress moves bytes inflight → copied, so
-                    // the net pending-load delta is usually zero; the
-                    // arithmetic stays exact for partial overlaps.
-                    let sh = &svc.shards[shard];
-                    let p = sh.pending.get() + removed as u64;
-                    sh.pending.set(p.saturating_sub(added as u64));
-                }
-            });
+            by_tid.borrow_mut().sort_unstable_by_key(|(tid, _)| *tid);
             let report = self
                 .dispatcher
-                .execute_batch(core, &planned, progress)
+                .execute_batch(core, planned, Rc::clone(progress))
                 .await;
             // Peer crash while the batch was in flight: a dead kernel
             // records nothing and completes nothing. Drop the report,
             // release the batch's pins, and abandon the round.
             if self.crashed.get() {
-                self.drain_batch_pins(client, &sel);
+                self.drain_batch_pins(client, sel);
                 return true;
             }
             {
@@ -2447,7 +2456,7 @@ impl Copier {
         // no credit, no Complete record. Adoption finds these entries
         // finished and settles them exactly once.
         if self.maybe_crash(CrashPoint::PreFinalize) {
-            self.drain_batch_pins(client, &sel);
+            self.drain_batch_pins(client, sel);
             return true;
         }
         // Completion pass.
@@ -2471,6 +2480,7 @@ impl Copier {
         core: &Rc<Core>,
         client: &Rc<Client>,
         sel: &[Selected],
+        gaps: &mut Vec<(usize, usize)>,
         now: Nanos,
     ) -> bool {
         let mut degraded_bytes = 0usize;
@@ -2482,12 +2492,13 @@ impl Copier {
             if e.finished() {
                 continue;
             }
-            let gaps = truncate_gaps(e.runnable_gaps(now, self.cfg.lazy_period), s.cap);
+            e.runnable_gaps_into(now, self.cfg.lazy_period, gaps);
+            truncate_gaps(gaps, s.cap);
             if gaps.is_empty() {
                 continue;
             }
             acted = true;
-            match self.degraded_copy(core, client, e, &s.plan, &gaps).await {
+            match self.degraded_copy(core, client, e, &s.plan, gaps).await {
                 Ok(copied) => {
                     degraded_bytes += copied;
                     {
@@ -2591,6 +2602,7 @@ impl Copier {
         e: &Rc<PendEntry>,
         plan: &AbsorbPlan,
         gaps: &[(usize, usize)],
+        bufs: &mut PlanScratch,
     ) -> Result<PlannedCopy, CopyFault> {
         let t = &e.task;
         // Pins stay on the entry until `finalize`.
@@ -2598,10 +2610,17 @@ impl Copier {
             client.pinned.set(client.pinned.get() + frames.len() as u64);
             e.pins.borrow_mut().push((Rc::clone(space), frames));
         };
-        let mut subtasks = Vec::new();
+        let PlanScratch {
+            subtask_pool,
+            dst_ex,
+            src_ex,
+            dst_slice,
+        } = bufs;
+        let mut subtasks = subtask_pool.pop().unwrap_or_default();
+        subtasks.clear();
         for &(glo, ghi) in gaps {
-            let (dst_ex, dst_frames) = self
-                .translate_pin(core, &t.dst_space, t.dst.add(glo), ghi - glo, true)
+            let dst_frames = self
+                .translate_pin(core, &t.dst_space, t.dst.add(glo), ghi - glo, true, dst_ex)
                 .await?;
             hold(&t.dst_space, dst_frames);
             for p in &plan.pieces {
@@ -2611,18 +2630,15 @@ impl Copier {
                     continue;
                 }
                 let src_va = p.va.add(lo - p.off);
-                let (src_ex, src_frames) = self
-                    .translate_pin(core, &p.space, src_va, hi - lo, false)
+                let src_frames = self
+                    .translate_pin(core, &p.space, src_va, hi - lo, false, src_ex)
                     .await?;
                 hold(&p.space, src_frames);
-                let dst_slice = slice_extents(&dst_ex, lo - glo, hi - lo);
-                for mut st in split_subtasks(&dst_slice, &src_ex) {
-                    st.task_off += lo;
-                    subtasks.push(st);
-                }
+                slice_extents_into(dst_ex, lo - glo, hi - lo, dst_slice);
+                split_subtasks_into(dst_slice, src_ex, lo, &mut subtasks);
             }
         }
-        subtasks.sort_by_key(|st| st.task_off);
+        subtasks.sort_unstable_by_key(|st| st.task_off);
         Ok(PlannedCopy {
             task_id: e.tid,
             len: t.len,
@@ -2701,8 +2717,6 @@ impl Copier {
                 .get()
                 .saturating_sub(e.task.len as u64),
         );
-        self.global_bytes
-            .set(self.global_bytes.get().saturating_sub(e.task.len as u64));
         self.shard_bytes_sub(client, e.task.len as u64);
         // The delivery claim (client memory, survives a crash) is the
         // exactly-once gate: handler and credit fire for the first
@@ -2895,13 +2909,8 @@ impl Copier {
             set.handler_overflow.borrow_mut().clear();
         }
         // Return every admission resource the client still held: quota
-        // bytes leave the global window, counters zero, and the credit
+        // bytes leave the shard's window, counters zero, and the credit
         // pool refills so nothing leaks across client generations.
-        self.global_bytes.set(
-            self.global_bytes
-                .get()
-                .saturating_sub(client.inflight_bytes.get()),
-        );
         self.shard_bytes_sub(client, client.inflight_bytes.get());
         client.inflight_tasks.set(0);
         client.inflight_bytes.set(0);
@@ -3233,10 +3242,8 @@ impl Copier {
             }
         }
         // Adopt the client's admitted bytes into this incarnation's
-        // global window *before* finalizing, so the subtraction on the
-        // finalize path balances.
-        self.global_bytes
-            .set(self.global_bytes.get() + client.inflight_bytes.get());
+        // window *before* finalizing, so the subtraction on the finalize
+        // path balances.
         self.shard_bytes_add(client, client.inflight_bytes.get());
         let refinalized = finish.len() as u64;
         for (set, e) in &finish {
@@ -3373,18 +3380,14 @@ fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
 }
 
 /// Cuts a gap list down to at most `cap` total bytes (copy-slice rounds).
-fn truncate_gaps(gaps: Vec<(usize, usize)>, cap: usize) -> Vec<(usize, usize)> {
-    let mut out = Vec::with_capacity(gaps.len());
+fn truncate_gaps(gaps: &mut Vec<(usize, usize)>, cap: usize) {
     let mut left = cap;
-    for (lo, hi) in gaps {
-        if left == 0 {
-            break;
-        }
-        let take = (hi - lo).min(left);
-        out.push((lo, lo + take));
+    gaps.retain_mut(|(lo, hi)| {
+        let take = (*hi - *lo).min(left);
+        *hi = *lo + take;
         left -= take;
-    }
-    out
+        take > 0
+    });
 }
 
 fn bump(c: &Cell<u64>) -> u64 {

@@ -129,7 +129,11 @@ fn check_queries(s: &IntervalSet, bits: &[bool], lo: usize, hi: usize) -> PropRe
             (a < b).then_some((a, b))
         })
         .collect();
-    prop_assert_eq!(s.gaps(lo, hi), uncovered, "gaps({lo},{hi})");
+    prop_assert_eq!(
+        s.gaps(lo, hi).collect::<Vec<_>>(),
+        uncovered,
+        "gaps({lo},{hi})"
+    );
     let covered: Vec<(usize, usize)> = model_runs(bits)
         .into_iter()
         .filter_map(|(a, b)| {
@@ -137,7 +141,11 @@ fn check_queries(s: &IntervalSet, bits: &[bool], lo: usize, hi: usize) -> PropRe
             (a < b).then_some((a, b))
         })
         .collect();
-    prop_assert_eq!(s.overlaps(lo, hi), covered, "overlaps({lo},{hi})");
+    prop_assert_eq!(
+        s.overlaps(lo, hi).collect::<Vec<_>>(),
+        covered,
+        "overlaps({lo},{hi})"
+    );
     Ok(())
 }
 

@@ -39,7 +39,7 @@ use std::rc::{Rc, Weak};
 
 use copier_mem::{AddressSpace, Extent, VirtAddr};
 
-use crate::units::slice_extents;
+use crate::units::slice_extents_into;
 
 struct Entry {
     /// Bytes from the base the extents translate.
@@ -144,23 +144,40 @@ impl ATCache {
         len: usize,
         write: bool,
     ) -> Option<Vec<Extent>> {
+        let mut out = Vec::new();
+        self.lookup_into(asp, va, len, write, &mut out)
+            .then_some(out)
+    }
+
+    /// [`Self::lookup`] into a caller-owned buffer: on a hit `out` holds
+    /// the translation and the call is true; on a miss `out` is unchanged.
+    pub fn lookup_into(
+        &self,
+        asp: &AddressSpace,
+        va: VirtAddr,
+        len: usize,
+        write: bool,
+        out: &mut Vec<Extent>,
+    ) -> bool {
         if self.capacity == 0 {
-            return None;
+            return false;
         }
         let mut tables = self.tables.borrow_mut();
-        let hit = tables.get_mut(&asp.instance()).and_then(|t| {
+        let hit = tables.get_mut(&asp.instance()).is_some_and(|t| {
             let stale = t.refresh(asp.generation());
             self.count(|s| s.stale += stale);
-            let (&base, e) = t.map.range(..=va.0).next_back()?;
+            let Some((&base, e)) = t.map.range(..=va.0).next_back() else {
+                return false;
+            };
             let off = va.0 - base;
             let limit = if write { e.write_covered } else { e.covered } as u64;
-            (off <= limit && len as u64 <= limit - off)
-                .then(|| slice_extents(&e.extents, off as usize, len))
+            let covered = off <= limit && len as u64 <= limit - off;
+            if covered {
+                slice_extents_into(&e.extents, off as usize, len, out);
+            }
+            covered
         });
-        self.count(|s| match hit {
-            Some(_) => s.hits += 1,
-            None => s.misses += 1,
-        });
+        self.count(|s| if hit { s.hits += 1 } else { s.misses += 1 });
         hit
     }
 

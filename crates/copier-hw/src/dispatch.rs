@@ -94,6 +94,8 @@ pub type ProgressFn = Rc<dyn Fn(u64, usize, usize)>;
 
 /// Per-batch working vectors, kept across rounds so steady-state dispatch
 /// does no per-round heap allocation (host-only; plans are unchanged).
+/// One per batch in flight: the dispatcher keeps as many as service
+/// threads ever overlapped in `execute_batch`.
 #[derive(Default)]
 struct Scratch {
     /// Re-chunked batch (`normalize` output).
@@ -112,7 +114,7 @@ pub struct Dispatcher {
     cost: Rc<CostModel>,
     cpu: CpuUnit,
     dma: Option<Rc<DmaEngine>>,
-    scratch: RefCell<Scratch>,
+    scratch: RefCell<Vec<Scratch>>,
     verify: Cell<VerifyPolicy>,
     /// Re-copy attempts per detected corruption before giving the task
     /// up as [`Dispatcher::take_corrupted`].
@@ -171,7 +173,7 @@ impl Dispatcher {
             cost,
             cpu,
             dma,
-            scratch: RefCell::new(Scratch::default()),
+            scratch: RefCell::new(Vec::new()),
             verify: Cell::new(VerifyPolicy::Off),
             repair_limit: Cell::new(2),
             corrupted: RefCell::new(Vec::new()),
@@ -341,9 +343,9 @@ impl Dispatcher {
         batch: &[PlannedCopy],
         progress: ProgressFn,
     ) -> DispatchReport {
-        // Take the scratch by value: nothing borrows the cell across an
-        // await, and a re-entrant call simply starts from an empty default.
-        let mut scr = self.scratch.take();
+        // Take a scratch by value: nothing borrows the cell across an
+        // await, and a call overlapping another thread's takes its own.
+        let mut scr = self.scratch.borrow_mut().pop().unwrap_or_default();
         self.normalize_into(batch, &mut scr.normalized, &mut scr.subtask_pool);
         self.plan_into(&mut scr.normalized, &mut scr.assign, &mut scr.bool_pool);
         let batch = &scr.normalized;
@@ -512,7 +514,7 @@ impl Dispatcher {
             row.clear();
             scr.bool_pool.push(row);
         }
-        *self.scratch.borrow_mut() = scr;
+        self.scratch.borrow_mut().push(scr);
         report
     }
 

@@ -21,4 +21,4 @@ pub use atcache::{ATCache, AtcStats};
 pub use cost::{CopyCurve, CostModel, CpuCopyKind};
 pub use dispatch::{DispatchReport, Dispatcher, PlannedCopy, ProgressFn, VerifyPolicy};
 pub use dma::{DmaCompletion, DmaEngine, DmaError, DmaStats};
-pub use units::{copy_extent_pair, slice_extents, split_subtasks, CpuUnit, SubTask};
+pub use units::{copy_extent_pair, slice_extents_into, split_subtasks_into, CpuUnit, SubTask};

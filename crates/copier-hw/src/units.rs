@@ -2,7 +2,7 @@
 //!
 //! A *subtask* (§4.3) is the largest piece of a copy whose source and
 //! destination are both physically contiguous — the unit a single DMA
-//! descriptor (or one CPU copy call) can handle. [`split_subtasks`] derives
+//! descriptor (or one CPU copy call) can handle. [`split_subtasks_into`] derives
 //! them from the two extent lists; [`copy_extent_pair`] performs the real
 //! data movement for one subtask.
 
@@ -48,13 +48,13 @@ impl SubTask {
 }
 
 /// Splits a copy into subtasks at every source or destination
-/// discontinuity.
+/// discontinuity and appends them to `out`, their offsets counted from
+/// `base` (where the piece starts within its task).
 ///
 /// Both extent lists must cover the same total length.
-pub fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
+pub fn split_subtasks_into(dst: &[Extent], src: &[Extent], base: usize, out: &mut Vec<SubTask>) {
     let total: usize = src.iter().map(|e| e.len).sum();
     debug_assert_eq!(total, dst.iter().map(|e| e.len).sum::<usize>());
-    let mut out = Vec::new();
     let (mut si, mut di) = (0usize, 0usize);
     let (mut s_used, mut d_used) = (0usize, 0usize);
     let mut task_off = 0usize;
@@ -63,7 +63,7 @@ pub fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
         let d = &dst[di];
         let take = (s.len - s_used).min(d.len - d_used);
         out.push(SubTask {
-            task_off,
+            task_off: base + task_off,
             src: sub_extent(s, s_used, take),
             dst: sub_extent(d, d_used, take),
         });
@@ -79,7 +79,6 @@ pub fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
             d_used = 0;
         }
     }
-    out
 }
 
 /// A sub-range of an extent, normalized so `off < PAGE_SIZE`.
@@ -92,12 +91,13 @@ fn sub_extent(e: &Extent, skip: usize, len: usize) -> Extent {
     }
 }
 
-/// Slices `[off, off+len)` out of an extent list (byte-granular).
+/// Slices `[off, off+len)` out of an extent list (byte-granular) into
+/// `out`, replacing what it held.
 ///
 /// Used to carve a task's partial ranges (absorption layers, deferred
 /// gaps) out of its full translation.
-pub fn slice_extents(extents: &[Extent], off: usize, len: usize) -> Vec<Extent> {
-    let mut out = Vec::new();
+pub fn slice_extents_into(extents: &[Extent], off: usize, len: usize, out: &mut Vec<Extent>) {
+    out.clear();
     let mut pos = 0usize;
     let end = off + len;
     for e in extents {
@@ -114,7 +114,6 @@ pub fn slice_extents(extents: &[Extent], off: usize, len: usize) -> Vec<Extent> 
         }
     }
     debug_assert_eq!(out.iter().map(|e| e.len).sum::<usize>(), len);
-    out
 }
 
 /// Physically copies one contiguous extent pair. This is the real data
@@ -163,6 +162,12 @@ mod tests {
 
     fn pm() -> Rc<PhysMem> {
         Rc::new(PhysMem::new(64, AllocPolicy::Sequential))
+    }
+
+    fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
+        let mut out = Vec::new();
+        split_subtasks_into(dst, src, 0, &mut out);
+        out
     }
 
     fn alloc_extent(pm: &PhysMem, pages: usize) -> Extent {
@@ -317,6 +322,12 @@ mod tests {
 mod slice_tests {
     use super::*;
     use copier_mem::FrameId;
+
+    fn slice_extents(extents: &[Extent], off: usize, len: usize) -> Vec<Extent> {
+        let mut out = Vec::new();
+        slice_extents_into(extents, off, len, &mut out);
+        out
+    }
 
     #[test]
     fn slice_extents_carves_ranges() {

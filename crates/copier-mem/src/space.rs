@@ -1071,13 +1071,13 @@ impl Drop for AddressSpace {
 /// (`off < PAGE_SIZE`), so an extent spans `(off+len)/4KiB` rounded-up
 /// frames starting at its base frame.
 pub fn frames_of(extents: &[Extent]) -> Vec<FrameId> {
-    let mut out = Vec::new();
+    let pages = |e: &Extent| (e.off + e.len).div_ceil(PAGE_SIZE);
+    // Sized once: the list lives on the task's window entry until it
+    // completes, so it cannot come from a reused scratch buffer.
+    let mut out = Vec::with_capacity(extents.iter().map(pages).sum());
     for e in extents {
         debug_assert!(e.off < PAGE_SIZE);
-        let pages = (e.off + e.len).div_ceil(PAGE_SIZE);
-        for p in 0..pages {
-            out.push(FrameId(e.frame.0 + p as u32));
-        }
+        out.extend((0..pages(e)).map(|p| FrameId(e.frame.0 + p as u32)));
     }
     out
 }

@@ -8,7 +8,8 @@
 //!    share (priority-aware shedding + copy-length CFS);
 //! 2. the same seed reproduces byte-identical outcomes;
 //! 3. a too-tight global watermark sheds with typed `Overloaded` faults
-//!    while the least-served tenant is exempted from shedding;
+//!    while the least-served tenant is exempted from shedding — at 4
+//!    shards too, where each shard sheds against a quarter of it;
 //! 4. under memory pressure the service degrades to the unpinned
 //!    synchronous path with correct bytes, and recovers automatically
 //!    once pressure clears;
@@ -52,33 +53,58 @@ struct Out {
     client_rejected: u64,
     stats: CopierStats,
     end: Nanos,
+    /// Highest `admitted_bytes()` read, sampled every 500 ns from a
+    /// quarter of the horizon on (until its first turn every tenant is
+    /// least-served, hence shed-exempt, and what that start admitted has
+    /// to drain first).
+    peak_admitted: u64,
 }
 
 /// Open-loop multi-tenant run at `load` × nominal saturation. Mirrors the
 /// `fig_overload` bench harness.
 fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out {
+    run_on(1, TENANTS, false, load, seed, admission, pressured)
+}
+
+/// [`run`] with `tenants` tenants on `shards` shards (one core each),
+/// `load` × what all the service cores copy. `idle` registers a tenant on
+/// every shard that never submits: at vruntime 0 it is the least-served
+/// one, so no tenant that has been served is shed-exempt.
+fn run_on(
+    shards: usize,
+    tenants: usize,
+    idle: bool,
+    load: f64,
+    seed: u64,
+    admission: AdmissionConfig,
+    pressured: bool,
+) -> Out {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let machine = Machine::new(&h, TENANTS + 1);
-    let pm = Rc::new(PhysMem::new(8192, AllocPolicy::Scattered));
+    let machine = Machine::new(&h, tenants + shards);
+    let pm = Rc::new(PhysMem::new(2048 * tenants, AllocPolicy::Scattered));
     let cost = Rc::new(CostModel::default());
     let svc = Copier::new(
         &h,
         Rc::clone(&pm),
-        vec![machine.core(TENANTS)],
+        (0..shards).map(|i| machine.core(tenants + i)).collect(),
         cost,
         CopierConfig {
             admission,
+            shards,
+            // The one DMA channel would be shared: shards copy on their
+            // own cores, as in `fig_shardscale`.
+            use_dma: shards == 1,
             ..CopierConfig::default()
         },
     );
     svc.start();
 
     let mean_len = (LEN_MIN + LEN_MAX) as f64 / 2.0;
-    let gap = (mean_len * TENANTS as f64 / (load * SAT_RATE)) as u64;
+    let gap = (mean_len * tenants as f64 / (load * SAT_RATE * shards as f64)) as u64;
     let plan = WorkloadPlan::new(WorkloadConfig {
         seed,
-        tenants: TENANTS,
+        tenants,
         mean_gap: Nanos(gap.max(1)),
         len_min: LEN_MIN,
         len_max: LEN_MAX,
@@ -86,8 +112,21 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
         ..Default::default()
     });
 
-    let mut tenants = Vec::new();
-    for t in 0..TENANTS {
+    // Space ids past the tenants', the first that hashes to each shard.
+    let mut idlers: Vec<Option<Rc<CopierHandle>>> = vec![None; if idle { shards } else { 0 }];
+    let mut id = tenants as u32;
+    while idlers.iter().any(Option::is_none) {
+        id += 1;
+        let slot = &mut idlers[svc.shard_of_space(id)];
+        if slot.is_none() {
+            *slot = Some(CopierHandle::new(
+                &svc,
+                AddressSpace::new(id, Rc::clone(&pm)),
+            ));
+        }
+    }
+    let mut libs = Vec::new();
+    for t in 0..tenants {
         let space = AddressSpace::new(t as u32 + 1, Rc::clone(&pm));
         let lib = CopierHandle::new(&svc, Rc::clone(&space));
         let pool: Vec<(VirtAddr, VirtAddr)> = (0..POOL)
@@ -98,7 +137,7 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
                 )
             })
             .collect();
-        tenants.push((lib, pool));
+        libs.push((lib, pool));
     }
     if pressured {
         let hi = pm.allocated().max(2);
@@ -107,7 +146,7 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
 
     let client_rejected = Rc::new(Cell::new(0u64));
     let done = Rc::new(Cell::new(0usize));
-    for (t, (lib, pool)) in tenants.iter().enumerate() {
+    for (t, (lib, pool)) in libs.iter().enumerate() {
         let lib = Rc::clone(lib);
         let pool = pool.clone();
         let arrivals = plan.tenant(t).to_vec();
@@ -139,8 +178,24 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
     let done2 = Rc::clone(&done);
     let end = Rc::new(Cell::new(Nanos::ZERO));
     let end2 = Rc::clone(&end);
+    let peak = Rc::new(Cell::new(0u64));
+    {
+        let (svc, h, peak, end) = (
+            Rc::clone(&svc),
+            h.clone(),
+            Rc::clone(&peak),
+            Rc::clone(&end),
+        );
+        sim.spawn("sampler", async move {
+            h.sleep(Nanos(HORIZON.as_nanos() / 4)).await;
+            while end.get() == Nanos::ZERO {
+                peak.set(peak.get().max(svc.admitted_bytes()));
+                h.sleep(Nanos(500)).await;
+            }
+        });
+    }
     sim.spawn("driver", async move {
-        while done2.get() < TENANTS {
+        while done2.get() < tenants {
             h2.sleep(Nanos::from_micros(20)).await;
         }
         let mut stable = 0;
@@ -158,7 +213,7 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
     sim.run();
 
     assert_no_pinned_leaks(&pm);
-    let per_tenant: Vec<u64> = tenants
+    let per_tenant: Vec<u64> = libs
         .iter()
         .map(|(lib, _)| lib.client.copied_total.get())
         .collect();
@@ -169,6 +224,7 @@ fn run(load: f64, seed: u64, admission: AdmissionConfig, pressured: bool) -> Out
         client_rejected: client_rejected.get(),
         stats: svc.stats(),
         end: end.get(),
+        peak_admitted: peak.get(),
     }
 }
 
@@ -253,6 +309,41 @@ fn global_watermark_sheds_without_starvation() {
             served >= fair / 2,
             "tenant {t} starved under shedding: {served} vs fair {fair}"
         );
+    }
+}
+
+/// Acceptance 3 at 4 shards: each shard sheds against a quarter of the
+/// watermark, so the sum never exceeds it by more than the task that
+/// crossed it on each shard — exactly so with the exemption held by idle
+/// tenants (it admits past any watermark by design, up to the exempt
+/// tenant's own quota) — and with it live shedding still rotates: every
+/// tenant is served.
+#[test]
+fn sharded_watermark_bounds_the_sum_and_rotates() {
+    const SHARDS: usize = 4;
+    let admission = AdmissionConfig {
+        max_client_tasks: 256,
+        max_client_bytes: 64 * 1024 * 1024,
+        max_client_pinned: 4096,
+        global_high_bytes: 4 * 1024 * 1024,
+        global_low_bytes: 3 * 1024 * 1024,
+    };
+    for idle in [true, false] {
+        let o = run_on(SHARDS, 16, idle, 3.0, 13, admission.clone(), false);
+        assert!(o.stats.admission_rejected > 0, "the watermark never shed");
+        assert!(
+            !idle || o.peak_admitted <= admission.global_high_bytes + (SHARDS * LEN_MAX) as u64,
+            "{} B admitted at once",
+            o.peak_admitted
+        );
+        assert!(
+            o.goodput > 0.5 * SAT_RATE * SHARDS as f64,
+            "shedding collapsed goodput: {:.2} B/ns",
+            o.goodput
+        );
+        for (t, &served) in o.per_tenant.iter().enumerate() {
+            assert!(served > 0, "tenant {t} was never served (idle {idle})");
+        }
     }
 }
 
