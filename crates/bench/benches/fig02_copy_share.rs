@@ -22,7 +22,7 @@ fn redis_share(value: usize) -> f64 {
     let machine = Machine::new(&h, 2);
     let os = Os::boot(&h, machine, 64 * 1024);
     let net = NetStack::new(&os);
-    let server = RedisServer::new(&os, &net, RedisMode::Baseline, 512 * 1024).unwrap();
+    let server = RedisServer::new(&os, &net, RedisMode::Baseline, 512 * 1024);
     let (cs, ss) = net.socket_pair();
     let score = os.machine.core(1);
     let reqs = 20u64;

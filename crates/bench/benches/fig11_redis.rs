@@ -27,7 +27,7 @@ fn run(mode: RedisMode, with_copier: bool, op: Op, value_len: usize) -> (Stats, 
         os.install_copier(vec![os.machine.core(CLIENTS + 1)], Default::default());
     }
     let net = NetStack::new(&os);
-    let server = RedisServer::new(&os, &net, mode, 512 * 1024).unwrap();
+    let server = RedisServer::new(&os, &net, mode, 512 * 1024);
     let score = os.machine.core(CLIENTS);
     let total = (REQS + 1) * CLIENTS as u64;
     let samples: Rc<RefCell<Vec<Nanos>>> = Rc::new(RefCell::new(Vec::new()));

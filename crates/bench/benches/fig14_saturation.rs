@@ -50,7 +50,7 @@ fn run(instances: usize, use_copier: bool, value: usize) -> (Nanos, f64) {
         RedisMode::Baseline
     };
     for i in 0..instances {
-        let server = RedisServer::new(&os, &net, mode.clone(), 512 * 1024).unwrap();
+        let server = RedisServer::new(&os, &net, mode.clone(), 512 * 1024);
         let (cs, ss) = net.socket_pair();
         // Instances share the app cores (time-sliced when oversubscribed).
         let score = os.machine.core(i % app_cores);

@@ -30,7 +30,7 @@ fn run(region: usize, use_copier: bool) -> Nanos {
         let mut children = Vec::new();
         for i in 0..FAULTS {
             let va = parent.space.mmap(region, Prot::RW, true).unwrap();
-            parent.space.write_bytes(va, &vec![i as u8; 64]).unwrap();
+            parent.space.write_bytes(va, &[i as u8; 64]).unwrap();
             // Fork to arm CoW, then fault the whole region at once.
             children.push(parent.space.fork(1000 + i as u32).unwrap());
             let o = handle_cow_fault(&os2, &core, &parent, va, region, use_copier)

@@ -90,10 +90,10 @@ fn build_window(depth: usize, seed: u64) -> Window {
     let merged = plan.merged();
     assert!(merged.len() >= depth, "horizon too short for depth {depth}");
 
-    let mut src_cur = vec![0x1000_0000u64; TENANTS];
-    let mut dst_cur = vec![0x8000_0000u64; TENANTS];
+    let mut src_cur = [0x1000_0000u64; TENANTS];
+    let mut dst_cur = [0x8000_0000u64; TENANTS];
     let mut prev: Vec<Option<(u64, usize)>> = vec![None; TENANTS];
-    let mut count = vec![0usize; TENANTS];
+    let mut count = [0usize; TENANTS];
     let index = PendIndex::new();
     let mut entries = Vec::with_capacity(depth);
     for (i, &(t, a)) in merged.iter().take(depth).enumerate() {
@@ -110,7 +110,7 @@ fn build_window(depth: usize, seed: u64) -> Window {
         let dst = dst_cur[t];
         dst_cur[t] += len as u64;
         let e = entry(i as u64 + 1, &spaces[t], src, dst, len);
-        if k % 3 == 0 {
+        if k.is_multiple_of(3) {
             e.copied.borrow_mut().insert(0, len / 2);
         }
         prev[t] = Some((dst, len));
@@ -120,7 +120,11 @@ fn build_window(depth: usize, seed: u64) -> Window {
     Window { entries, index }
 }
 
-fn norm_plan(p: &AbsorbPlan) -> (bool, Vec<u64>, usize, Vec<(usize, usize, u32, u64, u32)>) {
+/// An [`AbsorbPlan`] reduced to comparable values: blocked, blocker tids,
+/// absorbed bytes, and each piece as `(off, len, space, va, depth)`.
+type NormPlan = (bool, Vec<u64>, usize, Vec<(usize, usize, u32, u64, u32)>);
+
+fn norm_plan(p: &AbsorbPlan) -> NormPlan {
     (
         p.blocked,
         p.blockers.iter().map(|b| b.tid).collect(),

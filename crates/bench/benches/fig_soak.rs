@@ -147,8 +147,8 @@ fn run(scale: &Scale, full_sweep: bool, seed: u64) -> Out {
     let recorder = Rc::new(LatencyRecorder::new());
     let rejected = Rc::new(Cell::new(0u64));
     let done = Rc::new(Cell::new(0usize));
-    for t in 0..scale.active {
-        let lib = Rc::clone(&libs[t]);
+    for (t, lib) in libs.iter().enumerate().take(scale.active) {
+        let lib = Rc::clone(lib);
         let space = Rc::clone(&lib.uspace);
         let bufs: (VirtAddr, VirtAddr) = (
             space.mmap(scale.len_max, Prot::RW, true).unwrap(),

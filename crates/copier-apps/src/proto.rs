@@ -151,7 +151,7 @@ mod tests {
         let net2 = Rc::clone(&net);
         let os2 = Rc::clone(&os);
         let score = os.machine.core(0);
-        let fields2: Vec<(u8, Vec<u8>)> = fields.iter().cloned().collect();
+        let fields2: Vec<(u8, Vec<u8>)> = fields.to_vec();
         sim.spawn("sender", async move {
             let buf = sender.space.mmap(cap, Prot::RW, true).unwrap();
             let len = encode(&sender, buf, &fields2).unwrap();

@@ -7,9 +7,9 @@
 //! 4. reply: output buffer → kernel in `send()`;
 //! 5. internal bookkeeping copies during processing.
 //!
-//! The I/O buffer is fixed and reused across requests — the address
-//! recurrence that feeds the ATCache (§4.3) and, under zIO, the CoW
-//! faults that erode its elision (§6.2.1).
+//! Each connection's I/O buffer is fixed and reused across its requests
+//! — the address recurrence that feeds the ATCache (§4.3) and, under zIO,
+//! the CoW faults that erode its elision (§6.2.1).
 //!
 //! Wire format: `[op u8][klen u32][vlen u32][key][value]`; replies are
 //! `[len u32][payload]`.
@@ -79,61 +79,57 @@ struct DbValue {
     cap: usize,
 }
 
-/// The server state.
 /// Deferred cleanup: the guard descriptor to wait on, plus the
 /// intermediate copies to abort once it lands.
 type PrevCleanup = Option<(Rc<SegDescriptor>, Vec<Rc<SegDescriptor>>)>;
 
+/// One connection's state, as real Redis keeps a query buffer and a reply
+/// buffer per client: connections served on one core interleave at every
+/// `await`, so nothing a request is parsed from or assembled in may be
+/// shared between them. The buffers stay mapped for the life of the
+/// server process.
+struct Conn {
+    io_buf: VirtAddr,
+    out_buf: VirtAddr,
+    /// Cleanup owed from the previous request (Copier mode): wait for the
+    /// guard descriptor, then abort the listed intermediate copies — the
+    /// paper's lazy+abort reuse pattern (§4.4, §5.1 low-level APIs).
+    prev: PrevCleanup,
+    /// Descriptor of the last recv task (abort target on SET).
+    last_recv: Option<Rc<SegDescriptor>>,
+    /// Descriptor of the pending GET output-mediator copy.
+    out_pending: Option<Rc<SegDescriptor>>,
+}
+
+/// The server state shared by every connection.
 pub struct RedisServer {
     os: Rc<Os>,
     net: Rc<NetStack>,
     /// The server process.
     pub proc: Rc<Process>,
     mode: RedisMode,
-    io_buf: VirtAddr,
-    out_buf: VirtAddr,
     cap: usize,
     db: RefCell<HashMap<Vec<u8>, DbValue>>,
     /// Recycled value buffers by capacity (address recurrence).
     pool: RefCell<Vec<(usize, VirtAddr)>>,
     /// Requests served.
     pub served: std::cell::Cell<u64>,
-    /// Cleanup owed from the previous request (Copier mode): wait for the
-    /// guard descriptor, then abort the listed intermediate copies — the
-    /// paper's lazy+abort reuse pattern (§4.4, §5.1 low-level APIs).
-    prev: RefCell<PrevCleanup>,
-    /// Descriptor of the last recv task (abort target on SET).
-    last_recv: RefCell<Option<Rc<SegDescriptor>>>,
-    /// Descriptor of the pending GET output-mediator copy.
-    out_pending: RefCell<Option<Rc<SegDescriptor>>>,
 }
 
 impl RedisServer {
-    /// Creates a server process with fixed I/O buffers of `cap` bytes.
-    pub fn new(
-        os: &Rc<Os>,
-        net: &Rc<NetStack>,
-        mode: RedisMode,
-        cap: usize,
-    ) -> Result<Rc<Self>, MemError> {
-        let proc = os.spawn_process();
-        let io_buf = proc.space.mmap(cap, Prot::RW, true)?;
-        let out_buf = proc.space.mmap(cap, Prot::RW, true)?;
-        Ok(Rc::new(RedisServer {
+    /// Creates a server process whose connections each get fixed I/O
+    /// buffers of `cap` bytes.
+    pub fn new(os: &Rc<Os>, net: &Rc<NetStack>, mode: RedisMode, cap: usize) -> Rc<Self> {
+        Rc::new(RedisServer {
             os: Rc::clone(os),
             net: Rc::clone(net),
-            proc,
+            proc: os.spawn_process(),
             mode,
-            io_buf,
-            out_buf,
             cap,
             db: RefCell::new(HashMap::new()),
             pool: RefCell::new(Vec::new()),
             served: std::cell::Cell::new(0),
-            prev: RefCell::new(None),
-            last_recv: RefCell::new(None),
-            out_pending: RefCell::new(None),
-        }))
+        })
     }
 
     fn alloc_value(&self, len: usize) -> Result<VirtAddr, MemError> {
@@ -145,13 +141,21 @@ impl RedisServer {
         self.proc.space.mmap(len.max(64), Prot::RW, true)
     }
 
-    /// Serves requests on `sock` until `limit` requests are handled.
+    /// Serves one connection: requests on `sock` until `limit` are handled.
     pub async fn serve(self: &Rc<Self>, core: &Rc<Core>, sock: Rc<Socket>, limit: u64) {
         let mode = self.mode.clone();
         let copier = matches!(mode, RedisMode::Copier);
+        let map = |what| self.proc.space.mmap(self.cap, Prot::RW, true).expect(what);
+        let mut conn = Conn {
+            io_buf: map("query buffer"),
+            out_buf: map("reply buffer"),
+            prev: None,
+            last_recv: None,
+            out_pending: None,
+        };
         for _ in 0..limit {
             if copier {
-                self.cleanup_previous(core).await;
+                self.cleanup_previous(core, &mut conn).await;
             }
             let (n, descr) = match self
                 .net
@@ -159,7 +163,7 @@ impl RedisServer {
                     core,
                     &self.proc,
                     &sock,
-                    self.io_buf,
+                    conn.io_buf,
                     self.cap,
                     mode.recv_mode(),
                     copier, // recv copies are mediators: header/key synced, value absorbed
@@ -170,20 +174,22 @@ impl RedisServer {
                 Ok(r) => r,
                 Err(_) => return,
             };
-            *self.last_recv.borrow_mut() = descr;
-            self.handle_request(core, &sock, n).await.expect("request");
+            conn.last_recv = descr;
+            self.handle_request(core, &sock, &mut conn, n)
+                .await
+                .expect("request");
             self.served.set(self.served.get() + 1);
         }
         if copier {
-            self.cleanup_previous(core).await;
+            self.cleanup_previous(core, &mut conn).await;
         }
     }
 
     /// Waits for the previous request's dependent copy to land, then
     /// aborts the intermediate-buffer obligations so buffer reuse does not
     /// re-materialize absorbed copies.
-    async fn cleanup_previous(self: &Rc<Self>, core: &Rc<Core>) {
-        let Some((guard, aborts)) = self.prev.borrow_mut().take() else {
+    async fn cleanup_previous(self: &Rc<Self>, core: &Rc<Core>, conn: &mut Conn) {
+        let Some((guard, aborts)) = conn.prev.take() else {
             return;
         };
         let lib = self.proc.lib();
@@ -199,6 +205,7 @@ impl RedisServer {
         self: &Rc<Self>,
         core: &Rc<Core>,
         sock: &Rc<Socket>,
+        conn: &mut Conn,
         n: usize,
     ) -> Result<(), MemError> {
         let space = &self.proc.space;
@@ -208,28 +215,28 @@ impl RedisServer {
         // Parse the header — with Copier, sync only the bytes used so the
         // value keeps streaming (copy-use pipeline).
         if let Some(lib) = &lib {
-            lib.csync(core, self.io_buf, 9).await.expect("hdr");
+            lib.csync(core, conn.io_buf, 9).await.expect("hdr");
         }
         core.advance(PARSE_COST).await;
         let mut hdr = [0u8; 9];
-        space.read_bytes(self.io_buf, &mut hdr)?;
+        space.read_bytes(conn.io_buf, &mut hdr)?;
         let op = if hdr[0] == 0 { Op::Set } else { Op::Get };
         let klen = u32::from_le_bytes(hdr[1..5].try_into().unwrap()) as usize;
         let vlen = u32::from_le_bytes(hdr[5..9].try_into().unwrap()) as usize;
         assert_eq!(n, 9 + klen + if op == Op::Set { vlen } else { 0 });
 
         if let Some(lib) = &lib {
-            lib.csync(core, self.io_buf.add(9), klen)
+            lib.csync(core, conn.io_buf.add(9), klen)
                 .await
                 .expect("key");
         }
         let mut key = vec![0u8; klen];
-        space.read_bytes(self.io_buf.add(9), &mut key)?;
+        space.read_bytes(conn.io_buf.add(9), &mut key)?;
         core.advance(TABLE_COST).await;
 
         match op {
             Op::Set => {
-                let src = self.io_buf.add(9 + klen);
+                let src = conn.io_buf.add(9 + klen);
                 // Reclaim any previous buffer for this key.
                 if let Some(old) = self.db.borrow_mut().remove(&key) {
                     self.pool.borrow_mut().push((old.cap, old.va));
@@ -253,8 +260,8 @@ impl RedisServer {
                                 // Once this copy lands, the recv task's value
                                 // segments are pure dead weight — abort them
                                 // before the I/O buffer is reused.
-                                let aborts = self.last_recv.borrow().iter().cloned().collect();
-                                *self.prev.borrow_mut() = Some((d, aborts));
+                                let aborts = conn.last_recv.iter().cloned().collect();
+                                conn.prev = Some((d, aborts));
                             }
                             Err(_) => {
                                 // Overloaded: materialize the lazy recv bytes,
@@ -284,14 +291,14 @@ impl RedisServer {
                     },
                 );
                 // Reply "+OK".
-                space.write_bytes(self.out_buf, &2u32.to_le_bytes())?;
-                space.write_bytes(self.out_buf.add(4), b"OK")?;
+                space.write_bytes(conn.out_buf, &2u32.to_le_bytes())?;
+                space.write_bytes(conn.out_buf.add(4), b"OK")?;
                 self.net
                     .send(
                         core,
                         &self.proc,
                         sock,
-                        self.out_buf,
+                        conn.out_buf,
                         6,
                         self.mode.send_mode(),
                     )
@@ -303,11 +310,11 @@ impl RedisServer {
                     let v = db.get(&key).expect("key exists");
                     (v.va, v.len)
                 };
-                space.write_bytes(self.out_buf, &(vl as u32).to_le_bytes())?;
+                space.write_bytes(conn.out_buf, &(vl as u32).to_le_bytes())?;
                 // Copy 3: value buffer → output buffer.
                 match &self.mode {
                     RedisMode::Zio(zio) => {
-                        zio.memcpy(core, &self.proc, self.out_buf.add(4), vva, vl)
+                        zio.memcpy(core, &self.proc, conn.out_buf.add(4), vva, vl)
                             .await?;
                     }
                     RedisMode::Copier => {
@@ -319,7 +326,7 @@ impl RedisServer {
                             .unwrap()
                             ._amemcpy(
                                 core,
-                                self.out_buf.add(4),
+                                conn.out_buf.add(4),
                                 vva,
                                 vl,
                                 AmemcpyOpts {
@@ -329,16 +336,16 @@ impl RedisServer {
                             )
                             .await;
                         match od {
-                            Ok(od) => *self.out_pending.borrow_mut() = Some(od),
+                            Ok(od) => conn.out_pending = Some(od),
                             Err(_) => {
                                 // Overloaded: no mediator to absorb; produce
                                 // the reply bytes synchronously (§4.6).
-                                *self.out_pending.borrow_mut() = None;
+                                conn.out_pending = None;
                                 sync_memcpy(
                                     core,
                                     &self.os.cost,
                                     space,
-                                    self.out_buf.add(4),
+                                    conn.out_buf.add(4),
                                     vva,
                                     vl,
                                 )
@@ -347,7 +354,7 @@ impl RedisServer {
                         }
                     }
                     _ => {
-                        sync_memcpy(core, &self.os.cost, space, self.out_buf.add(4), vva, vl)
+                        sync_memcpy(core, &self.os.cost, space, conn.out_buf.add(4), vva, vl)
                             .await?;
                     }
                 }
@@ -358,7 +365,7 @@ impl RedisServer {
                         core,
                         &self.proc,
                         sock,
-                        self.out_buf,
+                        conn.out_buf,
                         4 + vl,
                         self.mode.send_mode(),
                         0,
@@ -369,11 +376,9 @@ impl RedisServer {
                     // value → output-buffer mediator (and the recv task's
                     // remainder) can be discarded.
                     let mut aborts: Vec<Rc<SegDescriptor>> =
-                        self.last_recv.borrow().iter().cloned().collect();
-                    if let Some(od) = &*self.out_pending.borrow() {
-                        aborts.push(Rc::clone(od));
-                    }
-                    *self.prev.borrow_mut() = Some((d, aborts));
+                        conn.last_recv.iter().cloned().collect();
+                    aborts.extend(conn.out_pending.iter().cloned());
+                    conn.prev = Some((d, aborts));
                 }
             }
         }
@@ -425,11 +430,12 @@ pub async fn run_client(
             .await
             .expect("recv");
         let lat = os.h.now() - t0;
-        if this_op == Op::Get {
-            // Verify the payload end to end.
-            let mut got = vec![0u8; n - 4];
-            proc.space.read_bytes(rx.add(4), &mut got).expect("read");
-            assert_eq!(got, value, "GET returned corrupted data");
+        // Verify the reply end to end.
+        let mut got = vec![0u8; n - 4];
+        proc.space.read_bytes(rx.add(4), &mut got).expect("read");
+        match this_op {
+            Op::Get => assert_eq!(got, value, "GET returned corrupted data"),
+            Op::Set => assert_eq!(got, b"OK", "SET returned a corrupted reply"),
         }
         if i > 0 {
             samples.push(Sample {
@@ -475,7 +481,7 @@ mod tests {
             os.install_copier(vec![os.machine.core(2)], Default::default());
         }
         let net = NetStack::new(&os);
-        let server = RedisServer::new(&os, &net, mode, 512 * 1024).unwrap();
+        let server = RedisServer::new(&os, &net, mode, 512 * 1024);
         let (c_sock, s_sock) = net.socket_pair();
         let score = os.machine.core(1);
         let server2 = Rc::clone(&server);
@@ -524,6 +530,81 @@ mod tests {
         let samples = out.borrow();
         let total: u64 = samples.iter().map(|s| s.latency.as_nanos()).sum();
         (Nanos(total / samples.len() as u64), samples.len() as u64)
+    }
+
+    /// Two connections served on one core interleave at every `await`, so
+    /// each must parse its own request and assemble its own reply: in
+    /// every mode, every reply is byte-compared by `run_client` and every
+    /// stored value is read back through the table.
+    #[test]
+    fn two_connections_keep_their_own_requests_and_replies() {
+        const REQS: u64 = 6;
+        let zio = Zio::new(Rc::new(copier_hw::CostModel::default()));
+        for (name, mode, with_copier) in [
+            ("baseline", RedisMode::Baseline, false),
+            ("copier", RedisMode::Copier, true),
+            ("zio", RedisMode::Zio(zio), false),
+            ("ub", RedisMode::Ub, false),
+            ("zc-send", RedisMode::ZeroCopySend, false),
+        ] {
+            let mut sim = Sim::new();
+            let h = sim.handle();
+            let machine = Machine::new(&h, 4);
+            let os = Os::boot(&h, machine, 16 * 1024);
+            if with_copier {
+                os.install_copier(vec![os.machine.core(3)], Default::default());
+            }
+            let net = NetStack::new(&os);
+            let server = RedisServer::new(&os, &net, mode, 512 * 1024);
+            let done = Rc::new(std::cell::Cell::new(0));
+            let value_len = |c: usize| 12 * 1024 + c * 5000;
+            for c in 0..2 {
+                let (c_sock, s_sock) = net.socket_pair();
+                let (server2, score) = (Rc::clone(&server), os.machine.core(2));
+                sim.spawn("server-conn", async move {
+                    server2.serve(&score, s_sock, 2 * (REQS + 1)).await;
+                });
+                let (os2, net2, done2) = (Rc::clone(&os), Rc::clone(&net), Rc::clone(&done));
+                let ccore = os.machine.core(c);
+                sim.spawn("client", async move {
+                    let rng = Rc::new(SimRng::new(100 + c as u64));
+                    for op in [Op::Set, Op::Get] {
+                        run_client(
+                            Rc::clone(&os2),
+                            Rc::clone(&net2),
+                            Rc::clone(&ccore),
+                            Rc::clone(&c_sock),
+                            op,
+                            c as u32,
+                            value_len(c),
+                            REQS,
+                            Rc::clone(&rng),
+                        )
+                        .await;
+                    }
+                    done2.set(done2.get() + 1);
+                    if done2.get() == 2 {
+                        if let Some(svc) = os2.copier.borrow().as_ref() {
+                            svc.stop();
+                        }
+                    }
+                });
+            }
+            sim.run();
+            assert_eq!(server.served.get(), 4 * (REQS + 1), "{name}: all served");
+            for c in 0..2 {
+                // The value `run_client` drew for its second (GET) phase.
+                let rng = SimRng::new(100 + c as u64);
+                let mut want = vec![0u8; value_len(c)];
+                rng.fill_bytes(&mut want);
+                rng.fill_bytes(&mut want);
+                let db = server.db.borrow();
+                let stored = &db[format!("key:{c:08}").as_bytes()];
+                let mut got = vec![0u8; stored.len];
+                server.proc.space.read_bytes(stored.va, &mut got).unwrap();
+                assert!(got == want, "{name}: connection {c}'s stored value");
+            }
+        }
     }
 
     #[test]

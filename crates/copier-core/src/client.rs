@@ -83,9 +83,9 @@ pub struct PendEntry {
     pub submitted_at: Nanos,
     /// Pinned frames to release at completion: `(space, frames)`.
     pub pins: RefCell<Vec<(Rc<AddressSpace>, Vec<FrameId>)>>,
-    /// Set by the first finalizer — makes completion idempotent even if
-    /// two service threads transiently share a client during auto-scale
-    /// rebalancing.
+    /// Set by the first finalizer — makes completion idempotent: an orphan
+    /// sweep or an adoption may finalize an entry that a suspended round
+    /// still holds in its batch.
     pub finalized: Cell<bool>,
 }
 
@@ -306,11 +306,6 @@ impl QueueSet {
             Privilege::U => &self.uq,
         }
     }
-
-    /// Total bytes waiting in the window.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.borrow().iter().map(|p| p.remaining()).sum()
-    }
 }
 
 /// A registered client.
@@ -350,7 +345,7 @@ pub struct Client {
     pub epoch: Cell<u64>,
     /// Control-plane shard owning this client (DESIGN.md §17). Stamped by
     /// the service at registration/adoption from the deterministic hash of
-    /// the client's address-space id; 0 on unsharded services. Every
+    /// the client's address-space id; 0 at one shard. Every
     /// drain/schedule/finalize touch of this client happens on its shard.
     pub shard: Cell<usize>,
     /// Registration sequence number (DESIGN.md §18): stamped by the

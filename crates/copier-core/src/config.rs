@@ -88,20 +88,6 @@ pub struct CopierConfig {
     pub polling: PollMode,
     /// Maximum bytes served per scheduling decision.
     pub copy_slice: usize,
-    /// Enable thread auto-scaling between 1 and the provided core count.
-    pub auto_scale: bool,
-    /// Pending-byte load below which a thread is put to sleep.
-    pub low_load: usize,
-    /// Pending-byte load above which another thread is woken.
-    pub high_load: usize,
-    /// Copier-core time charged per drained queue entry.
-    pub drain_cost: Nanos,
-    /// Scheduler latency to wake a parked Copier thread (kthread wakeup).
-    pub wake_latency: Nanos,
-    /// Settle window after draining new tasks before scheduling: lets a
-    /// burst of submissions land in the same window, enabling e-piggyback
-    /// fusing and copy absorption across adjacent tasks (§4.3, §4.4).
-    pub aggregation_delay: Nanos,
     /// Admission-control quotas and watermarks.
     pub admission: AdmissionConfig,
     /// Record/replay hook (DESIGN.md §14): the service emits its round
@@ -125,40 +111,29 @@ pub struct CopierConfig {
     /// time is charged, so an uncorrupted run's virtual timeline is
     /// byte-identical across policies.
     pub verify: VerifyPolicy,
-    /// Maximum automatic re-copy attempts after a verification mismatch
-    /// before the task is poisoned `Corrupted`.
-    pub repair_limit: u32,
     /// Verification failures attributed to a DMA channel before it is
     /// quarantined like a hard death (0 disables corruption quarantine).
     pub corrupt_quarantine_threshold: u32,
-    /// Page-sampling stride for journal admission digests
-    /// (`extent_digest_stride`): 0 keeps the legacy head+tail digest
-    /// (cheapest, blind to mid-extent damage), 1 folds every page (full
-    /// coverage, O(len)), k ≥ 2 folds head, tail, and every k-th page
-    /// (O(len/k), catches damage runs ≥ k pages). Torn-write detection at
-    /// recovery inherits this coverage/cost trade-off.
-    pub admit_digest_stride: usize,
     /// Scrubber cadence: one registered chunk is re-digested every this
     /// many scheduling rounds (0 disables the scrubber walk).
     pub scrub_period: u64,
-    /// Number of control-plane shards (DESIGN.md §17). 1 (the default)
-    /// is the classic single-instance service, byte-identical to every
-    /// pre-shard build. N > 1 partitions clients across N service cores
-    /// by a deterministic hash of the client's address-space id; shards
-    /// coordinate admission and fairness through a deterministic round
-    /// barrier, so runs stay bit-reproducible from a seed at any shard
-    /// count. Requires `cores.len() >= shards`, `auto_scale == false`,
-    /// and NAPI polling.
+    /// Number of control-plane shards (DESIGN.md §17) — one service
+    /// thread each, so it must equal the number of cores the service is
+    /// given. 1 (the default) is the classic single-instance service,
+    /// byte-identical to every pre-shard build. N > 1 partitions clients
+    /// across N service cores by a deterministic hash of the client's
+    /// address-space id; shards coordinate fairness through a
+    /// deterministic round barrier, so runs stay bit-reproducible from a
+    /// seed at any shard count. N > 1 requires NAPI polling.
     pub shards: usize,
     /// Debug/reference switch (DESIGN.md §18): when `true`, every
     /// control-plane read path falls back to the legacy full sweeps over
     /// the whole client table (assignment rebuild each round, O(clients)
-    /// min-vruntime scans, O(clients × sets) autoscale load sums, full
-    /// trace-hash folds). The incremental aggregates are still
-    /// *maintained* either way — only the reads differ — so a full-sweep
-    /// run is the differential reference the O(active) fast path is
-    /// tested against. Outcomes and virtual time are identical in both
-    /// modes at fixed (seed, shards).
+    /// min-vruntime scans, full trace-hash folds). The incremental
+    /// aggregates are still *maintained* either way — only the reads
+    /// differ — so a full-sweep run is the differential reference the
+    /// O(active) fast path is tested against. Outcomes and virtual time
+    /// are identical in both modes at fixed (seed, shards).
     pub full_sweep: bool,
 }
 
@@ -180,19 +155,11 @@ impl Default for CopierConfig {
                 park_timeout: Nanos::from_micros(100),
             },
             copy_slice: DEFAULT_COPY_SLICE,
-            auto_scale: false,
-            low_load: 16 * 1024,
-            high_load: 1024 * 1024,
-            drain_cost: Nanos(25),
-            wake_latency: Nanos(700),
-            aggregation_delay: Nanos(150),
             admission: AdmissionConfig::default(),
             tracer: None,
             journal: None,
             verify: VerifyPolicy::Off,
-            repair_limit: 2,
             corrupt_quarantine_threshold: 2,
-            admit_digest_stride: 0,
             scrub_period: 64,
             shards: 1,
             full_sweep: false,

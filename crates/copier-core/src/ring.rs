@@ -275,7 +275,7 @@ mod tests {
         while count < 40_000 {
             if let Some((p, i)) = r.pop() {
                 let prev = &mut last[p as usize];
-                assert!(prev.map_or(true, |x| x < i), "producer {p} out of order");
+                assert!(prev.is_none_or(|x| x < i), "producer {p} out of order");
                 *prev = Some(i);
                 count += 1;
             } else {

@@ -1,6 +1,7 @@
 //! The Copier service: polling threads, planning, and execution (§4).
 //!
-//! Each Copier thread runs on a dedicated simulated core and loops:
+//! Each Copier thread is a shard: it runs on a dedicated simulated core,
+//! owns the clients hashed to it, and loops:
 //!
 //! 1. **Drain** client CSH queues into per-set pending windows, merging
 //!    u-mode and k-mode order via barrier keys (§4.2.1);
@@ -89,18 +90,15 @@ struct PlanScratch {
 }
 
 impl RoundScratch {
-    /// The scratch of the thread that serves `shard`'s clients.
-    fn new(svc: &Rc<Copier>, shard: usize) -> Self {
+    fn new(svc: &Rc<Copier>) -> Self {
         let by_tid = ByTid::default();
         let (map, me) = (Rc::clone(&by_tid), Rc::downgrade(svc));
         let progress: ProgressFn = Rc::new(move |tid, off, len| {
             // A dead incarnation processes no completions: once this
             // service has crashed, a late DMA landing must not mark
-            // the (shared, adoption-surviving) entry or any segment.
-            // The successor re-adds `remaining()` at adoption and
-            // re-copies unmarked gaps idempotently; letting the old
-            // kernel mark bytes after that point would silently
-            // shrink `remaining()` under the successor's aggregate.
+            // the (shared, adoption-surviving) entry or any segment:
+            // the successor clears the in-flight ranges at adoption and
+            // re-copies unmarked gaps idempotently.
             let Some(svc) = me.upgrade() else { return };
             if svc.crashed.get() {
                 return;
@@ -114,13 +112,7 @@ impl RoundScratch {
                     .map(|i| Rc::clone(&map[i].1))
             };
             if let Some(e) = entry {
-                let (added, removed) = mark_progress(&e, off, len);
-                // DMA-path progress moves bytes inflight → copied, so
-                // the net pending-load delta is usually zero; the
-                // arithmetic stays exact for partial overlaps.
-                let sh = &svc.shards[shard];
-                let p = sh.pending.get() + removed as u64;
-                sh.pending.set(p.saturating_sub(added as u64));
+                mark_progress(&e, off, len);
             }
         });
         RoundScratch {
@@ -157,11 +149,6 @@ pub struct ControlObs {
     /// O(shard-clients) min-vruntime rescans (cache invalidations hit by
     /// a read). The legacy path paid one per barrier and admission scan.
     pub minvr_recomputes: u64,
-    /// `autoscale` invocations (must stay 0 on sharded services).
-    pub autoscale_calls: u64,
-    /// `autoscale` invocations that paid the O(clients × sets) load sweep
-    /// (full-sweep mode only; the fast path reads the pending aggregate).
-    pub autoscale_sweeps: u64,
     /// Per-client trace-hash contributions re-folded (dirty clients at a
     /// traced round close); the full-sweep oracle folds every client.
     pub hash_refolds: u64,
@@ -178,8 +165,6 @@ struct ObsCells {
     deactivations: Cell<u64>,
     assign_rebuilds: Cell<u64>,
     minvr_recomputes: Cell<u64>,
-    autoscale_calls: Cell<u64>,
-    autoscale_sweeps: Cell<u64>,
     hash_refolds: Cell<u64>,
     barrier_wait_ns: Cell<u64>,
 }
@@ -338,10 +323,6 @@ struct ShardState {
     /// submission doorbell (or scrub heal / adoption) and leave when
     /// fully settled at round end. Maintained only on the fast path.
     active: RefCell<BTreeMap<u64, Rc<Client>>>,
-    /// Incrementally maintained Σ `remaining()` over this shard's window
-    /// entries — the pending-byte load `autoscale` used to sweep for.
-    /// Maintained at every shard count and in both sweep modes.
-    pending: Cell<u64>,
     /// Cached wrap-safe minimum live vruntime over this shard's clients,
     /// with the count of clients sitting at that minimum. `min_valid`
     /// false means stale (recomputed lazily on the next read); valid with
@@ -369,8 +350,8 @@ pub struct Copier {
     /// The copy-length scheduler and cgroup controller.
     pub sched: Scheduler,
     clients: RefCell<Vec<Rc<Client>>>,
+    /// One dedicated core per shard; `cores[i]` runs shard `i`'s thread.
     cores: Vec<Rc<Core>>,
-    active_threads: Cell<usize>,
     scenario_active: Cell<bool>,
     wake: Rc<Notify>,
     parked: Cell<usize>,
@@ -420,9 +401,9 @@ pub struct Copier {
     /// Walk resume position (chunk index across all regions).
     scrub_pos: Cell<usize>,
     /// Assignment epoch (DESIGN.md §18): bumped whenever the per-thread
-    /// assignment lists could change — register/reap/adopt, an
-    /// `active_threads` change, and active-set membership changes. Round
-    /// scratches compare against it to reuse their client lists.
+    /// assignment lists could change — register/reap/adopt and
+    /// active-set membership changes. Round scratches compare against it
+    /// to reuse their client lists.
     assign_epoch: Cell<u64>,
     /// Monotone registration sequence feeding [`Client::reg_seq`].
     next_reg: Cell<u64>,
@@ -431,7 +412,8 @@ pub struct Copier {
 }
 
 impl Copier {
-    /// Creates the service over dedicated `cores`.
+    /// Creates the service over dedicated `cores`, one per shard
+    /// (`cores.len() == cfg.shards`): a service thread is a shard.
     pub fn new(
         h: &SimHandle,
         pm: Rc<PhysMem>,
@@ -439,7 +421,6 @@ impl Copier {
         cost: Rc<CostModel>,
         cfg: CopierConfig,
     ) -> Rc<Self> {
-        assert!(!cores.is_empty(), "Copier needs at least one core");
         let dma = cfg.use_dma.then(|| {
             let d = DmaEngine::with_channels(
                 h,
@@ -452,30 +433,18 @@ impl Copier {
             d
         });
         let dispatcher = Rc::new(Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), dma));
-        dispatcher.set_verify(cfg.verify, cfg.repair_limit);
+        dispatcher.set_verify(cfg.verify);
         let atcache = Rc::new(ATCache::new(cfg.atcache_capacity));
         let nshards = cfg.shards.max(1);
-        if nshards > 1 {
-            assert!(
-                cores.len() >= nshards,
-                "sharded service needs one dedicated core per shard"
-            );
-            assert!(
-                !cfg.auto_scale,
-                "shards and auto_scale are mutually exclusive"
-            );
-            assert!(
-                matches!(cfg.polling, PollMode::Napi { .. }),
-                "sharded service requires NAPI polling"
-            );
-        }
-        let threads = if cfg.auto_scale {
-            1
-        } else if nshards > 1 {
-            nshards
-        } else {
-            cores.len()
-        };
+        assert_eq!(
+            cores.len(),
+            nshards,
+            "a service thread is a shard: Copier needs exactly one dedicated core per shard"
+        );
+        assert!(
+            nshards == 1 || matches!(cfg.polling, PollMode::Napi { .. }),
+            "sharded service requires NAPI polling"
+        );
         // Journal attach: replay whatever a previous incarnation left in
         // the store (truncating a torn tail) and open a new epoch. The
         // tid high-water mark carries forward so task ids never collide
@@ -509,7 +478,6 @@ impl Copier {
             cfg,
             clients: RefCell::new(Vec::new()),
             cores,
-            active_threads: Cell::new(threads),
             scenario_active: Cell::new(true),
             wake: Rc::new(Notify::new()),
             parked: Cell::new(0),
@@ -630,43 +598,21 @@ impl Copier {
             deactivations: self.obs.deactivations.get(),
             assign_rebuilds: self.obs.assign_rebuilds.get(),
             minvr_recomputes: self.obs.minvr_recomputes.get(),
-            autoscale_calls: self.obs.autoscale_calls.get(),
-            autoscale_sweeps: self.obs.autoscale_sweeps.get(),
             hash_refolds: self.obs.hash_refolds.get(),
             barrier_wait_ns: self.obs.barrier_wait_ns.get(),
         }
     }
 
     /// Cross-checks every incrementally maintained aggregate against a
-    /// from-scratch recomputation: the per-shard pending-byte total, the
-    /// cached min-vruntime (when valid), active-set completeness (on the
-    /// fast path every live inactive client must be settled), and —
-    /// under delta-folded hashing — the commutative hash sums after a
-    /// refold. Test instrumentation for the soak differential suite;
-    /// returns the first discrepancy as an error string. Host-side only:
-    /// charges no virtual time.
+    /// from-scratch recomputation: the cached min-vruntime (when valid),
+    /// active-set completeness (on the fast path every live inactive
+    /// client must be settled), and — under delta-folded hashing — the
+    /// commutative hash sums after a refold. Test instrumentation for the
+    /// soak differential suite; returns the first discrepancy as an error
+    /// string. Host-side only: charges no virtual time.
     pub fn audit_aggregates(&self) -> Result<(), String> {
         let clients = self.clients.borrow();
         for (idx, sh) in self.shards.iter().enumerate() {
-            let swept: u64 = clients
-                .iter()
-                .filter(|c| c.shard.get() == idx)
-                .map(|c| {
-                    let mut total = 0u64;
-                    let mut si = 0;
-                    while let Some(set) = c.set_at(si) {
-                        si += 1;
-                        total += set.pending_bytes() as u64;
-                    }
-                    total
-                })
-                .sum();
-            if swept != sh.pending.get() {
-                return Err(format!(
-                    "shard {idx}: pending aggregate {} != sweep {swept}",
-                    sh.pending.get()
-                ));
-            }
             if sh.min_valid.get() {
                 let live = clients
                     .iter()
@@ -723,23 +669,17 @@ impl Copier {
     }
 
     /// Whether rounds iterate per-shard active sets instead of the whole
-    /// client table. True for every sharded service and for the
-    /// single-service-core unsharded one; the unsharded *multi*-thread
-    /// service keeps full iteration (its positional `i % threads`
-    /// assignment has no per-shard home for an active set) — epoch-cached
-    /// assignment still applies there. `full_sweep` forces the legacy
-    /// reference behaviour everywhere.
+    /// client table: always, unless `full_sweep` asks for the reference
+    /// behaviour.
     fn fast_path(&self) -> bool {
-        !self.cfg.full_sweep && (self.nshards() > 1 || self.cores.len() == 1)
+        !self.cfg.full_sweep
     }
 
     /// Whether the trace state hashes are maintained as delta-folded
-    /// per-client contributions: every traced service on the fast path,
-    /// at any shard count. It shares the fast path's precondition — one
-    /// thread owns all of a shard's clients, so nothing touches a client
-    /// behind the round that marked it dirty — and where that fails (the
-    /// unsharded multi-thread service, `full_sweep`) every traced round
-    /// recomputes the same sums from scratch.
+    /// per-client contributions: every traced service on the fast path.
+    /// One thread owns all of a shard's clients, so nothing touches a
+    /// client behind the round that marked it dirty; under `full_sweep`
+    /// every traced round recomputes the same sums from scratch.
     fn hash_cached(&self) -> bool {
         self.cfg.tracer.is_some() && self.fast_path()
     }
@@ -825,19 +765,6 @@ impl Copier {
             .hash_dirty
             .borrow_mut()
             .push(Rc::clone(client));
-    }
-
-    /// Adds `len` bytes to the owning shard's pending-load aggregate
-    /// (Σ `remaining()` over window entries; maintained unconditionally).
-    fn shard_pending_add(&self, client: &Client, len: u64) {
-        let sh = &self.shards[client.shard.get()];
-        sh.pending.set(sh.pending.get() + len);
-    }
-
-    /// Inverse of [`Self::shard_pending_add`].
-    fn shard_pending_sub(&self, client: &Client, len: u64) {
-        let sh = &self.shards[client.shard.get()];
-        sh.pending.set(sh.pending.get().saturating_sub(len));
     }
 
     /// Folds a newly registered (or adopted) client's vruntime into its
@@ -1005,8 +932,8 @@ impl Copier {
     }
 
     /// The `(pending, index, stats)` state hashes closing an active
-    /// traced round of the unsharded service: its one shard's client
-    /// sums and the digest of the service-wide stats.
+    /// traced round of a one-shard service: its shard's client sums and
+    /// the digest of the service-wide stats.
     fn trace_hashes(&self) -> (u64, u64, u64) {
         let (hp, hx) = self.client_hash_sums(0);
         (hp, hx, self.stats_digest())
@@ -1195,40 +1122,37 @@ impl Copier {
         }
     }
 
-    /// Currently active thread count (auto-scaling observable).
-    pub fn active_threads(&self) -> usize {
-        self.active_threads.get()
-    }
-
-    /// Starts one service task per core (per shard when sharded: cores
-    /// beyond the shard count stay free for tenants).
+    /// Starts the service: one task per shard, each on its own core.
     pub fn start(self: &Rc<Self>) {
-        let n = if self.nshards() > 1 {
-            self.nshards()
-        } else {
-            self.cores.len()
-        };
-        for i in 0..n {
+        for i in 0..self.nshards() {
             let me = Rc::clone(self);
             self.h.spawn(
                 &format!("copier-{i}"),
-                async move { me.thread_loop(i).await },
+                async move { me.shard_loop(i).await },
             );
         }
     }
 
-    async fn thread_loop(self: Rc<Self>, idx: usize) {
-        if self.nshards() > 1 {
-            return self.shard_loop(idx).await;
-        }
+    /// A service thread (§4.5.1, DESIGN.md §17): shard `idx` owns the
+    /// clients hashed to it, runs the round loop over them on its own
+    /// core, and meets every other shard at a deterministic round barrier
+    /// where fairness minima are exchanged. Rounds are thus lockstep
+    /// generations: least-served decisions in generation g read only
+    /// peer state published at the end of generation g-1 — never a
+    /// peer's mid-round state — which is what keeps N-shard runs
+    /// bit-reproducible from a seed. Admission reads no peer state. A
+    /// lone shard is its own last arriver at every barrier.
+    async fn shard_loop(self: Rc<Self>, idx: usize) {
+        /// Scheduler latency to wake a parked Copier thread (kthread
+        /// wakeup).
+        const WAKE_LATENCY: Nanos = Nanos(700);
         let core = Rc::clone(&self.cores[idx]);
         let mut idle_streak = 0u32;
         // Per-thread round scratch: the dispatch progress list is cleared
-        // and refilled each round instead of reallocated. Each thread owns
-        // its own, and a round's DMA callbacks all settle before
-        // `execute_batch` returns, so clearing at the next round is safe.
-        // Every client an unsharded thread serves lives on shard 0.
-        let mut scratch = RoundScratch::new(&self, 0);
+        // and refilled each round instead of reallocated. A round's DMA
+        // callbacks all settle before `execute_batch` returns, so clearing
+        // at the next round is safe.
+        let mut scratch = RoundScratch::new(&self);
         loop {
             if self.stopping.get() {
                 // Closing memory checkpoint: the trace ends with a full
@@ -1241,114 +1165,24 @@ impl Copier {
                         t.record_mem(self.pm.digest());
                     }
                 }
+                // Release peers still parked at the barrier: a shard
+                // exiting without arriving must not strand them.
+                self.barrier_wake.notify_all();
                 return;
-            }
-            // Auto-scaling park: threads beyond the active count sleep. A
-            // notified wake must charge the kthread wakeup latency like the
-            // NAPI park below — `wake` can hold stored permits (doorbells
-            // that landed while every thread was busy), and a zero-cost
-            // retry loop here would spin without advancing virtual time,
-            // freezing the clock for every timer-bound task in the sim.
-            if idx >= self.active_threads.get() {
-                self.parked.set(self.parked.get() + 1);
-                let notified = self.wake.wait_timeout(&self.h, Nanos::from_millis(1)).await;
-                self.parked.set(self.parked.get() - 1);
-                if notified {
-                    core.advance(self.cfg.wake_latency).await;
-                }
-                continue;
             }
             // Scenario gate.
             if self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get() {
                 self.parked.set(self.parked.get() + 1);
                 self.wake.notified().await;
                 self.parked.set(self.parked.get() - 1);
-                core.advance(self.cfg.wake_latency).await;
+                core.advance(WAKE_LATENCY).await;
                 continue;
-            }
-            let did = self.round(idx, &core, &mut scratch).await;
-            if idx == 0 && self.cfg.auto_scale {
-                self.autoscale();
-            }
-            if did {
-                idle_streak = 0;
-                self.stats.borrow_mut().busy_rounds += 1;
-                continue;
-            }
-            self.stats.borrow_mut().idle_polls += 1;
-            core.advance(self.cost.poll_idle).await;
-            idle_streak += 1;
-            match self.cfg.polling {
-                PollMode::Napi {
-                    spin_rounds,
-                    park_timeout,
-                } => {
-                    if idle_streak > spin_rounds {
-                        self.parked.set(self.parked.get() + 1);
-                        let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
-                        self.parked.set(self.parked.get() - 1);
-                        if notified {
-                            // Kthread wakeup latency before the next sweep.
-                            core.advance(self.cfg.wake_latency).await;
-                        }
-                        idle_streak = 0;
-                    }
-                }
-                PollMode::ScenarioDriven => {
-                    // Even inside an active scenario the thread sleeps when
-                    // queues run empty (§6.2.4: "sleeps when queues are
-                    // empty") — submissions call copier_awaken.
-                    if idle_streak > 4 {
-                        self.parked.set(self.parked.get() + 1);
-                        let notified = self.wake.wait_timeout(&self.h, Nanos::from_millis(5)).await;
-                        self.parked.set(self.parked.get() - 1);
-                        if notified {
-                            core.advance(self.cfg.wake_latency).await;
-                        }
-                        idle_streak = 0;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sharded service thread (DESIGN.md §17): shard `idx` owns the
-    /// clients hashed to it and runs the classic round loop over them,
-    /// then meets every other shard at a deterministic round barrier
-    /// where fairness minima are exchanged. Rounds are thus lockstep
-    /// generations: least-served decisions in generation g read only
-    /// peer state published at the end of generation g-1 — never a
-    /// peer's mid-round state — which is what keeps N-shard runs
-    /// bit-reproducible from a seed. Admission reads no peer state.
-    async fn shard_loop(self: Rc<Self>, idx: usize) {
-        let core = Rc::clone(&self.cores[idx]);
-        let mut idle_streak = 0u32;
-        let mut scratch = RoundScratch::new(&self, idx);
-        let PollMode::Napi {
-            spin_rounds,
-            park_timeout,
-        } = self.cfg.polling
-        else {
-            unreachable!("sharded service requires NAPI polling (enforced at construction)");
-        };
-        loop {
-            if self.stopping.get() {
-                if idx == 0 && !self.crashed.get() {
-                    if let Some(t) = &self.cfg.tracer {
-                        t.record_mem(self.pm.digest());
-                    }
-                }
-                // Release peers still parked at the barrier: a shard
-                // exiting without arriving must not strand them.
-                self.barrier_wake.notify_all();
-                return;
             }
             let did = self.round(idx, &core, &mut scratch).await;
             if did {
                 self.stats.borrow_mut().busy_rounds += 1;
             }
-            let any = self.barrier_round(did).await;
-            if any {
+            if self.barrier_round(did).await {
                 // Some shard did work this generation: everyone keeps
                 // polling hot, even shards that were themselves idle —
                 // idleness is a barrier-agreed global fact, never a local
@@ -1359,12 +1193,23 @@ impl Copier {
             self.stats.borrow_mut().idle_polls += 1;
             core.advance(self.cost.poll_idle).await;
             idle_streak += 1;
+            let (spin_rounds, park_timeout) = match self.cfg.polling {
+                PollMode::Napi {
+                    spin_rounds,
+                    park_timeout,
+                } => (spin_rounds, park_timeout),
+                // Even inside an active scenario the thread sleeps when
+                // queues run empty (§6.2.4: "sleeps when queues are
+                // empty") — submissions call copier_awaken.
+                PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
+            };
             if idle_streak > spin_rounds {
                 self.parked.set(self.parked.get() + 1);
                 let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
                 self.parked.set(self.parked.get() - 1);
                 if notified {
-                    core.advance(self.cfg.wake_latency).await;
+                    // Kthread wakeup latency before the next sweep.
+                    core.advance(WAKE_LATENCY).await;
                 }
                 idle_streak = 0;
             }
@@ -1375,12 +1220,19 @@ impl Copier {
     /// generation; the last arriver runs the cross-shard message round
     /// ([`Self::exchange`]), folds the generation's `did_work` OR into
     /// [`Copier::barrier_any`], bumps the generation, and releases the
-    /// waiters. Returns whether *any* shard did work this generation.
+    /// waiters. Returns whether *any* shard did work this generation. A
+    /// lone shard is its own last arriver and has no peers to hear from:
+    /// the answer is `did`, its `peer_min_vr` stays `None`, and its own
+    /// minimum is left unread (reading it would revalidate the
+    /// min-vruntime cache and so move `ControlObs::minvr_recomputes`).
     ///
     /// Shutdown safety: `stop()` and `maybe_crash()` notify
     /// `barrier_wake`, and the wait re-checks `stopping`, so no shard is
     /// ever stranded behind a peer that exited without arriving.
     async fn barrier_round(&self, did: bool) -> bool {
+        if self.nshards() == 1 {
+            return did;
+        }
         let generation = self.barrier_gen.get();
         if did {
             self.barrier_acc.set(true);
@@ -1433,54 +1285,15 @@ impl Copier {
         }
     }
 
-    /// Thread auto-scaling by pending-byte load. Unsharded-only by
-    /// construction (`shards > 1` forbids `auto_scale`, and only the
-    /// unsharded `thread_loop` calls this) — sharded rounds must never
-    /// pay for it, which `tests/soak_differential.rs` checks through
-    /// [`ControlObs::autoscale_calls`]. The load read is the incremental
-    /// pending aggregate unless `full_sweep` forces the legacy
-    /// O(clients × sets) sweep.
-    fn autoscale(&self) {
-        debug_assert_eq!(self.nshards(), 1, "autoscale is unsharded-only");
-        self.obs
-            .autoscale_calls
-            .set(self.obs.autoscale_calls.get() + 1);
-        let load = if self.cfg.full_sweep {
-            self.obs
-                .autoscale_sweeps
-                .set(self.obs.autoscale_sweeps.get() + 1);
-            let mut load = 0usize;
-            for c in self.clients.borrow().iter() {
-                for s in c.sets.borrow().iter() {
-                    load += s.pending_bytes();
-                }
-            }
-            load
-        } else {
-            self.shards[0].pending.get() as usize
-        };
-        let active = self.active_threads.get();
-        if load > self.cfg.high_load && active < self.cores.len() {
-            self.active_threads.set(active + 1);
-            self.bump_assign_epoch();
-            self.wake.notify_all();
-        } else if load < self.cfg.low_load && active > 1 {
-            self.active_threads.set(active - 1);
-            self.bump_assign_epoch();
-        }
-    }
-
     /// Refreshes the thread's client assignment in `scratch` (epoch-
     /// cached: a stable membership reuses the buffer untouched, so a
     /// settled poll pays O(1) instead of an O(clients) rebuild).
     ///
     /// Fast path: the shard's active set, in `reg_seq` (= registration)
     /// order, filtered by the round's registration watermark — exactly
-    /// the clients the legacy full snapshot would have found with any
-    /// unsettled state, in the same order (see [`Self::settled`] for the
-    /// equivalence argument). Legacy path: all clients (sharded: by
-    /// space-hash ownership; unsharded: positional round-robin over the
-    /// active threads).
+    /// the clients the full snapshot would have found with any unsettled
+    /// state, in the same order (see [`Self::settled`] for the
+    /// equivalence argument). `full_sweep`: every client the shard owns.
     fn assigned_into(&self, idx: usize, scratch: &mut RoundScratch) {
         let ep = self.assign_epoch.get();
         if scratch.epoch == ep {
@@ -1500,21 +1313,11 @@ impl Copier {
             }
             return;
         }
-        if self.nshards() > 1 {
-            // Sharded ownership is by space hash, not round-robin index:
-            // a client's whole QueueSet state lives on exactly one shard
-            // for the client's lifetime, so no cross-shard locking or
-            // entry migration ever happens.
-            for c in self.clients.borrow().iter() {
-                if c.shard.get() == idx {
-                    out.push(Rc::clone(c));
-                }
-            }
-            return;
-        }
-        let n = self.active_threads.get().max(1);
-        for (i, c) in self.clients.borrow().iter().enumerate() {
-            if i % n == idx {
+        // Ownership is by space hash: a client's whole QueueSet state
+        // lives on exactly one shard for the client's lifetime, so no
+        // cross-shard locking or entry migration ever happens.
+        for c in self.clients.borrow().iter() {
+            if c.shard.get() == idx {
                 out.push(Rc::clone(c));
             }
         }
@@ -1541,9 +1344,7 @@ impl Copier {
     /// identity, closes active rounds with the `(pending, index, stats)`
     /// state hashes, and appends periodic physical-memory digests. The
     /// tracer is host-side bookkeeping only — no virtual time is charged,
-    /// so traced and untraced runs have identical timelines. Round
-    /// attribution is per-service (one counter), which is exact for the
-    /// single-core service configs the record/replay fixtures use.
+    /// so traced and untraced runs have identical timelines.
     async fn round(
         self: &Rc<Self>,
         idx: usize,
@@ -1585,6 +1386,10 @@ impl Copier {
         core: &Rc<Core>,
         scratch: &mut RoundScratch,
     ) -> bool {
+        /// Copier-core nanoseconds charged per drained queue entry.
+        const DRAIN_COST_NS: u64 = 25;
+        /// Settle window after draining new tasks before scheduling.
+        const AGGREGATION_DELAY: Nanos = Nanos(150);
         // 0. Background integrity (§integrity): one oracle rot draw per
         // round (zero PRNG draws unless `rot_prob` is enabled, so
         // rot-free runs are byte-identical), then the scrub walker. Both
@@ -1630,21 +1435,17 @@ impl Copier {
         // 1. Drain queues into windows.
         let mut drained = self.drain_assigned(&scratch.clients);
         if drained > 0 {
-            core.advance(Nanos(self.cfg.drain_cost.as_nanos() * drained as u64))
-                .await;
+            core.advance(Nanos(DRAIN_COST_NS * drained as u64)).await;
             // Settle window: submissions arrive in bursts (a syscall path
             // or an app loop submits several copies back to back); a short
             // pause lets the burst land so absorption and e-piggyback see
             // adjacent tasks together.
-            if self.cfg.aggregation_delay > Nanos::ZERO {
-                core.advance(self.cfg.aggregation_delay).await;
-                self.assigned_into(idx, scratch);
-                let more = self.drain_assigned(&scratch.clients);
-                if more > 0 {
-                    core.advance(Nanos(self.cfg.drain_cost.as_nanos() * more as u64))
-                        .await;
-                    drained += more;
-                }
+            core.advance(AGGREGATION_DELAY).await;
+            self.assigned_into(idx, scratch);
+            let more = self.drain_assigned(&scratch.clients);
+            if more > 0 {
+                core.advance(Nanos(DRAIN_COST_NS * more as u64)).await;
+                drained += more;
             }
         }
         // 2. Sync queues (k-mode before u-mode, §4.2.2).
@@ -1665,8 +1466,7 @@ impl Copier {
             }
         }
         if synced > 0 {
-            core.advance(Nanos(self.cfg.drain_cost.as_nanos() * synced as u64))
-                .await;
+            core.advance(Nanos(DRAIN_COST_NS * synced as u64)).await;
         }
         if drained + synced > 0 {
             self.temit(
@@ -1712,16 +1512,16 @@ impl Copier {
             &mut scratch.order,
         );
         let mut left = self.sched.copy_slice();
-        // Whether some batch went to `execute`, and whether one acted.
-        let (mut ran, mut acted) = (false, false);
+        // Whether some batch went to `execute`.
+        let mut acted = false;
         while left > 0 {
             let Some(pos) = scratch.order.pop() else {
                 break;
             };
             let client = &Rc::clone(&scratch.clients[pos]);
             let now = self.h.now();
-            // A client reaped, or served by a peer thread, while an
-            // earlier one's batch was in flight has nothing left to pick.
+            // A client reaped while an earlier one's batch was in flight
+            // has nothing left to pick.
             if !client.has_work(now, self.cfg.lazy_period) {
                 continue;
             }
@@ -1738,14 +1538,12 @@ impl Copier {
             }
             // 5–7. Plan, dispatch, complete — one client at a time, so its
             // handlers and credits fire when its own bytes have landed,
-            // not when the whole slice has. A batch whose every selected
-            // gap is already in flight (a peer thread's open round holds
-            // it across an autoscale reassignment) plans nothing and
-            // charges nothing; a round of only such batches counts as
-            // settled, not active, so the thread takes the idle path and
-            // the clock can advance to the peer's completion.
-            ran = true;
-            acted |= self.execute(core, client, scratch).await;
+            // not when the whole slice has. The batch always acts: one
+            // thread owns the client and nothing awaits between selecting
+            // and planning, so its head entry still has the gaps it was
+            // selected for, and planning them charges time or faults.
+            acted = true;
+            self.execute(core, client, scratch).await;
             scratch.selected.clear();
             if self.crashed.get() {
                 break;
@@ -1753,10 +1551,7 @@ impl Copier {
         }
         if acted {
             self.stats.borrow_mut().rounds_active += 1;
-            // Every client a thread serves lives on one shard: the
-            // thread's own when sharded, shard 0 otherwise.
-            let shard = if self.nshards() > 1 { idx } else { 0 };
-            let sh = &self.shards[shard];
+            let sh = &self.shards[idx];
             sh.rounds_active.set(sh.rounds_active.get() + 1);
         } else {
             self.stats.borrow_mut().rounds_settled += 1;
@@ -1764,7 +1559,7 @@ impl Copier {
         // Completion records staged by finalize become durable at round
         // end; a crash inside `execute` loses them and the tasks replay
         // as live, to be reconciled by digest at adoption.
-        if ran && !self.crashed.get() {
+        if acted && !self.crashed.get() {
             self.journal_flush();
         }
         self.settle_pass(idx, scratch);
@@ -1995,14 +1790,12 @@ impl Copier {
         // Journal the admission before it becomes visible to scheduling:
         // the pre-copy extent digests of both ranges are what recovery
         // reconciles a journaled-but-vanished task against. Sampling is
-        // host-side only — no virtual time, no PRNG draw. The stride
-        // (`admit_digest_stride`) sets the coverage/cost point: 0 = legacy
-        // head+tail (blind to mid-extent damage), 1 = every page, k =
-        // every k-th page — torn-write detection at recovery can only see
-        // what these digests sampled.
+        // host-side only — no virtual time, no PRNG draw — and head+tail:
+        // a partial copy lands a prefix, so the head page catches it, but
+        // torn-write detection at recovery is blind to damage confined to
+        // interior pages.
         if let Some(j) = &self.journal {
             let t = &entry.task;
-            let stride = self.cfg.admit_digest_stride;
             j.record_admit(AdmitRec {
                 tid,
                 client: client.id,
@@ -2014,8 +1807,8 @@ impl Copier {
                 src: t.src.0,
                 len: t.len as u64,
                 seg: t.seg as u64,
-                dst_digest: t.dst_space.extent_digest_stride(t.dst, t.len, stride),
-                src_digest: t.src_space.extent_digest_stride(t.src, t.len, stride),
+                dst_digest: t.dst_space.extent_digest(t.dst, t.len),
+                src_digest: t.src_space.extent_digest(t.src, t.len),
             });
         }
         set.index.insert(&entry);
@@ -2034,8 +1827,6 @@ impl Copier {
         client.inflight_tasks.set(client.inflight_tasks.get() + 1);
         client.inflight_bytes.set(client.inflight_bytes.get() + len);
         self.shard_bytes_add(client, len);
-        // A fresh entry's remaining() is its full length.
-        self.shard_pending_add(client, len);
     }
 
     /// Serves one Sync Task: promotion (with dependency closure) or abort.
@@ -2077,16 +1868,17 @@ impl Copier {
         if st.abort {
             // Abort retires (§4.4): the task is poisoned and leaves the
             // window now, handing back pins, credit and admission share
-            // and running its handler. With bytes in flight the round that
-            // lands them finalizes it instead (its completion pass).
+            // and running its handler. Nothing of it is in flight: syncs
+            // are served by the shard that owns the client, between its
+            // dispatches, and a dispatch lands or fails every byte it took
+            // before `execute` returns.
             let e = Rc::clone(&pending[ti]);
             drop(pending);
+            debug_assert!(e.inflight.borrow().is_empty());
             e.aborted.set(true);
             e.task.descr.poison(CopyFault::Aborted);
             self.stats.borrow_mut().aborts += 1;
-            if e.inflight.borrow().is_empty() {
-                self.finalize(client, set, &e);
-            }
+            self.finalize(client, set, &e);
             return;
         }
         // Promote the target and its dependency closure (§4.2.2). Readiness
@@ -2296,7 +2088,7 @@ impl Copier {
         core: &Rc<Core>,
         client: &Rc<Client>,
         scratch: &mut RoundScratch,
-    ) -> bool {
+    ) {
         let RoundScratch {
             selected: sel,
             by_tid,
@@ -2316,14 +2108,6 @@ impl Copier {
             .extend(planned.drain(..).map(|pc| pc.subtasks));
         by_tid.borrow_mut().clear();
         let mut planned_bytes = 0usize;
-        // Whether this call did anything observable (planned bytes, took a
-        // fault, crashed). A batch can select entries yet plan nothing —
-        // every selected gap already in flight from a peer thread's open
-        // round after an autoscale reassignment — and such a call charges
-        // no virtual time, so the caller must treat the round as idle or a
-        // hot thread could spin at a frozen clock waiting for the peer's
-        // completion timer that only an idle park lets fire.
-        let mut acted = false;
 
         for s in sel.iter() {
             let e = &s.entry;
@@ -2345,7 +2129,7 @@ impl Copier {
                 // abandon the round — a crashed kernel dispatches
                 // nothing.
                 self.drain_batch_pins(client, sel);
-                return true;
+                return;
             }
             match plan_res {
                 Ok(pc) => {
@@ -2358,11 +2142,8 @@ impl Copier {
                     self.stats.borrow_mut().bytes_deferred_executed += deferred_exec as u64;
                     planned_bytes += pc.subtasks.iter().map(|st| st.len()).sum::<usize>();
                     for &(lo, hi) in gaps.iter() {
-                        let inflight = e.inflight.borrow_mut().insert(lo, hi);
+                        e.inflight.borrow_mut().insert(lo, hi);
                         e.deferred.borrow_mut().remove(lo, hi);
-                        // In-flight bytes leave the pending-load aggregate
-                        // (remaining() excludes them).
-                        self.shard_pending_sub(client, inflight as u64);
                     }
                     by_tid.borrow_mut().push((e.tid, Rc::clone(e)));
                     planned.push(pc);
@@ -2377,7 +2158,6 @@ impl Copier {
                     self.stats.borrow_mut().faults += 1;
                     self.finalize(client, &s.set, e);
                     self.cascade_fault(&s.set, client, e, fault);
-                    acted = true;
                 }
             }
         }
@@ -2389,7 +2169,7 @@ impl Copier {
         // service), and nothing else would unpin these frames.
         if self.maybe_crash(CrashPoint::MidDispatch) {
             self.drain_batch_pins(client, sel);
-            return true;
+            return;
         }
         if !planned.is_empty() {
             by_tid.borrow_mut().sort_unstable_by_key(|(tid, _)| *tid);
@@ -2402,7 +2182,7 @@ impl Copier {
             // release the batch's pins, and abandon the round.
             if self.crashed.get() {
                 self.drain_batch_pins(client, sel);
-                return true;
+                return;
             }
             {
                 let mut st = self.stats.borrow_mut();
@@ -2457,7 +2237,7 @@ impl Copier {
         // finished and settles them exactly once.
         if self.maybe_crash(CrashPoint::PreFinalize) {
             self.drain_batch_pins(client, sel);
-            return true;
+            return;
         }
         // Completion pass.
         for s in sel.iter() {
@@ -2465,7 +2245,6 @@ impl Copier {
                 self.finalize(client, &s.set, &s.entry);
             }
         }
-        acted || !planned.is_empty()
     }
 
     /// Executes a selected batch synchronously under memory pressure —
@@ -2482,11 +2261,8 @@ impl Copier {
         sel: &[Selected],
         gaps: &mut Vec<(usize, usize)>,
         now: Nanos,
-    ) -> bool {
+    ) {
         let mut degraded_bytes = 0usize;
-        // Same contract as `execute`: report whether anything was done so
-        // an all-in-flight batch registers as an idle round.
-        let mut acted = false;
         for s in sel {
             let e = &s.entry;
             if e.finished() {
@@ -2497,8 +2273,7 @@ impl Copier {
             if gaps.is_empty() {
                 continue;
             }
-            acted = true;
-            match self.degraded_copy(core, client, e, &s.plan, gaps).await {
+            match self.degraded_copy(core, e, &s.plan, gaps).await {
                 Ok(copied) => {
                     degraded_bytes += copied;
                     {
@@ -2527,7 +2302,6 @@ impl Copier {
                 self.finalize(client, &s.set, &s.entry);
             }
         }
-        acted
     }
 
     /// One entry's gaps, copied synchronously page by page. Pages are
@@ -2538,7 +2312,6 @@ impl Copier {
     async fn degraded_copy(
         &self,
         core: &Rc<Core>,
-        client: &Rc<Client>,
         e: &Rc<PendEntry>,
         plan: &AbsorbPlan,
         gaps: &[(usize, usize)],
@@ -2579,11 +2352,7 @@ impl Copier {
                     core.advance(cost).await;
                     self.pm
                         .copy(df, dst_va.page_off(), sf, src_va.page_off(), take);
-                    let (added, removed) = mark_progress(e, off, take);
-                    // Degraded-path bytes were never in flight, so the
-                    // pending load drops by what landed.
-                    self.shard_pending_add(client, removed as u64);
-                    self.shard_pending_sub(client, added as u64);
+                    mark_progress(e, off, take);
                     copied += take;
                     off += take;
                 }
@@ -2683,9 +2452,6 @@ impl Copier {
         if e.finalized.replace(true) {
             return;
         }
-        // The entry leaves the window below; whatever it still had
-        // outstanding leaves the pending-load aggregate with it.
-        self.shard_pending_sub(client, e.remaining() as u64);
         let fault_code = match (e.aborted.get(), e.failed.get()) {
             (_, Some(f)) => copy_fault_code(f),
             (true, None) => copy_fault_code(CopyFault::Aborted),
@@ -2921,9 +2687,7 @@ impl Copier {
         self.atcache.purge(&client.uspace);
         // Incremental-aggregate exits (DESIGN.md §18): the client leaves
         // the active set, the cached min-vruntime, and — when delta-folded
-        // hashing is on — the shard hash sums. Its window is empty now
-        // (the sweep above finalized everything), so the pending
-        // aggregate already dropped through finalize.
+        // hashing is on — the shard hash sums.
         self.deactivate(client);
         if !was_dead {
             self.minvr_reap(client);
@@ -3229,11 +2993,6 @@ impl Copier {
                     continue;
                 }
                 present.insert(e.tid);
-                // The kept entry re-enters this incarnation's pending-load
-                // aggregate (remaining() computed after the in-flight
-                // clear above); finalize below subtracts it back for the
-                // finished ones, balancing exactly.
-                self.shard_pending_add(client, e.remaining() as u64);
                 if e.finished() {
                     finish.push((Rc::clone(&set), e));
                 } else {
@@ -3266,13 +3025,8 @@ impl Copier {
                 }
                 continue;
             }
-            // Arbitration digest must sample the same lattice the admit
-            // record did, or equal bytes would compare unequal.
-            let cur = client.uspace.extent_digest_stride(
-                VirtAddr(a.dst),
-                a.len as usize,
-                self.cfg.admit_digest_stride,
-            );
+            // Same sampling as the admit record's digests.
+            let cur = client.uspace.extent_digest(VirtAddr(a.dst), a.len as usize);
             if cur == a.src_digest || cur == a.dst_digest {
                 // Fully copied (Complete record lost) or never started:
                 // either way the range is consistent; release it.
@@ -3410,15 +3164,14 @@ fn mem_fault(e: MemError) -> CopyFault {
 /// a no-op: the old `(end - 1) / seg` then `num_segments() - 1` span math
 /// underflowed for empty ranges — debug builds panicked, release builds
 /// wrapped to a huge segment index and tripped the `mark` bounds assert.
-fn mark_progress(e: &Rc<PendEntry>, off: usize, len: usize) -> (usize, usize) {
+fn mark_progress(e: &Rc<PendEntry>, off: usize, len: usize) {
     let end = (off + len).min(e.task.len);
     if end <= off {
-        return (0, 0);
+        return;
     }
-    let added = e.copied.borrow_mut().insert(off, end);
-    let removed = e.inflight.borrow_mut().remove(off, end);
+    e.copied.borrow_mut().insert(off, end);
+    e.inflight.borrow_mut().remove(off, end);
     e.task.descr.mark_landed(&e.copied.borrow(), off, end);
-    (added, removed)
 }
 
 /// Wire encoding of a `CopyFault` for trace and journal records
@@ -3447,105 +3200,112 @@ fn copy_fault_from_code(code: u8) -> CopyFault {
     }
 }
 
-/// Named indexes of the canonical [`CopierStats`] flattening
-/// ([`stats_to_vec`] / [`stats_from_vec`]) — the single shape the trace
-/// state hash and the journal checkpoint both use. The assignment is
-/// **append-only**: committed traces and journal stores encode these
-/// positions, so an existing index may never be renumbered; new counters
-/// take the next free slot (which is why the integrity counters at 37+
-/// interleave dispatch and service fields). `stats_layout_is_frozen`
-/// pins every value.
-pub mod stats_layout {
-    /// `tasks_completed`.
-    pub const TASKS_COMPLETED: usize = 0;
-    /// `bytes_copied`.
-    pub const BYTES_COPIED: usize = 1;
-    /// `bytes_absorbed`.
-    pub const BYTES_ABSORBED: usize = 2;
-    /// `bytes_deferred_executed`.
-    pub const BYTES_DEFERRED_EXECUTED: usize = 3;
-    /// `syncs`.
-    pub const SYNCS: usize = 4;
-    /// `promotions`.
-    pub const PROMOTIONS: usize = 5;
-    /// `aborts`.
-    pub const ABORTS: usize = 6;
-    /// `faults`.
-    pub const FAULTS: usize = 7;
-    /// `idle_polls`.
-    pub const IDLE_POLLS: usize = 8;
-    /// `busy_rounds`.
-    pub const BUSY_ROUNDS: usize = 9;
-    /// `dispatch.cpu_bytes`.
-    pub const DISPATCH_CPU_BYTES: usize = 10;
-    /// `dispatch.dma_bytes`.
-    pub const DISPATCH_DMA_BYTES: usize = 11;
-    /// `dispatch.dma_descriptors`.
-    pub const DISPATCH_DMA_DESCRIPTORS: usize = 12;
-    /// `dispatch.dma_wait` (nanoseconds).
-    pub const DISPATCH_DMA_WAIT_NS: usize = 13;
-    /// `dispatch.retries`.
-    pub const DISPATCH_RETRIES: usize = 14;
-    /// `dispatch.fallback_bytes`.
-    pub const DISPATCH_FALLBACK_BYTES: usize = 15;
-    /// `proactive_faults`.
-    pub const PROACTIVE_FAULTS: usize = 16;
-    /// `retries`.
-    pub const RETRIES: usize = 17;
-    /// `fallback_bytes`.
-    pub const FALLBACK_BYTES: usize = 18;
-    /// `quarantined_channels`.
-    pub const QUARANTINED_CHANNELS: usize = 19;
-    /// `orphans_reclaimed`.
-    pub const ORPHANS_RECLAIMED: usize = 20;
-    /// `dependents_aborted`.
-    pub const DEPENDENTS_ABORTED: usize = 21;
-    /// `admission_rejected`.
-    pub const ADMISSION_REJECTED: usize = 22;
-    /// `shed_bytes`.
-    pub const SHED_BYTES: usize = 23;
-    /// `credits_granted`.
-    pub const CREDITS_GRANTED: usize = 24;
-    /// `degraded_sync_copies`.
-    pub const DEGRADED_SYNC_COPIES: usize = 25;
-    /// `pressure_events`.
-    pub const PRESSURE_EVENTS: usize = 26;
-    /// `hazard_scans`.
-    pub const HAZARD_SCANS: usize = 27;
-    /// `index_hits`.
-    pub const INDEX_HITS: usize = 28;
-    /// `index_entries_peak`.
-    pub const INDEX_ENTRIES_PEAK: usize = 29;
-    /// `rounds_settled`.
-    pub const ROUNDS_SETTLED: usize = 30;
-    /// `rounds_active`.
-    pub const ROUNDS_ACTIVE: usize = 31;
-    /// `crashes`.
-    pub const CRASHES: usize = 32;
-    /// `recovered_tasks`.
-    pub const RECOVERED_TASKS: usize = 33;
-    /// `recovered_finalized`.
-    pub const RECOVERED_FINALIZED: usize = 34;
-    /// `dropped_unjournaled`.
-    pub const DROPPED_UNJOURNALED: usize = 35;
-    /// `torn_poisoned`.
-    pub const TORN_POISONED: usize = 36;
-    /// `dispatch.corruptions` (appended after the crash-recovery block).
-    pub const DISPATCH_CORRUPTIONS: usize = 37;
-    /// `dispatch.repairs`.
-    pub const DISPATCH_REPAIRS: usize = 38;
-    /// `corrupted_poisoned`.
-    pub const CORRUPTED_POISONED: usize = 39;
-    /// `scrub_chunks`.
-    pub const SCRUB_CHUNKS: usize = 40;
-    /// `scrub_heals`.
-    pub const SCRUB_HEALS: usize = 41;
-    /// `scrub_unrepairable`.
-    pub const SCRUB_UNREPAIRABLE: usize = 42;
-    /// `corrupt_quarantined`.
-    pub const CORRUPT_QUARANTINED: usize = 43;
-    /// One past the last assigned index.
-    pub const LEN: usize = 44;
+/// Generates, from one table of `SLOT = field path as conversion` rows in
+/// wire order, everything that must agree on the canonical [`CopierStats`]
+/// flattening: the [`stats_layout`] indexes (a row's position), the
+/// flattening itself and its inverse. The conversion names how the field
+/// maps to its `u64` slot (`u64`: as is; `usize`: cast; `nanos`:
+/// [`Nanos`]).
+macro_rules! stats_table {
+    ($($slot:ident = $($field:ident).+ as $conv:ident,)+) => {
+        /// Named indexes of the canonical [`CopierStats`] flattening
+        /// ([`stats_to_vec`] / [`stats_from_vec`]) — the single shape the
+        /// trace state hash and the journal checkpoint both use, one const
+        /// per `CopierStats` field. The assignment is **append-only**:
+        /// committed traces and journal stores encode these positions, so
+        /// an existing index may never be renumbered; new counters take
+        /// the next free slot (which is why the integrity counters at 37+
+        /// interleave dispatch and service fields).
+        /// `stats_layout_is_frozen` pins every value.
+        pub mod stats_layout {
+            stats_table!(@consts 0usize; $($slot = $($field).+,)+);
+        }
+
+        /// [`stats_to_vec`] without the allocation: the per-round trace
+        /// state hash folds this.
+        fn stats_slots(s: &CopierStats) -> [u64; stats_layout::LEN] {
+            let mut v = [0u64; stats_layout::LEN];
+            $(v[stats_layout::$slot] = stats_table!(@flatten $conv, s.$($field).+);)+
+            v
+        }
+
+        /// Inverse of [`stats_to_vec`] for checkpoint restore. Fields
+        /// missing from an older (shorter) checkpoint read as zero, so the
+        /// vector stays append-only like the digest it feeds.
+        pub fn stats_from_vec(v: &[u64]) -> CopierStats {
+            let g = |i: usize| v.get(i).copied().unwrap_or(0);
+            let mut s = CopierStats::default();
+            $(s.$($field).+ = stats_table!(@restore $conv, g(stats_layout::$slot));)+
+            s
+        }
+
+        /// Every `(const name, index)` of [`stats_layout`], in table order.
+        #[cfg(test)]
+        const STATS_SLOT_NAMES: &[(&str, usize)] =
+            &[$((stringify!($slot), stats_layout::$slot)),+];
+    };
+    (@consts $at:expr; $slot:ident = $($field:ident).+, $($rest:tt)*) => {
+        #[doc = concat!("`", stringify!($($field).+), "`.")]
+        pub const $slot: usize = $at;
+        stats_table!(@consts $at + 1; $($rest)*);
+    };
+    (@consts $at:expr;) => {
+        /// One past the last assigned index.
+        pub const LEN: usize = $at;
+    };
+    (@flatten u64, $e:expr) => { $e };
+    (@flatten usize, $e:expr) => { $e as u64 };
+    (@flatten nanos, $e:expr) => { $e.as_nanos() };
+    (@restore u64, $e:expr) => { $e };
+    (@restore usize, $e:expr) => { $e as usize };
+    (@restore nanos, $e:expr) => { Nanos($e) };
+}
+
+stats_table! {
+    TASKS_COMPLETED = tasks_completed as u64,
+    BYTES_COPIED = bytes_copied as u64,
+    BYTES_ABSORBED = bytes_absorbed as u64,
+    BYTES_DEFERRED_EXECUTED = bytes_deferred_executed as u64,
+    SYNCS = syncs as u64,
+    PROMOTIONS = promotions as u64,
+    ABORTS = aborts as u64,
+    FAULTS = faults as u64,
+    IDLE_POLLS = idle_polls as u64,
+    BUSY_ROUNDS = busy_rounds as u64,
+    DISPATCH_CPU_BYTES = dispatch.cpu_bytes as usize,
+    DISPATCH_DMA_BYTES = dispatch.dma_bytes as usize,
+    DISPATCH_DMA_DESCRIPTORS = dispatch.dma_descriptors as usize,
+    DISPATCH_DMA_WAIT_NS = dispatch.dma_wait as nanos,
+    DISPATCH_RETRIES = dispatch.retries as u64,
+    DISPATCH_FALLBACK_BYTES = dispatch.fallback_bytes as usize,
+    PROACTIVE_FAULTS = proactive_faults as u64,
+    RETRIES = retries as u64,
+    FALLBACK_BYTES = fallback_bytes as u64,
+    QUARANTINED_CHANNELS = quarantined_channels as u64,
+    ORPHANS_RECLAIMED = orphans_reclaimed as u64,
+    DEPENDENTS_ABORTED = dependents_aborted as u64,
+    ADMISSION_REJECTED = admission_rejected as u64,
+    SHED_BYTES = shed_bytes as u64,
+    CREDITS_GRANTED = credits_granted as u64,
+    DEGRADED_SYNC_COPIES = degraded_sync_copies as u64,
+    PRESSURE_EVENTS = pressure_events as u64,
+    HAZARD_SCANS = hazard_scans as u64,
+    INDEX_HITS = index_hits as u64,
+    INDEX_ENTRIES_PEAK = index_entries_peak as u64,
+    ROUNDS_SETTLED = rounds_settled as u64,
+    ROUNDS_ACTIVE = rounds_active as u64,
+    CRASHES = crashes as u64,
+    RECOVERED_TASKS = recovered_tasks as u64,
+    RECOVERED_FINALIZED = recovered_finalized as u64,
+    DROPPED_UNJOURNALED = dropped_unjournaled as u64,
+    TORN_POISONED = torn_poisoned as u64,
+    DISPATCH_CORRUPTIONS = dispatch.corruptions as u64,
+    DISPATCH_REPAIRS = dispatch.repairs as u64,
+    CORRUPTED_POISONED = corrupted_poisoned as u64,
+    SCRUB_CHUNKS = scrub_chunks as u64,
+    SCRUB_HEALS = scrub_heals as u64,
+    SCRUB_UNREPAIRABLE = scrub_unrepairable as u64,
+    CORRUPT_QUARANTINED = corrupt_quarantined as u64,
 }
 
 /// Canonical flattening of [`CopierStats`] into the append-only
@@ -3554,176 +3314,38 @@ pub fn stats_to_vec(s: &CopierStats) -> Vec<u64> {
     stats_slots(s).to_vec()
 }
 
-/// [`stats_to_vec`] without the allocation: the per-round trace state
-/// hash folds this.
-fn stats_slots(s: &CopierStats) -> [u64; stats_layout::LEN] {
-    use stats_layout::*;
-    let mut v = [0u64; LEN];
-    v[TASKS_COMPLETED] = s.tasks_completed;
-    v[BYTES_COPIED] = s.bytes_copied;
-    v[BYTES_ABSORBED] = s.bytes_absorbed;
-    v[BYTES_DEFERRED_EXECUTED] = s.bytes_deferred_executed;
-    v[SYNCS] = s.syncs;
-    v[PROMOTIONS] = s.promotions;
-    v[ABORTS] = s.aborts;
-    v[FAULTS] = s.faults;
-    v[IDLE_POLLS] = s.idle_polls;
-    v[BUSY_ROUNDS] = s.busy_rounds;
-    v[DISPATCH_CPU_BYTES] = s.dispatch.cpu_bytes as u64;
-    v[DISPATCH_DMA_BYTES] = s.dispatch.dma_bytes as u64;
-    v[DISPATCH_DMA_DESCRIPTORS] = s.dispatch.dma_descriptors as u64;
-    v[DISPATCH_DMA_WAIT_NS] = s.dispatch.dma_wait.as_nanos();
-    v[DISPATCH_RETRIES] = s.dispatch.retries;
-    v[DISPATCH_FALLBACK_BYTES] = s.dispatch.fallback_bytes as u64;
-    v[PROACTIVE_FAULTS] = s.proactive_faults;
-    v[RETRIES] = s.retries;
-    v[FALLBACK_BYTES] = s.fallback_bytes;
-    v[QUARANTINED_CHANNELS] = s.quarantined_channels;
-    v[ORPHANS_RECLAIMED] = s.orphans_reclaimed;
-    v[DEPENDENTS_ABORTED] = s.dependents_aborted;
-    v[ADMISSION_REJECTED] = s.admission_rejected;
-    v[SHED_BYTES] = s.shed_bytes;
-    v[CREDITS_GRANTED] = s.credits_granted;
-    v[DEGRADED_SYNC_COPIES] = s.degraded_sync_copies;
-    v[PRESSURE_EVENTS] = s.pressure_events;
-    v[HAZARD_SCANS] = s.hazard_scans;
-    v[INDEX_HITS] = s.index_hits;
-    v[INDEX_ENTRIES_PEAK] = s.index_entries_peak;
-    v[ROUNDS_SETTLED] = s.rounds_settled;
-    v[ROUNDS_ACTIVE] = s.rounds_active;
-    v[CRASHES] = s.crashes;
-    v[RECOVERED_TASKS] = s.recovered_tasks;
-    v[RECOVERED_FINALIZED] = s.recovered_finalized;
-    v[DROPPED_UNJOURNALED] = s.dropped_unjournaled;
-    v[TORN_POISONED] = s.torn_poisoned;
-    v[DISPATCH_CORRUPTIONS] = s.dispatch.corruptions;
-    v[DISPATCH_REPAIRS] = s.dispatch.repairs;
-    v[CORRUPTED_POISONED] = s.corrupted_poisoned;
-    v[SCRUB_CHUNKS] = s.scrub_chunks;
-    v[SCRUB_HEALS] = s.scrub_heals;
-    v[SCRUB_UNREPAIRABLE] = s.scrub_unrepairable;
-    v[CORRUPT_QUARANTINED] = s.corrupt_quarantined;
-    v
-}
-
-/// Inverse of [`stats_to_vec`] for checkpoint restore. Fields missing
-/// from an older (shorter) checkpoint read as zero, so the vector stays
-/// append-only like the digest it feeds.
-pub fn stats_from_vec(v: &[u64]) -> CopierStats {
-    use stats_layout::*;
-    let g = |i: usize| v.get(i).copied().unwrap_or(0);
-    CopierStats {
-        tasks_completed: g(TASKS_COMPLETED),
-        bytes_copied: g(BYTES_COPIED),
-        bytes_absorbed: g(BYTES_ABSORBED),
-        bytes_deferred_executed: g(BYTES_DEFERRED_EXECUTED),
-        syncs: g(SYNCS),
-        promotions: g(PROMOTIONS),
-        aborts: g(ABORTS),
-        faults: g(FAULTS),
-        idle_polls: g(IDLE_POLLS),
-        busy_rounds: g(BUSY_ROUNDS),
-        dispatch: DispatchReport {
-            cpu_bytes: g(DISPATCH_CPU_BYTES) as usize,
-            dma_bytes: g(DISPATCH_DMA_BYTES) as usize,
-            dma_descriptors: g(DISPATCH_DMA_DESCRIPTORS) as usize,
-            dma_wait: Nanos(g(DISPATCH_DMA_WAIT_NS)),
-            retries: g(DISPATCH_RETRIES),
-            fallback_bytes: g(DISPATCH_FALLBACK_BYTES) as usize,
-            corruptions: g(DISPATCH_CORRUPTIONS),
-            repairs: g(DISPATCH_REPAIRS),
-        },
-        proactive_faults: g(PROACTIVE_FAULTS),
-        retries: g(RETRIES),
-        fallback_bytes: g(FALLBACK_BYTES),
-        quarantined_channels: g(QUARANTINED_CHANNELS),
-        orphans_reclaimed: g(ORPHANS_RECLAIMED),
-        dependents_aborted: g(DEPENDENTS_ABORTED),
-        admission_rejected: g(ADMISSION_REJECTED),
-        shed_bytes: g(SHED_BYTES),
-        credits_granted: g(CREDITS_GRANTED),
-        degraded_sync_copies: g(DEGRADED_SYNC_COPIES),
-        pressure_events: g(PRESSURE_EVENTS),
-        hazard_scans: g(HAZARD_SCANS),
-        index_hits: g(INDEX_HITS),
-        index_entries_peak: g(INDEX_ENTRIES_PEAK),
-        rounds_settled: g(ROUNDS_SETTLED),
-        rounds_active: g(ROUNDS_ACTIVE),
-        crashes: g(CRASHES),
-        recovered_tasks: g(RECOVERED_TASKS),
-        recovered_finalized: g(RECOVERED_FINALIZED),
-        dropped_unjournaled: g(DROPPED_UNJOURNALED),
-        torn_poisoned: g(TORN_POISONED),
-        corrupted_poisoned: g(CORRUPTED_POISONED),
-        scrub_chunks: g(SCRUB_CHUNKS),
-        scrub_heals: g(SCRUB_HEALS),
-        scrub_unrepairable: g(SCRUB_UNREPAIRABLE),
-        corrupt_quarantined: g(CORRUPT_QUARANTINED),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Pins every committed [`stats_layout`] index: a renumbering would
-    /// silently corrupt journal checkpoints and trace state hashes
-    /// recorded by older builds, so this test is the freeze.
+    /// Pins every committed [`stats_layout`] index by name: a renumbering
+    /// — or a reordered `stats_table!` row — would silently corrupt
+    /// journal checkpoints and trace state hashes recorded by older
+    /// builds, so this golden is the freeze.
     #[test]
     fn stats_layout_is_frozen() {
-        use stats_layout::*;
-        let assigned = [
-            TASKS_COMPLETED,
-            BYTES_COPIED,
-            BYTES_ABSORBED,
-            BYTES_DEFERRED_EXECUTED,
-            SYNCS,
-            PROMOTIONS,
-            ABORTS,
-            FAULTS,
-            IDLE_POLLS,
-            BUSY_ROUNDS,
-            DISPATCH_CPU_BYTES,
-            DISPATCH_DMA_BYTES,
-            DISPATCH_DMA_DESCRIPTORS,
-            DISPATCH_DMA_WAIT_NS,
-            DISPATCH_RETRIES,
-            DISPATCH_FALLBACK_BYTES,
-            PROACTIVE_FAULTS,
-            RETRIES,
-            FALLBACK_BYTES,
-            QUARANTINED_CHANNELS,
-            ORPHANS_RECLAIMED,
-            DEPENDENTS_ABORTED,
-            ADMISSION_REJECTED,
-            SHED_BYTES,
-            CREDITS_GRANTED,
-            DEGRADED_SYNC_COPIES,
-            PRESSURE_EVENTS,
-            HAZARD_SCANS,
-            INDEX_HITS,
-            INDEX_ENTRIES_PEAK,
-            ROUNDS_SETTLED,
-            ROUNDS_ACTIVE,
-            CRASHES,
-            RECOVERED_TASKS,
-            RECOVERED_FINALIZED,
-            DROPPED_UNJOURNALED,
-            TORN_POISONED,
-            DISPATCH_CORRUPTIONS,
-            DISPATCH_REPAIRS,
-            CORRUPTED_POISONED,
-            SCRUB_CHUNKS,
-            SCRUB_HEALS,
-            SCRUB_UNREPAIRABLE,
-            CORRUPT_QUARANTINED,
-        ];
-        assert_eq!(assigned.len(), LEN, "every slot below LEN is assigned");
-        // The declaration above lists the indexes in their frozen wire
-        // order, so position == value pins each one individually.
-        for (pos, &idx) in assigned.iter().enumerate() {
-            assert_eq!(idx, pos, "stats_layout index renumbered at slot {pos}");
-        }
+        let golden = "\
+             TASKS_COMPLETED=0 BYTES_COPIED=1 BYTES_ABSORBED=2 \
+             BYTES_DEFERRED_EXECUTED=3 SYNCS=4 PROMOTIONS=5 ABORTS=6 FAULTS=7 \
+             IDLE_POLLS=8 BUSY_ROUNDS=9 DISPATCH_CPU_BYTES=10 \
+             DISPATCH_DMA_BYTES=11 DISPATCH_DMA_DESCRIPTORS=12 \
+             DISPATCH_DMA_WAIT_NS=13 DISPATCH_RETRIES=14 \
+             DISPATCH_FALLBACK_BYTES=15 PROACTIVE_FAULTS=16 RETRIES=17 \
+             FALLBACK_BYTES=18 QUARANTINED_CHANNELS=19 ORPHANS_RECLAIMED=20 \
+             DEPENDENTS_ABORTED=21 ADMISSION_REJECTED=22 SHED_BYTES=23 \
+             CREDITS_GRANTED=24 DEGRADED_SYNC_COPIES=25 PRESSURE_EVENTS=26 \
+             HAZARD_SCANS=27 INDEX_HITS=28 INDEX_ENTRIES_PEAK=29 \
+             ROUNDS_SETTLED=30 ROUNDS_ACTIVE=31 CRASHES=32 RECOVERED_TASKS=33 \
+             RECOVERED_FINALIZED=34 DROPPED_UNJOURNALED=35 TORN_POISONED=36 \
+             DISPATCH_CORRUPTIONS=37 DISPATCH_REPAIRS=38 \
+             CORRUPTED_POISONED=39 SCRUB_CHUNKS=40 SCRUB_HEALS=41 \
+             SCRUB_UNREPAIRABLE=42 CORRUPT_QUARANTINED=43";
+        let assigned: Vec<String> = STATS_SLOT_NAMES
+            .iter()
+            .map(|(name, idx)| format!("{name}={idx}"))
+            .collect();
+        assert_eq!(assigned, golden.split_whitespace().collect::<Vec<_>>());
+        assert_eq!(assigned.len(), stats_layout::LEN, "every slot is named");
     }
 
     /// The per-round `stats_digest` folds exactly what the journal

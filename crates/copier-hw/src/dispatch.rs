@@ -116,9 +116,6 @@ pub struct Dispatcher {
     dma: Option<Rc<DmaEngine>>,
     scratch: RefCell<Vec<Scratch>>,
     verify: Cell<VerifyPolicy>,
-    /// Re-copy attempts per detected corruption before giving the task
-    /// up as [`Dispatcher::take_corrupted`].
-    repair_limit: Cell<u32>,
     /// Task ids whose corruption survived the repair budget this batch,
     /// drained by the service after `execute_batch`.
     corrupted: RefCell<Vec<u64>>,
@@ -175,16 +172,13 @@ impl Dispatcher {
             dma,
             scratch: RefCell::new(Vec::new()),
             verify: Cell::new(VerifyPolicy::Off),
-            repair_limit: Cell::new(2),
             corrupted: RefCell::new(Vec::new()),
         }
     }
 
-    /// Sets the dispatcher-wide verification policy and the per-detection
-    /// repair budget.
-    pub fn set_verify(&self, policy: VerifyPolicy, repair_limit: u32) {
+    /// Sets the dispatcher-wide verification policy.
+    pub fn set_verify(&self, policy: VerifyPolicy) {
         self.verify.set(policy);
-        self.repair_limit.set(repair_limit);
     }
 
     /// The dispatcher-wide verification policy.
@@ -534,7 +528,10 @@ impl Dispatcher {
         want: u64,
         full: bool,
     ) -> bool {
-        for _ in 0..self.repair_limit.get() {
+        /// Re-copy attempts per detected corruption before giving the
+        /// task up as [`Dispatcher::take_corrupted`].
+        const REPAIR_LIMIT: u32 = 2;
+        for _ in 0..REPAIR_LIMIT {
             if extent_phys_digest(&self.pm, st.src, full) != want {
                 return false;
             }
@@ -658,7 +655,7 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), Some(dma));
         let task = split_pages(planned(&pm, 1, 8)); // 32 KB in 8 page subtasks
-        let (hw, plan) = d.plan(&[task.clone()]);
+        let (hw, plan) = d.plan(std::slice::from_ref(&task));
         assert_eq!(hw[0].subtasks, task.subtasks, "pages fit: nothing is cut");
         let dma_idx: Vec<usize> = plan[0]
             .iter()
@@ -926,9 +923,9 @@ mod tests {
         let mut covered = vec![false; 16 * PAGE_SIZE];
         for (id, off, len) in progress.borrow().iter() {
             assert_eq!(*id, 7);
-            for b in *off..*off + *len {
-                assert!(!covered[b], "byte {b} reported twice");
-                covered[b] = true;
+            for (b, seen) in covered.iter_mut().enumerate().skip(*off).take(*len) {
+                assert!(!*seen, "byte {b} reported twice");
+                *seen = true;
             }
         }
         assert!(covered.iter().all(|&b| b));
@@ -959,7 +956,7 @@ mod tests {
         let dma = DmaEngine::with_channels(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan));
         let eng = Rc::clone(&dma);
         let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, Some(dma)));
-        d.set_verify(policy, 2);
+        d.set_verify(policy);
         let task = split_pages(planned(&pm, 3, 16));
         let (src0, dst0) = (task.subtasks[0].src.frame, task.subtasks[0].dst.frame);
         let core = m.core(0);

@@ -283,7 +283,7 @@ mod tests {
             let lo = p * PAGE_SIZE;
             for (i, &v) in page.iter().enumerate() {
                 let abs = lo + i;
-                if abs >= 50 && abs < 50 + 2 * PAGE_SIZE {
+                if (50..50 + 2 * PAGE_SIZE).contains(&abs) {
                     got[abs - 50] = v;
                 }
             }
@@ -364,7 +364,7 @@ mod slice_tests {
         let whole = slice_extents(&ex, 0, 8000);
         assert_eq!(whole.to_vec(), ex.to_vec());
         // Slice crossing a page boundary inside an extent normalizes.
-        let s2 = slice_extents(&ex, 3000 + 4096 - 0, 10);
+        let s2 = slice_extents(&ex, 3000 + 4096, 10);
         assert_eq!(s2[0].frame, FrameId(10));
     }
 }

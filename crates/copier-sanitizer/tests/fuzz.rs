@@ -78,6 +78,9 @@ fn src_reads_allowed_src_writes_and_frees_reported() {
     );
 }
 
+/// `(dst, src, len)` per poisoning copy, `(addr, len)` per probe.
+type PoisonCase = (Vec<(u64, u64, usize)>, Vec<(u64, usize)>);
+
 #[test]
 fn csync_all_amnesties_any_poison_set() {
     check_with(
@@ -106,7 +109,7 @@ fn csync_all_amnesties_any_poison_set() {
             (poisons, probes)
         },
         |_| Vec::new(),
-        |(poisons, probes): &(Vec<(u64, u64, usize)>, Vec<(u64, usize)>)| {
+        |(poisons, probes): &PoisonCase| {
             let s = Sanitizer::new();
             for &(d, src, l) in poisons {
                 s.on_amemcpy(d, src, l);

@@ -74,7 +74,7 @@ fn arbitrary_vec_roundtrips_through_runner() {
             cases: 64,
             ..Config::default()
         },
-        |rng| Vec::<u16>::arbitrary(rng),
+        Vec::<u16>::arbitrary,
         |v| v.shrink(),
         |v| {
             let doubled: Vec<u32> = v.iter().map(|&x| x as u32 * 2).collect();

@@ -18,7 +18,7 @@ fn run(mode: RedisMode, with_copier: bool, label: &str) {
         os.install_copier(vec![os.machine.core(2)], Default::default());
     }
     let net = NetStack::new(&os);
-    let server = RedisServer::new(&os, &net, mode, 512 * 1024).unwrap();
+    let server = RedisServer::new(&os, &net, mode, 512 * 1024);
     let (client_sock, server_sock) = net.socket_pair();
 
     let score = os.machine.core(1);

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
-cargo clippy --workspace --offline --locked -- -D warnings
+cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 
 # Order oracle: the executor, Notify/Chan and Core against their
 # `#[cfg(test)]` reference (the Arc/Mutex executor and driver-task cores
@@ -218,6 +218,13 @@ sys.exit(0 if ok else 1)
 PY
 fi
 echo "BENCH_fig12.json OK"
+
+# Fig. 11: the mini-Redis under two connections in all five systems. The
+# client byte-compares every reply (GET payloads and SET acknowledgements)
+# and the bench asserts every request was served, so exit 0 is the gate;
+# it prints rows and commits no file (seconds, virtual time).
+cargo bench -q -p copier-bench --offline --locked --bench fig11_redis >/dev/null
+echo "fig11_redis OK"
 
 # Repro-corpus replay: every committed .cptr trace under tests/repros/
 # must replay through the current build without divergence — a frozen

@@ -550,7 +550,7 @@ fn torn_destination_is_poisoned_at_recovery() {
             src_digest: uspace.extent_digest(src, len),
         });
         j.flush();
-        assert!(store.len() > 0, "staged admit must reach the store");
+        assert!(!store.is_empty(), "staged admit must reach the store");
     }
     // The torn write: the crash left only half the head page copied, so
     // the extent digest now matches neither journaled side.

@@ -17,7 +17,7 @@ fn redis_trace(seed: u64) -> (Vec<u64>, u64, u64) {
     let os = Os::boot(&h, machine, 16 * 1024);
     os.install_copier(vec![os.machine.core(2)], Default::default());
     let net = NetStack::new(&os);
-    let server = RedisServer::new(&os, &net, RedisMode::Copier, 256 * 1024).unwrap();
+    let server = RedisServer::new(&os, &net, RedisMode::Copier, 256 * 1024);
     let (cs, ss) = net.socket_pair();
     let score = os.machine.core(1);
     let server2 = Rc::clone(&server);

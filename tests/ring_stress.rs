@@ -42,7 +42,7 @@ fn mpsc_no_loss_no_duplication_per_producer_fifo() {
                     Some(v) => {
                         let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
                         assert!(
-                            last[p].map_or(true, |x| x < i),
+                            last[p].is_none_or(|x| x < i),
                             "producer {p} out of order: {i} after {:?}",
                             last[p]
                         );
@@ -118,7 +118,7 @@ fn randomized_interleavings_preserve_ring_contract() {
                         Some(v) => {
                             let (p, i) = ((v >> 32) as usize, v & 0xffff_ffff);
                             assert!(
-                                last[p].map_or(true, |x| x < i),
+                                last[p].is_none_or(|x| x < i),
                                 "producer {p} out of order: {i} after {:?}",
                                 last[p]
                             );

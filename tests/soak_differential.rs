@@ -285,9 +285,8 @@ fn no_shrink(_: &SoakCase) -> Vec<SoakCase> {
 }
 
 /// Tier 1: at every shard count, a fault-free fast-path run is
-/// bit-identical to its full-sweep reference — and sharded rounds never
-/// call `autoscale` in either mode. (128 cases × 4 shard counts = 512
-/// seeded schedule pairs.)
+/// bit-identical to its full-sweep reference. (128 cases × 4 shard counts
+/// = 512 seeded schedule pairs.)
 #[test]
 fn fast_rounds_match_full_sweep_reference_at_every_shard_count() {
     check_with(
@@ -297,21 +296,9 @@ fn fast_rounds_match_full_sweep_reference_at_every_shard_count() {
         |case: &SoakCase| -> PropResult {
             for shards in [1usize, 2, 3, 4] {
                 let (fast, fast_obs) = run_soak(case, shards, false, None);
-                let (full, full_obs) = run_soak(case, shards, true, None);
+                let (full, _) = run_soak(case, shards, true, None);
                 prop_assert!(fast.phantom.is_none(), "{:?}", fast.phantom);
                 prop_assert_eq!(&fast, &full, "fast path diverged at {} shards", shards);
-                if shards > 1 {
-                    prop_assert_eq!(
-                        fast_obs.autoscale_calls,
-                        0,
-                        "sharded fast-path round called autoscale"
-                    );
-                    prop_assert_eq!(
-                        full_obs.autoscale_calls,
-                        0,
-                        "sharded full-sweep round called autoscale"
-                    );
-                }
                 // The fast path must actually be on: submissions ring the
                 // doorbell, settles drain the active set.
                 prop_assert!(fast_obs.activations > 0, "no doorbell ever activated");
@@ -728,114 +715,5 @@ fn fast_recording_replays_through_full_sweep() {
             }
             Ok(())
         },
-    );
-}
-
-/// Autoscale gating: the unsharded multi-core service still autoscales —
-/// from the O(1) pending aggregate on the fast path, from the legacy
-/// O(clients × sets) sweep only in full-sweep mode — and both modes land
-/// the identical run.
-#[test]
-fn autoscale_reads_aggregate_not_sweep() {
-    fn run_autoscale(full_sweep: bool) -> (Exact, ControlObs) {
-        let case = SoakCase {
-            seed: 0xA5CA_1E,
-            tenants: 4,
-            ncopies: 6,
-            len: 48 * 1024,
-            faults: None,
-        };
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let machine = Machine::new(&h, case.tenants + 2);
-        let os = Os::boot(&h, machine, 8192);
-        let mut cfg = soak_cfg(&case, 1, full_sweep);
-        cfg.auto_scale = true;
-        cfg.low_load = 4 * 1024;
-        cfg.high_load = 64 * 1024;
-        os.install_copier(
-            vec![
-                os.machine.core(case.tenants),
-                os.machine.core(case.tenants + 1),
-            ],
-            cfg,
-        );
-        let done = Rc::new(Cell::new(0usize));
-        let mut tenants = Vec::new();
-        for t in 0..case.tenants {
-            let proc = os.spawn_process();
-            let lib = proc.lib();
-            let uspace = Rc::clone(&lib.uspace);
-            let mut bufs = Vec::new();
-            for c in 0..case.ncopies {
-                let src = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                let dst = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                uspace
-                    .write_bytes(src, &pattern(t, c, case.seed, case.len))
-                    .unwrap();
-                bufs.push((src, dst));
-            }
-            let descrs: Rc<RefCell<Vec<Rc<SegDescriptor>>>> = Rc::new(RefCell::new(Vec::new()));
-            let lib2 = Rc::clone(&lib);
-            let os2 = Rc::clone(&os);
-            let d2 = Rc::clone(&descrs);
-            let done2 = Rc::clone(&done);
-            let core = os.machine.core(t);
-            let bufs2 = bufs.clone();
-            let len = case.len;
-            let ntenants = case.tenants;
-            sim.spawn("tenant", async move {
-                for &(src, dst) in bufs2.iter() {
-                    let d = lib2.amemcpy(&core, dst, src, len).await.expect("admitted");
-                    d2.borrow_mut().push(d);
-                }
-                let _ = lib2.csync_all(&core).await;
-                done2.set(done2.get() + 1);
-                if done2.get() == ntenants {
-                    os2.copier().stop();
-                }
-            });
-            tenants.push((lib, uspace, bufs, descrs));
-        }
-        let end = sim.run();
-        let svc = os.copier();
-        svc.audit_aggregates().unwrap();
-        let mut per_copy = Vec::new();
-        for (t, (_lib, uspace, bufs, descrs)) in tenants.iter().enumerate() {
-            for (c, d) in descrs.borrow().iter().enumerate() {
-                let (_src, dst) = bufs[c];
-                let mut got = vec![0u8; case.len];
-                uspace.read_bytes(dst, &mut got).unwrap();
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
-                per_copy.push((t, c, d.fault(), digest));
-            }
-        }
-        let s = svc.stats();
-        (
-            Exact {
-                per_copy,
-                end: end.as_nanos(),
-                stats: stats_to_vec(&s),
-                per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
-                pinned: os.pm.pinned_frames(),
-                phantom: None,
-            },
-            svc.control_obs(),
-        )
-    }
-
-    let (fast, fast_obs) = run_autoscale(false);
-    let (full, full_obs) = run_autoscale(true);
-    assert_eq!(fast, full, "autoscale read path changed the run");
-    assert!(fast_obs.autoscale_calls > 0, "autoscale never consulted");
-    assert!(full_obs.autoscale_calls > 0, "autoscale never consulted");
-    assert_eq!(
-        fast_obs.autoscale_sweeps, 0,
-        "fast path paid the O(clients x sets) load sweep"
-    );
-    assert!(
-        full_obs.autoscale_sweeps > 0,
-        "full-sweep mode should pay the legacy sweep"
     );
 }
