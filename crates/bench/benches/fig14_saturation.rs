@@ -6,12 +6,12 @@
 //! percent of throughput to submission/polling cycles.
 //!
 //! Our miniature Redis still diverges at saturation for 8 KB values —
-//! −17% of throughput against the paper's −4.3% — while 16 KB values
-//! now keep the baseline's throughput (+2%; paper −6.5%), since one
-//! round serves every instance's copy out of one slice (see
-//! EXPERIMENTS.md). `BENCH_saturation.json` pins both halves of that
-//! story: the idle-core wins must hold, and the saturation loss may not
-//! regress below the measured floor.
+//! −12% of throughput against the paper's −4.3%, latency +4.5% where
+//! the paper cuts it — while 16 KB values gain throughput there (+10%;
+//! paper −6.5%) and cut latency 9.6% (see EXPERIMENTS.md).
+//! `BENCH_saturation.json` pins both halves of that story: the idle-core
+//! wins must hold, and the saturation loss may not regress below the
+//! floor.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -23,7 +23,10 @@ use copier_bench::{delta, ratio, row, section, stats};
 use copier_os::{NetStack, Os};
 use copier_sim::{Machine, Nanos, Sim, SimRng};
 
-const REQS: u64 = 20;
+/// Requests per instance: a point is ≥ 9 ms of steady state. (At 20 a
+/// point is a ≈ 250 µs start-up transient in which the Copier core
+/// mostly idles.)
+const REQS: u64 = 1000;
 const CORES: usize = 4;
 
 /// Runs `instances` Redis servers (one per core, wrapping) on a 4-core

@@ -51,6 +51,13 @@ struct Tracked {
     descr: Rc<SegDescriptor>,
 }
 
+/// Whether a tracked copy leaves nothing to wait for: it faulted, or every
+/// byte landed — and, for a zero-length copy (born with every byte
+/// landed), the service has settled it.
+fn retired(d: &SegDescriptor) -> bool {
+    d.fault().is_some() || (d.all_ready() && (!d.is_empty() || d.delivered()))
+}
+
 /// Options for the low-level `_amemcpy` (§5.1, Table 2).
 #[derive(Default)]
 pub struct AmemcpyOpts {
@@ -570,7 +577,7 @@ impl CopierHandle {
     pub fn track(&self, space_id: u32, start: VirtAddr, len: usize, descr: Rc<SegDescriptor>) {
         let mut t = self.tracked.borrow_mut();
         if t.len() > 128 {
-            t.retain(|x| !(x.descr.all_ready() || x.descr.fault().is_some()));
+            t.retain(|x| !retired(&x.descr));
             self.pool.recycle();
         }
         t.push(Tracked {
@@ -670,14 +677,18 @@ impl CopierHandle {
         sync_len: usize,
         fd: usize,
     ) -> CsyncResult {
-        if let Some(f) = descr.fault() {
-            if f == CopyFault::Corrupted {
-                self.corrupted_seen.set(self.corrupted_seen.get() + 1);
+        // `Some` once there is nothing left to wait for.
+        let outcome = || {
+            if let Some(f) = descr.fault() {
+                if f == CopyFault::Corrupted {
+                    self.corrupted_seen.set(self.corrupted_seen.get() + 1);
+                }
+                return Some(Err(f));
             }
-            return Err(f);
-        }
-        if descr.range_ready(off, len) {
-            return Ok(());
+            descr.range_ready(off, len).then_some(Ok(()))
+        };
+        if let Some(done) = outcome() {
+            return done;
         }
         // Submit a Sync Task to promote the segments (§4.1), then poll the
         // descriptor — the client-side blocking cost is real spin time.
@@ -706,26 +717,23 @@ impl CopierHandle {
             }
         }
         self.doorbell();
-        // Spin briefly (the paper's polling wait), then yield the core in
-        // slices — on a saturated machine a blocked csync must not starve
-        // co-scheduled work (sched_yield behavior).
+        self.spin_until(core, || {
+            descr.fault().is_some() || descr.range_ready(off, len)
+        })
+        .await;
+        // Neither faulted nor ready: the client was reaped mid-wait.
+        outcome().unwrap_or(Err(CopyFault::Aborted))
+    }
+
+    /// Polls `done` the way a blocked csync waits: spin briefly (the
+    /// paper's polling wait), then yield the core in slices — on a
+    /// saturated machine a blocked csync must not starve co-scheduled work
+    /// (sched_yield behavior). Also returns once the client is reaped: it
+    /// will never be served again, so the waiter must not spin forever.
+    async fn spin_until(&self, core: &Rc<Core>, done: impl Fn() -> bool) {
         let h = self.svc().sim_handle().clone();
         let spin_deadline = h.now() + Nanos::from_micros(2);
-        loop {
-            if let Some(f) = descr.fault() {
-                if f == CopyFault::Corrupted {
-                    self.corrupted_seen.set(self.corrupted_seen.get() + 1);
-                }
-                return Err(f);
-            }
-            if descr.range_ready(off, len) {
-                return Ok(());
-            }
-            // A reaped client will never be served again; unblock the
-            // waiter instead of spinning forever.
-            if self.client.dead.get() {
-                return Err(CopyFault::Aborted);
-            }
+        while !done() && !self.client.dead.get() {
             if h.now() < spin_deadline {
                 core.advance(self.spin_step).await;
             } else {
@@ -736,6 +744,16 @@ impl CopierHandle {
 
     /// `csync_all` (Table 2): waits for every tracked async copy, then
     /// runs pending user handlers.
+    ///
+    /// A zero-length copy is born complete, so there are no bytes to wait
+    /// for; `csync_all` waits for the service to settle it instead (its
+    /// handler delivered, its credit returned). No zero-length submission
+    /// is still sitting in the ring when this returns — so, exactly as for
+    /// a copy with bytes, the call blocks while the service is not serving
+    /// (a `ScenarioDriven` service outside its scenario) and returns once
+    /// it is. A caller-owned descriptor reused for a later submission
+    /// (legal only once the earlier one has settled) is waited on for the
+    /// later one: `reset` re-arms `delivered` with everything else.
     pub async fn csync_all(self: &Rc<Self>, core: &Rc<Core>) -> CsyncResult {
         let snapshot: Vec<(u32, u64, usize, Rc<SegDescriptor>)> = self
             .tracked
@@ -745,6 +763,9 @@ impl CopierHandle {
             .collect();
         let mut result = Ok(());
         for (sp, start, len, d) in snapshot {
+            if d.is_empty() {
+                self.spin_until(core, || retired(&d)).await;
+            }
             if let Err(e) = self
                 .wait_descr(core, &d, 0, len, sp, VirtAddr(start), len, 0)
                 .await
@@ -869,9 +890,7 @@ impl CopierHandle {
     /// Drops completed entries from the tracking table and recycles their
     /// descriptors into the pool.
     pub fn prune(&self) {
-        self.tracked
-            .borrow_mut()
-            .retain(|t| !(t.descr.all_ready() || t.descr.fault().is_some()));
+        self.tracked.borrow_mut().retain(|t| !retired(&t.descr));
         self.pool.recycle();
     }
 

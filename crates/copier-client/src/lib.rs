@@ -174,7 +174,10 @@ mod e2e {
     #[test]
     fn absorption_short_circuits_chain() {
         // A: S1 → I (16 KB), B: I → D. With absorption the service copies
-        // S1 → D directly and I is owed lazily.
+        // S1 → D directly and I is owed lazily. The pair lands while an
+        // unrelated 128 KB copy is in service, so the next round drains
+        // and analyses A and B together; an idle service would have
+        // started A alone. Mutant: `absorption: false` (bytes_absorbed 0).
         let mut w = world(CopierConfig::default());
         let space = AddressSpace::new(1, Rc::clone(&w.pm));
         let lib = CopierHandle::new(&w.svc, Rc::clone(&space));
@@ -187,7 +190,11 @@ mod e2e {
             let ibuf = space2.mmap(len, Prot::RW, true).unwrap();
             let d = space2.mmap(len, Prot::RW, true).unwrap();
             let data = fill_pattern(&space2, s1, len, 5);
-            // Submit back-to-back so both sit in the window together.
+            let busy = space2.mmap(256 * 1024, Prot::RW, true).unwrap();
+            lib.amemcpy(&core, busy.add(128 * 1024), busy, 128 * 1024)
+                .await
+                .unwrap();
+            core.advance(Nanos::from_micros(1)).await;
             lib.amemcpy(&core, ibuf, s1, len).await.unwrap();
             lib.amemcpy(&core, d, ibuf, len).await.unwrap();
             lib.csync(&core, d, len).await.unwrap();

@@ -10,8 +10,15 @@ use copier_hw::CostModel;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, Prot};
 use copier_sim::{Machine, Nanos, Sim};
 
-/// One application core (0) and one service core (1).
+/// One application core (0) and one service core (1), service started.
 fn world(cfg: CopierConfig) -> (Sim, Rc<Machine>, Rc<PhysMem>, Rc<Copier>) {
+    let w = idle_world(cfg);
+    w.3.start();
+    w
+}
+
+/// [`world`] with the service built but not yet started.
+fn idle_world(cfg: CopierConfig) -> (Sim, Rc<Machine>, Rc<PhysMem>, Rc<Copier>) {
     let sim = Sim::new();
     let h = sim.handle();
     let machine = Machine::new(&h, 2);
@@ -23,13 +30,20 @@ fn world(cfg: CopierConfig) -> (Sim, Rc<Machine>, Rc<PhysMem>, Rc<Copier>) {
         Rc::new(CostModel::default()),
         cfg,
     );
-    svc.start();
     (sim, machine, pm, svc)
 }
 
+/// Two clients backlogged from the service's first round on (everything
+/// is submitted before `start()`, so nothing depends on which submissions
+/// a round happens to drain together) are served 3:1 when their cgroups'
+/// `copier.shares` are 3:1. The sample is taken when the fast client has
+/// been served six copy slices, not at a wall-clock instant: a round hands
+/// a whole slice to one client, so service is a staircase in time.
+/// Mutant: equal shares (or an `order_into` that ignores the cgroup
+/// weight) alternates the two clients — 6 slices to 5, ratio 1.2.
 #[test]
 fn cgroup_shares_divide_service_bandwidth() {
-    let (mut sim, machine, pm, svc) = world(CopierConfig::default());
+    let (mut sim, machine, pm, svc) = idle_world(CopierConfig::default());
     // Two clients in cgroups with a 3:1 copier.shares ratio.
     let fast_g = svc.sched.create_cgroup("fast", 3072);
     let slow_g = svc.sched.create_cgroup("slow", 1024);
@@ -49,24 +63,28 @@ fn cgroup_shares_divide_service_bandwidth() {
     let served2 = Rc::clone(&served);
     sim.spawn("load", async move {
         let len = 64 * 1024;
-        // Keep both clients saturated with outstanding work.
+        // Both clients saturated with outstanding work.
         let mut bufs = Vec::new();
         for lib in &libs {
             let src = lib.uspace.mmap(len, Prot::RW, true).unwrap();
-            let dsts: Vec<_> = (0..16)
+            let dsts: Vec<_> = (0..32)
                 .map(|_| lib.uspace.mmap(len, Prot::RW, true).unwrap())
                 .collect();
             bufs.push((src, dsts));
         }
-        for round in 0..16 {
+        for round in 0..32 {
             for (lib, (src, dsts)) in libs.iter().zip(&bufs) {
                 lib.amemcpy(&core, dsts[round], *src, len)
                     .await
                     .expect("admitted");
             }
         }
-        // Let the service run for a bounded window, then compare shares.
-        h.sleep(Nanos::from_micros(120)).await;
+        svc2.start();
+        // Both still have a backlog when the fast client reaches 24 of
+        // its 32 copies: compare shares there.
+        while libs[0].client.copied_total.get() < 24 * len as u64 {
+            h.sleep(Nanos::from_micros(1)).await;
+        }
         served2.set((
             libs[0].client.copied_total.get(),
             libs[1].client.copied_total.get(),

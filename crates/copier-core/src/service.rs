@@ -1388,8 +1388,6 @@ impl Copier {
     ) -> bool {
         /// Copier-core nanoseconds charged per drained queue entry.
         const DRAIN_COST_NS: u64 = 25;
-        /// Settle window after draining new tasks before scheduling.
-        const AGGREGATION_DELAY: Nanos = Nanos(150);
         // 0. Background integrity (§integrity): one oracle rot draw per
         // round (zero PRNG draws unless `rot_prob` is enabled, so
         // rot-free runs are byte-identical), then the scrub walker. Both
@@ -1432,21 +1430,12 @@ impl Copier {
                 }
             }
         }
-        // 1. Drain queues into windows.
-        let mut drained = self.drain_assigned(&scratch.clients);
+        // 1. Drain queues into windows, once: a round never waits for a
+        // batch to form. What lands while it executes is the next round's
+        // drain, so load does the batching.
+        let drained = self.drain_assigned(&scratch.clients);
         if drained > 0 {
             core.advance(Nanos(DRAIN_COST_NS * drained as u64)).await;
-            // Settle window: submissions arrive in bursts (a syscall path
-            // or an app loop submits several copies back to back); a short
-            // pause lets the burst land so absorption and e-piggyback see
-            // adjacent tasks together.
-            core.advance(AGGREGATION_DELAY).await;
-            self.assigned_into(idx, scratch);
-            let more = self.drain_assigned(&scratch.clients);
-            if more > 0 {
-                core.advance(Nanos(DRAIN_COST_NS * more as u64)).await;
-                drained += more;
-            }
         }
         // 2. Sync queues (k-mode before u-mode, §4.2.2).
         self.assigned_into(idx, scratch);
@@ -1500,10 +1489,10 @@ impl Copier {
         // 3. Schedule: the runnable clients, least-served first as of now.
         // The round's unit is the copy slice, not a client — it serves
         // down this order until the slice is spent, so everything above
-        // (the sweep, the settle pause, the flush, a barrier generation
-        // under shards) is paid once per slice however little the
-        // least-served client had queued. Nothing drained or charged
-        // while the round runs re-ranks it; that is the next round's.
+        // (the sweep, the flush, a barrier generation under shards) is
+        // paid once per slice however little the least-served client had
+        // queued. Nothing drained or charged while the round runs re-ranks
+        // it; that is the next round's.
         self.assigned_into(idx, scratch);
         self.sched.order_into(
             &scratch.clients,

@@ -226,6 +226,15 @@ echo "BENCH_fig12.json OK"
 cargo bench -q -p copier-bench --offline --locked --bench fig11_redis >/dev/null
 echo "fig11_redis OK"
 
+# §4.6 break-even: the copy size from which Copier beats a sync AVX2 copy,
+# with a Copy-Use window and without one. Virtual time and under a second,
+# so it runs in full and rewrites BENCH_breakeven.json with the committed
+# values; the bench asserts both sizes against their bars (1 KB / 64 KB),
+# so exit 0 is the gate.
+cargo bench -q -p copier-bench --offline --locked --bench fig_breakeven >/dev/null
+git diff --exit-code -- BENCH_breakeven.json
+echo "fig_breakeven OK"
+
 # Repro-corpus replay: every committed .cptr trace under tests/repros/
 # must replay through the current build without divergence — a frozen
 # regression net over the corruption-draw wire format, the service's

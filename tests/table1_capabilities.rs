@@ -159,6 +159,13 @@ fn multiple_replicas_supported() {
     w.sim.run();
 }
 
+/// Tasks drained together are analysed together: the chain a → b → c
+/// lands while an unrelated 128 KB copy is in service (1 µs in, ≈ 10 µs
+/// to go), so the next round's one drain finds both links and c is filled
+/// from a. (A service with nothing else to do starts a → b the moment it
+/// lands, and there is nothing left to absorb when b → c arrives.)
+/// Mutant: `absorption: false` copies both links in full and
+/// `bytes_absorbed` stays 0.
 #[test]
 fn absorbs_redundant_copies() {
     let mut w = world();
@@ -170,7 +177,12 @@ fn absorbs_redundant_copies() {
         let a = space.mmap(32 * 1024, Prot::RW, true).unwrap();
         let b = space.mmap(32 * 1024, Prot::RW, true).unwrap();
         let c = space.mmap(32 * 1024, Prot::RW, true).unwrap();
+        let x = space.mmap(256 * 1024, Prot::RW, true).unwrap();
         space.write_bytes(a, &vec![9u8; 32 * 1024]).unwrap();
+        lib.amemcpy(&core, x.add(128 * 1024), x, 128 * 1024)
+            .await
+            .expect("admitted");
+        core.advance(Nanos::from_micros(1)).await;
         lib.amemcpy(&core, b, a, 32 * 1024).await.expect("admitted");
         lib.amemcpy(&core, c, b, 32 * 1024).await.expect("admitted");
         lib.csync(&core, c, 32 * 1024).await.unwrap();

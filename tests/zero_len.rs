@@ -12,10 +12,10 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use copier::client::AmemcpyOpts;
-use copier::core::{CopierConfig, Handler, DEFAULT_SEGMENT};
+use copier::core::{CopierConfig, Handler, PollMode, SegDescriptor, DEFAULT_SEGMENT};
 use copier::mem::Prot;
 use copier::os::Os;
-use copier::sim::{Machine, Sim};
+use copier::sim::{Machine, Nanos, Sim};
 use copier_testkit::assert_no_pinned_leaks;
 
 /// Zero-length copies complete immediately: born all-ready, handler run,
@@ -87,6 +87,138 @@ fn zero_length_amemcpy_completes_immediately() {
         got.iter().all(|&b| b == 0),
         "destination must stay untouched"
     );
+    assert_no_pinned_leaks(&os.pm);
+}
+
+/// `csync_all` waits for a zero-length task to be settled by the service,
+/// not merely for its (born-complete) descriptor: when it returns, the
+/// handler has run and the credit is back, with no later round needed.
+/// A `csync_all` that returns at once on a born-complete descriptor fails
+/// here, and fails the test above whenever the service's first drain
+/// misses the last of the three submissions.
+#[test]
+fn csync_all_waits_for_a_zero_length_task_to_settle() {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, 2);
+    let os = Os::boot(&h, machine, 2048);
+    let svc = os.install_copier(vec![os.machine.core(1)], CopierConfig::default());
+    let proc = os.spawn_process();
+    let lib = proc.lib();
+    let a = lib.uspace.mmap(4096, Prot::RW, true).unwrap();
+
+    let fired = Rc::new(Cell::new(false));
+    let f2 = Rc::clone(&fired);
+    let core = os.machine.core(0);
+    let credits_before = lib.client.credits.get();
+    sim.spawn("client", async move {
+        let opts = AmemcpyOpts {
+            func: Some(Handler::KFunc(Rc::new(move || f2.set(true)))),
+            ..Default::default()
+        };
+        let d = lib._amemcpy(&core, a, a, 0, opts).await.expect("admitted");
+        assert!(d.all_ready() && !fired.get(), "complete at birth, unserved");
+        lib.csync_all(&core).await.expect("nothing to fault");
+        assert!(fired.get(), "csync_all returned before the handler ran");
+        assert_eq!(lib.client.credits.get(), credits_before, "credit back");
+        svc.stop();
+    });
+    sim.run();
+    assert_no_pinned_leaks(&os.pm);
+}
+
+/// While a `ScenarioDriven` service is outside its scenario nothing is
+/// served, so `csync_all` on a zero-length task blocks exactly as it does
+/// on a copy with bytes, and returns once the scenario is active.
+#[test]
+fn csync_all_on_a_zero_length_task_blocks_while_the_service_is_gated() {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, 2);
+    let os = Os::boot(&h, machine, 2048);
+    let svc = os.install_copier(
+        vec![os.machine.core(1)],
+        CopierConfig {
+            polling: PollMode::ScenarioDriven,
+            ..Default::default()
+        },
+    );
+    svc.set_scenario_active(false);
+    let proc = os.spawn_process();
+    let lib = proc.lib();
+    let a = lib.uspace.mmap(4096, Prot::RW, true).unwrap();
+
+    let fired = Rc::new(Cell::new(false));
+    let returned = Rc::new(Cell::new(false));
+    let gate = Nanos::from_micros(300);
+    sim.spawn("gate", {
+        let (h, svc) = (h.clone(), Rc::clone(&svc));
+        let (fired, returned) = (Rc::clone(&fired), Rc::clone(&returned));
+        async move {
+            h.sleep(gate).await;
+            assert!(!fired.get(), "served outside the scenario");
+            assert!(!returned.get(), "csync_all returned on an unsettled task");
+            svc.set_scenario_active(true);
+        }
+    });
+    let core = os.machine.core(0);
+    let f2 = Rc::clone(&fired);
+    let r2 = Rc::clone(&returned);
+    sim.spawn("client", async move {
+        let opts = AmemcpyOpts {
+            func: Some(Handler::KFunc(Rc::new(move || f2.set(true)))),
+            ..Default::default()
+        };
+        lib._amemcpy(&core, a, a, 0, opts).await.expect("admitted");
+        lib.csync_all(&core).await.expect("nothing to fault");
+        r2.set(true);
+        assert!(h.now() >= gate, "returned before the scenario began");
+        svc.stop();
+    });
+    sim.run();
+    assert!(fired.get() && returned.get());
+    assert_no_pinned_leaks(&os.pm);
+}
+
+/// A caller-owned zero-length descriptor reused once its first submission
+/// has settled is waited on again: `reset` re-arms `delivered`, so the
+/// second `csync_all` does not return on the first submission's flag.
+#[test]
+fn csync_all_waits_again_for_a_reused_zero_length_descriptor() {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, 2);
+    let os = Os::boot(&h, machine, 2048);
+    let svc = os.install_copier(vec![os.machine.core(1)], CopierConfig::default());
+    let proc = os.spawn_process();
+    let lib = proc.lib();
+    let a = lib.uspace.mmap(4096, Prot::RW, true).unwrap();
+
+    let fired = Rc::new(Cell::new(0u32));
+    let f2 = Rc::clone(&fired);
+    let core = os.machine.core(0);
+    let credits_before = lib.client.credits.get();
+    sim.spawn("client", async move {
+        let d = Rc::new(SegDescriptor::new(0, DEFAULT_SEGMENT));
+        for n in 1..=2 {
+            let opts = AmemcpyOpts {
+                descr: Some(Rc::clone(&d)),
+                func: Some(Handler::KFunc(Rc::new({
+                    let f = Rc::clone(&f2);
+                    move || f.set(f.get() + 1)
+                }))),
+                ..Default::default()
+            };
+            lib._amemcpy(&core, a, a, 0, opts).await.expect("admitted");
+            assert!(!d.delivered(), "submission {n} starts unsettled");
+            lib.csync_all(&core).await.expect("nothing to fault");
+            assert_eq!(f2.get(), n, "csync_all {n} returned before handler {n}");
+            assert_eq!(lib.client.credits.get(), credits_before, "credit back");
+        }
+        svc.stop();
+    });
+    sim.run();
+    assert_eq!(fired.get(), 2);
     assert_no_pinned_leaks(&os.pm);
 }
 
