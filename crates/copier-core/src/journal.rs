@@ -292,11 +292,6 @@ impl Journal {
         self.stats.get()
     }
 
-    /// Live (admitted, uncompleted) task count as staged.
-    pub fn live_len(&self) -> usize {
-        self.live.borrow().len()
-    }
-
     fn stage(&self, payload: Vec<u8>) {
         let mut staged = self.staged.borrow_mut();
         self.last_rec_off.set(staged.len());

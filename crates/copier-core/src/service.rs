@@ -159,16 +159,6 @@ pub struct ControlObs {
     pub barrier_wait_ns: u64,
 }
 
-#[derive(Default)]
-struct ObsCells {
-    activations: Cell<u64>,
-    deactivations: Cell<u64>,
-    assign_rebuilds: Cell<u64>,
-    minvr_recomputes: Cell<u64>,
-    hash_refolds: Cell<u64>,
-    barrier_wait_ns: Cell<u64>,
-}
-
 /// Aggregate service statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CopierStats {
@@ -309,7 +299,9 @@ struct ShardState {
     /// Latched watermark-shedding state (hysteresis over this shard's
     /// share of the watermarks).
     shedding: Cell<bool>,
-    /// Monotone per-shard round counter (trace round identity).
+    /// Monotone per-shard round counter: round identity in the
+    /// record/replay trace. Counts every traced poll round, active or
+    /// idle — idle rounds emit nothing thanks to lazy headers.
     round_no: Cell<u64>,
     /// Bytes physically copied by this shard (stats delta).
     bytes_copied: Cell<u64>,
@@ -377,10 +369,6 @@ pub struct Copier {
     /// Wakes shards parked at the round barrier. Distinct from `wake`:
     /// submission wakeups must not release a barrier early.
     barrier_wake: Rc<Notify>,
-    /// Monotone round counter feeding the record/replay trace (round
-    /// identity in the event log; counts every poll round, active or
-    /// idle — idle rounds emit nothing thanks to lazy headers).
-    round_no: Cell<u64>,
     /// Set when an injected crash killed this incarnation: threads exit
     /// immediately and the control plane survives only in the journal
     /// store and client-owned memory.
@@ -408,7 +396,7 @@ pub struct Copier {
     /// Monotone registration sequence feeding [`Client::reg_seq`].
     next_reg: Cell<u64>,
     /// Control-plane cost observables (host-side, not in CopierStats).
-    obs: ObsCells,
+    obs: Cell<ControlObs>,
 }
 
 impl Copier {
@@ -491,7 +479,6 @@ impl Copier {
             barrier_acc: Cell::new(false),
             barrier_any: Cell::new(false),
             barrier_wake: Rc::new(Notify::new()),
-            round_no: Cell::new(0),
             crashed: Cell::new(false),
             epoch: Cell::new(epoch),
             journal,
@@ -501,7 +488,7 @@ impl Copier {
             scrub_pos: Cell::new(0),
             assign_epoch: Cell::new(0),
             next_reg: Cell::new(0),
-            obs: ObsCells::default(),
+            obs: Cell::default(),
         })
     }
 
@@ -593,14 +580,14 @@ impl Copier {
 
     /// Snapshot of the control-plane cost observables (DESIGN.md §18).
     pub fn control_obs(&self) -> ControlObs {
-        ControlObs {
-            activations: self.obs.activations.get(),
-            deactivations: self.obs.deactivations.get(),
-            assign_rebuilds: self.obs.assign_rebuilds.get(),
-            minvr_recomputes: self.obs.minvr_recomputes.get(),
-            hash_refolds: self.obs.hash_refolds.get(),
-            barrier_wait_ns: self.obs.barrier_wait_ns.get(),
-        }
+        self.obs.get()
+    }
+
+    /// Updates the control-plane cost observables in place.
+    fn obs(&self, bump: impl FnOnce(&mut ControlObs)) {
+        let mut o = self.obs.get();
+        bump(&mut o);
+        self.obs.set(o);
     }
 
     /// Cross-checks every incrementally maintained aggregate against a
@@ -709,7 +696,7 @@ impl Copier {
             .borrow_mut()
             .insert(client.reg_seq.get(), Rc::clone(client));
         self.bump_assign_epoch();
-        self.obs.activations.set(self.obs.activations.get() + 1);
+        self.obs(|o| o.activations += 1);
     }
 
     /// Removes `client` from its shard's active set (round-end settle
@@ -723,7 +710,7 @@ impl Copier {
             .borrow_mut()
             .remove(&client.reg_seq.get());
         self.bump_assign_epoch();
-        self.obs.deactivations.set(self.obs.deactivations.get() + 1);
+        self.obs(|o| o.deactivations += 1);
     }
 
     /// Whether `client` holds no unsettled control-plane state: all four
@@ -851,9 +838,7 @@ impl Copier {
         }
         let sh = &self.shards[idx];
         if !sh.min_valid.get() {
-            self.obs
-                .minvr_recomputes
-                .set(self.obs.minvr_recomputes.get() + 1);
+            self.obs(|o| o.minvr_recomputes += 1);
             let clients = self.clients.borrow();
             let live = clients
                 .iter()
@@ -886,16 +871,10 @@ impl Copier {
         sh.bytes.set(sh.bytes.get().saturating_sub(len));
     }
 
-    /// Emits a trace event attributed to `shard`: the legacy anonymous
-    /// emit at one shard (wire-identical to every committed trace), the
-    /// per-shard lazy-header path otherwise.
+    /// Emits a trace event attributed to `shard`.
     fn temit(&self, shard: usize, ev: TraceEvent) {
         if let Some(t) = &self.cfg.tracer {
-            if self.nshards() > 1 {
-                t.emit_on(shard as u32, ev);
-            } else {
-                t.emit(ev);
-            }
+            t.emit_on(shard as u32, ev);
         }
     }
 
@@ -932,31 +911,23 @@ impl Copier {
     }
 
     /// The `(pending, index, stats)` state hashes closing an active
-    /// traced round of a one-shard service: its shard's client sums and
-    /// the digest of the service-wide stats.
-    fn trace_hashes(&self) -> (u64, u64, u64) {
-        let (hp, hx) = self.client_hash_sums(0);
-        (hp, hx, self.stats_digest())
-    }
-
-    /// [`Self::trace_hashes`] for shard `idx` of a sharded service: its
-    /// clients' sums plus the shard's private stats deltas. Closing
-    /// every shard round with these is what lets replay divergence
-    /// localize to a `(shard, round)` pair instead of "somewhere this
-    /// generation".
-    fn shard_trace_hashes(&self, idx: usize) -> (u64, u64, u64) {
+    /// traced round of shard `idx`: its clients' sums, and the fold of
+    /// its private stats cells continued over the service-wide stats.
+    /// Closing every shard round with these is what lets replay
+    /// divergence localize to a `(shard, round)` pair instead of
+    /// "somewhere this generation".
+    fn round_hashes(&self, idx: usize) -> (u64, u64, u64) {
         let (hp, hx) = self.client_hash_sums(idx);
         let sh = &self.shards[idx];
-        let mut hs = FNV_OFFSET;
-        for v in [
+        let hs = [
             sh.bytes.get(),
             sh.bytes_copied.get(),
             sh.tasks_completed.get(),
             sh.rounds_active.get(),
-        ] {
-            hs = fnv_fold(hs, v);
-        }
-        (hp, hx, hs)
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, fnv_fold);
+        (hp, hx, self.stats_digest(hs))
     }
 
     /// Re-folds every dirty client on shard `idx` into the commutative
@@ -978,7 +949,7 @@ impl Copier {
                 .set(sh.hp_sum.get().wrapping_sub(ohp).wrapping_add(nhp));
             sh.hx_sum
                 .set(sh.hx_sum.get().wrapping_sub(ohx).wrapping_add(nhx));
-            self.obs.hash_refolds.set(self.obs.hash_refolds.get() + 1);
+            self.obs(|o| o.hash_refolds += 1);
         }
     }
 
@@ -990,23 +961,18 @@ impl Copier {
         stats_to_vec(&self.stats())
     }
 
-    /// FNV-1a fold of [`Copier::stats_vec`], taken once per active traced
-    /// round: the slots are flattened on the stack straight from a borrow
-    /// of the counters, with the three point-in-time slots read the way
-    /// [`Self::stats`] reads them.
-    fn stats_digest(&self) -> u64 {
+    /// FNV-1a fold of [`Copier::stats_vec`] continued from `seed`, taken
+    /// once per active traced round: the slots are flattened on the stack
+    /// straight from a borrow of the counters, with the three
+    /// point-in-time slots read the way [`Self::stats`] reads them.
+    fn stats_digest(&self, seed: u64) -> u64 {
         use stats_layout::*;
         let mut v = stats_slots(&self.stats.borrow());
         let (quarantined, pressure_events, corrupt_quarantined) = self.stats_gauges();
         v[QUARANTINED_CHANNELS] = quarantined;
         v[PRESSURE_EVENTS] = pressure_events;
         v[CORRUPT_QUARANTINED] = corrupt_quarantined;
-        v.into_iter().fold(FNV_OFFSET, fnv_fold)
-    }
-
-    /// Resets the statistics.
-    pub fn reset_stats(&self) {
-        *self.stats.borrow_mut() = CopierStats::default();
+        v.into_iter().fold(seed, fnv_fold)
     }
 
     /// Registers a client with its user address space
@@ -1255,9 +1221,7 @@ impl Copier {
                 self.barrier_wake.notified().await;
             }
             let waited = (self.h.now() - arrived_at).as_nanos();
-            self.obs
-                .barrier_wait_ns
-                .set(self.obs.barrier_wait_ns.get() + waited);
+            self.obs(|o| o.barrier_wait_ns += waited);
         }
         self.barrier_any.get()
     }
@@ -1300,9 +1264,7 @@ impl Copier {
             return;
         }
         scratch.epoch = ep;
-        self.obs
-            .assign_rebuilds
-            .set(self.obs.assign_rebuilds.get() + 1);
+        self.obs(|o| o.assign_rebuilds += 1);
         let out = &mut scratch.clients;
         out.clear();
         if self.fast_path() {
@@ -1339,12 +1301,13 @@ impl Copier {
 
     /// One service round. Returns whether any work was done.
     ///
-    /// With a tracer configured this wraps the round in `begin_round` /
-    /// `end_round` so every event the round emits carries its round
-    /// identity, closes active rounds with the `(pending, index, stats)`
-    /// state hashes, and appends periodic physical-memory digests. The
-    /// tracer is host-side bookkeeping only — no virtual time is charged,
-    /// so traced and untraced runs have identical timelines.
+    /// With a tracer configured this wraps the round in
+    /// `begin_shard_round` / `end_shard_round` so every event the round
+    /// emits carries its `(shard, round)` identity, closes active rounds
+    /// with the shard's `(pending, index, stats)` state hashes, and
+    /// appends periodic physical-memory digests. The tracer is host-side
+    /// bookkeeping only — no virtual time is charged, so traced and
+    /// untraced runs have identical timelines.
     async fn round(
         self: &Rc<Self>,
         idx: usize,
@@ -1354,26 +1317,12 @@ impl Copier {
         let Some(tracer) = self.cfg.tracer.clone() else {
             return self.round_inner(idx, core, scratch).await;
         };
-        if self.nshards() > 1 {
-            // Sharded round identity is the (shard, per-shard round)
-            // pair; each shard closes its own active rounds with its own
-            // state hashes, so replay divergence names the shard too.
-            let sh = &self.shards[idx];
-            let round_no = sh.round_no.get() + 1;
-            sh.round_no.set(round_no);
-            tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
-            let did = self.round_inner(idx, core, scratch).await;
-            let mem_due = tracer.end_shard_round(idx as u32, || self.shard_trace_hashes(idx));
-            if mem_due {
-                tracer.record_mem(self.pm.digest());
-            }
-            return did;
-        }
-        let round_no = self.round_no.get() + 1;
-        self.round_no.set(round_no);
-        tracer.begin_round(round_no, self.h.now().as_nanos());
+        let sh = &self.shards[idx];
+        let round_no = sh.round_no.get() + 1;
+        sh.round_no.set(round_no);
+        tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
         let did = self.round_inner(idx, core, scratch).await;
-        let mem_due = tracer.end_round(|| self.trace_hashes());
+        let mem_due = tracer.end_shard_round(idx as u32, || self.round_hashes(idx));
         if mem_due {
             tracer.record_mem(self.pm.digest());
         }
@@ -1669,34 +1618,20 @@ impl Copier {
         // `client` itself, and so does the cached minimum), which is what
         // lets the incremental min-vruntime cache answer in O(1).
         let cur = client.copied_total.get();
-        if self.nshards() > 1 {
-            // The exemption stays *global* under sharding: own-shard
-            // clients through the live minimum, peers through the minimum
-            // each shard published at the last barrier — deterministic,
-            // and stale by at most one generation.
-            let sh = &self.shards[client.shard.get()];
-            if let Some(pm) = sh.peer_min_vr.get() {
-                if vruntime_before(pm, cur) {
-                    return false;
-                }
+        // The exemption is *global*: own-shard clients through the live
+        // minimum, peers through the minimum each shard published at the
+        // last barrier — deterministic, and stale by at most one
+        // generation. A lone shard has no peers (`peer_min_vr` is `None`).
+        let sh = &self.shards[client.shard.get()];
+        if let Some(pm) = sh.peer_min_vr.get() {
+            if vruntime_before(pm, cur) {
+                return false;
             }
-            return match self.shard_min_vr(client.shard.get()) {
-                Some(m) => !vruntime_before(m, cur),
-                None => true,
-            };
         }
-        if !self.cfg.full_sweep {
-            return match self.shard_min_vr(0) {
-                Some(m) => !vruntime_before(m, cur),
-                None => true,
-            };
+        match self.shard_min_vr(client.shard.get()) {
+            Some(m) => !vruntime_before(m, cur),
+            None => true,
         }
-        !self
-            .clients
-            .borrow()
-            .iter()
-            .filter(|c| !c.dead.get())
-            .any(|c| vruntime_before(c.copied_total.get(), cur))
     }
 
     /// Rejects a submission: the descriptor is poisoned `Overloaded` (a
@@ -2137,17 +2072,7 @@ impl Copier {
                     by_tid.borrow_mut().push((e.tid, Rc::clone(e)));
                     planned.push(pc);
                 }
-                Err(fault) => {
-                    // Mid-copy fault: poison only this descriptor (partial
-                    // progress already marked stays marked), then abort its
-                    // dependents in dependency order (§4.4).
-                    e.failed.set(Some(fault));
-                    e.task.descr.poison(fault);
-                    client.signals.borrow_mut().push(fault);
-                    self.stats.borrow_mut().faults += 1;
-                    self.finalize(client, &s.set, e);
-                    self.cascade_fault(&s.set, client, e, fault);
-                }
+                Err(fault) => self.fail_entry(client, &s.set, e, fault),
             }
         }
 
@@ -2205,17 +2130,8 @@ impl Copier {
                 if e.failed.get().is_some() {
                     continue;
                 }
-                let fault = CopyFault::Corrupted;
-                e.failed.set(Some(fault));
-                e.task.descr.poison(fault);
-                client.signals.borrow_mut().push(fault);
-                {
-                    let mut st = self.stats.borrow_mut();
-                    st.faults += 1;
-                    st.corrupted_poisoned += 1;
-                }
-                self.finalize(client, &s.set, e);
-                self.cascade_fault(&s.set, client, e, fault);
+                self.stats.borrow_mut().corrupted_poisoned += 1;
+                self.fail_entry(client, &s.set, e, CopyFault::Corrupted);
             }
             self.charge_client(client, planned_bytes);
         }
@@ -2234,6 +2150,25 @@ impl Copier {
                 self.finalize(client, &s.set, &s.entry);
             }
         }
+    }
+
+    /// Fails one window entry mid-copy: poisons only its descriptor
+    /// (partial progress already marked stays marked), signals the
+    /// client, finalizes it, then aborts its dependents in dependency
+    /// order (§4.4).
+    fn fail_entry(
+        &self,
+        client: &Rc<Client>,
+        set: &Rc<QueueSet>,
+        e: &Rc<PendEntry>,
+        fault: CopyFault,
+    ) {
+        e.failed.set(Some(fault));
+        e.task.descr.poison(fault);
+        client.signals.borrow_mut().push(fault);
+        self.stats.borrow_mut().faults += 1;
+        self.finalize(client, set, e);
+        self.cascade_fault(set, client, e, fault);
     }
 
     /// Executes a selected batch synchronously under memory pressure —
@@ -2273,14 +2208,7 @@ impl Copier {
                     let sh = &self.shards[client.shard.get()];
                     sh.bytes_copied.set(sh.bytes_copied.get() + copied as u64);
                 }
-                Err(fault) => {
-                    e.failed.set(Some(fault));
-                    e.task.descr.poison(fault);
-                    client.signals.borrow_mut().push(fault);
-                    self.stats.borrow_mut().faults += 1;
-                    self.finalize(client, &s.set, e);
-                    self.cascade_fault(&s.set, client, e, fault);
-                }
+                Err(fault) => self.fail_entry(client, &s.set, e, fault),
             }
         }
         if degraded_bytes > 0 {
@@ -3367,7 +3295,10 @@ mod tests {
         assert_eq!(v[stats_layout::PRESSURE_EVENTS], 1);
         assert_eq!(v[stats_layout::QUARANTINED_CHANNELS], 0);
         assert_eq!(v[stats_layout::TASKS_COMPLETED], 1000);
-        assert_eq!(svc.stats_digest(), v.into_iter().fold(FNV_OFFSET, fnv_fold));
+        assert_eq!(
+            svc.stats_digest(FNV_OFFSET),
+            v.into_iter().fold(FNV_OFFSET, fnv_fold)
+        );
     }
 
     /// `stats_from_vec(stats_to_vec(s))` is the identity on every field

@@ -181,21 +181,11 @@ impl Dispatcher {
         self.verify.set(policy);
     }
 
-    /// The dispatcher-wide verification policy.
-    pub fn verify_policy(&self) -> VerifyPolicy {
-        self.verify.get()
-    }
-
     /// Drains the task ids whose detected corruption could not be
     /// repaired in the last `execute_batch` (the service poisons them as
     /// `CopyFault::Corrupted`).
     pub fn take_corrupted(&self) -> Vec<u64> {
         std::mem::take(&mut *self.corrupted.borrow_mut())
-    }
-
-    /// Whether a DMA engine is attached.
-    pub fn has_dma(&self) -> bool {
-        self.dma.is_some()
     }
 
     /// The attached DMA engine, if any (for quarantine observability).

@@ -92,11 +92,6 @@ impl DmaCompletion {
         self.cancelled.set(true);
     }
 
-    /// Whether the submitter cancelled this descriptor.
-    pub fn is_cancelled(&self) -> bool {
-        self.cancelled.get()
-    }
-
     /// Waits (in virtual time) for the transfer to settle.
     pub async fn wait(&self) {
         if !self.is_settled() {
@@ -150,7 +145,6 @@ pub struct DmaEngine {
     cost: Rc<CostModel>,
     channels: Vec<Rc<Channel>>,
     next: Cell<usize>,
-    plan: Option<Rc<FaultPlan>>,
     stats: Rc<Cell<DmaStats>>,
     /// Verified-corruption strikes after which a channel is quarantined
     /// (0 disables corruption-driven quarantine).
@@ -310,7 +304,6 @@ impl DmaEngine {
             cost,
             channels: chans,
             next: Cell::new(0),
-            plan,
             stats,
             corrupt_threshold: Cell::new(2),
             corrupt_quarantined: Cell::new(0),
@@ -358,11 +351,6 @@ impl DmaEngine {
         completion
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
     /// Quarantined (dead) channels.
     pub fn quarantined(&self) -> usize {
         self.channels.iter().filter(|c| c.dead.get()).count()
@@ -371,11 +359,6 @@ impl DmaEngine {
     /// Channels still accepting work.
     pub fn live_channels(&self) -> usize {
         self.channels.len() - self.quarantined()
-    }
-
-    /// Whether a fault plan is attached (failures are possible).
-    pub fn has_fault_plan(&self) -> bool {
-        self.plan.is_some()
     }
 
     /// Sets the verified-corruption strike count after which a channel

@@ -73,11 +73,6 @@ impl CacheModel {
         self.enabled.get()
     }
 
-    /// Replaces the configuration.
-    pub fn set_config(&self, cfg: CacheConfig) {
-        self.cfg.set(cfg);
-    }
-
     /// Current hot-data residency in [0, 1].
     pub fn residency(&self) -> f64 {
         self.residency.get()

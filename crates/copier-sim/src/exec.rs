@@ -537,11 +537,6 @@ impl<T> JoinHandle<T> {
     pub fn id(&self) -> TaskId {
         self.id
     }
-
-    /// Returns the result if the task already finished.
-    pub fn try_take(&self) -> Option<T> {
-        self.state.borrow_mut().result.take()
-    }
 }
 
 impl<T> Future for JoinHandle<T> {

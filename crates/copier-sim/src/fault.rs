@@ -87,17 +87,6 @@ impl CrashPoint {
             CrashPoint::MidJournalFlush => 3,
         }
     }
-
-    /// Decodes a crash point; `None` for unknown codes.
-    pub fn from_code(code: u8) -> Option<Self> {
-        match code {
-            0 => Some(CrashPoint::MidDrain),
-            1 => Some(CrashPoint::MidDispatch),
-            2 => Some(CrashPoint::PreFinalize),
-            3 => Some(CrashPoint::MidJournalFlush),
-            _ => None,
-        }
-    }
 }
 
 /// Probabilities (per interposition event) of each injected fault class.

@@ -25,13 +25,13 @@ use std::rc::Rc;
 
 /// Magic prefix of an encoded trace.
 pub const TRACE_MAGIC: [u8; 4] = *b"CPTR";
-/// Encoding version. 2: `MemDigest` is the order-free per-frame sum and
-/// every `RoundEnd` closes with the commutative per-client sums that
-/// `ShardRoundEnd` always used (DESIGN.md §14). The event set and codec
-/// are those of version 1, but its hash values mean something else, so a
-/// version-1 trace is refused here instead of replaying to a spurious
-/// divergence at its first checkpoint.
-pub const TRACE_VERSION: u8 = 2;
+/// Encoding version. 3: one round frame at every shard count —
+/// `RoundStart` and `RoundEnd` carry the shard, the per-shard pair of
+/// version 2 (tags 15 and 16) is retired, and the `stats` word of every
+/// `RoundEnd` folds the shard's private cells and then the service-wide
+/// stats (DESIGN.md §14). A file of another version is refused here
+/// instead of replaying to a spurious divergence at its first round.
+pub const TRACE_VERSION: u8 = 3;
 
 /// FNV-1a offset basis — the digest seed used by every state hash.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -60,9 +60,10 @@ pub enum TraceEvent {
     Submission { tenant: u32, at: u64, len: u64 },
     /// A batch of race instants drawn from the fault plan.
     RaceTimes { times: Vec<u64> },
-    /// A service round began (lazy: only emitted for rounds that produce
-    /// at least one other event).
-    RoundStart { round: u64, now: u64 },
+    /// A shard's service round began (lazy: only emitted for rounds that
+    /// produce at least one other event). `round` is the shard-local
+    /// round counter; a lone shard is shard 0.
+    RoundStart { shard: u32, round: u64, now: u64 },
     /// The drain boundary: copy entries and sync tasks pulled this round.
     Drained { copies: u64, syncs: u64 },
     /// One admission decision at the drain boundary.
@@ -80,9 +81,12 @@ pub enum TraceEvent {
     /// A descriptor state transition: a window entry was finalized.
     /// `fault` is 0 for clean completion (see the service's encoding).
     TaskDone { tid: u64, fault: u8 },
-    /// Round boundary with state hashes: pending window, address index,
-    /// service stats.
+    /// Round boundary with state hashes: the pending windows and address
+    /// indexes of the shard's clients, and its stats digest. Lets replay
+    /// pinpoint the first divergent `(shard, round)` pair instead of just
+    /// a position in the stream.
     RoundEnd {
+        shard: u32,
         round: u64,
         pending: u64,
         index: u64,
@@ -103,21 +107,6 @@ pub enum TraceEvent {
     /// One pinned-page bit-rot draw: `hit` whether rot fires this
     /// round, `pos` the seeded bit position it lands on.
     RotDraw { hit: bool, pos: u64 },
-    /// A shard's service round began (sharded control plane, DESIGN.md
-    /// §17; lazy, like `RoundStart`). `round` is the shard-local round
-    /// counter.
-    ShardRoundStart { shard: u32, round: u64, now: u64 },
-    /// Shard round boundary with that shard's state hashes: the pending
-    /// windows and address indexes of its clients, plus its per-shard
-    /// stats digest. Lets replay pinpoint the first divergent
-    /// `(shard, round)` pair instead of just a global position.
-    ShardRoundEnd {
-        shard: u32,
-        round: u64,
-        pending: u64,
-        index: u64,
-        stats: u64,
-    },
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -170,8 +159,9 @@ impl TraceEvent {
                     put_varint(out, t);
                 }
             }
-            TraceEvent::RoundStart { round, now } => {
+            TraceEvent::RoundStart { shard, round, now } => {
                 out.push(3);
+                put_varint(out, *shard as u64);
                 put_varint(out, *round);
                 put_varint(out, *now);
             }
@@ -208,12 +198,14 @@ impl TraceEvent {
                 out.push(*fault);
             }
             TraceEvent::RoundEnd {
+                shard,
                 round,
                 pending,
                 index,
                 stats,
             } => {
                 out.push(10);
+                put_varint(out, *shard as u64);
                 put_varint(out, *round);
                 put_varint(out, *pending);
                 put_varint(out, *index);
@@ -238,26 +230,6 @@ impl TraceEvent {
                 out.push(14);
                 out.push(*hit as u8);
                 put_varint(out, *pos);
-            }
-            TraceEvent::ShardRoundStart { shard, round, now } => {
-                out.push(15);
-                put_varint(out, *shard as u64);
-                put_varint(out, *round);
-                put_varint(out, *now);
-            }
-            TraceEvent::ShardRoundEnd {
-                shard,
-                round,
-                pending,
-                index,
-                stats,
-            } => {
-                out.push(16);
-                put_varint(out, *shard as u64);
-                put_varint(out, *round);
-                put_varint(out, *pending);
-                put_varint(out, *index);
-                put_varint(out, *stats);
             }
         }
     }
@@ -292,6 +264,7 @@ impl TraceEvent {
                 TraceEvent::RaceTimes { times }
             }
             3 => TraceEvent::RoundStart {
+                shard: get_varint(buf, pos)? as u32,
                 round: get_varint(buf, pos)?,
                 now: get_varint(buf, pos)?,
             },
@@ -316,6 +289,7 @@ impl TraceEvent {
                 fault: byte(pos)?,
             },
             10 => TraceEvent::RoundEnd {
+                shard: get_varint(buf, pos)? as u32,
                 round: get_varint(buf, pos)?,
                 pending: get_varint(buf, pos)?,
                 index: get_varint(buf, pos)?,
@@ -336,18 +310,6 @@ impl TraceEvent {
             14 => TraceEvent::RotDraw {
                 hit: byte(pos)? != 0,
                 pos: get_varint(buf, pos)?,
-            },
-            15 => TraceEvent::ShardRoundStart {
-                shard: get_varint(buf, pos)? as u32,
-                round: get_varint(buf, pos)?,
-                now: get_varint(buf, pos)?,
-            },
-            16 => TraceEvent::ShardRoundEnd {
-                shard: get_varint(buf, pos)? as u32,
-                round: get_varint(buf, pos)?,
-                pending: get_varint(buf, pos)?,
-                index: get_varint(buf, pos)?,
-                stats: get_varint(buf, pos)?,
             },
             t => return Err(format!("unknown event tag {t}")),
         })
@@ -395,7 +357,7 @@ impl Trace {
             .collect()
     }
 
-    /// Number of distinct rounds that produced events.
+    /// Number of distinct `(shard, round)` rounds that produced events.
     pub fn rounds(&self) -> usize {
         self.events
             .iter()
@@ -464,18 +426,12 @@ impl Trace {
         let mut round = 0u64;
         let mut shard = 0u32;
         for i in 0..n {
-            match self.events[i] {
-                TraceEvent::RoundStart { round: r, .. } => {
-                    round = r;
-                    shard = 0;
-                }
-                TraceEvent::ShardRoundStart {
-                    shard: s, round: r, ..
-                } => {
-                    round = r;
-                    shard = s;
-                }
-                _ => {}
+            if let TraceEvent::RoundStart {
+                shard: s, round: r, ..
+            } = self.events[i]
+            {
+                round = r;
+                shard = s;
             }
             if self.events[i] != other.events[i] {
                 return Some(Divergence {
@@ -508,10 +464,9 @@ impl Trace {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Divergence {
     /// Round current when the mismatch was detected (0 = before the
-    /// first recorded round). Shard-local on sharded runs.
+    /// first recorded round). Shard-local.
     pub round: u64,
-    /// Shard whose round was current when the mismatch was detected
-    /// (always 0 on unsharded runs).
+    /// Shard whose round was current when the mismatch was detected.
     pub shard: u32,
     /// Index into the recorded event stream.
     pub pos: usize,
@@ -561,27 +516,25 @@ pub struct Tracer {
     recorded: Vec<TraceEvent>,
     cursor: Cell<usize>,
     diverged: RefCell<Option<Divergence>>,
-    round: Cell<u64>,
-    /// Lazily emitted round header: set by `begin_round`, flushed by the
-    /// first real event of the round, dropped by `end_round` if none came.
-    header: Cell<Option<(u64, u64)>>,
-    flushed: Cell<bool>,
     active_rounds: Cell<u64>,
     mem_interval: Cell<u64>,
-    /// Sharded control plane (DESIGN.md §17): the shard whose round
-    /// header an anonymous emit (fault-plan draw) attributes to — the
-    /// last shard that emitted through `emit_on`. Always 0 unsharded.
+    /// The shard whose round an anonymous emit (fault-plan draw,
+    /// `Submission`, memory digest) attributes to: the last shard that
+    /// opened or closed a round or emitted through `emit_on` (DESIGN.md
+    /// §17). A lone shard is shard 0.
     shard_cur: Cell<u32>,
-    /// One lazy round header per shard, same protocol as `header`.
+    /// One lazy round header per shard.
     shard_slots: RefCell<Vec<ShardSlot>>,
 }
 
-/// Per-shard lazy round header state (mirrors the unsharded
-/// `header`/`flushed` pair).
+/// A shard's lazy round header: set by `begin_shard_round`, flushed by
+/// the first real event of the round, dropped by `end_shard_round` if
+/// none came.
 #[derive(Clone, Copy, Default)]
 struct ShardSlot {
     round: u64,
-    header: Option<(u64, u64)>,
+    /// The round's opening instant while its `RoundStart` is unwritten.
+    header: Option<u64>,
     flushed: bool,
 }
 
@@ -605,9 +558,6 @@ impl Tracer {
             recorded,
             cursor: Cell::new(0),
             diverged: RefCell::new(None),
-            round: Cell::new(0),
-            header: Cell::new(None),
-            flushed: Cell::new(false),
             active_rounds: Cell::new(0),
             mem_interval: Cell::new(DEFAULT_MEM_INTERVAL),
             shard_cur: Cell::new(0),
@@ -641,10 +591,18 @@ impl Tracer {
         self.emitted.get()
     }
 
+    /// The current shard's round (0 before its first).
+    fn cur_round(&self) -> u64 {
+        let slots = self.shard_slots.borrow();
+        slots
+            .get(self.shard_cur.get() as usize)
+            .map_or(0, |s| s.round)
+    }
+
     fn mark_divergence(&self, got: String) {
         let pos = self.cursor.get();
         *self.diverged.borrow_mut() = Some(Divergence {
-            round: self.round.get(),
+            round: self.cur_round(),
             shard: self.shard_cur.get(),
             pos,
             expected: self.recorded.get(pos).cloned(),
@@ -672,62 +630,46 @@ impl Tracer {
         self.append(&ev);
     }
 
+    /// Writes the current shard's buffered `RoundStart`, if it has one.
+    /// An event is attributed to the shard that last emitted through
+    /// `emit_on`; anonymous draws inherit it — every *active* shard round
+    /// flushes its own header through a service emit first, so an
+    /// inherited flush only ever surfaces an otherwise-idle round,
+    /// deterministically on record and replay alike.
     fn flush_header(&self) {
-        if let Some((round, now)) = self.header.take() {
-            self.flushed.set(true);
-            self.push(TraceEvent::RoundStart { round, now });
-        }
-        // Sharded runs buffer one header per shard; an event is
-        // attributed to the shard that last emitted through `emit_on`
-        // (anonymous draws inherit it — every *active* shard round
-        // flushes its own header through a service emit first, so an
-        // inherited flush only ever surfaces an otherwise-idle round,
-        // deterministically on record and replay alike).
-        let cur = self.shard_cur.get() as usize;
+        let shard = self.shard_cur.get();
         let hdr = {
             let mut slots = self.shard_slots.borrow_mut();
-            match slots.get_mut(cur) {
-                Some(slot) => slot.header.take().inspect(|_| slot.flushed = true),
-                None => None,
-            }
+            slots.get_mut(shard as usize).and_then(|slot| {
+                let now = slot.header.take()?;
+                slot.flushed = true;
+                Some((slot.round, now))
+            })
         };
         if let Some((round, now)) = hdr {
-            self.push(TraceEvent::ShardRoundStart {
-                shard: cur as u32,
-                round,
-                now,
-            });
+            self.push(TraceEvent::RoundStart { shard, round, now });
         }
     }
 
-    /// Emits one event, flushing the pending round header first.
+    /// Emits one event on behalf of the current shard, flushing its
+    /// pending round header first.
     pub fn emit(&self, ev: TraceEvent) {
         self.flush_header();
         self.push(ev);
     }
 
     /// Emits one event on behalf of `shard`, flushing that shard's
-    /// pending round header first (sharded control plane, DESIGN.md §17).
+    /// pending round header first.
     pub fn emit_on(&self, shard: u32, ev: TraceEvent) {
         self.shard_cur.set(shard);
-        self.flush_header();
-        self.push(ev);
-    }
-
-    /// Opens round `round` at virtual instant `now` (header stays
-    /// buffered until the round emits something).
-    pub fn begin_round(&self, round: u64, now: u64) {
-        self.round.set(round);
-        self.header.set(Some((round, now)));
-        self.flushed.set(false);
+        self.emit(ev);
     }
 
     /// Opens shard-local round `round` of `shard` at virtual instant
-    /// `now`. Like `begin_round`, the header stays buffered until the
-    /// shard emits something through `emit_on` (or an anonymous draw
-    /// lands while this shard is current).
+    /// `now`. The header stays buffered until the shard emits something
+    /// through `emit_on` (or an anonymous draw lands while this shard is
+    /// current).
     pub fn begin_shard_round(&self, shard: u32, round: u64, now: u64) {
-        self.round.set(round);
         self.shard_cur.set(shard);
         let mut slots = self.shard_slots.borrow_mut();
         if slots.len() <= shard as usize {
@@ -735,16 +677,16 @@ impl Tracer {
         }
         slots[shard as usize] = ShardSlot {
             round,
-            header: Some((round, now)),
+            header: Some(now),
             flushed: false,
         };
     }
 
     /// Closes `shard`'s round. If it was active (emitted anything), a
-    /// `ShardRoundEnd` carrying that shard's `(pending, index, stats)`
-    /// hashes from the closure is appended — the closure is never called
-    /// for idle rounds. Returns whether a memory digest checkpoint is
-    /// due (counted across all shards' active rounds).
+    /// `RoundEnd` carrying that shard's `(pending, index, stats)` hashes
+    /// from the closure is appended — the closure is never called for
+    /// idle rounds. Returns whether a memory digest checkpoint is due
+    /// (counted across all shards' active rounds).
     pub fn end_shard_round(&self, shard: u32, hashes: impl FnOnce() -> (u64, u64, u64)) -> bool {
         let (flushed, round) = {
             let mut slots = self.shard_slots.borrow_mut();
@@ -757,7 +699,7 @@ impl Tracer {
         }
         let (pending, index, stats) = hashes();
         self.shard_cur.set(shard);
-        self.push(TraceEvent::ShardRoundEnd {
+        self.push(TraceEvent::RoundEnd {
             shard,
             round,
             pending,
@@ -769,31 +711,10 @@ impl Tracer {
         n.is_multiple_of(self.mem_interval.get())
     }
 
-    /// Closes the round. If it was active (emitted anything), a
-    /// `RoundEnd` carrying the `(pending, index, stats)` hashes from the
-    /// closure is appended; the closure is never called for idle rounds.
-    /// Returns whether a memory digest checkpoint is due.
-    pub fn end_round(&self, hashes: impl FnOnce() -> (u64, u64, u64)) -> bool {
-        self.header.set(None);
-        if !self.flushed.get() {
-            return false;
-        }
-        let (pending, index, stats) = hashes();
-        self.push(TraceEvent::RoundEnd {
-            round: self.round.get(),
-            pending,
-            index,
-            stats,
-        });
-        let n = self.active_rounds.get() + 1;
-        self.active_rounds.set(n);
-        n.is_multiple_of(self.mem_interval.get())
-    }
-
-    /// Appends a physical-memory digest for the current round.
+    /// Appends a physical-memory digest for the current shard's round.
     pub fn record_mem(&self, digest: u64) {
         self.emit(TraceEvent::MemDigest {
-            round: self.round.get(),
+            round: self.cur_round(),
             digest,
         });
     }
@@ -989,6 +910,7 @@ mod tests {
                 times: vec![5, 1 << 40, 0],
             },
             TraceEvent::RoundStart {
+                shard: 0,
                 round: 1,
                 now: 12345,
             },
@@ -1006,6 +928,7 @@ mod tests {
             TraceEvent::AtcDraw { stale: false },
             TraceEvent::TaskDone { tid: 7, fault: 0 },
             TraceEvent::RoundEnd {
+                shard: 0,
                 round: 1,
                 pending: u64::MAX,
                 index: 0,
@@ -1027,12 +950,12 @@ mod tests {
                 hit: true,
                 pos: u64::MAX,
             },
-            TraceEvent::ShardRoundStart {
+            TraceEvent::RoundStart {
                 shard: 3,
                 round: 17,
                 now: 1 << 50,
             },
-            TraceEvent::ShardRoundEnd {
+            TraceEvent::RoundEnd {
                 shard: 3,
                 round: 17,
                 pending: u64::MAX,
@@ -1055,7 +978,7 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(Trace::decode(b"").is_err());
         assert!(Trace::decode(b"NOPE\x01\x00").is_err());
-        assert!(Trace::decode(b"CPTR\x03\x00").is_err(), "bad version");
+        assert!(Trace::decode(b"CPTR\x04\x00").is_err(), "bad version");
         let mut bytes = Trace::new(sample_events()).encode();
         bytes.push(0xff);
         assert!(Trace::decode(&bytes).is_err(), "trailing bytes");
@@ -1064,15 +987,28 @@ mod tests {
         assert!(Trace::decode(&bytes).is_err(), "truncated");
     }
 
-    /// A version-1 trace carries hashes this build defines differently:
-    /// it is refused by name, not replayed to a false divergence.
+    /// A trace of an earlier version frames rounds and defines hashes
+    /// differently: it is refused by name, not replayed to a false
+    /// divergence.
     #[test]
-    fn version_1_header_is_refused() {
+    fn earlier_version_headers_are_refused() {
         let mut bytes = Trace::new(sample_events()).encode();
         assert_eq!(bytes[4], TRACE_VERSION);
-        bytes[4] = 1;
-        let err = Trace::decode(&bytes).unwrap_err();
-        assert_eq!(err, "unsupported trace version 1");
+        for v in [1u8, 2] {
+            bytes[4] = v;
+            let err = Trace::decode(&bytes).unwrap_err();
+            assert_eq!(err, format!("unsupported trace version {v}"));
+        }
+    }
+
+    /// Tags 15 and 16 were version 2's per-shard round frame. A
+    /// version-3 buffer carrying either is refused by the event decoder.
+    #[test]
+    fn retired_shard_round_tags_are_refused() {
+        for tag in [15u8, 16] {
+            let err = TraceEvent::decode_from(&[tag, 3, 17, 0, 0, 0], &mut 0).unwrap_err();
+            assert_eq!(err, format!("unknown event tag {tag}"));
+        }
     }
 
     #[test]
@@ -1087,94 +1023,42 @@ mod tests {
     }
 
     #[test]
-    fn lazy_round_headers_skip_idle_rounds() {
-        let t = Tracer::record();
-        t.begin_round(1, 100);
-        assert!(!t.end_round(|| unreachable!("idle rounds are never hashed")));
-        t.begin_round(2, 200);
-        t.emit(TraceEvent::Drained {
-            copies: 1,
-            syncs: 0,
-        });
-        t.end_round(|| (1, 2, 3));
-        let trace = t.finish();
-        assert_eq!(
-            trace.events(),
-            &[
-                TraceEvent::RoundStart { round: 2, now: 200 },
-                TraceEvent::Drained {
-                    copies: 1,
-                    syncs: 0
-                },
-                TraceEvent::RoundEnd {
-                    round: 2,
-                    pending: 1,
-                    index: 2,
-                    stats: 3
-                },
-            ]
-        );
-    }
-
-    #[test]
     fn replay_lockstep_accepts_faithful_stream() {
         let rec = Tracer::record();
-        rec.begin_round(1, 10);
+        rec.begin_shard_round(0, 1, 10);
         rec.emit(TraceEvent::SchedPick { client: 1 });
-        rec.end_round(|| (7, 8, 9));
+        rec.end_shard_round(0, || (7, 8, 9));
         let trace = rec.finish();
 
         let rep = Tracer::replay(trace.clone());
-        rep.begin_round(1, 10);
+        rep.begin_shard_round(0, 1, 10);
         rep.emit(TraceEvent::SchedPick { client: 1 });
-        rep.end_round(|| (7, 8, 9));
+        rep.end_shard_round(0, || (7, 8, 9));
         assert_eq!(rep.divergence(), None);
         assert_eq!(rep.finish().encode(), trace.encode());
     }
 
     #[test]
-    fn replay_flags_first_mismatch_with_round() {
-        let rec = Tracer::record();
-        for r in 1..=3u64 {
-            rec.begin_round(r, r * 10);
-            rec.emit(TraceEvent::SchedPick { client: 1 });
-            rec.end_round(|| (r, r, r));
-        }
-        let trace = rec.finish();
-
-        let rep = Tracer::replay(trace);
-        rep.begin_round(1, 10);
-        rep.emit(TraceEvent::SchedPick { client: 1 });
-        rep.end_round(|| (1, 1, 1));
-        rep.begin_round(2, 20);
-        rep.emit(TraceEvent::SchedPick { client: 9 }); // wrong
-        rep.end_round(|| (2, 2, 2));
-        let d = rep.divergence().expect("must diverge");
-        assert_eq!(d.round, 2);
-        assert_eq!(d.expected, Some(TraceEvent::SchedPick { client: 1 }), "{d}");
-    }
-
-    #[test]
     fn replay_feeds_back_draws_and_flags_unconsumed_tail() {
         let rec = Tracer::record();
-        rec.begin_round(1, 1);
+        rec.begin_shard_round(0, 1, 1);
         rec.emit(TraceEvent::DmaDraw { fault: 3 });
         rec.emit(TraceEvent::AtcDraw { stale: true });
-        rec.end_round(|| (0, 0, 0));
+        rec.end_shard_round(0, || (0, 0, 0));
         let trace = rec.finish();
 
         let rep = Tracer::replay(trace.clone());
-        rep.begin_round(1, 1);
+        rep.begin_shard_round(0, 1, 1);
         // Headers flush through draw consumption too: emit something
         // first the way the service would (drain/sched before draws).
         rep.emit(TraceEvent::DmaDraw { fault: 3 });
         assert_eq!(rep.take_atc(), Some(true));
-        rep.end_round(|| (0, 0, 0));
+        rep.end_shard_round(0, || (0, 0, 0));
         assert_eq!(rep.divergence(), None);
 
         // A replay that stops early leaves recorded events unconsumed.
         let rep2 = Tracer::replay(trace);
-        rep2.begin_round(1, 1);
+        rep2.begin_shard_round(0, 1, 1);
         rep2.emit(TraceEvent::DmaDraw { fault: 3 });
         let _ = rep2.finish();
         assert!(rep2.divergence().is_some(), "unconsumed tail must flag");
@@ -1200,7 +1084,7 @@ mod tests {
         assert_eq!(
             trace.events(),
             &[
-                TraceEvent::ShardRoundStart {
+                TraceEvent::RoundStart {
                     shard: 1,
                     round: 7,
                     now: 100
@@ -1209,7 +1093,7 @@ mod tests {
                     copies: 2,
                     syncs: 0
                 },
-                TraceEvent::ShardRoundEnd {
+                TraceEvent::RoundEnd {
                     shard: 1,
                     round: 7,
                     pending: 4,
@@ -1236,12 +1120,16 @@ mod tests {
             rep.emit_on(shard, TraceEvent::SchedPick { client: shard });
             rep.end_shard_round(shard, || (round, round, round));
         }
-        // Shard 1's second round picks the wrong client.
+        // Shard 1's second round picks the wrong client, after shard 0
+        // has opened a later round of its own: the divergence names the
+        // round of the shard that emitted, not the last one opened.
         rep.begin_shard_round(1, 2, 20);
+        rep.begin_shard_round(0, 3, 20);
         rep.emit_on(1, TraceEvent::SchedPick { client: 9 });
         rep.end_shard_round(1, || (2, 2, 2));
         let d = rep.divergence().expect("must diverge");
         assert_eq!((d.shard, d.round), (1, 2), "{d}");
+        assert_eq!(d.expected, Some(TraceEvent::SchedPick { client: 1 }), "{d}");
     }
 
     #[test]

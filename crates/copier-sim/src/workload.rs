@@ -276,13 +276,6 @@ impl WorkloadPlan {
         self.per_tenant.iter().flatten().map(|a| a.len as u64).sum()
     }
 
-    /// Bytes tenant `t` alone offers over the horizon. The shard-scaling
-    /// bench aggregates these by shard owner to report how evenly the
-    /// space-hash partitioning spread the offered load.
-    pub fn offered_bytes_tenant(&self, t: usize) -> u64 {
-        self.per_tenant[t].iter().map(|a| a.len as u64).sum()
-    }
-
     /// Offered load in bytes per nanosecond (all tenants combined).
     pub fn offered_rate(&self) -> f64 {
         self.offered_bytes() as f64 / self.cfg.horizon.as_nanos() as f64

@@ -8,6 +8,10 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
+# A round has one shape at every shard count (DESIGN.md §17): the only
+# place the service compares its shard count is the barrier's lone-arriver
+# early-out.
+[ "$(grep -rhE 'nshards\(\) *(>|==|!=)' crates/*/src | tr -s ' ')" = ' if self.nshards() == 1 {' ]
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
@@ -239,7 +243,7 @@ echo "fig_breakeven OK"
 # must replay through the current build without divergence — a frozen
 # regression net over the corruption-draw wire format, the service's
 # round structure and the state-hash definitions. The corpus is trace
-# version 2 (re-recorded in PR 13 with REPRO_RECORD=1); an older file is
+# version 3 (re-recorded in PR 22 with REPRO_RECORD=1); an older file is
 # refused by version, not replayed. It is the corpus as committed that
 # must pass: any build replays traces it has just re-recorded itself
 # (REPRO_RECORD=1), so uncommitted changes under tests/repros fail the

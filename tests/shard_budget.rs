@@ -577,10 +577,15 @@ fn fixed_case(shards: usize) -> Case {
 
 /// (d): the hash of `fixed_case(1)`'s recording. Pinned at aa978c3, where
 /// one global count and one service-level latch decided, as
-/// 0x26e0_5b58_ccc4_e303; re-pinned once since, to what the build that
-/// retired the round's 150 ns post-drain pause records (every round's
-/// timestamps move; the admission decisions are held by (a) above).
-const PARENT_ONE_SHARD_TRACE_HASH: u64 = 0x30ac_7e8a_562f_fa54;
+/// 0x26e0_5b58_ccc4_e303; re-pinned twice since. First to what the build
+/// that retired the round's 150 ns post-drain pause records (every
+/// round's timestamps move; the admission decisions are held by (a)
+/// above), 0x30ac_7e8a_562f_fa54. Then to `TRACE_VERSION` 3's spelling of
+/// that same recording: event for event the parent's 724, differing only
+/// in the version byte and, on its 56 round frames, the new `shard: 0`
+/// field and the `stats` word (now the shard's cells folded ahead of the
+/// service-wide slots).
+const PARENT_ONE_SHARD_TRACE_HASH: u64 = 0x0188_681c_798f_12d1;
 
 #[test]
 fn one_shard_records_the_parents_trace() {

@@ -33,7 +33,7 @@ use copier::core::{
 };
 use copier::mem::Prot;
 use copier::os::Os;
-use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, Tracer};
+use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, TraceEvent, Tracer};
 use copier_testkit::prop::{check_with, Config, PropResult};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
 
@@ -654,7 +654,18 @@ fn sharded_record_replay_is_bit_identical() {
         |case: &DiffCase| -> PropResult {
             let rec = Tracer::record();
             let recorded = run_traced(case, 4, Rc::clone(&rec));
-            let rep = Tracer::replay(rec.finish());
+            let trace = rec.finish();
+            let ends = trace
+                .events()
+                .iter()
+                .filter(|e| matches!(e, TraceEvent::RoundEnd { .. }));
+            prop_assert!(trace.rounds() > 0, "a 4-shard recording counts no rounds");
+            prop_assert_eq!(
+                trace.rounds(),
+                ends.count(),
+                "a round opened and never closed"
+            );
+            let rep = Tracer::replay(trace);
             let replayed = run_traced(case, 4, Rc::clone(&rep));
             prop_assert!(
                 rep.divergence().is_none(),

@@ -500,11 +500,8 @@ fn walk_rounds(
 
     for ev in trace.events() {
         match *ev {
-            TraceEvent::RoundStart { .. } | TraceEvent::ShardRoundStart { .. } => {
-                let shard = match *ev {
-                    TraceEvent::ShardRoundStart { shard, .. } => shard as usize,
-                    _ => 0,
-                };
+            TraceEvent::RoundStart { shard, .. } => {
+                let shard = shard as usize;
                 prop_assert!(rounds[shard].is_none(), "shard {shard}: round opened twice");
                 rounds[shard] = Some(Round {
                     left: case.copy_slice,
@@ -590,11 +587,8 @@ fn walk_rounds(
                 let next = r.and_then(|r| r.expect_done.pop_front());
                 prop_assert_eq!(next, Some(tid), "task {} finished, the model expected", tid);
             }
-            TraceEvent::RoundEnd { .. } | TraceEvent::ShardRoundEnd { .. } => {
-                let shard = match *ev {
-                    TraceEvent::ShardRoundEnd { shard, .. } => shard as usize,
-                    _ => 0,
-                };
+            TraceEvent::RoundEnd { shard, .. } => {
+                let shard = shard as usize;
                 let Some(r) = rounds[shard].take() else {
                     return Err(format!("shard {shard}: round closed twice"));
                 };
@@ -798,9 +792,7 @@ fn chained_tenants_match_sequential_memcpy() {
                         }
                         // Clients live on one shard, so a shard's round end
                         // may clear every shard's picks: none repeat anyway.
-                        TraceEvent::RoundEnd { .. } | TraceEvent::ShardRoundEnd { .. } => {
-                            picked.clear()
-                        }
+                        TraceEvent::RoundEnd { .. } => picked.clear(),
                         _ => {}
                     }
                 }

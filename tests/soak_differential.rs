@@ -613,8 +613,8 @@ fn scrub_heal_reactivates_idle_clients_identically() {
 /// path (delta-folded commutative hash sums) *replays* through the
 /// full-sweep build (fresh commutative recompute every round) with zero
 /// divergence — so the cached sums equal the recompute at every traced
-/// round, not just at the end. At 4 shards (`ShardRoundEnd`) and at 1
-/// (`RoundEnd`, which closes with the same sums).
+/// round, not just at the end. At 4 shards and at 1: every `RoundEnd`
+/// closes with the same sums and the service-wide stats.
 #[test]
 fn fast_recording_replays_through_full_sweep() {
     fn run_traced(case: &SoakCase, shards: usize, full_sweep: bool, tracer: Rc<Tracer>) -> Exact {

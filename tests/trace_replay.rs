@@ -26,9 +26,15 @@ struct RunOut {
 /// replay can run under a *different* plan seed and still be checked
 /// bit-identical, proving every draw came from the log.
 fn traced_run(seed: u64, plan_seed: u64, tracer: Option<Rc<Tracer>>) -> RunOut {
+    traced_run_at(1, seed, plan_seed, tracer)
+}
+
+/// [`traced_run`] on a service of `shards` shards, with as many tenants
+/// as shards (four copies each), all submitting from core 0.
+fn traced_run_at(shards: usize, seed: u64, plan_seed: u64, tracer: Option<Rc<Tracer>>) -> RunOut {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let machine = Machine::new(&h, 2);
+    let machine = Machine::new(&h, 1 + shards);
     let os = Os::boot(&h, machine, 2048);
     let plan = FaultPlan::new(FaultConfig {
         seed: plan_seed,
@@ -43,8 +49,9 @@ fn traced_run(seed: u64, plan_seed: u64, tracer: Option<Rc<Tracer>>) -> RunOut {
         plan.set_tracer(t);
     }
     let svc = os.install_copier(
-        vec![os.machine.core(1)],
+        (1..=shards).map(|i| os.machine.core(i)).collect(),
         CopierConfig {
+            shards,
             use_dma: true,
             dma_channels: 2,
             fault_plan: Some(Rc::clone(&plan)),
@@ -52,33 +59,41 @@ fn traced_run(seed: u64, plan_seed: u64, tracer: Option<Rc<Tracer>>) -> RunOut {
             ..Default::default()
         },
     );
-    let proc = os.spawn_process();
-    let lib = proc.lib();
-    let uspace = Rc::clone(&lib.uspace);
     let len = 96 * 1024;
-    let mut bufs = Vec::new();
     let mut data = vec![0u8; len];
     let fill = SimRng::new(seed ^ 0xF111);
-    for i in 0..4usize {
-        let src = uspace.mmap(len, Prot::RW, true).unwrap();
-        let dst = uspace.mmap(len, Prot::RW, true).unwrap();
-        for b in data.iter_mut() {
-            *b = (fill.next_u64() >> (8 * (i % 8))) as u8;
+    let running = Rc::new(std::cell::Cell::new(shards));
+    let mut tenants = Vec::new();
+    for _ in 0..shards {
+        let proc = os.spawn_process();
+        let lib = proc.lib();
+        let uspace = Rc::clone(&lib.uspace);
+        let mut bufs = Vec::new();
+        for i in 0..4usize {
+            let src = uspace.mmap(len, Prot::RW, true).unwrap();
+            let dst = uspace.mmap(len, Prot::RW, true).unwrap();
+            for b in data.iter_mut() {
+                *b = (fill.next_u64() >> (8 * (i % 8))) as u8;
+            }
+            uspace.write_bytes(src, &data).unwrap();
+            bufs.push((src, dst));
         }
-        uspace.write_bytes(src, &data).unwrap();
-        bufs.push((src, dst));
+        let svc2 = Rc::clone(&svc);
+        let core = os.machine.core(0);
+        let bufs2 = bufs.clone();
+        let running2 = Rc::clone(&running);
+        sim.spawn("client", async move {
+            for &(src, dst) in &bufs2 {
+                let _ = lib.amemcpy(&core, dst, src, len).await;
+            }
+            let _ = lib.csync_all(&core).await;
+            running2.set(running2.get() - 1);
+            if running2.get() == 0 {
+                svc2.stop();
+            }
+        });
+        tenants.push((proc, uspace, bufs));
     }
-    let lib2 = Rc::clone(&lib);
-    let svc2 = Rc::clone(&svc);
-    let core = os.machine.core(0);
-    let bufs2 = bufs.clone();
-    sim.spawn("client", async move {
-        for &(src, dst) in &bufs2 {
-            let _ = lib2.amemcpy(&core, dst, src, len).await;
-        }
-        let _ = lib2.csync_all(&core).await;
-        svc2.stop();
-    });
     let end = sim.run();
     let s = svc.stats();
     let stats = vec![
@@ -93,10 +108,12 @@ fn traced_run(seed: u64, plan_seed: u64, tracer: Option<Rc<Tracer>>) -> RunOut {
     ];
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     let mut got = vec![0u8; len];
-    for &(_src, dst) in &bufs {
-        uspace.read_bytes(dst, &mut got).unwrap();
-        for &b in &got {
-            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    for (_proc, uspace, bufs) in &tenants {
+        for &(_src, dst) in bufs {
+            uspace.read_bytes(dst, &mut got).unwrap();
+            for &b in &got {
+                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
         }
     }
     RunOut {
@@ -148,53 +165,61 @@ fn recorded_run_replays_bit_identically() {
 }
 
 /// Perturbing one recorded round-end hash makes the checker fire exactly
-/// there: the first bad round is named, nothing earlier.
+/// there: the first bad `(shard, round)` frame is named, nothing earlier
+/// — at one shard and at four, where the frames of several shards
+/// interleave.
 #[test]
 fn perturbed_round_hash_is_localized() {
-    let rec = Tracer::record();
-    traced_run(42, 42, Some(Rc::clone(&rec)));
-    let mut trace = rec.finish();
+    for shards in [1usize, 4] {
+        let rec = Tracer::record();
+        traced_run_at(shards, 42, 42, Some(Rc::clone(&rec)));
+        let mut trace = rec.finish();
 
-    // Corrupt the pending-set hash of a mid-stream RoundEnd.
-    let rounds: Vec<usize> = trace
-        .events()
-        .iter()
-        .enumerate()
-        .filter_map(|(i, e)| matches!(e, TraceEvent::RoundEnd { .. }).then_some(i))
-        .collect();
-    assert!(rounds.len() >= 3, "need a few rounds to perturb the middle");
-    let pos = rounds[rounds.len() / 2];
-    let TraceEvent::RoundEnd {
-        round,
-        pending,
-        index,
-        stats,
-    } = trace.events()[pos]
-    else {
-        unreachable!()
-    };
-    trace.events_mut()[pos] = TraceEvent::RoundEnd {
-        round,
-        pending: pending ^ 1,
-        index,
-        stats,
-    };
-
-    let rep = Tracer::replay(trace);
-    traced_run(42, 42, Some(Rc::clone(&rep)));
-    let d = rep.divergence().expect("perturbed hash must diverge");
-    assert_eq!(d.pos, pos, "checker must stop at the corrupted event: {d}");
-    assert_eq!(d.round, round, "checker must name the corrupted round: {d}");
-    assert_eq!(
-        d.expected,
-        Some(TraceEvent::RoundEnd {
+        // Corrupt the stats hash of a mid-stream RoundEnd.
+        let ends: Vec<usize> = trace
+            .events()
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| matches!(e, TraceEvent::RoundEnd { .. }).then_some(i))
+            .collect();
+        assert!(ends.len() >= 3, "need a few rounds to perturb the middle");
+        let pos = ends[ends.len() / 2];
+        let TraceEvent::RoundEnd {
+            shard,
             round,
-            pending: pending ^ 1,
-            index,
-            stats
-        }),
-        "{d}"
-    );
+            stats,
+            ..
+        } = &mut trace.events_mut()[pos]
+        else {
+            unreachable!()
+        };
+        *stats ^= 1;
+        let (shard, round) = (*shard, *round);
+        let corrupted = trace.events()[pos].clone();
+        let busy: std::collections::BTreeSet<u32> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                TraceEvent::RoundEnd { shard, .. } => Some(*shard),
+                _ => None,
+            })
+            .collect();
+        assert!(
+            busy.len() >= shards.min(2),
+            "{shards} shards: frames of only {busy:?} recorded"
+        );
+
+        let rep = Tracer::replay(trace);
+        traced_run_at(shards, 42, 42, Some(Rc::clone(&rep)));
+        let d = rep.divergence().expect("perturbed hash must diverge");
+        assert_eq!(d.pos, pos, "checker must stop at the corrupted event: {d}");
+        assert_eq!(
+            (d.shard, d.round),
+            (shard, round),
+            "checker must name the corrupted frame: {d}"
+        );
+        assert_eq!(d.expected, Some(corrupted), "{d}");
+    }
 }
 
 /// Save/load round-trip through the wire format, end to end.
