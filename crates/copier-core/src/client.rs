@@ -354,16 +354,10 @@ pub struct Client {
     /// (registration) order the legacy full sweep used — scheduler
     /// tie-breaks stay identical under active-set iteration.
     pub reg_seq: Cell<u64>,
-    /// Membership flag for the per-shard active set (O(1) idempotent
-    /// doorbell). Maintained only on the O(active) fast path.
-    pub active: Cell<bool>,
-    /// Cached per-client trace-hash contribution `(hp, hx)` plus a dirty
-    /// flag, for the delta-folded trace state hashes (§18). Only
-    /// meaningful while the service runs with a tracer on the fast path.
-    pub hash_cache: Cell<(u64, u64)>,
-    /// Whether `hash_cache` is stale (client was touched since the last
-    /// fold). Guards duplicate entries in the shard's dirty list.
-    pub hash_dirty: Cell<bool>,
+    /// The client's cells in its shard's incremental aggregates (§18):
+    /// active-set membership and the cached trace-hash contribution.
+    /// Written only by the types that own those invariants.
+    pub(crate) marks: crate::service::Marks,
 }
 
 impl Client {
@@ -385,9 +379,7 @@ impl Client {
             epoch: Cell::new(0),
             shard: Cell::new(0),
             reg_seq: Cell::new(0),
-            active: Cell::new(false),
-            hash_cache: Cell::new((0, 0)),
-            hash_dirty: Cell::new(false),
+            marks: Default::default(),
         })
     }
 

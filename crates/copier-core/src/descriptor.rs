@@ -40,6 +40,33 @@ pub enum CopyFault {
     Corrupted,
 }
 
+impl CopyFault {
+    /// Wire encoding for trace and journal records (0 = no fault).
+    pub fn code(self) -> u8 {
+        match self {
+            CopyFault::Segv => 1,
+            CopyFault::OutOfMemory => 2,
+            CopyFault::Aborted => 3,
+            CopyFault::Overloaded => 4,
+            CopyFault::Torn => 5,
+            CopyFault::Corrupted => 6,
+        }
+    }
+
+    /// Inverse of [`Self::code`] for journaled taints. Unknown codes
+    /// decode as `Torn` — the conservative "do not consume these bytes".
+    pub fn from_code(code: u8) -> CopyFault {
+        match code {
+            1 => CopyFault::Segv,
+            2 => CopyFault::OutOfMemory,
+            3 => CopyFault::Aborted,
+            4 => CopyFault::Overloaded,
+            6 => CopyFault::Corrupted,
+            _ => CopyFault::Torn,
+        }
+    }
+}
+
 /// Default segment granularity (bytes).
 pub const DEFAULT_SEGMENT: usize = 1024;
 
@@ -244,6 +271,22 @@ mod tests {
     use super::*;
     use copier_testkit::{check_with, Config, TestRng};
     use copier_testkit::{prop_assert, prop_assert_eq};
+
+    #[test]
+    fn fault_codes_round_trip_and_unknown_decodes_as_torn() {
+        use CopyFault::*;
+        for f in [Segv, OutOfMemory, Aborted, Overloaded, Torn, Corrupted] {
+            // Exhaustive: a new variant fails to compile here until listed.
+            match f {
+                Segv | OutOfMemory | Aborted | Overloaded | Torn | Corrupted => {}
+            }
+            assert_ne!(f.code(), 0, "0 is the wire's \"no fault\"");
+            assert_eq!(CopyFault::from_code(f.code()), f);
+        }
+        for unknown in [0u8, 7, 200, u8::MAX] {
+            assert_eq!(CopyFault::from_code(unknown), Torn);
+        }
+    }
 
     /// The readers and the range marker as they were before they went
     /// word-wise, one `is_marked` / `mark` per segment: the oracle of

@@ -1,0 +1,346 @@
+//! A service thread (§4.5.1): the shard loop and the round it runs, a list
+//! of named phase calls.
+
+use std::rc::Rc;
+
+use copier_hw::{PlannedCopy, ProgressFn};
+use copier_sim::trace::TraceEvent;
+use copier_sim::{Core, CrashPoint, Nanos};
+
+use super::aggregates::Assigned;
+use super::execute::{mark_progress, ByTid, PlanScratch};
+use super::select::Selected;
+use super::Copier;
+use crate::config::PollMode;
+use crate::sched::RunOrder;
+
+/// Per-thread round scratch, reused across polls so a settled round
+/// allocates nothing and a served copy only what outlives the round (its
+/// window entry, its plan's pieces, its pin lists): the lists below are
+/// refilled in place.
+pub(super) struct RoundScratch {
+    /// The clients this round drains, syncs and schedules.
+    assigned: Assigned,
+    /// The round's service order over `assigned.clients` (heap buffer
+    /// reused).
+    order: RunOrder,
+    /// The batch selected for the client being served; empty otherwise.
+    pub(super) selected: Vec<Selected>,
+    pub(super) by_tid: ByTid,
+    /// Marks bytes landed on `by_tid`'s entries; one closure per thread.
+    pub(super) progress: ProgressFn,
+    /// The gaps of the entry being planned.
+    pub(super) gaps: Vec<(usize, usize)>,
+    /// The batch as handed to the dispatcher.
+    pub(super) planned: Vec<PlannedCopy>,
+    pub(super) plan: PlanScratch,
+}
+
+impl RoundScratch {
+    fn new(svc: &Rc<Copier>) -> Self {
+        let by_tid = ByTid::default();
+        let (map, me) = (Rc::clone(&by_tid), Rc::downgrade(svc));
+        let progress: ProgressFn = Rc::new(move |tid, off, len| {
+            // A dead incarnation processes no completions: once this
+            // service has crashed, a late DMA landing must not mark
+            // the (shared, adoption-surviving) entry or any segment:
+            // the successor clears the in-flight ranges at adoption and
+            // re-copies unmarked gaps idempotently.
+            let Some(svc) = me.upgrade() else { return };
+            if svc.crashed.get() {
+                return;
+            }
+            // Clone out of the list before marking: the short borrow
+            // never outlives the callback's own bookkeeping.
+            let entry = {
+                let map = map.borrow();
+                map.binary_search_by_key(&tid, |(t, _)| *t)
+                    .ok()
+                    .map(|i| Rc::clone(&map[i].1))
+            };
+            if let Some(e) = entry {
+                mark_progress(&e, off, len);
+            }
+        });
+        RoundScratch {
+            assigned: Assigned::default(),
+            order: RunOrder::default(),
+            selected: Vec::new(),
+            by_tid,
+            progress,
+            gaps: Vec::new(),
+            planned: Vec::new(),
+            plan: PlanScratch::default(),
+        }
+    }
+}
+
+impl Copier {
+    /// A service thread (§4.5.1, DESIGN.md §17): shard `idx` owns the
+    /// clients hashed to it, runs the round loop over them on its own
+    /// core, and meets every other shard at a deterministic round barrier
+    /// where fairness minima are exchanged. Rounds are thus lockstep
+    /// generations: least-served decisions in generation g read only
+    /// peer state published at the end of generation g-1 — never a
+    /// peer's mid-round state — which is what keeps N-shard runs
+    /// bit-reproducible from a seed. Admission reads no peer state. A
+    /// lone shard has nobody to meet and is never parked there.
+    pub(super) async fn shard_loop(self: Rc<Self>, idx: usize) {
+        /// Scheduler latency to wake a parked Copier thread (kthread
+        /// wakeup).
+        const WAKE_LATENCY: Nanos = Nanos(700);
+        let core = Rc::clone(&self.cores[idx]);
+        let mut idle_streak = 0u32;
+        // Per-thread round scratch: the dispatch progress list is cleared
+        // and refilled each round instead of reallocated. A round's DMA
+        // callbacks all settle before `execute_batch` returns, so clearing
+        // at the next round is safe.
+        let mut scratch = RoundScratch::new(&self);
+        loop {
+            if self.stopping.get() {
+                // Closing memory checkpoint: the trace ends with a full
+                // physical digest so replay fidelity is checked even when
+                // the run stopped between periodic checkpoints. A crashed
+                // incarnation writes nothing more — like a real crash,
+                // its trace just ends mid-stream.
+                if idx == 0 && !self.crashed.get() {
+                    if let Some(t) = &self.cfg.tracer {
+                        t.record_mem(self.pm.digest());
+                    }
+                }
+                // Release peers still parked at the barrier: a shard
+                // exiting without arriving must not strand them.
+                self.barrier.release();
+                return;
+            }
+            // Scenario gate.
+            if self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get() {
+                self.parked.set(self.parked.get() + 1);
+                self.wake.notified().await;
+                self.parked.set(self.parked.get() - 1);
+                core.advance(WAKE_LATENCY).await;
+                continue;
+            }
+            let did = self.round(idx, &core, &mut scratch).await;
+            if did {
+                self.stats.borrow_mut().busy_rounds += 1;
+            }
+            let arrival = self.barrier.arrive(did, &self.stopping, || self.exchange());
+            if arrival.await {
+                // Some shard did work this generation: everyone keeps
+                // polling hot, even shards that were themselves idle —
+                // idleness is a barrier-agreed global fact, never a local
+                // guess, so the shards spin down (and park) in lockstep.
+                idle_streak = 0;
+                continue;
+            }
+            self.stats.borrow_mut().idle_polls += 1;
+            core.advance(self.cost.poll_idle).await;
+            idle_streak += 1;
+            let (spin_rounds, park_timeout) = match self.cfg.polling {
+                PollMode::Napi {
+                    spin_rounds,
+                    park_timeout,
+                } => (spin_rounds, park_timeout),
+                // Even inside an active scenario the thread sleeps when
+                // queues run empty (§6.2.4: "sleeps when queues are
+                // empty") — submissions call copier_awaken.
+                PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
+            };
+            if idle_streak > spin_rounds {
+                self.parked.set(self.parked.get() + 1);
+                let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
+                self.parked.set(self.parked.get() - 1);
+                if notified {
+                    // Kthread wakeup latency before the next sweep.
+                    core.advance(WAKE_LATENCY).await;
+                }
+                idle_streak = 0;
+            }
+        }
+    }
+
+    /// Refreshes the thread's client assignment in `scratch`.
+    fn assigned_into(&self, idx: usize, scratch: &mut RoundScratch) {
+        let (sh, table) = (&self.shards[idx], self.clients.borrow());
+        sh.active
+            .assigned_into(sh.owned(&table), &mut scratch.assigned);
+    }
+
+    /// One service round. Returns whether any work was done.
+    ///
+    /// With a tracer configured this wraps the round in
+    /// `begin_shard_round` / `end_shard_round` so every event the round
+    /// emits carries its `(shard, round)` identity, closes active rounds
+    /// with the shard's `(pending, index, stats)` state hashes, and
+    /// appends periodic physical-memory digests. The tracer is host-side
+    /// bookkeeping only — no virtual time is charged, so traced and
+    /// untraced runs have identical timelines.
+    async fn round(
+        self: &Rc<Self>,
+        idx: usize,
+        core: &Rc<Core>,
+        scratch: &mut RoundScratch,
+    ) -> bool {
+        let Some(tracer) = self.cfg.tracer.clone() else {
+            return self.round_inner(idx, core, scratch).await;
+        };
+        let sh = &self.shards[idx];
+        let round_no = sh.round_no.get() + 1;
+        sh.round_no.set(round_no);
+        tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
+        let did = self.round_inner(idx, core, scratch).await;
+        let mem_due = tracer.end_shard_round(idx as u32, || self.round_hashes(idx));
+        if mem_due {
+            tracer.record_mem(self.pm.digest());
+        }
+        did
+    }
+
+    async fn round_inner(
+        self: &Rc<Self>,
+        idx: usize,
+        core: &Rc<Core>,
+        scratch: &mut RoundScratch,
+    ) -> bool {
+        /// Copier-core nanoseconds charged per drained queue entry.
+        const DRAIN_COST_NS: u64 = 25;
+        // 0. Background integrity (§integrity).
+        if idx == 0 {
+            self.background_integrity();
+        }
+        // Snapshot boundary: clients registered after this point are
+        // invisible to this round. Stage-boundary refreshes below re-run
+        // the epoch check so a client *activated* mid-round (a push
+        // landing during an await) is drained by the later stages.
+        scratch.assigned.reg_watermark = self.next_reg.get();
+        self.assigned_into(idx, scratch);
+        // This round may mutate any assigned client's hashed state;
+        // clients activated mid-round are marked by their doorbell.
+        for c in scratch.assigned.clients.iter() {
+            self.shards[idx].hashes.mark_dirty(c);
+        }
+        // 1. Drain queues into windows, once: a round never waits for a
+        // batch to form. What lands while it executes is the next round's
+        // drain, so load does the batching.
+        let drained = self.drain_assigned(&scratch.assigned.clients);
+        if drained > 0 {
+            core.advance(Nanos(DRAIN_COST_NS * drained as u64)).await;
+        }
+        // 2. Sync queues (k-mode before u-mode, §4.2.2).
+        self.assigned_into(idx, scratch);
+        let synced = self.serve_syncs(&scratch.assigned.clients);
+        if synced > 0 {
+            core.advance(Nanos(DRAIN_COST_NS * synced as u64)).await;
+        }
+        if drained + synced > 0 {
+            self.temit(
+                idx,
+                TraceEvent::Drained {
+                    copies: drained as u64,
+                    syncs: synced as u64,
+                },
+            );
+            if !self.admissions_durable() {
+                return true;
+            }
+        }
+        // 3. Schedule: the runnable clients, least-served first as of now.
+        // The round's unit is the copy slice, not a client — it serves
+        // down this order until the slice is spent, so everything above
+        // (the sweep, the flush, a barrier generation under shards) is
+        // paid once per slice however little the least-served client had
+        // queued. Nothing drained or charged while the round runs re-ranks
+        // it; that is the next round's.
+        self.assigned_into(idx, scratch);
+        self.sched.order_into(
+            &scratch.assigned.clients,
+            self.h.now(),
+            self.cfg.lazy_period,
+            &mut scratch.order,
+        );
+        let mut left = self.sched.copy_slice();
+        // Whether some batch went to `execute`.
+        let mut acted = false;
+        while left > 0 {
+            let Some(pos) = scratch.order.pop() else {
+                break;
+            };
+            let client = &Rc::clone(&scratch.assigned.clients[pos]);
+            let now = self.h.now();
+            // A client reaped while an earlier one's batch was in flight
+            // has nothing left to pick.
+            if !client.has_work(now, self.cfg.lazy_period) {
+                continue;
+            }
+            self.temit(
+                client.shard.get(),
+                TraceEvent::SchedPick { client: client.id },
+            );
+            // 4. Select a batch from what is left of the slice. A client
+            // with nothing selectable (over its pin quota, head entry
+            // hazard-blocked) spends none of it.
+            left -= self.select_batch(client, now, left, &mut scratch.selected);
+            if scratch.selected.is_empty() {
+                continue;
+            }
+            // 5–7. Plan, dispatch, complete — one client at a time, so its
+            // handlers and credits fire when its own bytes have landed,
+            // not when the whole slice has. The batch always acts: one
+            // thread owns the client and nothing awaits between selecting
+            // and planning, so its head entry still has the gaps it was
+            // selected for, and planning them charges time or faults.
+            acted = true;
+            self.execute(core, client, scratch).await;
+            scratch.selected.clear();
+            if self.crashed.get() {
+                break;
+            }
+        }
+        if acted {
+            self.count_active_round(idx);
+        } else {
+            self.stats.borrow_mut().rounds_settled += 1;
+        }
+        // Completion records staged by finalize become durable at round
+        // end; a crash inside `execute` loses them and the tasks replay
+        // as live, to be reconciled by digest at adoption.
+        if acted && !self.crashed.get() {
+            self.journal_flush();
+        }
+        self.settle_pass(idx, scratch);
+        acted || drained + synced > 0
+    }
+
+    /// Round-end active-set maintenance: every assigned client that ended
+    /// the round fully settled leaves the shard's active set.
+    fn settle_pass(&self, idx: usize, scratch: &mut RoundScratch) {
+        let (sh, table) = (&self.shards[idx], self.clients.borrow());
+        sh.active.settle(sh.owned(&table), &mut scratch.assigned);
+    }
+
+    /// The durability boundary behind a drain: this round's admissions
+    /// flush before any of their bytes can move, so a journaled-but-absent
+    /// task is never one with partial undigested progress. False when the
+    /// incarnation crashed at one of the two crash points on the way.
+    fn admissions_durable(&self) -> bool {
+        // Crash point: after draining, before the admissions became
+        // durable — the staged Admit records die with this incarnation,
+        // so adoption drops the entries undelivered and the library
+        // resubmits them.
+        if self.maybe_crash(CrashPoint::MidDrain) {
+            return false;
+        }
+        // Crash point: mid-journal-flush — staged records reach the store
+        // but the final one is torn halfway, exercising the replayer's
+        // torn-tail truncation.
+        if self.maybe_crash(CrashPoint::MidJournalFlush) {
+            if let Some(j) = &self.journal {
+                j.flush_torn();
+            }
+            return false;
+        }
+        self.journal_flush();
+        true
+    }
+}

@@ -219,8 +219,29 @@ impl FaultPlan {
         *self.tracer.borrow_mut() = Some(Rc::clone(tracer));
     }
 
-    fn tracer(&self) -> Option<Rc<Tracer>> {
-        self.tracer.borrow().clone()
+    /// One oracle decision through the record/replay hook. Replaying, it
+    /// is the recorded event at the cursor, if `pick` accepts it; once the
+    /// stream has diverged — and in every other mode — `live` draws it,
+    /// from the never-advanced replay PRNG in the diverged case, so the
+    /// run stays deterministic and terminates. A recording run appends
+    /// the live event to the trace.
+    fn draw<T>(
+        &self,
+        what: std::fmt::Arguments<'_>,
+        pick: impl Fn(&TraceEvent) -> Option<T>,
+        live: impl FnOnce(&SimRng) -> TraceEvent,
+    ) -> T {
+        let tracer = self.tracer.borrow().clone();
+        let replay = tracer.as_deref().filter(|t| t.is_replay());
+        if let Some(v) = replay.and_then(|t| t.take(what, &pick)) {
+            return v;
+        }
+        let ev = live(&self.rng);
+        let v = pick(&ev).expect("a live draw is of the kind that was asked for");
+        if let Some(t) = tracer.as_deref().filter(|t| !t.is_replay()) {
+            t.emit(ev);
+        }
+        v
     }
 
     /// Decides the fate of one DMA descriptor. Classes are checked in
@@ -228,38 +249,39 @@ impl FaultPlan {
     /// check consumes exactly one PRNG draw so the decision stream is
     /// independent of which classes are enabled.
     pub fn decide_dma(&self) -> Option<DmaFault> {
-        let tracer = self.tracer();
-        if let Some(t) = tracer.as_deref() {
-            if t.is_replay() {
-                if let Some(code) = t.take_dma() {
-                    let fault = Self::dma_from_code(code);
-                    self.count_dma(fault);
-                    return fault;
-                }
-                // Diverged: fall through to live draws (from the
-                // never-advanced replay PRNG — still deterministic).
-            }
-        }
-        let hard = self.rng.gen_bool(self.cfg.dma_hard_prob);
-        let timeout = self.rng.gen_bool(self.cfg.dma_timeout_prob);
-        let transient = self.rng.gen_bool(self.cfg.dma_transient_prob);
-        let fault = if hard {
-            Some(DmaFault::HardFail)
-        } else if timeout {
-            Some(DmaFault::Timeout)
-        } else if transient {
-            Some(DmaFault::Transient)
-        } else {
-            None
-        };
-        self.count_dma(fault);
-        if let Some(t) = tracer.as_deref() {
-            if !t.is_replay() {
-                t.emit(TraceEvent::DmaDraw {
+        let code = self.draw(
+            format_args!("a DMA fault draw"),
+            |ev| match ev {
+                &TraceEvent::DmaDraw { fault } => Some(fault),
+                _ => None,
+            },
+            |rng| {
+                let hard = rng.gen_bool(self.cfg.dma_hard_prob);
+                let timeout = rng.gen_bool(self.cfg.dma_timeout_prob);
+                let transient = rng.gen_bool(self.cfg.dma_transient_prob);
+                let fault = if hard {
+                    Some(DmaFault::HardFail)
+                } else if timeout {
+                    Some(DmaFault::Timeout)
+                } else if transient {
+                    Some(DmaFault::Transient)
+                } else {
+                    None
+                };
+                TraceEvent::DmaDraw {
                     fault: Self::dma_code(fault),
-                });
-            }
+                }
+            },
+        );
+        let fault = Self::dma_from_code(code);
+        let mut log = self.log.get();
+        match fault {
+            Some(DmaFault::HardFail) => log.dma_hard += 1,
+            Some(DmaFault::Timeout) => log.dma_timeout += 1,
+            Some(DmaFault::Transient) => log.dma_transient += 1,
+            None => {}
         }
+        self.log.set(log);
         fault
     }
 
@@ -283,33 +305,18 @@ impl FaultPlan {
         }
     }
 
-    fn count_dma(&self, fault: Option<DmaFault>) {
-        let mut log = self.log.get();
-        match fault {
-            Some(DmaFault::HardFail) => log.dma_hard += 1,
-            Some(DmaFault::Timeout) => log.dma_timeout += 1,
-            Some(DmaFault::Transient) => log.dma_transient += 1,
-            None => {}
-        }
-        self.log.set(log);
-    }
-
     /// Decides whether an ATCache hit should be treated as stale.
     pub fn decide_atc_stale(&self) -> bool {
-        let tracer = self.tracer();
-        let stale = match tracer.as_deref() {
-            Some(t) if t.is_replay() => match t.take_atc() {
-                Some(s) => s,
-                None => self.rng.gen_bool(self.cfg.atc_stale_prob),
+        let stale = self.draw(
+            format_args!("an ATC staleness draw"),
+            |ev| match ev {
+                &TraceEvent::AtcDraw { stale } => Some(stale),
+                _ => None,
             },
-            _ => {
-                let s = self.rng.gen_bool(self.cfg.atc_stale_prob);
-                if let Some(t) = tracer.as_deref() {
-                    t.emit(TraceEvent::AtcDraw { stale: s });
-                }
-                s
-            }
-        };
+            |rng| TraceEvent::AtcDraw {
+                stale: rng.gen_bool(self.cfg.atc_stale_prob),
+            },
+        );
         if stale {
             let mut log = self.log.get();
             log.atc_stale += 1;
@@ -329,38 +336,25 @@ impl FaultPlan {
         if self.cfg.crash_prob <= 0.0 {
             return false;
         }
-        let tracer = self.tracer();
-        if let Some(t) = tracer.as_deref() {
-            if t.is_replay() {
-                if let Some(fire) = t.take_crash(point.code()) {
-                    if fire {
-                        self.count_crash();
-                    }
-                    return fire;
-                }
-                // Diverged: fall through to live draws.
-            }
-        }
-        let draw = self.rng.gen_bool(self.cfg.crash_prob);
-        let fire = draw && self.log.get().crashes < self.cfg.max_crashes;
-        if let Some(t) = tracer.as_deref() {
-            if !t.is_replay() {
-                t.emit(TraceEvent::CrashDraw {
-                    point: point.code(),
-                    fire,
-                });
-            }
-        }
+        let point = point.code();
+        let fire = self.draw(
+            format_args!("a crash draw at point {point}"),
+            |ev| match ev {
+                &TraceEvent::CrashDraw { point: p, fire } if p == point => Some(fire),
+                _ => None,
+            },
+            |rng| TraceEvent::CrashDraw {
+                point,
+                fire: rng.gen_bool(self.cfg.crash_prob)
+                    && self.log.get().crashes < self.cfg.max_crashes,
+            },
+        );
         if fire {
-            self.count_crash();
+            let mut log = self.log.get();
+            log.crashes += 1;
+            self.log.set(log);
         }
         fire
-    }
-
-    fn count_crash(&self) {
-        let mut log = self.log.get();
-        log.crashes += 1;
-        self.log.set(log);
     }
 
     /// Decides whether one DMA transfer is silently corrupted, and how.
@@ -376,34 +370,34 @@ impl FaultPlan {
         if self.cfg.dma_flip_prob <= 0.0 && self.cfg.dma_misdirect_prob <= 0.0 {
             return None;
         }
-        let tracer = self.tracer();
-        if let Some(t) = tracer.as_deref() {
-            if t.is_replay() {
-                if let Some((kind, arg)) = t.take_corrupt() {
-                    let c = Self::corrupt_from_code(kind, arg);
-                    self.count_corrupt(c);
-                    return c;
-                }
-                // Diverged: fall through to live draws.
-            }
+        let (kind, arg) = self.draw(
+            format_args!("a silent-corruption draw"),
+            |ev| match ev {
+                &TraceEvent::CorruptDraw { kind, arg } => Some((kind, arg)),
+                _ => None,
+            },
+            |rng| {
+                let flip = rng.gen_bool(self.cfg.dma_flip_prob);
+                let misdirect = rng.gen_bool(self.cfg.dma_misdirect_prob);
+                let payload = rng.next_u64();
+                let (kind, arg) = Self::corrupt_code(if flip {
+                    Some(SilentCorruption::BitFlip { pos: payload })
+                } else if misdirect {
+                    Some(SilentCorruption::Misdirect { shift: payload })
+                } else {
+                    None
+                });
+                TraceEvent::CorruptDraw { kind, arg }
+            },
+        );
+        let c = Self::corrupt_from_code(kind, arg);
+        let mut log = self.log.get();
+        match c {
+            Some(SilentCorruption::BitFlip { .. }) => log.dma_flips += 1,
+            Some(SilentCorruption::Misdirect { .. }) => log.dma_misdirects += 1,
+            None => {}
         }
-        let flip = self.rng.gen_bool(self.cfg.dma_flip_prob);
-        let misdirect = self.rng.gen_bool(self.cfg.dma_misdirect_prob);
-        let payload = self.rng.next_u64();
-        let c = if flip {
-            Some(SilentCorruption::BitFlip { pos: payload })
-        } else if misdirect {
-            Some(SilentCorruption::Misdirect { shift: payload })
-        } else {
-            None
-        };
-        self.count_corrupt(c);
-        if let Some(t) = tracer.as_deref() {
-            if !t.is_replay() {
-                let (kind, arg) = Self::corrupt_code(c);
-                t.emit(TraceEvent::CorruptDraw { kind, arg });
-            }
-        }
+        self.log.set(log);
         c
     }
 
@@ -425,16 +419,6 @@ impl FaultPlan {
         }
     }
 
-    fn count_corrupt(&self, c: Option<SilentCorruption>) {
-        let mut log = self.log.get();
-        match c {
-            Some(SilentCorruption::BitFlip { .. }) => log.dma_flips += 1,
-            Some(SilentCorruption::Misdirect { .. }) => log.dma_misdirects += 1,
-            None => {}
-        }
-        self.log.set(log);
-    }
-
     /// Decides whether a pinned-page bit-rot event fires, returning the
     /// seeded bit position it lands on (the owning layer reduces it to a
     /// byte inside the scrub-registered footprint).
@@ -446,38 +430,24 @@ impl FaultPlan {
         if self.cfg.rot_prob <= 0.0 {
             return None;
         }
-        let tracer = self.tracer();
-        if let Some(t) = tracer.as_deref() {
-            if t.is_replay() {
-                if let Some((hit, pos)) = t.take_rot() {
-                    if hit {
-                        self.count_rot();
-                        return Some(pos);
-                    }
-                    return None;
-                }
-                // Diverged: fall through to live draws.
-            }
+        let (hit, pos) = self.draw(
+            format_args!("a bit-rot draw"),
+            |ev| match ev {
+                &TraceEvent::RotDraw { hit, pos } => Some((hit, pos)),
+                _ => None,
+            },
+            |rng| TraceEvent::RotDraw {
+                hit: rng.gen_bool(self.cfg.rot_prob),
+                pos: rng.next_u64(),
+            },
+        );
+        if !hit {
+            return None;
         }
-        let hit = self.rng.gen_bool(self.cfg.rot_prob);
-        let pos = self.rng.next_u64();
-        if let Some(t) = tracer.as_deref() {
-            if !t.is_replay() {
-                t.emit(TraceEvent::RotDraw { hit, pos });
-            }
-        }
-        if hit {
-            self.count_rot();
-            Some(pos)
-        } else {
-            None
-        }
-    }
-
-    fn count_rot(&self) {
         let mut log = self.log.get();
         log.rot_events += 1;
         self.log.set(log);
+        Some(pos)
     }
 
     /// Draws `n` virtual instants uniformly in `[0, horizon)` for delayed
@@ -485,26 +455,20 @@ impl FaultPlan {
     /// ascending. Harnesses spawn timer tasks at these instants.
     pub fn race_times(&self, n: usize, horizon: Nanos) -> Vec<Nanos> {
         assert!(horizon > Nanos::ZERO);
-        let tracer = self.tracer();
-        if let Some(t) = tracer.as_deref() {
-            if t.is_replay() {
-                if let Some(times) = t.take_races(n) {
-                    return times.into_iter().map(Nanos).collect();
-                }
-            }
-        }
-        let mut out: Vec<Nanos> = (0..n)
-            .map(|_| Nanos(self.rng.gen_range(horizon.as_nanos())))
-            .collect();
-        out.sort();
-        if let Some(t) = tracer.as_deref() {
-            if !t.is_replay() {
-                t.emit(TraceEvent::RaceTimes {
-                    times: out.iter().map(|t| t.as_nanos()).collect(),
-                });
-            }
-        }
-        out
+        let times = self.draw(
+            format_args!("a batch of {n} race times"),
+            |ev| match ev {
+                TraceEvent::RaceTimes { times } if times.len() == n => Some(times.clone()),
+                _ => None,
+            },
+            |rng| {
+                let mut times: Vec<u64> =
+                    (0..n).map(|_| rng.gen_range(horizon.as_nanos())).collect();
+                times.sort();
+                TraceEvent::RaceTimes { times }
+            },
+        );
+        times.into_iter().map(Nanos).collect()
     }
 
     /// Snapshot of the injected-fault counters.

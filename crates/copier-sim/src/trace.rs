@@ -719,9 +719,16 @@ impl Tracer {
         });
     }
 
-    /// Replay mode: consumes the next recorded DMA draw. `None` means
-    /// the stream diverged (the caller falls back to live draws).
-    pub fn take_dma(&self) -> Option<u8> {
+    /// Replay mode: consumes the recorded event at the cursor if `pick`
+    /// accepts it, re-appending it to this run's stream; anything else
+    /// there is a divergence (`what` names the draw that was asked for).
+    /// `None` means the stream diverged, now or earlier — the caller falls
+    /// back to live draws.
+    pub(crate) fn take<T>(
+        &self,
+        what: std::fmt::Arguments<'_>,
+        pick: impl FnOnce(&TraceEvent) -> Option<T>,
+    ) -> Option<T> {
         debug_assert!(self.is_replay());
         if self.diverged.borrow().is_some() {
             return None;
@@ -731,143 +738,15 @@ impl Tracer {
             return None;
         }
         let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(&TraceEvent::DmaDraw { fault }) => {
-                self.cursor.set(pos + 1);
-                self.append(&TraceEvent::DmaDraw { fault });
-                Some(fault)
-            }
-            _ => {
-                self.mark_divergence("a DMA fault draw was requested".into());
-                None
-            }
-        }
-    }
-
-    /// Replay mode: consumes the next recorded ATCache staleness draw.
-    pub fn take_atc(&self) -> Option<bool> {
-        debug_assert!(self.is_replay());
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        self.flush_header();
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(&TraceEvent::AtcDraw { stale }) => {
-                self.cursor.set(pos + 1);
-                self.append(&TraceEvent::AtcDraw { stale });
-                Some(stale)
-            }
-            _ => {
-                self.mark_divergence("an ATC staleness draw was requested".into());
-                None
-            }
-        }
-    }
-
-    /// Replay mode: consumes the next recorded crash draw for the crash
-    /// point with wire code `point`. `None` means the stream diverged
-    /// (the caller falls back to live draws).
-    pub fn take_crash(&self, point: u8) -> Option<bool> {
-        debug_assert!(self.is_replay());
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        self.flush_header();
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(&TraceEvent::CrashDraw { point: p, fire }) if p == point => {
-                self.cursor.set(pos + 1);
-                self.append(&TraceEvent::CrashDraw { point, fire });
-                Some(fire)
-            }
-            _ => {
-                self.mark_divergence(format!("a crash draw at point {point} was requested"));
-                None
-            }
-        }
-    }
-
-    /// Replay mode: consumes the next recorded silent-corruption draw
-    /// as `(kind, arg)`. `None` means the stream diverged (the caller
-    /// falls back to live draws).
-    pub fn take_corrupt(&self) -> Option<(u8, u64)> {
-        debug_assert!(self.is_replay());
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        self.flush_header();
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(&TraceEvent::CorruptDraw { kind, arg }) => {
-                self.cursor.set(pos + 1);
-                self.append(&TraceEvent::CorruptDraw { kind, arg });
-                Some((kind, arg))
-            }
-            _ => {
-                self.mark_divergence("a silent-corruption draw was requested".into());
-                None
-            }
-        }
-    }
-
-    /// Replay mode: consumes the next recorded bit-rot draw as
-    /// `(hit, pos)`.
-    pub fn take_rot(&self) -> Option<(bool, u64)> {
-        debug_assert!(self.is_replay());
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        self.flush_header();
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(&TraceEvent::RotDraw { hit, pos: p }) => {
-                self.cursor.set(pos + 1);
-                self.append(&TraceEvent::RotDraw { hit, pos: p });
-                Some((hit, p))
-            }
-            _ => {
-                self.mark_divergence("a bit-rot draw was requested".into());
-                None
-            }
-        }
-    }
-
-    /// Replay mode: consumes the next recorded race-time batch of
-    /// exactly `n` instants.
-    pub fn take_races(&self, n: usize) -> Option<Vec<u64>> {
-        debug_assert!(self.is_replay());
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        self.flush_header();
-        if self.diverged.borrow().is_some() {
-            return None;
-        }
-        let pos = self.cursor.get();
-        match self.recorded.get(pos) {
-            Some(ev @ TraceEvent::RaceTimes { times }) if times.len() == n => {
+        if let Some(ev) = self.recorded.get(pos) {
+            if let Some(v) = pick(ev) {
                 self.cursor.set(pos + 1);
                 self.append(ev);
-                Some(times.clone())
-            }
-            _ => {
-                self.mark_divergence(format!("a batch of {n} race times was requested"));
-                None
+                return Some(v);
             }
         }
+        self.mark_divergence(format!("{what} was requested"));
+        None
     }
 
     /// The first divergence, if the replay has left the recorded
@@ -1052,7 +931,11 @@ mod tests {
         // Headers flush through draw consumption too: emit something
         // first the way the service would (drain/sched before draws).
         rep.emit(TraceEvent::DmaDraw { fault: 3 });
-        assert_eq!(rep.take_atc(), Some(true));
+        let atc = rep.take(format_args!("an ATC staleness draw"), |ev| match ev {
+            &TraceEvent::AtcDraw { stale } => Some(stale),
+            _ => None,
+        });
+        assert_eq!(atc, Some(true));
         rep.end_shard_round(0, || (0, 0, 0));
         assert_eq!(rep.divergence(), None);
 

@@ -8,10 +8,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo fmt --all --check
-# A round has one shape at every shard count (DESIGN.md §17): the only
-# place the service compares its shard count is the barrier's lone-arriver
-# early-out.
-[ "$(grep -rhE 'nshards\(\) *(>|==|!=)' crates/*/src | tr -s ' ')" = ' if self.nshards() == 1 {' ]
+# A round has one shape at every shard count (DESIGN.md §17): nothing
+# compares the service's shard count. The one place a count of one matters
+# is the round barrier's lone-arriver early-out, and `RoundBarrier` asks
+# that of its own arriver count.
+[ -z "$(grep -rhE 'nshards\(\) *(>|==|!=)' crates/*/src)" ]
+# The full-sweep reference branches in one file (DESIGN.md §2): outside the
+# config field's definition, `full_sweep` and the two predicates it used to
+# feed may be named only by the aggregates that keep both behaviours.
+[ "$(grep -rlE 'full_sweep|fast_path\(\)|hash_cached\(\)' crates/copier-core/src | sort | tr '\n' ' ')" \
+    = 'crates/copier-core/src/config.rs crates/copier-core/src/service/aggregates.rs ' ]
+# No file of the service crate outgrows 1,000 lines, and no function of
+# the service 100 code lines: `service/mod.rs` denies
+# `clippy::too_many_lines` for its whole module tree (threshold in
+# clippy.toml), which the clippy run below enforces.
+over=$(find crates/copier-core/src -name '*.rs' -exec wc -l {} + | awk '$2 != "total" && $1 > 1000')
+[ -z "$over" ] || { echo "over 1000 lines:"; echo "$over"; exit 1; }
+grep -qx '#!\[deny(clippy::too_many_lines)\]' crates/copier-core/src/service/mod.rs
+grep -qx 'too-many-lines-threshold = 100' clippy.toml
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
