@@ -8,7 +8,7 @@
 
 use std::rc::Rc;
 
-use copier_client::sync_copy;
+use copier_client::{sync_copy, AmemcpyOpts};
 use copier_hw::CpuCopyKind;
 use copier_mem::{FrameId, MemError, Prot, VirtAddr, PAGE_SIZE};
 use copier_os::{Os, Process};
@@ -103,21 +103,14 @@ impl CachedFile {
         os.trap(core).await;
         core.advance(READ_OVERHEAD).await;
         if use_copier {
-            let lib = proc.lib();
-            let sect = lib.kernel_section(0);
-            let submitted = sect
-                .submit(
-                    core,
-                    &proc.space,
-                    buf,
-                    &os.kspace,
-                    self.kva,
-                    self.len,
-                    None,
-                    false,
-                )
+            let opts = AmemcpyOpts {
+                src_space: Some(Rc::clone(&os.kspace)),
+                ..Default::default()
+            };
+            let submitted = proc
+                .lib()
+                .kernel_amemcpy(core, buf, self.kva, self.len, opts)
                 .await;
-            sect.close(core).await;
             if submitted.is_err() {
                 // Overloaded: the page-cache read degrades to a
                 // synchronous kernel→user copy (§4.6 fallback).

@@ -5,17 +5,20 @@
 //! default queues, a descriptor pool, and the tracking table that lets
 //! `csync(addr, len)` find the descriptor covering an address.
 //!
-//! Kernel services submit through [`KernelSection`], which plants the
-//! cross-queue barrier tasks of §4.2.1 around each trap.
+//! Kernel services copy through [`CopierHandle::kernel_amemcpy`], which
+//! plants the cross-queue barrier tasks of §4.2.1 around the copy. Every
+//! copy takes one submission path, and every ring entry one bounded push.
 
 use std::cell::{Cell, RefCell};
+use std::future::Future;
 use std::rc::Rc;
 
 use copier_core::{
-    Client, Copier, CopyFault, CopyTask, Handler, QueueEntry, SegDescriptor, SyncTask,
+    Client, Copier, CopyFault, CopyTask, Handler, QueueEntry, QueueSet, Ring, RingFull,
+    SegDescriptor, SyncTask,
 };
 use copier_hw::{CostModel, CpuCopyKind};
-use copier_mem::{AddressSpace, MemError, VirtAddr};
+use copier_mem::{AddressSpace, VirtAddr};
 use copier_sim::{Core, Nanos};
 
 use crate::pool::DescriptorPool;
@@ -39,10 +42,17 @@ pub enum SubmitError {
 /// Result of an async-copy submission.
 pub type SubmitResult = Result<Rc<SegDescriptor>, SubmitError>;
 
-/// Submission retry budget: attempts before a path reports `Overloaded`.
-/// Generous — virtual milliseconds of bounded backoff — so transient
+/// Backoffs a copy waits for a credit, or for a ring slot, before it
+/// reports `Overloaded`. Generous — virtual milliseconds — so transient
 /// bursts ride through, while true overload still surfaces as an error.
-const MAX_SUBMIT_ATTEMPTS: u32 = 32;
+const SUBMIT_BUDGET: u32 = 32;
+/// Backoffs an `abort` Sync Task waits for a slot; a `false` is benign.
+const ABORT_BUDGET: u32 = 8;
+/// Backoffs csync's promotion Sync Task waits for a slot. Promotion is an
+/// optimization: the wait still ends once the copy lands in FIFO order.
+const PROMOTE_BUDGET: u32 = 3;
+/// Client-side spin step while waiting in csync or backing off.
+const SPIN_STEP: Nanos = Nanos(200);
 
 struct Tracked {
     space_id: u32,
@@ -58,7 +68,8 @@ fn retired(d: &SegDescriptor) -> bool {
     d.fault().is_some() || (d.all_ready() && (!d.is_empty() || d.delivered()))
 }
 
-/// Options for the low-level `_amemcpy` (§5.1, Table 2).
+/// Options for the low-level `_amemcpy` (§5.1, Table 2), `try_amemcpy`
+/// and `kernel_amemcpy`.
 #[derive(Default)]
 pub struct AmemcpyOpts {
     /// Queue-set index (the `fd`); 0 = the per-process default queues.
@@ -86,6 +97,18 @@ pub struct AmemcpyOpts {
     pub verified: bool,
 }
 
+/// The front-end a copy came in through: it picks the ring, how long the
+/// submission may wait, and the rules only `_amemcpy` has.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    /// `try_amemcpy`: one look at the credit pool and the u-ring.
+    Try,
+    /// `_amemcpy`: the u-ring, with bounded backoff.
+    User,
+    /// `kernel_amemcpy`: the k-ring, with bounded backoff.
+    Kernel,
+}
+
 /// A per-process libCopier instance.
 pub struct CopierHandle {
     /// The service incarnation this handle currently talks to; swapped
@@ -98,8 +121,6 @@ pub struct CopierHandle {
     pub uspace: Rc<AddressSpace>,
     pool: DescriptorPool,
     tracked: RefCell<Vec<Tracked>>,
-    /// Client-side spin step while waiting in csync.
-    pub spin_step: Nanos,
     /// §4.6 synchronous copies performed because the service was down.
     sync_fallbacks: Cell<u64>,
     /// Tasks submitted with per-task full verification
@@ -121,16 +142,16 @@ impl CopierHandle {
             uspace,
             pool: DescriptorPool::new(),
             tracked: RefCell::new(Vec::new()),
-            spin_step: Nanos(200),
             sync_fallbacks: Cell::new(0),
             verified_submitted: Cell::new(0),
             corrupted_seen: Cell::new(0),
         })
     }
 
-    /// The service this handle currently talks to.
+    /// The service incarnation this handle currently talks to (never hold
+    /// the borrow across an await: every use clones the `Rc` out).
     pub fn service(&self) -> Rc<Copier> {
-        self.svc()
+        Rc::clone(&self.svc.borrow())
     }
 
     /// The control-plane shard serving this client (DESIGN.md §17):
@@ -141,19 +162,13 @@ impl CopierHandle {
         self.client.shard.get()
     }
 
-    /// Current service incarnation (never hold the borrow across an
-    /// await: every use clones the `Rc` out immediately).
-    fn svc(&self) -> Rc<Copier> {
-        Rc::clone(&self.svc.borrow())
-    }
-
     /// Submission doorbell: marks this client active on its shard so the
     /// O(active) control plane (DESIGN.md §18) sees the freshly queued
     /// work, then wakes the service. Used on every path that lands an
     /// entry in a ring; paths that failed to land anything keep the
     /// plain `awaken`.
     fn doorbell(&self) {
-        self.svc().doorbell(&self.client);
+        self.service().doorbell(&self.client);
     }
 
     /// Synchronous fallback copies performed while the service was down.
@@ -187,33 +202,20 @@ impl CopierHandle {
             // re-arms recycled descriptors whose bits predate this
             // submission.
             task.descr.reset();
+            let descr = Rc::clone(&task.descr);
             let set = self.client.set(set_idx as usize);
-            let mut entry = QueueEntry::Copy(task);
-            let mut attempt = 0u32;
-            loop {
-                match set.uq.copy.push(entry) {
-                    Ok(()) => {
-                        n += 1;
-                        break;
-                    }
-                    Err(rejected) => {
-                        entry = rejected.0;
-                        if attempt >= MAX_SUBMIT_ATTEMPTS {
-                            // The ring stayed full across the whole
-                            // budget: surface a typed overload and
-                            // return the credit the original
-                            // submission still holds.
-                            let QueueEntry::Copy(t) = entry else {
-                                unreachable!("resubmission entries are copies")
-                            };
-                            t.descr.poison(CopyFault::Overloaded);
-                            self.client.grant_credit();
-                            break;
-                        }
-                        self.backoff(core, attempt).await;
-                        attempt += 1;
-                    }
-                }
+            let entry = QueueEntry::Copy(task);
+            if self
+                .push_bounded(core, &set.uq.copy, SUBMIT_BUDGET, entry, |e| e, || false)
+                .await
+            {
+                n += 1;
+            } else {
+                // The ring stayed full across the whole budget: surface a
+                // typed overload and return the credit the original
+                // submission still holds.
+                descr.poison(CopyFault::Overloaded);
+                self.client.grant_credit();
             }
         }
         new_svc.doorbell(&self.client);
@@ -230,14 +232,43 @@ impl CopierHandle {
     /// attempts, cache-warm) or sleep with exponentially growing slices
     /// (later attempts) so a blocked submitter never monopolizes its core.
     async fn backoff(&self, core: &Rc<Core>, attempt: u32) {
-        let svc = self.svc();
+        let svc = self.service();
         svc.awaken();
         if attempt < 4 {
-            core.advance(self.spin_step).await;
+            core.advance(SPIN_STEP).await;
         } else {
             let exp = (attempt - 4).min(10);
-            let ns = (self.spin_step.as_nanos() << exp).min(200_000);
+            let ns = (SPIN_STEP.as_nanos() << exp).min(200_000);
             svc.sim_handle().sleep(Nanos(ns)).await;
+        }
+    }
+
+    /// The one bounded ring push: offers `entry` to `ring` up to
+    /// `budget + 1` times with a backoff between misses, so `budget` 0 is
+    /// a single attempt that spends no time. After a miss, `give_up` ends
+    /// the retry at once; before each retry, `refresh` rebuilds the entry
+    /// (a barrier re-reads its peer position). Returns whether it landed.
+    async fn push_bounded<T>(
+        &self,
+        core: &Rc<Core>,
+        ring: &Ring<T>,
+        budget: u32,
+        mut entry: T,
+        refresh: impl Fn(T) -> T,
+        give_up: impl Fn() -> bool,
+    ) -> bool {
+        let mut attempt = 0;
+        loop {
+            match ring.push(entry) {
+                Ok(()) => return true,
+                Err(RingFull(back)) => entry = back,
+            }
+            if give_up() || attempt == budget {
+                return false;
+            }
+            self.backoff(core, attempt).await;
+            attempt += 1;
+            entry = refresh(entry);
         }
     }
 
@@ -252,7 +283,7 @@ impl CopierHandle {
                 // dead-check right after handles it.
                 return Ok(());
             }
-            if attempt >= MAX_SUBMIT_ATTEMPTS {
+            if attempt >= SUBMIT_BUDGET {
                 return Err(SubmitError::Overloaded);
             }
             self.backoff(core, attempt).await;
@@ -304,14 +335,45 @@ impl CopierHandle {
     /// must hold the same bytes and is the heal source. Both live in this
     /// process's address space.
     pub fn register_scrub(&self, primary: VirtAddr, replica: VirtAddr, len: usize, chunk: usize) {
-        self.svc()
-            .register_scrub_region(&self.client, &self.uspace, primary, replica, len, chunk);
+        let svc = self.service();
+        svc.register_scrub_region(&self.client, &self.uspace, primary, replica, len, chunk);
     }
 
     /// Nonblocking async memcpy: submits only if a credit and a ring slot
     /// are available right now, otherwise fails with `WouldBlock` without
     /// burning any wait time.
-    pub async fn try_amemcpy(
+    pub fn try_amemcpy<'a>(
+        self: &'a Rc<Self>,
+        core: &'a Rc<Core>,
+        dst: VirtAddr,
+        src: VirtAddr,
+        len: usize,
+        opts: AmemcpyOpts,
+    ) -> impl Future<Output = SubmitResult> + 'a {
+        self.submit(Via::Try, core, dst, src, len, opts)
+    }
+
+    /// Low-level async memcpy with full options (Table 2). Blocks at most
+    /// a bounded backoff budget: past it the submission fails with a typed
+    /// [`SubmitError::Overloaded`] instead of spinning forever.
+    pub fn _amemcpy<'a>(
+        self: &'a Rc<Self>,
+        core: &'a Rc<Core>,
+        dst: VirtAddr,
+        src: VirtAddr,
+        len: usize,
+        opts: AmemcpyOpts,
+    ) -> impl Future<Output = SubmitResult> + 'a {
+        self.submit(Via::User, core, dst, src, len, opts)
+    }
+
+    /// A k-mode copy, as a kernel service issues it inside a simulated
+    /// trap (§4.2.1): a barrier recording the u-ring's position at trap
+    /// entry, the copy on the k-ring, and the return-to-user barrier.
+    /// `opts` names the queue set and the kernel side's address space; the
+    /// copy is tracked so user-side `csync` finds it. `Err` means no copy
+    /// was queued — the caller copies synchronously instead (§4.6).
+    pub async fn kernel_amemcpy(
         self: &Rc<Self>,
         core: &Rc<Core>,
         dst: VirtAddr,
@@ -319,35 +381,26 @@ impl CopierHandle {
         len: usize,
         opts: AmemcpyOpts,
     ) -> SubmitResult {
-        if !self.client.take_credit() {
-            return Err(SubmitError::WouldBlock);
-        }
-        let (descr, task) = self.build_task(dst, src, len, &opts);
-        core.advance(self.cost.task_submit).await;
-        if self.client.dead.get() {
-            descr.poison(CopyFault::Aborted);
-            self.maybe_track(&opts, &task, &descr);
-            return Ok(descr);
-        }
-        let track_id = task.dst_space.id();
         let set = self.client.set(opts.fd);
-        if set.uq.copy.push(QueueEntry::Copy(task)).is_err() {
-            self.client.grant_credit();
-            self.svc().awaken();
-            return Err(SubmitError::WouldBlock);
+        // Without the trap-entry barrier the k/u merge order is wrong: it
+        // is a prerequisite of the copy, not a best-effort nicety.
+        if !self.plant_barrier(core, &set).await {
+            return Err(SubmitError::Overloaded);
         }
-        if !opts.untracked {
-            self.track(track_id, dst, len, Rc::clone(&descr));
-        }
-        self.doorbell();
-        Ok(descr)
+        let copied = self.submit(Via::Kernel, core, dst, src, len, opts).await;
+        self.plant_barrier(core, &set).await;
+        copied
     }
 
-    /// Low-level async memcpy with full options (Table 2). Blocks at most
-    /// a bounded backoff budget: past it the submission fails with a typed
-    /// [`SubmitError::Overloaded`] instead of spinning forever.
-    pub async fn _amemcpy(
-        self: &Rc<Self>,
+    /// The one submission path behind [`Self::try_amemcpy`],
+    /// [`Self::_amemcpy`] and [`Self::kernel_amemcpy`]: credit, build,
+    /// `task_submit`, push, track, doorbell. A copy that found no room
+    /// returns its credit and fails typed; a reaped client's copy ends as
+    /// an `Aborted` tombstone that csync still finds (a real process would
+    /// be gone; this covers exit races).
+    async fn submit(
+        &self,
+        via: Via,
         core: &Rc<Core>,
         dst: VirtAddr,
         src: VirtAddr,
@@ -355,65 +408,84 @@ impl CopierHandle {
         opts: AmemcpyOpts,
     ) -> SubmitResult {
         // §4.6 availability fallback: between a service crash and the
-        // supervisor's restart there is nobody to drain the rings.
-        // Copy synchronously on the caller's core instead of queueing
-        // into a dead incarnation — the call still returns a completed
-        // (or faulted) descriptor, just without the async overlap.
-        if self.svc().has_crashed() {
-            return self.sync_fallback(core, dst, src, len, opts).await;
-        }
-        self.acquire_credit(core).await.inspect_err(|_| {
-            if let Some(d) = &opts.descr {
-                d.reset();
-                d.poison(CopyFault::Overloaded);
+        // supervisor's restart there is nobody to drain the rings, so
+        // `_amemcpy` copies on the caller's core instead — the call still
+        // returns a completed (or faulted) descriptor, without a credit.
+        let crashed = via == Via::User && self.service().has_crashed();
+        if via == Via::Try {
+            if !self.client.take_credit() {
+                return Err(SubmitError::WouldBlock);
             }
-        })?;
-        let (descr, task) = self.build_task(dst, src, len, &opts);
-        let track_id = task.dst_space.id();
-        core.advance(self.cost.task_submit).await;
-        // A reaped (dead) client no longer has a service draining its
-        // rings: fail fast instead of queueing into the void (a real
-        // process would be gone; this path covers exit races in tests).
-        if self.client.dead.get() {
-            descr.poison(CopyFault::Aborted);
-            if !opts.untracked {
-                self.track(track_id, dst, len, Rc::clone(&descr));
-            }
-            return Ok(descr);
-        }
-        // Ring full → bounded exponential backoff, waking the service
-        // each step; exhaustion surfaces as a typed error, with the
-        // consumed credit returned (nothing reached the service).
-        let set = self.client.set(opts.fd);
-        let mut entry = QueueEntry::Copy(task);
-        let mut attempt = 0u32;
-        loop {
-            match set.uq.copy.push(entry) {
-                Ok(()) => break,
-                Err(rejected) => {
-                    entry = rejected.0;
-                    if self.client.dead.get() {
-                        descr.poison(CopyFault::Aborted);
-                        if !opts.untracked {
-                            self.track(track_id, dst, len, Rc::clone(&descr));
-                        }
-                        return Ok(descr);
-                    }
-                    if attempt >= MAX_SUBMIT_ATTEMPTS {
-                        self.client.grant_credit();
-                        descr.poison(CopyFault::Overloaded);
-                        return Err(SubmitError::Overloaded);
-                    }
-                    self.backoff(core, attempt).await;
-                    attempt += 1;
+        } else if !crashed {
+            self.acquire_credit(core).await.inspect_err(|_| {
+                if let Some(d) = &opts.descr {
+                    d.reset();
+                    d.poison(CopyFault::Overloaded);
                 }
+            })?;
+        }
+        let (descr, task) = self.build_task(dst, src, len, &opts);
+        let space_id = task.dst_space.id();
+        let mut landed = false;
+        if crashed {
+            self.sync_fallback(core, task).await;
+        } else {
+            core.advance(self.cost.task_submit).await;
+            let user = via != Via::Kernel;
+            let reaped = || self.client.dead.get();
+            if !reaped() {
+                let set = self.client.set(opts.fd);
+                let ring = if user { &set.uq.copy } else { &set.kq.copy };
+                let budget = if via == Via::Try { 0 } else { SUBMIT_BUDGET };
+                let entry = QueueEntry::Copy(task);
+                // Only a user-ring retry also stops at a reap mid-backoff.
+                landed = self
+                    .push_bounded(core, ring, budget, entry, |e| e, || user && reaped())
+                    .await;
+                if !(landed || user && reaped()) {
+                    // The budget ran out with nothing queued.
+                    self.client.grant_credit();
+                    if via == Via::Try {
+                        self.service().awaken();
+                        return Err(SubmitError::WouldBlock);
+                    }
+                    descr.poison(CopyFault::Overloaded);
+                    return Err(SubmitError::Overloaded);
+                }
+            }
+            if !landed {
+                descr.poison(CopyFault::Aborted);
             }
         }
         if !opts.untracked {
-            self.track(track_id, dst, len, Rc::clone(&descr));
+            self.track(space_id, dst, len, Rc::clone(&descr));
         }
-        self.doorbell();
+        if landed {
+            self.doorbell();
+        }
         Ok(descr)
+    }
+
+    /// Plants a §4.2.1 barrier in the k-ring. It records the u-ring's
+    /// position, re-read on every attempt since the u-ring may move while
+    /// this one backs off. Its budget ends in a backoff, not an attempt:
+    /// `SUBMIT_BUDGET` of each.
+    async fn plant_barrier(&self, core: &Rc<Core>, set: &QueueSet) -> bool {
+        let barrier = || QueueEntry::Barrier {
+            peer_pos: set.uq.copy.pushed(),
+        };
+        let last = SUBMIT_BUDGET - 1;
+        let planted = self
+            .push_bounded(core, &set.kq.copy, last, barrier(), |_| barrier(), || false)
+            .await;
+        if planted {
+            // The barrier sits in the k-ring until drained: ring the
+            // doorbell so the O(active) fast path sees it.
+            self.doorbell();
+        } else {
+            self.backoff(core, last).await;
+        }
+        planted
     }
 
     /// The crash-window synchronous path (§4.6): performs the copy
@@ -421,26 +493,19 @@ impl CopierHandle {
     /// effects (handler, no credit was ever taken) under the same
     /// exactly-once claim the service uses — so a duplicate settle after
     /// recovery is impossible by construction.
-    async fn sync_fallback(
-        self: &Rc<Self>,
-        core: &Rc<Core>,
-        dst: VirtAddr,
-        src: VirtAddr,
-        len: usize,
-        opts: AmemcpyOpts,
-    ) -> SubmitResult {
-        let (descr, task) = self.build_task(dst, src, len, &opts);
+    async fn sync_fallback(&self, core: &Rc<Core>, task: CopyTask) {
         let r = crate::syncops::sync_copy(
             core,
             &self.cost,
             CpuCopyKind::Avx2,
             &task.dst_space,
-            dst,
+            task.dst,
             &task.src_space,
-            src,
-            len,
+            task.src,
+            task.len,
         )
         .await;
+        let descr = &task.descr;
         match r {
             Ok(_) => {
                 // A zero-length descriptor has no segment to mark.
@@ -453,16 +518,12 @@ impl CopierHandle {
                     }
                 }
             }
-            Err(MemError::OutOfMemory) => descr.poison(CopyFault::OutOfMemory),
-            Err(_) => descr.poison(CopyFault::Segv),
+            Err(e) => descr.poison(e.into()),
         }
         self.sync_fallbacks.set(self.sync_fallbacks.get() + 1);
-        self.maybe_track(&opts, &task, &descr);
-        Ok(descr)
     }
 
-    /// Builds the descriptor and task for a submission (shared by the
-    /// blocking and nonblocking paths).
+    /// Builds the descriptor and task for a submission.
     fn build_task(
         &self,
         dst: VirtAddr,
@@ -474,7 +535,7 @@ impl CopierHandle {
         // born all-ready and the service completes the task at the drain
         // boundary without touching memory.
         let seg = if opts.seg == 0 {
-            self.svc().config().segment
+            self.service().config().segment
         } else {
             opts.seg
         };
@@ -486,22 +547,15 @@ impl CopierHandle {
             }
             None => self.pool.take(len, seg),
         };
-        let dst_space = opts
-            .dst_space
-            .clone()
-            .unwrap_or_else(|| Rc::clone(&self.uspace));
-        let src_space = opts
-            .src_space
-            .clone()
-            .unwrap_or_else(|| Rc::clone(&self.uspace));
+        let space = |s: &Option<Rc<AddressSpace>>| Rc::clone(s.as_ref().unwrap_or(&self.uspace));
         if opts.verified {
             self.verified_submitted
                 .set(self.verified_submitted.get() + 1);
         }
         let task = CopyTask {
-            dst_space,
+            dst_space: space(&opts.dst_space),
             dst,
-            src_space,
+            src_space: space(&opts.src_space),
             src,
             len,
             seg,
@@ -511,14 +565,6 @@ impl CopierHandle {
             verify: opts.verified,
         };
         (descr, task)
-    }
-
-    /// Tracks a task that terminated client-side (dead-client poison)
-    /// so csync still finds its tombstone.
-    fn maybe_track(&self, opts: &AmemcpyOpts, task: &CopyTask, descr: &Rc<SegDescriptor>) {
-        if !opts.untracked {
-            self.track(task.dst_space.id(), task.dst, task.len, Rc::clone(descr));
-        }
     }
 
     /// Async memmove: overlapping ranges are split so no task's source is
@@ -541,10 +587,17 @@ impl CopierHandle {
         // Heavy self-overlap degenerates to many chunks; bounce through a
         // synchronous copy below 1/16 shift (documented fallback).
         if shift < len / 16 {
-            crate::syncops::sync_memmove(core, &self.cost, &self.uspace, dst, src, len)
-                .await
-                .expect("sync memmove fallback");
-            return Ok(Vec::new());
+            let moved =
+                crate::syncops::sync_memmove(core, &self.cost, &self.uspace, dst, src, len).await;
+            let Err(e) = moved else {
+                return Ok(Vec::new());
+            };
+            // A fault ends like any client fault: a poisoned descriptor
+            // that `csync(dst, len)` reports.
+            let descr = self.pool.take(len, self.service().config().segment);
+            descr.poison(e.into());
+            self.track(self.uspace.id(), dst, len, Rc::clone(&descr));
+            return Ok(vec![descr]);
         }
         let mut out = Vec::new();
         if d > s {
@@ -572,9 +625,8 @@ impl CopierHandle {
         Ok(out)
     }
 
-    /// Registers an externally created copy (e.g. a kernel `recv()` task)
-    /// so `csync` can find it by destination address.
-    pub fn track(&self, space_id: u32, start: VirtAddr, len: usize, descr: Rc<SegDescriptor>) {
+    /// Registers a copy so `csync` can find it by destination address.
+    fn track(&self, space_id: u32, start: VirtAddr, len: usize, descr: Rc<SegDescriptor>) {
         let mut t = self.tracked.borrow_mut();
         if t.len() > 128 {
             t.retain(|x| !retired(&x.descr));
@@ -694,28 +746,15 @@ impl CopierHandle {
         // descriptor — the client-side blocking cost is real spin time.
         core.advance(self.cost.task_submit).await;
         let set = self.client.set(fd);
-        // A full sync ring after bounded retries is benign to give up on:
-        // promotion is an optimization, and the polling loop below still
-        // completes once the copy lands in FIFO order.
-        let mut entry = SyncTask {
+        let promote = SyncTask {
             space_id,
             addr,
             len: sync_len,
             abort: false,
             target: None,
         };
-        for attempt in 0..4u32 {
-            match set.uq.sync.push(entry) {
-                Ok(()) => break,
-                Err(rejected) => {
-                    entry = rejected.0;
-                    if attempt == 3 {
-                        break;
-                    }
-                    self.backoff(core, attempt).await;
-                }
-            }
-        }
+        self.push_bounded(core, &set.uq.sync, PROMOTE_BUDGET, promote, |e| e, || false)
+            .await;
         self.doorbell();
         self.spin_until(core, || {
             descr.fault().is_some() || descr.range_ready(off, len)
@@ -731,11 +770,11 @@ impl CopierHandle {
     /// (sched_yield behavior). Also returns once the client is reaped: it
     /// will never be served again, so the waiter must not spin forever.
     async fn spin_until(&self, core: &Rc<Core>, done: impl Fn() -> bool) {
-        let h = self.svc().sim_handle().clone();
+        let h = self.service().sim_handle().clone();
         let spin_deadline = h.now() + Nanos::from_micros(2);
         while !done() && !self.client.dead.get() {
             if h.now() < spin_deadline {
-                core.advance(self.spin_step).await;
+                core.advance(SPIN_STEP).await;
             } else {
                 h.sleep(Nanos(500)).await;
             }
@@ -782,82 +821,55 @@ impl CopierHandle {
         result
     }
 
-    /// Pushes a Sync Task with bounded retries; `false` means the sync
-    /// ring stayed full for the whole budget and the request was not
-    /// placed (typed outcome — the caller decides whether to retry).
-    async fn push_sync(&self, core: &Rc<Core>, fd: usize, st: SyncTask) -> bool {
-        let set = self.client.set(fd);
-        let mut entry = st;
-        let mut attempt = 0u32;
-        loop {
-            match set.uq.sync.push(entry) {
-                Ok(()) => {
-                    self.doorbell();
-                    return true;
-                }
-                Err(rejected) => {
-                    entry = rejected.0;
-                    if attempt >= 8 {
-                        return false;
-                    }
-                    self.backoff(core, attempt).await;
-                    attempt += 1;
-                }
-            }
-        }
-    }
-
     /// Submits an `abort` Sync Task (§4.4) discarding a queued copy.
     /// Returns whether the request was placed; a `false` under overload
     /// is benign — the copy simply completes normally.
-    pub async fn abort(self: &Rc<Self>, core: &Rc<Core>, addr: VirtAddr, len: usize) -> bool {
-        self.abort_in(core, addr, len, 0).await
-    }
-
-    /// `abort` against an explicit queue set.
-    pub async fn abort_in(
-        self: &Rc<Self>,
-        core: &Rc<Core>,
+    pub fn abort<'a>(
+        self: &'a Rc<Self>,
+        core: &'a Rc<Core>,
         addr: VirtAddr,
         len: usize,
-        fd: usize,
-    ) -> bool {
-        core.advance(self.cost.task_submit).await;
-        self.push_sync(
-            core,
-            fd,
-            SyncTask {
-                space_id: self.uspace.id(),
-                addr,
-                len,
-                abort: true,
-                target: None,
-            },
-        )
-        .await
+    ) -> impl Future<Output = bool> + 'a {
+        let st = SyncTask {
+            space_id: self.uspace.id(),
+            addr,
+            len,
+            abort: true,
+            target: None,
+        };
+        self.submit_abort(core, 0, st)
     }
 
     /// `abort` a specific task by its descriptor — immune to buffer reuse
     /// races (the preferred form for recycled I/O buffers).
-    pub async fn abort_task(
-        self: &Rc<Self>,
-        core: &Rc<Core>,
+    pub fn abort_task<'a>(
+        self: &'a Rc<Self>,
+        core: &'a Rc<Core>,
         descr: &Rc<SegDescriptor>,
         fd: usize,
-    ) -> bool {
+    ) -> impl Future<Output = bool> + 'a {
+        let st = SyncTask {
+            space_id: 0,
+            addr: VirtAddr(0),
+            len: 0,
+            abort: true,
+            target: Some(Rc::clone(descr)),
+        };
+        self.submit_abort(core, fd, st)
+    }
+
+    /// Charges `task_submit` and places an abort Sync Task within
+    /// `ABORT_BUDGET`; `false` means the sync ring stayed full.
+    async fn submit_abort(&self, core: &Rc<Core>, fd: usize, st: SyncTask) -> bool {
         core.advance(self.cost.task_submit).await;
-        self.push_sync(
-            core,
-            fd,
-            SyncTask {
-                space_id: 0,
-                addr: VirtAddr(0),
-                len: 0,
-                abort: true,
-                target: Some(Rc::clone(descr)),
-            },
-        )
-        .await
+        let set = self.client.set(fd);
+        let placed = self
+            .push_bounded(core, &set.uq.sync, ABORT_BUDGET, st, |e| e, || false)
+            .await;
+        if placed {
+            self.doorbell();
+        }
+        placed
     }
 
     /// Runs completed UFUNC handlers (Fig. 4 `post_handlers`). Handlers
@@ -867,16 +879,8 @@ impl CopierHandle {
         let mut n = 0;
         let sets: Vec<_> = self.client.sets.borrow().iter().cloned().collect();
         for set in sets {
-            loop {
-                let h = set.handler_overflow.borrow_mut().pop_front();
-                let Some(h) = h else { break };
-                if let Handler::UFunc(f) = h {
-                    core.advance(Nanos(60)).await;
-                    f();
-                    n += 1;
-                }
-            }
-            while let Some(h) = set.uq.handler.pop() {
+            let overflow = std::iter::from_fn(|| set.handler_overflow.borrow_mut().pop_front());
+            for h in overflow.chain(std::iter::from_fn(|| set.uq.handler.pop())) {
                 if let Handler::UFunc(f) = h {
                     core.advance(Nanos(60)).await;
                     f();
@@ -892,57 +896,6 @@ impl CopierHandle {
     pub fn prune(&self) {
         self.tracked.borrow_mut().retain(|t| !retired(&t.descr));
         self.pool.recycle();
-    }
-
-    /// Opens a kernel submission section for a simulated trap (§4.2.1):
-    /// plants a barrier recording the u-queue position now, and another at
-    /// [`KernelSection::close`] (the return-to-user barrier). If the
-    /// k-ring is full right now, the barrier placement is deferred into
-    /// the section's first `submit`, which can backoff — it must precede
-    /// any of the section's copies, never be dropped.
-    pub fn kernel_section(self: &Rc<Self>, fd: usize) -> KernelSection {
-        let set = self.client.set(fd);
-        let placed = set
-            .kq
-            .copy
-            .push(QueueEntry::Barrier {
-                peer_pos: set.uq.copy.pushed(),
-            })
-            .is_ok();
-        if placed {
-            // The barrier sits in the k-ring until drained: ring the
-            // doorbell so the O(active) fast path sees it even if no
-            // copy follows inside the section.
-            self.doorbell();
-        }
-        KernelSection {
-            lib: Rc::clone(self),
-            fd,
-            open_pending: Cell::new(!placed),
-            closed: Cell::new(false),
-        }
-    }
-
-    /// Plants a k-queue barrier with bounded backoff.
-    async fn push_barrier(&self, core: &Rc<Core>, fd: usize) -> Result<(), SubmitError> {
-        let set = self.client.set(fd);
-        for attempt in 0..MAX_SUBMIT_ATTEMPTS {
-            // Recompute the peer position each attempt: it may have moved
-            // while we were backing off.
-            let placed = set
-                .kq
-                .copy
-                .push(QueueEntry::Barrier {
-                    peer_pos: set.uq.copy.pushed(),
-                })
-                .is_ok();
-            if placed {
-                self.doorbell();
-                return Ok(());
-            }
-            self.backoff(core, attempt).await;
-        }
-        Err(SubmitError::Overloaded)
     }
 
     /// Binds a descriptor registry to a shared-memory region (Table 2's
@@ -1008,125 +961,6 @@ impl ShmBinding {
                 .await?;
         }
         Ok(())
-    }
-}
-
-/// An open kernel-mode submission window (between trap and return).
-pub struct KernelSection {
-    lib: Rc<CopierHandle>,
-    fd: usize,
-    /// The opening barrier could not be placed at open (full k-ring);
-    /// the first `submit` places it — with backoff — before any copy.
-    open_pending: Cell<bool>,
-    /// `close()` already planted the return-to-user barrier; Drop is a
-    /// no-op.
-    closed: Cell<bool>,
-}
-
-impl KernelSection {
-    /// Submits a k-mode Copy Task. The descriptor is drawn from the
-    /// client's pool and tracked so user-side `csync` finds it. Like
-    /// `_amemcpy`, the submission either lands within the bounded backoff
-    /// budget or fails typed `Overloaded` (descriptor poisoned) — kernel
-    /// callers fall back to a synchronous copy (§4.6).
-    #[allow(clippy::too_many_arguments)]
-    pub async fn submit(
-        &self,
-        core: &Rc<Core>,
-        dst_space: &Rc<AddressSpace>,
-        dst: VirtAddr,
-        src_space: &Rc<AddressSpace>,
-        src: VirtAddr,
-        len: usize,
-        func: Option<Handler>,
-        lazy: bool,
-    ) -> SubmitResult {
-        if self.open_pending.get() {
-            // The trap-entry barrier must precede the section's copies;
-            // without it k/u merge order is wrong, so it is a hard
-            // prerequisite rather than a best-effort nicety.
-            self.lib.push_barrier(core, self.fd).await?;
-            self.open_pending.set(false);
-        }
-        self.lib.acquire_credit(core).await?;
-        let seg = self.lib.svc().config().segment;
-        let descr = self.lib.pool.take(len, seg);
-        let task = CopyTask {
-            dst_space: Rc::clone(dst_space),
-            dst,
-            src_space: Rc::clone(src_space),
-            src,
-            len,
-            seg,
-            descr: Rc::clone(&descr),
-            func,
-            lazy,
-            verify: false,
-        };
-        core.advance(self.lib.cost.task_submit).await;
-        if self.lib.client.dead.get() {
-            descr.poison(CopyFault::Aborted);
-            self.lib.track(dst_space.id(), dst, len, Rc::clone(&descr));
-            return Ok(descr);
-        }
-        let set = self.lib.client.set(self.fd);
-        let mut entry = QueueEntry::Copy(task);
-        let mut attempt = 0u32;
-        loop {
-            match set.kq.copy.push(entry) {
-                Ok(()) => break,
-                Err(rejected) => {
-                    entry = rejected.0;
-                    if attempt >= MAX_SUBMIT_ATTEMPTS {
-                        self.lib.client.grant_credit();
-                        descr.poison(CopyFault::Overloaded);
-                        return Err(SubmitError::Overloaded);
-                    }
-                    self.lib.backoff(core, attempt).await;
-                    attempt += 1;
-                }
-            }
-        }
-        self.lib.track(dst_space.id(), dst, len, Rc::clone(&descr));
-        self.lib.doorbell();
-        Ok(descr)
-    }
-
-    /// Closes the section, planting the return-to-user barrier with
-    /// bounded backoff — the reliable path (Drop can only make a single
-    /// best-effort attempt). Returns whether the barrier was placed.
-    pub async fn close(self, core: &Rc<Core>) -> bool {
-        self.closed.set(true);
-        if self.open_pending.get() {
-            // The opening barrier was never placed and no copy was
-            // submitted: an empty section needs no closing barrier.
-            return true;
-        }
-        self.lib.push_barrier(core, self.fd).await.is_ok()
-    }
-}
-
-impl Drop for KernelSection {
-    fn drop(&mut self) {
-        if self.closed.get() || self.open_pending.get() {
-            return;
-        }
-        let set = self.lib.client.set(self.fd);
-        // Single best-effort attempt (Drop cannot await a backoff). A
-        // lost closing barrier is recoverable: the next section's opening
-        // barrier re-establishes the merge key, and no pending k-copies
-        // exist outside sections. Callers needing the guarantee use
-        // `close()`.
-        let placed = set
-            .kq
-            .copy
-            .push(QueueEntry::Barrier {
-                peer_pos: set.uq.copy.pushed(),
-            })
-            .is_ok();
-        if placed {
-            self.lib.doorbell();
-        }
     }
 }
 

@@ -3,16 +3,14 @@
 //! The client library of Table 2: `amemcpy`/`amemmove`/`csync`/`csync_all`
 //! high-level APIs, `_amemcpy`/`_csync` low-level variants with customized
 //! descriptors, per-thread queues, lazy copies and abort, the descriptor
-//! pool, kernel submission sections with cross-queue barriers, and the
+//! pool, kernel-mode copies bracketed by cross-queue barriers, and the
 //! synchronous baselines Copier is compared against.
 
 pub mod api;
 pub mod pool;
 pub mod syncops;
 
-pub use api::{
-    AmemcpyOpts, CopierHandle, CsyncResult, KernelSection, ShmBinding, SubmitError, SubmitResult,
-};
+pub use api::{AmemcpyOpts, CopierHandle, CsyncResult, ShmBinding, SubmitError, SubmitResult};
 pub use pool::DescriptorPool;
 pub use syncops::{sync_copy, sync_memcpy, sync_memmove};
 
@@ -322,7 +320,7 @@ mod e2e {
     }
 
     #[test]
-    fn kernel_section_orders_across_privileges() {
+    fn kernel_amemcpy_orders_across_privileges() {
         // Kernel submits K: S → X inside a trap; user then submits U: X → Y.
         // Barrier keys must order K before U even though they sit in
         // different rings; the data must flow S → X → Y.
@@ -341,13 +339,9 @@ mod e2e {
             let x = space2.mmap(len, Prot::RW, true).unwrap();
             let y = space2.mmap(len, Prot::RW, true).unwrap();
             let data = fill_pattern(&space2, s, len, 8);
-            {
-                let sect = lib.kernel_section(0);
-                sect.submit(&core, &space2, x, &space2, s, len, None, false)
-                    .await
-                    .unwrap();
-                sect.close(&core).await;
-            }
+            lib.kernel_amemcpy(&core, x, s, len, AmemcpyOpts::default())
+                .await
+                .unwrap();
             lib.amemcpy(&core, y, x, len).await.unwrap();
             lib.csync(&core, y, len).await.unwrap();
             let mut out = vec![0u8; len];
@@ -378,6 +372,30 @@ mod e2e {
             let mut out = vec![0u8; len];
             space2.read_bytes(base.add(8 * 1024), &mut out).unwrap();
             assert_eq!(out, data);
+            svc.stop();
+        });
+        w.sim.run();
+    }
+
+    #[test]
+    fn amemmove_fault_in_the_synchronous_path_is_reported_by_csync() {
+        // A shift under len/16 moves the bytes synchronously; a fault there
+        // ends like any client fault — a poisoned descriptor over `dst`
+        // that csync reports once — instead of panicking the caller.
+        let mut w = world(CopierConfig::default());
+        let space = AddressSpace::new(1, Rc::clone(&w.pm));
+        let lib = CopierHandle::new(&w.svc, Rc::clone(&space));
+        let core = w.machine.core(0);
+        let svc = Rc::clone(&w.svc);
+        w.sim.spawn("app", async move {
+            let len = 32 * 1024;
+            let base = space.mmap(len + 1024, Prot::RO, true).unwrap();
+            let dst = base.add(1024);
+            let moved = lib.amemmove(&core, dst, base, len).await.unwrap();
+            assert_eq!(moved.len(), 1);
+            assert_eq!(moved[0].fault(), Some(CopyFault::Segv));
+            assert_eq!(lib.csync(&core, dst, len).await, Err(CopyFault::Segv));
+            assert_eq!(lib.csync(&core, dst, len).await, Ok(()), "reported once");
             svc.stop();
         });
         w.sim.run();

@@ -11,6 +11,8 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
+use copier_mem::MemError;
+
 use crate::interval::IntervalSet;
 
 /// Why a copy failed; surfaced to `csync` as an error.
@@ -63,6 +65,17 @@ impl CopyFault {
             4 => CopyFault::Overloaded,
             6 => CopyFault::Corrupted,
             _ => CopyFault::Torn,
+        }
+    }
+}
+
+/// The one mapping from a memory-subsystem error to the fault `csync`
+/// reports, for the service's copies and the client's synchronous ones.
+impl From<MemError> for CopyFault {
+    fn from(e: MemError) -> Self {
+        match e {
+            MemError::OutOfMemory | MemError::Fragmented => CopyFault::OutOfMemory,
+            MemError::Segv(_) | MemError::Pinned(_) | MemError::BadRange => CopyFault::Segv,
         }
     }
 }
@@ -285,6 +298,33 @@ mod tests {
         }
         for unknown in [0u8, 7, 200, u8::MAX] {
             assert_eq!(CopyFault::from_code(unknown), Torn);
+        }
+    }
+
+    /// Every `MemError` maps to one fault, whoever hit it: out of frames
+    /// (plain or too fragmented for a contiguous run) is `OutOfMemory`,
+    /// everything about the address range is `Segv`. The client's
+    /// crash-window copy used to report `Fragmented` as `Segv`.
+    #[test]
+    fn mem_errors_map_to_one_fault_each() {
+        use copier_mem::VirtAddr;
+        let va = VirtAddr(0x1000);
+        for (e, want) in [
+            (MemError::Segv(va), CopyFault::Segv),
+            (MemError::OutOfMemory, CopyFault::OutOfMemory),
+            (MemError::Fragmented, CopyFault::OutOfMemory),
+            (MemError::Pinned(va), CopyFault::Segv),
+            (MemError::BadRange, CopyFault::Segv),
+        ] {
+            // Exhaustive: a new variant fails to compile here until listed.
+            match e {
+                MemError::Segv(_)
+                | MemError::OutOfMemory
+                | MemError::Fragmented
+                | MemError::Pinned(_)
+                | MemError::BadRange => {}
+            }
+            assert_eq!(CopyFault::from(e), want, "{e:?}");
         }
     }
 

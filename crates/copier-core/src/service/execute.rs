@@ -8,7 +8,7 @@ use std::rc::Rc;
 use copier_hw::{
     slice_extents_into, split_subtasks_into, CpuCopyKind, DispatchReport, PlannedCopy, SubTask,
 };
-use copier_mem::{frames_of, AddressSpace, Extent, FrameId, MemError, VirtAddr, PAGE_SIZE};
+use copier_mem::{frames_of, AddressSpace, Extent, FrameId, VirtAddr, PAGE_SIZE};
 use copier_sim::{Core, CrashPoint, Nanos};
 
 use super::complete::release_pins;
@@ -113,7 +113,7 @@ impl Copier {
             }
             Err(e) => {
                 core.advance(walk_cost).await;
-                Err(mem_fault(e))
+                Err(e.into())
             }
         }
     }
@@ -327,8 +327,8 @@ impl Copier {
                     let take = (hi - off)
                         .min(PAGE_SIZE - dst_va.page_off())
                         .min(PAGE_SIZE - src_va.page_off());
-                    let (df, dw) = t.dst_space.resolve(dst_va, true).map_err(mem_fault)?;
-                    let (sf, sw) = p.space.resolve(src_va, false).map_err(mem_fault)?;
+                    let (df, dw) = t.dst_space.resolve(dst_va, true)?;
+                    let (sf, sw) = p.space.resolve(src_va, false)?;
                     let faults = (dw.demand_zero
                         + dw.cow_remap
                         + dw.cow_copy
@@ -433,14 +433,6 @@ fn truncate_gaps(gaps: &mut Vec<(usize, usize)>, cap: usize) {
         left -= take;
         take > 0
     });
-}
-
-/// Maps a memory-subsystem error to the fault surfaced through `csync`.
-fn mem_fault(e: MemError) -> CopyFault {
-    match e {
-        MemError::OutOfMemory | MemError::Fragmented => CopyFault::OutOfMemory,
-        _ => CopyFault::Segv,
-    }
 }
 
 /// Records landed bytes and flips fully covered descriptor segments.

@@ -13,6 +13,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
+use copier_client::AmemcpyOpts;
 use copier_core::SegDescriptor;
 use copier_hw::CpuCopyKind;
 use copier_mem::{FrameId, MemError, Prot, VirtAddr, PAGE_SIZE};
@@ -96,25 +97,18 @@ impl BinderChannel {
         let dst = self.kbuf.add(offset);
         let mut submitted = None;
         if mode == IoMode::Copier {
-            let lib = client.lib();
-            let sect = lib.kernel_section(0);
+            let opts = AmemcpyOpts {
+                dst_space: Some(Rc::clone(&self.os.kspace)),
+                ..Default::default()
+            };
             // Overload falls through to the synchronous path below — the
             // transaction still happens, just without async offload
             // (§4.6 break-even fallback).
-            submitted = sect
-                .submit(
-                    core,
-                    &self.os.kspace,
-                    dst,
-                    &client.space,
-                    va,
-                    len,
-                    None,
-                    false,
-                )
+            submitted = client
+                .lib()
+                .kernel_amemcpy(core, dst, va, len, opts)
                 .await
                 .ok();
-            sect.close(core).await;
         }
         let descr = match submitted {
             Some(d) => Some(d),

@@ -9,7 +9,7 @@
 
 use std::rc::Rc;
 
-use copier_client::sync_copy;
+use copier_client::{sync_copy, AmemcpyOpts};
 use copier_hw::CpuCopyKind;
 use copier_mem::{FrameId, MemError, Prot, Pte, VirtAddr, PAGE_SIZE};
 use copier_sim::{Core, Nanos};
@@ -64,26 +64,21 @@ pub async fn handle_cow_fault(
         os.pm.decref(f); // ownership handed to the mapping + later the PTE
     }
 
+    // Both sides of the replica copy are kernel mappings.
+    let kmaps = || AmemcpyOpts {
+        dst_space: Some(Rc::clone(&os.kspace)),
+        src_space: Some(Rc::clone(&os.kspace)),
+        ..Default::default()
+    };
     if use_copier && region_len > PAGE_SIZE {
         // Split: Copier takes the tail; the handler copies the head while
         // the service streams (§5.2 "divides the work").
         let lib = proc.lib();
         let head = (region_len / 4).max(PAGE_SIZE);
         let tail = region_len - head;
-        let sect = lib.kernel_section(0);
-        let submitted = sect
-            .submit(
-                core,
-                &os.kspace,
-                dst_kva.add(head),
-                &os.kspace,
-                src_kva.add(head),
-                tail,
-                None,
-                false,
-            )
+        let submitted = lib
+            .kernel_amemcpy(core, dst_kva.add(head), src_kva.add(head), tail, kmaps())
             .await;
-        sect.close(core).await;
         match submitted {
             Ok(d) => {
                 sync_copy(
@@ -123,13 +118,9 @@ pub async fn handle_cow_fault(
         // A single base page: the submission overhead dominates; the
         // handler still offloads and overlaps its own bookkeeping.
         let lib = proc.lib();
-        let sect = lib.kernel_section(0);
-        let submitted = sect
-            .submit(
-                core, &os.kspace, dst_kva, &os.kspace, src_kva, region_len, None, false,
-            )
+        let submitted = lib
+            .kernel_amemcpy(core, dst_kva, src_kva, region_len, kmaps())
             .await;
-        sect.close(core).await;
         // Fault bookkeeping the handler performs while Copier copies:
         // rmap/anon-vma updates, accounting.
         core.advance(Nanos(700)).await;

@@ -16,7 +16,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use copier_client::sync_copy;
+use copier_client::{sync_copy, AmemcpyOpts};
 use copier_core::{Handler, SegDescriptor};
 use copier_hw::CpuCopyKind;
 use copier_mem::{FrameId, MemError, Prot, VirtAddr, PAGE_SIZE};
@@ -323,21 +323,15 @@ impl NetStack {
             IoMode::Copier => {
                 self.os.trap(core).await;
                 let skb = self.alloc_skb(len)?;
-                let lib = proc.lib();
-                let sect = lib.kernel_section(fd);
-                let submitted = sect
-                    .submit(
-                        core,
-                        &self.os.kspace,
-                        skb.kva,
-                        &proc.space,
-                        va,
-                        len,
-                        None,
-                        false,
-                    )
+                let opts = AmemcpyOpts {
+                    fd,
+                    dst_space: Some(Rc::clone(&self.os.kspace)),
+                    ..Default::default()
+                };
+                let submitted = proc
+                    .lib()
+                    .kernel_amemcpy(core, skb.kva, va, len, opts)
                     .await;
-                sect.close(core).await;
                 let Ok(d) = submitted else {
                     // Overloaded: degrade this send to the synchronous
                     // kernel copy (§4.6) — the packet still goes out.
@@ -486,21 +480,14 @@ impl NetStack {
                 let kfunc = Handler::KFunc(Rc::new(move || {
                     me.free_skb(&skb2);
                 }));
-                let sect = lib.kernel_section(fd);
-                let submitted = sect
-                    .submit(
-                        core,
-                        &proc.space,
-                        va,
-                        &self.os.kspace,
-                        skb.kva,
-                        len,
-                        Some(kfunc),
-                        lazy,
-                    )
-                    .await;
-                sect.close(core).await;
-                match submitted {
+                let opts = AmemcpyOpts {
+                    fd,
+                    func: Some(kfunc),
+                    lazy,
+                    src_space: Some(Rc::clone(&self.os.kspace)),
+                    ..Default::default()
+                };
+                match lib.kernel_amemcpy(core, va, skb.kva, len, opts).await {
                     Ok(d) => Ok((len, Some(d))),
                     Err(_) => {
                         // Overloaded: deliver synchronously (§4.6). The

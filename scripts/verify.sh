@@ -26,6 +26,24 @@ over=$(find crates/copier-core/src -name '*.rs' -exec wc -l {} + | awk '$2 != "t
 [ -z "$over" ] || { echo "over 1000 lines:"; echo "$over"; exit 1; }
 grep -qx '#!\[deny(clippy::too_many_lines)\]' crates/copier-core/src/service/mod.rs
 grep -qx 'too-many-lines-threshold = 100' clippy.toml
+# One way into a ring (DESIGN.md §11): at most one libCopier function spells
+# the ring-retry idiom — a push whose rejection is matched (`Err(rejected)`,
+# `Err(RingFull(…))`) or tested (`.push(…).is_ok()` / `.is_err()`, on one
+# line or at the end of a multi-line statement). Everything else calls
+# `push_bounded`. A new way in obliges a row in `tests/overload.rs`'s
+# budget property, not a new loop.
+pushers=$(awk '
+    FNR == 1 { inpush = 0 }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?(async )?fn [A-Za-z_0-9]+/ {
+        match($0, /fn [A-Za-z_0-9]+/)
+        fn = FILENAME ":" substr($0, RSTART + 3, RLENGTH - 3)
+        inpush = 0
+    }
+    /\.push\(/ { inpush = 1 }
+    /Err\((rejected|RingFull)/ || (inpush && /\.is_(ok|err)\(\)/) { print fn }
+    /;[[:space:]]*$/ { inpush = 0 }
+' crates/copier-client/src/*.rs | sort -u)
+[ "$(printf '%s' "$pushers" | grep -c .)" -le 1 ] || { echo "ring pushed by hand in:"; echo "$pushers"; exit 1; }
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings

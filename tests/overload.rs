@@ -18,14 +18,17 @@
 //! 6. every client submission terminates — success, bounded-backoff
 //!    retry, or typed error — even against a service that never runs.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use copier::client::{AmemcpyOpts, CopierHandle};
-use copier::core::{AdmissionConfig, Copier, CopierConfig, CopierStats};
+use copier::core::{
+    AdmissionConfig, Copier, CopierConfig, CopierStats, QueueEntry, Ring, SegDescriptor, SyncTask,
+    DEFAULT_SEGMENT,
+};
 use copier::hw::CostModel;
 use copier::mem::{AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr};
-use copier::sim::{Machine, Nanos, Sim, WorkloadConfig, WorkloadPlan};
+use copier::sim::{Core, Machine, Nanos, Sim, SimHandle, WorkloadConfig, WorkloadPlan};
 use copier_testkit::prop::{check_with, Config};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
 
@@ -738,9 +741,164 @@ fn reap_during_pressure_degraded_mode_reconciles() {
     }
 }
 
+/// One client backoff step (`CopierHandle::backoff`): a 200 ns spin for the
+/// first four, then a sleep doubling from 200 ns, capped at 200 µs.
+fn backoff_ns(attempt: u32) -> u64 {
+    if attempt < 4 {
+        200
+    } else {
+        (200u64 << (attempt - 4).min(10)).min(200_000)
+    }
+}
+
+/// What `budget` backoffs cost: the sum of `backoff(0..budget)`.
+fn backoffs(budget: u32) -> Nanos {
+    Nanos((0..budget).map(backoff_ns).sum())
+}
+
+/// A way into a ring, driven into its exhausted case.
+#[derive(Debug, Clone, Copy)]
+enum Entry {
+    /// `amemcpy` with no credit left.
+    AmemcpyNoCredit,
+    /// `amemcpy` holding a credit, the u-ring full.
+    AmemcpyRingFull,
+    /// `try_amemcpy` with no credit left.
+    TryNoCredit,
+    /// `try_amemcpy` holding a credit, the u-ring full.
+    TryRingFull,
+    /// `abort`, the sync ring full.
+    Abort,
+    /// `abort_task`, the sync ring full.
+    AbortTask,
+    /// `_csync` of an unready copy, the sync ring full; the copy lands
+    /// while the promotion push backs off.
+    Promotion,
+    /// A kernel copy, the k-ring full: the trap-entry barrier finds no slot.
+    KernelBarrier,
+    /// A kernel copy, one k-ring slot free: the trap-entry barrier takes
+    /// it, the copy and the return-to-user barrier find none.
+    KernelCopy,
+}
+
+const ENTRIES: [Entry; 9] = [
+    Entry::AmemcpyNoCredit,
+    Entry::AmemcpyRingFull,
+    Entry::TryNoCredit,
+    Entry::TryRingFull,
+    Entry::Abort,
+    Entry::AbortTask,
+    Entry::Promotion,
+    Entry::KernelBarrier,
+    Entry::KernelCopy,
+];
+
+fn fill<T>(ring: &Ring<T>, entry: impl Fn() -> T) {
+    while ring.push(entry()).is_ok() {}
+}
+
+/// Drives `entry` into its exhausted case on a flooded client whose
+/// service never runs (the u-ring is full). Returns the outcome — with the
+/// credits left where a credit was at stake — and the virtual time spent,
+/// each beside what the retry budgets say they must be.
+async fn exhaust(
+    entry: Entry,
+    lib: &Rc<CopierHandle>,
+    core: &Rc<Core>,
+    h: &SimHandle,
+    (dst, src, len): (VirtAddr, VirtAddr, usize),
+) -> ((String, &'static str), (Nanos, Nanos)) {
+    use Entry::*;
+    let cost = Rc::clone(lib.service().cost_model());
+    let set = lib.client.set(0);
+    let sync = || SyncTask {
+        space_id: 0,
+        addr: VirtAddr(0),
+        len: 0,
+        abort: false,
+        target: None,
+    };
+    fill(&set.uq.sync, sync);
+    fill(&set.kq.copy, || QueueEntry::Barrier { peer_pos: 0 });
+    if let KernelCopy = entry {
+        set.kq.copy.pop();
+    }
+    let credit = matches!(entry, AmemcpyRingFull | TryRingFull | KernelCopy);
+    lib.client.credits.set(u64::from(credit));
+    let credits = || lib.client.credits.get();
+    let descr = Rc::new(SegDescriptor::new(len, DEFAULT_SEGMENT));
+    let t0 = h.now();
+    let (got, want, ns) = match entry {
+        AmemcpyNoCredit | AmemcpyRingFull => {
+            let r = lib.amemcpy(core, dst, src, len).await;
+            let got = format!("{:?} credits {}", r.err(), credits());
+            let submit = if credit {
+                cost.task_submit
+            } else {
+                Nanos::ZERO
+            };
+            let want = ["Some(Overloaded) credits 0", "Some(Overloaded) credits 1"];
+            (got, want[credit as usize], submit + backoffs(32))
+        }
+        TryNoCredit | TryRingFull => {
+            let r = lib
+                .try_amemcpy(core, dst, src, len, AmemcpyOpts::default())
+                .await;
+            let got = format!("{:?} credits {}", r.err(), credits());
+            let submit = if credit {
+                cost.task_submit
+            } else {
+                Nanos::ZERO
+            };
+            let want = ["Some(WouldBlock) credits 0", "Some(WouldBlock) credits 1"];
+            (got, want[credit as usize], submit)
+        }
+        Abort => {
+            let placed = lib.abort(core, dst, len).await;
+            (placed.to_string(), "false", cost.task_submit + backoffs(8))
+        }
+        AbortTask => {
+            let placed = lib.abort_task(core, &descr, 0).await;
+            (placed.to_string(), "false", cost.task_submit + backoffs(8))
+        }
+        Promotion => {
+            let (h2, d2) = (h.clone(), Rc::clone(&descr));
+            let during_first_backoff = t0 + cost.csync_hit + cost.task_submit + Nanos(1);
+            h.spawn("lander", async move {
+                h2.sleep_until(during_first_backoff).await;
+                d2.mark_range(0, d2.num_segments() - 1);
+            });
+            let r = lib
+                ._csync(core, &descr, 0, len, lib.uspace.id(), dst, 0)
+                .await;
+            let ns = cost.csync_hit + cost.task_submit + backoffs(3);
+            (format!("{r:?}"), "Ok(())", ns)
+        }
+        KernelBarrier | KernelCopy => {
+            let r = lib
+                .kernel_amemcpy(core, dst, src, len, AmemcpyOpts::default())
+                .await;
+            let got = format!("{:?} credits {}", r.err(), credits());
+            // The barrier's budget ends in a backoff: 32 attempts, 32 backoffs.
+            let ns = if credit {
+                cost.task_submit + backoffs(32) + backoffs(32)
+            } else {
+                backoffs(32)
+            };
+            let want = ["Some(Overloaded) credits 0", "Some(Overloaded) credits 1"];
+            (got, want[credit as usize], ns)
+        }
+    };
+    ((got, want), (h.now() - t0, ns))
+}
+
 /// Satellite property: every submission terminates in bounded time with
 /// success or a typed error — even against a service that never runs a
-/// single round (the pathological worst case for spin-retry).
+/// single round (the pathological worst case for spin-retry). Then every
+/// way into a ring, in a generated order, is driven into its exhausted
+/// case, and what it returns and how long it took are exactly what its
+/// retry budget says: `task_submit` (where it is charged before the push)
+/// plus `backoff(0..budget)`.
 #[test]
 fn submissions_always_terminate_with_typed_outcome() {
     let mut cfg = Config::from_env();
@@ -749,9 +907,20 @@ fn submissions_always_terminate_with_typed_outcome() {
     }
     check_with(
         &cfg,
-        |rng: &mut TestRng| (rng.range_usize(1200, 2500), rng.range_usize(1, 9) * 1024),
+        |rng: &mut TestRng| {
+            let mut order = ENTRIES.to_vec();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.range_usize(0, i + 1));
+            }
+            (
+                rng.range_usize(1200, 2500),
+                rng.range_usize(1, 9) * 1024,
+                order,
+            )
+        },
         |_| Vec::new(),
-        |&(n, len): &(usize, usize)| {
+        |(n, len, order): &(usize, usize, Vec<Entry>)| {
+            let (n, len) = (*n, *len);
             let mut sim = Sim::new();
             let h = sim.handle();
             let machine = Machine::new(&h, 2);
@@ -771,6 +940,8 @@ fn submissions_always_terminate_with_typed_outcome() {
             let ok = Rc::new(Cell::new(0usize));
             let err = Rc::new(Cell::new(0usize));
             let (ok2, err2) = (Rc::clone(&ok), Rc::clone(&err));
+            let seen = Rc::new(RefCell::new(Vec::new()));
+            let (seen2, order) = (Rc::clone(&seen), order.clone());
             sim.spawn("flood", async move {
                 let src = space.mmap(len, Prot::RW, true).unwrap();
                 let dst = space.mmap(len, Prot::RW, true).unwrap();
@@ -780,10 +951,19 @@ fn submissions_always_terminate_with_typed_outcome() {
                         Err(_) => err2.set(err2.get() + 1),
                     }
                 }
+                for entry in order {
+                    let r = exhaust(entry, &lib, &core, &h, (dst, src, len)).await;
+                    seen2.borrow_mut().push((entry, r));
+                }
             });
             // The sim terminating at all proves every submission returned
             // (an unbounded spin would loop on virtual time forever).
             sim.run();
+            prop_assert_eq!(seen.borrow().len(), ENTRIES.len());
+            for (entry, ((got, want), (ns, want_ns))) in seen.borrow().iter() {
+                prop_assert_eq!(got.as_str(), *want, "{:?}", entry);
+                prop_assert_eq!(ns, want_ns, "{:?}: {} ns", entry, ns.as_nanos());
+            }
             prop_assert_eq!(ok.get() + err.get(), n, "a submission vanished");
             prop_assert!(
                 err.get() > 0,

@@ -7,13 +7,14 @@
 //! from) the path between the client's ring push and the handler shows up
 //! here as its own number of nanoseconds. The second pins what replaced
 //! the round's fixed wait for a batch: under a burst, batching is whatever
-//! landed while the previous round executed.
+//! landed while the previous round executed. The last two are the client's
+//! rows: a csync that has to wait for its copy, and an abort.
 
 use std::cell::Cell;
 use std::rc::Rc;
 
 use copier::client::{AmemcpyOpts, CopierHandle};
-use copier::core::{Copier, CopierConfig, Handler};
+use copier::core::{Copier, CopierConfig, CopyFault, Handler};
 use copier::hw::{CostModel, CpuCopyKind};
 use copier::mem::{AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr};
 use copier::sim::{Core, Machine, Nanos, Sim, SimHandle};
@@ -168,4 +169,132 @@ fn a_burst_is_batched_by_the_round_it_queues_behind() {
         "the seven followers were not one batch: {at:?}"
     );
     assert_eq!(svc.stats().rounds_active - before.get(), 2);
+}
+
+/// libCopier's spin quantum (`SPIN_STEP`, private to `copier-client`;
+/// DESIGN.md §8 has its row): a blocked csync re-checks its descriptor this
+/// often for its first 2 µs.
+const SPIN_STEP_NS: u64 = 200;
+
+/// A `csync` that finds its copy not yet served costs its caller exactly
+/// `csync_hit`, the promotion Sync Task's `task_submit`, and the spin
+/// quanta until the copy lands — and the copy lands where the lone-copy
+/// ledger above puts it: the promotion arrives after the round that serves
+/// it has drained, so it adds nothing there.
+#[test]
+fn a_csync_that_finds_its_copy_unserved_costs_the_sum_of_its_named_charges() {
+    let settled = Rc::new(Cell::new([Nanos::ZERO; 5]));
+    let out = Rc::clone(&settled);
+    let svc = run(move |c| async move {
+        let anchor = c.warm().await;
+        let t0 = c.h.now();
+        let stamp = Rc::new(Cell::new(Nanos::ZERO));
+        c.submit(0, LEN, &stamp).await;
+        let t1 = c.h.now();
+        c.lib.csync(&c.core, c.dst, LEN).await.expect("copied");
+        out.set([anchor, t0, t1, c.h.now(), stamp.get()]);
+    });
+    let [anchor, t0, t1, t2, done] = settled.get();
+    let cost = svc.cost_model();
+    let poll = cost.poll_idle.as_nanos();
+
+    // Service: the lone-copy ledger, unchanged by the csync beside it.
+    let landed = t0 + cost.task_submit;
+    let into_poll = (landed - anchor).as_nanos() % poll;
+    assert!(into_poll > 0, "the push must land strictly inside a poll");
+    let settle = landed
+        + Nanos(poll - into_poll + DRAIN_COST_NS)
+        + cost.atc_hit
+        + cost.atc_hit
+        + cost.cpu_copy(CpuCopyKind::Avx2, LEN);
+    assert_eq!(done, settle, "the copy did not settle on its own ledger");
+
+    // Client: the spin starts once the promotion is pushed and ends at the
+    // first quantum boundary after the copy landed.
+    let spinning = t1 + cost.csync_hit + cost.task_submit;
+    let wait = (settle - spinning).as_nanos();
+    assert!(
+        !wait.is_multiple_of(SPIN_STEP_NS) && wait < 2_000,
+        "the copy must land strictly inside the 2 µs spin"
+    );
+    let quanta = wait.div_ceil(SPIN_STEP_NS);
+    let ledger = [
+        ("csync_hit", cost.csync_hit),
+        ("task_submit (promotion Sync Task)", cost.task_submit),
+        (
+            "SPIN_STEP x quanta until landed",
+            Nanos(quanta * SPIN_STEP_NS),
+        ),
+    ];
+    let want: u64 = ledger.iter().map(|(_, ns)| ns.as_nanos()).sum();
+    assert_eq!(
+        (t2 - t1).as_nanos(),
+        want,
+        "a csync's latency is not the sum of its ledger {ledger:?}"
+    );
+    assert_eq!(svc.stats().syncs, 1, "the promotion reached the service");
+}
+
+/// An `abort` costs its caller exactly `task_submit`. Its target — a lazy
+/// copy a previous round drained into the window — settles, `Aborted`, at
+/// the end of the idle poll in flight when the abort lands: the round
+/// retires it before it charges the Sync Task's `DRAIN_COST_NS`.
+#[test]
+fn an_abort_costs_the_sum_of_its_named_charges() {
+    let settled = Rc::new(Cell::new([Nanos::ZERO; 5]));
+    let out = Rc::clone(&settled);
+    let fault = Rc::new(Cell::new(None));
+    let fault2 = Rc::clone(&fault);
+    let svc = run(move |c| async move {
+        let anchor = c.warm().await;
+        let t0 = c.h.now();
+        let stamp = Rc::new(Cell::new(Nanos::ZERO));
+        let (h, s) = (c.h.clone(), Rc::clone(&stamp));
+        let opts = AmemcpyOpts {
+            lazy: true,
+            func: Some(Handler::KFunc(Rc::new(move || s.set(h.now())))),
+            ..Default::default()
+        };
+        let d = c
+            .lib
+            ._amemcpy(&c.core, c.dst, c.src, LEN, opts)
+            .await
+            .expect("admitted");
+        c.h.sleep(Nanos::from_micros(2)).await;
+        let t1 = c.h.now();
+        assert!(c.lib.abort(&c.core, c.dst, LEN).await, "placed");
+        let t2 = c.h.now();
+        c.h.sleep(Nanos::from_micros(5)).await;
+        fault2.set(d.fault());
+        out.set([anchor, t0, t1, t2, stamp.get()]);
+    });
+    let [anchor, t0, t1, t2, done] = settled.get();
+    let cost = svc.cost_model();
+    let poll = cost.poll_idle.as_nanos();
+
+    assert_eq!(t2 - t1, cost.task_submit, "the abort call is one ring push");
+    // The lazy copy's round: drained at the end of the poll it landed in,
+    // charged one DRAIN_COST_NS; idle polls are anchored where it ended.
+    let lazy_landed = t0 + cost.task_submit;
+    let into_poll = (lazy_landed - anchor).as_nanos() % poll;
+    assert!(
+        into_poll > 0,
+        "the lazy copy must land strictly inside a poll"
+    );
+    let anchor = lazy_landed + Nanos(poll - into_poll + DRAIN_COST_NS);
+    let landed = t1 + cost.task_submit;
+    let into_poll = (landed - anchor).as_nanos() % poll;
+    assert!(into_poll > 0, "the abort must land strictly inside a poll");
+    let ledger = [
+        ("task_submit", cost.task_submit),
+        ("rest of the idle poll in flight", Nanos(poll - into_poll)),
+    ];
+    let want: u64 = ledger.iter().map(|(_, ns)| ns.as_nanos()).sum();
+    assert_eq!(
+        (done - t1).as_nanos(),
+        want,
+        "an abort's settle is not the sum of its ledger {ledger:?}"
+    );
+    assert_eq!(fault.get(), Some(CopyFault::Aborted));
+    assert_eq!(svc.stats().aborts, 1);
 }
