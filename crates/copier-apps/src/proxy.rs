@@ -15,7 +15,7 @@ use copier_client::sync_memcpy;
 use copier_core::CopyFault;
 use copier_mem::{MemError, Prot, VirtAddr};
 use copier_os::{IoMode, NetStack, Os, Process, SendHandle, Socket};
-use copier_sim::{Core, Nanos};
+use copier_sim::{Again, Core, Nanos};
 
 /// Header scan + routing decision cost.
 pub const ROUTE_COST: Nanos = Nanos(400);
@@ -26,6 +26,8 @@ pub const HEADER_LEN: usize = 64;
 /// between — ≈ 700 µs in all, far past any buffer's reclaim.
 const SEND_RETRIES: u32 = 16;
 const SEND_BACKOFF: Nanos = Nanos(1000);
+/// How often a forward looks at its send's descriptor while it waits.
+const FORWARD_POLL: Nanos = Nanos(200);
 
 /// Why a pump stopped before its limit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,11 +254,14 @@ impl Proxy {
                 // Once the NIC confirms the forward, discard the two
                 // intermediate lazy copies (§4.4 abort).
                 if let Some(d) = done.descriptor() {
-                    while !d.all_ready() {
-                        if let Some(fault) = d.fault() {
-                            return Err(fault.into());
-                        }
-                        core.advance(Nanos(200)).await;
+                    let d2 = Rc::clone(&d);
+                    let forwarding = move || !d2.all_ready() && d2.fault().is_none();
+                    if forwarding() {
+                        let again: Again = Rc::new(move |_| forwarding());
+                        core.spin(FORWARD_POLL, &again).await;
+                    }
+                    if let (false, Some(fault)) = (d.all_ready(), d.fault()) {
+                        return Err(fault.into());
                     }
                 }
                 if let Some(d) = &recv_d {

@@ -23,7 +23,7 @@ use copier_client::{sync_memcpy, AmemcpyOpts};
 use copier_core::SegDescriptor;
 use copier_mem::{MemError, Prot, VirtAddr};
 use copier_os::{IoMode, NetStack, Os, Process, Socket};
-use copier_sim::{Core, Nanos, SimRng};
+use copier_sim::{Again, Core, Nanos, SimRng};
 
 /// Request parse cost (protocol scan, separators).
 pub const PARSE_COST: Nanos = Nanos(250);
@@ -193,8 +193,10 @@ impl RedisServer {
             return;
         };
         let lib = self.proc.lib();
-        while !guard.all_ready() && guard.fault().is_none() {
-            core.advance(Nanos(100)).await;
+        let landing = move || !guard.all_ready() && guard.fault().is_none();
+        if landing() {
+            let again: Again = Rc::new(move |_| landing());
+            core.spin(Nanos(100), &again).await;
         }
         for d in aborts {
             lib.abort_task(core, &d, 0).await;

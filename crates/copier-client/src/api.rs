@@ -19,7 +19,7 @@ use copier_core::{
 };
 use copier_hw::{CostModel, CpuCopyKind};
 use copier_mem::{AddressSpace, VirtAddr};
-use copier_sim::{Core, Nanos};
+use copier_sim::{Again, Core, Nanos};
 
 use crate::pool::DescriptorPool;
 
@@ -756,28 +756,32 @@ impl CopierHandle {
         self.push_bounded(core, &set.uq.sync, PROMOTE_BUDGET, promote, |e| e, || false)
             .await;
         self.doorbell();
-        self.spin_until(core, || {
-            descr.fault().is_some() || descr.range_ready(off, len)
-        })
-        .await;
+        let d = Rc::clone(descr);
+        self.spin_until(core, move || d.fault().is_some() || d.range_ready(off, len))
+            .await;
         // Neither faulted nor ready: the client was reaped mid-wait.
         outcome().unwrap_or(Err(CopyFault::Aborted))
     }
 
     /// Polls `done` the way a blocked csync waits: spin briefly (the
-    /// paper's polling wait), then yield the core in slices — on a
-    /// saturated machine a blocked csync must not starve co-scheduled work
-    /// (sched_yield behavior). Also returns once the client is reaped: it
-    /// will never be served again, so the waiter must not spin forever.
-    async fn spin_until(&self, core: &Rc<Core>, done: impl Fn() -> bool) {
-        let h = self.service().sim_handle().clone();
+    /// paper's polling wait, `SPIN_STEP` quanta answered by the core), then
+    /// yield the core in slices — on a saturated machine a blocked csync
+    /// must not starve co-scheduled work (sched_yield behavior). Also
+    /// returns once the client is reaped: it will never be served again,
+    /// so the waiter must not spin forever.
+    async fn spin_until(&self, core: &Rc<Core>, done: impl Fn() -> bool + Clone + 'static) {
+        let client = Rc::clone(&self.client);
+        let waiting = move || !done() && !client.dead.get();
+        if !waiting() {
+            return;
+        }
+        let h = self.service().sim_handle();
         let spin_deadline = h.now() + Nanos::from_micros(2);
-        while !done() && !self.client.dead.get() {
-            if h.now() < spin_deadline {
-                core.advance(SPIN_STEP).await;
-            } else {
-                h.sleep(Nanos(500)).await;
-            }
+        let spinning = waiting.clone();
+        let again: Again = Rc::new(move |at| spinning() && at < spin_deadline);
+        core.spin(SPIN_STEP, &again).await;
+        while waiting() {
+            h.sleep(Nanos(500)).await;
         }
     }
 
@@ -803,7 +807,8 @@ impl CopierHandle {
         let mut result = Ok(());
         for (sp, start, len, d) in snapshot {
             if d.is_empty() {
-                self.spin_until(core, || retired(&d)).await;
+                let d = Rc::clone(&d);
+                self.spin_until(core, move || retired(&d)).await;
             }
             if let Err(e) = self
                 .wait_descr(core, &d, 0, len, sp, VirtAddr(start), len, 0)

@@ -434,6 +434,20 @@ impl ActiveSet {
         a.clients.extend(snapshot.map(|(_, c)| Rc::clone(c)));
     }
 
+    /// The epoch at which `a`, as a round just left it, is current and
+    /// empty: until the epoch moves, a round drains, syncs and schedules
+    /// nobody. `None` under `full_sweep`: its set stays empty by design,
+    /// so emptiness there says nothing about the shard being idle.
+    pub(super) fn empty_at(&self, a: &Assigned) -> Option<u64> {
+        let ep = self.epoch.get();
+        (!self.sweep && a.epoch == ep && a.clients.is_empty()).then_some(ep)
+    }
+
+    /// Whether the assignment epoch is still `epoch`.
+    pub(super) fn still_at(&self, epoch: u64) -> bool {
+        self.epoch.get() == epoch
+    }
+
     /// Round-end maintenance: every assigned client that ended the round
     /// fully settled leaves the set; it generates no control-plane work
     /// until its next doorbell.
@@ -758,6 +772,16 @@ impl Copier {
     pub fn audit_aggregates(&self) -> Result<(), String> {
         let table = self.clients.borrow();
         self.shards.iter().try_for_each(|sh| sh.audit(&table))
+    }
+}
+
+/// `cfg` with `full_sweep` on: what a differential test elsewhere in the
+/// service runs as its reference without naming the switch.
+#[cfg(test)]
+pub(super) fn sweeping(cfg: CopierConfig) -> CopierConfig {
+    CopierConfig {
+        full_sweep: true,
+        ..cfg
     }
 }
 

@@ -92,6 +92,12 @@ impl RoundBarrier {
         self.any.get()
     }
 
+    /// Whether the barrier has one arriver: an arrival parks nobody and
+    /// exchanges nothing, so it is no event at all.
+    pub(super) fn lone(&self) -> bool {
+        self.arrivers == 1
+    }
+
     /// Wakes every parked shard so it can observe `stopping`.
     pub(super) fn release(&self) {
         self.wake.notify_all();

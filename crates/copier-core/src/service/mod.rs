@@ -37,6 +37,8 @@ mod barrier;
 mod complete;
 mod drain;
 mod execute;
+#[cfg(test)]
+mod idle_spin;
 mod recover;
 mod scrub;
 mod select;

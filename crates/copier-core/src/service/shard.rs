@@ -1,11 +1,12 @@
 //! A service thread (§4.5.1): the shard loop and the round it runs, a list
 //! of named phase calls.
 
+use std::cell::Cell;
 use std::rc::Rc;
 
 use copier_hw::{PlannedCopy, ProgressFn};
 use copier_sim::trace::TraceEvent;
-use copier_sim::{Core, CrashPoint, Nanos};
+use copier_sim::{Again, Core, CrashPoint, Nanos, Tracer};
 
 use super::aggregates::Assigned;
 use super::execute::{mark_progress, ByTid, PlanScratch};
@@ -75,6 +76,24 @@ impl RoundScratch {
     }
 }
 
+/// What a shard's idle spin shares with its loop (DESIGN.md §12).
+#[derive(Default)]
+struct Idle {
+    /// Idle polls since the shard last did work or parked.
+    streak: Cell<u32>,
+    /// The assignment epoch at which the last round found nobody to
+    /// serve (`ActiveSet::empty_at`).
+    empty_at: Cell<Option<u64>>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: every idle spell is one poll, the core answering no
+    /// boundary itself — the loop as it ran before `Core::spin`, kept as
+    /// the differential oracle of `service::idle_spin`, not as a mode.
+    pub(super) static ONE_POLL_SPELLS: Cell<bool> = const { Cell::new(false) };
+}
+
 impl Copier {
     /// A service thread (§4.5.1, DESIGN.md §17): shard `idx` owns the
     /// clients hashed to it, runs the round loop over them on its own
@@ -90,7 +109,8 @@ impl Copier {
         /// wakeup).
         const WAKE_LATENCY: Nanos = Nanos(700);
         let core = Rc::clone(&self.cores[idx]);
-        let mut idle_streak = 0u32;
+        let idle = Rc::new(Idle::default());
+        let quiet = self.quiet_predicate(idx, &idle);
         // Per-thread round scratch: the dispatch progress list is cleared
         // and refilled each round instead of reallocated. A round's DMA
         // callbacks all settle before `execute_batch` returns, so clearing
@@ -113,8 +133,7 @@ impl Copier {
                 self.barrier.release();
                 return;
             }
-            // Scenario gate.
-            if self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get() {
+            if self.gate_closed() {
                 self.parked.set(self.parked.get() + 1);
                 self.wake.notified().await;
                 self.parked.set(self.parked.get() - 1);
@@ -125,29 +144,24 @@ impl Copier {
             if did {
                 self.stats.borrow_mut().busy_rounds += 1;
             }
+            idle.empty_at
+                .set(self.shards[idx].active.empty_at(&scratch.assigned));
             let arrival = self.barrier.arrive(did, &self.stopping, || self.exchange());
             if arrival.await {
                 // Some shard did work this generation: everyone keeps
                 // polling hot, even shards that were themselves idle —
                 // idleness is a barrier-agreed global fact, never a local
                 // guess, so the shards spin down (and park) in lockstep.
-                idle_streak = 0;
+                idle.streak.set(0);
                 continue;
             }
+            // The idle poll, and every one after it that `quiet` answers
+            // at its boundary without waking this task.
             self.stats.borrow_mut().idle_polls += 1;
-            core.advance(self.cost.poll_idle).await;
-            idle_streak += 1;
-            let (spin_rounds, park_timeout) = match self.cfg.polling {
-                PollMode::Napi {
-                    spin_rounds,
-                    park_timeout,
-                } => (spin_rounds, park_timeout),
-                // Even inside an active scenario the thread sleeps when
-                // queues run empty (§6.2.4: "sleeps when queues are
-                // empty") — submissions call copier_awaken.
-                PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
-            };
-            if idle_streak > spin_rounds {
+            core.spin(self.cost.poll_idle, &quiet).await;
+            idle.streak.set(idle.streak.get() + 1);
+            let (spin_rounds, park_timeout) = self.idle_budget();
+            if idle.streak.get() > spin_rounds {
                 self.parked.set(self.parked.get() + 1);
                 let notified = self.wake.wait_timeout(&self.h, park_timeout).await;
                 self.parked.set(self.parked.get() - 1);
@@ -155,9 +169,77 @@ impl Copier {
                     // Kthread wakeup latency before the next sweep.
                     core.advance(WAKE_LATENCY).await;
                 }
-                idle_streak = 0;
+                idle.streak.set(0);
             }
         }
+    }
+
+    /// The scenario gate (§5.3): a `ScenarioDriven` thread sleeps while no
+    /// target scenario is active.
+    fn gate_closed(&self) -> bool {
+        self.cfg.polling == PollMode::ScenarioDriven && !self.scenario_active.get()
+    }
+
+    /// `(spin_rounds, park_timeout)`: the idle polls a thread spins before
+    /// it parks, and how long a park lasts.
+    fn idle_budget(&self) -> (u32, Nanos) {
+        match self.cfg.polling {
+            PollMode::Napi {
+                spin_rounds,
+                park_timeout,
+            } => (spin_rounds, park_timeout),
+            // Even inside an active scenario the thread sleeps when
+            // queues run empty (§6.2.4: "sleeps when queues are
+            // empty") — submissions call copier_awaken.
+            PollMode::ScenarioDriven => (4, Nanos::from_millis(5)),
+        }
+    }
+
+    /// Shard `idx`'s idle-spin predicate, built once per thread: see
+    /// [`Self::quiet_poll`].
+    fn quiet_predicate(self: &Rc<Self>, idx: usize, idle: &Rc<Idle>) -> Again {
+        let (me, idle) = (Rc::downgrade(self), Rc::clone(idle));
+        Rc::new(move |at| {
+            me.upgrade()
+                .is_some_and(|svc| svc.quiet_poll(idx, &idle, at))
+        })
+    }
+
+    /// Whether the idle poll that would start at `at` is one more of the
+    /// spell: the loop would not park, and the round it runs first would
+    /// do nothing and draw nothing — a lone shard (no barrier to meet),
+    /// no fault plan or scrub region (no draw, no walk), an open gate, no
+    /// stop (a crash stops too), spin budget left, and nobody assigned
+    /// since the last real round. If so, books what that loop iteration books, with no
+    /// virtual time: the streak, the settled round (its traced frame,
+    /// which stays empty and writes nothing) and the idle poll.
+    fn quiet_poll(&self, idx: usize, idle: &Idle, at: Nanos) -> bool {
+        #[cfg(test)]
+        if ONE_POLL_SPELLS.with(Cell::get) {
+            return false;
+        }
+        let quiet = self.barrier.lone()
+            && self.cfg.fault_plan.is_none()
+            && self.scrub.borrow().is_empty()
+            && !self.gate_closed()
+            && !self.stopping.get()
+            && idle.streak.get() < self.idle_budget().0
+            && idle
+                .empty_at
+                .get()
+                .is_some_and(|ep| self.shards[idx].active.still_at(ep));
+        if !quiet {
+            return false;
+        }
+        idle.streak.set(idle.streak.get() + 1);
+        if let Some(tracer) = &self.cfg.tracer {
+            self.begin_traced_round(tracer, idx, at);
+            self.end_traced_round(tracer, idx);
+        }
+        let mut stats = self.stats.borrow_mut();
+        stats.rounds_settled += 1;
+        stats.idle_polls += 1;
+        true
     }
 
     /// Refreshes the thread's client assignment in `scratch`.
@@ -185,16 +267,26 @@ impl Copier {
         let Some(tracer) = self.cfg.tracer.clone() else {
             return self.round_inner(idx, core, scratch).await;
         };
+        self.begin_traced_round(&tracer, idx, self.h.now());
+        let did = self.round_inner(idx, core, scratch).await;
+        self.end_traced_round(&tracer, idx);
+        did
+    }
+
+    /// Opens shard `idx`'s next traced round at `at`.
+    fn begin_traced_round(&self, tracer: &Tracer, idx: usize, at: Nanos) {
         let sh = &self.shards[idx];
         let round_no = sh.round_no.get() + 1;
         sh.round_no.set(round_no);
-        tracer.begin_shard_round(idx as u32, round_no, self.h.now().as_nanos());
-        let did = self.round_inner(idx, core, scratch).await;
-        let mem_due = tracer.end_shard_round(idx as u32, || self.round_hashes(idx));
-        if mem_due {
+        tracer.begin_shard_round(idx as u32, round_no, at.as_nanos());
+    }
+
+    /// Closes shard `idx`'s traced round: its state hashes if it emitted
+    /// anything, then a memory digest when one is due.
+    fn end_traced_round(&self, tracer: &Tracer, idx: usize) {
+        if tracer.end_shard_round(idx as u32, || self.round_hashes(idx)) {
             tracer.record_mem(self.pm.digest());
         }
-        did
     }
 
     async fn round_inner(

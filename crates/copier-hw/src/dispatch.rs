@@ -22,7 +22,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use copier_mem::{Extent, PhysMem};
-use copier_sim::{Core, Nanos};
+use copier_sim::{Again, Core, Nanos};
 
 use crate::cost::{CostModel, CpuCopyKind};
 use crate::dma::{DmaEngine, DmaError};
@@ -422,9 +422,14 @@ impl Dispatcher {
                             .saturating_mul(self.cost.dma_wait_budget.max(1)),
                     );
                     let t0 = core_now(core);
-                    while !c.is_settled() {
-                        core.advance(self.cost.dma_complete_check.max(Nanos(100)))
-                            .await;
+                    if !c.is_settled() {
+                        let (c2, me) = (Rc::clone(&c), Rc::downgrade(core));
+                        let again: Again = Rc::new(move |_| {
+                            !c2.is_settled()
+                                && me.upgrade().is_some_and(|k| core_now(&k) - t0 <= budget)
+                        });
+                        let poll = self.cost.dma_complete_check.max(Nanos(100));
+                        core.spin(poll, &again).await;
                         if core_now(core) - t0 > budget {
                             // The device is stalling far past the modeled
                             // time; withdraw the descriptor. The device
@@ -434,7 +439,6 @@ impl Dispatcher {
                             // settled between the check and the cancel, the
                             // cancel is a no-op and the result stands.
                             c.cancel();
-                            break;
                         }
                     }
                     report.dma_wait += core_now(core) - t0;

@@ -26,6 +26,11 @@ use crate::time::Nanos;
 /// Default round-robin quantum for contended cores.
 pub const DEFAULT_QUANTUM: Nanos = Nanos::from_micros(20);
 
+/// A [`Core::spin`] predicate: asked at each step boundary, with the
+/// boundary's instant, whether to spin another step. Built once and
+/// shared, so a spell allocates nothing.
+pub type Again = Rc<dyn Fn(Nanos) -> bool>;
+
 /// One `advance` call's claim on the core, in a slot of `Sched::demands`.
 struct Demand {
     /// Nanoseconds still to serve; zero once the demand is complete.
@@ -36,6 +41,9 @@ struct Demand {
     /// The `Advance` that filed this was dropped; nobody will collect the
     /// slot, so the core frees it at completion.
     orphan: bool,
+    /// A spin's step and predicate: when `remaining` runs out, the core
+    /// asks the predicate before it completes the demand.
+    spin: Option<(u64, Again)>,
 }
 
 struct Sched {
@@ -91,6 +99,31 @@ impl Core {
         Advance {
             core: self,
             state: AdvanceState::New(dur.as_nanos()),
+            again: None,
+        }
+    }
+
+    /// Busy-waits in steps of `step` for as long as `again` holds at each
+    /// step boundary. In virtual time this is exactly
+    /// `loop { core.advance(step).await; if !again(now) { break } }` —
+    /// the same boundaries, busy time, timer order and clock at return —
+    /// but the core asks `again` itself, from its timer, without waking
+    /// the task. It answers every consecutive boundary that comes
+    /// strictly before the next pending timer and within the deadline of
+    /// the run in progress, then arms one timer: nothing can run between
+    /// such boundaries, since a timer fires only once no task is ready
+    /// (DESIGN.md §12). A second demand queued on the core stops that:
+    /// the spin takes its turn as the loop's next `advance` would.
+    ///
+    /// `again` gets the boundary's instant. It may read state and bump
+    /// host counters, nothing else: it must not wake, spawn or arm (debug
+    /// builds assert it) or touch this core's queue.
+    pub fn spin<'a>(self: &'a Rc<Self>, step: Nanos, again: &Again) -> Advance<'a> {
+        assert!(step > Nanos::ZERO, "a spin step must take time");
+        Advance {
+            core: self,
+            state: AdvanceState::New(step.as_nanos()),
+            again: Some(Rc::clone(again)),
         }
     }
 
@@ -103,13 +136,15 @@ impl Core {
         self.advance(inflated).await;
     }
 
-    /// Queues a demand of `ns`; an idle core gets its ready-queue entry.
-    fn file(&self, ns: u64, waker: Waker) -> usize {
+    /// Queues a demand of `ns` (spinning on `again`, if given); an idle
+    /// core gets its ready-queue entry.
+    fn file(&self, ns: u64, waker: Waker, again: Option<Again>) -> usize {
         let mut s = self.sched.borrow_mut();
         let demand = Demand {
             remaining: ns,
             waker: Some(waker),
             orphan: false,
+            spin: again.map(|a| (ns, a)),
         };
         let slot = match s.free.pop() {
             Some(slot) => {
@@ -138,6 +173,32 @@ impl Core {
             s.running = Some((slot, slice));
         }
     }
+
+    /// The demand in `slot` has served its last nanosecond at `k.now()`.
+    /// A spinning one asks its predicate there and, while the core has no
+    /// other demand and the step fits one slice, at every later boundary
+    /// the clock can skip to. Returns whether it spins on, with a fresh
+    /// step to serve; a finished spin lets go of its predicate.
+    fn spin_on(&self, s: &mut Sched, slot: usize, k: &Kernel) -> bool {
+        let alone = s.queue.is_empty();
+        let d = &mut s.demands[slot];
+        let Some((step, again)) = &d.spin else {
+            return false;
+        };
+        let step = *step;
+        let batch = alone && step <= self.quantum.get().as_nanos().max(1);
+        loop {
+            if !k.inert(|| again(k.now())) {
+                d.spin = None;
+                return false;
+            }
+            if !batch || !k.skip_to(Nanos(k.now().0.saturating_add(step))) {
+                d.remaining = step;
+                return true;
+            }
+            self.busy.set(self.busy.get() + step);
+        }
+    }
 }
 
 impl Resource for Core {
@@ -154,17 +215,17 @@ impl Resource for Core {
             .take()
             .expect("a core's timer fires only for the slice it armed");
         self.busy.set(self.busy.get() + slice);
-        let d = &mut s.demands[slot];
-        d.remaining -= slice;
-        let finished = if d.remaining == 0 {
+        s.demands[slot].remaining -= slice;
+        let finished = if s.demands[slot].remaining > 0 || self.spin_on(&mut s, slot, k) {
+            s.queue.push_back(slot);
+            None
+        } else {
+            let d = &mut s.demands[slot];
             let waker = d.waker.take();
             if d.orphan {
                 s.free.push(slot);
             }
             waker
-        } else {
-            s.queue.push_back(slot);
-            None
         };
         self.arm_next(&mut s, k);
         drop(s);
@@ -182,10 +243,12 @@ enum AdvanceState {
     Done,
 }
 
-/// Future returned by [`Core::advance`].
+/// Future returned by [`Core::advance`] and [`Core::spin`].
 pub struct Advance<'a> {
     core: &'a Core,
     state: AdvanceState,
+    /// A spin's predicate, until the demand is filed.
+    again: Option<Again>,
 }
 
 impl Future for Advance<'_> {
@@ -197,7 +260,8 @@ impl Future for Advance<'_> {
                 Poll::Ready(())
             }
             AdvanceState::New(ns) => {
-                let slot = self.core.file(ns, cx.waker().clone());
+                let again = self.again.take();
+                let slot = self.core.file(ns, cx.waker().clone(), again);
                 self.state = AdvanceState::Filed(slot);
                 Poll::Pending
             }
@@ -223,10 +287,14 @@ impl Drop for Advance<'_> {
     fn drop(&mut self) {
         if let AdvanceState::Filed(slot) = self.state {
             let mut s = self.core.sched.borrow_mut();
-            if s.demands[slot].remaining == 0 {
+            let d = &mut s.demands[slot];
+            if d.remaining == 0 {
                 s.free.push(slot);
             } else {
-                s.demands[slot].orphan = true;
+                // A dropped spin runs out its step and stops, as a
+                // dropped loop would leave its `advance` in flight.
+                d.orphan = true;
+                d.spin = None;
             }
         }
     }

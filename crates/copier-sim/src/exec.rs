@@ -183,7 +183,11 @@ impl Ord for TimerEntry {
 /// a task. It occupies the schedule exactly as a driver task would: a
 /// [`Port::kick`] takes the ready-queue position the task's wake-up would
 /// have taken, [`Kernel::arm`] the timer `(when, seq)` its sleep would
-/// have registered. Neither callback may block or run user code.
+/// have registered. Neither callback may block or run user code, with
+/// one exception: `on_timer` may call a spin predicate (`Core::spin`)
+/// through [`Kernel::inert`]. A predicate may read state and bump host
+/// counters, nothing else — no wake, spawn or arm — because the boundary
+/// it answers stands for an event no other event can come between.
 pub(crate) trait Resource {
     /// The ready-queue entry placed by [`Port::kick`] reached the front.
     fn on_ready(&self, k: &Kernel);
@@ -214,8 +218,35 @@ pub(crate) struct Kernel {
     now: Cell<Nanos>,
     seq: Cell<u64>,
     live_tasks: Cell<usize>,
-    /// Total tasks ever spawned, for statistics.
-    spawned: Cell<usize>,
+    /// The deadline of the `run_until` in progress.
+    deadline: Cell<Nanos>,
+    stats: Cell<SimStats>,
+}
+
+/// Host-side work the executor has done, for [`Sim::stats`]: counts, not
+/// timings, so a rerun repeats them exactly. Counting charges no virtual
+/// time and draws nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// Task futures polled.
+    pub polls: u64,
+    /// Calls into a simulated device (a core's ready-queue entry or
+    /// timer).
+    pub resource_calls: u64,
+    /// Timers registered (a sleep, a timeout, a core's slice).
+    pub timers_armed: u64,
+    /// Timers that fired.
+    pub timers_fired: u64,
+    /// Tasks spawned.
+    pub spawns: u64,
+}
+
+impl SimStats {
+    /// Executor events: everything the run loop dispatched, a task poll
+    /// or a device call. A timer that fires is one of the two.
+    pub fn events(&self) -> u64 {
+        self.polls + self.resource_calls
+    }
 }
 
 impl Kernel {
@@ -229,7 +260,8 @@ impl Kernel {
             now: Cell::new(Nanos::ZERO),
             seq: Cell::new(0),
             live_tasks: Cell::new(0),
-            spawned: Cell::new(0),
+            deadline: Cell::new(Nanos(u64::MAX)),
+            stats: Cell::new(SimStats::default()),
         })
     }
 
@@ -237,13 +269,52 @@ impl Kernel {
         self.now.get()
     }
 
+    fn count(&self, bump: impl FnOnce(&mut SimStats)) {
+        let mut s = self.stats.get();
+        bump(&mut s);
+        self.stats.set(s);
+    }
+
     fn push_timer(&self, when: Nanos, fire: Fire) {
         debug_assert!(when >= self.now.get(), "timer scheduled in the past");
         let seq = self.seq.get();
         self.seq.set(seq + 1);
+        self.count(|s| s.timers_armed += 1);
         self.timers
             .borrow_mut()
             .push(Reverse(TimerEntry { when, seq, fire }));
+    }
+
+    /// Moves the clock to `t` if no event can come first: nothing is
+    /// ready, every pending timer is later than `t` (a timer *at* `t` was
+    /// armed earlier and would fire first) and `t` is within the deadline
+    /// of the run in progress. This is what popping a timer at `t` would
+    /// do, minus the timer; it is how a spinning core answers its next
+    /// step boundary in place.
+    pub(crate) fn skip_to(&self, t: Nanos) -> bool {
+        let clear = self.ready.queue.borrow().is_empty()
+            && t <= self.deadline.get()
+            && self.timers.borrow().peek().is_none_or(|top| t < top.0.when);
+        if clear {
+            self.now.set(t);
+        }
+        clear
+    }
+
+    /// Calls `f`, which must be inert: it may read state and bump host
+    /// counters, but not wake, spawn or arm. Debug builds assert that the
+    /// timer sequence and the ready queue are as `f` found them.
+    pub(crate) fn inert<T>(&self, f: impl FnOnce() -> T) -> T {
+        #[cfg(debug_assertions)]
+        let before = (self.seq.get(), self.ready.queue.borrow().len());
+        let out = f();
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            before,
+            (self.seq.get(), self.ready.queue.borrow().len()),
+            "a spin predicate woke, spawned or armed"
+        );
+        out
     }
 
     /// Arms a timer that calls `port`'s resource back at `when`.
@@ -272,7 +343,7 @@ impl Kernel {
         tasks[id].future = Some(fut);
         tasks[id].name = Some(name.to_string());
         self.live_tasks.set(self.live_tasks.get() + 1);
-        self.spawned.set(self.spawned.get() + 1);
+        self.count(|s| s.spawns += 1);
         self.ready.push(Runnable::Task(id));
         id
     }
@@ -289,6 +360,7 @@ impl Kernel {
                 None => return,
             }
         };
+        self.count(|s| s.polls += 1);
         let mut cx = Context::from_waker(&waker);
         let finished = fut.as_mut().poll(&mut cx).is_ready();
         let mut tasks = self.tasks.borrow_mut();
@@ -402,12 +474,16 @@ impl Sim {
     /// Runs until the given virtual deadline (exclusive for timers beyond it).
     pub fn run_until(&mut self, deadline: Nanos) -> Nanos {
         let k = &*self.kernel;
+        k.deadline.set(deadline);
         loop {
             // Drain everything runnable at the current instant.
             while let Some(next) = k.ready.pop() {
                 match next {
                     Runnable::Task(id) => k.poll_task(id),
-                    Runnable::Resource(i) => k.resource(i).on_ready(k),
+                    Runnable::Resource(i) => {
+                        k.count(|s| s.resource_calls += 1);
+                        k.resource(i).on_ready(k);
+                    }
                 }
             }
             // Advance to the earliest timer.
@@ -417,9 +493,13 @@ impl Sim {
             };
             debug_assert!(entry.when >= k.now.get());
             k.now.set(entry.when);
+            k.count(|s| s.timers_fired += 1);
             match entry.fire {
                 Fire::Wake(waker) => waker.wake(),
-                Fire::Resource(i) => k.resource(i).on_timer(k),
+                Fire::Resource(i) => {
+                    k.count(|s| s.resource_calls += 1);
+                    k.resource(i).on_timer(k);
+                }
             }
         }
         k.now.get()
@@ -433,7 +513,12 @@ impl Sim {
 
     /// Total number of tasks ever spawned.
     pub fn spawned_tasks(&self) -> usize {
-        self.kernel.spawned.get()
+        self.kernel.stats.get().spawns as usize
+    }
+
+    /// What the executor has done so far, counted (ROADMAP item 5).
+    pub fn stats(&self) -> SimStats {
+        self.kernel.stats.get()
     }
 
     /// Names of tasks that are still live (for leak diagnostics in tests).

@@ -30,14 +30,16 @@ mod order_oracle;
 #[cfg(test)]
 mod reference;
 pub mod rng;
+#[cfg(test)]
+mod spin_oracle;
 pub mod sync;
 pub mod time;
 pub mod trace;
 pub mod workload;
 
 pub use cache::{CacheConfig, CacheModel};
-pub use cpu::{Core, Machine, PowerModel, DEFAULT_QUANTUM};
-pub use exec::{JoinHandle, Sim, SimHandle, TaskId};
+pub use cpu::{Again, Core, Machine, PowerModel, DEFAULT_QUANTUM};
+pub use exec::{JoinHandle, Sim, SimHandle, SimStats, TaskId};
 pub use fault::{CrashPoint, DmaFault, FaultConfig, FaultLog, FaultPlan, SilentCorruption};
 pub use rng::{stream_seed, SimRng};
 pub use sync::{Chan, Notify};

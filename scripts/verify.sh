@@ -44,6 +44,40 @@ pushers=$(awk '
     /;[[:space:]]*$/ { inpush = 0 }
 ' crates/copier-client/src/*.rs | sort -u)
 [ "$(printf '%s' "$pushers" | grep -c .)" -le 1 ] || { echo "ring pushed by hand in:"; echo "$pushers"; exit 1; }
+# One poll idiom (DESIGN.md §12): a loop that charges core time and changes
+# nothing itself — no `let`, no assignment, no notification wait — is a
+# busy-wait for someone else's event, and `Core::spin` is the one way to
+# spell it: the core answers each step boundary without waking the task.
+# The spin oracle spells the loop on purpose (it is what `spin` must equal),
+# and nothing charges the service's idle poll through `advance`.
+pollers=$(awk '
+    FNR == 1 { depth = 0; nloops = 0 }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?(async )?(unsafe )?fn [A-Za-z_0-9]+/ {
+        match($0, /fn [A-Za-z_0-9]+/)
+        fn = FILENAME ":" substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (line ~ /(^|[^A-Za-z_0-9])(while[[:space:]].*|loop[[:space:]]*)\{[[:space:]]*$/) {
+            nloops++; ldepth[nloops] = depth; adv[nloops] = 0; busy[nloops] = 0; lfn[nloops] = fn
+        } else {
+            for (i = 1; i <= nloops; i++) {
+                if (line ~ /\.advance\(/) adv[i] = 1
+                if (line ~ /^[[:space:]]*let[[:space:]]/ || line ~ /\.notified\(/ \
+                    || (line ~ /[^=!<>]=[^=>]/ && line !~ /(if|while) let /)) busy[i] = 1
+            }
+        }
+        o = gsub(/\{/, "{", line); c = gsub(/\}/, "}", line)
+        depth += o - c
+        while (nloops > 0 && depth <= ldepth[nloops]) {
+            if (adv[nloops] && !busy[nloops]) print lfn[nloops]
+            nloops--
+        }
+    }
+' $(ls crates/*/src/*.rs crates/*/src/*/*.rs | grep -v '/spin_oracle\.rs$') | sort -u)
+[ -z "$pollers" ] || { echo "condition polled by hand (use Core::spin) in:"; echo "$pollers"; exit 1; }
+[ -z "$(grep -rE 'advance\([^)]*poll_idle' crates/*/src)" ]
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
@@ -51,9 +85,12 @@ cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 # Order oracle: the executor, Notify/Chan and Core against their
 # `#[cfg(test)]` reference (the Arc/Mutex executor and driver-task cores
 # they replaced) on random programs; every poll and resumption, each
-# core's busy time and the end time must match. The workspace run above
-# did the default 3000 programs; this is the deeper pass.
-TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked order_oracle
+# core's busy time and the end time must match. Spin oracle: `Core::spin`
+# against the advance loop it stands for (foreign timers on its
+# boundaries, run_until pauses, second demands mid-spell); every
+# resumption and predicate answer must match. The workspace run above
+# did 3000 and 2000 programs; this is the deeper pass.
+TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked _oracle::
 
 # Translation-cache oracle (every hit == a fresh page-table read over 1–64
 # spaces, a neighbour cycling its pool changes nothing for a space, dropped
