@@ -21,7 +21,9 @@
 //!   vs. page-tiled moves).
 //!
 //! The `executor` group times what one simulated event costs the host:
-//! a `sleep` wake-up, an `advance` on a free core and on a shared one, a
+//! a `sleep` and an `advance` on a free core, each both completed in place
+//! (nothing due first) and evented (a foreign timer ties its end, so it
+//! takes its timer and its poll), an `advance` on a shared core, a
 //! `Notify` round trip. Each is also given as a multiple of a floor
 //! measured in the same round of the same run (a `BinaryHeap` push+pop
 //! of a 32-byte entry plus a `VecDeque` push+pop: what a timer event
@@ -258,30 +260,49 @@ fn run_overlapping(bench: &Bench, pages: usize) -> LayoutResult {
 /// One primitive and the bar on its cost over the floor.
 struct ExecCase {
     name: &'static str,
-    /// `over_floor` at or below this passes. Set between what this bench
-    /// read on the day for the executor before it (a waker allocated per
-    /// poll, a locked ready queue, cores as tasks: 8.8, 25, 17 and 16
-    /// floors) and for this one (3.0, 4.7, 3.0 and 5.6).
+    /// `over_floor` at or below this passes. For the evented cases, set
+    /// between what this bench read on the day for the executor before
+    /// them (a waker allocated per poll, a locked ready queue, cores as
+    /// tasks: 8.8, 25, 17 and 16 floors for a sleep, a free-core advance,
+    /// a contended one and a notify round trip) and for the one after (3.0,
+    /// 4.7, 3.0 and 5.6). The in-place cases' bars are their own.
     bar: f64,
     /// Host ns per event over this many events.
     run: fn(u64) -> f64,
 }
 
-const EXEC_CASES: [ExecCase; 4] = [
+/// A sleep completed in place: between what its evented twin read on the
+/// day the path went in (3.15 floors) and what it read itself (1.05).
+const SLEEP_IN_PLACE_BAR: f64 = 2.0;
+/// An advance served in place: between what its evented twin read on the
+/// day the path went in (4.27 floors) and what it read itself (0.56).
+const ADVANCE_IN_PLACE_BAR: f64 = 2.0;
+
+const EXEC_CASES: [ExecCase; 6] = [
     ExecCase {
         name: "sleep",
+        bar: SLEEP_IN_PLACE_BAR,
+        run: |n| sleep_ns(n, 1),
+    },
+    ExecCase {
+        name: "sleep_evented",
         bar: 5.0,
-        run: sleep_ns,
+        run: |n| sleep_ns(n, 2),
     },
     ExecCase {
         name: "advance",
+        bar: ADVANCE_IN_PLACE_BAR,
+        run: |n| advance_ns(n, 1, 1),
+    },
+    ExecCase {
+        name: "advance_evented",
         bar: 10.0,
-        run: |n| advance_ns(n, 1),
+        run: |n| advance_ns(n, 2, 2),
     },
     ExecCase {
         name: "advance_contended",
         bar: 8.0,
-        run: |n| advance_ns(n, 2),
+        run: |n| advance_ns(n, 2, 1),
     },
     ExecCase {
         name: "notify_round_trip",
@@ -368,39 +389,60 @@ fn floor_ns(events: u64) -> f64 {
     t0.elapsed().as_nanos() as f64 / events as f64
 }
 
-/// Runs `build`'s simulation to its end; host ns per event of `events`.
-fn sim_ns(events: u64, build: impl FnOnce(&mut Sim)) -> f64 {
+/// Runs `build`'s simulation to its end; host ns per event of `events`,
+/// and how many waits completed in place.
+fn sim_ns(events: u64, build: impl FnOnce(&mut Sim)) -> (f64, u64) {
     let mut sim = Sim::new();
     build(&mut sim);
     let t0 = Instant::now();
     sim.run();
-    t0.elapsed().as_nanos() as f64 / events as f64
+    let ns = t0.elapsed().as_nanos() as f64 / events as f64;
+    (ns, sim.stats().in_place)
 }
 
-fn sleep_ns(events: u64) -> f64 {
-    sim_ns(events, |sim| {
-        let h = sim.handle();
-        sim.spawn("sleeper", async move {
-            for _ in 0..events {
-                h.sleep(Nanos(1)).await;
-            }
-        });
-    })
+/// `sleepers` tasks, `events` 1 ns sleeps in all. One alone completes
+/// every sleep in place; two tie each other's timers, so every sleep
+/// takes its timer and its poll.
+fn sleep_ns(events: u64, sleepers: u64) -> f64 {
+    let (ns, in_place) = sim_ns(events, |sim| {
+        for _ in 0..sleepers {
+            let h = sim.handle();
+            sim.spawn("sleeper", async move {
+                for _ in 0..events / sleepers {
+                    h.sleep(Nanos(1)).await;
+                }
+            });
+        }
+    });
+    let want = if sleepers == 1 { events } else { 0 };
+    assert_eq!(in_place, want, "{sleepers} sleepers: sleeps in place");
+    ns
 }
 
-/// `tasks` threads share one core, `events` sub-quantum advances in all.
-fn advance_ns(events: u64, tasks: u64) -> f64 {
-    sim_ns(events, |sim| {
-        let machine = Machine::new(&sim.handle(), 1);
-        for _ in 0..tasks {
-            let core = machine.core(0);
+/// `tasks` threads on `cores` cores (round-robin), `events` sub-quantum
+/// advances in all. One thread alone is served in place; two on two
+/// cores tie each other's slice timers, so every advance is filed; two on
+/// one core take turns.
+fn advance_ns(events: u64, tasks: u64, cores: usize) -> f64 {
+    let (ns, in_place) = sim_ns(events, |sim| {
+        let machine = Machine::new(&sim.handle(), cores);
+        for t in 0..tasks {
+            let core = machine.core(t as usize % cores);
             sim.spawn("worker", async move {
                 for _ in 0..events / tasks {
                     core.advance(Nanos(100)).await;
                 }
             });
         }
-    })
+    });
+    if tasks as usize == cores {
+        let want = if tasks == 1 { events } else { 0 };
+        assert_eq!(
+            in_place, want,
+            "{tasks} threads, one a core: served in place"
+        );
+    }
+    ns
 }
 
 /// Two tasks hand a count back and forth through two `Notify` cells; one
@@ -429,6 +471,7 @@ fn notify_ns(events: u64) -> f64 {
             }
         });
     })
+    .0
 }
 
 /// A group of cases: `rounds` rounds, each timing the floor and the

@@ -10,7 +10,16 @@
 //! A core is not a task. It is an executor [`Resource`] with two steps,
 //! "take the next demand and arm one slice" and "the slice elapsed", which
 //! the executor calls where a driver task's wake-up and its sleep timer
-//! would have sat in the schedule (DESIGN.md §12).
+//! would have sat in the schedule (DESIGN.md §12). Neither blocks or runs
+//! user code; the slice step may ask a spin's predicate, which must be
+//! inert.
+//!
+//! An `advance` on a free core — nothing running, queued or kicked, no
+//! spin — that nothing can interrupt (`Kernel::skip_to` of its end holds)
+//! is served in place: its time is booked and its future returns `Ready`
+//! on the first poll. Filed, it would have been the core's only demand,
+//! its slices the only timers before its end, and its completion the next
+//! event, waking the task to run on from the same point.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -20,7 +29,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::cache::CacheModel;
-use crate::exec::{Kernel, Port, Resource, SimHandle};
+use crate::exec::{sim_wait, Kernel, Port, Resource, SimHandle};
 use crate::time::Nanos;
 
 /// Default round-robin quantum for contended cores.
@@ -93,8 +102,9 @@ impl Core {
     ///
     /// This is the only way simulated computation costs time: a thread that
     /// never calls `advance` is free (it models pure waiting). The demand is
-    /// filed when the future is first polled. Dropping the future later does
-    /// not take it back: the core still spends the time.
+    /// filed when the future is first polled, or served on the spot if the
+    /// core is free and nothing can come first (module docs). Dropping the
+    /// future later does not take it back: the core still spends the time.
     pub fn advance(self: &Rc<Self>, dur: Nanos) -> Advance<'_> {
         Advance {
             core: self,
@@ -134,6 +144,20 @@ impl Core {
     pub async fn advance_cached(self: &Rc<Self>, dur: Nanos) {
         let inflated = self.cache.compute_cost(dur);
         self.advance(inflated).await;
+    }
+
+    /// Serves `ns` on the spot if the core is free and nothing can come
+    /// before the demand would end (module docs).
+    fn serve_in_place(&self, ns: u64) -> bool {
+        let free = {
+            let s = self.sched.borrow();
+            s.running.is_none() && s.queue.is_empty() && !s.kicked
+        };
+        let done = free && self.port.wait_in_place(ns);
+        if done {
+            self.busy.set(self.busy.get() + ns);
+        }
+        done
     }
 
     /// Queues a demand of `ns` (spinning on `again`, if given); an idle
@@ -254,8 +278,12 @@ pub struct Advance<'a> {
 impl Future for Advance<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        match self.state {
+        sim_wait(|| match self.state {
             AdvanceState::New(0) | AdvanceState::Done => {
+                self.state = AdvanceState::Done;
+                Poll::Ready(())
+            }
+            AdvanceState::New(ns) if self.again.is_none() && self.core.serve_in_place(ns) => {
                 self.state = AdvanceState::Done;
                 Poll::Ready(())
             }
@@ -279,7 +307,7 @@ impl Future for Advance<'_> {
                 }
                 Poll::Pending
             }
-        }
+        })
     }
 }
 
@@ -508,9 +536,46 @@ mod tests {
         assert_eq!(m.num_cores(), 4);
     }
 
-    /// Polls `f` once and reports whether it finished.
-    async fn poll_once<F: Future + Unpin>(f: &mut F) -> bool {
-        std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *f).poll(cx).is_ready())).await
+    /// Polls `f` once and reports whether it finished. One that pended
+    /// ends the task's poll with a yield (the await rule, `exec`).
+    async fn poll_once<F: Future + Unpin>(h: &SimHandle, f: &mut F) -> bool {
+        let done =
+            std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut *f).poll(cx).is_ready())).await;
+        if !done {
+            h.yield_now().await;
+        }
+        done
+    }
+
+    /// A task whose timer at `at` is due before the advances under test
+    /// end, so that they are filed rather than served in place.
+    fn foreign_sleeper(sim: &mut Sim, at: Nanos) {
+        let h = sim.handle();
+        sim.spawn("sleeper", async move { h.sleep_until(at).await });
+    }
+
+    #[test]
+    fn a_free_core_serves_an_uninterrupted_advance_in_place() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        let core = m.core(0);
+        sim.spawn("w", async move {
+            // Several quanta, and then one that a sleeper's timer cuts.
+            core.advance(Nanos::from_micros(50)).await;
+            let h2 = h.clone();
+            h.spawn(
+                "sleeper",
+                async move { h2.sleep(Nanos::from_micros(1)).await },
+            );
+            h.yield_now().await;
+            core.advance(Nanos::from_micros(2)).await;
+        });
+        assert_eq!(sim.run(), Nanos::from_micros(52));
+        assert_eq!(m.core(0).busy_time(), Nanos::from_micros(52));
+        let s = sim.stats();
+        assert_eq!(s.in_place, 1, "the second advance had a timer due first");
+        assert_eq!(m.core(0).sched.borrow().demands.len(), 1);
     }
 
     #[test]
@@ -521,10 +586,11 @@ mod tests {
         let core = m.core(0);
         let done_at = Rc::new(Cell::new(Nanos::ZERO));
         let done_at2 = Rc::clone(&done_at);
+        foreign_sleeper(&mut sim, Nanos::from_micros(1));
         sim.spawn("w", async move {
             // 50 us asked for, abandoned after 5 us, two slices to go.
             let mut adv = core.advance(Nanos::from_micros(50));
-            assert!(!poll_once(&mut adv).await);
+            assert!(!poll_once(&h, &mut adv).await);
             h.sleep(Nanos::from_micros(5)).await;
             drop(adv);
             assert_eq!(
@@ -562,9 +628,10 @@ mod tests {
         let h = sim.handle();
         let m = Machine::new(&h, 1);
         let core = m.core(0);
+        foreign_sleeper(&mut sim, Nanos(500));
         sim.spawn("w", async move {
             let mut adv = core.advance(Nanos::from_micros(1));
-            assert!(!poll_once(&mut adv).await);
+            assert!(!poll_once(&h, &mut adv).await);
             h.sleep(Nanos::from_micros(2)).await;
             // Finished, never polled again.
             drop(adv);

@@ -13,7 +13,22 @@
 //! Simulated hardware that only ever reacts to "a demand arrived" and "my
 //! timer fired" (a [`crate::Core`]) is a [`Resource`]: it takes the same
 //! ready-queue and timer positions a driver task would, but the executor
-//! calls it directly, with no future to poll and no waker to clone.
+//! calls it directly, with no future to poll and no waker to clone. A
+//! resource may not block or run user code, with the one exception of a
+//! spin predicate called through `Kernel::inert`.
+//!
+//! `Kernel::skip_to(t)` moves the clock to `t` when no event can come
+//! first: nothing ready, every pending timer strictly later, `t` within
+//! the deadline of the `run_until` in progress. It is what popping a timer
+//! armed for `t` would do. Two callers rely on it: a spinning core answers
+//! its next step boundary with it, and a wait that nothing can interrupt
+//! (a [`Sleep`], an `advance` on a free core) completes in place with it
+//! and returns `Ready`, so its task runs on inside the same poll instead of
+//! pending, arming a timer and being polled again when it fires. That is
+//! exact only if the poll would have ended at that `Pending`, which every
+//! straight-line `.await` does. Hence the await rule: within one task
+//! poll, no simulator wait is polled after another returned `Pending` (no
+//! join or select of simulator waits); debug builds assert it.
 //!
 //! What defines an event's position, and why a spurious poll is one too,
 //! is written down in DESIGN.md §12 "What one simulated event costs".
@@ -25,10 +40,58 @@ use std::collections::BinaryHeap;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::Rc;
+use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::time::Nanos;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: no wait completes in place, every one pends and takes
+    /// its event — the schedule as it ran before, kept as the oracle of
+    /// `inplace_oracle` and `order_oracle`, not as a mode.
+    pub(crate) static EVENTED_WAITS: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether a wait may complete in place: always, unless a test has turned
+/// the path off (`EVENTED_WAITS`).
+fn in_place_enabled() -> bool {
+    #[cfg(test)]
+    if EVENTED_WAITS.with(Cell::get) {
+        return false;
+    }
+    true
+}
+
+#[cfg(debug_assertions)]
+thread_local! {
+    /// The await rule's state: `None` outside a task poll, else whether a
+    /// simulator wait has returned `Pending` in the task poll in progress.
+    static WAIT_PENDED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Polls a simulator wait under the await rule (module docs): debug
+/// builds panic if, in the task poll in progress, another simulator wait
+/// has already returned `Pending`. Only while waits may complete in place,
+/// since that is what the rule keeps exact.
+#[inline]
+pub(crate) fn sim_wait<T>(poll: impl FnOnce() -> Poll<T>) -> Poll<T> {
+    #[cfg(debug_assertions)]
+    let in_task = WAIT_PENDED.with(|p| {
+        assert!(
+            p.get() != Some(true) || !in_place_enabled(),
+            "await rule: a copier-sim wait was polled after another returned Pending \
+             in the same task poll (no join or select of simulator waits; DESIGN.md §12)"
+        );
+        p.get().is_some()
+    });
+    let out = poll();
+    #[cfg(debug_assertions)]
+    if in_task && out.is_pending() {
+        WAIT_PENDED.with(|p| p.set(Some(true)));
+    }
+    out
+}
 
 /// Identifies a spawned task within one simulation.
 pub type TaskId = usize;
@@ -199,12 +262,21 @@ pub(crate) trait Resource {
 pub(crate) struct Port {
     index: usize,
     ready: Rc<ReadyQueue>,
+    /// Weak: the kernel owns the resource.
+    kernel: Weak<Kernel>,
 }
 
 impl Port {
     /// Appends this resource to the ready queue.
     pub(crate) fn kick(&self) {
         self.ready.push(Runnable::Resource(self.index));
+    }
+
+    /// [`Kernel::wait_in_place`] for a wait ending `ns` from now.
+    pub(crate) fn wait_in_place(&self, ns: u64) -> bool {
+        self.kernel
+            .upgrade()
+            .is_some_and(|k| k.wait_in_place(Nanos(k.now().0.saturating_add(ns))))
     }
 }
 
@@ -239,6 +311,10 @@ pub struct SimStats {
     pub timers_fired: u64,
     /// Tasks spawned.
     pub spawns: u64,
+    /// Waits completed in place (a `sleep`, an `advance` on a free core):
+    /// each is a task poll, and at least one timer armed and fired, that
+    /// did not happen.
+    pub in_place: u64,
 }
 
 impl SimStats {
@@ -290,7 +366,7 @@ impl Kernel {
     /// armed earlier and would fire first) and `t` is within the deadline
     /// of the run in progress. This is what popping a timer at `t` would
     /// do, minus the timer; it is how a spinning core answers its next
-    /// step boundary in place.
+    /// step boundary in place, and how a wait completes in place.
     pub(crate) fn skip_to(&self, t: Nanos) -> bool {
         let clear = self.ready.queue.borrow().is_empty()
             && t <= self.deadline.get()
@@ -299,6 +375,18 @@ impl Kernel {
             self.now.set(t);
         }
         clear
+    }
+
+    /// Completes a wait that would end at `t` in place, if nothing can
+    /// come first ([`Self::skip_to`]): the task that polls it runs on in
+    /// the same poll, as it would have when the wait's own timer fired
+    /// next and woke it. The caller pends otherwise.
+    pub(crate) fn wait_in_place(&self, t: Nanos) -> bool {
+        let done = in_place_enabled() && self.skip_to(t);
+        if done {
+            self.count(|s| s.in_place += 1);
+        }
+        done
     }
 
     /// Calls `f`, which must be inert: it may read state and bump host
@@ -362,7 +450,11 @@ impl Kernel {
         };
         self.count(|s| s.polls += 1);
         let mut cx = Context::from_waker(&waker);
+        #[cfg(debug_assertions)]
+        WAIT_PENDED.with(|p| p.set(Some(false)));
         let finished = fut.as_mut().poll(&mut cx).is_ready();
+        #[cfg(debug_assertions)]
+        WAIT_PENDED.with(|p| p.set(None));
         let mut tasks = self.tasks.borrow_mut();
         if finished {
             tasks[id].name = None;
@@ -600,6 +692,7 @@ impl SimHandle {
         let r = Rc::new(build(Port {
             index: resources.len(),
             ready: Rc::clone(&self.kernel.ready),
+            kernel: Rc::downgrade(&self.kernel),
         }));
         resources.push(Rc::clone(&r) as Rc<dyn Resource>);
         r
@@ -627,13 +720,15 @@ impl<T> JoinHandle<T> {
 impl<T> Future for JoinHandle<T> {
     type Output = T;
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let mut st = self.state.borrow_mut();
-        if let Some(v) = st.result.take() {
-            Poll::Ready(v)
-        } else {
-            st.waiter = Some(cx.waker().clone());
-            Poll::Pending
-        }
+        sim_wait(|| {
+            let mut st = self.state.borrow_mut();
+            if let Some(v) = st.result.take() {
+                Poll::Ready(v)
+            } else {
+                st.waiter = Some(cx.waker().clone());
+                Poll::Pending
+            }
+        })
     }
 }
 
@@ -647,15 +742,21 @@ pub struct Sleep<'a> {
 impl Future for Sleep<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        if self.kernel.now.get() >= self.deadline {
-            return Poll::Ready(());
-        }
-        if !self.registered {
-            self.registered = true;
-            self.kernel
-                .push_timer(self.deadline, Fire::Wake(cx.waker().clone()));
-        }
-        Poll::Pending
+        sim_wait(|| {
+            if self.kernel.now.get() >= self.deadline {
+                return Poll::Ready(());
+            }
+            if !self.registered {
+                // The timer would fire next: be woken by it without it.
+                if self.kernel.wait_in_place(self.deadline) {
+                    return Poll::Ready(());
+                }
+                self.registered = true;
+                self.kernel
+                    .push_timer(self.deadline, Fire::Wake(cx.waker().clone()));
+            }
+            Poll::Pending
+        })
     }
 }
 
@@ -696,6 +797,45 @@ mod tests {
         let end = sim.run();
         assert_eq!(done.get(), Nanos::from_micros(10));
         assert_eq!(end, Nanos::from_micros(10));
+    }
+
+    #[test]
+    fn an_uninterrupted_sleep_completes_in_place() {
+        for evented in [false, true] {
+            EVENTED_WAITS.with(|c| c.set(evented));
+            let mut sim = Sim::new();
+            let h = sim.handle();
+            sim.spawn("sleeper", async move {
+                for _ in 0..3 {
+                    h.sleep(Nanos(10)).await;
+                }
+            });
+            assert_eq!(sim.run(), Nanos(30));
+            let s = sim.stats();
+            let want = if evented { (4, 3, 0) } else { (1, 0, 3) };
+            assert_eq!((s.polls, s.timers_armed, s.in_place), want);
+        }
+        EVENTED_WAITS.with(|c| c.set(false));
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "await rule")]
+    fn a_wait_polled_after_another_pended_breaks_the_await_rule() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let h2 = h.clone();
+        // Due first, so the first of the two sleeps below pends.
+        sim.spawn("foreign", async move { h2.sleep(Nanos(5)).await });
+        sim.spawn("two sleeps", async move {
+            let (mut a, mut b) = (Box::pin(h.sleep(Nanos(20))), Box::pin(h.sleep(Nanos(10))));
+            std::future::poll_fn(|cx| {
+                let _ = a.as_mut().poll(cx);
+                b.as_mut().poll(cx)
+            })
+            .await;
+        });
+        sim.run();
     }
 
     #[test]

@@ -26,6 +26,8 @@ pub mod cpu;
 pub mod exec;
 pub mod fault;
 #[cfg(test)]
+mod inplace_oracle;
+#[cfg(test)]
 mod order_oracle;
 #[cfg(test)]
 mod reference;

@@ -5,13 +5,19 @@
 //! await is logged with the virtual time it happened at; the two logs,
 //! each core's busy time and the end time must be equal.
 //!
+//! The production side runs with every wait taking its event
+//! ([`EVENTED_WAITS`]): the reference has no in-place path, and
+//! `AdvanceAbandon` polls a wait beside another, which the await rule
+//! allows only there. `inplace_oracle` holds the in-place path to this
+//! evented schedule on the same programs, made straight-line.
+//!
 //! The machine is built before the first task runs, as every caller in
 //! the repo builds it, or by the first task in its first poll. Later than
 //! that is left out on purpose: a reference core spawned onto a task slot
 //! that an earlier task left behind with wakers still held is the one
 //! schedule the production code cannot reproduce (DESIGN.md §12).
 
-use std::cell::{OnceCell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -19,13 +25,15 @@ use std::task::{Context, Poll};
 
 use copier_testkit::{check_with, prop_assert_eq, shrink_vec, Config, TestRng};
 
+use crate::cpu::Again;
+use crate::exec::{SimStats, EVENTED_WAITS};
 use crate::time::Nanos;
 
 const CELLS: usize = 2;
 const CHANS: usize = 2;
 
 #[derive(Debug, Clone)]
-enum Op {
+pub(crate) enum Op {
     Advance {
         core: usize,
         ns: u64,
@@ -62,32 +70,47 @@ enum Op {
         core: usize,
         ns: u64,
     },
+    /// Spins in steps of `step` until its predicate has been asked
+    /// `times` times. Only `inplace_oracle` makes one: a spin polls its
+    /// task less than the loop the reference spells, so the two logs of
+    /// this oracle could not agree on it.
+    Spin {
+        core: usize,
+        step: u64,
+        times: u64,
+    },
 }
 
 #[derive(Debug, Clone)]
-struct Task {
-    label: u32,
-    ops: Vec<Op>,
+pub(crate) struct Task {
+    pub(crate) label: u32,
+    pub(crate) ops: Vec<Op>,
 }
 
 #[derive(Debug, Clone)]
-struct Program {
+pub(crate) struct Program {
     /// One core per entry.
     quanta: Vec<u64>,
     /// The first root builds the machine, not the harness.
     late_machine: bool,
-    roots: Vec<Task>,
+    pub(crate) roots: Vec<Task>,
     /// The run stops here once (`run_until`) before it is let finish.
     pause_at: u64,
 }
 
-/// `(now, task label, step, value)`; step −1 is a poll of the task, any
-/// other the op that just finished, with what it returned or observed.
+/// The step of a log entry that is a poll of the task.
+pub(crate) const POLL: i32 = -1;
+/// The step of a log entry that is a spin's predicate being asked; the
+/// value is how many times it has been.
+pub(crate) const ASKED: i32 = -2;
+
+/// `(now, task label, step, value)`: a [`POLL`], an [`ASKED`], or the op
+/// at `step` that just finished, with what it returned or observed.
 type Entry = (u64, u32, i32, u64);
 
 #[derive(Debug, PartialEq)]
-struct Outcome {
-    log: Vec<Entry>,
+pub(crate) struct Outcome {
+    pub(crate) log: Vec<Entry>,
     busy: Vec<u64>,
     paused: u64,
     end: u64,
@@ -106,15 +129,18 @@ impl<F: Future> Future for PollOnce<'_, F> {
 }
 
 /// The same interpreter over either implementation: the two differ only
-/// in the module their types come from, and in whether cores show up in
-/// `Sim::live_tasks` (`$core_tasks` per core).
+/// in the module their types come from, in whether cores show up in
+/// `Sim::live_tasks` (`$core_tasks` per core) and in `$spin`, an
+/// `async fn spin(core, h, step, again)`.
 macro_rules! interpreter {
-    ($name:ident, $core_tasks:expr, $($root:ident)::+) => {
+    ($name:ident, $core_tasks:expr, $($root:ident)::+, $spin:item) => {
         mod $name {
             use super::*;
             use $($root)::+::cpu::{Core, Machine};
             use $($root)::+::exec::{Sim, SimHandle};
             use $($root)::+::sync::{Chan, Notify};
+
+            $spin
 
             struct World {
                 h: SimHandle,
@@ -154,7 +180,7 @@ macro_rules! interpreter {
             impl Future for Logged {
                 type Output = u32;
                 fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<u32> {
-                    self.w.note(self.label, -1, 0);
+                    self.w.note(self.label, POLL, 0);
                     self.body.as_mut().poll(cx)
                 }
             }
@@ -240,13 +266,29 @@ macro_rules! interpreter {
                             w.core(*core).set_quantum(Nanos(*ns));
                             0
                         }
+                        Op::Spin { core, step, times } => {
+                            let asked = Rc::new(Cell::new(0));
+                            let again: Again = {
+                                let (w, asked) = (Rc::clone(&w), Rc::clone(&asked));
+                                let (label, times) = (task.label, *times);
+                                Rc::new(move |at: Nanos| {
+                                    asked.set(asked.get() + 1);
+                                    let entry = (at.as_nanos(), label, ASKED, asked.get());
+                                    w.log.borrow_mut().push(entry);
+                                    asked.get() < times
+                                })
+                            };
+                            spin(w.core(*core), &w.h, Nanos(*step), &again).await;
+                            asked.get()
+                        }
                     };
                     w.note(task.label, step as i32, value);
                 }
                 task.label
             }
 
-            pub fn run(p: &Program) -> Outcome {
+            /// Runs `p`; the simulation is returned for its counters.
+            pub(crate) fn run(p: &Program) -> (Outcome, Sim) {
                 let mut sim = Sim::new();
                 let h = sim.handle();
                 let w = Rc::new(World {
@@ -265,7 +307,7 @@ macro_rules! interpreter {
                 }
                 let paused = sim.run_until(Nanos(p.pause_at)).as_nanos();
                 let end = sim.run().as_nanos();
-                Outcome {
+                let out = Outcome {
                     log: w.log.take(),
                     busy: (0..p.quanta.len())
                         .map(|i| w.core(i).busy_time().as_nanos())
@@ -273,14 +315,30 @@ macro_rules! interpreter {
                     paused,
                     end,
                     live: sim.live_tasks() - $core_tasks * p.quanta.len(),
-                }
+                };
+                (out, sim)
             }
         }
     };
 }
 
-interpreter!(production, 0, crate);
-interpreter!(reference, 1, crate::reference);
+interpreter!(
+    production,
+    0,
+    crate,
+    async fn spin(core: &Rc<Core>, _h: &SimHandle, step: Nanos, again: &Again) {
+        core.spin(step, again).await;
+    }
+);
+interpreter!(
+    reference,
+    1,
+    crate::reference,
+    /// The reference has no `Core::spin`, and this oracle makes no spin.
+    async fn spin(_: &Rc<Core>, _: &SimHandle, _: Nanos, _: &Again) {
+        unreachable!("the order oracle generates no spin")
+    }
+);
 
 /// Instants and durations sit on a 1 µs grid most of the time, so that
 /// timers tie, a timeout races the notify meant to beat it, and a slice
@@ -350,7 +408,7 @@ fn gen_task(rng: &mut TestRng, p: &Program, next_label: &mut u32, depth: usize) 
     Task { label, ops }
 }
 
-fn gen_program(rng: &mut TestRng) -> Program {
+pub(crate) fn gen_program(rng: &mut TestRng) -> Program {
     let cores = rng.range_usize(1, 4);
     let mut p = Program {
         quanta: (0..cores)
@@ -369,7 +427,7 @@ fn gen_program(rng: &mut TestRng) -> Program {
 }
 
 /// Fewer roots, then fewer ops in one root (a spawned child goes whole).
-fn shrink_program(p: &Program) -> Vec<Program> {
+pub(crate) fn shrink_program(p: &Program) -> Vec<Program> {
     let with_roots = |roots: Vec<Task>| Program { roots, ..p.clone() };
     let mut out: Vec<Program> = shrink_vec(&p.roots, |_| Vec::new())
         .into_iter()
@@ -385,6 +443,15 @@ fn shrink_program(p: &Program) -> Vec<Program> {
     out
 }
 
+/// Runs `p` on the production side, every wait evented (as the reference
+/// knows them) or with waits completing in place.
+pub(crate) fn run_production(p: &Program, evented: bool) -> (Outcome, SimStats) {
+    EVENTED_WAITS.with(|c| c.set(evented));
+    let (out, sim) = production::run(p);
+    EVENTED_WAITS.with(|c| c.set(false));
+    (out, sim.stats())
+}
+
 #[test]
 fn random_programs_resume_in_the_reference_order() {
     let mut cfg = Config::from_env();
@@ -392,8 +459,8 @@ fn random_programs_resume_in_the_reference_order() {
         cfg.cases = 3000;
     }
     check_with(&cfg, gen_program, shrink_program, |p: &Program| {
-        let want = reference::run(p);
-        let got = production::run(p);
+        let (want, _) = reference::run(p);
+        let (got, _) = run_production(p, true);
         for (i, (g, w)) in got.log.iter().zip(&want.log).enumerate() {
             prop_assert_eq!(g, w, "log entry {i} (now, task, step, value)");
         }
@@ -411,12 +478,12 @@ fn generated_programs_cover_the_hard_cases() {
     let (mut sliced, mut queued) = (0, 0);
     for _ in 0..400 {
         let p = gen_program(&mut rng);
-        let out = production::run(&p);
+        let (out, _) = run_production(&p, true);
         // A poll that resumes nothing: the next entry of that task is
         // another poll.
         let mut last_was_poll = std::collections::HashMap::new();
         for &(_, label, step, value) in &out.log {
-            if step < 0 && last_was_poll.insert(label, true) == Some(true) {
+            if step == POLL && last_was_poll.insert(label, true) == Some(true) {
                 spurious += 1;
             } else if step >= 0 {
                 last_was_poll.insert(label, false);

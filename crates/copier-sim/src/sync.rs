@@ -13,7 +13,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::exec::SimHandle;
+use crate::exec::{sim_wait, SimHandle};
 use crate::time::Nanos;
 
 /// One wait's slot in a [`Notify`]. The wait's future holds the slot's
@@ -206,22 +206,30 @@ pub struct Notified<'a> {
     key: Option<usize>,
 }
 
+impl Notified<'_> {
+    /// Whether the wait is over; if not, it will be woken through `waker`.
+    fn ready(&mut self, waker: &Waker) -> bool {
+        match self.key {
+            Some(key) => self.notify.fired(key, waker),
+            None if self.notify.try_take_permit() => true,
+            None => {
+                self.key = Some(self.notify.register(waker.clone()));
+                false
+            }
+        }
+    }
+}
+
 impl Future for Notified<'_> {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let ready = match self.key {
-            Some(key) => self.notify.fired(key, cx.waker()),
-            None if self.notify.try_take_permit() => true,
-            None => {
-                self.key = Some(self.notify.register(cx.waker().clone()));
-                false
+        sim_wait(|| {
+            if self.ready(cx.waker()) {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
             }
-        };
-        if ready {
-            Poll::Ready(())
-        } else {
-            Poll::Pending
-        }
+        })
     }
 }
 
@@ -244,22 +252,24 @@ pub struct WaitTimeout<'a> {
 impl Future for WaitTimeout<'_> {
     type Output = bool;
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
-        if Pin::new(&mut self.wait).poll(cx).is_ready() {
-            return Poll::Ready(true);
-        }
-        if self.h.now() >= self.deadline {
-            // Out of the queue now, not when the future drops: a notify
-            // in between must not be spent on a wait that has given up.
-            if let Some(key) = self.wait.key.take() {
-                self.wait.notify.release(key);
+        sim_wait(|| {
+            if self.wait.ready(cx.waker()) {
+                return Poll::Ready(true);
             }
-            return Poll::Ready(false);
-        }
-        if !self.timer_registered {
-            self.timer_registered = true;
-            self.h.register_timer(self.deadline, cx.waker().clone());
-        }
-        Poll::Pending
+            if self.h.now() >= self.deadline {
+                // Out of the queue now, not when the future drops: a notify
+                // in between must not be spent on a wait that has given up.
+                if let Some(key) = self.wait.key.take() {
+                    self.wait.notify.release(key);
+                }
+                return Poll::Ready(false);
+            }
+            if !self.timer_registered {
+                self.timer_registered = true;
+                self.h.register_timer(self.deadline, cx.waker().clone());
+            }
+            Poll::Pending
+        })
     }
 }
 
@@ -544,6 +554,8 @@ mod tests {
                     let queued =
                         std::future::poll_fn(|cx| Poll::Ready(Pin::new(&mut wait).poll(cx)));
                     assert!(queued.await.is_pending());
+                    // The wait pended, so this poll ends (the await rule).
+                    h.yield_now().await;
                     h.sleep(Nanos(5)).await;
                     drop(wait);
                 } else {

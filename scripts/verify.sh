@@ -78,6 +78,16 @@ pollers=$(awk '
 ' $(ls crates/*/src/*.rs crates/*/src/*/*.rs | grep -v '/spin_oracle\.rs$') | sort -u)
 [ -z "$pollers" ] || { echo "condition polled by hand (use Core::spin) in:"; echo "$pollers"; exit 1; }
 [ -z "$(grep -rE 'advance\([^)]*poll_idle' crates/*/src)" ]
+# The await rule (DESIGN.md §12): a wait that nothing can interrupt
+# completes in place and its task runs on in the same poll, which is exact
+# because that poll would have ended at the wait's `Pending` — true of
+# every straight-line `.await`. Outside the simulator, whose own futures
+# and oracles the rule is stated for, nothing polls a future by hand
+# (`poll_fn`, an `impl Future for`, `.poll(`) or awaits two at once (a
+# join or select).
+unruly=$(grep -rnE 'poll_fn|impl(<[^>]*>)? +([a-z_]+::)*Future +for|\.poll\(|\b(try_)?(join|select)(_biased)?!|\b(join|select)_all\b' \
+    $(ls -d crates/*/src | grep -v '^crates/copier-sim/') || true)
+[ -z "$unruly" ] || { echo "a future polled by hand, joined or selected in:"; echo "$unruly"; exit 1; }
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
@@ -88,8 +98,12 @@ cargo clippy --workspace --all-targets --offline --locked -- -D warnings
 # core's busy time and the end time must match. Spin oracle: `Core::spin`
 # against the advance loop it stands for (foreign timers on its
 # boundaries, run_until pauses, second demands mid-spell); every
-# resumption and predicate answer must match. The workspace run above
-# did 3000 and 2000 programs; this is the deeper pass.
+# resumption and predicate answer must match. In-place oracle: the order
+# oracle's programs, made straight-line, with waits completing in place and
+# with every wait evented; every resumption and predicate answer must
+# match, and the polls saved must be the waits completed in place. The
+# workspace run above did 3000, 2000 and 3000 programs; this is the deeper
+# pass.
 TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked _oracle::
 
 # Translation-cache oracle (every hit == a fresh page-table read over 1–64
@@ -140,24 +154,26 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Host-perf smoke: the wall-clock bench must run end to end and emit
 # parseable JSON (tiny sizes; this is a plumbing check, not a perf gate),
-# with all four executor rows, both progress rows (a landed page, a csync
-# poll) and an over-floor summary row for each of the six.
+# with all six executor rows (a sleep and a free-core advance each in place
+# and evented, a contended advance, a notify round trip), both progress
+# rows (a landed page, a csync poll) and an over-floor summary row for each
+# of the eight.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 if command -v jq >/dev/null 2>&1; then
     jq -e '(.layouts | length > 0)
-       and ([.executor[].name] == ["sleep", "advance", "advance_contended", "notify_round_trip"])
+       and ([.executor[].name] == ["sleep", "sleep_evented", "advance", "advance_evented", "advance_contended", "notify_round_trip"])
        and ([.progress[].name] == ["landing_4k", "range_ready_256"])
        and ([.executor[], .progress[] | .ns > 0 and .over_floor > 0] | all)
-       and ([.summary[] | select(.metric == "over_floor_max")] | length == 6)' BENCH_hostperf.json >/dev/null
+       and ([.summary[] | select(.metric == "over_floor_max")] | length == 8)' BENCH_hostperf.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_hostperf.json"))
 ok = bool(d["layouts"])
-ok = ok and [r["name"] for r in d["executor"]] == ["sleep", "advance", "advance_contended", "notify_round_trip"]
+ok = ok and [r["name"] for r in d["executor"]] == ["sleep", "sleep_evented", "advance", "advance_evented", "advance_contended", "notify_round_trip"]
 ok = ok and [r["name"] for r in d["progress"]] == ["landing_4k", "range_ready_256"]
 ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in d["executor"] + d["progress"])
-ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 6
+ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 8
 sys.exit(0 if ok else 1)
 PY
 fi

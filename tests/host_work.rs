@@ -1,10 +1,11 @@
 //! Host work as counts (ROADMAP item 5): what the executor does per
 //! operation, pinned exactly for runs shaped like three of the benchmark's
 //! workloads. `Sim::stats` counts task polls, device calls, timers armed
-//! and fired and spawns; a rerun repeats every count, so unlike a wall
-//! clock they compare across commits with `==`. Counting charges no
-//! virtual time and draws nothing, and each run also pins its virtual end
-//! so a change that moves host work cannot hide a change in the model.
+//! and fired, spawns and waits completed in place; a rerun repeats every
+//! count, so unlike a wall clock they compare across commits with `==`.
+//! Counting charges no virtual time and draws nothing, and each run also
+//! pins its virtual end so a change that moves host work cannot hide a
+//! change in the model.
 //!
 //! A change that moves a count re-pins it here and reports the old and
 //! new per-op values beside its wall-clock pairs (EXPERIMENTS.md, "Host
@@ -42,7 +43,7 @@ impl Work {
         let s = &self.sim;
         println!(
             "{name}: {} ops, per op: events {:.2} (polls {:.2}, device calls {:.2}), \
-             timers armed {:.2}, fired {:.2}, spawns {:.2}; idle polls {:.2}",
+             timers armed {:.2}, fired {:.2}, spawns {:.2}, in place {:.2}; idle polls {:.2}",
             self.ops,
             self.per_op(s.events()),
             self.per_op(s.polls),
@@ -50,6 +51,7 @@ impl Work {
             self.per_op(s.timers_armed),
             self.per_op(s.timers_fired),
             self.per_op(s.spawns),
+            self.per_op(s.in_place),
             self.per_op(self.idle_polls),
         );
     }
@@ -302,8 +304,8 @@ fn repeatable(name: &str, f: fn() -> Work) -> Work {
 }
 
 /// `[ops, virtual end ns, polls, device calls, timers armed, timers
-/// fired, spawns, idle polls]`.
-fn counts(w: &Work) -> [u64; 8] {
+/// fired, spawns, waits completed in place, idle polls]`.
+fn counts(w: &Work) -> [u64; 9] {
     let s = &w.sim;
     [
         w.ops,
@@ -313,41 +315,53 @@ fn counts(w: &Work) -> [u64; 8] {
         s.timers_armed,
         s.timers_fired,
         s.spawns,
+        s.in_place,
         w.idle_polls,
     ]
 }
 
-// Before `Core::spin` (PR 26's parent, counters ported), the same runs
-// counted, in the order of `counts`:
-//   open_small   [6228, 3000057, 56255, 99019, 56107, 56107, 11, 18121]
-//   sparse_fleet [267, 5009749, 25043, 48335, 24844, 24844, 53, 22513]
-//   proxy_chain  [600, 3870907, 78492, 118143, 76321, 76321, 1209, 31221]
-// Executor events per op: 24.9, 274.8 and 327.7; every virtual end and
-// idle-poll count is the same.
+/// Pins `f`'s counts to `now`. `parent` is the same run before waits
+/// completed in place (counters ported): ops, virtual end, spawns and
+/// idle polls are the same, and every poll it made that this one does not
+/// is one wait completed in place.
+fn pinned(name: &str, f: fn() -> Work, parent: [u64; 9], now: [u64; 9]) {
+    let w = repeatable(name, f);
+    assert_eq!(counts(&w), now, "{name}");
+    let unmoved = |c: [u64; 9]| [c[0], c[1], c[6], c[8]];
+    assert_eq!(unmoved(parent), unmoved(now), "{name}");
+    assert_eq!(
+        parent[2] - w.sim.polls,
+        w.sim.in_place,
+        "{name}: polls saved against waits completed in place"
+    );
+}
 
 #[test]
 fn open_small_host_work_is_pinned() {
-    let w = repeatable("open_small", open_small);
-    assert_eq!(
-        counts(&w),
-        [6228, 3000057, 41069, 72518, 44792, 44792, 11, 18121]
+    pinned(
+        "open_small",
+        open_small,
+        [6228, 3000057, 41069, 72518, 44792, 44792, 11, 0, 18121],
+        [6228, 3000057, 16757, 23894, 20480, 20480, 11, 24312, 18121],
     );
 }
 
 #[test]
 fn sparse_fleet_host_work_is_pinned() {
-    let w = repeatable("sparse_fleet", sparse_fleet);
-    assert_eq!(
-        counts(&w),
-        [267, 5009749, 2926, 4404, 3030, 3030, 53, 22513]
+    pinned(
+        "sparse_fleet",
+        sparse_fleet,
+        [267, 5009749, 2926, 4404, 3030, 3030, 53, 0, 22513],
+        [267, 5009749, 1362, 1328, 1466, 1466, 53, 1564, 22513],
     );
 }
 
 #[test]
 fn proxy_chain_host_work_is_pinned() {
-    let w = repeatable("proxy_chain", proxy_chain);
-    assert_eq!(
-        counts(&w),
-        [600, 3870907, 47219, 69346, 58797, 58797, 1209, 31221]
+    pinned(
+        "proxy_chain",
+        proxy_chain,
+        [600, 3870907, 47219, 69346, 58797, 58797, 1209, 0, 31221],
+        [600, 3870907, 41434, 57776, 53012, 53012, 1209, 5785, 31221],
     );
 }
