@@ -350,8 +350,8 @@ pub struct Client {
     pub shard: Cell<usize>,
     /// Registration sequence number (DESIGN.md §18): stamped by the
     /// service at registration *and* adoption from a monotone counter, so
-    /// iterating clients in `reg_seq` order is exactly the clients-vec
-    /// (registration) order the legacy full sweep used — scheduler
+    /// iterating clients in `reg_seq` order is exactly their shard's list
+    /// (registration) order, which the full sweep uses — scheduler
     /// tie-breaks stay identical under active-set iteration.
     pub reg_seq: Cell<u64>,
     /// The client's cells in its shard's incremental aggregates (§18):

@@ -128,7 +128,7 @@ pub struct CopierConfig {
     pub shards: usize,
     /// Debug/reference switch (DESIGN.md §18): when `true`, every
     /// control-plane read path falls back to the legacy full sweeps over
-    /// the whole client table (assignment rebuild each round, O(clients)
+    /// each shard's client list (assignment rebuild each round, O(clients)
     /// min-vruntime scans, full trace-hash folds). The incremental
     /// aggregates are still *maintained* either way — only the reads
     /// differ — so a full-sweep run is the differential reference the

@@ -33,7 +33,7 @@ pub fn vruntime_before(a: u64, b: u64) -> bool {
 /// The wrap-safe minimum copied-length vruntime among live `clients`
 /// (`None` if all are dead). Shards publish this at the round barrier so
 /// peers can keep the least-served exemption global without scanning
-/// each other's client tables (DESIGN.md §17).
+/// each other's client lists (DESIGN.md §17).
 pub fn min_live_vruntime<'a>(clients: impl IntoIterator<Item = &'a Rc<Client>>) -> Option<u64> {
     let mut min: Option<u64> = None;
     for c in clients {

@@ -1,42 +1,48 @@
-//! What a shard keeps incrementally instead of sweeping its clients every
-//! round (DESIGN.md §17–§18): the admission latch, the cached minimum
-//! vruntime, the active set and the delta-folded trace-hash sums. Each is
-//! a type whose fields only this module can write, with an `audit` that
-//! recomputes it from scratch; [`Copier::audit_aggregates`] is their
-//! conjunction. `CopierConfig::full_sweep` — the reference behaviour every
-//! aggregate is tested against — is read here and nowhere else in the
-//! service: under it the min-vruntime is a scan on every read, the
-//! assignment list is every client the shard owns, and the hashes are
-//! recomputed each traced round.
+//! What a shard owns — its core and its clients — and keeps incrementally
+//! instead of sweeping them every round (DESIGN.md §17–§18): the admission
+//! latch, the cached minimum vruntime, the active set and the delta-folded
+//! trace-hash sums. Each is a type whose fields only this module can
+//! write, with an `audit` that recomputes it from scratch;
+//! [`Copier::audit_aggregates`] is their conjunction.
+//! `CopierConfig::full_sweep` — the reference behaviour every aggregate is
+//! tested against — is read here and nowhere else in the service: under it
+//! the min-vruntime is a scan on every read, the assignment list is every
+//! client the shard owns, and the hashes are recomputed each traced round.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::BTreeMap;
+use std::ptr;
 use std::rc::Rc;
 
 use copier_sim::trace::{fnv_fold, FNV_OFFSET};
+use copier_sim::Core;
 
 use super::{ControlObs, Copier};
 use crate::client::Client;
 use crate::config::CopierConfig;
 use crate::sched::{min_live_vruntime, vruntime_before};
 
-/// One control-plane shard's private state (DESIGN.md §17). The hot
-/// counters (the admitted bytes, the stats deltas) are written and read
-/// only by the owning shard during its round; the one cross-shard value,
-/// the `peer_min_vr` mirror, is rewritten for every shard by the last
-/// arriver at the round barrier, in shard-id order — the deterministic
-/// "message round". Reads of cross-shard state therefore never observe a
-/// peer mid-round, which is what keeps N-shard runs bit-reproducible from
-/// a seed.
+/// One control-plane shard's private state (DESIGN.md §17): its core, its
+/// clients and what it keeps about them. The hot counters (the admitted
+/// bytes, the stats deltas) are written and read only by the owning shard
+/// during its round; the one cross-shard value, the `peer_min_vr` mirror,
+/// is rewritten for every shard by the last arriver at the round barrier,
+/// in shard-id order — the deterministic "message round". Reads of
+/// cross-shard state therefore never observe a peer mid-round, which is
+/// what keeps N-shard runs bit-reproducible from a seed.
 pub(super) struct ShardState {
-    idx: usize,
+    /// The dedicated core this shard's service thread runs on.
+    pub(super) core: Rc<Core>,
+    /// The clients this shard owns (by space hash, for their lifetime),
+    /// in `reg_seq` order. Only [`Self::join`] and [`Self::leave`] write it.
+    clients: RefCell<Vec<Rc<Client>>>,
     /// The bytes this shard's clients have admitted, and the shedding
     /// latch over the shard's share of the watermarks.
     pub(super) admit: AdmitLatch,
     /// Wrap-safe minimum live vruntime across every *other* shard as of
     /// the last barrier (`None`: peers have no live clients). Keeps the
     /// least-served admission exemption global without scanning peer
-    /// client tables mid-round.
+    /// client lists mid-round.
     pub(super) peer_min_vr: Cell<Option<u64>>,
     /// Monotone per-shard round counter: round identity in the
     /// record/replay trace. Counts every traced poll round, active or
@@ -49,23 +55,23 @@ pub(super) struct ShardState {
     /// Rounds in which this shard executed a batch (stats delta).
     rounds_active: Cell<u64>,
     pub(super) active: ActiveSet,
-    pub(super) min_vr: MinVr,
+    min_vr: MinVr,
     pub(super) hashes: HashSums,
 }
 
 impl ShardState {
-    /// The states of a service's `n` shards. They share one assignment
-    /// epoch: it is service-wide in value — one shard's membership change
-    /// invalidates every thread's assignment list.
-    pub(super) fn all(n: usize, cfg: &CopierConfig) -> Vec<ShardState> {
-        let epoch = Rc::new(Cell::new(0));
+    /// The states of a service's shards, one per dedicated core.
+    pub(super) fn all(cores: Vec<Rc<Core>>, cfg: &CopierConfig) -> Vec<ShardState> {
         let sweep = cfg.full_sweep;
         // The byte watermark is a per-shard budget: an even share each.
-        let share = |bytes: u64| bytes / n as u64;
+        let n = cores.len() as u64;
+        let share = |bytes: u64| bytes / n;
         let q = &cfg.admission;
-        (0..n)
-            .map(|idx| ShardState {
-                idx,
+        cores
+            .into_iter()
+            .map(|core| ShardState {
+                core,
+                clients: RefCell::default(),
                 admit: AdmitLatch::new(share(q.global_low_bytes), share(q.global_high_bytes)),
                 peer_min_vr: Cell::new(None),
                 round_no: Cell::new(0),
@@ -74,7 +80,7 @@ impl ShardState {
                 rounds_active: Cell::new(0),
                 active: ActiveSet {
                     map: RefCell::default(),
-                    epoch: Rc::clone(&epoch),
+                    epoch: Cell::new(0),
                     sweep,
                     activations: Cell::new(0),
                     deactivations: Cell::new(0),
@@ -88,22 +94,16 @@ impl ShardState {
             .collect()
     }
 
-    /// The clients of `table` this shard owns, in registration order.
-    /// Ownership is by space hash: a client's whole QueueSet state lives
-    /// on exactly one shard for the client's lifetime, so no cross-shard
-    /// locking or entry migration ever happens.
-    pub(super) fn owned<'a>(
-        &self,
-        table: &'a [Rc<Client>],
-    ) -> impl Iterator<Item = &'a Rc<Client>> + Clone + 'a {
-        let idx = self.idx;
-        table.iter().filter(move |c| c.shard.get() == idx)
+    /// The clients this shard owns, in registration order.
+    fn owned(&self) -> Ref<'_, [Rc<Client>]> {
+        Ref::map(self.clients.borrow(), Vec::as_slice)
     }
 
-    /// `client`, just pushed onto the client table (registered or adopted),
-    /// enters this shard's aggregates with a clean slate: whatever a dead
+    /// `client`, stamped with this shard and a fresh `reg_seq`, joins the
+    /// list and the aggregates with a clean slate: whatever a dead
     /// incarnation left in its marks means nothing to this one.
     pub(super) fn join(&self, client: &Rc<Client>) {
+        self.clients.borrow_mut().push(Rc::clone(client));
         client.marks.active.set(false);
         client.marks.hash_cache.set((0, 0));
         client.marks.hash_dirty.set(false);
@@ -115,10 +115,11 @@ impl ShardState {
         self.active.bump_epoch();
     }
 
-    /// A reaped client, about to leave the client table, leaves the active
-    /// set, the cached min-vruntime and the hash sums. `was_dead`: an
-    /// earlier reap already took its vruntime out of the minimum.
+    /// A reaped client leaves the shard's list, the active set, the cached
+    /// min-vruntime and the hash sums. `was_dead`: an earlier reap already
+    /// took it out of all four.
     pub(super) fn leave(&self, client: &Rc<Client>, was_dead: bool) {
+        self.clients.borrow_mut().retain(|c| !Rc::ptr_eq(c, client));
         self.active.deactivate(client);
         if !was_dead {
             self.min_vr.reap(client.copied_total.get());
@@ -127,13 +128,69 @@ impl ShardState {
         self.active.bump_epoch();
     }
 
-    fn audit(&self, table: &[Rc<Client>]) -> Result<(), String> {
-        let owned = self.owned(table);
-        self.min_vr
-            .audit(owned.clone())
-            .and_then(|()| self.active.audit(owned.clone()))
-            .and_then(|()| self.hashes.audit(owned))
-            .map_err(|e| format!("shard {}: {e}", self.idx))
+    /// Refreshes `a`, this shard's round assignment (epoch-cached: a
+    /// stable membership reuses the buffer untouched): the active set in
+    /// `reg_seq` (= registration) order, filtered by the round's
+    /// registration watermark — exactly the clients a snapshot of the
+    /// shard's list would have found with any unsettled state, in the same
+    /// order (see [`settled`] for the equivalence argument).
+    /// `full_sweep`: that snapshot itself.
+    pub(super) fn assign(&self, a: &mut Assigned) {
+        let active = &self.active;
+        let ep = active.epoch.get();
+        if a.epoch == ep {
+            return;
+        }
+        a.epoch = ep;
+        active.rebuilds.set(active.rebuilds.get() + 1);
+        a.clients.clear();
+        if active.sweep {
+            a.clients.extend(self.owned().iter().cloned());
+            return;
+        }
+        let map = active.map.borrow();
+        let snapshot = map.range(..a.reg_watermark);
+        a.clients.extend(snapshot.map(|(_, c)| Rc::clone(c)));
+    }
+
+    /// Round-end maintenance: every assigned client that ended the round
+    /// fully settled leaves the active set; it generates no control-plane
+    /// work until its next doorbell.
+    pub(super) fn settle(&self, a: &mut Assigned) {
+        if self.active.sweep {
+            return;
+        }
+        self.assign(a);
+        // Deactivation mutates the map, not the list that mirrors it; the
+        // epoch bump makes the next round rebuild that.
+        for c in a.clients.iter().filter(|c| settled(c)) {
+            self.active.deactivate(c);
+        }
+    }
+
+    /// Wrap-safe minimum live vruntime among the shard's clients — what
+    /// it publishes at the round barrier and what the least-served
+    /// admission exemption compares against.
+    pub(super) fn min_live_vr(&self) -> Option<u64> {
+        self.min_vr.get(self.owned().iter())
+    }
+
+    /// Membership (every listed client live and stamped with this shard
+    /// of `shards`, `reg_seq` strictly increasing), then each aggregate.
+    fn audit(&self, shards: &[ShardState]) -> Result<(), String> {
+        let owned = self.owned();
+        let mine = |c: &Client| shards.get(c.shard.get()).is_some_and(|s| ptr::eq(s, self));
+        let stray = owned.iter().find(|c| c.dead.get() || !mine(c));
+        let twice = owned.windows(2).find(|w| w[0].reg_seq >= w[1].reg_seq);
+        match (stray, twice) {
+            (Some(c), _) => Err(format!("client {} reaped or misstamped", c.id)),
+            (None, Some(w)) => Err(format!("client {} listed twice or out of order", w[1].id)),
+            (None, None) => self
+                .min_vr
+                .audit(owned.iter())
+                .and_then(|()| self.active.audit(&owned))
+                .and_then(|()| self.hashes.audit(owned.iter())),
+        }
     }
 }
 
@@ -293,10 +350,7 @@ impl MinVr {
     /// The minimum over `owned`, the shard's clients: served from the
     /// cache, which a stale read recomputes once and leaves warm until
     /// the next invalidating event.
-    pub(super) fn get<'a>(
-        &self,
-        owned: impl Iterator<Item = &'a Rc<Client>> + Clone,
-    ) -> Option<u64> {
+    fn get<'a>(&self, owned: impl Iterator<Item = &'a Rc<Client>> + Clone) -> Option<u64> {
         if self.sweep {
             return min_live_vruntime(owned);
         }
@@ -332,17 +386,17 @@ impl MinVr {
 
 /// A shard thread's assignment list — the clients its round drains,
 /// syncs and schedules — and what it was built from. It lives in the
-/// thread's round scratch; [`ActiveSet::assigned_into`] refills it.
+/// thread's round scratch; [`ShardState::assign`] refills it.
 pub(super) struct Assigned {
     pub(super) clients: Vec<Rc<Client>>,
-    /// Assignment epoch `clients` was built at. While the service-wide
-    /// epoch matches, the buffer is reused as-is — a settled poll over a
+    /// Assignment epoch `clients` was built at. While the shard's epoch
+    /// matches, the buffer is reused as-is — a settled poll over a
     /// stable client population costs O(1) list maintenance instead of an
     /// O(clients) rebuild.
     epoch: u64,
     /// Registration watermark latched at round start: only clients with
     /// `reg_seq < reg_watermark` enter this round's list, as a snapshot
-    /// of the client table taken at round start would have it (a client
+    /// of the shard's list taken at round start would have it (a client
     /// registered mid-round is absent from that snapshot).
     pub(super) reg_watermark: u64,
 }
@@ -359,18 +413,17 @@ impl Default for Assigned {
 
 /// Deterministic active set (DESIGN.md §18): the shard's clients with
 /// unsettled state, keyed by `reg_seq` so iteration order equals the
-/// client table's (registration) order. Clients enter on the submission
+/// shard's list (registration) order. Clients enter on the submission
 /// doorbell (or scrub heal / adoption) and leave when fully settled at
 /// round end; every live client outside it is [`settled`]. Under
 /// `full_sweep` the set stays empty and a round's assignment is every
 /// client the shard owns.
 pub(super) struct ActiveSet {
     map: RefCell<BTreeMap<u64, Rc<Client>>>,
-    /// Assignment epoch, one cell shared by every shard of the service:
-    /// bumped whenever a thread's assignment list could change —
-    /// register/reap/adopt and active-set membership changes. Round
-    /// scratches compare against it to reuse their client lists.
-    epoch: Rc<Cell<u64>>,
+    /// Assignment epoch: bumped whenever this shard's assignment list
+    /// could change (a client joins or leaves the shard or the set). Its
+    /// round scratch compares against it; a peer's changes never move it.
+    epoch: Cell<u64>,
     sweep: bool,
     activations: Cell<u64>,
     deactivations: Cell<u64>,
@@ -406,34 +459,6 @@ impl ActiveSet {
         self.deactivations.set(self.deactivations.get() + 1);
     }
 
-    /// Refreshes `a` (epoch-cached: a stable membership reuses the buffer
-    /// untouched): the active set in `reg_seq` (= registration) order,
-    /// filtered by the round's registration watermark — exactly the
-    /// clients a snapshot of `owned`, the shard's part of the client
-    /// table, would have found with any unsettled state, in the same
-    /// order (see [`settled`] for the equivalence argument).
-    /// `full_sweep`: that snapshot itself.
-    pub(super) fn assigned_into<'a>(
-        &self,
-        owned: impl Iterator<Item = &'a Rc<Client>>,
-        a: &mut Assigned,
-    ) {
-        let ep = self.epoch.get();
-        if a.epoch == ep {
-            return;
-        }
-        a.epoch = ep;
-        self.rebuilds.set(self.rebuilds.get() + 1);
-        a.clients.clear();
-        if self.sweep {
-            a.clients.extend(owned.cloned());
-            return;
-        }
-        let map = self.map.borrow();
-        let snapshot = map.range(..a.reg_watermark);
-        a.clients.extend(snapshot.map(|(_, c)| Rc::clone(c)));
-    }
-
     /// The epoch at which `a`, as a round just left it, is current and
     /// empty: until the epoch moves, a round drains, syncs and schedules
     /// nobody. `None` under `full_sweep`: its set stays empty by design,
@@ -448,29 +473,21 @@ impl ActiveSet {
         self.epoch.get() == epoch
     }
 
-    /// Round-end maintenance: every assigned client that ended the round
-    /// fully settled leaves the set; it generates no control-plane work
-    /// until its next doorbell.
-    pub(super) fn settle<'a>(&self, owned: impl Iterator<Item = &'a Rc<Client>>, a: &mut Assigned) {
-        if self.sweep {
-            return;
-        }
-        self.assigned_into(owned, a);
-        // Deactivation mutates the map, not the list that mirrors it; the
-        // epoch bump makes the next round rebuild that.
-        for c in a.clients.iter().filter(|c| settled(c)) {
-            self.deactivate(c);
-        }
-    }
-
-    /// Completeness: every live client outside the set is settled.
-    fn audit<'a>(&self, owned: impl Iterator<Item = &'a Rc<Client>>) -> Result<(), String> {
+    /// Completeness: every live client of `owned` (in `reg_seq` order)
+    /// outside the set is settled, and every client in it is in `owned`.
+    fn audit(&self, owned: &[Rc<Client>]) -> Result<(), String> {
         if self.sweep {
             return Ok(());
         }
         for c in owned {
             if !c.dead.get() && !c.marks.active.get() && !settled(c) {
                 return Err(format!("inactive client {} holds unsettled work", c.id));
+            }
+        }
+        for (&seq, c) in self.map.borrow().iter() {
+            let listed = owned.binary_search_by_key(&seq, |o| o.reg_seq.get());
+            if !listed.is_ok_and(|i| Rc::ptr_eq(&owned[i], c)) {
+                return Err(format!("active client {} is not the shard's", c.id));
             }
         }
         Ok(())
@@ -718,14 +735,6 @@ impl Copier {
             .charged(old, client.copied_total.get());
     }
 
-    /// Wrap-safe minimum live vruntime among shard `idx`'s clients — what
-    /// the shard publishes at the round barrier and what the least-served
-    /// admission exemption compares against.
-    pub(super) fn shard_min_vr(&self, idx: usize) -> Option<u64> {
-        let sh = &self.shards[idx];
-        sh.min_vr.get(sh.owned(&self.clients.borrow()))
-    }
-
     /// The `(pending, index, stats)` state hashes closing an active
     /// traced round of shard `idx`: its clients' sums, and the fold of
     /// its private stats cells continued over the service-wide stats.
@@ -734,7 +743,7 @@ impl Copier {
     /// "somewhere this generation".
     pub(super) fn round_hashes(&self, idx: usize) -> (u64, u64, u64) {
         let sh = &self.shards[idx];
-        let (hp, hx) = sh.hashes.sums(sh.owned(&self.clients.borrow()));
+        let (hp, hx) = sh.hashes.sums(sh.owned().iter());
         let hs = [
             sh.admit.bytes(),
             sh.bytes_copied.get(),
@@ -762,16 +771,17 @@ impl Copier {
         o
     }
 
-    /// Cross-checks every incrementally maintained aggregate against a
-    /// from-scratch recomputation: the cached min-vruntime (when valid),
-    /// active-set completeness (every live inactive client must be
-    /// settled), and — under delta-folded hashing — the commutative hash
-    /// sums after a refold. Test instrumentation for the soak
-    /// differential suite; returns the first discrepancy as an error
-    /// string. Host-side only: charges no virtual time.
+    /// Cross-checks each shard's membership and every incrementally
+    /// maintained aggregate against a from-scratch recomputation: the
+    /// cached min-vruntime (when valid), active-set completeness, and —
+    /// under delta-folded hashing — the hash sums after a refold. Test
+    /// instrumentation; returns the first discrepancy. Host-side only.
     pub fn audit_aggregates(&self) -> Result<(), String> {
-        let table = self.clients.borrow();
-        self.shards.iter().try_for_each(|sh| sh.audit(&table))
+        let audit = |(i, sh): (usize, &ShardState)| {
+            sh.audit(&self.shards)
+                .map_err(|e| format!("shard {i}: {e}"))
+        };
+        self.shards.iter().enumerate().try_for_each(audit)
     }
 }
 
@@ -787,7 +797,9 @@ pub(super) fn sweeping(cfg: CopierConfig) -> CopierConfig {
 
 #[cfg(test)]
 mod tests {
+    use copier_hw::CostModel;
     use copier_mem::{AddressSpace, AllocPolicy, PhysMem};
+    use copier_sim::{Machine, Sim};
     use copier_testkit::{check_with, prop_assert_eq, Config, TestRng};
 
     use super::*;
@@ -934,5 +946,51 @@ mod tests {
                 Ok(())
             },
         );
+    }
+
+    /// The membership audit: clean through registration, reap and adoption
+    /// onto another shard count, and naming each mutant it kills — a
+    /// `leave` that does not remove, adoption joining twice, and a `join`
+    /// onto a stale `client.shard` (adoption joining before it re-stamps).
+    #[test]
+    fn membership_audit_kills_the_join_and_leave_mutants() {
+        let sim = Sim::new();
+        let machine = Machine::new(&sim.handle(), 4);
+        let pm = Rc::new(PhysMem::new(64, AllocPolicy::Sequential));
+        let service = |shards: usize| {
+            let cores = machine.cores()[..shards].to_vec();
+            let cost = Rc::new(CostModel::default());
+            let cfg = CopierConfig {
+                shards,
+                ..Default::default()
+            };
+            Copier::new(&sim.handle(), Rc::clone(&pm), cores, cost, cfg)
+        };
+        let fails = |svc: &Copier, why: &str| {
+            let e = svc.audit_aggregates().expect_err(why);
+            assert!(e.contains(why), "{why}: {e}");
+        };
+        let svc = service(4);
+        let space = |id| AddressSpace::new(id, Rc::clone(&pm));
+        let clients: Vec<_> = (1..=12).map(|id| svc.register_client(space(id))).collect();
+        let reaped = &clients[5];
+        svc.reap_client(reaped);
+        assert_eq!(svc.audit_aggregates(), Ok(()));
+        let list = &svc.shard_of(reaped).clients;
+        list.borrow_mut().push(Rc::clone(reaped));
+        fails(&svc, "reaped");
+        // A successor at another shard count re-stamps as it adopts.
+        let adopted = service(3);
+        let live = clients.iter().filter(|c| !c.dead.get());
+        live.for_each(|c| drop(adopted.adopt_client(c)));
+        assert_eq!(adopted.audit_aggregates(), Ok(()));
+        adopted.shard_of(&clients[0]).join(&clients[0]);
+        fails(&adopted, "twice");
+        let stale = service(4);
+        let (c, stamp) = (&clients[1], clients[1].shard.get());
+        c.shard.set((stamp + 1) % 4);
+        stale.shard_of(c).join(c);
+        c.shard.set(stamp);
+        fails(&stale, "misstamped");
     }
 }

@@ -124,14 +124,14 @@ impl Copier {
             (a, b) => a.or(b),
         };
         let mut before = None;
-        for (i, sh) in self.shards.iter().enumerate() {
+        for sh in &self.shards {
             sh.peer_min_vr.set(before);
-            before = min(before, self.shard_min_vr(i));
+            before = min(before, sh.min_live_vr());
         }
         let mut after = None;
-        for (i, sh) in self.shards.iter().enumerate().rev() {
+        for sh in self.shards.iter().rev() {
             sh.peer_min_vr.set(min(sh.peer_min_vr.get(), after));
-            after = min(after, self.shard_min_vr(i));
+            after = min(after, sh.min_live_vr());
         }
     }
 }

@@ -122,12 +122,13 @@ impl Copier {
         // minimum, peers through the minimum each shard published at the
         // last barrier — deterministic, and stale by at most one
         // generation. A lone shard has no peers (`peer_min_vr` is `None`).
-        if let Some(pm) = self.shard_of(client).peer_min_vr.get() {
+        let sh = self.shard_of(client);
+        if let Some(pm) = sh.peer_min_vr.get() {
             if vruntime_before(pm, cur) {
                 return false;
             }
         }
-        match self.shard_min_vr(client.shard.get()) {
+        match sh.min_live_vr() {
             Some(m) => !vruntime_before(m, cur),
             None => true,
         }

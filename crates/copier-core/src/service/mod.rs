@@ -22,11 +22,11 @@
 //! One file per phase, all `impl Copier` (DESIGN.md §2 has the map): this
 //! one holds the struct, construction and the client-facing surface;
 //! `shard` the loop and the round; `drain`, `select`, `execute` and
-//! `complete` steps 1–2, 4, 5–6 and 7; `barrier` and `aggregates` the
-//! state a shard keeps incrementally, each piece behind a type whose
-//! fields only its own module can write; `scrub` and `recover` background
-//! integrity and crash adoption; `stats` the counters and their frozen
-//! layout.
+//! `complete` steps 1–2, 4, 5–6 and 7; `aggregates` what a shard owns —
+//! its core, its clients — and keeps incrementally, `barrier` where shards
+//! meet, each piece behind a type whose fields only its own module can
+//! write; `scrub` and `recover` background integrity and crash adoption;
+//! `stats` the counters and their frozen layout.
 
 // A phase that outgrows one screen is cut along its steps, not scrolled
 // (threshold in the workspace `clippy.toml`).
@@ -75,9 +75,6 @@ pub struct Copier {
     atcache: Rc<ATCache>,
     /// The copy-length scheduler and cgroup controller.
     pub sched: Scheduler,
-    clients: RefCell<Vec<Rc<Client>>>,
-    /// One dedicated core per shard; `cores[i]` runs shard `i`'s thread.
-    cores: Vec<Rc<Core>>,
     scenario_active: Cell<bool>,
     wake: Rc<Notify>,
     parked: Cell<usize>,
@@ -85,9 +82,9 @@ pub struct Copier {
     next_client: Cell<ClientId>,
     stats: RefCell<CopierStats>,
     stopping: Cell<bool>,
-    /// Per-shard control planes; `len() == cfg.shards.max(1)`. The
-    /// per-shard counters are maintained at every shard count (host-side
-    /// `Cell` writes, no virtual time).
+    /// Per-shard control planes, one per dedicated core: each owns its
+    /// clients (DESIGN.md §17). The per-shard counters are maintained at
+    /// every shard count (host-side `Cell` writes, no virtual time).
     shards: Vec<ShardState>,
     /// Where the shards meet once per generation (DESIGN.md §17).
     barrier: RoundBarrier,
@@ -167,7 +164,7 @@ impl Copier {
             .and_then(|r| r.stats.as_deref())
             .map(stats_from_vec)
             .unwrap_or_default();
-        let shards = ShardState::all(nshards, &cfg);
+        let shards = ShardState::all(cores, &cfg);
         Rc::new(Copier {
             h: h.clone(),
             pm,
@@ -180,8 +177,6 @@ impl Copier {
                 s
             },
             cfg,
-            clients: RefCell::new(Vec::new()),
-            cores,
             scenario_active: Cell::new(true),
             wake: Rc::new(Notify::new()),
             parked: Cell::new(0),
@@ -282,13 +277,12 @@ impl Copier {
         c.epoch.set(self.epoch.get());
         c.shard.set(self.shard_of_space(c.uspace.id()));
         c.reg_seq.set(self.alloc_reg_seq());
-        self.clients.borrow_mut().push(Rc::clone(&c));
         self.shard_of(&c).join(&c);
         c
     }
 
     /// Allocates the next registration sequence number (also stamped at
-    /// adoption — clients-vec push order equals `reg_seq` order).
+    /// adoption — a shard's list is in `reg_seq` order).
     fn alloc_reg_seq(&self) -> u64 {
         let s = self.next_reg.get();
         self.next_reg.set(s + 1);

@@ -72,12 +72,13 @@ impl Copier {
         // when the process's address space is torn down.
         self.atcache.purge(&client.uspace);
         sh.leave(client, was_dead);
-        self.clients.borrow_mut().retain(|c| !Rc::ptr_eq(c, client));
         // The dead client's scrub registrations go with it: any queued
         // heal task was just reaped above (poisoned `Aborted`, pins
         // released through finalize), and the walker must not keep
         // digesting — or re-healing — memory nobody owns anymore.
-        self.scrub.borrow_mut().retain(|r| r.client != client.id);
+        self.scrub
+            .borrow_mut()
+            .retain(|r| !Rc::ptr_eq(&r.owner, client));
         self.stats.borrow_mut().orphans_reclaimed += reclaimed;
         // The reaped client's Complete records become durable right away
         // so a crash after the reap never resurrects its tasks.
@@ -127,9 +128,8 @@ impl Copier {
         // stable, but the successor may run a different shard count.
         client.shard.set(self.shard_of_space(client.uspace.id()));
         // Fresh control-plane identity under the successor: a new
-        // registration sequence (clients-vec order stays reg_seq order).
+        // registration sequence (a shard's list stays in reg_seq order).
         client.reg_seq.set(self.alloc_reg_seq());
-        self.clients.borrow_mut().push(Rc::clone(client));
         let sh = self.shard_of(client);
         sh.join(client);
         // The adopted window may hold unfinished entries with no ring

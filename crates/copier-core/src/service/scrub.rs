@@ -7,7 +7,7 @@ use std::rc::Rc;
 use copier_mem::{AddressSpace, VirtAddr};
 
 use super::Copier;
-use crate::client::{Client, ClientId};
+use crate::client::Client;
 use crate::descriptor::{CopyFault, SegDescriptor};
 use crate::task::{CopyTask, Handler, QueueEntry};
 
@@ -16,7 +16,8 @@ use crate::task::{CopyTask, Handler, QueueEntry};
 /// per `scrub_period` rounds against the golden digests taken at
 /// registration and heals rot from the replica.
 pub(super) struct ScrubRegion {
-    pub(super) client: ClientId,
+    /// Its client; reaping the client drops the region.
+    pub(super) owner: Rc<Client>,
     space: Rc<AddressSpace>,
     /// The guarded range.
     primary: VirtAddr,
@@ -81,7 +82,7 @@ impl Copier {
             golden.push(space.extent_digest_stride(primary.add(off), clen, 1));
         }
         self.scrub.borrow_mut().push(ScrubRegion {
-            client: client.id,
+            owner: Rc::clone(client),
             space: Rc::clone(space),
             primary,
             replica,
@@ -164,13 +165,7 @@ impl Copier {
                 return;
             }
             // Rot found. Heal from the replica if it is still intact.
-            let client = {
-                let cs = self.clients.borrow();
-                cs.iter().find(|c| c.id == r.client).cloned()
-            };
-            let Some(client) = client else {
-                return;
-            };
+            let client = &r.owner;
             let Some(set) = client.set_at(0) else {
                 return;
             };
@@ -179,7 +174,7 @@ impl Copier {
                 r.dead[ci].set(true);
                 let lo = r.primary.add(off).0;
                 self.remember_taint(
-                    &client,
+                    client,
                     &set,
                     r.space.id(),
                     lo,
@@ -222,7 +217,7 @@ impl Copier {
             } else {
                 // The heal re-activates an idle owner exactly like a
                 // client submission would.
-                self.activate(&client);
+                self.activate(client);
             }
             return;
         }

@@ -108,7 +108,7 @@ impl Copier {
         /// Scheduler latency to wake a parked Copier thread (kthread
         /// wakeup).
         const WAKE_LATENCY: Nanos = Nanos(700);
-        let core = Rc::clone(&self.cores[idx]);
+        let core = Rc::clone(&self.shards[idx].core);
         let idle = Rc::new(Idle::default());
         let quiet = self.quiet_predicate(idx, &idle);
         // Per-thread round scratch: the dispatch progress list is cleared
@@ -242,13 +242,6 @@ impl Copier {
         true
     }
 
-    /// Refreshes the thread's client assignment in `scratch`.
-    fn assigned_into(&self, idx: usize, scratch: &mut RoundScratch) {
-        let (sh, table) = (&self.shards[idx], self.clients.borrow());
-        sh.active
-            .assigned_into(sh.owned(&table), &mut scratch.assigned);
-    }
-
     /// One service round. Returns whether any work was done.
     ///
     /// With a tracer configured this wraps the round in
@@ -306,7 +299,7 @@ impl Copier {
         // the epoch check so a client *activated* mid-round (a push
         // landing during an await) is drained by the later stages.
         scratch.assigned.reg_watermark = self.next_reg.get();
-        self.assigned_into(idx, scratch);
+        self.shards[idx].assign(&mut scratch.assigned);
         // This round may mutate any assigned client's hashed state;
         // clients activated mid-round are marked by their doorbell.
         for c in scratch.assigned.clients.iter() {
@@ -320,7 +313,7 @@ impl Copier {
             core.advance(Nanos(DRAIN_COST_NS * drained as u64)).await;
         }
         // 2. Sync queues (k-mode before u-mode, §4.2.2).
-        self.assigned_into(idx, scratch);
+        self.shards[idx].assign(&mut scratch.assigned);
         let synced = self.serve_syncs(&scratch.assigned.clients);
         if synced > 0 {
             core.advance(Nanos(DRAIN_COST_NS * synced as u64)).await;
@@ -344,7 +337,7 @@ impl Copier {
         // paid once per slice however little the least-served client had
         // queued. Nothing drained or charged while the round runs re-ranks
         // it; that is the next round's.
-        self.assigned_into(idx, scratch);
+        self.shards[idx].assign(&mut scratch.assigned);
         self.sched.order_into(
             &scratch.assigned.clients,
             self.h.now(),
@@ -400,15 +393,8 @@ impl Copier {
         if acted && !self.crashed.get() {
             self.journal_flush();
         }
-        self.settle_pass(idx, scratch);
+        self.shards[idx].settle(&mut scratch.assigned);
         acted || drained + synced > 0
-    }
-
-    /// Round-end active-set maintenance: every assigned client that ended
-    /// the round fully settled leaves the shard's active set.
-    fn settle_pass(&self, idx: usize, scratch: &mut RoundScratch) {
-        let (sh, table) = (&self.shards[idx], self.clients.borrow());
-        sh.active.settle(sh.owned(&table), &mut scratch.assigned);
     }
 
     /// The durability boundary behind a drain: this round's admissions

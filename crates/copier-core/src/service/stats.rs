@@ -21,8 +21,8 @@ pub struct ControlObs {
     pub activations: u64,
     /// Clients leaving a shard's active set (fully settled at round end).
     pub deactivations: u64,
-    /// Assignment-list rebuilds (epoch misses): one per membership
-    /// change, none on a settled poll over a stable population.
+    /// Assignment-list rebuilds (epoch misses): one per change to the
+    /// shard's own membership, none on a settled poll over a stable one.
     pub assign_rebuilds: u64,
     /// O(shard-clients) min-vruntime rescans (cache invalidations hit by
     /// a read).

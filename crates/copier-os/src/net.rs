@@ -189,6 +189,7 @@ impl NetStack {
                         match kspace.munmap(kva, pages * PAGE_SIZE) {
                             Err(MemError::Pinned(_)) => continue,
                             r => {
+                                // Freed once, by its owner: only a pin refuses.
                                 r.expect("skb unmap");
                                 return;
                             }
@@ -196,6 +197,7 @@ impl NetStack {
                     }
                 });
             }
+            // Freed once, by its owner: only a pin refuses.
             r => r.expect("skb unmap"),
         }
     }
@@ -221,34 +223,42 @@ impl NetStack {
             h.sleep(WIRE_DELAY).await;
             // Zero-copy: the NIC serializes the pinned user pages onto the
             // wire itself (device DMA — no CPU charged), after which the
-            // pages are released and the completion is queued.
+            // pages are released and the completion is queued — also when
+            // no contiguous receive skb can be had and the packet is dropped,
+            // as Linux completes MSG_ZEROCOPY sends of dropped packets.
             let pins: Vec<FrameId> = skb.user_pins.borrow_mut().drain(..).collect();
             let out = if pins.is_empty() {
                 skb
             } else {
-                let fresh = me.alloc_skb(skb.len).expect("skb alloc");
-                let mut done = 0usize;
-                while done < skb.len {
-                    let take = (skb.len - done).min(PAGE_SIZE);
-                    let (df, _) = me
-                        .os
-                        .kspace
-                        .resolve(fresh.kva.add(done), true)
-                        .expect("fresh skb mapped");
-                    me.os.pm.copy(
-                        df,
-                        fresh.kva.add(done).page_off(),
-                        pins[done / PAGE_SIZE],
-                        0,
-                        take,
-                    );
-                    done += take;
+                let fresh = me.alloc_skb(skb.len).ok();
+                if let Some(fresh) = &fresh {
+                    let mut done = 0usize;
+                    while done < skb.len {
+                        let take = (skb.len - done).min(PAGE_SIZE);
+                        // `alloc_skb` mapped every page of `fresh` just above.
+                        let (df, _) = me
+                            .os
+                            .kspace
+                            .resolve(fresh.kva.add(done), true)
+                            .expect("fresh skb mapped");
+                        me.os.pm.copy(
+                            df,
+                            fresh.kva.add(done).page_off(),
+                            pins[done / PAGE_SIZE],
+                            0,
+                            take,
+                        );
+                        done += take;
+                    }
                 }
                 for f in pins {
                     me.os.pm.unpin(f);
                 }
                 skb.zc_done.done.set(true);
                 skb.zc_done.notify.notify_all();
+                let Some(fresh) = fresh else {
+                    return;
+                };
                 fresh
             };
             peer.rx.borrow_mut().push_back(out);
@@ -664,6 +674,39 @@ mod tests {
             assert!(done.is_done());
         });
         sim.run();
+    }
+
+    /// A zero-copy send whose receive-side skb finds no contiguous run in
+    /// a fragmented pool is a dropped packet, not a kernel panic: the user
+    /// pages are unpinned and the completion still arrives.
+    #[test]
+    fn zerocopy_send_on_a_fragmented_pool_drops_and_completes() {
+        let (mut sim, os, net) = setup(1, false);
+        let core = os.machine.core(0);
+        let p = os.spawn_process();
+        let (a, b) = net.socket_pair();
+        let len = 4 * PAGE_SIZE;
+        let tx = p.space.mmap(len, Prot::RW, true).unwrap();
+        // Take what is left of the pool and give back every other frame by
+        // id: no two free frames are adjacent.
+        let mut held = Vec::new();
+        while let Ok(f) = os.pm.alloc() {
+            held.push(f);
+        }
+        held.sort_by_key(|f| f.0);
+        held.iter().step_by(2).for_each(|&f| os.pm.decref(f));
+        sim.spawn("t", async move {
+            let done = net
+                .send(&core, &p, &a, tx, len, IoMode::ZeroCopy)
+                .await
+                .unwrap()
+                .expect("zc completion");
+            done.wait().await;
+            assert!(done.is_done());
+            assert_eq!(b.rx_depth(), 0, "the packet was dropped");
+        });
+        sim.run();
+        assert_eq!(os.pm.pinned_frames(), 0, "user pages still pinned");
     }
 
     #[test]

@@ -18,6 +18,16 @@ cargo fmt --all --check
 # feed may be named only by the aggregates that keep both behaviours.
 [ "$(grep -rlE 'full_sweep|fast_path\(\)|hash_cached\(\)' crates/copier-core/src | sort | tr '\n' ' ')" \
     = 'crates/copier-core/src/config.rs crates/copier-core/src/service/aggregates.rs ' ]
+# A shard owns its clients (DESIGN.md §17): a shard's list changes only in
+# `ShardState::join` / `leave`. Nothing in the service crate picks a shard's
+# clients by comparing their stamp (`c.shard.get() == idx`, the filter over a
+# service-wide table), and no file but `service/aggregates.rs` keeps a
+# `Vec<Rc<Client>>` field.
+filters=$(grep -rnE 'shard\.get\(\) *[!=]=|[!=]= *[A-Za-z_.()]*shard\.get\(\)' crates/copier-core/src || true)
+[ -z "$filters" ] || { echo "clients filtered by shard stamp in:"; echo "$filters"; exit 1; }
+tables=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? +)?[a-z_][a-z_0-9]*: .*Vec<Rc<Client>>' crates/copier-core/src \
+    | grep -v '^crates/copier-core/src/service/aggregates\.rs:' || true)
+[ -z "$tables" ] || { echo "a client list outside ShardState in:"; echo "$tables"; exit 1; }
 # No file of the service crate outgrows 1,000 lines, and no function of
 # the service 100 code lines: `service/mod.rs` denies
 # `clippy::too_many_lines` for its whole module tree (threshold in

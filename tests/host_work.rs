@@ -1,5 +1,5 @@
 //! Host work as counts (ROADMAP item 5): what the executor does per
-//! operation, pinned exactly for runs shaped like three of the benchmark's
+//! operation, pinned exactly for runs shaped like four of the benchmark's
 //! workloads. `Sim::stats` counts task polls, device calls, timers armed
 //! and fired, spawns and waits completed in place; a rerun repeats every
 //! count, so unlike a wall clock they compare across commits with `==`.
@@ -16,7 +16,9 @@ use std::rc::Rc;
 
 use copier::apps::proxy::{Proxy, ProxyMode};
 use copier::client::{AmemcpyOpts, CopierHandle};
-use copier::core::{AdmissionConfig, Copier, CopierConfig, Handler, PollMode, SegDescriptor};
+use copier::core::{
+    AdmissionConfig, ControlObs, Copier, CopierConfig, Handler, PollMode, SegDescriptor,
+};
 use copier::hw::CostModel;
 use copier::mem::{AddressSpace, AllocPolicy, PhysMem, Prot, PAGE_SIZE};
 use copier::os::{IoMode, NetStack, Os};
@@ -24,12 +26,13 @@ use copier::sim::{
     ArrivalDist, LenDist, Machine, Nanos, Sim, SimRng, SimStats, WorkloadConfig, WorkloadPlan,
 };
 
-/// One run's counts: executor work, the service's idle polls, the ops
-/// it served and its virtual end.
+/// One run's counts: executor work, the service's idle polls and control
+/// observables, the ops it settled and its virtual end.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Work {
     sim: SimStats,
     idle_polls: u64,
+    obs: ControlObs,
     ops: u64,
     end_ns: u64,
 }
@@ -59,7 +62,8 @@ impl Work {
 
 /// An open-loop fleet as the benchmark's copy workloads drive it:
 /// `registered` tenants, the first `active` submitting `try_amemcpy`
-/// at planned instants from `client_cores` cores to a one-shard service.
+/// at planned instants from `client_cores` cores to a service of
+/// `cfg.shards` shards. A refused submission is an op that never settles.
 struct Fleet {
     registered: usize,
     active: usize,
@@ -71,12 +75,15 @@ struct Fleet {
 fn fleet(f: Fleet) -> Work {
     let mut sim = Sim::new();
     let h = sim.handle();
-    let machine = Machine::new(&h, f.client_cores + 1);
+    let shards = f.cfg.shards;
+    let machine = Machine::new(&h, f.client_cores + shards);
     let pm = Rc::new(PhysMem::new(16 * 1024, AllocPolicy::Scattered));
     let svc = Copier::new(
         &h,
         Rc::clone(&pm),
-        vec![machine.core(f.client_cores)],
+        (0..shards)
+            .map(|i| machine.core(f.client_cores + i))
+            .collect(),
         Rc::new(CostModel::default()),
         f.cfg,
     );
@@ -86,7 +93,7 @@ fn fleet(f: Fleet) -> Work {
         .map(|t| CopierHandle::new(&svc, AddressSpace::new(t as u32 + 1, Rc::clone(&pm))))
         .collect();
     let plan = WorkloadPlan::new(f.plan);
-    let settled = Rc::new(Cell::new(0u64));
+    let (settled, refused) = (Rc::new(Cell::new(0u64)), Rc::new(Cell::new(0u64)));
     let done = Rc::new(Cell::new(0usize));
     for (t, lib) in libs.iter().take(f.active).enumerate() {
         let space = Rc::clone(&lib.uspace);
@@ -94,7 +101,7 @@ fn fleet(f: Fleet) -> Work {
         let dst = space.mmap(len_max, Prot::RW, true).unwrap();
         space.write_bytes(src, &vec![t as u8 + 1; len_max]).unwrap();
         let (lib, plan, h) = (Rc::clone(lib), Rc::clone(&plan), h.clone());
-        let (settled, done) = (Rc::clone(&settled), Rc::clone(&done));
+        let (settled, refused, done) = (Rc::clone(&settled), Rc::clone(&refused), Rc::clone(&done));
         let core = machine.core(t % f.client_cores);
         sim.spawn("tenant", async move {
             for a in plan.tenant(t) {
@@ -110,9 +117,9 @@ fn fleet(f: Fleet) -> Work {
                     descr: Some(Rc::new(SegDescriptor::new(a.len, 1024))),
                     ..Default::default()
                 };
-                lib.try_amemcpy(&core, dst, src, a.len, opts)
-                    .await
-                    .expect("admitted");
+                if lib.try_amemcpy(&core, dst, src, a.len, opts).await.is_err() {
+                    refused.set(refused.get() + 1);
+                }
             }
             done.set(done.get() + 1);
         });
@@ -125,11 +132,14 @@ fn fleet(f: Fleet) -> Work {
         svc2.stop();
     });
     let end = sim.run();
-    assert_eq!(settled.get(), plan.total_arrivals() as u64, "ops lost");
+    let submitted = settled.get() + refused.get();
+    assert_eq!(submitted, plan.total_arrivals() as u64, "ops lost");
     assert_eq!(pm.pinned_frames(), 0, "pins leaked");
+    svc.audit_aggregates().expect("aggregates audit clean");
     Work {
         sim: sim.stats(),
         idle_polls: svc.stats().idle_polls,
+        obs: svc.control_obs(),
         ops: settled.get(),
         end_ns: end.as_nanos(),
     }
@@ -191,6 +201,43 @@ fn sparse_fleet() -> Work {
                 spread: 1000.0,
             },
             length: LenDist::BoundedPareto { alpha: 1.2 },
+        },
+    })
+}
+
+/// `shard_overload` at 1/20 of its horizon: 32 tenants on 32 cores offer
+/// 1.5× what four shards copy, with the benchmark's quotas and polling,
+/// so admission and the round barrier do the work.
+fn shard_overload() -> Work {
+    fleet(Fleet {
+        registered: 32,
+        active: 32,
+        client_cores: 32,
+        cfg: CopierConfig {
+            shards: 4,
+            use_dma: false,
+            admission: AdmissionConfig {
+                max_client_tasks: 64,
+                max_client_bytes: 4 * 1024 * 1024,
+                max_client_pinned: 8192,
+                global_high_bytes: 24 * 1024 * 1024,
+                global_low_bytes: 18 * 1024 * 1024,
+            },
+            polling: PollMode::Napi {
+                spin_rounds: 256,
+                park_timeout: Nanos::from_micros(50),
+            },
+            ..CopierConfig::default()
+        },
+        plan: WorkloadConfig {
+            seed: 11,
+            tenants: 32,
+            mean_gap: Nanos(21_845),
+            len_min: 16 * 1024,
+            len_max: 64 * 1024,
+            horizon: Nanos::from_millis(5),
+            arrival: ArrivalDist::Exponential,
+            length: LenDist::Uniform,
         },
     })
 }
@@ -287,9 +334,13 @@ fn proxy_chain() -> Work {
     }
     let end = sim.run();
     assert_eq!(arrived.get(), (w * MSGS) as u64, "messages lost");
+    os.copier()
+        .audit_aggregates()
+        .expect("aggregates audit clean");
     Work {
         sim: sim.stats(),
         idle_polls: os.copier().stats().idle_polls,
+        obs: os.copier().control_obs(),
         ops: arrived.get(),
         end_ns: end.as_nanos(),
     }
@@ -364,4 +415,41 @@ fn proxy_chain_host_work_is_pinned() {
         [600, 3870907, 47219, 69346, 58797, 58797, 1209, 0, 31221],
         [600, 3870907, 41434, 57776, 53012, 53012, 1209, 5785, 31221],
     );
+}
+
+/// `[activations, deactivations, assign_rebuilds, minvr_recomputes,
+/// hash_refolds, barrier_wait_ns]`.
+fn obs(w: &Work) -> [u64; 6] {
+    let o = &w.obs;
+    [
+        o.activations,
+        o.deactivations,
+        o.assign_rebuilds,
+        o.minvr_recomputes,
+        o.hash_refolds,
+        o.barrier_wait_ns,
+    ]
+}
+
+/// Four shards, the one workload whose counters a shard owning its own
+/// assignment epoch moves: the parent shared one epoch across shards, so
+/// every shard's membership change rebuilt every shard's list. Executor
+/// counts and every other control observable are the parent's;
+/// `assign_rebuilds` (index 2) may only have gone down.
+#[test]
+fn shard_overload_host_work_is_pinned() {
+    let parent = (
+        [7277, 5740045, 64394, 112034, 63526, 63526, 37, 14676, 132],
+        [144, 144, 696, 690, 0, 3330541],
+    );
+    let now = (
+        [7277, 5740045, 64394, 112034, 63526, 63526, 37, 14676, 132],
+        [144, 144, 231, 690, 0, 3330541],
+    );
+    let w = repeatable("shard_overload", shard_overload);
+    assert_eq!((counts(&w), obs(&w)), now);
+    assert_eq!(parent.0, now.0, "executor counts moved");
+    let others = |o: [u64; 6]| [o[0], o[1], o[3], o[4], o[5]];
+    assert_eq!(others(parent.1), others(now.1), "a control count moved");
+    assert!(now.1[2] <= parent.1[2], "assign_rebuilds went up");
 }

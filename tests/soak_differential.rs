@@ -518,13 +518,15 @@ fn crash_adoption_matches_full_sweep() {
 /// (the walker pushes repair copies into the client's kernel queue with
 /// a direct `activate`, no libCopier doorbell) behaves identically on
 /// the fast path. The client submits one burst, settles out of the
-/// active set, then only the scrubber touches it.
+/// active set, then only the scrubber touches it. At four shards the
+/// client is owned by a shard other than 0, where the walker runs, so
+/// every heal reaches it through its ring and doorbell.
 #[test]
 fn scrub_heal_reactivates_idle_clients_identically() {
-    fn run_scrub(seed: u64, full_sweep: bool) -> (Vec<u64>, u64, u64) {
+    fn run_scrub(seed: u64, shards: usize, full_sweep: bool) -> (Vec<u64>, u64, u64) {
         let mut sim = Sim::new();
         let h = sim.handle();
-        let machine = Machine::new(&h, 2);
+        let machine = Machine::new(&h, 1 + shards);
         let os = Os::boot(&h, machine, 4096);
         let plan = FaultPlan::new(FaultConfig {
             seed,
@@ -532,8 +534,9 @@ fn scrub_heal_reactivates_idle_clients_identically() {
             ..Default::default()
         });
         let svc = os.install_copier(
-            vec![os.machine.core(1)],
+            (1..=shards).map(|i| os.machine.core(i)).collect(),
             CopierConfig {
+                shards,
                 use_dma: true,
                 fault_plan: Some(Rc::clone(&plan)),
                 verify: VerifyPolicy::Full,
@@ -542,7 +545,12 @@ fn scrub_heal_reactivates_idle_clients_identically() {
                 ..Default::default()
             },
         );
-        let proc = os.spawn_process();
+        let proc = loop {
+            let proc = os.spawn_process();
+            if shards == 1 || proc.lib().shard() > 0 {
+                break proc;
+            }
+        };
         let lib = proc.lib();
         let uspace = Rc::clone(&lib.uspace);
 
@@ -599,13 +607,16 @@ fn scrub_heal_reactivates_idle_clients_identically() {
         (stats_to_vec(&s), end.as_nanos(), dig)
     }
 
-    for seed in [0x5C2B_0001u64, 0x5C2B_0002, 0x5C2B_0003, 0x5C2B_0004] {
-        let fast = run_scrub(seed, false);
-        let full = run_scrub(seed, true);
-        assert!(fast.0.iter().sum::<u64>() > 0, "no service activity");
-        assert_eq!(fast, full, "scrub re-activation diverged (seed {seed:#x})");
-        assert!(fast.0[40] > 0, "scrub walker never ran (seed {seed:#x})");
-        assert!(fast.0[41] > 0, "rot was never healed (seed {seed:#x})");
+    for shards in [1, 4] {
+        for seed in [0x5C2B_0001u64, 0x5C2B_0002, 0x5C2B_0003, 0x5C2B_0004] {
+            let fast = run_scrub(seed, shards, false);
+            let full = run_scrub(seed, shards, true);
+            let at = format!("seed {seed:#x}, {shards} shard(s)");
+            assert!(fast.0.iter().sum::<u64>() > 0, "no service activity ({at})");
+            assert_eq!(fast, full, "scrub re-activation diverged ({at})");
+            assert!(fast.0[40] > 0, "scrub walker never ran ({at})");
+            assert!(fast.0[41] > 0, "rot was never healed ({at})");
+        }
     }
 }
 
