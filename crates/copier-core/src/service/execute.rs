@@ -8,7 +8,7 @@ use std::rc::Rc;
 use copier_hw::{
     slice_extents_into, split_subtasks_into, CpuCopyKind, DispatchReport, PlannedCopy, SubTask,
 };
-use copier_mem::{frames_of, AddressSpace, Extent, FrameId, VirtAddr, PAGE_SIZE};
+use copier_mem::{AddressSpace, Extent, FrameId, VirtAddr, PAGE_SIZE};
 use copier_sim::{Core, CrashPoint, Nanos};
 
 use super::complete::release_pins;
@@ -78,11 +78,7 @@ impl Copier {
                 .as_ref()
                 .is_some_and(|p| p.decide_atc_stale());
             if !stale {
-                let frames = frames_of(extents);
-                for &f in &frames {
-                    self.pm.pin(f);
-                }
-                return Ok(frames);
+                return Ok(space.pin_extents(extents));
             }
             // Injected stale hit: the cached translation cannot be trusted;
             // pay the hit, fall through to a full walk (which re-validates
@@ -93,11 +89,12 @@ impl Copier {
         // line): the first walk pays full price, the rest a quarter.
         let walk_cost =
             Nanos(self.cost.pte_walk.as_nanos() + (pages - 1) * self.cost.pte_walk.as_nanos() / 4);
-        // Batched gather path: one page-table walk resolves, pins, and
-        // emits the extents. Fault accounting — and therefore every charged
-        // duration below — is identical to the per-page reference path.
-        match space.resolve_and_pin_range_extents(va, len, write) {
-            Ok((walked, frames, work)) => {
+        // One walk resolves the range (faulting as needed) into its
+        // extents; fault accounting, and so every charged duration below,
+        // is per page.
+        match space.resolve_range(va, len, write) {
+            Ok((walked, work)) => {
+                let frames = space.pin_extents(&walked);
                 // Charge the walk and any proactive fault handling.
                 let mut cost = walk_cost;
                 let faults = (work.demand_zero + work.cow_remap + work.cow_copy) as u64;

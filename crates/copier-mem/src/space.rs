@@ -79,6 +79,15 @@ impl Prot {
         read: true,
         write: true,
     };
+
+    /// Whether this protection grants a write (`write`) or a read access.
+    fn permits(self, write: bool) -> bool {
+        if write {
+            self.write
+        } else {
+            self.read
+        }
+    }
 }
 
 /// A page-table entry.
@@ -443,7 +452,8 @@ impl AddressSpace {
             // cost off the service's host-time profile.
             let mut words = chunk.chunks_exact(8);
             for w in words.by_ref() {
-                h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
+                let x = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
+                h = (h ^ x).wrapping_mul(PRIME);
             }
             for &b in words.remainder() {
                 h = (h ^ b as u64).wrapping_mul(PRIME);
@@ -461,7 +471,10 @@ impl AddressSpace {
         h
     }
 
-    /// Resolves one page for an access, faulting as needed.
+    /// Resolves one page for an access, faulting as needed: the space's one
+    /// fault handler (demand-zero, CoW remap, CoW copy), which
+    /// [`Self::resolve_range`], `read_bytes` and `write_bytes` all go
+    /// through.
     ///
     /// Returns the backing frame and the work done (for cost charging).
     pub fn resolve(&self, va: VirtAddr, write: bool) -> Result<(FrameId, FaultWork), MemError> {
@@ -473,7 +486,7 @@ impl AddressSpace {
             ..FaultWork::default()
         };
         let vma = self.vma_for(va).ok_or(MemError::Segv(va))?;
-        if write && !vma.prot.write || !write && !vma.prot.read {
+        if !vma.prot.permits(write) {
             return Err(MemError::Segv(va));
         }
         let vpn = va.vpn();
@@ -535,62 +548,37 @@ impl AddressSpace {
         Ok((frame, work))
     }
 
-    /// Resolves a whole range (Copier's proactive fault handling, §4.5.4),
-    /// pinning every page. Returns the pinned frames in order and the total
-    /// fault work. On error nothing stays pinned.
-    pub fn resolve_and_pin_range(
-        &self,
-        va: VirtAddr,
-        len: usize,
-        write: bool,
-    ) -> Result<(Vec<FrameId>, FaultWork), MemError> {
-        if len == 0 {
-            return Err(MemError::BadRange);
+    /// Pins every frame the extents span and returns them in address order,
+    /// for a later [`Self::unpin_frames`]: a translated range stays locked
+    /// against `munmap` and remapping while a copy is in flight (§4.5.4).
+    pub fn pin_extents(&self, extents: &[Extent]) -> Vec<FrameId> {
+        let frames = frames_of(extents);
+        for &f in &frames {
+            self.pm.pin(f);
         }
-        let first = va.vpn();
-        let last = VirtAddr(va.0 + (len - 1) as u64).vpn();
-        let mut frames = Vec::with_capacity((last - first + 1) as usize);
-        let mut work = FaultWork::default();
-        for p in first..=last {
-            match self.resolve(VirtAddr(p * PAGE_SIZE as u64), write) {
-                Ok((f, w)) => {
-                    self.pm.pin(f);
-                    frames.push(f);
-                    work.add(w);
-                }
-                Err(e) => {
-                    for f in frames {
-                        self.pm.unpin(f);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok((frames, work))
+        frames
     }
 
-    /// Unpins frames previously pinned by [`Self::resolve_and_pin_range`].
+    /// Unpins frames previously pinned by [`Self::pin_extents`].
     pub fn unpin_frames(&self, frames: &[FrameId]) {
         for &f in frames {
             self.pm.unpin(f);
         }
     }
 
-    /// Batched translation: resolves `[va, va+len)` in one page-table walk
-    /// and emits maximal physically contiguous [`Extent`]s directly.
+    /// Translates `[va, va+len)` for an access, faulting as needed
+    /// (Copier's proactive fault handling, §4.5.4), into maximal physically
+    /// contiguous [`Extent`]s, and returns them with the fault work done.
     ///
-    /// Semantically identical to calling [`Self::resolve`] per page and
-    /// then [`Self::extents`] — same faults taken in the same order, same
-    /// per-page [`FaultWork`] accounting into `fault_stats`, same errors at
-    /// the same page — but the page table is borrowed once for the whole
-    /// range and the VMA is looked up once per VMA run instead of once per
-    /// page. This is the gather-path fast path (§4.5.4: the service
-    /// resolves whole transfer ranges up front); the per-page originals are
-    /// kept as the reference implementation for differential tests.
-    ///
-    /// Host-only optimization: the returned `FaultWork` is what callers
-    /// charge virtual time from, and it is byte-identical to the per-page
-    /// path's.
+    /// A *settled* range — every page in a VMA granting the access and
+    /// already mapped with the permission it needs, the steady state of a
+    /// warm transfer region — costs one ordered page-table scan, and
+    /// nothing faults. Any other range is resolved page by page through
+    /// [`Self::resolve`], in address order, so it takes the same faults,
+    /// books the same per-page [`FaultWork`] into `fault_stats` and fails
+    /// at the same page with the same error; the same scan then reads the
+    /// extents off what it mapped. Either way the work is one `walks` unit
+    /// per page, which is what callers charge virtual time from.
     pub fn resolve_range(
         &self,
         va: VirtAddr,
@@ -602,231 +590,82 @@ impl AddressSpace {
         }
         let first = va.vpn();
         let last = VirtAddr(va.0 + (len - 1) as u64).vpn();
-        if let Some(r) = self.resolve_range_settled(va, len, write, first, last) {
-            return Ok(r);
+        if self.grants(first, last, write) {
+            if let Ok(extents) = self.scan(va, len, write) {
+                let work = FaultWork {
+                    walks: (last - first + 1) as u32,
+                    ..FaultWork::default()
+                };
+                self.stats.borrow_mut().add(work);
+                return Ok((extents, work));
+            }
         }
-        let mut out: Vec<Extent> = Vec::new();
-        let mut total = FaultWork::default();
-        // One borrow for the whole walk. The allocator, VMA map, and fault
-        // stats live in their own cells, so faulting under this borrow is
-        // fine; nothing below re-enters the page table.
-        let mut pt = self.pt.borrow_mut();
-        let mut cached: Option<Vma> = None;
-        let mut remaining = len;
+        let mut work = FaultWork::default();
         for p in first..=last {
-            let page_va = VirtAddr(p * PAGE_SIZE as u64);
-            if page_va.0 >= KERNEL_BASE {
-                return Err(MemError::Segv(page_va));
-            }
-            let mut work = FaultWork {
-                walks: 1,
-                ..FaultWork::default()
-            };
-            // VMAs are disjoint, so the cached one stays authoritative for
-            // every consecutive page below its end.
-            if cached.as_ref().is_none_or(|v| page_va.0 >= v.end) {
-                cached = Some(self.vma_for(page_va).ok_or(MemError::Segv(page_va))?);
-            }
-            let vma = cached.as_ref().unwrap();
-            if write && !vma.prot.write || !write && !vma.prot.read {
-                return Err(MemError::Segv(page_va));
-            }
-            let frame = match pt.get(&p).copied() {
-                None => {
-                    // Demand-zero fault.
-                    let frame = self.pm.alloc()?;
-                    pt.insert(
-                        p,
-                        Pte {
-                            frame,
-                            writable: vma.prot.write,
-                            cow: false,
-                        },
-                    );
-                    work.demand_zero += 1;
-                    self.bump();
-                    frame
-                }
-                Some(pte) if write && !pte.writable => {
-                    if !pte.cow {
-                        return Err(MemError::Segv(page_va));
-                    }
-                    if self.pm.refcount(pte.frame) == 1 {
-                        // Sole owner: just restore write permission.
-                        pt.insert(
-                            p,
-                            Pte {
-                                frame: pte.frame,
-                                writable: true,
-                                cow: false,
-                            },
-                        );
-                        work.cow_remap += 1;
-                        self.bump();
-                        pte.frame
-                    } else {
-                        // Break CoW: allocate, copy, swing the PTE.
-                        let new = self.pm.alloc()?;
-                        work.bytes_copied += self.pm.copy_frame(new, pte.frame);
-                        self.pm.decref(pte.frame);
-                        pt.insert(
-                            p,
-                            Pte {
-                                frame: new,
-                                writable: true,
-                                cow: false,
-                            },
-                        );
-                        work.cow_copy += 1;
-                        self.bump();
-                        new
-                    }
-                }
-                Some(pte) => pte.frame,
-            };
-            self.stats.borrow_mut().add(work);
-            total.add(work);
-            let off = if p == first { va.page_off() } else { 0 };
-            let take = remaining.min(PAGE_SIZE - off);
-            match out.last_mut() {
-                Some(last_e)
-                    if off == 0
-                        && last_e.frame.0 as usize
-                            + (last_e.off + last_e.len).div_ceil(PAGE_SIZE)
-                            == frame.0 as usize
-                        && (last_e.off + last_e.len) % PAGE_SIZE == 0 =>
-                {
-                    last_e.len += take;
-                }
-                _ => out.push(Extent {
-                    frame,
-                    off,
-                    len: take,
-                }),
-            }
-            remaining -= take;
+            work.add(self.resolve(VirtAddr(p * PAGE_SIZE as u64), write)?.1);
         }
-        Ok((out, total))
+        // Every page was just resolved for this access, so the scan reads
+        // it back whole.
+        let extents = self.scan(va, len, write).map_err(MemError::Segv)?;
+        Ok((extents, work))
     }
 
-    /// Steady-state fast pass for [`Self::resolve_range`]: when every page
-    /// of the range is already mapped with sufficient permissions (the
-    /// common case once a transfer region is warm), the whole range
-    /// translates with one ordered page-table scan instead of a map lookup
-    /// per page, and no faulting machinery runs. Accounting is identical to
-    /// the per-page walk — one `walks` unit per page — added to
-    /// `fault_stats` in a single batch, which is observationally equivalent
-    /// because nothing reads the stats mid-call. Returns `None` (having
-    /// mutated nothing) whenever any page needs the faulting slow path.
-    fn resolve_range_settled(
-        &self,
-        va: VirtAddr,
-        len: usize,
-        write: bool,
-        first: u64,
-        last: u64,
-    ) -> Option<(Vec<Extent>, FaultWork)> {
-        if last * PAGE_SIZE as u64 >= KERNEL_BASE {
-            return None;
-        }
-        // Every page must sit in a VMA granting the access. VMAs are
-        // disjoint, so hop by VMA run rather than by page.
-        {
-            let vmas = self.vmas.borrow();
-            let mut p = first;
-            while p <= last {
-                let page_va = p * PAGE_SIZE as u64;
-                let (_, vma) = vmas.range(..=page_va).next_back()?;
-                if page_va >= vma.end || (write && !vma.prot.write) || (!write && !vma.prot.read) {
-                    return None;
-                }
-                p = vma.end.div_ceil(PAGE_SIZE as u64);
-            }
-        }
-        let pt = self.pt.borrow();
-        let pages = (last - first + 1) as usize;
-        let mut out: Vec<Extent> = Vec::new();
-        let mut expected = first;
-        let mut remaining = len;
-        for (&vpn, pte) in pt.range(first..=last) {
-            if vpn != expected || (write && !pte.writable) {
-                return None;
-            }
-            expected += 1;
-            let off = if vpn == first { va.page_off() } else { 0 };
-            let take = remaining.min(PAGE_SIZE - off);
-            match out.last_mut() {
-                Some(last_e)
-                    if off == 0
-                        && last_e.frame.0 as usize
-                            + (last_e.off + last_e.len).div_ceil(PAGE_SIZE)
-                            == pte.frame.0 as usize
-                        && (last_e.off + last_e.len) % PAGE_SIZE == 0 =>
-                {
-                    last_e.len += take;
-                }
-                _ => out.push(Extent {
-                    frame: pte.frame,
-                    off,
-                    len: take,
-                }),
-            }
-            remaining -= take;
-        }
-        if (expected - first) as usize != pages {
-            return None; // hole after the last present entry
-        }
-        let total = FaultWork {
-            walks: pages as u32,
-            ..FaultWork::default()
-        };
-        self.stats.borrow_mut().add(total);
-        Some((out, total))
-    }
-
-    /// Gather-path front end: [`Self::resolve_range`] plus pinning every
-    /// spanned frame. Returns the extents, the pinned frames in address
-    /// order (for later [`Self::unpin_frames`]), and the fault work. On
-    /// error nothing stays pinned.
-    pub fn resolve_and_pin_range_extents(
-        &self,
-        va: VirtAddr,
-        len: usize,
-        write: bool,
-    ) -> Result<(Vec<Extent>, Vec<FrameId>, FaultWork), MemError> {
-        let (extents, work) = self.resolve_range(va, len, write)?;
-        let frames = frames_of(&extents);
-        for &f in &frames {
-            self.pm.pin(f);
-        }
-        Ok((extents, frames, work))
-    }
-
-    /// The physically contiguous extents backing `[va, va+len)`.
-    ///
-    /// All pages must already be resolved (use
-    /// [`Self::resolve_and_pin_range`] first); this is a pure read of the
-    /// page table, as the dispatcher's subtask splitter requires.
+    /// The physically contiguous extents backing `[va, va+len)` as the page
+    /// table holds them now: a pure read that faults nothing, so every page
+    /// must already be resolved ([`Self::resolve_range`]). An unmapped page
+    /// is `Segv` at the first address of the range it holds.
     pub fn extents(&self, va: VirtAddr, len: usize) -> Result<Vec<Extent>, MemError> {
         if len == 0 {
             return Ok(Vec::new());
         }
+        self.scan(va, len, false).map_err(MemError::Segv)
+    }
+
+    /// Whether every page `first..=last` is a user page inside a VMA that
+    /// grants the access. VMAs are disjoint, so this hops by VMA, not by
+    /// page.
+    fn grants(&self, first: u64, last: u64, write: bool) -> bool {
+        if last * PAGE_SIZE as u64 >= KERNEL_BASE {
+            return false;
+        }
+        let vmas = self.vmas.borrow();
+        let mut p = first;
+        while p <= last {
+            let page_va = p * PAGE_SIZE as u64;
+            match vmas.range(..=page_va).next_back() {
+                Some((_, vma)) if page_va < vma.end && vma.prot.permits(write) => {
+                    p = vma.end.div_ceil(PAGE_SIZE as u64);
+                }
+                _ => return false,
+            }
+        }
+        true
+    }
+
+    /// The space's one extent builder: one ordered scan of the page-table
+    /// entries of `[va, va+len)`, merging each page into the extent before
+    /// it when its frame follows that extent's last one. `Err` is the first
+    /// address of the range whose page is unmapped or, for `write`,
+    /// write-protected.
+    fn scan(&self, va: VirtAddr, len: usize, write: bool) -> Result<Vec<Extent>, VirtAddr> {
+        let first = va.vpn();
+        let last = VirtAddr(va.0 + (len - 1) as u64).vpn();
         let pt = self.pt.borrow();
         let mut out: Vec<Extent> = Vec::new();
+        let mut next = first;
         let mut remaining = len;
-        let mut cur = va;
-        while remaining > 0 {
-            let pte = pt.get(&cur.vpn()).ok_or(MemError::Segv(cur))?;
-            let off = cur.page_off();
+        for (&vpn, pte) in pt.range(first..=last) {
+            if vpn != next || (write && !pte.writable) {
+                break;
+            }
+            let off = if vpn == first { va.page_off() } else { 0 };
             let take = remaining.min(PAGE_SIZE - off);
+            // Every extent but the range's last ends on a page boundary.
             match out.last_mut() {
-                Some(last)
-                    if off == 0
-                        && last.frame.0 as usize + (last.off + last.len).div_ceil(PAGE_SIZE)
-                            == pte.frame.0 as usize
-                        && (last.off + last.len) % PAGE_SIZE == 0 =>
+                Some(e)
+                    if e.frame.0 as usize + (e.off + e.len) / PAGE_SIZE == pte.frame.0 as usize =>
                 {
-                    last.len += take;
+                    e.len += take;
                 }
                 _ => out.push(Extent {
                     frame: pte.frame,
@@ -835,7 +674,10 @@ impl AddressSpace {
                 }),
             }
             remaining -= take;
-            cur = cur.add(take);
+            next += 1;
+        }
+        if next <= last {
+            return Err(VirtAddr((next * PAGE_SIZE as u64).max(va.0)));
         }
         Ok(out)
     }
@@ -1253,6 +1095,24 @@ mod tests {
         assert_eq!(total, 4 * PAGE_SIZE);
     }
 
+    /// The per-page reference: `resolve` page by page, in address order.
+    fn per_page(
+        asp: &AddressSpace,
+        va: VirtAddr,
+        len: usize,
+        write: bool,
+    ) -> Result<(Vec<FrameId>, FaultWork), MemError> {
+        let last = VirtAddr(va.0 + (len - 1) as u64).vpn();
+        let mut frames = Vec::new();
+        let mut work = FaultWork::default();
+        for p in va.vpn()..=last {
+            let (f, w) = asp.resolve(VirtAddr(p * PAGE_SIZE as u64), write)?;
+            frames.push(f);
+            work.add(w);
+        }
+        Ok((frames, work))
+    }
+
     #[test]
     fn resolve_range_matches_per_page_path() {
         // Two identically seeded spaces: one walked per page, one batched.
@@ -1269,14 +1129,11 @@ mod tests {
             let (_, b, _) = build(policy);
             let range = (va.add(123), 4 * PAGE_SIZE + 500);
 
-            let (ref_frames, ref_work) = a.resolve_and_pin_range(range.0, range.1, true).unwrap();
-            a.unpin_frames(&ref_frames);
-            let ref_ex = a.extents(range.0, range.1).unwrap();
-
+            let (ref_frames, ref_work) = per_page(&a, range.0, range.1, true).unwrap();
             let (ex, work) = b.resolve_range(range.0, range.1, true).unwrap();
-            assert_eq!(ex, ref_ex);
             assert_eq!(work, ref_work);
             assert_eq!(frames_of(&ex), ref_frames);
+            assert_eq!(ex, a.extents(range.0, range.1).unwrap());
             assert_eq!(a.fault_stats(), b.fault_stats());
         }
     }
@@ -1300,54 +1157,102 @@ mod tests {
     }
 
     #[test]
-    fn resolve_range_errors_match_and_pin_variant_unwinds() {
-        let (pm, asp) = setup(64, AllocPolicy::Sequential);
+    fn resolve_range_fails_where_per_page_fails() {
+        let (_, asp) = setup(64, AllocPolicy::Sequential);
         let ro = asp.mmap(2 * PAGE_SIZE, Prot::RO, true).unwrap();
-        assert!(matches!(
+        assert_eq!(
             asp.resolve_range(ro, 2 * PAGE_SIZE, true),
-            Err(MemError::Segv(_))
-        ));
-        assert!(matches!(
-            asp.resolve_range(ro, 0, false),
-            Err(MemError::BadRange)
-        ));
-        // A range running off the end of the VMA fails on the page past it
-        // and leaves nothing pinned.
+            Err(MemError::Segv(ro))
+        );
+        assert_eq!(asp.resolve_range(ro, 0, false), Err(MemError::BadRange));
+        // A range running off the end of the VMA faults its pages in, then
+        // fails on the page past it.
         let rw = asp.mmap(2 * PAGE_SIZE, Prot::RW, false).unwrap();
-        assert!(matches!(
-            asp.resolve_and_pin_range_extents(rw, 3 * PAGE_SIZE, true),
-            Err(MemError::Segv(_))
-        ));
-        assert_eq!(pm.pinned_frames(), 0);
+        let past = VirtAddr(rw.0 + 2 * PAGE_SIZE as u64);
+        assert_eq!(
+            asp.resolve_range(rw, 3 * PAGE_SIZE, true),
+            Err(MemError::Segv(past))
+        );
+        assert_eq!(asp.fault_stats().demand_zero, 2);
+        assert_eq!(asp.fault_stats().walks, 2);
+    }
+
+    /// What the settled scan must refuse, each a mutant it kills: a scan
+    /// without the VMA check hands out a page `munmap` left behind its
+    /// VMA; one that ignores `writable` hands a write the CoW-shared
+    /// frame; one that steps over a hole skips its demand-zero fault; one
+    /// that merges by page number, not frame, fuses scattered frames.
+    #[test]
+    fn the_settled_scan_refuses_what_resolve_refuses() {
+        let (_, asp) = setup(64, AllocPolicy::Sequential);
+        let va = asp.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        // Unmapping the first page drops the whole VMA, not the second PTE.
+        asp.munmap(va, PAGE_SIZE).unwrap();
+        let orphan = va.add(PAGE_SIZE);
+        assert!(asp.translate(orphan).is_some());
+        assert_eq!(
+            asp.resolve_range(orphan, 8, false),
+            Err(MemError::Segv(orphan))
+        );
+
+        let shared = asp.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        let _child = asp.fork(2).unwrap();
+        let before = asp.translate(shared).unwrap().frame;
+        let (ex, work) = asp.resolve_range(shared, 2 * PAGE_SIZE, true).unwrap();
+        assert_eq!(work.cow_copy, 2);
+        assert_ne!(ex[0].frame, before);
+
+        let holed = asp.mmap(3 * PAGE_SIZE, Prot::RW, false).unwrap();
+        asp.write_bytes(holed, &[1]).unwrap();
+        asp.write_bytes(holed.add(2 * PAGE_SIZE), &[1]).unwrap();
+        let (ex, work) = asp.resolve_range(holed, 3 * PAGE_SIZE, false).unwrap();
+        assert_eq!((work.walks, work.demand_zero), (3, 1));
+        assert_eq!(ex.iter().map(|e| e.len).sum::<usize>(), 3 * PAGE_SIZE);
+
+        let (_, scattered) = setup(64, AllocPolicy::Scattered);
+        let va = scattered.mmap(4 * PAGE_SIZE, Prot::RW, true).unwrap();
+        let (ex, _) = scattered.resolve_range(va, 4 * PAGE_SIZE, false).unwrap();
+        let frames = frames_of(&ex);
+        let runs = 1 + frames.windows(2).filter(|w| w[1].0 != w[0].0 + 1).count();
+        assert_eq!(ex.len(), runs);
+        assert_eq!(
+            frames,
+            per_page(&scattered, va, 4 * PAGE_SIZE, false).unwrap().0
+        );
     }
 
     #[test]
-    fn resolve_and_pin_blocks_munmap() {
+    fn extents_fail_at_the_first_unmapped_address() {
         let (_, asp) = setup(16, AllocPolicy::Sequential);
         let va = asp.mmap(2 * PAGE_SIZE, Prot::RW, false).unwrap();
-        let (frames, work) = asp.resolve_and_pin_range(va, 2 * PAGE_SIZE, true).unwrap();
-        assert_eq!(frames.len(), 2);
+        assert_eq!(
+            asp.extents(va.add(100), PAGE_SIZE),
+            Err(MemError::Segv(va.add(100)))
+        );
+        asp.write_bytes(va, &[1]).unwrap();
+        let second = VirtAddr(va.0 + PAGE_SIZE as u64);
+        assert_eq!(
+            asp.extents(va.add(100), PAGE_SIZE),
+            Err(MemError::Segv(second))
+        );
+        assert_eq!(asp.extents(va, 0), Ok(Vec::new()));
+    }
+
+    #[test]
+    fn pinned_range_blocks_munmap() {
+        let (pm, asp) = setup(16, AllocPolicy::Sequential);
+        let va = asp.mmap(2 * PAGE_SIZE, Prot::RW, false).unwrap();
+        let (ex, work) = asp.resolve_range(va, 2 * PAGE_SIZE, true).unwrap();
         assert_eq!(work.demand_zero, 2);
+        let frames = asp.pin_extents(&ex);
+        assert_eq!(frames.len(), 2);
+        assert_eq!(pm.pinned_frames(), 2);
         assert!(matches!(
             asp.munmap(va, 2 * PAGE_SIZE),
             Err(MemError::Pinned(_))
         ));
         asp.unpin_frames(&frames);
         asp.munmap(va, 2 * PAGE_SIZE).unwrap();
-    }
-
-    #[test]
-    fn pin_failure_unwinds_partial_pins() {
-        let (pm, asp) = setup(16, AllocPolicy::Sequential);
-        let va = asp.mmap(PAGE_SIZE, Prot::RW, false).unwrap();
-        // Range extends past the VMA: second page SEGVs.
-        let err = asp.resolve_and_pin_range(va, 2 * PAGE_SIZE, true);
-        assert!(matches!(err, Err(MemError::Segv(_))));
-        // The first page's frame must not be left pinned.
-        let (frames, _) = asp.resolve_and_pin_range(va, PAGE_SIZE, true).unwrap();
-        assert_eq!(pm.refcount(frames[0]), 1);
-        asp.unpin_frames(&frames);
-        asp.munmap(va, PAGE_SIZE).unwrap();
     }
 
     #[test]
@@ -1469,7 +1374,8 @@ mod alias_at_tests {
             asp.alias_at(dst.add(1), &asp, src, 1),
             Err(MemError::BadRange)
         ));
-        let (frames, _) = asp.resolve_and_pin_range(dst, PAGE_SIZE, true).unwrap();
+        let (ex, _) = asp.resolve_range(dst, PAGE_SIZE, true).unwrap();
+        let frames = asp.pin_extents(&ex);
         assert!(matches!(
             asp.alias_at(dst, &asp, src, 1),
             Err(MemError::Pinned(_))

@@ -6,17 +6,19 @@
 //! * `PhysMem::copy_run` (single coalesced memcpy/memmove) against both a
 //!   flat `Vec<u8>` model and the page-tiled `copy_run_paged` baseline,
 //!   over random op sequences including overlapping runs;
-//! * `AddressSpace::resolve_range` (batched walk + settled fast pass)
-//!   against the per-page `resolve` loop and `extents()`, on twin spaces
-//!   built from the same random script — including demand-zero, CoW
-//!   breaks after `fork`, read-only protection faults, and unmapped
-//!   guard pages. Extents, fault work, cumulative fault stats, and error
-//!   values must all agree.
+//! * `AddressSpace::resolve_range` (settled scan, or `resolve` per page
+//!   then the scan) against the per-page `resolve` loop with its extents
+//!   merged independently of the space's scan, on twin spaces built from
+//!   the same random script — including demand-zero, CoW breaks after
+//!   `fork`, read-only protection faults, unmapped guard pages, and pages
+//!   a partial `munmap` left outside any VMA. Extents, fault work,
+//!   cumulative fault stats, and error values must all agree.
 
 use std::rc::Rc;
 
 use copier_mem::{
-    frames_of, AddressSpace, AllocPolicy, FrameId, MemError, PhysMem, Prot, VirtAddr, PAGE_SIZE,
+    frames_of, AddressSpace, AllocPolicy, Extent, FrameId, MemError, PhysMem, Prot, VirtAddr,
+    PAGE_SIZE,
 };
 use copier_testkit::{check_with, shrink_vec, Config, TestRng};
 use copier_testkit::{prop_assert, prop_assert_eq};
@@ -157,10 +159,18 @@ enum SetupOp {
         len: usize,
     },
     Fork,
+    /// Unmaps a prefix of a region. A prefix shorter than the region drops
+    /// its whole VMA but only the prefix's page-table entries, leaving the
+    /// rest mapped in the page table and outside any VMA.
+    Unmap {
+        space: usize,
+        region: usize,
+        pages: usize,
+    },
 }
 
 fn gen_setup_op(rng: &mut TestRng) -> SetupOp {
-    match rng.gen_range(10) {
+    match rng.gen_range(11) {
         0..=3 => SetupOp::Mmap {
             pages: rng.range_usize(1, 7),
             writable: rng.gen_bool(0.8),
@@ -172,7 +182,12 @@ fn gen_setup_op(rng: &mut TestRng) -> SetupOp {
             off: rng.range_usize(0, 3 * PAGE_SIZE),
             len: rng.range_usize(1, 2 * PAGE_SIZE),
         },
-        _ => SetupOp::Fork,
+        8 | 9 => SetupOp::Fork,
+        _ => SetupOp::Unmap {
+            space: rng.range_usize(0, 4),
+            region: rng.range_usize(0, 8),
+            pages: rng.range_usize(1, 7),
+        },
     }
 }
 
@@ -243,6 +258,23 @@ fn shrink_setup_op(op: &SetupOp) -> Vec<SetupOp> {
             out.retain(|c| c != op);
         }
         SetupOp::Fork => {}
+        SetupOp::Unmap {
+            space,
+            region,
+            pages,
+        } => {
+            out.push(SetupOp::Unmap {
+                space: 0,
+                region,
+                pages,
+            });
+            out.push(SetupOp::Unmap {
+                space,
+                region,
+                pages: pages / 2,
+            });
+            out.retain(|c| c != op && !matches!(c, SetupOp::Unmap { pages: 0, .. }));
+        }
     }
     out
 }
@@ -366,21 +398,34 @@ fn build(script: &[SetupOp]) -> (Rc<PhysMem>, Vec<Rc<AddressSpace>>, Vec<(VirtAd
                 let child = spaces[0].fork(child_id).unwrap();
                 spaces.push(child);
             }
+            SetupOp::Unmap {
+                space,
+                region,
+                pages,
+            } => {
+                if regions.is_empty() {
+                    continue;
+                }
+                let asp = &spaces[space % spaces.len()];
+                let (va, bytes) = regions[region % regions.len()];
+                // Nothing is pinned during setup, so this cannot fail.
+                asp.munmap(va, (pages * PAGE_SIZE).min(bytes)).unwrap();
+            }
         }
     }
     (pm, spaces, regions)
 }
 
 /// Per-page reference for the gather walk: `resolve` page by page, then
-/// `extents()` over the whole window. Mirrors exactly what
-/// `resolve_range` replaced.
+/// the extents merged from those frames here, page piece by page piece,
+/// not by the space's own scan. It is what `resolve_range` replaced.
 #[allow(clippy::type_complexity)]
 fn reference_walk(
     asp: &AddressSpace,
     va: VirtAddr,
     len: usize,
     write: bool,
-) -> Result<(Vec<copier_mem::Extent>, Vec<FrameId>, copier_mem::FaultWork), MemError> {
+) -> Result<(Vec<Extent>, Vec<FrameId>, copier_mem::FaultWork), MemError> {
     let first = va.vpn();
     let last = VirtAddr(va.0 + (len - 1) as u64).vpn();
     let mut frames = Vec::new();
@@ -390,7 +435,21 @@ fn reference_walk(
         frames.push(f);
         work.add(w);
     }
-    let extents = asp.extents(va, len)?;
+    let mut extents: Vec<Extent> = Vec::new();
+    let mut done = 0;
+    for (i, &frame) in frames.iter().enumerate() {
+        let off = if i == 0 { va.page_off() } else { 0 };
+        let take = (len - done).min(PAGE_SIZE - off);
+        match extents.last_mut() {
+            Some(e) if i > 0 && frames[i - 1].0 + 1 == frame.0 => e.len += take,
+            _ => extents.push(Extent {
+                frame,
+                off,
+                len: take,
+            }),
+        }
+        done += take;
+    }
     Ok((extents, frames, work))
 }
 
@@ -432,11 +491,12 @@ fn resolve_range_matches_per_page_reference() {
         }
         prop_assert_eq!(a.fault_stats(), b.fault_stats(), "post-walk stats");
 
-        // Pinning front end: success pins exactly the spanned frames,
-        // and unpinning drops the pool back to zero pinned. Errors
-        // leave nothing pinned.
-        if let Ok((ex, frames, _)) = a.resolve_and_pin_range_extents(va, len, q.write) {
+        // Pinning a translation pins exactly the spanned frames, and
+        // unpinning drops the pool back to zero pinned.
+        if let Ok((ex, _)) = a.resolve_range(va, len, q.write) {
+            let frames = a.pin_extents(&ex);
             prop_assert_eq!(&frames, &frames_of(&ex), "pinned frames");
+            prop_assert_eq!(pm_a.pinned_frames(), frames.len(), "pinned count");
             a.unpin_frames(&frames);
         }
         prop_assert_eq!(pm_a.pinned_frames(), 0, "pinned leak");

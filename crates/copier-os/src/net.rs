@@ -378,7 +378,8 @@ impl NetStack {
                     return r;
                 }
                 core.advance(ZC_SETUP).await;
-                let (frames, work) = proc.space.resolve_and_pin_range(va, len, false)?;
+                let (extents, work) = proc.space.resolve_range(va, len, false)?;
+                let frames = proc.space.pin_extents(&extents);
                 core.advance(Nanos(
                     self.os.cost.pte_walk.as_nanos() * frames.len() as u64
                         + self.os.cost.page_fault.as_nanos()
@@ -674,6 +675,41 @@ mod tests {
             assert!(done.is_done());
         });
         sim.run();
+    }
+
+    /// What a zero-copy send charges for pinning its pages: one walk per
+    /// page and one fault per page it had to back. Pages not yet touched
+    /// fault in demand-zero; a CoW-shared page is only read, so it stays
+    /// shared and costs a walk.
+    #[test]
+    fn zerocopy_send_charges_a_walk_per_page_and_a_fault_per_backed_page() {
+        let (mut sim, os, net) = setup(1, false);
+        let core = os.machine.core(0);
+        let p = os.spawn_process();
+        let (a, _b) = net.socket_pair();
+        let h = sim.handle();
+        let cost = Rc::clone(&os.cost);
+        let pm = Rc::clone(&os.pm);
+        let len = 6 * PAGE_SIZE;
+        let tx = p.space.mmap(len, Prot::RW, false).unwrap();
+        p.space.write_bytes(tx, &[1u8; 2 * PAGE_SIZE]).unwrap();
+        let _child = p.space.fork(99).unwrap();
+        let took = Rc::new(Cell::new(Nanos::ZERO));
+        let took2 = Rc::clone(&took);
+        sim.spawn("t", async move {
+            let t0 = h.now();
+            net.send(&core, &p, &a, tx, len, IoMode::ZeroCopy)
+                .await
+                .unwrap();
+            took2.set(h.now() - t0);
+            assert_eq!(pm.pinned_frames(), 6);
+            assert_eq!(p.space.fault_stats().demand_zero, 2 + 4);
+        });
+        sim.run();
+        let walks = Nanos(cost.pte_walk.as_nanos() * 6);
+        let faults = Nanos(cost.page_fault.as_nanos() * 4);
+        let expected = cost.syscall + ZC_SETUP + walks + faults + cost.tlb_shootdown + NET_PROC;
+        assert_eq!(took.get(), expected);
     }
 
     /// A zero-copy send whose receive-side skb finds no contiguous run in

@@ -28,6 +28,17 @@ filters=$(grep -rnE 'shard\.get\(\) *[!=]=|[!=]= *[A-Za-z_.()]*shard\.get\(\)' c
 tables=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? +)?[a-z_][a-z_0-9]*: .*Vec<Rc<Client>>' crates/copier-core/src \
     | grep -v '^crates/copier-core/src/service/aggregates\.rs:' || true)
 [ -z "$tables" ] || { echo "a client list outside ShardState in:"; echo "$tables"; exit 1; }
+# An address space translates a range one way (DESIGN.md §12): `resolve` is
+# the one fault handler, so each kind of fault is booked on one line of
+# `copier-mem/src/space.rs`, and its private `scan` is the one place
+# copier-mem builds an `Extent` from page-table entries.
+faults=$(grep -rnE '(demand_zero|cow_remap|cow_copy) \+= 1\b' crates/*/src || true)
+[ "$(printf '%s\n' "$faults" | grep -c '^crates/copier-mem/src/space\.rs:')" = 3 ] \
+    && [ "$(printf '%s\n' "$faults" | grep -c .)" = 3 ] \
+    || { echo "faults booked outside AddressSpace::resolve:"; echo "$faults"; exit 1; }
+builders=$(grep -rnE '(^|[^A-Za-z_])Extent \{' crates/copier-mem/src | grep -v 'struct Extent {' || true)
+[ "$(printf '%s\n' "$builders" | grep -c .)" = 1 ] \
+    || { echo "extents built in more than one place:"; echo "$builders"; exit 1; }
 # No file of the service crate outgrows 1,000 lines, and no function of
 # the service 100 code lines: `service/mod.rs` denies
 # `clippy::too_many_lines` for its whole module tree (threshold in
