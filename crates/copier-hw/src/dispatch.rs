@@ -21,7 +21,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use copier_mem::{Extent, PhysMem};
+use copier_mem::PhysMem;
 use copier_sim::{Again, Core, Nanos};
 
 use crate::cost::{CostModel, CpuCopyKind};
@@ -119,45 +119,6 @@ pub struct Dispatcher {
     /// Task ids whose corruption survived the repair budget this batch,
     /// drained by the service after `execute_batch`.
     corrupted: RefCell<Vec<u64>>,
-}
-
-/// FNV digest of a physical extent — full-extent when `full`, else the
-/// first and last 64 bytes. Only comparable against digests from this
-/// same function at the same coverage.
-fn extent_phys_digest(pm: &PhysMem, ext: Extent, full: bool) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (ext.len as u64);
-    h = h.wrapping_mul(PRIME);
-    let mut fold = |chunk: &[u8]| {
-        let mut words = chunk.chunks_exact(8);
-        for w in words.by_ref() {
-            h = (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(PRIME);
-        }
-        for &b in words.remainder() {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
-        }
-    };
-    let mut buf = [0u8; 4096];
-    if full {
-        let mut done = 0usize;
-        while done < ext.len {
-            let take = (ext.len - done).min(buf.len());
-            pm.read_run(ext.frame, ext.off + done, &mut buf[..take]);
-            fold(&buf[..take]);
-            done += take;
-        }
-    } else {
-        let head = ext.len.min(64);
-        pm.read_run(ext.frame, ext.off, &mut buf[..head]);
-        fold(&buf[..head]);
-        if ext.len > 64 {
-            let tail = (ext.len - 64).max(head);
-            let n = ext.len - tail;
-            pm.read_run(ext.frame, ext.off + tail, &mut buf[..n]);
-            fold(&buf[..n]);
-        }
-    }
-    h
 }
 
 impl Dispatcher {
@@ -364,11 +325,9 @@ impl Dispatcher {
                         let expect = match policy {
                             VerifyPolicy::Off => None,
                             VerifyPolicy::Sampled => {
-                                Some((extent_phys_digest(&self.pm, st.src, false), false))
+                                Some((self.pm.extent_digest(st.src, false), false))
                             }
-                            VerifyPolicy::Full => {
-                                Some((extent_phys_digest(&self.pm, st.src, true), true))
-                            }
+                            VerifyPolicy::Full => Some((self.pm.extent_digest(st.src, true), true)),
                         };
                         let p = Rc::clone(&progress);
                         let task_id = task.task_id;
@@ -446,7 +405,7 @@ impl Dispatcher {
                         // The device believes this transfer succeeded; the
                         // digest is the only thing that can contradict it.
                         if let Some((want, full)) = expect {
-                            if extent_phys_digest(&self.pm, c.subtask.dst, full) != want {
+                            if self.pm.extent_digest(c.subtask.dst, full) != want {
                                 report.corruptions += 1;
                                 dma.note_corruption(c.channel);
                                 if self.repair(core, dma, &c.subtask, want, full).await {
@@ -526,7 +485,7 @@ impl Dispatcher {
         /// task up as [`Dispatcher::take_corrupted`].
         const REPAIR_LIMIT: u32 = 2;
         for _ in 0..REPAIR_LIMIT {
-            if extent_phys_digest(&self.pm, st.src, full) != want {
+            if self.pm.extent_digest(st.src, full) != want {
                 return false;
             }
             if dma.live_channels() > 0 {
@@ -536,7 +495,7 @@ impl Dispatcher {
                 if c.is_done() {
                     // A corrupted *repair* is a verified strike too — a
                     // channel that damages retries gets retired faster.
-                    if extent_phys_digest(&self.pm, st.dst, full) != want {
+                    if self.pm.extent_digest(st.dst, full) != want {
                         dma.note_corruption(c.channel);
                     }
                 } else {
@@ -550,7 +509,7 @@ impl Dispatcher {
                 copy_extent_pair(&self.pm, st.dst, st.src);
                 core.cache.note_inline_copy(st.len());
             }
-            if extent_phys_digest(&self.pm, st.dst, full) == want {
+            if self.pm.extent_digest(st.dst, full) == want {
                 return true;
             }
         }
@@ -1051,5 +1010,80 @@ mod tests {
         // submission costs and integer page granularity.
         let speedup = cpu_only.as_nanos() as f64 / hybrid.as_nanos() as f64;
         assert!(speedup > 1.15, "speedup = {speedup}");
+    }
+
+    /// The copy-verification digest of thirteen extents, head/tail and
+    /// full, pinned to the values the dispatcher's own copy of the fold
+    /// computed before it moved into `copier-mem` (commit b9e3092).
+    #[test]
+    fn extent_digests_keep_their_values() {
+        let pm = PhysMem::new(16, AllocPolicy::Sequential);
+        let base = pm.alloc_contiguous(4).unwrap();
+        let mut bytes = vec![0u8; 4 * PAGE_SIZE];
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for b in bytes.iter_mut() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            *b = x as u8;
+        }
+        pm.write_run(base, 0, &bytes);
+        let cases = [
+            (0usize, 0usize),
+            (0, 1),
+            (3, 7),
+            (0, 63),
+            (5, 64),
+            (1, 65),
+            (4000, 100),
+            (8, 128),
+            (0, 4095),
+            (0, 4096),
+            (17, 4097),
+            (100, 9000),
+            (0, 4 * PAGE_SIZE),
+        ];
+        let got: Vec<u64> = cases
+            .iter()
+            .flat_map(|&(off, len)| {
+                let ext = Extent {
+                    frame: base,
+                    off,
+                    len,
+                };
+                [pm.extent_digest(ext, false), pm.extent_digest(ext, true)]
+            })
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0xaf63_bd4c_8601_b7df,
+                0xaf63_bd4c_8601_b7df,
+                0x082f_7707_b4e9_1d33,
+                0x082f_7707_b4e9_1d33,
+                0x752d_6d7d_5d63_58d1,
+                0x752d_6d7d_5d63_58d1,
+                0x1006_f929_81d6_fd90,
+                0x1006_f929_81d6_fd90,
+                0x04c8_6ad2_a169_dd6d,
+                0x04c8_6ad2_a169_dd6d,
+                0xb794_92a7_7b7f_604f,
+                0xb794_92a7_7b7f_604f,
+                0xe254_efdd_9307_9a46,
+                0xe254_efdd_9307_9a46,
+                0x8530_02e4_eda7_f61a,
+                0x8530_02e4_eda7_f61a,
+                0x2be5_2e98_d2aa_609c,
+                0xc049_611b_55ca_7a27,
+                0x543a_3ada_64d6_2761,
+                0x235a_fad3_f6de_0769,
+                0xf628_205b_a666_e85a,
+                0x07aa_3e29_0e18_33eb,
+                0x1e05_7e8d_3e16_2a18,
+                0xa5b9_fab9_aad6_c705,
+                0xc7e5_e9d7_d985_b0bd,
+                0x5928_8bb5_0d89_4760,
+            ]
+        );
     }
 }

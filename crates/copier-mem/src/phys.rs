@@ -27,6 +27,8 @@
 
 use std::cell::{Cell, RefCell};
 
+use crate::space::Extent;
+
 /// Size of one page/frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
 
@@ -118,6 +120,41 @@ struct DigestState {
     hashed: u64,
 }
 
+/// FNV-1a offset basis and prime: the one pair behind every digest in
+/// this crate (`copier-mem` depends on nothing, so it keeps its own copy
+/// of `copier_sim::wire`'s).
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// One FNV-1a step over a whole 64-bit word: a multiply per 8 bytes.
+fn fnv_word(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(FNV_PRIME)
+}
+
+/// The seed of an extent digest: the offset basis with the length folded
+/// in, so equal prefixes of different lengths differ.
+pub(crate) fn extent_seed(len: usize) -> u64 {
+    (FNV_OFFSET ^ len as u64).wrapping_mul(FNV_PRIME)
+}
+
+/// Word-at-a-time FNV-1a of `bytes` from accumulator `h`: little-endian
+/// words, then the remainder bytes one at a time. Only ever compared with
+/// digests folded over the same chunks, so its mixing step is free to
+/// differ from byte-FNV — and it keeps sampling cheap.
+pub(crate) fn fold_words(h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(h, |h, w| {
+        fnv_word(
+            h,
+            u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")),
+        )
+    });
+    words
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| fnv_word(h, b as u64))
+}
+
 /// One allocated frame's term of [`PhysMem::digest`]: word-at-a-time
 /// FNV-1a over its bytes (one multiply per 8 bytes) in four interleaved
 /// lanes, so the multiplies of one 32-byte step do not wait on each
@@ -127,18 +164,14 @@ struct DigestState {
 /// its own, and the id keeps identical bytes in different frames from
 /// cancelling under a swap.
 fn frame_term(id: usize, bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x100_0000_01b3;
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut lanes = [OFFSET, OFFSET ^ 1, OFFSET ^ 2, OFFSET ^ 3];
+    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
     for step in bytes.chunks_exact(32) {
         for (lane, w) in lanes.iter_mut().zip(step.chunks_exact(8)) {
             let x = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-            *lane = (*lane ^ x).wrapping_mul(PRIME);
+            *lane = fnv_word(*lane, x);
         }
     }
-    let h = lanes
-        .into_iter()
-        .fold(OFFSET, |h, lane| (h ^ lane).wrapping_mul(PRIME));
+    let h = lanes.into_iter().fold(FNV_OFFSET, fnv_word);
     let mut z = h ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -427,6 +460,28 @@ impl PhysMem {
         self.check_run(f, off, buf.len());
         let base = f.0 as usize * PAGE_SIZE + off;
         buf.copy_from_slice(&self.arena.borrow()[base..base + buf.len()]);
+    }
+
+    /// Digest of the physical extent `ext` — every byte when `full`, else
+    /// the first and last 64 bytes — folded in 4 KiB chunks from its
+    /// start. Only comparable with digests from this same function at the
+    /// same coverage (the dispatcher's copy verification).
+    pub fn extent_digest(&self, ext: Extent, full: bool) -> u64 {
+        let h = extent_seed(ext.len);
+        if ext.len == 0 {
+            return h;
+        }
+        self.check_run(ext.frame, ext.off, ext.len);
+        let base = ext.frame.0 as usize * PAGE_SIZE + ext.off;
+        let arena = self.arena.borrow();
+        let bytes = &arena[base..base + ext.len];
+        if full {
+            bytes.chunks(PAGE_SIZE).fold(h, fold_words)
+        } else {
+            let head = ext.len.min(64);
+            let tail = ext.len.saturating_sub(64).max(head);
+            fold_words(fold_words(h, &bytes[..head]), &bytes[tail..])
+        }
     }
 
     /// Writes `buf` over a physically contiguous run (may span many

@@ -18,7 +18,7 @@ use std::fmt;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::phys::{FrameId, PhysError, PhysMem, PAGE_SIZE};
+use crate::phys::{extent_seed, fold_words, FrameId, PhysError, PhysMem, PAGE_SIZE};
 
 /// A virtual address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -415,9 +415,7 @@ impl AddressSpace {
     ///
     /// Digests are only comparable between calls with the same stride.
     pub fn extent_digest_stride(&self, va: VirtAddr, len: usize, stride: usize) -> u64 {
-        const PRIME: u64 = 0x100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (len as u64);
-        h = h.wrapping_mul(PRIME);
+        let mut h = extent_seed(len);
         if len == 0 {
             return h;
         }
@@ -445,19 +443,7 @@ impl AddressSpace {
             } else {
                 chunk.fill(0);
             }
-            // Word-at-a-time fold: the digest is only ever compared for
-            // equality against digests from this same function at the
-            // same stride, so the wider mixing step is free to differ
-            // from byte-FNV — and it keeps the per-admission sampling
-            // cost off the service's host-time profile.
-            let mut words = chunk.chunks_exact(8);
-            for w in words.by_ref() {
-                let x = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-                h = (h ^ x).wrapping_mul(PRIME);
-            }
-            for &b in words.remainder() {
-                h = (h ^ b as u64).wrapping_mul(PRIME);
-            }
+            h = fold_words(h, chunk);
             if stride == 0 {
                 // Head/tail only: jump from the head straight to the tail.
                 if vpn == last_vpn {

@@ -16,7 +16,9 @@
 //! * [`CacheModel`] — the §6.3.5 cache-pollution proxy;
 //! * [`SimRng`] — a seeded PRNG for workload generation;
 //! * [`Tracer`] / [`Trace`] — the rr-style record/replay event log with
-//!   lockstep divergence checking (DESIGN.md §14).
+//!   lockstep divergence checking (DESIGN.md §14);
+//! * [`wire`] — the varint/FNV byte format and the `wire_table!` record
+//!   macro under the trace and the control-plane journal.
 //!
 //! Simulated *data is real*: higher layers really move bytes between real
 //! buffers at event time; only durations come from cost models.
@@ -37,6 +39,7 @@ mod spin_oracle;
 pub mod sync;
 pub mod time;
 pub mod trace;
+pub mod wire;
 pub mod workload;
 
 pub use cache::{CacheConfig, CacheModel};

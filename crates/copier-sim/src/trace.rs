@@ -33,286 +33,64 @@ pub const TRACE_MAGIC: [u8; 4] = *b"CPTR";
 /// instead of replaying to a spurious divergence at its first round.
 pub const TRACE_VERSION: u8 = 3;
 
-/// FNV-1a offset basis — the digest seed used by every state hash.
-pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
+use crate::wire::Field;
+pub use crate::wire::{fnv_fold, FNV_OFFSET};
 
-/// Folds one 64-bit word into an FNV-1a accumulator (word-at-a-time
-/// variant; all trace state hashes use this so record and replay agree).
-pub fn fnv_fold(h: u64, w: u64) -> u64 {
-    let mut h = h;
-    for b in w.to_le_bytes() {
-        h = (h ^ b as u64).wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// One recorded event. Integer payloads only — the codec is a tag byte
-/// plus LEB128 varints, so common events are 2–6 bytes on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// Harness-defined metadata (workload parameters, case seeds). Keys
-    /// are owned by the recording harness; replay reconstructs its case
-    /// from them.
-    Meta { key: u32, val: u64 },
-    /// One workload submission (tenant, virtual instant, bytes) — the
-    /// consume-from-log input for [`crate::workload::WorkloadPlan`].
-    Submission { tenant: u32, at: u64, len: u64 },
-    /// A batch of race instants drawn from the fault plan.
-    RaceTimes { times: Vec<u64> },
-    /// A shard's service round began (lazy: only emitted for rounds that
-    /// produce at least one other event). `round` is the shard-local
-    /// round counter; a lone shard is shard 0.
-    RoundStart { shard: u32, round: u64, now: u64 },
-    /// The drain boundary: copy entries and sync tasks pulled this round.
-    Drained { copies: u64, syncs: u64 },
-    /// One admission decision at the drain boundary.
-    Admit {
-        client: u32,
-        len: u64,
-        admitted: bool,
-    },
-    /// The scheduler picked a client this round.
-    SchedPick { client: u32 },
-    /// One DMA fault-plan draw: 0 none, 1 transient, 2 hard, 3 timeout.
-    DmaDraw { fault: u8 },
-    /// One ATCache staleness draw.
-    AtcDraw { stale: bool },
-    /// A descriptor state transition: a window entry was finalized.
-    /// `fault` is 0 for clean completion (see the service's encoding).
-    TaskDone { tid: u64, fault: u8 },
-    /// Round boundary with state hashes: the pending windows and address
-    /// indexes of the shard's clients, and its stats digest. Lets replay
-    /// pinpoint the first divergent `(shard, round)` pair instead of just
-    /// a position in the stream.
-    RoundEnd {
-        shard: u32,
-        round: u64,
-        pending: u64,
-        index: u64,
-        stats: u64,
-    },
-    /// Periodic physical-memory digest (checkpoint granularity; see
-    /// DESIGN.md §14 for why it is not per-round).
-    MemDigest { round: u64, digest: u64 },
-    /// One crash-oracle draw at a round sub-step (`point` is the
-    /// [`crate::fault::CrashPoint`] wire code; `fire` whether the
-    /// service died there).
-    CrashDraw { point: u8, fire: bool },
-    /// One silent-corruption draw for a DMA transfer: `kind` is 0 for
-    /// none, 1 for a bit flip (`arg` = bit position), 2 for a
-    /// misdirected write (`arg` = offset shift). See
-    /// [`crate::fault::SilentCorruption`].
-    CorruptDraw { kind: u8, arg: u64 },
-    /// One pinned-page bit-rot draw: `hit` whether rot fires this
-    /// round, `pos` the seeded bit position it lands on.
-    RotDraw { hit: bool, pos: u64 },
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
-    let mut v = 0u64;
-    let mut shift = 0u32;
-    loop {
-        let &b = buf.get(*pos).ok_or("truncated varint")?;
-        *pos += 1;
-        if shift >= 64 {
-            return Err("varint overflow".into());
-        }
-        v |= ((b & 0x7f) as u64) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-impl TraceEvent {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        match self {
-            TraceEvent::Meta { key, val } => {
-                out.push(0);
-                put_varint(out, *key as u64);
-                put_varint(out, *val);
-            }
-            TraceEvent::Submission { tenant, at, len } => {
-                out.push(1);
-                put_varint(out, *tenant as u64);
-                put_varint(out, *at);
-                put_varint(out, *len);
-            }
-            TraceEvent::RaceTimes { times } => {
-                out.push(2);
-                put_varint(out, times.len() as u64);
-                for &t in times {
-                    put_varint(out, t);
-                }
-            }
-            TraceEvent::RoundStart { shard, round, now } => {
-                out.push(3);
-                put_varint(out, *shard as u64);
-                put_varint(out, *round);
-                put_varint(out, *now);
-            }
-            TraceEvent::Drained { copies, syncs } => {
-                out.push(4);
-                put_varint(out, *copies);
-                put_varint(out, *syncs);
-            }
-            TraceEvent::Admit {
-                client,
-                len,
-                admitted,
-            } => {
-                out.push(5);
-                put_varint(out, *client as u64);
-                put_varint(out, *len);
-                out.push(*admitted as u8);
-            }
-            TraceEvent::SchedPick { client } => {
-                out.push(6);
-                put_varint(out, *client as u64);
-            }
-            TraceEvent::DmaDraw { fault } => {
-                out.push(7);
-                out.push(*fault);
-            }
-            TraceEvent::AtcDraw { stale } => {
-                out.push(8);
-                out.push(*stale as u8);
-            }
-            TraceEvent::TaskDone { tid, fault } => {
-                out.push(9);
-                put_varint(out, *tid);
-                out.push(*fault);
-            }
-            TraceEvent::RoundEnd {
-                shard,
-                round,
-                pending,
-                index,
-                stats,
-            } => {
-                out.push(10);
-                put_varint(out, *shard as u64);
-                put_varint(out, *round);
-                put_varint(out, *pending);
-                put_varint(out, *index);
-                put_varint(out, *stats);
-            }
-            TraceEvent::MemDigest { round, digest } => {
-                out.push(11);
-                put_varint(out, *round);
-                put_varint(out, *digest);
-            }
-            TraceEvent::CrashDraw { point, fire } => {
-                out.push(12);
-                out.push(*point);
-                out.push(*fire as u8);
-            }
-            TraceEvent::CorruptDraw { kind, arg } => {
-                out.push(13);
-                out.push(*kind);
-                put_varint(out, *arg);
-            }
-            TraceEvent::RotDraw { hit, pos } => {
-                out.push(14);
-                out.push(*hit as u8);
-                put_varint(out, *pos);
-            }
-        }
-    }
-
-    fn decode_from(buf: &[u8], pos: &mut usize) -> Result<TraceEvent, String> {
-        let &tag = buf.get(*pos).ok_or("truncated event tag")?;
-        *pos += 1;
-        let byte = |pos: &mut usize| -> Result<u8, String> {
-            let &b = buf.get(*pos).ok_or("truncated event byte")?;
-            *pos += 1;
-            Ok(b)
-        };
-        Ok(match tag {
-            0 => TraceEvent::Meta {
-                key: get_varint(buf, pos)? as u32,
-                val: get_varint(buf, pos)?,
-            },
-            1 => TraceEvent::Submission {
-                tenant: get_varint(buf, pos)? as u32,
-                at: get_varint(buf, pos)?,
-                len: get_varint(buf, pos)?,
-            },
-            2 => {
-                let n = get_varint(buf, pos)? as usize;
-                if n > buf.len() {
-                    return Err("race-time count exceeds trace size".into());
-                }
-                let mut times = Vec::with_capacity(n);
-                for _ in 0..n {
-                    times.push(get_varint(buf, pos)?);
-                }
-                TraceEvent::RaceTimes { times }
-            }
-            3 => TraceEvent::RoundStart {
-                shard: get_varint(buf, pos)? as u32,
-                round: get_varint(buf, pos)?,
-                now: get_varint(buf, pos)?,
-            },
-            4 => TraceEvent::Drained {
-                copies: get_varint(buf, pos)?,
-                syncs: get_varint(buf, pos)?,
-            },
-            5 => TraceEvent::Admit {
-                client: get_varint(buf, pos)? as u32,
-                len: get_varint(buf, pos)?,
-                admitted: byte(pos)? != 0,
-            },
-            6 => TraceEvent::SchedPick {
-                client: get_varint(buf, pos)? as u32,
-            },
-            7 => TraceEvent::DmaDraw { fault: byte(pos)? },
-            8 => TraceEvent::AtcDraw {
-                stale: byte(pos)? != 0,
-            },
-            9 => TraceEvent::TaskDone {
-                tid: get_varint(buf, pos)?,
-                fault: byte(pos)?,
-            },
-            10 => TraceEvent::RoundEnd {
-                shard: get_varint(buf, pos)? as u32,
-                round: get_varint(buf, pos)?,
-                pending: get_varint(buf, pos)?,
-                index: get_varint(buf, pos)?,
-                stats: get_varint(buf, pos)?,
-            },
-            11 => TraceEvent::MemDigest {
-                round: get_varint(buf, pos)?,
-                digest: get_varint(buf, pos)?,
-            },
-            12 => TraceEvent::CrashDraw {
-                point: byte(pos)?,
-                fire: byte(pos)? != 0,
-            },
-            13 => TraceEvent::CorruptDraw {
-                kind: byte(pos)?,
-                arg: get_varint(buf, pos)?,
-            },
-            14 => TraceEvent::RotDraw {
-                hit: byte(pos)? != 0,
-                pos: get_varint(buf, pos)?,
-            },
-            t => return Err(format!("unknown event tag {t}")),
-        })
+crate::wire_table! {
+    /// One recorded event. Integer payloads only — on the wire a tag byte,
+    /// then each field in row order ([`crate::wire`]: `u8`/`bool` a raw
+    /// byte, `u32`/`u64` a LEB128 varint, `Vec<u64>` a count then
+    /// varints), so common events are 2–6 bytes. A new event takes a new
+    /// tag: never 15 or 16 (version 2's retired per-shard round frame), and
+    /// a changed row bumps [`TRACE_VERSION`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum TraceEvent {
+        /// Harness-defined metadata (workload parameters, case seeds). Keys
+        /// are owned by the recording harness; replay reconstructs its case
+        /// from them.
+        0 => Meta { key: u32, val: u64 },
+        /// One workload submission (tenant, virtual instant, bytes) — the
+        /// consume-from-log input for [`crate::workload::WorkloadPlan`].
+        1 => Submission { tenant: u32, at: u64, len: u64 },
+        /// A batch of race instants drawn from the fault plan.
+        2 => RaceTimes { times: Vec<u64> },
+        /// A shard's service round began (lazy: only emitted for rounds that
+        /// produce at least one other event). `round` is the shard-local
+        /// round counter; a lone shard is shard 0.
+        3 => RoundStart { shard: u32, round: u64, now: u64 },
+        /// The drain boundary: copy entries and sync tasks pulled this round.
+        4 => Drained { copies: u64, syncs: u64 },
+        /// One admission decision at the drain boundary.
+        5 => Admit { client: u32, len: u64, admitted: bool },
+        /// The scheduler picked a client this round.
+        6 => SchedPick { client: u32 },
+        /// One DMA fault-plan draw: 0 none, 1 transient, 2 hard, 3 timeout.
+        7 => DmaDraw { fault: u8 },
+        /// One ATCache staleness draw.
+        8 => AtcDraw { stale: bool },
+        /// A descriptor state transition: a window entry was finalized.
+        /// `fault` is 0 for clean completion (see the service's encoding).
+        9 => TaskDone { tid: u64, fault: u8 },
+        /// Round boundary with state hashes: the pending windows and address
+        /// indexes of the shard's clients, and its stats digest. Lets replay
+        /// pinpoint the first divergent `(shard, round)` pair instead of just
+        /// a position in the stream.
+        10 => RoundEnd { shard: u32, round: u64, pending: u64, index: u64, stats: u64 },
+        /// Periodic physical-memory digest (checkpoint granularity; see
+        /// DESIGN.md §14 for why it is not per-round).
+        11 => MemDigest { round: u64, digest: u64 },
+        /// One crash-oracle draw at a round sub-step (`point` is the
+        /// [`crate::fault::CrashPoint`] wire code; `fire` whether the
+        /// service died there).
+        12 => CrashDraw { point: u8, fire: bool },
+        /// One silent-corruption draw for a DMA transfer: `kind` is 0 for
+        /// none, 1 for a bit flip (`arg` = bit position), 2 for a
+        /// misdirected write (`arg` = offset shift). See
+        /// [`crate::fault::SilentCorruption`].
+        13 => CorruptDraw { kind: u8, arg: u64 },
+        /// One pinned-page bit-rot draw: `hit` whether rot fires this
+        /// round, `pos` the seeded bit position it lands on.
+        14 => RotDraw { hit: bool, pos: u64 },
     }
 }
 
@@ -371,9 +149,9 @@ impl Trace {
         let mut out = Vec::with_capacity(8 + self.events.len() * 4);
         out.extend_from_slice(&TRACE_MAGIC);
         out.push(TRACE_VERSION);
-        put_varint(&mut out, self.events.len() as u64);
+        (self.events.len() as u64).put(&mut out);
         for e in &self.events {
-            e.encode_into(&mut out);
+            e.put(&mut out);
         }
         out
     }
@@ -387,7 +165,7 @@ impl Trace {
         let mut pos = 0usize;
         let mut events = Vec::with_capacity(n);
         for _ in 0..n {
-            events.push(TraceEvent::decode_from(body, &mut pos)?);
+            events.push(TraceEvent::get(body, &mut pos)?);
         }
         if pos != body.len() {
             return Err(format!("{} trailing bytes after events", body.len() - pos));
@@ -404,7 +182,7 @@ impl Trace {
             return Err(format!("unsupported trace version {}", buf[4]));
         }
         let mut pos = 5usize;
-        let n = get_varint(buf, &mut pos)? as usize;
+        let n = u64::get(buf, &mut pos)? as usize;
         Trace::decode_events(&buf[pos..], n)
     }
 
@@ -612,7 +390,7 @@ impl Tracer {
 
     /// Appends `ev` to this run's stream.
     fn append(&self, ev: &TraceEvent) {
-        ev.encode_into(&mut self.stream.borrow_mut());
+        ev.put(&mut self.stream.borrow_mut());
         self.emitted.set(self.emitted.get() + 1);
     }
 
@@ -776,6 +554,9 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copier_testkit::{
+        check_with, edge_u64, prop_assert, prop_assert_eq, Config, Damage, TestRng,
+    };
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -885,19 +666,8 @@ mod tests {
     #[test]
     fn retired_shard_round_tags_are_refused() {
         for tag in [15u8, 16] {
-            let err = TraceEvent::decode_from(&[tag, 3, 17, 0, 0, 0], &mut 0).unwrap_err();
-            assert_eq!(err, format!("unknown event tag {tag}"));
-        }
-    }
-
-    #[test]
-    fn varint_boundaries_roundtrip() {
-        for v in [0u64, 127, 128, 16383, 16384, u64::MAX - 1, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut pos = 0;
-            assert_eq!(get_varint(&buf, &mut pos).unwrap(), v);
-            assert_eq!(pos, buf.len());
+            let err = TraceEvent::get(&[tag, 3, 17, 0, 0, 0], &mut 0).unwrap_err();
+            assert_eq!(err, format!("unknown TraceEvent tag {tag}"));
         }
     }
 
@@ -1024,5 +794,145 @@ mod tests {
         assert_eq!(d.pos, 7);
         assert_eq!(d.round, 1);
         assert_eq!(a.first_divergence(&a), None);
+    }
+
+    /// A `Meta` stream whose `key` and `val` varints are spelled by hand.
+    fn meta_stream(key: &[u8], val: &[u8]) -> Vec<u8> {
+        let mut buf = b"CPTR".to_vec();
+        buf.extend_from_slice(&[TRACE_VERSION, 1, 0]);
+        buf.extend_from_slice(key);
+        buf.extend_from_slice(val);
+        buf
+    }
+
+    /// A varint's 10th byte holds bit 63 alone: a 2 there used to decode
+    /// to a wrong value instead of an error.
+    #[test]
+    fn decode_refuses_a_varint_past_64_bits() {
+        let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
+        assert_eq!(
+            Trace::decode(&meta_stream(&[1], &max)),
+            Ok(Trace::new(vec![TraceEvent::Meta {
+                key: 1,
+                val: u64::MAX
+            }]))
+        );
+        let mut over = max;
+        over[9] = 0x02;
+        assert!(Trace::decode(&meta_stream(&[1], &over)).is_err());
+    }
+
+    /// A `u32` field carrying 2^32 used to decode truncated to 0.
+    #[test]
+    fn decode_refuses_an_over_wide_u32_field() {
+        let two_pow_32 = [0x80, 0x80, 0x80, 0x80, 0x10];
+        assert!(Trace::decode(&meta_stream(&two_pow_32, &[0])).is_err());
+        let u32_max = [0xff, 0xff, 0xff, 0xff, 0x0f];
+        assert!(Trace::decode(&meta_stream(&u32_max, &[0])).is_ok());
+    }
+
+    fn random_event(rng: &mut TestRng) -> TraceEvent {
+        let mut v = || edge_u64(rng);
+        match v() % 15 {
+            0 => TraceEvent::Meta {
+                key: v() as u32,
+                val: v(),
+            },
+            1 => TraceEvent::Submission {
+                tenant: v() as u32,
+                at: v(),
+                len: v(),
+            },
+            2 => TraceEvent::RaceTimes {
+                times: (0..v() % 5).map(|_| v()).collect(),
+            },
+            3 => TraceEvent::RoundStart {
+                shard: v() as u32,
+                round: v(),
+                now: v(),
+            },
+            4 => TraceEvent::Drained {
+                copies: v(),
+                syncs: v(),
+            },
+            5 => TraceEvent::Admit {
+                client: v() as u32,
+                len: v(),
+                admitted: v() % 2 == 0,
+            },
+            6 => TraceEvent::SchedPick { client: v() as u32 },
+            7 => TraceEvent::DmaDraw { fault: v() as u8 },
+            8 => TraceEvent::AtcDraw {
+                stale: v() % 2 == 0,
+            },
+            9 => TraceEvent::TaskDone {
+                tid: v(),
+                fault: v() as u8,
+            },
+            10 => TraceEvent::RoundEnd {
+                shard: v() as u32,
+                round: v(),
+                pending: v(),
+                index: v(),
+                stats: v(),
+            },
+            11 => TraceEvent::MemDigest {
+                round: v(),
+                digest: v(),
+            },
+            12 => TraceEvent::CrashDraw {
+                point: v() as u8,
+                fire: v() % 2 == 0,
+            },
+            13 => TraceEvent::CorruptDraw {
+                kind: v() as u8,
+                arg: v(),
+            },
+            _ => TraceEvent::RotDraw {
+                hit: v() % 2 == 0,
+                pos: v(),
+            },
+        }
+    }
+
+    /// `Trace::decode` is total: a valid stream of sampled events, cut,
+    /// bit-flipped or spliced, decodes to `Ok` or `Err` and never panics;
+    /// whatever it accepts re-encodes to a stream that decodes to the
+    /// same events, and an undamaged stream decodes to what was encoded.
+    #[test]
+    fn decode_is_total_on_damaged_streams() {
+        let mut cfg = Config::from_env();
+        if std::env::var_os("TESTKIT_CASES").is_none() {
+            cfg.cases = 2000;
+        }
+        let gen = |rng: &mut TestRng| {
+            let n = rng.gen_range(24) as usize;
+            let events: Vec<TraceEvent> = (0..n).map(|_| random_event(rng)).collect();
+            (events, rng.gen_bool(0.75).then(|| Damage::random(rng)))
+        };
+        check_with(
+            &cfg,
+            gen,
+            |_| Vec::new(),
+            |(events, damage)| {
+                let trace = Trace::new(events.clone());
+                let mut buf = trace.encode();
+                if let Some(damage) = damage {
+                    damage.apply(&mut buf);
+                }
+                match Trace::decode(&buf) {
+                    Ok(got) => {
+                        prop_assert_eq!(Trace::decode(&got.encode()), Ok(got.clone()));
+                        if damage.is_none() {
+                            prop_assert_eq!(got, trace);
+                        }
+                    }
+                    Err(e) => {
+                        prop_assert!(damage.is_some(), "an undamaged stream was refused: {e}")
+                    }
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -306,6 +306,64 @@ pub fn shrink_vec<T: Clone, S: Fn(&T) -> Vec<T>>(v: &[T], shrink_elem: S) -> Vec
     out
 }
 
+/// A value biased toward the LEB128 and 32-bit boundaries: small, near
+/// `u64::MAX`, at or just under a power of 2^7, or uniform.
+pub fn edge_u64(rng: &mut TestRng) -> u64 {
+    match rng.gen_range(4) {
+        0 => rng.gen_range(300),
+        1 => u64::MAX - rng.gen_range(2),
+        2 => (1u64 << (7 * rng.gen_range(10))) - rng.gen_range(2),
+        _ => rng.next_u64(),
+    }
+}
+
+/// How a decoder property damages a valid byte stream. Offsets are taken
+/// modulo the stream's length, so one value damages any stream.
+#[derive(Debug, Clone)]
+pub enum Damage {
+    /// Truncate at this offset.
+    Cut(usize),
+    /// XOR these masks in at these offsets.
+    Flip(Vec<(usize, u8)>),
+    /// Insert these bytes at this offset (modulo the length + 1).
+    Splice(usize, Vec<u8>),
+}
+
+impl Damage {
+    /// One of the three, with 1–4 single-bit flips or 1–12 bytes spliced.
+    pub fn random(rng: &mut TestRng) -> Damage {
+        let mut n = |k| rng.gen_range(k) as usize;
+        match n(3) {
+            0 => Damage::Cut(n(1 << 20)),
+            1 => Damage::Flip((0..1 + n(4)).map(|_| (n(1 << 20), 1 << n(8))).collect()),
+            _ => {
+                let at = n(1 << 20);
+                let mut bytes = vec![0u8; 1 + n(12)];
+                rng.fill_bytes(&mut bytes);
+                Damage::Splice(at, bytes)
+            }
+        }
+    }
+
+    /// Damages `buf` in place.
+    pub fn apply(&self, buf: &mut Vec<u8>) {
+        match self {
+            Damage::Cut(at) => buf.truncate(at % buf.len().max(1)),
+            Damage::Flip(flips) if !buf.is_empty() => {
+                let n = buf.len();
+                for &(at, mask) in flips {
+                    buf[at % n] ^= mask;
+                }
+            }
+            Damage::Flip(_) => {}
+            Damage::Splice(at, bytes) => {
+                let at = at % (buf.len() + 1);
+                buf.splice(at..at, bytes.iter().copied());
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

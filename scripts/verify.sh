@@ -39,6 +39,17 @@ faults=$(grep -rnE '(demand_zero|cow_remap|cow_copy) \+= 1\b' crates/*/src || tr
 builders=$(grep -rnE '(^|[^A-Za-z_])Extent \{' crates/copier-mem/src | grep -v 'struct Extent {' || true)
 [ "$(printf '%s\n' "$builders" | grep -c .)" = 1 ] \
     || { echo "extents built in more than one place:"; echo "$builders"; exit 1; }
+# A record is spelled once (DESIGN.md §14, §15): `copier_sim::wire` owns
+# the LEB128 varint and FNV-1a under both durable formats, so no other file
+# does varint arithmetic (`& 0x7f`; `copier-apps/src/proto.rs` is the
+# Protobuf miniature's own format), and the FNV prime has two homes: the
+# wire module and `copier-mem`, which depends on nothing.
+primes=$(grep -rlF '0x100_0000_01b3' crates/*/src | sort | tr '\n' ' ')
+[ "$primes" = 'crates/copier-mem/src/phys.rs crates/copier-sim/src/wire.rs ' ] \
+    || { echo "the FNV prime spelled outside its two homes:"; echo "$primes"; exit 1; }
+varints=$(grep -rnE '&[[:space:]]*0x7f\b' crates/*/src \
+    | grep -vE '^crates/(copier-sim/src/wire|copier-apps/src/proto)\.rs:' || true)
+[ -z "$varints" ] || { echo "varint arithmetic outside copier_sim::wire:"; echo "$varints"; exit 1; }
 # No file of the service crate outgrows 1,000 lines, and no function of
 # the service 100 code lines: `service/mod.rs` denies
 # `clippy::too_many_lines` for its whole module tree (threshold in
@@ -148,6 +159,13 @@ TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --test inter
 TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test abort_retire
 TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test lazy_promotion
 TESTKIT_CASES=20000 cargo test -q -p copier-hw --offline --locked --lib dispatch::
+
+# The two durable formats' decoders are total (DESIGN.md §14, §15), deeper
+# than the workspace run above: sampled trace events and scripted journal
+# stores, cut, bit-flipped, spliced or re-framed around a damaged payload,
+# decode to `Ok`/`Err` and replay to a `Recovered` without panicking.
+TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked --lib trace::tests::decode_is_total
+TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --lib journal::tests::replay_is_total
 
 # Round structure (DESIGN.md §3), deeper than the workspace run above: a
 # round is one copy slice served down the vruntime order. Recorded

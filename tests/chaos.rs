@@ -24,6 +24,7 @@ use std::rc::Rc;
 use copier::core::{Copier, CopierConfig, CopyFault, SegDescriptor};
 use copier::mem::{Prot, PAGE_SIZE};
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{
     FaultConfig, FaultLog, FaultPlan, Machine, Nanos, Sim, Trace, TraceEvent, Tracer,
 };
@@ -287,7 +288,7 @@ fn run_chaos_traced(case: &ChaosCase, mode: TraceMode) -> (Outcome, Option<Rc<Tr
 
     let mut phantoms = Vec::new();
     let mut per_copy = Vec::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for (i, d) in descrs.borrow().iter().enumerate() {
         let expected = pattern(i, case.seed, case.len);
         let (_src, dst) = bufs[i];
@@ -307,9 +308,7 @@ fn run_chaos_traced(case: &ChaosCase, mode: TraceMode) -> (Outcome, Option<Rc<Tr
                 }
             }
         }
-        for &b in &got {
-            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        digest = fnv_bytes(digest, &got);
         per_copy.push((d.fault(), marks));
     }
 

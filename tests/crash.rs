@@ -36,6 +36,7 @@ use copier::core::{
 };
 use copier::mem::{Prot, PAGE_SIZE};
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{
     FaultConfig, FaultLog, FaultPlan, Machine, Nanos, Sim, Trace, TraceEvent, Tracer,
 };
@@ -292,7 +293,7 @@ fn run_crash_traced(case: &CrashCase, mode: TraceMode) -> (CrashOutcome, Option<
 
     let mut per_copy = Vec::new();
     let mut wrong_bytes = Vec::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for (i, d) in descrs.borrow().iter().enumerate() {
         let expected = pattern(i, case.seed, len);
         let (_src, dst) = bufs[i];
@@ -301,9 +302,7 @@ fn run_crash_traced(case: &CrashCase, mode: TraceMode) -> (CrashOutcome, Option<
         if d.fault().is_none() && got != expected {
             wrong_bytes.push(i);
         }
-        for &b in &got {
-            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        digest = fnv_bytes(digest, &got);
         per_copy.push((d.fault(), d.all_ready(), counters[i].get()));
     }
 
@@ -476,13 +475,11 @@ fn crash_free_journaled_run_is_byte_identical() {
             svc2.stop();
         });
         let end = sim.run();
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut digest = FNV_OFFSET;
         let mut got = vec![0u8; len];
         for &(_src, dst) in &bufs {
             uspace.read_bytes(dst, &mut got).unwrap();
-            for &b in &got {
-                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
+            digest = fnv_bytes(digest, &got);
         }
         (end.as_nanos(), stats_key(&svc), digest, store.len())
     }

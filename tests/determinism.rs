@@ -8,6 +8,7 @@ use copier::apps::redis::{run_client, Op, RedisMode, RedisServer};
 use copier::core::CopierConfig;
 use copier::mem::Prot;
 use copier::os::{NetStack, Os};
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{FaultConfig, FaultLog, FaultPlan, Machine, Sim, SimRng};
 
 fn redis_trace(seed: u64) -> (Vec<u64>, u64, u64) {
@@ -123,13 +124,11 @@ fn fault_trace(seed: u64) -> (u64, Vec<u64>, FaultLog, u64) {
         s.dispatch.dma_wait.as_nanos(),
         s.dispatch.retries,
     ];
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut got = vec![0u8; len];
     for &(_src, dst) in &bufs {
         uspace.read_bytes(dst, &mut got).unwrap();
-        for &b in &got {
-            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        digest = fnv_bytes(digest, &got);
     }
     (end.as_nanos(), stats, plan.log(), digest)
 }

@@ -30,6 +30,7 @@ use copier::client::AmemcpyOpts;
 use copier::core::{Copier, CopierConfig, CopyFault, Handler, SegDescriptor, VerifyPolicy};
 use copier::mem::Prot;
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{
     FaultConfig, FaultLog, FaultPlan, Machine, Nanos, Sim, Trace, TraceEvent, Tracer,
 };
@@ -285,7 +286,7 @@ fn run_integrity_traced(case: &IntegrityCase, mode: TraceMode) -> (Outcome, Opti
 
     let mut escapes = Vec::new();
     let mut per_copy = Vec::new();
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     for (i, d) in descrs.borrow().iter().enumerate() {
         let expected = pattern(i, case.seed, case.len);
         let (_src, dst) = bufs[i];
@@ -298,9 +299,7 @@ fn run_integrity_traced(case: &IntegrityCase, mode: TraceMode) -> (Outcome, Opti
                 case.seed
             ));
         }
-        for &b in &got {
-            digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-        }
+        digest = fnv_bytes(digest, &got);
         per_copy.push((d.fault(), intact));
     }
 

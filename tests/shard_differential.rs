@@ -33,6 +33,7 @@ use copier::core::{
 };
 use copier::mem::Prot;
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, TraceEvent, Tracer};
 use copier_testkit::prop::{check_with, Config, PropResult};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
@@ -101,12 +102,6 @@ fn pattern(tenant: usize, copy: usize, seed: u64, len: usize) -> Vec<u8> {
         v.push((x >> 33) as u8);
     }
     v
-}
-
-fn fnv(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest = (*digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
 }
 
 /// What must be equal across shard counts on a fault-free run.
@@ -226,8 +221,7 @@ fn run_diff(case: &DiffCase, shards: usize) -> Exact {
                     )
                 });
             }
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            fnv(&mut digest, &got);
+            let digest = fnv_bytes(FNV_OFFSET, &got);
             per_copy.push((t, c, d.fault(), digest));
         }
         if let Err(msg) = lib
@@ -470,8 +464,7 @@ fn crash_restart_at_n_shards_recovers_exactly_once() {
                         format!("tenant {t} copy {c} clean but wrong after recovery")
                     });
                 }
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
+                let digest = fnv_bytes(FNV_OFFSET, &got);
                 per_copy.push((t, c, d.fault(), digest));
                 fired.push((t, c, d.fault(), counters[c].get()));
             }
@@ -628,8 +621,7 @@ fn sharded_record_replay_is_bit_identical() {
                 let (_src, dst) = bufs[c];
                 let mut got = vec![0u8; case.len];
                 uspace.read_bytes(dst, &mut got).unwrap();
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
+                let digest = fnv_bytes(FNV_OFFSET, &got);
                 per_copy.push((t, c, d.fault(), digest));
             }
         }

@@ -34,6 +34,7 @@ use copier::core::{
 };
 use copier::mem::Prot;
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, Tracer};
 use copier_testkit::prop::{check_with, Config, PropResult};
 use copier_testkit::{assert_no_pinned_leaks, prop_assert, prop_assert_eq, TestRng};
@@ -98,12 +99,6 @@ fn pattern(tenant: usize, copy: usize, seed: u64, len: usize) -> Vec<u8> {
         v.push((x >> 33) as u8);
     }
     v
-}
-
-fn fnv(digest: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *digest = (*digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
 }
 
 /// Everything that must be bit-identical between a fast-path run and its
@@ -242,8 +237,7 @@ fn run_soak(
                     )
                 });
             }
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            fnv(&mut digest, &got);
+            let digest = fnv_bytes(FNV_OFFSET, &got);
             per_copy.push((t, c, d.fault(), digest));
         }
         if let Err(msg) = lib
@@ -470,8 +464,7 @@ fn crash_adoption_matches_full_sweep() {
                         format!("tenant {t} copy {c} clean but wrong after recovery")
                     });
                 }
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
+                let digest = fnv_bytes(FNV_OFFSET, &got);
                 per_copy.push((t, c, d.fault(), digest));
             }
         }
@@ -602,8 +595,7 @@ fn scrub_heal_reactivates_idle_clients_identically() {
         let s = svc.stats();
         let mut primary_now = vec![0u8; region];
         uspace.read_bytes(primary, &mut primary_now).unwrap();
-        let mut dig = 0xcbf2_9ce4_8422_2325u64;
-        fnv(&mut dig, &primary_now);
+        let dig = fnv_bytes(FNV_OFFSET, &primary_now);
         (stats_to_vec(&s), end.as_nanos(), dig)
     }
 
@@ -691,8 +683,7 @@ fn fast_recording_replays_through_full_sweep() {
                 let (_src, dst) = bufs[c];
                 let mut got = vec![0u8; case.len];
                 uspace.read_bytes(dst, &mut got).unwrap();
-                let mut digest = 0xcbf2_9ce4_8422_2325u64;
-                fnv(&mut digest, &got);
+                let digest = fnv_bytes(FNV_OFFSET, &got);
                 per_copy.push((t, c, d.fault(), digest));
             }
         }

@@ -10,6 +10,7 @@ use std::rc::Rc;
 use copier::core::CopierConfig;
 use copier::mem::Prot;
 use copier::os::Os;
+use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{FaultConfig, FaultPlan, Machine, Sim, SimRng, Trace, TraceEvent, Tracer};
 
 /// What one run produces, everything that must be reproducible.
@@ -106,14 +107,12 @@ fn traced_run_at(shards: usize, seed: u64, plan_seed: u64, tracer: Option<Rc<Tra
         s.dispatch.dma_wait.as_nanos(),
         s.dispatch.retries,
     ];
-    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    let mut digest = FNV_OFFSET;
     let mut got = vec![0u8; len];
     for (_proc, uspace, bufs) in &tenants {
         for &(_src, dst) in bufs {
             uspace.read_bytes(dst, &mut got).unwrap();
-            for &b in &got {
-                digest = (digest ^ b as u64).wrapping_mul(0x100_0000_01b3);
-            }
+            digest = fnv_bytes(digest, &got);
         }
     }
     RunOut {
