@@ -14,8 +14,11 @@
 //! must complete within a wall-clock budget.
 //!
 //! Observability: submission-to-settle latency percentiles (p50 / p99 /
-//! p999), per-tenant SLO attainment, and peak RSS — the soak's memory
-//! footprint — all reported into `BENCH_soak.json`.
+//! p999), per-tenant SLO attainment, peak RSS — the soak's memory
+//! footprint — and the resident bytes a registered tenant adds, all
+//! reported into `BENCH_soak.json`. A tenant's CSH rings allocate their
+//! slots on first push, so an idle tenant's bytes are its client state
+//! and ring headers; the bar holds the 10⁶-tenant point to 1.5 KB each.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -28,7 +31,7 @@ use copier_core::{stats_to_vec, AdmissionConfig, Copier, CopierConfig, Handler, 
 use copier_hw::CostModel;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, Prot, VirtAddr};
 use copier_sim::{ArrivalDist, LenDist, Machine, Nanos, Sim, WorkloadConfig, WorkloadPlan};
-use copier_testkit::{peak_rss_bytes, LatencyRecorder};
+use copier_testkit::{peak_rss_bytes, rss_bytes, LatencyRecorder};
 
 /// Client-side submission cores shared by the active tenants.
 const CLIENT_CORES: usize = 4;
@@ -37,6 +40,8 @@ const GAP_ALPHA: f64 = 1.5;
 const GAP_SPREAD: f64 = 1000.0;
 /// Heavy-tailed copy lengths.
 const LEN_ALPHA: f64 = 1.2;
+/// Resident bytes a registered tenant may add at the 10⁶-tenant point.
+const REG_BYTES_PER_TENANT_MAX: f64 = 1536.0;
 
 struct Scale {
     /// Registered tenants (the population the legacy sweeps iterate).
@@ -75,6 +80,9 @@ struct Out {
     wall: std::time::Duration,
     /// Host wall time of registering every tenant.
     reg_wall: std::time::Duration,
+    /// Resident-set growth across registering every tenant, divided by
+    /// the number of tenants (`None` where VmRSS cannot be read).
+    reg_bytes_per_tenant: Option<f64>,
     /// Control-plane observability counters.
     assign_rebuilds: u64,
     activations: u64,
@@ -122,6 +130,7 @@ fn run(scale: &Scale, full_sweep: bool, seed: u64) -> Out {
     // Register the whole population. Only the first `active` tenants get
     // buffers and an arrival plan; the rest are the idle mass the
     // full-sweep mode pays for every round.
+    let reg_rss0 = rss_bytes();
     let reg_t0 = Instant::now();
     let mut libs: Vec<Rc<CopierHandle>> = Vec::with_capacity(scale.registered);
     for t in 0..scale.registered {
@@ -129,6 +138,9 @@ fn run(scale: &Scale, full_sweep: bool, seed: u64) -> Out {
         libs.push(CopierHandle::new(&svc, space));
     }
     let reg_wall = reg_t0.elapsed();
+    let reg_bytes_per_tenant = reg_rss0
+        .zip(rss_bytes())
+        .map(|(r0, r1)| r1.saturating_sub(r0) as f64 / scale.registered as f64);
 
     let plan = WorkloadPlan::new(WorkloadConfig {
         seed,
@@ -232,6 +244,7 @@ fn run(scale: &Scale, full_sweep: bool, seed: u64) -> Out {
         rejected: rejected.get(),
         wall,
         reg_wall,
+        reg_bytes_per_tenant,
         assign_rebuilds: obs.assign_rebuilds,
         activations: obs.activations,
         peak_rss: peak_rss_bytes(),
@@ -267,6 +280,9 @@ fn point_json(label: &str, scale: &Scale, o: &Out, full: Option<&Out>) -> Json {
     }
     if let Some(rss) = o.peak_rss {
         fields.push(("peak_rss_bytes", Json::Int(rss)));
+    }
+    if let Some(b) = o.reg_bytes_per_tenant {
+        fields.push(("reg_bytes_per_tenant", Json::Num(b)));
     }
     Json::obj(fields)
 }
@@ -373,8 +389,43 @@ fn main() {
                 rss as f64 / (1u64 << 30) as f64
             );
         }
+        if let Some(b) = o.reg_bytes_per_tenant {
+            println!("  resident bytes per registered tenant ({label}): {b:.0}");
+        }
     }
 
+    let mut summary = vec![
+        // The tentpole bar: ≥ 20× cheaper rounds at 10⁵ tenants with ~1%
+        // active.
+        Json::summary("round_cost_reduction_1e5", "speedup_min", 20.0, ratio),
+        Json::summary(
+            "p999_ms_1e5",
+            "p999_ms_max",
+            1.0,
+            fast.pct.p999 as f64 / 1e6,
+        ),
+        Json::summary(
+            "slo_attainment_1e5",
+            "fraction_min",
+            0.9,
+            fast.slo.0 as f64 / fast.slo.1.max(1) as f64,
+        ),
+        Json::summary(
+            "soak_determinism",
+            "identical_min",
+            1.0,
+            if identical { 1.0 } else { 0.0 },
+        ),
+        Json::summary("tenants_1e6_wall_s", "wall_s_max", 300.0, big_wall_s),
+    ];
+    if let Some(b) = big_out.reg_bytes_per_tenant {
+        summary.push(Json::summary(
+            "reg_bytes_per_tenant_1e6",
+            "bytes_max",
+            REG_BYTES_PER_TENANT_MAX,
+            b,
+        ));
+    }
     let json = Json::obj([
         ("bench", Json::Str("fig_soak".into())),
         ("smoke", Json::Bool(smoke)),
@@ -386,33 +437,7 @@ fn main() {
                 point_json("big", &big, &big_out, None),
             ]),
         ),
-        (
-            "summary",
-            Json::Arr(vec![
-                // The tentpole bar: ≥ 20× cheaper rounds at 10⁵ tenants
-                // with ~1% active.
-                Json::summary("round_cost_reduction_1e5", "speedup_min", 20.0, ratio),
-                Json::summary(
-                    "p999_ms_1e5",
-                    "p999_ms_max",
-                    1.0,
-                    fast.pct.p999 as f64 / 1e6,
-                ),
-                Json::summary(
-                    "slo_attainment_1e5",
-                    "fraction_min",
-                    0.9,
-                    fast.slo.0 as f64 / fast.slo.1.max(1) as f64,
-                ),
-                Json::summary(
-                    "soak_determinism",
-                    "identical_min",
-                    1.0,
-                    if identical { 1.0 } else { 0.0 },
-                ),
-                Json::summary("tenants_1e6_wall_s", "wall_s_max", 300.0, big_wall_s),
-            ]),
-        ),
+        ("summary", Json::Arr(summary)),
     ]);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_soak.json");
     json.write_file(path).expect("write BENCH_soak.json");

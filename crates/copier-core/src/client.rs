@@ -40,13 +40,14 @@ pub struct QueuePair {
 }
 
 impl QueuePair {
-    /// Creates a queue pair with `cap` slots per ring.
-    pub fn new(cap: usize) -> Rc<Self> {
-        Rc::new(QueuePair {
+    /// Creates a queue pair of `cap`-slot rings; each ring allocates its
+    /// slots on its first push.
+    pub fn new(cap: usize) -> Self {
+        QueuePair {
             copy: Ring::new(cap),
             sync: Ring::new(cap),
             handler: Ring::new(cap),
-        })
+        }
     }
 }
 
@@ -255,9 +256,9 @@ pub struct TaintRange {
 /// A paired u-mode/k-mode queue set with its merge and window state.
 pub struct QueueSet {
     /// u-mode queues (mapped into the client).
-    pub uq: Rc<QueuePair>,
+    pub uq: QueuePair,
     /// k-mode queues (used by kernel services in this process context).
-    pub kq: Rc<QueuePair>,
+    pub kq: QueuePair,
     /// Current k-mode barrier key (peer u-queue position at last barrier).
     pub cur_k_key: Cell<u64>,
     /// Count of u-mode copy tasks drained so far (the u key).
@@ -300,7 +301,7 @@ impl QueueSet {
     }
 
     /// The queue pair for a privilege level.
-    pub fn pair(&self, p: Privilege) -> &Rc<QueuePair> {
+    pub fn pair(&self, p: Privilege) -> &QueuePair {
         match p {
             Privilege::K => &self.kq,
             Privilege::U => &self.uq,

@@ -64,7 +64,8 @@ impl Default for AdmissionConfig {
 /// Tunables of a [`crate::service::Copier`] instance.
 #[derive(Debug, Clone)]
 pub struct CopierConfig {
-    /// Slots per CSH ring.
+    /// Slots per CSH ring. A ring allocates its slots on its first push,
+    /// so a ring that never carries an entry costs only its header.
     pub queue_cap: usize,
     /// Default segment granularity for descriptors.
     pub segment: usize,

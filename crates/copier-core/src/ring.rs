@@ -10,10 +10,15 @@
 //! The same type serves two roles: inside the deterministic simulator
 //! (single host thread — the atomics cost nothing) and under real OS
 //! threads in the `ring_stress` integration test backing Fig. 12-b.
+//!
+//! A ring's slot array is allocated by its first `push`, not by `new`: a
+//! registered tenant owns six rings (§4.2.1) and most of them never carry
+//! an entry, so an idle tenant pays for the ring headers only.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Error returned when the ring has no free slot. Carries the rejected
 /// value back to the producer so no submission path can drop it silently
@@ -34,32 +39,38 @@ struct Slot<T> {
 
 /// A bounded MPSC ring buffer.
 pub struct Ring<T> {
-    slots: Box<[Slot<T>]>,
+    /// The slot array, `cap` long; unset until the first `push`.
+    slots: OnceLock<Box<[Slot<T>]>>,
+    /// Capacity in slots (a power of two).
+    cap: usize,
     /// Next slot to acquire (total enqueues attempted).
     head: AtomicUsize,
     /// Next slot to consume (total dequeues).
     tail: AtomicUsize,
 }
 
-// SAFETY: slots are handed out exclusively — a producer owns slot `h` after
-// winning the CAS on `head` and publishes with a release store to `valid`;
-// the consumer reads after an acquire load of `valid` and releases the slot
-// by clearing `valid` only after moving the value out. `T: Send` therefore
-// suffices to move values across threads.
+// SAFETY: the slot array is created once, by the `OnceLock`: a producer
+// that finds it missing initialises it (concurrent producers block until
+// that one is done), and every later reader sees the fully built array
+// through the lock's acquire load; a consumer that finds it missing
+// returns `None` without touching a slot. No slot is written before the
+// array is published, because a producer initialises it before it takes a
+// slot on `head`. From there slots are handed out exclusively — a producer
+// owns slot `h` after winning the CAS on `head` and publishes with a
+// release store to `valid`; the consumer reads after an acquire load of
+// `valid` and releases the slot by clearing `valid` only after moving the
+// value out. `cap` never changes after `new`, and `head`/`tail` are
+// atomics. `T: Send` therefore suffices to move values across threads.
 unsafe impl<T: Send> Sync for Ring<T> {}
 unsafe impl<T: Send> Send for Ring<T> {}
 
 impl<T> Ring<T> {
     /// Creates a ring with `capacity` slots (rounded up to a power of two).
+    /// The slots themselves are allocated by the first `push`.
     pub fn new(capacity: usize) -> Self {
-        let cap = capacity.next_power_of_two().max(2);
         Ring {
-            slots: (0..cap)
-                .map(|_| Slot {
-                    valid: AtomicBool::new(false),
-                    val: UnsafeCell::new(MaybeUninit::uninit()),
-                })
-                .collect(),
+            slots: OnceLock::new(),
+            cap: capacity.next_power_of_two().max(2),
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
         }
@@ -67,7 +78,19 @@ impl<T> Ring<T> {
 
     /// Capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.cap
+    }
+
+    /// The slot array, allocated on first use.
+    fn slots(&self) -> &[Slot<T>] {
+        self.slots.get_or_init(|| {
+            (0..self.cap)
+                .map(|_| Slot {
+                    valid: AtomicBool::new(false),
+                    val: UnsafeCell::new(MaybeUninit::uninit()),
+                })
+                .collect()
+        })
     }
 
     /// Entries currently enqueued (approximate under concurrency).
@@ -96,7 +119,7 @@ impl<T> Ring<T> {
 
     /// Producer: enqueues a value; a full ring returns the value back.
     pub fn push(&self, v: T) -> Result<(), RingFull<T>> {
-        let cap = self.slots.len();
+        let (slots, cap) = (self.slots(), self.cap);
         let mut h = self.head.load(Ordering::Relaxed);
         loop {
             let t = self.tail.load(Ordering::Acquire);
@@ -113,7 +136,7 @@ impl<T> Ring<T> {
                 Err(cur) => h = cur,
             }
         }
-        let slot = &self.slots[h % cap];
+        let slot = &slots[h % cap];
         // The slot must have been released by the consumer; under the
         // capacity check above this is guaranteed.
         debug_assert!(!slot.valid.load(Ordering::Acquire));
@@ -129,9 +152,9 @@ impl<T> Ring<T> {
     ///
     /// Must be called from a single consumer at a time.
     pub fn pop(&self) -> Option<T> {
-        let cap = self.slots.len();
+        let slots = self.slots.get()?;
         let t = self.tail.load(Ordering::Relaxed);
-        let slot = &self.slots[t % cap];
+        let slot = &slots[t % self.cap];
         if !slot.valid.load(Ordering::Acquire) {
             return None;
         }
@@ -252,9 +275,56 @@ mod tests {
     }
 
     #[test]
+    fn a_ring_never_pushed_holds_no_slots() {
+        let r: Ring<u64> = Ring::new(1000);
+        assert_eq!(r.capacity(), 1024);
+        assert!(r.slots.get().is_none(), "`new` allocated the slots");
+        assert_eq!((r.len(), r.is_empty(), r.pushed()), (0, true, 0));
+        assert_eq!(r.pop(), None);
+        assert!(r.slots.get().is_none(), "`pop` allocated the slots");
+        drop(r);
+        let r = Ring::new(4);
+        r.push(7u64).unwrap();
+        assert_eq!(r.slots.get().map(|s| s.len()), Some(4));
+        assert_eq!(r.pop(), Some(7));
+    }
+
+    #[test]
+    fn producers_race_the_first_push() {
+        // Four producers released together on a ring with no slots yet:
+        // all but one find the array missing at once, and exactly one
+        // array must come out, with every value in it.
+        for _ in 0..200 {
+            let r = Arc::new(Ring::<(u8, u32)>::new(64));
+            let go = Arc::new(std::sync::Barrier::new(4));
+            let handles: Vec<_> = (0..4u8)
+                .map(|p| {
+                    let (r, go) = (Arc::clone(&r), Arc::clone(&go));
+                    std::thread::spawn(move || {
+                        go.wait();
+                        for i in 0..8u32 {
+                            r.push((p, i)).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            let mut next = [0u32; 4];
+            while let Some((p, i)) = r.pop() {
+                assert_eq!(next[p as usize], i, "producer {p} out of order");
+                next[p as usize] += 1;
+            }
+            assert_eq!(next, [8; 4]);
+        }
+    }
+
+    #[test]
     fn mpsc_under_real_threads() {
         // 4 producers × 10_000 items, one consumer; per-producer FIFO must
-        // hold and nothing may be lost or duplicated.
+        // hold and nothing may be lost or duplicated. The ring starts with
+        // no slots, so the producers also race its first push.
         let r = Arc::new(Ring::<(u8, u32)>::new(256));
         let mut handles = Vec::new();
         for p in 0..4u8 {

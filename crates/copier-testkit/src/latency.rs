@@ -6,9 +6,9 @@
 //! deterministic: samples are plain vectors, percentiles use the
 //! nearest-rank (ceiling) definition (matching `copier-bench`'s
 //! `stats()`), and no wall-clock or allocation-order state leaks into
-//! any result. [`peak_rss_bytes`] is the one deliberately host-side
-//! exception — the soak's memory-footprint metric — and is reported
-//! alongside, never folded into, deterministic outputs.
+//! any result. [`peak_rss_bytes`] and [`rss_bytes`] are the deliberately
+//! host-side exceptions — the soak's memory-footprint metrics — and are
+//! reported alongside, never folded into, deterministic outputs.
 
 use std::cell::RefCell;
 
@@ -139,14 +139,22 @@ fn percentiles_of(lat: &mut [u64]) -> Option<Percentiles> {
 /// Host-side observability for the soak's memory-footprint row — never
 /// feed it into anything deterministic.
 pub fn peak_rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmHWM:")
+}
+
+/// Current resident-set size of this process in bytes (`VmRSS`), or
+/// `None` where that interface is missing. Host-side, like
+/// [`peak_rss_bytes`]: the soak reads it around registration.
+pub fn rss_bytes() -> Option<u64> {
+    proc_status_bytes("VmRSS:")
+}
+
+/// The `key` line of `/proc/self/status`, a size in kB, in bytes.
+fn proc_status_bytes(key: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    let rest = status.lines().find_map(|line| line.strip_prefix(key))?;
+    let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb * 1024)
 }
 
 #[cfg(test)]
@@ -213,6 +221,7 @@ mod tests {
         // On Linux this must parse; elsewhere None is acceptable.
         if std::path::Path::new("/proc/self/status").exists() {
             assert!(peak_rss_bytes().unwrap() > 0);
+            assert!(rss_bytes().unwrap() > 0);
         }
     }
 }

@@ -28,7 +28,7 @@ pub mod prop;
 pub mod rng;
 
 pub use bench::{black_box, mad, median, Bench, BenchResult, PairedRuns};
-pub use latency::{peak_rss_bytes, LatencyRecorder, Percentiles};
+pub use latency::{peak_rss_bytes, rss_bytes, LatencyRecorder, Percentiles};
 pub use prop::{
     check, check_with, edge_u64, minimize, shrink_vec, Arbitrary, Config, Damage, PropResult,
 };

@@ -295,21 +295,24 @@ echo "BENCH_shardscale.json OK"
 
 # Soak smoke: the O(active)-per-round control plane must beat the
 # full-sweep reference on per-round cost, produce ordered latency
-# percentiles from a non-empty sample population, and replay the same
-# seed bit-identically (DESIGN.md §18). The ≥20× reduction and p999
+# percentiles from a non-empty sample population, replay the same seed
+# bit-identically, and report the resident bytes a registered tenant
+# adds on every point (DESIGN.md §18). The ≥20× reduction and p999
 # bars are full-mode only — smoke tenant counts are too small for the
 # sweep cost to dominate honestly.
 SOAK_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_soak
 if command -v jq >/dev/null 2>&1; then
     jq -e '(([.points[] | select(.settled > 0)] | length) == (.points | length))
        and ([.points[] | .p50_ns <= .p99_ns and .p99_ns <= .p999_ns] | all)
+       and ([.points[] | has("reg_bytes_per_tenant")] | all)
        and ([.summary[] | select(.name == "soak_determinism")] | all(.value == 1))
        and ([.summary[] | select(.name == "round_cost_reduction_1e5")] | all(.value > 1))' BENCH_soak.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_soak.json"))
-ok = all(p["settled"] > 0 and p["p50_ns"] <= p["p99_ns"] <= p["p999_ns"] for p in d["points"])
+ok = all(p["settled"] > 0 and p["p50_ns"] <= p["p99_ns"] <= p["p999_ns"]
+         and "reg_bytes_per_tenant" in p for p in d["points"])
 det = [r for r in d["summary"] if r["name"] == "soak_determinism"]
 red = [r for r in d["summary"] if r["name"] == "round_cost_reduction_1e5"]
 ok = ok and det and all(r["value"] == 1 for r in det) and red and all(r["value"] > 1 for r in red)
