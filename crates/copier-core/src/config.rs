@@ -87,7 +87,7 @@ pub struct CopierConfig {
     pub atcache_capacity: usize,
     /// Polling behavior.
     pub polling: PollMode,
-    /// Maximum bytes served per scheduling decision.
+    /// Maximum bytes served per scheduling decision (at least 4 KiB).
     pub copy_slice: usize,
     /// Admission-control quotas and watermarks.
     pub admission: AdmissionConfig,

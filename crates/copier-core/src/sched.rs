@@ -20,6 +20,9 @@ use crate::client::Client;
 /// Default copy slice: maximum bytes served per scheduling round.
 pub const DEFAULT_COPY_SLICE: usize = 256 * 1024;
 
+/// The smallest copy slice a round serves, whatever `copy_slice` asks.
+pub(crate) const MIN_COPY_SLICE: usize = 4096;
+
 /// Whether vruntime `a` is before `b` under wrap-around — the CFS
 /// `(s64)(a - b) < 0` idiom. The copied-length accumulators are monotone
 /// u64 counters that wrap on long-lived services; a direct `<` would then
@@ -81,7 +84,6 @@ impl RunOrder {
 /// The per-service scheduler.
 pub struct Scheduler {
     cgroups: RefCell<Vec<Rc<CGroup>>>,
-    copy_slice: Cell<usize>,
 }
 
 impl Default for Scheduler {
@@ -95,7 +97,6 @@ impl Scheduler {
     pub fn new() -> Self {
         let s = Scheduler {
             cgroups: RefCell::new(Vec::new()),
-            copy_slice: Cell::new(DEFAULT_COPY_SLICE),
         };
         s.create_cgroup("default", 1024);
         s
@@ -112,24 +113,9 @@ impl Scheduler {
         g.len() - 1
     }
 
-    /// Adjusts `copier.shares` of a cgroup.
-    pub fn set_shares(&self, cgroup: usize, shares: u64) {
-        self.cgroups.borrow()[cgroup].shares.set(shares.max(1));
-    }
-
     /// The cgroup handle (for inspection).
     pub fn cgroup(&self, id: usize) -> Rc<CGroup> {
         Rc::clone(&self.cgroups.borrow()[id])
-    }
-
-    /// Sets the copy slice.
-    pub fn set_copy_slice(&self, bytes: usize) {
-        self.copy_slice.set(bytes.max(4096));
-    }
-
-    /// Current copy slice.
-    pub fn copy_slice(&self) -> usize {
-        self.copy_slice.get()
     }
 
     /// Fills `order` with the service order of one round: every client in

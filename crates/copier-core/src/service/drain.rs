@@ -231,8 +231,8 @@ impl Copier {
                 src: t.src.0,
                 len: t.len as u64,
                 seg: t.seg as u64,
-                dst_digest: t.dst_space.extent_digest(t.dst, t.len),
-                src_digest: t.src_space.extent_digest(t.src, t.len),
+                dst_digest: t.dst_space.extent_digest(t.dst, t.len, false),
+                src_digest: t.src_space.extent_digest(t.src, t.len, false),
             });
         }
         set.index.insert(&entry);

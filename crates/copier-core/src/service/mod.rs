@@ -132,8 +132,12 @@ impl Copier {
             d.set_corruption_threshold(cfg.corrupt_quarantine_threshold);
             d
         });
-        let dispatcher = Rc::new(Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), dma));
-        dispatcher.set_verify(cfg.verify);
+        let dispatcher = Rc::new(Dispatcher::new(
+            Rc::clone(&pm),
+            Rc::clone(&cost),
+            dma,
+            cfg.verify,
+        ));
         let atcache = Rc::new(ATCache::new(cfg.atcache_capacity));
         let nshards = cfg.shards.max(1);
         assert_eq!(
@@ -171,11 +175,7 @@ impl Copier {
             cost,
             dispatcher,
             atcache,
-            sched: {
-                let s = Scheduler::new();
-                s.set_copy_slice(cfg.copy_slice);
-                s
-            },
+            sched: Scheduler::new(),
             cfg,
             scenario_active: Cell::new(true),
             wake: Rc::new(Notify::new()),

@@ -226,7 +226,9 @@ impl Copier {
                 continue;
             }
             // Same sampling as the admit record's digests.
-            let cur = client.uspace.extent_digest(VirtAddr(a.dst), a.len as usize);
+            let cur = client
+                .uspace
+                .extent_digest(VirtAddr(a.dst), a.len as usize, false);
             if cur == a.src_digest || cur == a.dst_digest {
                 // Fully copied (Complete record lost) or never started:
                 // either way the range is consistent; release it.

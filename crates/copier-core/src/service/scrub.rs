@@ -79,7 +79,7 @@ impl Copier {
         for i in 0..n {
             let off = i * chunk;
             let clen = chunk.min(len - off);
-            golden.push(space.extent_digest_stride(primary.add(off), clen, 1));
+            golden.push(space.extent_digest(primary.add(off), clen, true));
         }
         self.scrub.borrow_mut().push(ScrubRegion {
             owner: Rc::clone(client),
@@ -161,7 +161,7 @@ impl Copier {
             let off = ci * r.chunk;
             let clen = r.chunk.min(r.len - off);
             self.stats.borrow_mut().scrub_chunks += 1;
-            if r.space.extent_digest_stride(r.primary.add(off), clen, 1) == r.golden[ci] {
+            if r.space.extent_digest(r.primary.add(off), clen, true) == r.golden[ci] {
                 return;
             }
             // Rot found. Heal from the replica if it is still intact.
@@ -169,7 +169,7 @@ impl Copier {
             let Some(set) = client.set_at(0) else {
                 return;
             };
-            if r.space.extent_digest_stride(r.replica.add(off), clen, 1) != r.golden[ci] {
+            if r.space.extent_digest(r.replica.add(off), clen, true) != r.golden[ci] {
                 self.stats.borrow_mut().scrub_unrepairable += 1;
                 r.dead[ci].set(true);
                 let lo = r.primary.add(off).0;

@@ -13,7 +13,7 @@ use super::execute::{mark_progress, ByTid, PlanScratch};
 use super::select::Selected;
 use super::Copier;
 use crate::config::PollMode;
-use crate::sched::RunOrder;
+use crate::sched::{RunOrder, MIN_COPY_SLICE};
 
 /// Per-thread round scratch, reused across polls so a settled round
 /// allocates nothing and a served copy only what outlives the round (its
@@ -344,7 +344,7 @@ impl Copier {
             self.cfg.lazy_period,
             &mut scratch.order,
         );
-        let mut left = self.sched.copy_slice();
+        let mut left = self.cfg.copy_slice.max(MIN_COPY_SLICE);
         // Whether some batch went to `execute`.
         let mut acted = false;
         while left > 0 {

@@ -18,7 +18,7 @@
 //! Progress callbacks fire per subtask the moment its bytes land (from the
 //! device task for DMA subtasks), driving fine-grained descriptor updates.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use copier_mem::PhysMem;
@@ -26,7 +26,7 @@ use copier_sim::{Again, Core, Nanos};
 
 use crate::cost::{CostModel, CpuCopyKind};
 use crate::dma::{DmaEngine, DmaError};
-use crate::units::{copy_extent_pair, CpuUnit, SubTask};
+use crate::units::{copy_extent_pair, SubTask};
 
 /// How much of each DMA transfer the dispatcher digest-verifies.
 ///
@@ -112,34 +112,32 @@ struct Scratch {
 pub struct Dispatcher {
     pm: Rc<PhysMem>,
     cost: Rc<CostModel>,
-    cpu: CpuUnit,
     dma: Option<Rc<DmaEngine>>,
     scratch: RefCell<Vec<Scratch>>,
-    verify: Cell<VerifyPolicy>,
+    verify: VerifyPolicy,
     /// Task ids whose corruption survived the repair budget this batch,
     /// drained by the service after `execute_batch`.
     corrupted: RefCell<Vec<u64>>,
 }
 
 impl Dispatcher {
-    /// Creates a dispatcher; `dma = None` degrades to pure CPU copy (the
-    /// hardware ablation of Fig. 12-c).
-    pub fn new(pm: Rc<PhysMem>, cost: Rc<CostModel>, dma: Option<Rc<DmaEngine>>) -> Self {
-        let cpu = CpuUnit::new(CpuCopyKind::Avx2, Rc::clone(&cost));
+    /// Creates a dispatcher verifying DMA transfers under `verify`;
+    /// `dma = None` degrades to pure CPU copy (the hardware ablation of
+    /// Fig. 12-c).
+    pub fn new(
+        pm: Rc<PhysMem>,
+        cost: Rc<CostModel>,
+        dma: Option<Rc<DmaEngine>>,
+        verify: VerifyPolicy,
+    ) -> Self {
         Dispatcher {
             pm,
             cost,
-            cpu,
             dma,
             scratch: RefCell::new(Vec::new()),
-            verify: Cell::new(VerifyPolicy::Off),
+            verify,
             corrupted: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Sets the dispatcher-wide verification policy.
-    pub fn set_verify(&self, policy: VerifyPolicy) {
-        self.verify.set(policy);
     }
 
     /// Drains the task ids whose detected corruption could not be
@@ -196,9 +194,9 @@ impl Dispatcher {
 
     /// Plans a batch: returns it as the hardware will see it — re-chunked,
     /// and with the subtask at the balance point cut in two — plus the
-    /// per-(batch-index, subtask) assignments, `true` meaning DMA. Exposed
-    /// for tests and ablation studies.
-    pub fn plan(&self, batch: &[PlannedCopy]) -> (Vec<PlannedCopy>, Vec<Vec<bool>>) {
+    /// per-(batch-index, subtask) assignments, `true` meaning DMA.
+    #[cfg(test)]
+    fn plan(&self, batch: &[PlannedCopy]) -> (Vec<PlannedCopy>, Vec<Vec<bool>>) {
         let (mut planned, mut assign) = (Vec::new(), Vec::new());
         self.normalize_into(batch, &mut planned, &mut Vec::new());
         self.plan_into(&mut planned, &mut assign, &mut Vec::new());
@@ -309,7 +307,7 @@ impl Dispatcher {
                 let policy = if task.verify {
                     VerifyPolicy::Full
                 } else {
-                    self.verify.get()
+                    self.verify
                 };
                 for (si, st) in task.subtasks.iter().enumerate() {
                     if assign[ti][si] {
@@ -349,11 +347,8 @@ impl Dispatcher {
         for (ti, task) in batch.iter().enumerate() {
             for (si, st) in task.subtasks.iter().enumerate() {
                 if !assign[ti][si] {
-                    let cost = self.cpu.cost_of(st.len());
-                    core.advance(cost).await;
-                    // The data lands when the copy instruction stream ends.
-                    crate::units::copy_extent_pair(&self.pm, st.dst, st.src);
-                    core.cache.note_inline_copy(st.len());
+                    core.advance(self.cpu_cost(st)).await;
+                    self.land_on_cpu(core, st);
                     progress(task.task_id, st.task_off, st.len());
                     report.cpu_bytes += st.len();
                 }
@@ -441,9 +436,8 @@ impl Dispatcher {
                     }
                     // CPU fallback: rescue the descriptor's bytes inline.
                     let st = c.subtask;
-                    core.advance(self.cpu.cost_of(st.len())).await;
-                    crate::units::copy_extent_pair(&self.pm, st.dst, st.src);
-                    core.cache.note_inline_copy(st.len());
+                    core.advance(self.cpu_cost(&st)).await;
+                    self.land_on_cpu(core, &st);
                     progress(task_id, st.task_off, st.len());
                     report.fallback_bytes += st.len();
                     report.cpu_bytes += st.len();
@@ -488,32 +482,43 @@ impl Dispatcher {
             if self.pm.extent_digest(st.src, full) != want {
                 return false;
             }
+            let mut landed = false;
             if dma.live_channels() > 0 {
                 core.advance(self.cost.dma_submit).await;
                 let c = dma.submit(*st, None);
                 c.wait().await;
-                if c.is_done() {
-                    // A corrupted *repair* is a verified strike too — a
-                    // channel that damages retries gets retired faster.
-                    if self.pm.extent_digest(st.dst, full) != want {
-                        dma.note_corruption(c.channel);
-                    }
-                } else {
-                    // The re-copy failed outright: rescue on the CPU.
-                    core.advance(self.cpu.cost_of(st.len())).await;
-                    copy_extent_pair(&self.pm, st.dst, st.src);
-                    core.cache.note_inline_copy(st.len());
+                landed = c.is_done();
+                // A corrupted *repair* is a verified strike too — a
+                // channel that damages retries gets retired faster.
+                if landed && self.pm.extent_digest(st.dst, full) != want {
+                    dma.note_corruption(c.channel);
                 }
-            } else {
-                core.advance(self.cpu.cost_of(st.len())).await;
-                copy_extent_pair(&self.pm, st.dst, st.src);
-                core.cache.note_inline_copy(st.len());
+            }
+            if !landed {
+                // No channel left, or the re-copy failed outright: rescue
+                // on the CPU.
+                core.advance(self.cpu_cost(st)).await;
+                self.land_on_cpu(core, st);
             }
             if self.pm.extent_digest(st.dst, full) == want {
                 return true;
             }
         }
         false
+    }
+
+    /// What the CPU unit charges for `st`: the AVX2 curve (§4.3).
+    fn cpu_cost(&self, st: &SubTask) -> Nanos {
+        self.cost.cpu_copy(CpuCopyKind::Avx2, st.len())
+    }
+
+    /// Lands `st` on the CPU unit once its [`Self::cpu_cost`] is charged:
+    /// the data lands when the copy instruction stream ends, through
+    /// `core`'s cache. Synchronous, so a caller's round future holds only
+    /// the charge's own wait.
+    fn land_on_cpu(&self, core: &Core, st: &SubTask) {
+        copy_extent_pair(&self.pm, st.dst, st.src);
+        core.cache.note_inline_copy(st.len());
     }
 }
 
@@ -593,7 +598,7 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
+        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let task = planned(&pm, 1, 1); // 4 KB < 12 KB i-piggyback floor
         let (_, plan) = d.plan(&[task]);
         assert!(plan[0].iter().all(|&x| !x));
@@ -606,7 +611,12 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), Some(dma));
+        let d = Dispatcher::new(
+            Rc::clone(&pm),
+            Rc::clone(&cost),
+            Some(dma),
+            VerifyPolicy::Off,
+        );
         let task = split_pages(planned(&pm, 1, 8)); // 32 KB in 8 page subtasks
         let (hw, plan) = d.plan(std::slice::from_ref(&task));
         assert_eq!(hw[0].subtasks, task.subtasks, "pages fit: nothing is cut");
@@ -636,7 +646,12 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(Rc::clone(&pm), Rc::clone(&cost), Some(dma));
+        let d = Dispatcher::new(
+            Rc::clone(&pm),
+            Rc::clone(&cost),
+            Some(dma),
+            VerifyPolicy::Off,
+        );
         // 16 KB skb → skb: one subtask, the whole of which used to go to
         // the device at 4.2 B/ns while the CPU sat waiting.
         let task = planned(&pm, 1, 4);
@@ -660,7 +675,7 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
+        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         // 8 KB over two tasks: the balance point is 2.2 KB, below what a
         // descriptor amortizes, and a page would be 1.8 × that.
         let batch: Vec<PlannedCopy> = (0..2).map(|i| planned(&pm, i, 1)).collect();
@@ -747,7 +762,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let dma = DmaEngine::new(&sim.handle(), Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(pm, Rc::clone(&cost), Some(dma));
+        let d = Dispatcher::new(pm, Rc::clone(&cost), Some(dma), VerifyPolicy::Off);
         let (min, max) = (cost.dma_candidate_min, cost.max_subtask);
         let shrink = |shapes: &Shapes| {
             shrink_vec(shapes, |lens| {
@@ -831,7 +846,7 @@ mod tests {
         let sim = Sim::new();
         let h = sim.handle();
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma));
+        let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let batch: Vec<PlannedCopy> = (0..4).map(|i| planned(&pm, i, 1)).collect();
         let (_, plan) = d.plan(&batch);
         let picked: usize = plan.iter().flatten().filter(|&&b| b).count();
@@ -848,7 +863,12 @@ mod tests {
         let h = sim.handle();
         let m = Machine::new(&h, 1);
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
-        let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, Some(dma)));
+        let d = Rc::new(Dispatcher::new(
+            Rc::clone(&pm),
+            cost,
+            Some(dma),
+            VerifyPolicy::Off,
+        ));
 
         let task = split_pages(planned(&pm, 7, 16)); // 64 KB
         let expect_src = task.subtasks[0].src.frame;
@@ -908,8 +928,7 @@ mod tests {
         });
         let dma = DmaEngine::with_channels(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan));
         let eng = Rc::clone(&dma);
-        let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, Some(dma)));
-        d.set_verify(policy);
+        let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, Some(dma), policy));
         let task = split_pages(planned(&pm, 3, 16));
         let (src0, dst0) = (task.subtasks[0].src.frame, task.subtasks[0].dst.frame);
         let core = m.core(0);
@@ -965,7 +984,12 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let m = Machine::new(&h, 1);
-        let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, None));
+        let d = Rc::new(Dispatcher::new(
+            Rc::clone(&pm),
+            cost,
+            None,
+            VerifyPolicy::Off,
+        ));
         let task = split_pages(planned(&pm, 1, 8));
         let core = m.core(0);
         let d2 = Rc::clone(&d);
@@ -991,7 +1015,12 @@ mod tests {
             let h = sim.handle();
             let m = Machine::new(&h, 1);
             let dma = with_dma.then(|| DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost)));
-            let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, dma));
+            let d = Rc::new(Dispatcher::new(
+                Rc::clone(&pm),
+                cost,
+                dma,
+                VerifyPolicy::Off,
+            ));
             let task = split_pages(planned(&pm, 1, 64)); // 256 KB
             let core = m.core(0);
             sim.spawn("copier", async move {

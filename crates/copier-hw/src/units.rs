@@ -4,14 +4,9 @@
 //! destination are both physically contiguous — the unit a single DMA
 //! descriptor (or one CPU copy call) can handle. [`split_subtasks_into`] derives
 //! them from the two extent lists; [`copy_extent_pair`] performs the real
-//! data movement for one subtask.
-
-use std::rc::Rc;
+//! data movement for one subtask (the dispatcher charges its cost).
 
 use copier_mem::{Extent, FrameId, PhysMem, PAGE_SIZE};
-use copier_sim::Nanos;
-
-use crate::cost::{CostModel, CpuCopyKind};
 
 /// One hardware-executable piece of a copy task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,43 +120,13 @@ pub fn copy_extent_pair(pm: &PhysMem, dst: Extent, src: Extent) {
     pm.copy_run(dst.frame, dst.off, src.frame, src.off, src.len);
 }
 
-/// A CPU copy unit: executes subtasks synchronously on the caller's core,
-/// charging its modeled cost.
-pub struct CpuUnit {
-    kind: CpuCopyKind,
-    cost: Rc<CostModel>,
-}
-
-impl CpuUnit {
-    /// Creates a unit of the given routine.
-    pub fn new(kind: CpuCopyKind, cost: Rc<CostModel>) -> Self {
-        CpuUnit { kind, cost }
-    }
-
-    /// The modeled routine.
-    pub fn kind(&self) -> CpuCopyKind {
-        self.kind
-    }
-
-    /// Performs the real copy and returns the virtual time to charge.
-    pub fn copy(&self, pm: &PhysMem, st: &SubTask) -> Nanos {
-        copy_extent_pair(pm, st.dst, st.src);
-        self.cost.cpu_copy(self.kind, st.len())
-    }
-
-    /// The modeled cost of copying `bytes` without doing it (planning).
-    pub fn cost_of(&self, bytes: usize) -> Nanos {
-        self.cost.cpu_copy(self.kind, bytes)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use copier_mem::AllocPolicy;
 
-    fn pm() -> Rc<PhysMem> {
-        Rc::new(PhysMem::new(64, AllocPolicy::Sequential))
+    fn pm() -> PhysMem {
+        PhysMem::new(64, AllocPolicy::Sequential)
     }
 
     fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
@@ -289,33 +254,6 @@ mod tests {
             }
         }
         assert_eq!(&got[..], &data[100..100 + 2 * PAGE_SIZE]);
-    }
-
-    #[test]
-    fn cpu_unit_copies_and_charges() {
-        let pm = pm();
-        let a = alloc_extent(&pm, 1);
-        let b = alloc_extent(&pm, 1);
-        pm.write(a.frame, 0, b"unit test payload");
-        let unit = CpuUnit::new(CpuCopyKind::Avx2, Rc::new(CostModel::default()));
-        let st = SubTask {
-            task_off: 0,
-            src: Extent {
-                frame: a.frame,
-                off: 0,
-                len: 17,
-            },
-            dst: Extent {
-                frame: b.frame,
-                off: 9,
-                len: 17,
-            },
-        };
-        let cost = unit.copy(&pm, &st);
-        assert!(cost > Nanos::ZERO);
-        let mut buf = [0u8; 17];
-        pm.read(b.frame, 9, &mut buf);
-        assert_eq!(&buf, b"unit test payload");
     }
 }
 #[cfg(test)]

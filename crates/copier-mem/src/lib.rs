@@ -3,8 +3,9 @@
 //! The memory substrate Copier coordinates with (paper §4.5.4): physical
 //! frames with refcounts and pins, per-process address spaces with VMAs and
 //! page tables, demand-zero paging, copy-on-write with `fork`, page
-//! aliasing (the primitive behind zIO and zero-copy send), and a
-//! translation *generation* used by the ATCache for invalidation.
+//! aliasing (the primitive behind zIO), page pinning (the zero-copy
+//! send), and a translation *generation* used by the ATCache for
+//! invalidation.
 //!
 //! Everything moves real bytes; only time is modeled (by callers charging
 //! costs from `copier-hw`).

@@ -19,8 +19,8 @@
 //! ([`PhysMem::copy_run`], [`PhysMem::read_run`], [`PhysMem::write_run`])
 //! move a whole multi-page run with one borrow and one `memcpy`/`memmove`
 //! instead of a cell borrow plus bounds dance per 4 KiB page. The per-page
-//! path is kept as [`PhysMem::copy_run_paged`] — the baseline the
-//! `fig_hostperf` bench compares against.
+//! tiling it replaced lives on only as `fig_hostperf`'s baseline, built
+//! in the bench over `copy_run`.
 //!
 //! Only host wall-clock changes: virtual-time costs are charged by callers
 //! from byte counts, which the arena leaves untouched.
@@ -398,11 +398,6 @@ impl PhysMem {
         self.pressure();
     }
 
-    /// Current watermarks as `(low, high)` allocated-frame counts.
-    pub fn watermarks(&self) -> (usize, usize) {
-        (self.wmark_low.get(), self.wmark_high.get())
-    }
-
     /// Whether the pool is under memory pressure, with hysteresis: raised
     /// when allocation reaches the high watermark, cleared only once it
     /// falls back to the low watermark. Consumers (the Copier service)
@@ -540,61 +535,6 @@ impl PhysMem {
             arena.copy_within(s0..s0 + len, d0);
         }
         self.mark_bytes_dirty(d0, len);
-    }
-
-    /// Per-page baseline of [`Self::copy_run`]: identical semantics, but
-    /// borrows and copies one page-bounded chunk at a time like the
-    /// pre-arena cell-per-frame backing did. Kept callable so
-    /// `fig_hostperf` can measure the fast path against it; production
-    /// paths never use it.
-    pub fn copy_run_paged(
-        &self,
-        dst: FrameId,
-        dst_off: usize,
-        src: FrameId,
-        src_off: usize,
-        len: usize,
-    ) {
-        if len == 0 {
-            return;
-        }
-        let s0 = src.0 as usize * PAGE_SIZE + src_off;
-        let d0 = dst.0 as usize * PAGE_SIZE + dst_off;
-        // Chunk at every source or destination page boundary; walk the
-        // chunks backwards when the regions overlap with dst above src so
-        // not-yet-copied source bytes are never clobbered (memmove tiling).
-        let chunk = |d_abs: usize, s_abs: usize, take: usize| {
-            self.copy_run(
-                FrameId(dst.0 + (d_abs / PAGE_SIZE) as u32),
-                d_abs % PAGE_SIZE,
-                FrameId(src.0 + (s_abs / PAGE_SIZE) as u32),
-                s_abs % PAGE_SIZE,
-                take,
-            );
-        };
-        if d0 <= s0 {
-            let mut done = 0usize;
-            while done < len {
-                let (s_abs, d_abs) = (src_off + done, dst_off + done);
-                let take = (len - done)
-                    .min(PAGE_SIZE - s_abs % PAGE_SIZE)
-                    .min(PAGE_SIZE - d_abs % PAGE_SIZE);
-                chunk(d_abs, s_abs, take);
-                done += take;
-            }
-        } else {
-            // The last forward chunk ends at `rem` and starts at the
-            // nearest source or destination page boundary below it, so its
-            // length is computable directly — no chunk list needed.
-            let mut rem = len;
-            while rem > 0 {
-                let take = rem
-                    .min((src_off + rem - 1) % PAGE_SIZE + 1)
-                    .min((dst_off + rem - 1) % PAGE_SIZE + 1);
-                rem -= take;
-                chunk(dst_off + rem, src_off + rem, take);
-            }
-        }
     }
 
     /// Copies a whole frame (CoW break helper). Returns bytes copied.
@@ -829,26 +769,6 @@ mod tests {
         pm.write_run(f, 1000, &data);
         pm.copy_run(f, 200, f, 1000, data.len());
         pm.read_run(f, 200, &mut got);
-        assert_eq!(got, data);
-    }
-
-    #[test]
-    fn copy_run_paged_matches_copy_run() {
-        let pm = PhysMem::new(12, AllocPolicy::Sequential);
-        let a = pm.alloc_contiguous(6).unwrap();
-        let b = pm.alloc_contiguous(6).unwrap();
-        let data: Vec<u8> = (0..5 * PAGE_SIZE).map(|i| (i % 241) as u8).collect();
-        pm.write_run(a, 123, &data);
-        pm.copy_run(b, 456, a, 123, data.len());
-        pm.copy_run_paged(a, 123, b, 456, data.len()); // round-trip via baseline
-        let mut got = vec![0u8; data.len()];
-        pm.read_run(a, 123, &mut got);
-        assert_eq!(got, data);
-
-        // Overlapping baseline copy also keeps memmove semantics.
-        pm.write_run(a, 0, &data);
-        pm.copy_run_paged(FrameId(a.0), 512, a, 0, data.len());
-        pm.read_run(a, 512, &mut got);
         assert_eq!(got, data);
     }
 

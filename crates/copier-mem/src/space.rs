@@ -160,11 +160,6 @@ impl FaultWork {
         self.cow_copy += o.cow_copy;
         self.bytes_copied += o.bytes_copied;
     }
-
-    /// Whether any fault (beyond a plain walk) occurred.
-    pub fn faulted(&self) -> bool {
-        self.demand_zero + self.cow_remap + self.cow_copy > 0
-    }
 }
 
 /// A physically contiguous extent of a virtual range.
@@ -383,38 +378,19 @@ impl AddressSpace {
         self.pt.borrow().get(&va.vpn()).copied()
     }
 
-    /// Sampled, non-faulting FNV digest of the extent `[va, va+len)`:
-    /// folds the length plus the bytes of the extent's first and last
-    /// pages via pure page-table lookups. Unmapped pages fold as zeros
-    /// (demand-zero semantics), so digesting never touches the space —
-    /// no fault, no allocation, no generation bump.
+    /// Non-faulting FNV digest of the extent `[va, va+len)` through pure
+    /// page-table lookups: the length plus the bytes of every page when
+    /// `full`, else of the first and last pages only. Unmapped pages fold
+    /// as zeros (demand-zero semantics), so digesting never touches the
+    /// space — no fault, no allocation, no generation bump. Digests are
+    /// only comparable at the same coverage.
     ///
-    /// Used by the crash-recovery journal to detect torn destinations:
-    /// head/tail sampling keeps the per-admission cost `O(PAGE_SIZE)`
-    /// regardless of extent size, and a partial copy lands a prefix, so
-    /// the head page catches it. Equivalent to
-    /// [`extent_digest_stride`](Self::extent_digest_stride) with stride 0.
-    pub fn extent_digest(&self, va: VirtAddr, len: usize) -> u64 {
-        self.extent_digest_stride(va, len, 0)
-    }
-
-    /// [`extent_digest`](Self::extent_digest) with a configurable page
-    /// sampling stride — the coverage/cost dial:
-    ///
-    /// * `stride == 0` — legacy head/tail sampling: `O(PAGE_SIZE)` per
-    ///   call, catches torn prefixes and truncated tails, but is blind
-    ///   to damage confined to interior pages (a mid-extent bit flip
-    ///   hashes identically).
-    /// * `stride == 1` — full coverage: every page folds in, cost
-    ///   `O(len)`. Detects any byte difference; what copy verification
-    ///   (`VerifyPolicy::Full` in copier-core) uses.
-    /// * `stride == k > 1` — head, tail, and every `k`-th interior page:
-    ///   cost `O(len / k)`, detects interior damage with probability
-    ///   `~1/k` per corrupted page. A middle ground for sampled
-    ///   verification of huge extents.
-    ///
-    /// Digests are only comparable between calls with the same stride.
-    pub fn extent_digest_stride(&self, va: VirtAddr, len: usize, stride: usize) -> u64 {
+    /// The crash-recovery journal samples head and tail, to detect torn
+    /// destinations: `O(PAGE_SIZE)` per admission whatever the length, and
+    /// a partial copy lands a prefix, so the head page catches it (damage
+    /// confined to interior pages hashes identically). The scrubber
+    /// digests in full: `O(len)`, and any byte difference shows.
+    pub fn extent_digest(&self, va: VirtAddr, len: usize, full: bool) -> u64 {
         let mut h = extent_seed(len);
         if len == 0 {
             return h;
@@ -424,16 +400,7 @@ impl AddressSpace {
         let last_vpn = (end - 1) / page;
         let mut buf = [0u8; PAGE_SIZE];
         let mut vpn = va.vpn();
-        while vpn <= last_vpn {
-            let idx = vpn - va.vpn();
-            let sampled =
-                idx == 0 || vpn == last_vpn || (stride >= 1 && idx.is_multiple_of(stride as u64));
-            if !sampled {
-                // Skip straight to the next sampled page (the tail page
-                // is always sampled, so never jump past it).
-                vpn = (vpn + (stride as u64 - idx % stride as u64)).min(last_vpn);
-                continue;
-            }
+        loop {
             let s = (vpn * page).max(va.0);
             let e = ((vpn + 1) * page).min(end);
             let addr = VirtAddr(s);
@@ -444,17 +411,12 @@ impl AddressSpace {
                 chunk.fill(0);
             }
             h = fold_words(h, chunk);
-            if stride == 0 {
-                // Head/tail only: jump from the head straight to the tail.
-                if vpn == last_vpn {
-                    break;
-                }
-                vpn = last_vpn;
-            } else {
-                vpn += 1;
+            if vpn == last_vpn {
+                return h;
             }
+            // Every page when `full`, else from the head straight to the tail.
+            vpn = if full { vpn + 1 } else { last_vpn };
         }
-        h
     }
 
     /// Resolves one page for an access, faulting as needed: the space's one
@@ -736,58 +698,13 @@ impl AddressSpace {
         Ok(child)
     }
 
-    /// Aliases `pages` pages from `src` at `src_va` into this space at a
-    /// fresh VA, CoW-protected on both sides. This is the remapping
-    /// primitive zIO and zero-copy rely on; both addresses must be
-    /// page-aligned (their documented limitation).
-    pub fn alias_from(
-        &self,
-        src: &AddressSpace,
-        src_va: VirtAddr,
-        pages: usize,
-    ) -> Result<VirtAddr, MemError> {
-        if !src_va.is_page_aligned() || pages == 0 {
-            return Err(MemError::BadRange);
-        }
-        let va = self.alloc_va(pages * PAGE_SIZE);
-        self.vmas.borrow_mut().insert(
-            va.0,
-            Vma {
-                end: va.0 + (pages * PAGE_SIZE) as u64,
-                prot: Prot::RW,
-                shared: false,
-            },
-        );
-        let mut src_pt = src.pt.borrow_mut();
-        let mut dst_pt = self.pt.borrow_mut();
-        for p in 0..pages as u64 {
-            let spte = src_pt
-                .get_mut(&(src_va.vpn() + p))
-                .ok_or(MemError::Segv(src_va))?;
-            self.pm.incref(spte.frame);
-            spte.writable = false;
-            spte.cow = true;
-            dst_pt.insert(
-                va.vpn() + p,
-                Pte {
-                    frame: spte.frame,
-                    writable: false,
-                    cow: true,
-                },
-            );
-        }
-        drop(dst_pt);
-        drop(src_pt);
-        self.bump();
-        src.bump();
-        Ok(va)
-    }
-
     /// Remaps `pages` pages of this space at `dst_va` to alias `src`'s
-    /// pages at `src_va`, CoW-protected on both sides (zIO's in-place
-    /// copy elision). Both addresses must be page-aligned and `dst_va`
-    /// must lie inside an existing writable VMA. Old destination frames
-    /// are released; pinned destination frames refuse the remap.
+    /// pages at `src_va` — `src` may be this space or another — CoW-
+    /// protected on both sides (zIO's in-place copy elision). Both
+    /// addresses must be page-aligned, `dst_va` must lie inside an
+    /// existing writable VMA and every source page must be mapped. Old
+    /// destination frames are released; pinned destination frames refuse
+    /// the remap. All or nothing: a refused remap changes neither space.
     pub fn alias_at(
         &self,
         dst_va: VirtAddr,
@@ -802,7 +719,10 @@ impl AddressSpace {
         if !vma.prot.write || dst_va.0 + (pages * PAGE_SIZE) as u64 > vma.end {
             return Err(MemError::Segv(dst_va));
         }
-        // Refuse when an in-flight copy has the destination locked.
+        // Check everything before touching either table: a refused remap
+        // leaves both spaces, their frames and their generations as they
+        // were. An in-flight copy locks a destination page; every source
+        // page must be mapped.
         {
             let pt = self.pt.borrow();
             for p in 0..pages as u64 {
@@ -814,53 +734,32 @@ impl AddressSpace {
                     }
                 }
             }
-        }
-        let same_space = std::ptr::eq(self, src);
-        if same_space {
-            let mut pt = self.pt.borrow_mut();
-            for p in 0..pages as u64 {
-                let spte = *pt.get(&(src_va.vpn() + p)).ok_or(MemError::Segv(src_va))?;
-                self.pm.incref(spte.frame);
-                pt.insert(
-                    src_va.vpn() + p,
-                    Pte {
-                        writable: false,
-                        cow: true,
-                        ..spte
-                    },
-                );
-                if let Some(old) = pt.insert(
-                    dst_va.vpn() + p,
-                    Pte {
-                        frame: spte.frame,
-                        writable: false,
-                        cow: true,
-                    },
-                ) {
-                    self.pm.decref(old.frame);
-                }
+            let src_pt = src.pt.borrow();
+            if (0..pages as u64).any(|p| !src_pt.contains_key(&(src_va.vpn() + p))) {
+                return Err(MemError::Segv(src_va));
             }
-        } else {
-            let mut dst_pt = self.pt.borrow_mut();
-            let mut src_pt = src.pt.borrow_mut();
-            for p in 0..pages as u64 {
+        }
+        for p in 0..pages as u64 {
+            let frame = {
+                let mut src_pt = src.pt.borrow_mut();
                 let spte = src_pt
                     .get_mut(&(src_va.vpn() + p))
-                    .ok_or(MemError::Segv(src_va))?;
-                self.pm.incref(spte.frame);
+                    .expect("source pages checked above");
                 spte.writable = false;
                 spte.cow = true;
-                let new = Pte {
-                    frame: spte.frame,
-                    writable: false,
-                    cow: true,
-                };
-                if let Some(old) = dst_pt.insert(dst_va.vpn() + p, new) {
-                    self.pm.decref(old.frame);
-                }
+                spte.frame
+            };
+            self.pm.incref(frame);
+            let new = Pte {
+                frame,
+                writable: false,
+                cow: true,
+            };
+            if let Some(old) = self.pt.borrow_mut().insert(dst_va.vpn() + p, new) {
+                self.pm.decref(old.frame);
             }
         }
-        if !same_space {
+        if !std::ptr::eq(self, src) {
             src.bump();
         }
         self.bump();
@@ -939,7 +838,7 @@ mod tests {
         let va = asp.mmap(3 * PAGE_SIZE, Prot::RW, true).unwrap();
         assert_eq!(pm.allocated(), 3);
         let w = asp.write_bytes(va, &[1, 2, 3]).unwrap();
-        assert!(!w.faulted());
+        assert_eq!(w.demand_zero + w.cow_remap + w.cow_copy, 0);
     }
 
     #[test]
@@ -962,46 +861,28 @@ mod tests {
         asp.write_bytes(va, &data).unwrap();
         let len = data.len();
 
-        let head_tail = asp.extent_digest(va, len);
-        assert_eq!(
-            head_tail,
-            asp.extent_digest_stride(va, len, 0),
-            "stride 0 is the legacy head/tail digest"
-        );
-        let full = asp.extent_digest_stride(va, len, 1);
-        let sparse = asp.extent_digest_stride(va, len, 3);
+        let head_tail = asp.extent_digest(va, len, false);
+        let full = asp.extent_digest(va, len, true);
+        assert_ne!(head_tail, full, "the two coverages fold different bytes");
 
         // Flip one byte in the dead middle of the extent.
         let mid = VirtAddr(va.0 + (len / 2) as u64);
         asp.write_bytes(mid, &[0xFF]).unwrap();
 
         assert_eq!(
-            asp.extent_digest(va, len),
+            asp.extent_digest(va, len, false),
             head_tail,
             "head/tail sampling is blind to mid-extent damage"
         );
         assert_ne!(
-            asp.extent_digest_stride(va, len, 1),
+            asp.extent_digest(va, len, true),
             full,
-            "full stride detects any byte difference"
+            "full coverage detects any byte difference"
         );
-        // Page 4 of 8 is on the stride-3 lattice's complement — whether
-        // stride 3 sees it is fixed by geometry (idx 4 not sampled), so
-        // this documents the partial-coverage trade-off.
-        assert_eq!(
-            asp.extent_digest_stride(va, len, 3),
-            sparse,
-            "stride 3 skips the damaged interior page here"
-        );
-        // But damage on a sampled lattice page is caught.
-        asp.write_bytes(VirtAddr(va.0 + 3 * PAGE_SIZE as u64), &[0xEE])
-            .unwrap();
-        assert_ne!(asp.extent_digest_stride(va, len, 3), sparse);
 
-        // Sub-page extents agree across all strides (same single chunk).
-        let small = asp.extent_digest(va, 100);
-        assert_eq!(asp.extent_digest_stride(va, 100, 1), small);
-        assert_eq!(asp.extent_digest_stride(va, 100, 7), small);
+        // Sub-page extents agree across both coverages (same single chunk).
+        let small = asp.extent_digest(va, 100, false);
+        assert_eq!(asp.extent_digest(va, 100, true), small);
     }
 
     #[test]
@@ -1291,30 +1172,6 @@ mod tests {
     }
 
     #[test]
-    fn alias_from_requires_alignment_and_cows_both_sides() {
-        let (_, a) = setup(32, AllocPolicy::Sequential);
-        let b = AddressSpace::new(2, Rc::clone(a.phys()));
-        let src = a.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
-        a.write_bytes(src, b"zio source").unwrap();
-
-        assert!(matches!(
-            b.alias_from(&a, src.add(1), 1),
-            Err(MemError::BadRange)
-        ));
-
-        let dst = b.alias_from(&a, src, 2).unwrap();
-        let mut buf = [0u8; 10];
-        b.read_bytes(dst, &mut buf).unwrap();
-        assert_eq!(&buf, b"zio source");
-
-        // Writer on either side triggers a CoW copy, isolating the two.
-        let w = a.write_bytes(src, b"SRC").unwrap();
-        assert_eq!(w.cow_copy, 1);
-        b.read_bytes(dst, &mut buf).unwrap();
-        assert_eq!(&buf, b"zio source");
-    }
-
-    #[test]
     fn drop_releases_frames() {
         let (pm, asp) = setup(16, AllocPolicy::Sequential);
         let _va = asp.mmap(4 * PAGE_SIZE, Prot::RW, true).unwrap();
@@ -1368,5 +1225,72 @@ mod alias_at_tests {
         ));
         asp.unpin_frames(&frames);
         asp.alias_at(dst, &asp, src, 1).unwrap();
+    }
+
+    /// A source page with no PTE partway through the range refuses the
+    /// whole remap before any destination page moves: no frame released
+    /// under a cached translation that no generation bump invalidates.
+    #[test]
+    fn alias_at_is_all_or_nothing() {
+        let pm = Rc::new(PhysMem::new(32, AllocPolicy::Sequential));
+        let asp = AddressSpace::new(1, Rc::clone(&pm));
+        let dst = asp.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        let src = asp.mmap(2 * PAGE_SIZE, Prot::RW, false).unwrap();
+        asp.write_bytes(src, b"page zero only").unwrap();
+        let (frame, src_pte) = (asp.translate(dst).unwrap().frame, asp.translate(src));
+        let gen = asp.generation();
+        assert!(matches!(
+            asp.alias_at(dst, &asp, src, 2),
+            Err(MemError::Segv(_))
+        ));
+        assert_eq!(asp.translate(dst).unwrap().frame, frame);
+        assert_eq!(asp.generation(), gen);
+        assert_eq!(asp.translate(src), src_pte, "the source stays writable");
+        assert_eq!(pm.refcount(frame), 1);
+    }
+
+    #[test]
+    fn alias_at_across_spaces_requires_alignment_and_cows_both_sides() {
+        let pm = Rc::new(PhysMem::new(32, AllocPolicy::Sequential));
+        let a = AddressSpace::new(1, Rc::clone(&pm));
+        let b = AddressSpace::new(2, Rc::clone(&pm));
+        let src = a.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        let dst = b.mmap(2 * PAGE_SIZE, Prot::RW, true).unwrap();
+        a.write_bytes(src, b"zio source").unwrap();
+        a.write_bytes(src.add(PAGE_SIZE), b"second page").unwrap();
+
+        for (d, s) in [(dst, src.add(1)), (dst.add(1), src)] {
+            assert!(matches!(b.alias_at(d, &a, s, 1), Err(MemError::BadRange)));
+        }
+
+        let (ga, gb, before) = (a.generation(), b.generation(), pm.allocated());
+        b.alias_at(dst, &a, src, 2).unwrap();
+        // Both spaces' cached translations are invalidated, and the old
+        // destination frames are released: the bytes are shared, not copied.
+        assert!(a.generation() > ga && b.generation() > gb);
+        assert_eq!(pm.allocated(), before - 2);
+        for p in 0..2 {
+            let off = p * PAGE_SIZE;
+            let (sp, dp) = (a.translate(src.add(off)), b.translate(dst.add(off)));
+            assert_eq!(sp.unwrap().frame, dp.unwrap().frame);
+        }
+        let mut buf = [0u8; 11];
+        b.read_bytes(dst, &mut buf[..10]).unwrap();
+        assert_eq!(&buf[..10], b"zio source");
+
+        // A write from the source side copies its page and leaves the
+        // destination's bytes alone ...
+        let w = a.write_bytes(src, b"SRC").unwrap();
+        assert_eq!(w.cow_copy, 1);
+        b.read_bytes(dst, &mut buf[..10]).unwrap();
+        assert_eq!(&buf[..10], b"zio source");
+        // ... and a write from the destination side does the same for the
+        // source.
+        let w = b.write_bytes(dst.add(PAGE_SIZE), b"DST").unwrap();
+        assert_eq!(w.cow_copy, 1);
+        a.read_bytes(src.add(PAGE_SIZE), &mut buf).unwrap();
+        assert_eq!(&buf, b"second page");
+        b.read_bytes(dst.add(PAGE_SIZE), &mut buf).unwrap();
+        assert_eq!(&buf, b"DSTond page");
     }
 }

@@ -1,11 +1,11 @@
 //! Differential properties for the arena-backed fast paths against their
-//! per-page reference implementations, with shrinking.
+//! reference models, with shrinking.
 //!
 //! Two layers are cross-checked:
 //!
-//! * `PhysMem::copy_run` (single coalesced memcpy/memmove) against both a
-//!   flat `Vec<u8>` model and the page-tiled `copy_run_paged` baseline,
-//!   over random op sequences including overlapping runs;
+//! * `PhysMem::copy_run` (single coalesced memcpy/memmove) against a flat
+//!   `Vec<u8>` model (`copy_within`), over random op sequences including
+//!   overlapping runs;
 //! * `AddressSpace::resolve_range` (settled scan, or `resolve` per page
 //!   then the scan) against the per-page `resolve` loop with its extents
 //!   merged independently of the space's scan, on twin spaces built from
@@ -24,7 +24,7 @@ use copier_testkit::{check_with, shrink_vec, Config, TestRng};
 use copier_testkit::{prop_assert, prop_assert_eq};
 
 // ---------------------------------------------------------------------------
-// copy_run vs. flat model vs. copy_run_paged
+// copy_run vs. flat model
 // ---------------------------------------------------------------------------
 
 const FRAMES: usize = 8;
@@ -100,7 +100,7 @@ fn at(base: FrameId, pos: usize) -> (FrameId, usize) {
 }
 
 #[test]
-fn copy_run_matches_flat_model_and_paged_baseline() {
+fn copy_run_matches_flat_model() {
     check_with(
         &Config::from_env(),
         |rng| {
@@ -109,31 +109,20 @@ fn copy_run_matches_flat_model_and_paged_baseline() {
         },
         |ops| shrink_vec(ops, shrink_copy_op),
         |ops| {
-            let (pm_run, base_run) = arena_pool();
-            let (pm_paged, base_paged) = arena_pool();
+            let (pm, base) = arena_pool();
             let mut model: Vec<u8> = (0..ARENA).map(|i| (i % 251) as u8).collect();
-            pm_run.write_run(base_run, 0, &model);
-            pm_paged.write_run(base_paged, 0, &model);
+            pm.write_run(base, 0, &model);
 
             for op in ops {
-                let (df, doff) = at(base_run, op.dst);
-                let (sf, soff) = at(base_run, op.src);
-                pm_run.copy_run(df, doff, sf, soff, op.len);
-                let (df, doff) = at(base_paged, op.dst);
-                let (sf, soff) = at(base_paged, op.src);
-                pm_paged.copy_run_paged(df, doff, sf, soff, op.len);
+                let (df, doff) = at(base, op.dst);
+                let (sf, soff) = at(base, op.src);
+                pm.copy_run(df, doff, sf, soff, op.len);
                 model.copy_within(op.src..op.src + op.len, op.dst);
             }
 
-            let mut got_run = vec![0u8; ARENA];
-            let mut got_paged = vec![0u8; ARENA];
-            pm_run.read_run(base_run, 0, &mut got_run);
-            pm_paged.read_run(base_paged, 0, &mut got_paged);
-            prop_assert!(got_run == model, "copy_run diverged from flat model");
-            prop_assert!(
-                got_paged == model,
-                "copy_run_paged diverged from flat model"
-            );
+            let mut got = vec![0u8; ARENA];
+            pm.read_run(base, 0, &mut got);
+            prop_assert!(got == model, "copy_run diverged from flat model");
             Ok(())
         },
     );

@@ -441,11 +441,13 @@ impl NetStack {
         fd: usize,
     ) -> Result<(usize, Option<Rc<SegDescriptor>>), MemError> {
         // Trap first (entering the syscall), then wait for data (blocking
-        // costs a context switch when the queue is empty).
+        // costs a context switch when the queue is empty). A zero-copy recv
+        // is a `Sync` one: the paper does not evaluate it (header-data-split
+        // NICs required), so it takes the copy path, as an unaligned
+        // zero-copy send does.
         match mode {
-            IoMode::Sync | IoMode::Copier => self.os.trap(core).await,
+            IoMode::Sync | IoMode::Copier | IoMode::ZeroCopy => self.os.trap(core).await,
             IoMode::Ub => core.advance(UB_ENTRY).await,
-            IoMode::ZeroCopy => {}
         }
         loop {
             if !sock.rx.borrow().is_empty() {
@@ -457,7 +459,7 @@ impl NetStack {
         let skb = sock.rx.borrow_mut().pop_front().expect("non-empty");
         let len = skb.len.min(cap);
         match mode {
-            IoMode::Sync | IoMode::Ub => {
+            IoMode::Sync | IoMode::Ub | IoMode::ZeroCopy => {
                 core.advance(NET_PROC).await;
                 sync_copy(
                     core,
@@ -518,11 +520,6 @@ impl NetStack {
                         Ok((len, None))
                     }
                 }
-            }
-            IoMode::ZeroCopy => {
-                // The paper does not evaluate zero-copy recv (special NIC
-                // architectures required); mirror that.
-                unimplemented!("zero-copy recv requires header-data-split NICs")
             }
         }
     }
@@ -646,6 +643,44 @@ mod tests {
             svc.stop();
         });
         sim.run();
+    }
+
+    /// A zero-copy recv takes the `Sync` path: the same bytes land in the
+    /// same virtual time.
+    #[test]
+    fn zerocopy_recv_behaves_as_sync() {
+        fn recv_with(mode: IoMode) -> (Vec<u8>, Nanos) {
+            let (mut sim, os, net) = setup(1, false);
+            let core = os.machine.core(0);
+            let p = os.spawn_process();
+            let (a, b) = net.socket_pair();
+            let h = sim.handle();
+            let out = Rc::new(RefCell::new((Vec::new(), Nanos::ZERO)));
+            let out2 = Rc::clone(&out);
+            sim.spawn("t", async move {
+                let tx = p.space.mmap(3 * PAGE_SIZE, Prot::RW, true).unwrap();
+                let rx = p.space.mmap(3 * PAGE_SIZE, Prot::RW, true).unwrap();
+                let data: Vec<u8> = (0..9000).map(|i| (i % 233) as u8).collect();
+                p.space.write_bytes(tx, &data).unwrap();
+                net.send(&core, &p, &a, tx, data.len(), IoMode::Sync)
+                    .await
+                    .unwrap();
+                let t0 = h.now();
+                let (n, d) = net
+                    .recv(&core, &p, &b, rx, 3 * PAGE_SIZE, mode)
+                    .await
+                    .unwrap();
+                assert!(d.is_none());
+                let mut got = vec![0u8; n];
+                p.space.read_bytes(rx, &mut got).unwrap();
+                *out2.borrow_mut() = (got, h.now() - t0);
+            });
+            sim.run();
+            out.take()
+        }
+        let sync = recv_with(IoMode::Sync);
+        assert_eq!(sync.0.len(), 9000);
+        assert_eq!(recv_with(IoMode::ZeroCopy), sync);
     }
 
     #[test]

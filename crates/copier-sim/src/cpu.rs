@@ -387,11 +387,6 @@ impl Machine {
         })
     }
 
-    /// Number of cores.
-    pub fn num_cores(&self) -> usize {
-        self.cores.len()
-    }
-
     /// Returns core `id`.
     pub fn core(&self, id: usize) -> Rc<Core> {
         Rc::clone(&self.cores[id])
@@ -414,7 +409,7 @@ impl Machine {
 
     /// Energy in joules consumed up to `now`, under `pm`.
     ///
-    /// Idle time is `num_cores × now − total_busy`.
+    /// Idle time is `cores × now − total_busy`.
     pub fn energy_joules(&self, pm: PowerModel, now: Nanos) -> f64 {
         let busy_s = self.total_busy().as_secs_f64();
         let wall_s = now.as_secs_f64() * self.cores.len() as f64;
@@ -532,8 +527,8 @@ mod tests {
     fn a_machine_is_no_task() {
         let sim = Sim::new();
         let m = Machine::new(&sim.handle(), 4);
-        assert_eq!((sim.spawned_tasks(), sim.live_tasks()), (0, 0));
-        assert_eq!(m.num_cores(), 4);
+        assert_eq!((sim.stats().spawns, sim.live_tasks()), (0, 0));
+        assert_eq!(m.cores.len(), 4);
     }
 
     /// Polls `f` once and reports whether it finished. One that pended

@@ -603,11 +603,6 @@ impl Sim {
         self.kernel.live_tasks.get()
     }
 
-    /// Total number of tasks ever spawned.
-    pub fn spawned_tasks(&self) -> usize {
-        self.kernel.stats.get().spawns as usize
-    }
-
     /// What the executor has done so far, counted (ROADMAP item 5).
     pub fn stats(&self) -> SimStats {
         self.kernel.stats.get()
@@ -919,7 +914,7 @@ mod tests {
                 let h = h.clone();
                 let log = Rc::clone(&log);
                 sim.spawn("t", async move {
-                    h.sleep(Nanos::from_nanos((i as u64 * 37) % 11)).await;
+                    h.sleep(Nanos((i as u64 * 37) % 11)).await;
                     h.yield_now().await;
                     log.borrow_mut().push((h.now().as_nanos(), i));
                 });
@@ -1018,7 +1013,7 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(sim.spawned_tasks(), 1001);
+        assert_eq!(sim.stats().spawns, 1001);
         assert_eq!(sim.kernel.tasks.borrow().len(), 2);
     }
 }

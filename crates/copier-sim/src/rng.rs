@@ -115,21 +115,6 @@ impl SimRng {
             v.swap(i, j);
         }
     }
-
-    /// Samples from the size CDF of the paper's quoted request traces:
-    /// 95.1% of Twitter memcached requests are ≤ 10 KB (§2.2).
-    ///
-    /// Small requests are drawn log-uniform in [64 B, 10 KB]; the 4.9% tail
-    /// is log-uniform in (10 KB, 256 KB].
-    pub fn trace_request_size(&self) -> usize {
-        let (lo, hi) = if self.gen_bool(0.951) {
-            (64f64, 10.0 * 1024.0)
-        } else {
-            (10.0 * 1024.0, 256.0 * 1024.0)
-        };
-        let x = lo * (hi / lo).powf(self.gen_f64());
-        x as usize
-    }
 }
 
 #[cfg(test)]
@@ -181,17 +166,6 @@ mod tests {
         r.fill_bytes(&mut buf);
         // 23 zero bytes after filling would be astronomically unlikely.
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn trace_sizes_match_quoted_percentile() {
-        let r = SimRng::new(123);
-        let n = 20_000;
-        let small = (0..n)
-            .filter(|_| r.trace_request_size() <= 10 * 1024)
-            .count();
-        let frac = small as f64 / n as f64;
-        assert!((frac - 0.951).abs() < 0.01, "frac = {frac}");
     }
 
     #[test]

@@ -15,11 +15,6 @@ impl Nanos {
     /// Zero-length span.
     pub const ZERO: Nanos = Nanos(0);
 
-    /// Creates a span from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Nanos(ns)
-    }
-
     /// Creates a span from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         Nanos(us * 1_000)

@@ -72,18 +72,6 @@ impl LatencyRecorder {
         percentiles_of(&mut lat)
     }
 
-    /// Latency percentiles for one tenant's samples.
-    pub fn tenant_percentiles(&self, tenant: u32) -> Option<Percentiles> {
-        let mut lat: Vec<u64> = self
-            .samples
-            .borrow()
-            .iter()
-            .filter(|&&(t, _)| t == tenant)
-            .map(|&(_, l)| l)
-            .collect();
-        percentiles_of(&mut lat)
-    }
-
     /// Per-tenant SLO attainment: for every tenant with at least one
     /// sample, the fraction of its samples at or under `slo`. Sorted by
     /// tenant id, so the result is deterministic.
@@ -204,16 +192,6 @@ mod tests {
         assert!((att[1].1 - 0.5).abs() < 1e-12);
         assert_eq!(r.tenants_meeting(100, 0.75), (1, 2));
         assert_eq!(r.tenants_meeting(200, 0.99), (2, 2));
-    }
-
-    #[test]
-    fn tenant_percentiles_filter() {
-        let r = LatencyRecorder::new();
-        r.record(1, 0, 10);
-        r.record(2, 0, 1000);
-        assert_eq!(r.tenant_percentiles(1).unwrap().max, 10);
-        assert_eq!(r.tenant_percentiles(2).unwrap().max, 1000);
-        assert!(r.tenant_percentiles(3).is_none());
     }
 
     #[test]

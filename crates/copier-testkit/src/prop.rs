@@ -136,14 +136,6 @@ impl Config {
         cfg.repro = env_u64("TESTKIT_REPRO");
         cfg
     }
-
-    /// Single-case regression config for a seed printed by a failure.
-    pub fn regression(case_seed: u64) -> Self {
-        Config {
-            repro: Some(case_seed),
-            ..Config::default()
-        }
-    }
 }
 
 fn env_u64(key: &str) -> Option<u64> {
@@ -445,7 +437,10 @@ mod tests {
                 break s;
             }
         };
-        let cfg = Config::regression(case_seed);
+        let cfg = Config {
+            repro: Some(case_seed),
+            ..Config::default()
+        };
         let result = std::panic::catch_unwind(|| {
             check_with(
                 &cfg,

@@ -120,6 +120,11 @@ pollers=$(awk '
 unruly=$(grep -rnE 'poll_fn|impl(<[^>]*>)? +([a-z_]+::)*Future +for|\.poll\(|\b(try_)?(join|select)(_biased)?!|\b(join|select)_all\b' \
     $(ls -d crates/*/src | grep -v '^crates/copier-sim/') || true)
 [ -z "$unruly" ] || { echo "a future polled by hand, joined or selected in:"; echo "$unruly"; exit 1; }
+# Reach census (ROADMAP item 6c): no public item of non-test crates/*/src
+# code is reached by nothing, or only by its own crate's unit tests, unless
+# scripts/census.allow names it with a reason. `scripts/census.sh --table`
+# prints what reaches every item.
+scripts/census.sh
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings

@@ -543,8 +543,8 @@ fn torn_destination_is_poisoned_at_recovery() {
             src: src.0,
             len: len as u64,
             seg: PAGE_SIZE as u64,
-            dst_digest: uspace.extent_digest(dst, len),
-            src_digest: uspace.extent_digest(src, len),
+            dst_digest: uspace.extent_digest(dst, len, false),
+            src_digest: uspace.extent_digest(src, len, false),
         });
         j.flush();
         assert!(!store.is_empty(), "staged admit must reach the store");
