@@ -38,6 +38,14 @@
 //! descriptor costs the client (`range_ready` over all 256 segments, the
 //! last one missing, so no early exit helps).
 //!
+//! The `digest` group times the guards' digest kernel
+//! (`PhysMem::extent_digest` at full coverage: the four-lane word fold
+//! every extent and frame digest runs) against a bench-local serial
+//! reference (the one-dependent-multiply-per-word fold it replaced), on
+//! a hot 4 KiB page and on a 1,506-byte extent (the mean bytes an
+//! admission's journal digest folded on `guarded_small`). The bar is on
+//! the page's speed-up.
+//!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
 //! Set `HOSTPERF_SMOKE=1` for a tiny, fast run (CI smoke).
@@ -51,9 +59,11 @@ use std::time::Instant;
 use copier_bench::json::Json;
 use copier_bench::{kb, section};
 use copier_core::{IntervalSet, SegDescriptor, DEFAULT_SEGMENT};
+use copier_mem::Extent;
 use copier_mem::{
     frames_of, AddressSpace, AllocPolicy, FrameId, PhysMem, Prot, VirtAddr, PAGE_SIZE,
 };
+use copier_sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier_sim::{Machine, Nanos, Notify, Sim};
 use copier_testkit::{black_box, median, Bench};
 
@@ -315,6 +325,63 @@ fn run_overlapping(bench: &Bench, pages: usize) -> LayoutResult {
         bytes: len,
         fast_gbps: gbps(len, fast.median_ns()),
         paged_gbps: gbps(len, paged.median_ns()),
+    }
+}
+
+/// One digest case: the lane kernel against the serial reference over
+/// the same bytes.
+struct DigestRow {
+    name: &'static str,
+    bytes: usize,
+    lane_ns: u64,
+    serial_ns: u64,
+}
+
+impl DigestRow {
+    fn speedup(&self) -> f64 {
+        self.serial_ns as f64 / self.lane_ns.max(1) as f64
+    }
+}
+
+/// The page's bar: a standalone microbenchmark of the two folds read
+/// 3.3x on the day the lane kernel became the only one.
+const DIGEST_PAGE_BAR: f64 = 2.5;
+
+/// The serial word fold the lane kernel replaced: FNV-1a over
+/// little-endian words, each multiply waiting on the one before, then
+/// the remainder bytes. Bench-local: the crates keep only the lane fold.
+fn serial_fold(prime: u64, h: u64, bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(h, |h, w| {
+        (h ^ u64::from_le_bytes(w.try_into().expect("8 bytes"))).wrapping_mul(prime)
+    });
+    words
+        .remainder()
+        .iter()
+        .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(prime))
+}
+
+/// Times one extent of a hot frame run both ways.
+fn run_digest(bench: &Bench, name: &'static str, off: usize, len: usize) -> DigestRow {
+    let pm = PhysMem::new(4, AllocPolicy::Sequential);
+    let frame = pm.alloc_contiguous(2).unwrap();
+    let data: Vec<u8> = (0..2 * PAGE_SIZE).map(|i| (i * 31 % 251) as u8).collect();
+    pm.write_run(frame, 0, &data);
+    let ext = Extent { frame, off, len };
+    let bytes = &data[off..off + len];
+    // The prime is byte-FNV of a lone 1 from 0.
+    let prime = fnv_bytes(0, &[1]);
+    let lane = bench.run_and_print(&format!("{name}/lane"), || {
+        black_box(pm.extent_digest(black_box(ext), true));
+    });
+    let serial = bench.run_and_print(&format!("{name}/serial"), || {
+        black_box(serial_fold(prime, FNV_OFFSET, black_box(bytes)));
+    });
+    DigestRow {
+        name,
+        bytes: len,
+        lane_ns: lane.median_ns(),
+        serial_ns: serial.median_ns(),
     }
 }
 
@@ -608,6 +675,21 @@ fn main() {
         run_gather(&bench, "gather-scattered", AllocPolicy::Scattered, depth, 4),
         run_overlapping(&bench, if smoke { 16 } else { 1024 }),
     ];
+    section("digest: lane kernel vs. serial word fold");
+    let digests = [
+        run_digest(&bench, "digest-page", 0, PAGE_SIZE),
+        run_digest(&bench, "digest-extent", 100, 1506),
+    ];
+    for d in &digests {
+        println!(
+            "  {:<14} {:>5} B  lane={:>5} ns  serial={:>5} ns  speedup={:.2}x",
+            d.name,
+            d.bytes,
+            d.lane_ns,
+            d.serial_ns,
+            d.speedup()
+        );
+    }
     section("executor: host cost of one simulated event");
     let (rounds, events) = if smoke { (3, 20_000) } else { (15, 400_000) };
     let (floor, executor) = run_cases(&EXEC_CASES, rounds, events);
@@ -651,6 +733,23 @@ fn main() {
                     .collect(),
             ),
         ),
+        (
+            "digest",
+            Json::Arr(
+                digests
+                    .iter()
+                    .map(|d| {
+                        Json::obj([
+                            ("name", Json::Str(d.name.into())),
+                            ("bytes", Json::Int(d.bytes as u64)),
+                            ("lane_ns", Json::Int(d.lane_ns)),
+                            ("serial_ns", Json::Int(d.serial_ns)),
+                            ("speedup", Json::Num(d.speedup())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
         ("executor_floor_ns", Json::Num(floor)),
         ("executor", cases_json(&executor)),
         ("progress_floor_ns", Json::Num(progress_floor)),
@@ -687,6 +786,12 @@ fn main() {
                                 })
                             }),
                     )
+                    .chain(std::iter::once(Json::summary(
+                        "speedup_digest-page",
+                        "speedup_min",
+                        DIGEST_PAGE_BAR,
+                        digests[0].speedup(),
+                    )))
                     .collect(),
             ),
         ),

@@ -6,8 +6,10 @@
 //!   csync_all through the full service stack, faults injected): host
 //!   wall-clock of the same run untraced vs. recorded. Recording is
 //!   host-side only (virtual time is identical by construction —
-//!   asserted here); the acceptance bar is ≤ 10%. Few rounds, no
-//!   periodic memory checkpoint: this prices the event append.
+//!   asserted here); the acceptance bar is ≤ 10%. Few rounds and no
+//!   periodic memory checkpoint, only the closing one, which hashes
+//!   every allocated frame once (`frames_hashed`, reported): this prices
+//!   the event append and one full memory digest.
 //! - `small_ops` — 8 open-loop tenants, bounded-Pareto gaps and
 //!   512 B–64 KiB lengths, ≥ 50 000 active rounds, so ≥ 200 memory
 //!   checkpoints and a state hash per round: this prices the per-round
@@ -46,6 +48,8 @@ use copier_testkit::PairedRuns;
 struct RunOut {
     end: u64,
     events: usize,
+    /// Frames re-hashed by all of the run's memory checkpoints.
+    frames_hashed: u64,
 }
 
 /// One fig07-class run: `ncopies` unit copies of `len` bytes, faults
@@ -112,6 +116,7 @@ fn run_once(ncopies: usize, len: usize, seed: u64, tracer: Option<Rc<Tracer>>) -
     RunOut {
         end: end.as_nanos(),
         events: tracer.map_or(0, |t| t.events_len()),
+        frames_hashed: os.pm.digest_frames_hashed(),
     }
 }
 
@@ -242,7 +247,7 @@ fn main() {
     let (small_horizon, small_reps) = if smoke {
         (Nanos::from_millis(1), 2)
     } else {
-        (Nanos::from_millis(30), 7)
+        (Nanos::from_millis(36), 7)
     };
     let seed = 0x7ACE_D00Du64;
     let bytes = (ncopies * len) as u64;
@@ -267,12 +272,21 @@ fn main() {
     assert_eq!(plain.end, recorded.end, "tracing perturbed virtual time");
     let trace = rec.finish();
     let trace_bytes = trace.encode().len();
+    let bulk_checkpoints = trace
+        .events()
+        .iter()
+        .filter(|e| matches!(e, TraceEvent::MemDigest { .. }))
+        .count();
     println!(
         "  base={base_ms:.2} ms  traced={traced_ms:.2} ms  overhead={:.1}% (MAD {:.1}%)  events={} ({} bytes)",
         overhead * 100.0,
         floor * 100.0,
         recorded.events,
         trace_bytes
+    );
+    println!(
+        "  {bulk_checkpoints} checkpoint(s) re-hashed {} frames",
+        recorded.frames_hashed
     );
 
     section("fig_trace: record overhead, small ops (host wall clock)");
@@ -400,6 +414,8 @@ fn main() {
                 ("pairs", Json::Int(reps as u64)),
                 ("events", Json::Int(recorded.events as u64)),
                 ("trace_bytes", Json::Int(trace_bytes as u64)),
+                ("checkpoints", Json::Int(bulk_checkpoints as u64)),
+                ("frames_hashed", Json::Int(recorded.frames_hashed)),
                 ("workload_bytes", Json::Int(bytes)),
             ]),
         ),

@@ -1041,9 +1041,39 @@ mod tests {
         assert!(speedup > 1.15, "speedup = {speedup}");
     }
 
+    /// The lane fold spelled by word index, from this crate's side of
+    /// the wire: word `i` of the whole 32-byte steps goes to lane `i % 4`,
+    /// the lanes fold into `h` in order, then the remainder's words and
+    /// bytes fold serially. The prime is byte-FNV of a lone 1 from 0.
+    fn naive_lane_fold(h: u64, bytes: &[u8]) -> u64 {
+        let prime = copier_sim::wire::fnv_bytes(0, &[1]);
+        let step = |h: u64, w: u64| (h ^ w).wrapping_mul(prime);
+        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        let body = bytes.len() / 32 * 4;
+        let mut lanes = [h, h ^ 1, h ^ 2, h ^ 3];
+        for i in 0..body {
+            lanes[i % 4] = step(lanes[i % 4], word(i));
+        }
+        let mut acc = lanes.iter().fold(h, |a, &l| step(a, l));
+        let words = bytes.len() / 8;
+        for i in body..words {
+            acc = step(acc, word(i));
+        }
+        for &b in &bytes[8 * words..] {
+            acc = step(acc, b as u64);
+        }
+        acc
+    }
+
     /// The copy-verification digest of thirteen extents, head/tail and
-    /// full, pinned to the values the dispatcher's own copy of the fold
-    /// computed before it moved into `copier-mem` (commit b9e3092).
+    /// full, pinned to the values of [`naive_lane_fold`] (the seed is the
+    /// offset basis with the length folded in; full coverage folds 4 KiB
+    /// chunks from the extent's start, head/tail the first 64 bytes then
+    /// the rest of the last 64). The spelling is checked against the pins
+    /// too, so a pin is never program output. An extent of at most 64
+    /// bytes digests differently at the two coverages (head/tail also
+    /// folds the empty tail, and the lane fold of nothing is not the
+    /// identity); no caller compares across coverages.
     #[test]
     fn extent_digests_keep_their_values() {
         let pm = PhysMem::new(16, AllocPolicy::Sequential);
@@ -1072,6 +1102,51 @@ mod tests {
             (100, 9000),
             (0, 4 * PAGE_SIZE),
         ];
+        let pinned = [
+            0xaf63_bd4c_8601_b7df,
+            0xaf63_bd4c_8601_b7df,
+            0x18a3_d414_ae76_7edf,
+            0xa8db_51a8_4b38_0da3,
+            0xbdae_1752_6db6_c185,
+            0xd430_4e5b_687b_aa35,
+            0x2c0f_014b_4dd0_0512,
+            0xba4e_60e6_9ac1_d316,
+            0x9588_8b16_6a8a_f8f7,
+            0xabf0_58c0_8edf_7d5b,
+            0xe1f7_0644_95b7_4a91,
+            0xa434_8ae7_90ac_3285,
+            0x420c_2e66_434e_988a,
+            0x7699_7329_22f1_0bf6,
+            0xf9f7_ffd4_177f_da86,
+            0xcabb_1f37_b074_a1be,
+            0x17ec_25db_8efa_d28e,
+            0x9277_ac7a_2d1a_7cb7,
+            0x6577_47e9_2adf_9c51,
+            0xecec_0af5_ce38_ca01,
+            0x1e23_b60b_0908_4fb4,
+            0x345d_edb6_a298_f4cb,
+            0x6df9_cccc_332f_c988,
+            0x57ff_5420_bc70_81a1,
+            0x3c15_7de6_bd1b_4f79,
+            0xca60_8359_c454_afc2,
+        ];
+        let prime = copier_sim::wire::fnv_bytes(0, &[1]);
+        let seed = |len: usize| (copier_sim::wire::FNV_OFFSET ^ len as u64).wrapping_mul(prime);
+        let naive: Vec<u64> = cases
+            .iter()
+            .flat_map(|&(off, len)| {
+                let e = &bytes[off..off + len];
+                if len == 0 {
+                    return [seed(0), seed(0)];
+                }
+                let head = len.min(64);
+                let tail = len.saturating_sub(64).max(head);
+                let sampled = naive_lane_fold(naive_lane_fold(seed(len), &e[..head]), &e[tail..]);
+                let full = e.chunks(PAGE_SIZE).fold(seed(len), naive_lane_fold);
+                [sampled, full]
+            })
+            .collect();
+        assert_eq!(naive, pinned, "the naive spelling reproduces the pins");
         let got: Vec<u64> = cases
             .iter()
             .flat_map(|&(off, len)| {
@@ -1083,36 +1158,6 @@ mod tests {
                 [pm.extent_digest(ext, false), pm.extent_digest(ext, true)]
             })
             .collect();
-        assert_eq!(
-            got,
-            [
-                0xaf63_bd4c_8601_b7df,
-                0xaf63_bd4c_8601_b7df,
-                0x082f_7707_b4e9_1d33,
-                0x082f_7707_b4e9_1d33,
-                0x752d_6d7d_5d63_58d1,
-                0x752d_6d7d_5d63_58d1,
-                0x1006_f929_81d6_fd90,
-                0x1006_f929_81d6_fd90,
-                0x04c8_6ad2_a169_dd6d,
-                0x04c8_6ad2_a169_dd6d,
-                0xb794_92a7_7b7f_604f,
-                0xb794_92a7_7b7f_604f,
-                0xe254_efdd_9307_9a46,
-                0xe254_efdd_9307_9a46,
-                0x8530_02e4_eda7_f61a,
-                0x8530_02e4_eda7_f61a,
-                0x2be5_2e98_d2aa_609c,
-                0xc049_611b_55ca_7a27,
-                0x543a_3ada_64d6_2761,
-                0x235a_fad3_f6de_0769,
-                0xf628_205b_a666_e85a,
-                0x07aa_3e29_0e18_33eb,
-                0x1e05_7e8d_3e16_2a18,
-                0xa5b9_fab9_aad6_c705,
-                0xc7e5_e9d7_d985_b0bd,
-                0x5928_8bb5_0d89_4760,
-            ]
-        );
+        assert_eq!(got, pinned);
     }
 }

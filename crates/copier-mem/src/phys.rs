@@ -24,6 +24,22 @@
 //!
 //! Only host wall-clock changes: virtual-time costs are charged by callers
 //! from byte counts, which the arena leaves untouched.
+//!
+//! ## One digest kernel
+//!
+//! Every digest here runs `fold_words`, FNV-1a over little-endian words
+//! in four interleaved lanes, so a 4 KiB page waits on a quarter of the
+//! dependent multiplies of a serial fold: a frame's term of
+//! [`PhysMem::digest`] (the trace's memory checkpoints), the dispatcher's
+//! copy verification ([`PhysMem::extent_digest`]) and the journal's and
+//! scrubber's extent digests (`AddressSpace::extent_digest`, which folds
+//! each page's chunk in place from the arena). A frame term's value is
+//! fixed by the trace format (every recorded `MemDigest` is a sum of
+//! them), and the kernel over a page from the offset basis is exactly
+//! the four-lane value the format was recorded with. Extent digests are
+//! bound by nothing outside the process: they are host-side, compared
+//! only with digests of this same kernel, and kept in no store that
+//! outlives it, so their values moved when they left a serial word fold.
 
 use std::cell::{Cell, RefCell};
 
@@ -137,42 +153,43 @@ pub(crate) fn extent_seed(len: usize) -> u64 {
     (FNV_OFFSET ^ len as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Word-at-a-time FNV-1a of `bytes` from accumulator `h`: little-endian
-/// words, then the remainder bytes one at a time. Only ever compared with
-/// digests folded over the same chunks, so its mixing step is free to
-/// differ from byte-FNV — and it keeps sampling cheap.
+/// A little-endian 64-bit word from an 8-byte chunk.
+fn le_word(w: &[u8]) -> u64 {
+    u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"))
+}
+
+/// The one digest kernel of this crate: word-at-a-time FNV-1a of `bytes`
+/// from accumulator `h` in four interleaved lanes, so the four multiplies
+/// of a 32-byte step do not wait on each other. The lanes start at `h`,
+/// `h^1`, `h^2`, `h^3` and are folded into `h` one word each; the
+/// remainder is folded after them, whole words first, then single
+/// bytes. Every extent digest is compared only with digests folded by
+/// this same kernel over the same chunks, so its mixing step is free to
+/// differ from byte-FNV.
 pub(crate) fn fold_words(h: u64, bytes: &[u8]) -> u64 {
-    let mut words = bytes.chunks_exact(8);
-    let h = words.by_ref().fold(h, |h, w| {
-        fnv_word(
-            h,
-            u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes")),
-        )
-    });
+    let mut steps = bytes.chunks_exact(32);
+    let mut lanes = [h, h ^ 1, h ^ 2, h ^ 3];
+    for step in steps.by_ref() {
+        for (lane, w) in lanes.iter_mut().zip(step.chunks_exact(8)) {
+            *lane = fnv_word(*lane, le_word(w));
+        }
+    }
+    let h = lanes.into_iter().fold(h, fnv_word);
+    let mut words = steps.remainder().chunks_exact(8);
+    let h = words.by_ref().fold(h, |h, w| fnv_word(h, le_word(w)));
     words
         .remainder()
         .iter()
         .fold(h, |h, &b| fnv_word(h, b as u64))
 }
 
-/// One allocated frame's term of [`PhysMem::digest`]: word-at-a-time
-/// FNV-1a over its bytes (one multiply per 8 bytes) in four interleaved
-/// lanes, so the multiplies of one 32-byte step do not wait on each
-/// other; `PAGE_SIZE` is a multiple of 32, so nothing is dropped. The
-/// lanes and the frame id are then folded together and put through the
+/// One allocated frame's term of [`PhysMem::digest`]: [`fold_words`] of
+/// its bytes from the offset basis, the frame id folded in, then the
 /// splitmix64 finalizer. Terms are summed, so each must be well mixed on
 /// its own, and the id keeps identical bytes in different frames from
 /// cancelling under a swap.
 fn frame_term(id: usize, bytes: &[u8]) -> u64 {
-    let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
-    for step in bytes.chunks_exact(32) {
-        for (lane, w) in lanes.iter_mut().zip(step.chunks_exact(8)) {
-            let x = u64::from_le_bytes(w.try_into().expect("chunks_exact(8) yields 8 bytes"));
-            *lane = fnv_word(*lane, x);
-        }
-    }
-    let h = lanes.into_iter().fold(FNV_OFFSET, fnv_word);
-    let mut z = h ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let mut z = fold_words(FNV_OFFSET, bytes) ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -444,6 +461,19 @@ impl PhysMem {
     pub fn write(&self, f: FrameId, off: usize, buf: &[u8]) {
         assert!(off + buf.len() <= PAGE_SIZE);
         self.write_run(f, off, buf);
+    }
+
+    /// [`fold_words`] of `len` bytes of frame `f` from `off`, read in
+    /// place from the arena (the address space's extent digest, a page's
+    /// chunk at a time).
+    ///
+    /// # Panics
+    /// If the range is empty, exceeds the page or the frame is free.
+    pub(crate) fn fold_page(&self, h: u64, f: FrameId, off: usize, len: usize) -> u64 {
+        assert!(len > 0 && off + len <= PAGE_SIZE);
+        self.check_run(f, off, len);
+        let base = f.0 as usize * PAGE_SIZE + off;
+        fold_words(h, &self.arena.borrow()[base..base + len])
     }
 
     /// Reads a physically contiguous run (may span many frames) into
@@ -780,6 +810,133 @@ mod tests {
         let b = pm.alloc_contiguous(3).unwrap();
         pm.decref(FrameId(b.0 + 1)); // hole in the middle of the dst run
         pm.copy_run(b, 0, a, 0, 2 * PAGE_SIZE);
+    }
+
+    /// The lane fold spelled by word index: word `i` of the whole 32-byte
+    /// steps goes to lane `i % 4`, the lanes fold into `h` in order, then
+    /// the remainder's words and bytes fold serially.
+    fn naive_lane_fold(h: u64, bytes: &[u8]) -> u64 {
+        let step = |h: u64, w: u64| (h ^ w).wrapping_mul(FNV_PRIME);
+        let word = |i: usize| u64::from_le_bytes(bytes[8 * i..8 * i + 8].try_into().unwrap());
+        let body = bytes.len() / 32 * 4;
+        let mut lanes = [h, h ^ 1, h ^ 2, h ^ 3];
+        for i in 0..body {
+            lanes[i % 4] = step(lanes[i % 4], word(i));
+        }
+        let mut acc = lanes.iter().fold(h, |a, &l| step(a, l));
+        let words = bytes.len() / 8;
+        for i in body..words {
+            acc = step(acc, word(i));
+        }
+        for &b in &bytes[8 * words..] {
+            acc = step(acc, b as u64);
+        }
+        acc
+    }
+
+    /// `frame_term` as it was spelled before it called [`fold_words`]:
+    /// its own four-lane loop over the page. Every `MemDigest` ever
+    /// recorded holds sums of these.
+    fn frame_term_before(id: usize, bytes: &[u8]) -> u64 {
+        let mut lanes = [FNV_OFFSET, FNV_OFFSET ^ 1, FNV_OFFSET ^ 2, FNV_OFFSET ^ 3];
+        for step in bytes.chunks_exact(32) {
+            for (lane, w) in lanes.iter_mut().zip(step.chunks_exact(8)) {
+                *lane = fnv_word(*lane, u64::from_le_bytes(w.try_into().unwrap()));
+            }
+        }
+        let h = lanes.into_iter().fold(FNV_OFFSET, fnv_word);
+        let mut z = h ^ (id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A frame's digest term is the finalized lane fold of its page from
+    /// the offset basis, bit for bit the value of the loop it replaced,
+    /// so no recorded `MemDigest` moves; and the kernel agrees with its
+    /// naive spelling at every length class.
+    #[test]
+    fn frame_term_is_the_finalized_lane_fold() {
+        use copier_testkit::{check_with, prop_assert_eq, Config};
+        check_with(
+            &Config::from_env(),
+            |rng| {
+                let mut page = vec![0u8; PAGE_SIZE];
+                // Sparse pages too: mostly-zero frames are the common case.
+                if rng.gen_bool(0.5) {
+                    rng.fill_bytes(&mut page);
+                } else {
+                    for _ in 0..rng.range_usize(0, 8) {
+                        let i = rng.range_usize(0, PAGE_SIZE);
+                        page[i] = rng.next_u64() as u8;
+                    }
+                }
+                (rng.range_usize(0, 1 << 20), rng.next_u64(), page)
+            },
+            |_| Vec::new(),
+            |(id, h, page)| {
+                let (id, h) = (*id, *h);
+                prop_assert_eq!(frame_term(id, page), frame_term_before(id, page));
+                prop_assert_eq!(
+                    fold_words(FNV_OFFSET, page),
+                    naive_lane_fold(FNV_OFFSET, page)
+                );
+                for len in [0, 1, 7, 8, 31, 32, 33, 63, 64, 100, 1506, PAGE_SIZE - 1] {
+                    prop_assert_eq!(
+                        fold_words(h, &page[..len]),
+                        naive_lane_fold(h, &page[..len])
+                    );
+                }
+                Ok(())
+            },
+        );
+    }
+
+    /// Flipping any one byte changes the fold, at every length 0–4 160
+    /// (every remainder class mod 32, one step past a page), and across
+    /// a chain of page chunks the way extent digests fold them.
+    #[test]
+    fn fold_words_sees_every_byte() {
+        use copier_testkit::{check_with, prop_assert, Config};
+        check_with(
+            &Config::from_env(),
+            |rng| {
+                let len = rng.range_usize(1, PAGE_SIZE + 65);
+                let mut bytes = vec![0u8; len];
+                if rng.gen_bool(0.5) {
+                    rng.fill_bytes(&mut bytes);
+                }
+                let at = rng.range_usize(0, len);
+                let mask = 1u8 << rng.gen_range(8);
+                // A chunk boundary for the chained case, as an extent
+                // that starts mid-page splits its bytes.
+                let cut = rng.range_usize(0, len + 1);
+                (rng.next_u64(), bytes, at, mask, cut)
+            },
+            |_| Vec::new(),
+            |(h, bytes, at, mask, cut)| {
+                let chained = |b: &[u8]| fold_words(fold_words(*h, &b[..*cut]), &b[*cut..]);
+                let mut flipped = bytes.clone();
+                flipped[*at] ^= mask;
+                prop_assert!(fold_words(*h, bytes) != fold_words(*h, &flipped), "whole");
+                prop_assert!(chained(bytes) != chained(&flipped), "chained at {cut}");
+                Ok(())
+            },
+        );
+        // Every length exhaustively on one buffer, the flip at both ends.
+        let mut bytes = vec![0u8; PAGE_SIZE + 64];
+        copier_testkit::TestRng::new(7).fill_bytes(&mut bytes);
+        for len in 1..=bytes.len() {
+            for at in [0, len / 2, len - 1] {
+                let mut flipped = bytes[..len].to_vec();
+                flipped[at] ^= 0x80;
+                assert_ne!(
+                    fold_words(FNV_OFFSET, &bytes[..len]),
+                    fold_words(FNV_OFFSET, &flipped),
+                    "len {len} byte {at}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,6 +20,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::phys::{extent_seed, fold_words, FrameId, PhysError, PhysMem, PAGE_SIZE};
 
+/// What an unmapped page reads as (demand-zero), for folding it in place.
+static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+
 /// A virtual address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VirtAddr(pub u64);
@@ -398,19 +401,16 @@ impl AddressSpace {
         let end = va.0 + len as u64;
         let page = PAGE_SIZE as u64;
         let last_vpn = (end - 1) / page;
-        let mut buf = [0u8; PAGE_SIZE];
         let mut vpn = va.vpn();
         loop {
             let s = (vpn * page).max(va.0);
             let e = ((vpn + 1) * page).min(end);
             let addr = VirtAddr(s);
-            let chunk = &mut buf[..(e - s) as usize];
-            if let Some(pte) = self.translate(addr) {
-                self.pm.read(pte.frame, addr.page_off(), chunk);
-            } else {
-                chunk.fill(0);
-            }
-            h = fold_words(h, chunk);
+            let len = (e - s) as usize;
+            h = match self.translate(addr) {
+                Some(pte) => self.pm.fold_page(h, pte.frame, addr.page_off(), len),
+                None => fold_words(h, &ZERO_PAGE[..len]),
+            };
             if vpn == last_vpn {
                 return h;
             }
@@ -883,6 +883,52 @@ mod tests {
         // Sub-page extents agree across both coverages (same single chunk).
         let small = asp.extent_digest(va, 100, false);
         assert_eq!(asp.extent_digest(va, 100, true), small);
+    }
+
+    /// The in-place digest folds what a read of the range would return,
+    /// chunked at page boundaries: mapped pages from the arena, an
+    /// untouched page of a lazy mapping as zeros, and it faults nothing.
+    #[test]
+    fn extent_digest_folds_in_place_what_a_read_returns() {
+        let (pm, asp) = setup(32, AllocPolicy::Scattered);
+        let pages = 5;
+        let va = asp.mmap(pages * PAGE_SIZE, Prot::RW, false).unwrap();
+        let mut want = vec![0u8; pages * PAGE_SIZE];
+        for p in [0, 1, 3] {
+            let at = p * PAGE_SIZE + 10;
+            let data: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 7 + p) as u8).collect();
+            let n = (want.len() - at).min(data.len());
+            asp.write_bytes(va.add(at), &data[..n]).unwrap();
+            want[at..at + n].copy_from_slice(&data[..n]);
+        }
+        asp.reset_fault_stats();
+        let allocated = pm.allocated();
+        for (off, len) in [
+            (0, 1),
+            (5, 100),
+            (100, 4096),
+            (4000, 3 * PAGE_SIZE + 17),
+            (0, want.len()),
+        ] {
+            let mut h = extent_seed(len);
+            let mut at = off;
+            while at < off + len {
+                let end = ((at / PAGE_SIZE + 1) * PAGE_SIZE).min(off + len);
+                h = fold_words(h, &want[at..end]);
+                at = end;
+            }
+            assert_eq!(
+                asp.extent_digest(va.add(off), len, true),
+                h,
+                "off {off} len {len}"
+            );
+        }
+        assert_eq!(pm.allocated(), allocated, "digesting allocates nothing");
+        assert_eq!(
+            asp.fault_stats(),
+            FaultWork::default(),
+            "digesting faults nothing"
+        );
     }
 
     #[test]

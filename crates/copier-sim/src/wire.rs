@@ -23,11 +23,27 @@ pub fn fnv_bytes(h: u64, bytes: &[u8]) -> u64 {
         .fold(h, |h, &b| (h ^ b as u64).wrapping_mul(FNV_PRIME))
 }
 
-/// Folds one 64-bit word into an FNV-1a accumulator: its eight
-/// little-endian bytes through [`fnv_bytes`] (all trace state hashes use
-/// this so record and replay agree).
+/// `FNV_PRIME^n` for `n` in `0..=8`: FNV-1a of a zero byte is a bare
+/// multiply by the prime, so `n` zero bytes are one multiply by entry `n`.
+const ZERO_BYTES: [u64; 9] = {
+    let mut t = [1u64; 9];
+    let mut n = 1;
+    while n < t.len() {
+        t[n] = t[n - 1].wrapping_mul(FNV_PRIME);
+        n += 1;
+    }
+    t
+};
+
+/// Folds one 64-bit word into an FNV-1a accumulator: exactly
+/// [`fnv_bytes`] of its eight little-endian bytes (all trace state hashes
+/// use this so record and replay agree). The bytes above the highest
+/// non-zero one are zeros, so only the `k` significant bytes are folded
+/// one at a time and the `8 − k` zeros take one multiply: a counter's
+/// small value costs a step or two, not eight.
 pub fn fnv_fold(h: u64, w: u64) -> u64 {
-    fnv_bytes(h, &w.to_le_bytes())
+    let k = 8 - w.leading_zeros() as usize / 8;
+    fnv_bytes(h, &w.to_le_bytes()[..k]).wrapping_mul(ZERO_BYTES[8 - k])
 }
 
 /// Appends `v` as an LEB128 varint (1–10 bytes).
@@ -214,6 +230,7 @@ macro_rules! wire_table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copier_testkit::{check_with, edge_u64, prop_assert_eq, Config, TestRng};
 
     #[test]
     fn varint_boundaries_roundtrip() {
@@ -251,12 +268,46 @@ mod tests {
         assert!(u32::get(&buf, &mut pos).is_err());
     }
 
+    /// Every word whose significant-byte count is a boundary: each value
+    /// `edge_u64` can draw other than a uniform one, `0xff`/`0x100`,
+    /// `1 << 56`, and `2^k` and `2^k − 1` for every `k`.
+    fn edge_words() -> Vec<u64> {
+        let mut ws: Vec<u64> = (0..300).collect();
+        ws.extend([u64::MAX, u64::MAX - 1, 0xff, 0x100, 1 << 56]);
+        ws.extend((0..10).flat_map(|i| [1u64 << (7 * i), (1u64 << (7 * i)) - 1]));
+        ws.extend((0..64).flat_map(|k| [1u64 << k, (1u64 << k) - 1]));
+        ws
+    }
+
+    /// The zero-byte fast path is bit-for-bit the byte fold of the eight
+    /// little-endian bytes: on every boundary word from three
+    /// accumulators, then on seeded accumulators and words. Kills an
+    /// off-by-one in the significant-byte count (`8 - lz / 8 ± 1`, or
+    /// `lz / 8` rounded the other way), which drops or doubles a byte at
+    /// every byte boundary.
     #[test]
     fn fnv_fold_is_byte_fnv_of_the_le_word() {
-        let w = 0x0123_4567_89ab_cdefu64;
-        assert_eq!(
-            fnv_fold(FNV_OFFSET, w),
-            fnv_bytes(FNV_OFFSET, &w.to_le_bytes())
+        let byte_fnv = |h: u64, w: u64| fnv_bytes(h, &w.to_le_bytes());
+        for h in [FNV_OFFSET, 0, u64::MAX] {
+            for w in edge_words() {
+                assert_eq!(fnv_fold(h, w), byte_fnv(h, w), "h {h:#x} w {w:#x}");
+            }
+        }
+        check_with(
+            &Config::from_env(),
+            |rng: &mut TestRng| {
+                let w = match rng.gen_range(3) {
+                    0 => edge_u64(rng),
+                    1 => rng.next_u64() >> (8 * rng.gen_range(8)),
+                    _ => *rng.choose(&edge_words()),
+                };
+                (rng.next_u64(), w)
+            },
+            |_| Vec::new(),
+            |&(h, w)| {
+                prop_assert_eq!(fnv_fold(h, w), byte_fnv(h, w));
+                Ok(())
+            },
         );
         // The published FNV-1a 64 vector for "a".
         assert_eq!(fnv_bytes(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);

@@ -201,14 +201,19 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 # with all six executor rows (a sleep and a free-core advance each in place
 # and evented, a contended advance, a notify round trip), both progress
 # rows (a landed page, a csync poll) and an over-floor summary row for each
-# of the eight.
+# of the eight, and both digest rows (the lane kernel against the serial
+# fold on a 4 KiB page and a 1,506-byte extent) with the page's speed-up
+# summary row.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 if command -v jq >/dev/null 2>&1; then
     jq -e '(.layouts | length > 0)
        and ([.executor[].name] == ["sleep", "sleep_evented", "advance", "advance_evented", "advance_contended", "notify_round_trip"])
        and ([.progress[].name] == ["landing_4k", "range_ready_256"])
        and ([.executor[], .progress[] | .ns > 0 and .over_floor > 0] | all)
-       and ([.summary[] | select(.metric == "over_floor_max")] | length == 8)' BENCH_hostperf.json >/dev/null
+       and ([.summary[] | select(.metric == "over_floor_max")] | length == 8)
+       and ([.digest[].name] == ["digest-page", "digest-extent"])
+       and ([.digest[] | .lane_ns > 0 and .serial_ns > 0] | all)
+       and ([.summary[] | select(.name == "speedup_digest-page")] | length == 1)' BENCH_hostperf.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
@@ -218,6 +223,9 @@ ok = ok and [r["name"] for r in d["executor"]] == ["sleep", "sleep_evented", "ad
 ok = ok and [r["name"] for r in d["progress"]] == ["landing_4k", "range_ready_256"]
 ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in d["executor"] + d["progress"])
 ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 8
+ok = ok and [r["name"] for r in d["digest"]] == ["digest-page", "digest-extent"]
+ok = ok and all(r["lane_ns"] > 0 and r["serial_ns"] > 0 for r in d["digest"])
+ok = ok and len([r for r in d["summary"] if r["name"] == "speedup_digest-page"]) == 1
 sys.exit(0 if ok else 1)
 PY
 fi
