@@ -9,7 +9,7 @@
 //! the min-vruntime is a scan on every read, the assignment list is every
 //! client the shard owns, and the hashes are recomputed each traced round.
 
-use std::cell::{Cell, Ref, RefCell};
+use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
 use std::ptr;
 use std::rc::Rc;
@@ -17,14 +17,14 @@ use std::rc::Rc;
 use copier_sim::trace::{fnv_fold, FNV_OFFSET};
 use copier_sim::Core;
 
-use super::{ControlObs, Copier};
+use super::{ControlObs, Copier, CopierStats};
 use crate::client::Client;
 use crate::config::CopierConfig;
 use crate::sched::{min_live_vruntime, vruntime_before};
 
 /// One control-plane shard's private state (DESIGN.md §17): its core, its
 /// clients and what it keeps about them. The hot counters (the admitted
-/// bytes, the stats deltas) are written and read only by the owning shard
+/// bytes, the stats row) are written only by the owning shard
 /// during its round; the one cross-shard value, the `peer_min_vr` mirror,
 /// is rewritten for every shard by the last arriver at the round barrier,
 /// in shard-id order — the deterministic "message round". Reads of
@@ -48,12 +48,10 @@ pub(super) struct ShardState {
     /// record/replay trace. Counts every traced poll round, active or
     /// idle — idle rounds emit nothing thanks to lazy headers.
     pub(super) round_no: Cell<u64>,
-    /// Bytes physically copied by this shard (stats delta).
-    bytes_copied: Cell<u64>,
-    /// Tasks completed by this shard (stats delta).
-    tasks_completed: Cell<u64>,
-    /// Rounds in which this shard executed a batch (stats delta).
-    rounds_active: Cell<u64>,
+    /// This shard's share of every counter: written through
+    /// [`Self::count`] by the thread doing the work, read only by the fold
+    /// in `stats.rs` and by this shard's own round hashes.
+    row: RefCell<CopierStats>,
     pub(super) active: ActiveSet,
     min_vr: MinVr,
     pub(super) hashes: HashSums,
@@ -75,9 +73,7 @@ impl ShardState {
                 admit: AdmitLatch::new(share(q.global_low_bytes), share(q.global_high_bytes)),
                 peer_min_vr: Cell::new(None),
                 round_no: Cell::new(0),
-                bytes_copied: Cell::new(0),
-                tasks_completed: Cell::new(0),
-                rounds_active: Cell::new(0),
+                row: RefCell::default(),
                 active: ActiveSet {
                     map: RefCell::default(),
                     epoch: Cell::new(0),
@@ -92,6 +88,17 @@ impl ShardState {
                 hashes: HashSums::new(cfg.tracer.is_some() && !sweep),
             })
             .collect()
+    }
+
+    /// This shard's counter row, to count into.
+    pub(super) fn count(&self) -> RefMut<'_, CopierStats> {
+        self.row.borrow_mut()
+    }
+
+    /// This shard's counter row, to read: the fold and the shard's own
+    /// round hashes, nothing that decides.
+    pub(super) fn row(&self) -> Ref<'_, CopierStats> {
+        self.row.borrow()
     }
 
     /// The clients this shard owns, in registration order.
@@ -688,38 +695,12 @@ impl Copier {
         sh.active.activate(client);
     }
 
-    /// `bytes` physically copied on `client`'s behalf: the service total
-    /// and its shard's share.
-    pub(super) fn count_copied(&self, client: &Client, bytes: u64) {
-        self.stats.borrow_mut().bytes_copied += bytes;
-        let sh = self.shard_of(client);
-        sh.bytes_copied.set(sh.bytes_copied.get() + bytes);
-    }
-
-    /// One of `client`'s tasks completed with every byte landed.
-    pub(super) fn count_completed(&self, client: &Client) {
-        self.stats.borrow_mut().tasks_completed += 1;
-        let sh = self.shard_of(client);
-        sh.tasks_completed.set(sh.tasks_completed.get() + 1);
-    }
-
-    /// Shard `idx` ended a round in which it executed a batch.
-    pub(super) fn count_active_round(&self, idx: usize) {
-        self.stats.borrow_mut().rounds_active += 1;
-        let sh = &self.shards[idx];
-        sh.rounds_active.set(sh.rounds_active.get() + 1);
-    }
-
-    /// Per-shard `(bytes_copied, tasks_completed, rounds_active)` deltas
-    /// — the observables the shard-scaling bench and the differential
-    /// suite read. Valid for `idx < nshards()`.
+    /// Shard `idx`'s `(bytes_copied, tasks_completed, rounds_active)`:
+    /// its share of the service totals, which the shard-scaling bench and
+    /// the differential suite read. Valid for `idx < nshards()`.
     pub fn shard_stats(&self, idx: usize) -> (u64, u64, u64) {
-        let s = &self.shards[idx];
-        (
-            s.bytes_copied.get(),
-            s.tasks_completed.get(),
-            s.rounds_active.get(),
-        )
+        let r = self.shards[idx].row();
+        (r.bytes_copied, r.tasks_completed, r.rounds_active)
     }
 
     /// Charges `bytes` to `client` through the scheduler while keeping
@@ -737,21 +718,18 @@ impl Copier {
 
     /// The `(pending, index, stats)` state hashes closing an active
     /// traced round of shard `idx`: its clients' sums, and the fold of
-    /// its private stats cells continued over the service-wide stats.
+    /// its admitted bytes and its share of [`Copier::shard_stats`]
+    /// continued over the service's stats.
     /// Closing every shard round with these is what lets replay
     /// divergence localize to a `(shard, round)` pair instead of
     /// "somewhere this generation".
     pub(super) fn round_hashes(&self, idx: usize) -> (u64, u64, u64) {
         let sh = &self.shards[idx];
         let (hp, hx) = sh.hashes.sums(sh.owned().iter());
-        let hs = [
-            sh.admit.bytes(),
-            sh.bytes_copied.get(),
-            sh.tasks_completed.get(),
-            sh.rounds_active.get(),
-        ]
-        .into_iter()
-        .fold(FNV_OFFSET, fnv_fold);
+        let (copied, completed, active) = self.shard_stats(idx);
+        let hs = [sh.admit.bytes(), copied, completed, active]
+            .into_iter()
+            .fold(FNV_OFFSET, fnv_fold);
         (hp, hx, self.stats_digest(hs))
     }
 

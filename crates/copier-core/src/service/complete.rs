@@ -28,7 +28,7 @@ impl Copier {
         e.failed.set(Some(fault));
         e.task.descr.poison(fault);
         client.signals.borrow_mut().push(fault);
-        self.stats.borrow_mut().faults += 1;
+        self.shard_of(client).count().faults += 1;
         self.finalize(client, set, e);
         self.cascade_fault(set, client, e, fault);
     }
@@ -70,14 +70,14 @@ impl Copier {
         // settlement of this submission across all service incarnations.
         if e.task.descr.claim_delivery() {
             client.grant_credit();
-            self.stats.borrow_mut().credits_granted += 1;
+            self.shard_of(client).count().credits_granted += 1;
             // Handlers run for failed and aborted tasks too: the
             // completion callback observes the outcome through the
             // poisoned descriptor instead of being silently dropped.
             self.deliver_handler(set, &e.task);
         }
         if !e.aborted.get() && e.failed.get().is_none() {
-            self.count_completed(client);
+            self.shard_of(client).count().tasks_completed += 1;
         }
         // Runs after the handler: a KFunc may submit, which needs the
         // pending borrow.
@@ -193,12 +193,12 @@ impl Copier {
                 killed.insert(p.key, p);
             }
         }
-        self.stats.borrow_mut().index_hits += hits;
+        self.shard_of(client).count().index_hits += hits;
         for p in killed.values() {
             p.failed.set(Some(fault));
             p.task.descr.poison(fault);
             client.signals.borrow_mut().push(fault);
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.shard_of(client).count();
             st.faults += 1;
             st.dependents_aborted += 1;
         }

@@ -140,16 +140,22 @@ impl Copier {
     /// its pool reflects true in-flight depth.
     fn shed(&self, client: &Rc<Client>, set: &Rc<QueueSet>, t: CopyTask) {
         t.descr.poison(CopyFault::Overloaded);
-        // The delivery claim keeps shedding exactly-once too: a
-        // crash-resubmitted duplicate that gets shed does not run the
-        // handler or mint a second credit.
-        if t.descr.claim_delivery() {
-            self.deliver_handler(set, &t);
-            client.grant_credit();
-        }
-        let mut st = self.stats.borrow_mut();
+        self.settle_unwindowed(client, set, &t);
+        let mut st = self.shard_of(client).count();
         st.admission_rejected += 1;
         st.shed_bytes += t.len as u64;
+    }
+
+    /// Settles a submission that gets no window entry (shed, taint hit,
+    /// zero-length or wrapping copy): handler and credit, once across
+    /// incarnations by the delivery claim. Whether this one claimed it.
+    fn settle_unwindowed(&self, client: &Client, set: &Rc<QueueSet>, t: &CopyTask) -> bool {
+        let first = t.descr.claim_delivery();
+        if first {
+            self.deliver_handler(set, t);
+            client.grant_credit();
+        }
+        first
     }
 
     fn push_pending(
@@ -160,6 +166,16 @@ impl Copier {
         key: (u64, u8, u64),
         t: CopyTask,
     ) {
+        // A range past the end of the address space faults before anything
+        // computes its end.
+        let len = t.len as u64;
+        if t.dst.0.checked_add(len).is_none() || t.src.0.checked_add(len).is_none() {
+            t.descr.poison(CopyFault::Segv);
+            client.signals.borrow_mut().push(CopyFault::Segv);
+            self.settle_unwindowed(client, set, &t);
+            self.shard_of(client).count().faults += 1;
+            return;
+        }
         // Dependency cascade across rounds (§4.4): a task sourcing from a
         // range a faulted producer never wrote would read garbage — fail it
         // up front with the producer's fault instead of letting absorption
@@ -173,15 +189,10 @@ impl Copier {
             .map(|x| x.fault);
         if let Some(fault) = hit {
             t.descr.poison(fault);
-            if t.descr.claim_delivery() {
-                self.deliver_handler(set, &t);
-                // No window entry exists to finalize, so the submission
-                // credit comes back here instead of on the completion path.
-                client.grant_credit();
-            }
+            self.settle_unwindowed(client, set, &t);
             let (dsp, dlo, dhi) = t.dst_range();
             self.remember_taint(client, set, dsp, dlo, dhi, fault);
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.shard_of(client).count();
             st.faults += 1;
             st.dependents_aborted += 1;
             return;
@@ -198,10 +209,8 @@ impl Copier {
         // forever. (The taint check above can never hit an empty source
         // range, which is right: a zero-length read forwards nothing.)
         if t.len == 0 {
-            if t.descr.claim_delivery() {
-                self.deliver_handler(set, &t);
-                client.grant_credit();
-                let mut st = self.stats.borrow_mut();
+            if self.settle_unwindowed(client, set, &t) {
+                let mut st = self.shard_of(client).count();
                 st.credits_granted += 1;
                 st.tasks_completed += 1;
             }
@@ -210,7 +219,6 @@ impl Copier {
         let tid = self.next_tid.get();
         self.next_tid.set(tid + 1);
         let entry = Rc::new(PendEntry::new(tid, key, t, self.h.now()));
-        let len = entry.task.len as u64;
         // Journal the admission before it becomes visible to scheduling:
         // the pre-copy extent digests of both ranges are what recovery
         // reconciles a journaled-but-vanished task against. Sampling is
@@ -237,11 +245,8 @@ impl Copier {
         }
         set.index.insert(&entry);
         {
-            let mut st = self.stats.borrow_mut();
-            let n = set.index.len() as u64;
-            if n > st.index_entries_peak {
-                st.index_entries_peak = n;
-            }
+            let mut st = self.shard_of(client).count();
+            st.index_entries_peak = st.index_entries_peak.max(set.index.len() as u64);
         }
         let mut pending = set.pending.borrow_mut();
         // Insert sorted by key (binary search; keys are unique per set).
@@ -276,10 +281,13 @@ impl Copier {
 
     /// Serves one Sync Task: promotion (with dependency closure) or abort.
     fn handle_sync(&self, client: &Rc<Client>, set: &Rc<QueueSet>, st: SyncTask) {
-        self.stats.borrow_mut().syncs += 1;
-        let pending = set.pending.borrow();
+        self.shard_of(client).count().syncs += 1;
         let lo = st.addr.0 as usize;
-        let hi = lo + st.len;
+        // A range that wraps the address space matches nothing.
+        let Some(hi) = lo.checked_add(st.len) else {
+            return;
+        };
+        let pending = set.pending.borrow();
         // Latest matching task wins (§4.2.2 reverse traversal); an abort
         // with an explicit descriptor matches by identity instead (those
         // carry no address, so the scan stays linear — they are rare).
@@ -304,7 +312,7 @@ impl Copier {
                     }
                 },
             );
-            self.stats.borrow_mut().index_hits += hits;
+            self.shard_of(client).count().index_hits += hits;
             best.map(|k| pending.partition_point(|p| p.key < k))
         };
         let Some(ti) = target_idx else {
@@ -322,7 +330,7 @@ impl Copier {
             debug_assert!(e.inflight.borrow().is_empty());
             e.aborted.set(true);
             e.task.descr.poison(CopyFault::Aborted);
-            self.stats.borrow_mut().aborts += 1;
+            self.shard_of(client).count().aborts += 1;
             self.finalize(client, set, &e);
             return;
         }
@@ -346,7 +354,7 @@ impl Copier {
             (0, t.len)
         };
         target.promote(plo, phi);
-        self.stats.borrow_mut().promotions += 1;
+        self.shard_of(client).count().promotions += 1;
         let overlap = |ranges: &[(u32, usize, usize)], sp: u32, lo: usize, hi: usize| {
             ranges.iter().any(|&(s, l, h)| s == sp && l < hi && lo < h)
         };
@@ -366,7 +374,7 @@ impl Copier {
                 p.promote_all();
                 needed_src.push((sr.0, sr.1 as usize, sr.2 as usize));
                 needed_dst.push((d.0, d.1 as usize, d.2 as usize));
-                self.stats.borrow_mut().promotions += 1;
+                self.shard_of(client).count().promotions += 1;
             }
         }
     }

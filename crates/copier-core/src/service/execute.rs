@@ -11,6 +11,7 @@ use copier_hw::{
 use copier_mem::{AddressSpace, Extent, FrameId, VirtAddr, PAGE_SIZE};
 use copier_sim::{Core, CrashPoint, Nanos};
 
+use super::aggregates::ShardState;
 use super::complete::release_pins;
 use super::select::Selected;
 use super::shard::RoundScratch;
@@ -57,12 +58,12 @@ impl Selected {
 }
 
 impl Copier {
-    /// Translates and pins a range, via the ATCache when possible: fills
-    /// `extents` and returns the pinned frames (the fault work performed
-    /// is charged here).
+    /// Translates and pins a range on shard `sh`'s core, via the ATCache
+    /// when possible: fills `extents` and returns the pinned frames (the
+    /// fault work performed is charged here).
     async fn translate_pin(
         &self,
-        core: &Rc<Core>,
+        sh: &ShardState,
         space: &Rc<AddressSpace>,
         va: VirtAddr,
         len: usize,
@@ -71,7 +72,7 @@ impl Copier {
     ) -> Result<Vec<FrameId>, CopyFault> {
         if self.atcache.lookup_into(space, va, len, write, extents) {
             // One charge per lookup, however many pages the range spans.
-            core.advance(self.cost.atc_hit).await;
+            sh.core.advance(self.cost.atc_hit).await;
             let stale = self
                 .cfg
                 .fault_plan
@@ -102,14 +103,14 @@ impl Copier {
                 if work.bytes_copied > 0 {
                     cost += self.cost.cpu_copy(CpuCopyKind::Avx2, work.bytes_copied);
                 }
-                core.advance(cost).await;
-                self.stats.borrow_mut().proactive_faults += faults;
+                sh.core.advance(cost).await;
+                sh.count().proactive_faults += faults;
                 self.atcache.insert(space, va, len, write, &walked);
                 *extents = walked;
                 Ok(frames)
             }
             Err(e) => {
-                core.advance(walk_cost).await;
+                sh.core.advance(walk_cost).await;
                 Err(e.into())
             }
         }
@@ -146,7 +147,7 @@ impl Copier {
             if !s.round_gaps_into(now, self.cfg.lazy_period, gaps) {
                 continue;
             }
-            let plan_res = self.plan_entry(core, client, e, &s.plan, gaps, bufs).await;
+            let plan_res = self.plan_entry(client, e, &s.plan, gaps, bufs).await;
             if self.crashed.get() {
                 // Zombie resume: a peer shard crashed this incarnation
                 // while `plan_entry` was suspended in translate/pin. Pins
@@ -159,7 +160,7 @@ impl Copier {
             }
             match plan_res {
                 Ok(pc) => {
-                    self.put_in_flight(e, gaps);
+                    self.put_in_flight(client, e, gaps);
                     planned_bytes += pc.subtasks.iter().map(|st| st.len()).sum::<usize>();
                     by_tid.borrow_mut().push((e.tid, Rc::clone(e)));
                     planned.push(pc);
@@ -172,7 +173,7 @@ impl Copier {
         // window-entry pins, but no successor ever adopts when the crash
         // lands as the run winds down (tenants fail fast on a dead
         // service), and nothing else would unpin these frames.
-        if self.maybe_crash(CrashPoint::MidDispatch) {
+        if self.maybe_crash(client.shard.get(), CrashPoint::MidDispatch) {
             return self.drain_batch_pins(client, sel);
         }
         if !planned.is_empty() {
@@ -194,7 +195,7 @@ impl Copier {
         // copied intervals recorded) but nothing finalized — no handler,
         // no credit, no Complete record. Adoption finds these entries
         // finished and settles them exactly once.
-        if self.maybe_crash(CrashPoint::PreFinalize) {
+        if self.maybe_crash(client.shard.get(), CrashPoint::PreFinalize) {
             return self.drain_batch_pins(client, sel);
         }
         self.finalize_finished(client, sel);
@@ -203,14 +204,14 @@ impl Copier {
     /// Hands `e`'s planned `gaps` to the dispatcher's care: in flight, and
     /// no longer deferred (counting the deferred obligations among them as
     /// executed).
-    fn put_in_flight(&self, e: &PendEntry, gaps: &[(usize, usize)]) {
+    fn put_in_flight(&self, client: &Client, e: &PendEntry, gaps: &[(usize, usize)]) {
         let deferred_exec: usize = {
             let d = e.deferred.borrow();
             gaps.iter()
                 .map(|&(lo, hi)| d.overlaps(lo, hi).map(|(a, b)| b - a).sum::<usize>())
                 .sum()
         };
-        self.stats.borrow_mut().bytes_deferred_executed += deferred_exec as u64;
+        self.shard_of(client).count().bytes_deferred_executed += deferred_exec as u64;
         for &(lo, hi) in gaps {
             e.inflight.borrow_mut().insert(lo, hi);
             e.deferred.borrow_mut().remove(lo, hi);
@@ -221,7 +222,8 @@ impl Copier {
     /// mismatch survived bounded repair.
     fn account_dispatch(&self, client: &Rc<Client>, sel: &[Selected], report: &DispatchReport) {
         {
-            let mut st = self.stats.borrow_mut();
+            let mut st = self.shard_of(client).count();
+            st.bytes_copied += (report.cpu_bytes + report.dma_bytes) as u64;
             st.retries += report.retries;
             st.fallback_bytes += report.fallback_bytes as u64;
             st.dispatch.cpu_bytes += report.cpu_bytes;
@@ -233,7 +235,6 @@ impl Copier {
             st.dispatch.corruptions += report.corruptions;
             st.dispatch.repairs += report.repairs;
         }
-        self.count_copied(client, (report.cpu_bytes + report.dma_bytes) as u64);
         // Verification failures that exhausted bounded repair: the
         // destination bytes are wrong even though every segment was
         // marked, so the descriptor is poisoned `Corrupted` and the
@@ -247,7 +248,7 @@ impl Copier {
             if e.failed.get().is_some() {
                 continue;
             }
-            self.stats.borrow_mut().corrupted_poisoned += 1;
+            self.shard_of(client).count().corrupted_poisoned += 1;
             self.fail_entry(client, &s.set, e, CopyFault::Corrupted);
         }
     }
@@ -285,8 +286,8 @@ impl Copier {
             match self.degraded_copy(core, e, &s.plan, gaps).await {
                 Ok(copied) => {
                     degraded_bytes += copied;
-                    self.stats.borrow_mut().degraded_sync_copies += 1;
-                    self.count_copied(client, copied as u64);
+                    self.shard_of(client).count().degraded_sync_copies += 1;
+                    self.shard_of(client).count().bytes_copied += copied as u64;
                 }
                 Err(fault) => self.fail_entry(client, &s.set, e, fault),
             }
@@ -357,7 +358,6 @@ impl Copier {
     /// several rounds pins each of its frames once.
     async fn plan_entry(
         &self,
-        core: &Rc<Core>,
         client: &Rc<Client>,
         e: &Rc<PendEntry>,
         plan: &AbsorbPlan,
@@ -365,6 +365,7 @@ impl Copier {
         bufs: &mut PlanScratch,
     ) -> Result<PlannedCopy, CopyFault> {
         let t = &e.task;
+        let sh = self.shard_of(client);
         // Pins stay on the entry until `finalize`.
         let hold = |space: &Rc<AddressSpace>, frames: Vec<FrameId>| {
             client.pinned.set(client.pinned.get() + frames.len() as u64);
@@ -380,7 +381,7 @@ impl Copier {
         subtasks.clear();
         for &(glo, ghi) in gaps {
             let dst_frames = self
-                .translate_pin(core, &t.dst_space, t.dst.add(glo), ghi - glo, true, dst_ex)
+                .translate_pin(sh, &t.dst_space, t.dst.add(glo), ghi - glo, true, dst_ex)
                 .await?;
             hold(&t.dst_space, dst_frames);
             for p in &plan.pieces {
@@ -391,7 +392,7 @@ impl Copier {
                 }
                 let src_va = p.va.add(lo - p.off);
                 let src_frames = self
-                    .translate_pin(core, &p.space, src_va, hi - lo, false, src_ex)
+                    .translate_pin(sh, &p.space, src_va, hi - lo, false, src_ex)
                     .await?;
                 hold(&p.space, src_frames);
                 slice_extents_into(dst_ex, lo - glo, hi - lo, dst_slice);

@@ -80,7 +80,9 @@ pub struct Copier {
     parked: Cell<usize>,
     next_tid: Cell<TaskId>,
     next_client: Cell<ClientId>,
-    stats: RefCell<CopierStats>,
+    /// The counters a journal checkpoint restored, folded under the
+    /// shards' rows (`stats.rs`); never written.
+    restored: CopierStats,
     stopping: Cell<bool>,
     /// Per-shard control planes, one per dedicated core: each owns its
     /// clients (DESIGN.md §17). The per-shard counters are maintained at
@@ -153,7 +155,7 @@ impl Copier {
         // the store (truncating a torn tail) and open a new epoch. The
         // tid high-water mark carries forward so task ids never collide
         // across incarnations, and a checkpointed stats vector restores
-        // the cumulative counters.
+        // the cumulative counters under this incarnation's shard rows.
         let (journal, recovered) = match &cfg.journal {
             Some(store) => {
                 let (j, r) = Journal::attach(store);
@@ -163,7 +165,7 @@ impl Copier {
         };
         let epoch = journal.as_ref().map_or(0, |j| j.epoch());
         let next_tid = recovered.as_ref().map_or(1, |r| r.next_tid.max(1));
-        let stats = recovered
+        let restored = recovered
             .as_ref()
             .and_then(|r| r.stats.as_deref())
             .map(stats_from_vec)
@@ -182,7 +184,7 @@ impl Copier {
             parked: Cell::new(0),
             next_tid: Cell::new(next_tid),
             next_client: Cell::new(1),
-            stats: RefCell::new(stats),
+            restored,
             stopping: Cell::new(false),
             shards,
             barrier: RoundBarrier::new(h, nshards),
@@ -338,11 +340,12 @@ impl Copier {
         self.recovered.borrow().clone()
     }
 
-    /// Consults the crash oracle at `point`; on fire, this incarnation
-    /// dies on the spot: every thread exits at its next check, no further
-    /// journal flush happens (beyond what the point itself implies), and
-    /// recovery is left to a successor service over the same store.
-    fn maybe_crash(&self, point: CrashPoint) -> bool {
+    /// Shard `idx` consults the crash oracle at `point`; on fire, this
+    /// incarnation dies on the spot: every thread exits at its next check,
+    /// no further journal flush happens (beyond what the point itself
+    /// implies), and recovery is left to a successor service over the same
+    /// store.
+    fn maybe_crash(&self, idx: usize, point: CrashPoint) -> bool {
         let Some(plan) = &self.cfg.fault_plan else {
             return false;
         };
@@ -351,7 +354,7 @@ impl Copier {
         }
         self.crashed.set(true);
         self.stopping.set(true);
-        self.stats.borrow_mut().crashes += 1;
+        self.shards[idx].count().crashes += 1;
         self.wake.notify_all();
         // A crashed shard never reaches its next barrier; peers parked
         // there must be released to observe `stopping` and die too.
@@ -364,7 +367,7 @@ impl Copier {
     fn journal_flush(&self) {
         if let Some(j) = &self.journal {
             if j.flush() {
-                j.compact(&self.stats_vec());
+                j.compact(&self.stats_fold());
             }
         }
     }

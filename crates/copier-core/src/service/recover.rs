@@ -79,7 +79,7 @@ impl Copier {
         self.scrub
             .borrow_mut()
             .retain(|r| !Rc::ptr_eq(&r.owner, client));
-        self.stats.borrow_mut().orphans_reclaimed += reclaimed;
+        sh.count().orphans_reclaimed += reclaimed;
         // The reaped client's Complete records become durable right away
         // so a crash after the reap never resurrects its tasks.
         self.journal_flush();
@@ -153,7 +153,7 @@ impl Copier {
         }
         drop(recovered);
         {
-            let mut st = self.stats.borrow_mut();
+            let mut st = sh.count();
             st.dropped_unjournaled += swept.dropped.len() as u64;
             st.recovered_tasks += swept.readopted;
             st.recovered_finalized += swept.finish.len() as u64;
@@ -247,7 +247,7 @@ impl Copier {
                 CopyFault::Torn,
             );
             complete(a.tid, CopyFault::Torn.code());
-            self.stats.borrow_mut().torn_poisoned += 1;
+            self.shard_of(client).count().torn_poisoned += 1;
         }
     }
 }

@@ -160,7 +160,7 @@ impl Copier {
             self.scrub_pos.set(pos);
             let off = ci * r.chunk;
             let clen = r.chunk.min(r.len - off);
-            self.stats.borrow_mut().scrub_chunks += 1;
+            self.shards[0].count().scrub_chunks += 1;
             if r.space.extent_digest(r.primary.add(off), clen, true) == r.golden[ci] {
                 return;
             }
@@ -170,7 +170,7 @@ impl Copier {
                 return;
             };
             if r.space.extent_digest(r.replica.add(off), clen, true) != r.golden[ci] {
-                self.stats.borrow_mut().scrub_unrepairable += 1;
+                self.shards[0].count().scrub_unrepairable += 1;
                 r.dead[ci].set(true);
                 let lo = r.primary.add(off).0;
                 self.remember_taint(
@@ -188,11 +188,14 @@ impl Copier {
             let healing = Rc::clone(&r.healing[ci]);
             let me = Rc::downgrade(self);
             let d2 = Rc::clone(&descr);
+            // The heal is counted where its handler runs: on the owner's
+            // shard, which finalizes it.
+            let owner_shard = client.shard.get();
             let func = Handler::KFunc(Rc::new(move || {
                 healing.set(false);
                 if d2.fault().is_none() {
                     if let Some(svc) = me.upgrade() {
-                        svc.stats.borrow_mut().scrub_heals += 1;
+                        svc.shards[owner_shard].count().scrub_heals += 1;
                     }
                 }
             }));

@@ -105,7 +105,7 @@ impl Copier {
             }
             absorbed += s.plan.absorbed_bytes as u64;
         }
-        let mut st = self.stats.borrow_mut();
+        let mut st = self.shard_of(client).count();
         st.bytes_absorbed += absorbed;
         st.hazard_scans += hazard_scans;
         st.index_hits += index_hits;

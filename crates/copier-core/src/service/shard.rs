@@ -142,7 +142,7 @@ impl Copier {
             }
             let did = self.round(idx, &core, &mut scratch).await;
             if did {
-                self.stats.borrow_mut().busy_rounds += 1;
+                self.shards[idx].count().busy_rounds += 1;
             }
             idle.empty_at
                 .set(self.shards[idx].active.empty_at(&scratch.assigned));
@@ -157,7 +157,7 @@ impl Copier {
             }
             // The idle poll, and every one after it that `quiet` answers
             // at its boundary without waking this task.
-            self.stats.borrow_mut().idle_polls += 1;
+            self.shards[idx].count().idle_polls += 1;
             core.spin(self.cost.poll_idle, &quiet).await;
             idle.streak.set(idle.streak.get() + 1);
             let (spin_rounds, park_timeout) = self.idle_budget();
@@ -236,9 +236,9 @@ impl Copier {
             self.begin_traced_round(tracer, idx, at);
             self.end_traced_round(tracer, idx);
         }
-        let mut stats = self.stats.borrow_mut();
-        stats.rounds_settled += 1;
-        stats.idle_polls += 1;
+        let mut row = self.shards[idx].count();
+        row.rounds_settled += 1;
+        row.idle_polls += 1;
         true
     }
 
@@ -326,7 +326,7 @@ impl Copier {
                     syncs: synced as u64,
                 },
             );
-            if !self.admissions_durable() {
+            if !self.admissions_durable(idx) {
                 return true;
             }
         }
@@ -383,9 +383,9 @@ impl Copier {
             }
         }
         if acted {
-            self.count_active_round(idx);
+            self.shards[idx].count().rounds_active += 1;
         } else {
-            self.stats.borrow_mut().rounds_settled += 1;
+            self.shards[idx].count().rounds_settled += 1;
         }
         // Completion records staged by finalize become durable at round
         // end; a crash inside `execute` loses them and the tasks replay
@@ -401,18 +401,18 @@ impl Copier {
     /// flush before any of their bytes can move, so a journaled-but-absent
     /// task is never one with partial undigested progress. False when the
     /// incarnation crashed at one of the two crash points on the way.
-    fn admissions_durable(&self) -> bool {
+    fn admissions_durable(&self, idx: usize) -> bool {
         // Crash point: after draining, before the admissions became
         // durable — the staged Admit records die with this incarnation,
         // so adoption drops the entries undelivered and the library
         // resubmits them.
-        if self.maybe_crash(CrashPoint::MidDrain) {
+        if self.maybe_crash(idx, CrashPoint::MidDrain) {
             return false;
         }
         // Crash point: mid-journal-flush — staged records reach the store
         // but the final one is torn halfway, exercising the replayer's
         // torn-tail truncation.
-        if self.maybe_crash(CrashPoint::MidJournalFlush) {
+        if self.maybe_crash(idx, CrashPoint::MidJournalFlush) {
             if let Some(j) = &self.journal {
                 j.flush_torn();
             }

@@ -78,7 +78,10 @@ pub struct CopierStats {
     pub admission_rejected: u64,
     /// Bytes of rejected submissions (the shed offered load).
     pub shed_bytes: u64,
-    /// Submission credits returned to clients on the completion path.
+    /// Submission credits returned by a settlement that also counts as a
+    /// completion: every finalized window entry (completed, failed or
+    /// aborted) and every zero-length copy. A shed, a taint hit at the
+    /// drain boundary and a wrapping range return their credit uncounted.
     pub credits_granted: u64,
     /// Tasks served via the degraded synchronous path under memory
     /// pressure (§4.6 break-even fallback; no pinning, no absorption).
@@ -126,60 +129,30 @@ pub struct CopierStats {
 }
 
 impl Copier {
-    /// Snapshot of the service statistics.
+    /// Snapshot of the service statistics: every shard's counter row
+    /// folded over the restored checkpoint (`stats_fold`).
     pub fn stats(&self) -> CopierStats {
-        let mut s = *self.stats.borrow();
-        (
-            s.quarantined_channels,
-            s.pressure_events,
-            s.corrupt_quarantined,
-        ) = self.stats_gauges();
-        s
+        stats_from_vec(&self.stats_fold())
     }
 
-    /// The `(quarantined_channels, pressure_events, corrupt_quarantined)`
-    /// stats that live in the DMA engine and the frame pool and are read
-    /// at snapshot time instead of being counted here.
-    fn stats_gauges(&self) -> (u64, u64, u64) {
-        let dma = self.dispatcher.dma();
-        (
-            dma.map_or(0, |d| d.quarantined() as u64),
-            self.pm.pressure_events(),
-            dma.map_or(0, |d| d.corrupt_quarantined()),
-        )
-    }
-
-    /// Canonical flattening of [`CopierStats`] — the single shape both
-    /// the trace state hash and the journal checkpoint use. See
-    /// [`stats_to_vec`] and [`stats_layout`] for the (append-only)
-    /// index assignment.
-    pub(super) fn stats_vec(&self) -> Vec<u64> {
-        stats_to_vec(&self.stats())
-    }
-
-    /// FNV-1a fold of [`Copier::stats_vec`] continued from `seed`, taken
-    /// once per active traced round: the slots are flattened on the stack
-    /// straight from a borrow of the counters, with the three
-    /// point-in-time slots read the way [`Self::stats`] reads them.
+    /// FNV-1a fold of [`Self::stats_fold`] continued from `seed`, taken
+    /// once per active traced round.
     pub(super) fn stats_digest(&self, seed: u64) -> u64 {
-        use stats_layout::*;
-        let mut v = stats_slots(&self.stats.borrow());
-        let (quarantined, pressure_events, corrupt_quarantined) = self.stats_gauges();
-        v[QUARANTINED_CHANNELS] = quarantined;
-        v[PRESSURE_EVENTS] = pressure_events;
-        v[CORRUPT_QUARANTINED] = corrupt_quarantined;
-        v.into_iter().fold(seed, fnv_fold)
+        self.stats_fold().into_iter().fold(seed, fnv_fold)
     }
 }
 
-/// Generates, from one table of `SLOT = field path as conversion` rows in
-/// wire order, everything that must agree on the canonical [`CopierStats`]
-/// flattening: the [`stats_layout`] indexes (a row's position), the
-/// flattening itself and its inverse. The conversion names how the field
-/// maps to its `u64` slot (`u64`: as is; `usize`: cast; `nanos`:
-/// [`Nanos`]).
+/// Generates, from one table of `SLOT = field path as conversion by fold`
+/// rows in wire order, everything that must agree on the canonical
+/// [`CopierStats`] flattening: the [`stats_layout`] indexes (a row's
+/// position), the flattening itself, its inverse, and the fold of the
+/// shards' rows into the service's counters. The conversion names how the
+/// field maps to its `u64` slot (`u64`: as is; `usize`: cast; `nanos`:
+/// [`Nanos`]); the fold how the rows combine (`sum`; `max`, a high-water
+/// mark; `gauge(read)`, a point-in-time value `read` from the devices,
+/// which no row counts).
 macro_rules! stats_table {
-    ($($slot:ident = $($field:ident).+ as $conv:ident,)+) => {
+    ($($slot:ident = $($field:ident).+ as $conv:ident by $kind:ident $(($read:expr))?,)+) => {
         /// Named indexes of the canonical [`CopierStats`] flattening
         /// ([`stats_to_vec`] / [`stats_from_vec`]) — the single shape the
         /// trace state hash and the journal checkpoint both use, one const
@@ -211,6 +184,22 @@ macro_rules! stats_table {
             s
         }
 
+        impl Copier {
+            /// The service's counters in [`stats_layout`] order: the
+            /// `restored` checkpoint and every shard's row in shard-id
+            /// order, combined slot by slot as the table says, then the
+            /// gauges read now. The journal checkpoint stores this.
+            pub(super) fn stats_fold(&self) -> [u64; stats_layout::LEN] {
+                let mut v = stats_slots(&self.restored);
+                for sh in &self.shards {
+                    let r = stats_slots(&sh.row());
+                    $(stats_table!(@fold $kind, v[stats_layout::$slot], r[stats_layout::$slot]);)+
+                }
+                $(stats_table!(@read $kind $(($read))?, v[stats_layout::$slot], self);)+
+                v
+            }
+        }
+
         /// Every `(const name, index)` of [`stats_layout`], in table order.
         #[cfg(test)]
         const STATS_SLOT_NAMES: &[(&str, usize)] =
@@ -231,53 +220,62 @@ macro_rules! stats_table {
     (@restore u64, $e:expr) => { $e };
     (@restore usize, $e:expr) => { $e as usize };
     (@restore nanos, $e:expr) => { Nanos($e) };
+    (@fold sum, $acc:expr, $x:expr) => { $acc += $x };
+    (@fold max, $acc:expr, $x:expr) => { $acc = $acc.max($x) };
+    (@fold gauge, $acc:expr, $x:expr) => {};
+    (@read sum, $acc:expr, $svc:expr) => {};
+    (@read max, $acc:expr, $svc:expr) => {};
+    (@read gauge($read:expr), $acc:expr, $svc:expr) => { $acc = ($read)($svc) };
 }
 
 stats_table! {
-    TASKS_COMPLETED = tasks_completed as u64,
-    BYTES_COPIED = bytes_copied as u64,
-    BYTES_ABSORBED = bytes_absorbed as u64,
-    BYTES_DEFERRED_EXECUTED = bytes_deferred_executed as u64,
-    SYNCS = syncs as u64,
-    PROMOTIONS = promotions as u64,
-    ABORTS = aborts as u64,
-    FAULTS = faults as u64,
-    IDLE_POLLS = idle_polls as u64,
-    BUSY_ROUNDS = busy_rounds as u64,
-    DISPATCH_CPU_BYTES = dispatch.cpu_bytes as usize,
-    DISPATCH_DMA_BYTES = dispatch.dma_bytes as usize,
-    DISPATCH_DMA_DESCRIPTORS = dispatch.dma_descriptors as usize,
-    DISPATCH_DMA_WAIT_NS = dispatch.dma_wait as nanos,
-    DISPATCH_RETRIES = dispatch.retries as u64,
-    DISPATCH_FALLBACK_BYTES = dispatch.fallback_bytes as usize,
-    PROACTIVE_FAULTS = proactive_faults as u64,
-    RETRIES = retries as u64,
-    FALLBACK_BYTES = fallback_bytes as u64,
-    QUARANTINED_CHANNELS = quarantined_channels as u64,
-    ORPHANS_RECLAIMED = orphans_reclaimed as u64,
-    DEPENDENTS_ABORTED = dependents_aborted as u64,
-    ADMISSION_REJECTED = admission_rejected as u64,
-    SHED_BYTES = shed_bytes as u64,
-    CREDITS_GRANTED = credits_granted as u64,
-    DEGRADED_SYNC_COPIES = degraded_sync_copies as u64,
-    PRESSURE_EVENTS = pressure_events as u64,
-    HAZARD_SCANS = hazard_scans as u64,
-    INDEX_HITS = index_hits as u64,
-    INDEX_ENTRIES_PEAK = index_entries_peak as u64,
-    ROUNDS_SETTLED = rounds_settled as u64,
-    ROUNDS_ACTIVE = rounds_active as u64,
-    CRASHES = crashes as u64,
-    RECOVERED_TASKS = recovered_tasks as u64,
-    RECOVERED_FINALIZED = recovered_finalized as u64,
-    DROPPED_UNJOURNALED = dropped_unjournaled as u64,
-    TORN_POISONED = torn_poisoned as u64,
-    DISPATCH_CORRUPTIONS = dispatch.corruptions as u64,
-    DISPATCH_REPAIRS = dispatch.repairs as u64,
-    CORRUPTED_POISONED = corrupted_poisoned as u64,
-    SCRUB_CHUNKS = scrub_chunks as u64,
-    SCRUB_HEALS = scrub_heals as u64,
-    SCRUB_UNREPAIRABLE = scrub_unrepairable as u64,
-    CORRUPT_QUARANTINED = corrupt_quarantined as u64,
+    TASKS_COMPLETED = tasks_completed as u64 by sum,
+    BYTES_COPIED = bytes_copied as u64 by sum,
+    BYTES_ABSORBED = bytes_absorbed as u64 by sum,
+    BYTES_DEFERRED_EXECUTED = bytes_deferred_executed as u64 by sum,
+    SYNCS = syncs as u64 by sum,
+    PROMOTIONS = promotions as u64 by sum,
+    ABORTS = aborts as u64 by sum,
+    FAULTS = faults as u64 by sum,
+    IDLE_POLLS = idle_polls as u64 by sum,
+    BUSY_ROUNDS = busy_rounds as u64 by sum,
+    DISPATCH_CPU_BYTES = dispatch.cpu_bytes as usize by sum,
+    DISPATCH_DMA_BYTES = dispatch.dma_bytes as usize by sum,
+    DISPATCH_DMA_DESCRIPTORS = dispatch.dma_descriptors as usize by sum,
+    DISPATCH_DMA_WAIT_NS = dispatch.dma_wait as nanos by sum,
+    DISPATCH_RETRIES = dispatch.retries as u64 by sum,
+    DISPATCH_FALLBACK_BYTES = dispatch.fallback_bytes as usize by sum,
+    PROACTIVE_FAULTS = proactive_faults as u64 by sum,
+    RETRIES = retries as u64 by sum,
+    FALLBACK_BYTES = fallback_bytes as u64 by sum,
+    QUARANTINED_CHANNELS = quarantined_channels as u64
+        by gauge(|c: &Copier| c.dispatcher.dma().map_or(0, |d| d.quarantined() as u64)),
+    ORPHANS_RECLAIMED = orphans_reclaimed as u64 by sum,
+    DEPENDENTS_ABORTED = dependents_aborted as u64 by sum,
+    ADMISSION_REJECTED = admission_rejected as u64 by sum,
+    SHED_BYTES = shed_bytes as u64 by sum,
+    CREDITS_GRANTED = credits_granted as u64 by sum,
+    DEGRADED_SYNC_COPIES = degraded_sync_copies as u64 by sum,
+    PRESSURE_EVENTS = pressure_events as u64
+        by gauge(|c: &Copier| c.pm.pressure_events()),
+    HAZARD_SCANS = hazard_scans as u64 by sum,
+    INDEX_HITS = index_hits as u64 by sum,
+    INDEX_ENTRIES_PEAK = index_entries_peak as u64 by max,
+    ROUNDS_SETTLED = rounds_settled as u64 by sum,
+    ROUNDS_ACTIVE = rounds_active as u64 by sum,
+    CRASHES = crashes as u64 by sum,
+    RECOVERED_TASKS = recovered_tasks as u64 by sum,
+    RECOVERED_FINALIZED = recovered_finalized as u64 by sum,
+    DROPPED_UNJOURNALED = dropped_unjournaled as u64 by sum,
+    TORN_POISONED = torn_poisoned as u64 by sum,
+    DISPATCH_CORRUPTIONS = dispatch.corruptions as u64 by sum,
+    DISPATCH_REPAIRS = dispatch.repairs as u64 by sum,
+    CORRUPTED_POISONED = corrupted_poisoned as u64 by sum,
+    SCRUB_CHUNKS = scrub_chunks as u64 by sum,
+    SCRUB_HEALS = scrub_heals as u64 by sum,
+    SCRUB_UNREPAIRABLE = scrub_unrepairable as u64 by sum,
+    CORRUPT_QUARANTINED = corrupt_quarantined as u64
+        by gauge(|c: &Copier| c.dispatcher.dma().map_or(0, |d| d.corrupt_quarantined())),
 }
 
 /// Canonical flattening of [`CopierStats`] into the append-only
@@ -327,36 +325,54 @@ mod tests {
         assert_eq!(assigned.len(), stats_layout::LEN, "every slot is named");
     }
 
-    /// The per-round `stats_digest` folds exactly what the journal
-    /// checkpoint flattens (`stats_to_vec` of the `stats()` snapshot),
-    /// slot for slot, including the three slots `stats()` reads from the
-    /// DMA engine and the frame pool instead of the counters.
+    /// The service's counters are the fold of the restored checkpoint
+    /// and every shard's row: `stats()` is their elementwise sum, except
+    /// the index peak (their max) and the three gauges (read from the DMA
+    /// engine and the frame pool, whatever the rows hold), and the
+    /// per-round `stats_digest` folds exactly what the journal checkpoint
+    /// flattens (`stats_to_vec` of that snapshot), slot for slot.
     #[test]
     fn stats_digest_folds_the_stats_vec() {
+        use stats_layout::*;
+        const SHARDS: usize = 4;
         let sim = copier_sim::Sim::new();
         let h = sim.handle();
-        let machine = copier_sim::Machine::new(&h, 1);
+        let machine = copier_sim::Machine::new(&h, SHARDS);
         let pm = Rc::new(PhysMem::new(16, copier_mem::AllocPolicy::Sequential));
-        let svc = Copier::new(
+        let mut svc = Copier::new(
             &h,
             Rc::clone(&pm),
-            vec![machine.core(0)],
+            (0..SHARDS).map(|i| machine.core(i)).collect(),
             Rc::new(CostModel::default()),
             CopierConfig {
                 use_dma: true,
+                shards: SHARDS,
                 ..Default::default()
             },
         );
-        let distinct: Vec<u64> = (1000..1000 + stats_layout::LEN as u64).collect();
-        *svc.stats.borrow_mut() = stats_from_vec(&distinct);
-        // One pressure event, so that gauge differs from its counter slot.
+        // Distinct values in every slot of every row; the restored peak
+        // is the highest, so a summed peak cannot pass for the max.
+        let row = |base: u64| -> Vec<u64> { (base..base + LEN as u64).collect() };
+        let mut restored = row(1000);
+        restored[INDEX_ENTRIES_PEAK] = 1 << 40;
+        Rc::get_mut(&mut svc).unwrap().restored = stats_from_vec(&restored);
+        let rows: Vec<Vec<u64>> = (1..=SHARDS as u64).map(|i| row(i << 20)).collect();
+        for (sh, r) in svc.shards.iter().zip(&rows) {
+            *sh.count() = stats_from_vec(r);
+        }
+        // One pressure event, so that gauge differs from every row.
         pm.set_watermarks(0, 1);
         pm.alloc().unwrap();
         assert!(pm.pressure());
+        let mut want: Vec<u64> = (0..LEN)
+            .map(|k| restored[k] + rows.iter().map(|r| r[k]).sum::<u64>())
+            .collect();
+        want[INDEX_ENTRIES_PEAK] = 1 << 40;
+        want[QUARANTINED_CHANNELS] = 0;
+        want[PRESSURE_EVENTS] = 1;
+        want[CORRUPT_QUARANTINED] = 0;
         let v = stats_to_vec(&svc.stats());
-        assert_eq!(v[stats_layout::PRESSURE_EVENTS], 1);
-        assert_eq!(v[stats_layout::QUARANTINED_CHANNELS], 0);
-        assert_eq!(v[stats_layout::TASKS_COMPLETED], 1000);
+        assert_eq!(v, want);
         assert_eq!(
             svc.stats_digest(FNV_OFFSET),
             v.into_iter().fold(FNV_OFFSET, fnv_fold)

@@ -28,6 +28,16 @@ filters=$(grep -rnE 'shard\.get\(\) *[!=]=|[!=]= *[A-Za-z_.()]*shard\.get\(\)' c
 tables=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? +)?[a-z_][a-z_0-9]*: .*Vec<Rc<Client>>' crates/copier-core/src \
     | grep -v '^crates/copier-core/src/service/aggregates\.rs:' || true)
 [ -z "$tables" ] || { echo "a client list outside ShardState in:"; echo "$tables"; exit 1; }
+# Counters belong to the shard that counts them (DESIGN.md §17): the service
+# keeps no service-wide counter field (`self.stats` / `svc.stats` outside a
+# `stats()` call), and no service decision reads a counter — a shard's row is
+# borrowed to read (`.row()`) only by the fold in `stats.rs` and by the
+# shard's own round hashes and share in `aggregates.rs`.
+cells=$(grep -rnE '\b(self|svc)\.stats($|[^_a-z0-9(])' crates/copier-core/src/service || true)
+[ -z "$cells" ] || { echo "a service-wide counter field in:"; echo "$cells"; exit 1; }
+readers=$(grep -rnE '\.row\(\)' crates/copier-core/src/service \
+    | grep -vE '^crates/copier-core/src/service/(stats|aggregates)\.rs:' || true)
+[ -z "$readers" ] || { echo "a shard's stats row read outside the fold in:"; echo "$readers"; exit 1; }
 # An address space translates a range one way (DESIGN.md §12): `resolve` is
 # the one fault handler, so each kind of fault is booked on one line of
 # `copier-mem/src/space.rs`, and its private `scan` is the one place

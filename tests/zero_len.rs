@@ -318,3 +318,63 @@ fn segment_straddling_lengths_complete_exactly() {
         assert_no_pinned_leaks(&os.pm);
     }
 }
+
+/// A zero-length completion counts in its shard's share as it does in the
+/// total: summed over the shards, `shard_stats` is `stats()`'s
+/// `(bytes_copied, tasks_completed, rounds_active)`, at one shard and at
+/// four, with zero-length copies mixed among sized ones.
+#[test]
+fn shard_shares_sum_to_the_totals_with_zero_length_copies() {
+    const TENANTS: usize = 8;
+    const LENS: [usize; 4] = [0, 4096, 0, 0];
+    for shards in [1, 4] {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let machine = Machine::new(&h, TENANTS + shards);
+        let os = Os::boot(&h, machine, 4096);
+        let cores = (TENANTS..TENANTS + shards)
+            .map(|i| os.machine.core(i))
+            .collect();
+        let svc = os.install_copier(
+            cores,
+            CopierConfig {
+                shards,
+                ..CopierConfig::default()
+            },
+        );
+        let done = Rc::new(Cell::new(0));
+        for t in 0..TENANTS {
+            let lib = os.spawn_process().lib();
+            let src = lib.uspace.mmap(4096, Prot::RW, true).unwrap();
+            let dst = lib.uspace.mmap(4096, Prot::RW, true).unwrap();
+            let (core, svc, done) = (os.machine.core(t), Rc::clone(&svc), Rc::clone(&done));
+            sim.spawn("tenant", async move {
+                for len in LENS {
+                    lib._amemcpy(&core, dst, src, len, AmemcpyOpts::default())
+                        .await
+                        .expect("admitted");
+                }
+                let _ = lib.csync_all(&core).await;
+                done.set(done.get() + 1);
+                if done.get() == TENANTS {
+                    svc.stop();
+                }
+            });
+        }
+        sim.run();
+        let st = svc.stats();
+        assert_eq!(st.tasks_completed, (TENANTS * LENS.len()) as u64);
+        let shares = (0..svc.nshards()).map(|i| svc.shard_stats(i));
+        assert!(
+            shards == 1 || shares.clone().filter(|s| s.1 > 0).count() > 1,
+            "the tenants spread over the shards"
+        );
+        let sum = shares.fold((0, 0, 0), |a, s| (a.0 + s.0, a.1 + s.1, a.2 + s.2));
+        assert_eq!(
+            sum,
+            (st.bytes_copied, st.tasks_completed, st.rounds_active),
+            "the shards' shares sum to the totals at {shards} shard(s)"
+        );
+        assert_no_pinned_leaks(&os.pm);
+    }
+}
