@@ -4,9 +4,11 @@
 //! not CPU time, whose correspondence to work varies with cache/TLB state.
 //! Each Copier thread serves its runnable clients in CFS-like order: the
 //! cgroup with the minimum share-weighted copied length first, then the
-//! client with the minimum total copied length inside it. A *copy slice*
-//! bounds the bytes served per scheduling decision — one round walks that
-//! order until the slice is spent ([`RunOrder`]).
+//! client with the minimum total copied length inside it. A cgroup's
+//! length is per thread — what that thread served it — so an order reads
+//! no other thread's state. A *copy slice* bounds the bytes served per
+//! scheduling decision — one round walks that order until the slice is
+//! spent ([`RunOrder`]).
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -53,17 +55,53 @@ pub fn min_live_vruntime<'a>(clients: impl IntoIterator<Item = &'a Rc<Client>>) 
     min
 }
 
+/// Fills `order` with the service order of one round: every client in
+/// `clients` with work at `now`, least-served first.
+///
+/// Two-level min-vruntime: cgroup first (share-weighted, from the
+/// serving thread's `group_vr`), then client, ties to the earlier
+/// position in `clients`. The keys are read once, here — charges made
+/// while the round serves the order do not re-rank it. O(clients) to
+/// build; each [`RunOrder::pop`] is O(log runnable), so a round that
+/// spends its slice on the first few clients never sorts the rest.
+pub fn order_into(
+    clients: &[Rc<Client>],
+    group_vr: &[u64],
+    now: Nanos,
+    lazy_period: Nanos,
+    order: &mut RunOrder,
+) {
+    let mut keys = std::mem::take(&mut order.heap).into_vec();
+    keys.clear();
+    // Vruntimes are ranked by their signed distance from the first
+    // candidate's — `vruntime_before` made a total order, exact under
+    // the same bound (no two live vruntimes `u64::MAX / 2` apart).
+    let mut base: Option<(u64, u64)> = None;
+    for (pos, c) in clients.iter().enumerate() {
+        if !c.has_work(now, lazy_period) {
+            continue;
+        }
+        let gv = group_vr.get(c.cgroup.get()).copied().unwrap_or(0);
+        let cv = c.copied_total.get();
+        let (bg, bc) = *base.get_or_insert((gv, cv));
+        keys.push(Reverse((
+            gv.wrapping_sub(bg) as i64,
+            cv.wrapping_sub(bc) as i64,
+            pos,
+        )));
+    }
+    order.heap = BinaryHeap::from(keys);
+}
+
 /// One control group with a `copier.shares` weight.
 pub struct CGroup {
     /// Human-readable name.
     pub name: String,
     /// Relative share of Copier resources (like `cpu.shares`).
     pub shares: Cell<u64>,
-    /// Share-weighted copied length (the cgroup vruntime).
-    pub vruntime: Cell<u64>,
 }
 
-/// One round's service order, built by [`Scheduler::order_into`]: the
+/// One round's service order, built by [`order_into`]: the
 /// runnable clients' positions in the assignment list, popped
 /// least-served first. Reused across rounds (the heap keeps its buffer).
 #[derive(Default)]
@@ -81,7 +119,7 @@ impl RunOrder {
     }
 }
 
-/// The per-service scheduler.
+/// The per-service cgroup registry.
 pub struct Scheduler {
     cgroups: RefCell<Vec<Rc<CGroup>>>,
 }
@@ -108,7 +146,6 @@ impl Scheduler {
         g.push(Rc::new(CGroup {
             name: name.to_string(),
             shares: Cell::new(shares.max(1)),
-            vruntime: Cell::new(0),
         }));
         g.len() - 1
     }
@@ -118,62 +155,22 @@ impl Scheduler {
         Rc::clone(&self.cgroups.borrow()[id])
     }
 
-    /// Fills `order` with the service order of one round: every client in
-    /// `clients` with work at `now`, least-served first.
-    ///
-    /// Two-level min-vruntime: cgroup first (share-weighted), then client,
-    /// ties to the earlier position in `clients`. The keys are read once,
-    /// here — charges made while the round serves the order do not
-    /// re-rank it. O(clients) to build; each [`RunOrder::pop`] is
-    /// O(log runnable), so a round that spends its slice on the first few
-    /// clients never sorts the rest.
-    pub fn order_into(
-        &self,
-        clients: &[Rc<Client>],
-        now: Nanos,
-        lazy_period: Nanos,
-        order: &mut RunOrder,
-    ) {
-        let groups = self.cgroups.borrow();
-        let mut keys = std::mem::take(&mut order.heap).into_vec();
-        keys.clear();
-        // Vruntimes are ranked by their signed distance from the first
-        // candidate's — `vruntime_before` made a total order, exact under
-        // the same bound (no two live vruntimes `u64::MAX / 2` apart).
-        let mut base: Option<(u64, u64)> = None;
-        for (pos, c) in clients.iter().enumerate() {
-            if !c.has_work(now, lazy_period) {
-                continue;
-            }
-            let gv = groups
-                .get(c.cgroup.get())
-                .map(|g| g.vruntime.get())
-                .unwrap_or(0);
-            let cv = c.copied_total.get();
-            let (bg, bc) = *base.get_or_insert((gv, cv));
-            keys.push(Reverse((
-                gv.wrapping_sub(bg) as i64,
-                cv.wrapping_sub(bc) as i64,
-                pos,
-            )));
-        }
-        order.heap = BinaryHeap::from(keys);
-    }
-
-    /// Charges `bytes` of copy to the client and its cgroup. The
-    /// accumulators wrap (never saturate): saturation would freeze every
-    /// client at `u64::MAX` and erase the fairness order, while wrapping
-    /// keeps relative distances — which [`vruntime_before`] compares —
-    /// exact across the boundary.
-    pub fn charge(&self, client: &Client, bytes: usize) {
+    /// Charges `bytes` of copy to the client and, in `group_vr` (the
+    /// serving thread's table), to its cgroup. The accumulators wrap
+    /// (never saturate): saturation would freeze every client at
+    /// `u64::MAX` and erase the fairness order, while wrapping keeps
+    /// relative distances — which [`vruntime_before`] compares — exact
+    /// across the boundary.
+    pub fn charge(&self, client: &Client, bytes: usize, group_vr: &mut Vec<u64>) {
         client
             .copied_total
             .set(client.copied_total.get().wrapping_add(bytes as u64));
-        let groups = self.cgroups.borrow();
-        if let Some(g) = groups.get(client.cgroup.get()) {
+        let g = client.cgroup.get();
+        if let Some(group) = self.cgroups.borrow().get(g) {
             // Weighted: smaller shares accrue vruntime faster.
-            let delta = (bytes as u64 * 1024) / g.shares.get();
-            g.vruntime.set(g.vruntime.get().wrapping_add(delta));
+            let delta = (bytes as u64 * 1024) / group.shares.get();
+            group_vr.resize(group_vr.len().max(g + 1), 0);
+            group_vr[g] = group_vr[g].wrapping_add(delta);
         }
     }
 }
@@ -206,10 +203,11 @@ mod tests {
         c
     }
 
-    /// The ids of `clients` in the order one round would serve them.
-    fn run(s: &Scheduler, clients: &[Rc<Client>]) -> Vec<u32> {
+    /// The ids of `clients` in the order one round would serve them on a
+    /// thread whose cgroup vruntimes are `vr`.
+    fn run(vr: &[u64], clients: &[Rc<Client>]) -> Vec<u32> {
         let mut order = RunOrder::default();
-        s.order_into(clients, Nanos::ZERO, Nanos::ZERO, &mut order);
+        order_into(clients, vr, Nanos::ZERO, Nanos::ZERO, &mut order);
         std::iter::from_fn(|| order.pop())
             .map(|pos| clients[pos].id)
             .collect()
@@ -217,35 +215,32 @@ mod tests {
 
     #[test]
     fn run_is_ordered_by_copied_length() {
-        let s = Scheduler::new();
         let a = client_with_work(1);
         let b = client_with_work(2);
         let c = client_with_work(3);
         a.copied_total.set(1000);
         b.copied_total.set(10);
         c.copied_total.set(500);
-        assert_eq!(run(&s, &[a, b, c]), [2, 3, 1]);
+        assert_eq!(run(&[], &[a, b, c]), [2, 3, 1]);
     }
 
     #[test]
     fn run_skips_idle_clients() {
-        let s = Scheduler::new();
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
         let idle = Client::new(9, AddressSpace::new(9, pm), 16);
         idle.copied_total.set(0);
         let busy = client_with_work(1);
         busy.copied_total.set(99999);
-        assert_eq!(run(&s, &[idle, busy]), [1]);
-        assert_eq!(run(&s, &[]), [] as [u32; 0]);
+        assert_eq!(run(&[], &[idle, busy]), [1]);
+        assert_eq!(run(&[], &[]), [] as [u32; 0]);
     }
 
     #[test]
     fn ties_go_to_the_earlier_position() {
-        let s = Scheduler::new();
         let clients: Vec<_> = [4, 2, 7, 5].into_iter().map(client_with_work).collect();
         clients[2].copied_total.set(1);
         // 4, 2 and 5 tie at zero: assignment order decides, not the id.
-        assert_eq!(run(&s, &clients), [4, 2, 5, 7]);
+        assert_eq!(run(&[], &clients), [4, 2, 5, 7]);
     }
 
     #[test]
@@ -262,11 +257,27 @@ mod tests {
         // Charge both groups the same raw bytes; the small-shares group's
         // vruntime grows 4× faster, so the big group runs first — all of
         // it, whatever its clients' own totals — ordered inside by client.
-        s.charge(&a, 4096);
-        s.charge(&b, 4096);
-        assert!(s.cgroup(small).vruntime.get() > s.cgroup(big).vruntime.get());
+        let mut vr = Vec::new();
+        s.charge(&a, 4096, &mut vr);
+        s.charge(&b, 4096, &mut vr);
+        assert_eq!(vr, [0, 16384, 4096]);
         c.copied_total.set(1 << 20);
-        assert_eq!(run(&s, &[a, c, b]), [2, 3, 1]);
+        assert_eq!(run(&vr, &[a, c, b]), [2, 3, 1]);
+    }
+
+    #[test]
+    fn a_charge_moves_only_the_serving_threads_table() {
+        let s = Scheduler::new();
+        let g = s.create_cgroup("half", 512);
+        let (mut mine, theirs) = (vec![0], vec![0]);
+        let a = client_with_work(1);
+        a.cgroup.set(g);
+        s.charge(&a, 4096, &mut mine);
+        assert_eq!((mine, &theirs), (vec![0, 8192], &vec![0]));
+        // The peer thread still ranks the cgroup as never served.
+        let b = client_with_work(2);
+        b.copied_total.set(1 << 20);
+        assert_eq!(run(&theirs, &[a, b]), [1, 2]);
     }
 
     #[test]
@@ -277,22 +288,23 @@ mod tests {
         b.copied_total.set(100);
         let clients = [a, b];
         let mut order = RunOrder::default();
-        s.order_into(&clients, Nanos::ZERO, Nanos::ZERO, &mut order);
+        let mut vr = vec![0];
+        order_into(&clients, &vr, Nanos::ZERO, Nanos::ZERO, &mut order);
         assert_eq!(order.pop(), Some(0));
         // Serving the first client moves it past the second; the run
         // already under way is not re-ranked, the next one is.
-        s.charge(&clients[0], 4096);
+        s.charge(&clients[0], 4096, &mut vr);
         assert_eq!(order.pop(), Some(1));
         assert_eq!(order.pop(), None);
-        assert_eq!(run(&s, &clients), [2, 1]);
+        assert_eq!(run(&vr, &clients), [2, 1]);
     }
 
     #[test]
     fn charge_accumulates_client_total() {
         let s = Scheduler::new();
         let a = client_with_work(1);
-        s.charge(&a, 100);
-        s.charge(&a, 200);
+        s.charge(&a, 100, &mut vec![0]);
+        s.charge(&a, 200, &mut vec![0]);
         assert_eq!(a.copied_total.get(), 300);
     }
 
@@ -325,16 +337,16 @@ mod tests {
         let near = u64::MAX - 4096;
         a.copied_total.set(near);
         b.copied_total.set(near);
-        s.charge(&a, 8192); // wraps: a is now 8 KiB *ahead* of b
+        let mut vr = vec![0];
+        s.charge(&a, 8192, &mut vr); // wraps: a is now 8 KiB *ahead* of b
         assert!(a.copied_total.get() < b.copied_total.get(), "a wrapped");
         assert!(vruntime_before(b.copied_total.get(), a.copied_total.get()));
         let clients = [a, b];
-        assert_eq!(run(&s, &clients), [2, 1], "who copied less runs first");
+        assert_eq!(run(&vr, &clients), [2, 1], "who copied less runs first");
         // And the cgroup level wraps the same way.
-        let g = s.cgroup(0);
-        g.vruntime.set(u64::MAX - 10);
-        s.charge(&clients[0], 4096);
-        assert!(g.vruntime.get() < u64::MAX - 10, "cgroup vruntime wrapped");
+        vr[0] = u64::MAX - 10;
+        s.charge(&clients[0], 4096, &mut vr);
+        assert!(vr[0] < u64::MAX - 10, "cgroup vruntime wrapped");
     }
 
     #[test]
@@ -354,16 +366,15 @@ mod tests {
                     c
                 })
                 .collect();
-            assert_eq!(run(&s, &clients), sorted, "rotation {rot}");
+            assert_eq!(run(&[], &clients), sorted, "rotation {rot}");
         }
         // The cgroup level, wrapped, still outranks the client level.
         let g = s.create_cgroup("wrapped", 1024);
-        s.cgroup(0).vruntime.set(u64::MAX - 100);
-        s.cgroup(g).vruntime.set(100);
+        let vr = [u64::MAX - 100, 100];
         let early = client_with_work(1);
         early.copied_total.set(1 << 40);
         let late = client_with_work(2);
         late.cgroup.set(g);
-        assert_eq!(run(&s, &[late, early]), [1, 2]);
+        assert_eq!(run(&vr, &[late, early]), [1, 2]);
     }
 }

@@ -54,6 +54,10 @@ pub(super) struct ShardState {
     row: RefCell<CopierStats>,
     pub(super) active: ActiveSet,
     min_vr: MinVr,
+    /// This shard's cgroup vruntimes by cgroup id, charged for the bytes it
+    /// serves and read by its own round order. The default cgroup's slot
+    /// is there from the start: a first charge allocates nothing.
+    group_vr: RefCell<Vec<u64>>,
     pub(super) hashes: HashSums,
 }
 
@@ -83,6 +87,7 @@ impl ShardState {
                     rebuilds: Cell::new(0),
                 },
                 min_vr: MinVr::new(sweep),
+                group_vr: RefCell::new(vec![0]),
                 // One thread owns all of a shard's clients, so nothing
                 // touches a client behind the round that marked it dirty.
                 hashes: HashSums::new(cfg.tracer.is_some() && !sweep),
@@ -137,11 +142,9 @@ impl ShardState {
 
     /// Refreshes `a`, this shard's round assignment (epoch-cached: a
     /// stable membership reuses the buffer untouched): the active set in
-    /// `reg_seq` (= registration) order, filtered by the round's
-    /// registration watermark — exactly the clients a snapshot of the
-    /// shard's list would have found with any unsettled state, in the same
-    /// order (see [`settled`] for the equivalence argument).
-    /// `full_sweep`: that snapshot itself.
+    /// `reg_seq` (= registration) order — exactly the shard's list minus
+    /// its settled clients, in the same order (see [`settled`] for the
+    /// equivalence argument). `full_sweep`: the list itself.
     pub(super) fn assign(&self, a: &mut Assigned) {
         let active = &self.active;
         let ep = active.epoch.get();
@@ -155,9 +158,7 @@ impl ShardState {
             a.clients.extend(self.owned().iter().cloned());
             return;
         }
-        let map = active.map.borrow();
-        let snapshot = map.range(..a.reg_watermark);
-        a.clients.extend(snapshot.map(|(_, c)| Rc::clone(c)));
+        a.clients.extend(active.map.borrow().values().cloned());
     }
 
     /// Round-end maintenance: every assigned client that ended the round
@@ -173,6 +174,11 @@ impl ShardState {
         for c in a.clients.iter().filter(|c| settled(c)) {
             self.active.deactivate(c);
         }
+    }
+
+    /// This shard's cgroup vruntimes, to rank its round by.
+    pub(super) fn group_vr(&self) -> Ref<'_, [u64]> {
+        Ref::map(self.group_vr.borrow(), Vec::as_slice)
     }
 
     /// Wrap-safe minimum live vruntime among the shard's clients — what
@@ -401,11 +407,6 @@ pub(super) struct Assigned {
     /// stable client population costs O(1) list maintenance instead of an
     /// O(clients) rebuild.
     epoch: u64,
-    /// Registration watermark latched at round start: only clients with
-    /// `reg_seq < reg_watermark` enter this round's list, as a snapshot
-    /// of the shard's list taken at round start would have it (a client
-    /// registered mid-round is absent from that snapshot).
-    pub(super) reg_watermark: u64,
 }
 
 impl Default for Assigned {
@@ -413,7 +414,6 @@ impl Default for Assigned {
         Assigned {
             clients: Vec::new(),
             epoch: u64::MAX,
-            reg_watermark: u64::MAX,
         }
     }
 }
@@ -703,17 +703,17 @@ impl Copier {
         (r.bytes_copied, r.tasks_completed, r.rounds_active)
     }
 
-    /// Charges `bytes` to `client` through the scheduler while keeping
-    /// its shard's cached min-vruntime exact.
+    /// Charges `bytes` to `client` and, on its shard, to its cgroup,
+    /// keeping the shard's cached min-vruntime exact.
     pub(super) fn charge_client(&self, client: &Rc<Client>, bytes: usize) {
         if bytes == 0 {
             return;
         }
+        let sh = self.shard_of(client);
         let old = client.copied_total.get();
-        self.sched.charge(client, bytes);
-        self.shard_of(client)
-            .min_vr
-            .charged(old, client.copied_total.get());
+        self.sched
+            .charge(client, bytes, &mut sh.group_vr.borrow_mut());
+        sh.min_vr.charged(old, client.copied_total.get());
     }
 
     /// The `(pending, index, stats)` state hashes closing an active

@@ -105,7 +105,7 @@ impl Copier {
     }
 
     /// Whether `client` is (tied for) the least-served live client — the
-    /// same yardstick as `Scheduler::order_into`'s fairness order. The
+    /// same yardstick as `order_into`'s fairness order. The
     /// exemption is strict: under a symmetric overload every tenant takes
     /// its turn at the minimum, so shedding rotates fairly instead of
     /// exempting the whole band and never shedding at all.

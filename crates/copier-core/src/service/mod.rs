@@ -73,7 +73,7 @@ pub struct Copier {
     cfg: CopierConfig,
     dispatcher: Rc<Dispatcher>,
     atcache: Rc<ATCache>,
-    /// The copy-length scheduler and cgroup controller.
+    /// The cgroup controller's registry: names and shares (§4.5.3).
     pub sched: Scheduler,
     scenario_active: Cell<bool>,
     wake: Rc<Notify>,

@@ -13,7 +13,7 @@ use super::execute::{mark_progress, ByTid, PlanScratch};
 use super::select::Selected;
 use super::Copier;
 use crate::config::PollMode;
-use crate::sched::{RunOrder, MIN_COPY_SLICE};
+use crate::sched::{order_into, RunOrder, MIN_COPY_SLICE};
 
 /// Per-thread round scratch, reused across polls so a settled round
 /// allocates nothing and a served copy only what outlives the round (its
@@ -294,11 +294,9 @@ impl Copier {
         if idx == 0 {
             self.background_integrity();
         }
-        // Snapshot boundary: clients registered after this point are
-        // invisible to this round. Stage-boundary refreshes below re-run
-        // the epoch check so a client *activated* mid-round (a push
-        // landing during an await) is drained by the later stages.
-        scratch.assigned.reg_watermark = self.next_reg.get();
+        // Stage-boundary refreshes below re-run the epoch check so a
+        // client that joins or is activated mid-round (a push landing
+        // during an await) is drained by the later stages.
         self.shards[idx].assign(&mut scratch.assigned);
         // This round may mutate any assigned client's hashed state;
         // clients activated mid-round are marked by their doorbell.
@@ -338,8 +336,9 @@ impl Copier {
         // queued. Nothing drained or charged while the round runs re-ranks
         // it; that is the next round's.
         self.shards[idx].assign(&mut scratch.assigned);
-        self.sched.order_into(
+        order_into(
             &scratch.assigned.clients,
+            &self.shards[idx].group_vr(),
             self.h.now(),
             self.cfg.lazy_period,
             &mut scratch.order,

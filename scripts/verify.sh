@@ -38,6 +38,27 @@ cells=$(grep -rnE '\b(self|svc)\.stats($|[^_a-z0-9(])' crates/copier-core/src/se
 readers=$(grep -rnE '\.row\(\)' crates/copier-core/src/service \
     | grep -vE '^crates/copier-core/src/service/(stats|aggregates)\.rs:' || true)
 [ -z "$readers" ] || { echo "a shard's stats row read outside the fold in:"; echo "$readers"; exit 1; }
+# A round reads only its own shard (DESIGN.md §17): the service-wide
+# registration counter is read only where a `reg_seq` is handed out
+# (`alloc_reg_seq`) and set up at construction, so no round latches it;
+# and a vruntime lives in a `Cell` only on a client (`copied_total`) or
+# in its shard's state (`service/aggregates.rs`), so no cgroup or
+# service-wide table holds one that two shards charge.
+regs=$(awk '
+    FNR == 1 { fn = "" }
+    /^[[:space:]]*(pub(\([a-z]+\))? )?(async )?fn [A-Za-z_0-9]+/ {
+        match($0, /fn [A-Za-z_0-9]+/)
+        fn = substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    { line = $0; sub(/\/\/.*/, "", line) }
+    line ~ /next_reg/ && line !~ /next_reg: Cell(<u64>|::new\(0\))/ && fn != "alloc_reg_seq" {
+        print FILENAME ":" FNR ": " $0
+    }
+' crates/copier-core/src/service/*.rs)
+[ -z "$regs" ] || { echo "next_reg read outside alloc_reg_seq in:"; echo "$regs"; exit 1; }
+vrs=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? +)?([a-z0-9_]*_)?(vruntime|vr)(_[a-z0-9_]*)?: .*Cell<' crates/*/src \
+    | grep -vE '^crates/copier-core/src/(service/aggregates|client)\.rs:' || true)
+[ -z "$vrs" ] || { echo "a vruntime cell outside ShardState and Client in:"; echo "$vrs"; exit 1; }
 # An address space translates a range one way (DESIGN.md §12): `resolve` is
 # the one fault handler, so each kind of fault is booked on one line of
 # `copier-mem/src/space.rs`, and its private `scan` is the one place

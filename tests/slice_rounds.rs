@@ -12,7 +12,8 @@
 //!   `bytes_copied` at the end;
 //! * **(b)** the `SchedPick`s of a round name distinct clients in
 //!   ascending (cgroup vruntime, client vruntime, registration) order as
-//!   of the round's start, and a round stops early only when no client
+//!   of the round's start — the cgroup vruntime as charged by the round's
+//!   own shard — and a round stops early only when no client
 //!   that had a window at its first pick is left unserved;
 //! * **(c)** destinations equal a sequential `memcpy` model (also with
 //!   RAW/WAW chains inside a tenant, where the round model does not
@@ -234,8 +235,6 @@ fn pattern(seed: u64, t: usize, buf: usize) -> Vec<u8> {
 struct ClientInfo {
     id: u32,
     shard: usize,
-    /// The cgroup the run put it in, as an index into [`Case::shares`].
-    cgroup: usize,
 }
 
 /// Everything one run leaves behind that a second run of the same case
@@ -275,17 +274,6 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
             ..Default::default()
         },
     );
-    // The cgroup vruntimes are one table for the whole service, charged
-    // by every shard as its batches land; what a shard's round read is
-    // then not in the trace. Sharded runs keep every tenant in the
-    // default cgroup, so their order is decided by shard-local state.
-    let group_of = |t: usize| {
-        if shards > 1 {
-            0
-        } else {
-            case.tenants[t].cgroup
-        }
-    };
     // `Scheduler::new` made cgroup 0; the ids handed out here follow it,
     // so an index into `case.shares` is the service's cgroup id.
     for (g, &s) in case.shares.iter().enumerate().skip(1) {
@@ -307,7 +295,7 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
     for (t, tenant) in case.tenants.iter().enumerate() {
         let space = AddressSpace::new(t as u32 + 1, Rc::clone(&pm));
         let lib = CopierHandle::new(&svc, Rc::clone(&space));
-        lib.client.cgroup.set(group_of(t));
+        lib.client.cgroup.set(tenant.cgroup);
         let bufs: Vec<VirtAddr> = (0..tenant.nbufs)
             .map(|b| {
                 let va = space.mmap(MAX_LEN, Prot::RW, true).unwrap();
@@ -409,11 +397,9 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
             .collect(),
         clients: world
             .iter()
-            .enumerate()
-            .map(|(t, w)| ClientInfo {
+            .map(|w| ClientInfo {
                 id: w.lib.client.id,
                 shard: w.lib.client.shard.get(),
-                cgroup: group_of(t),
             })
             .collect(),
     })
@@ -478,7 +464,7 @@ fn walk_rounds(
             .position(|c| c.id == id)
             .expect("known client")
     };
-    let group = |t: usize| clients[t].cgroup;
+    let group = |t: usize| case.tenants[t].cgroup;
     let max_len = case
         .tenants
         .iter()
@@ -488,7 +474,9 @@ fn walk_rounds(
     let mut windows: Vec<VecDeque<(u64, usize)>> = vec![VecDeque::new(); n];
     let mut admitted = vec![0usize; n];
     let mut copied = vec![0u64; n];
-    let mut gvr = vec![0u64; case.shares.len()];
+    // Cgroup vruntimes by (shard, cgroup): each shard charges and ranks
+    // by its own.
+    let mut gvr = vec![vec![0u64; case.shares.len()]; shards];
     let mut gbytes = vec![0u64; case.shares.len()];
     let mut owner: Vec<usize> = vec![usize::MAX]; // tid 0 is never issued
     let mut rounds: Vec<Option<Round>> = (0..shards).map(|_| None).collect();
@@ -506,7 +494,7 @@ fn walk_rounds(
                 rounds[shard] = Some(Round {
                     left: case.copy_slice,
                     picked: Vec::new(),
-                    keys: (0..n).map(|t| (gvr[group(t)], copied[t])).collect(),
+                    keys: (0..n).map(|t| (gvr[shard][group(t)], copied[t])).collect(),
                     runnable: None,
                     expect_done: VecDeque::new(),
                 });
@@ -576,7 +564,7 @@ fn walk_rounds(
                 windows[t].retain(|&(_, rem)| rem > 0);
                 if taken > 0 {
                     copied[t] += taken as u64;
-                    gvr[group(t)] += taken as u64 * 1024 / case.shares[group(t)];
+                    gvr[shard][group(t)] += taken as u64 * 1024 / case.shares[group(t)];
                     gbytes[group(t)] += taken as u64;
                 }
             }

@@ -15,24 +15,26 @@
 //!    incrementally maintained total against a from-scratch sweep.
 //! 2. **Chaos equivalence**: injected DMA faults, stale ATC, and silent
 //!    flips draw in dispatch order, which the fast path must not perturb.
-//! 3. **Membership churn**: clients leaving mid-run (reap), arriving
-//!    into a restarted incarnation (crash-recovery adoption), and idle
-//!    clients re-activated by service-internal scrub heals.
+//! 3. **Membership churn**: clients leaving mid-run (reap), registering
+//!    mid-run (every generated case may add late tenants, tiers 1, 2, 3a
+//!    and 4), arriving into a restarted incarnation (crash-recovery
+//!    adoption), and idle clients re-activated by service-internal scrub
+//!    heals.
 //! 4. **Traced hashes**: a run recorded on the fast path replays through
 //!    the full-sweep build with zero divergence — the per-round cached
 //!    hash sums equal the full recompute, round by round.
 //!
 //! Reproduce failures with the printed `TESTKIT_REPRO=<seed>` line.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::rc::Rc;
 
-use copier::client::AmemcpyOpts;
+use copier::client::{AmemcpyOpts, CopierHandle};
 use copier::core::{
     stats_to_vec, ControlObs, CopierConfig, CopyFault, JournalStore, PollMode, SegDescriptor,
     VerifyPolicy,
 };
-use copier::mem::Prot;
+use copier::mem::{AddressSpace, Prot, VirtAddr};
 use copier::os::Os;
 use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier::sim::{FaultConfig, FaultPlan, Machine, Nanos, Sim, Tracer};
@@ -48,6 +50,9 @@ struct SoakCase {
     ncopies: usize,
     len: usize,
     faults: Option<FaultConfig>,
+    /// Virtual ns at which each late tenant registers: more tenants, set
+    /// up like the others, that join the service mid-run.
+    late: Vec<u64>,
 }
 
 fn gen_base(rng: &mut TestRng) -> SoakCase {
@@ -57,6 +62,9 @@ fn gen_base(rng: &mut TestRng) -> SoakCase {
         ncopies: rng.range_usize(2, 5),
         len: rng.range_usize(2, 12) * 4 * 1024 + rng.range_usize(0, 3) * 512,
         faults: None,
+        late: (0..rng.range_usize(0, 3))
+            .map(|_| rng.range_usize(1_000, 60_000) as u64)
+            .collect(),
     }
 }
 
@@ -135,15 +143,27 @@ fn soak_cfg(case: &SoakCase, shards: usize, full_sweep: bool) -> CopierConfig {
     }
 }
 
+/// One tenant's world: its library handle (set once it has registered),
+/// its space, its buffer pairs and the descriptors of its copies.
+type TenantState = (
+    Rc<OnceCell<Rc<CopierHandle>>>,
+    Rc<AddressSpace>,
+    Vec<(VirtAddr, VirtAddr)>,
+    Rc<RefCell<Vec<Rc<SegDescriptor>>>>,
+);
+
 /// Runs one scenario and returns the exact observable state plus the
 /// control-plane observability counters. An optional `kill_at` reaps
-/// tenant 0 mid-run (membership-churn coverage). The aggregate audit
-/// runs post-settle inside, so every property exercises it for free.
+/// tenant 0 mid-run (membership-churn coverage); `case.late` tenants
+/// register mid-run; a `tracer` records or replays the run. The
+/// aggregate audit runs post-settle inside, so every property exercises
+/// it for free.
 fn run_soak(
     case: &SoakCase,
     shards: usize,
     full_sweep: bool,
     kill_at: Option<Nanos>,
+    tracer: Option<&Rc<Tracer>>,
 ) -> (Exact, ControlObs) {
     let mut sim = Sim::new();
     let h = sim.handle();
@@ -151,7 +171,11 @@ fn run_soak(
     let os = Os::boot(&h, machine, 8192);
     let plan = case.faults.clone().map(FaultPlan::new);
     let mut cfg = soak_cfg(case, shards, full_sweep);
-    cfg.fault_plan = plan.clone();
+    if let (Some(p), Some(t)) = (&plan, tracer) {
+        p.set_tracer(t);
+    }
+    cfg.fault_plan = plan;
+    cfg.tracer = tracer.cloned();
     os.install_copier(
         (0..shards)
             .map(|i| os.machine.core(case.tenants + i))
@@ -159,12 +183,23 @@ fn run_soak(
         cfg,
     );
 
+    let ntenants = case.tenants + case.late.len();
     let done = Rc::new(Cell::new(0usize));
-    let mut tenants = Vec::new();
-    for t in 0..case.tenants {
-        let proc = os.spawn_process();
-        let lib = proc.lib();
-        let uspace = Rc::clone(&lib.uspace);
+    let mut tenants: Vec<TenantState> = Vec::new();
+    for t in 0..ntenants {
+        // A tenant present from the start registers here; a late one
+        // gets its space and buffers now, under an id no process takes,
+        // and registers at its join time.
+        let join = t.checked_sub(case.tenants).map(|i| case.late[i]);
+        let lib = Rc::new(OnceCell::new());
+        let uspace = match join {
+            None => {
+                let proc = os.spawn_process();
+                let _ = lib.set(proc.lib());
+                Rc::clone(&proc.lib().uspace)
+            }
+            Some(_) => AddressSpace::new(1000 + t as u32, Rc::clone(&os.pm)),
+        };
         let mut bufs = Vec::new();
         for c in 0..case.ncopies {
             let src = uspace.mmap(case.len, Prot::RW, true).unwrap();
@@ -175,15 +210,19 @@ fn run_soak(
             bufs.push((src, dst));
         }
         let descrs: Rc<RefCell<Vec<Rc<SegDescriptor>>>> = Rc::new(RefCell::new(Vec::new()));
-        let lib2 = Rc::clone(&lib);
-        let os2 = Rc::clone(&os);
+        let (lib2, space2) = (Rc::clone(&lib), Rc::clone(&uspace));
+        let (os2, h2) = (Rc::clone(&os), h.clone());
         let d2 = Rc::clone(&descrs);
         let done2 = Rc::clone(&done);
-        let core = os.machine.core(t);
+        let core = os.machine.core(t % case.tenants);
         let bufs2 = bufs.clone();
         let len = case.len;
-        let ntenants = case.tenants;
         sim.spawn("tenant", async move {
+            if let Some(at) = join {
+                h2.sleep(Nanos(at)).await;
+                let _ = lib2.set(CopierHandle::new(&os2.copier(), space2));
+            }
+            let lib2 = lib2.get().unwrap();
             for &(src, dst) in &bufs2 {
                 // A reap can kill this tenant mid-loop; submissions then
                 // fail and the tenant just stops submitting.
@@ -207,7 +246,7 @@ fn run_soak(
     // pending drain through finalize — membership churn on a live shard.
     if let Some(t) = kill_at {
         let os2 = Rc::clone(&os);
-        let victim = Rc::clone(&tenants[0].0);
+        let victim = Rc::clone(tenants[0].0.get().unwrap());
         let h2 = h.clone();
         sim.spawn("killer", async move {
             h2.sleep(t).await;
@@ -241,6 +280,8 @@ fn run_soak(
             per_copy.push((t, c, d.fault(), digest));
         }
         if let Err(msg) = lib
+            .get()
+            .unwrap()
             .client
             .sets
             .borrow()
@@ -289,8 +330,8 @@ fn fast_rounds_match_full_sweep_reference_at_every_shard_count() {
         no_shrink,
         |case: &SoakCase| -> PropResult {
             for shards in [1usize, 2, 3, 4] {
-                let (fast, fast_obs) = run_soak(case, shards, false, None);
-                let (full, _) = run_soak(case, shards, true, None);
+                let (fast, fast_obs) = run_soak(case, shards, false, None, None);
+                let (full, _) = run_soak(case, shards, true, None, None);
                 prop_assert!(fast.phantom.is_none(), "{:?}", fast.phantom);
                 prop_assert_eq!(&fast, &full, "fast path diverged at {} shards", shards);
                 // The fast path must actually be on: submissions ring the
@@ -313,8 +354,8 @@ fn chaos_fast_path_matches_full_sweep() {
         |rng: &mut TestRng| (gen_chaos(rng), rng.range_usize(1, 5)),
         |_| Vec::new(),
         |(case, shards): &(SoakCase, usize)| -> PropResult {
-            let (fast, _) = run_soak(case, *shards, false, None);
-            let (full, _) = run_soak(case, *shards, true, None);
+            let (fast, _) = run_soak(case, *shards, false, None, None);
+            let (full, _) = run_soak(case, *shards, true, None, None);
             prop_assert!(fast.phantom.is_none(), "{:?}", fast.phantom);
             prop_assert_eq!(fast.pinned, 0, "pins leaked");
             prop_assert_eq!(
@@ -343,8 +384,8 @@ fn reap_midrun_matches_full_sweep() {
         },
         |_| Vec::new(),
         |(case, shards, kill): &(SoakCase, usize, Nanos)| -> PropResult {
-            let (fast, _) = run_soak(case, *shards, false, Some(*kill));
-            let (full, _) = run_soak(case, *shards, true, Some(*kill));
+            let (fast, _) = run_soak(case, *shards, false, Some(*kill), None);
+            let (full, _) = run_soak(case, *shards, true, Some(*kill), None);
             prop_assert!(fast.phantom.is_none(), "{:?}", fast.phantom);
             prop_assert_eq!(&fast, &full, "reap schedule diverged at {} shards", shards);
             Ok(())
@@ -487,6 +528,8 @@ fn crash_adoption_matches_full_sweep() {
         &cases(24),
         |rng: &mut TestRng| {
             let mut case = gen_base(rng);
+            // `run_crash` registers every tenant up front.
+            case.late.clear();
             case.faults = Some(FaultConfig {
                 seed: case.seed ^ 0xC4A5,
                 dma_transient_prob: rng.gen_f64() * 0.2,
@@ -620,84 +663,6 @@ fn scrub_heal_reactivates_idle_clients_identically() {
 /// closes with the same sums and the service-wide stats.
 #[test]
 fn fast_recording_replays_through_full_sweep() {
-    fn run_traced(case: &SoakCase, shards: usize, full_sweep: bool, tracer: Rc<Tracer>) -> Exact {
-        let mut sim = Sim::new();
-        let h = sim.handle();
-        let machine = Machine::new(&h, case.tenants + shards);
-        let os = Os::boot(&h, machine, 8192);
-        let plan = case.faults.clone().map(FaultPlan::new);
-        if let Some(p) = &plan {
-            p.set_tracer(&tracer);
-        }
-        let mut cfg = soak_cfg(case, shards, full_sweep);
-        cfg.fault_plan = plan;
-        cfg.tracer = Some(Rc::clone(&tracer));
-        os.install_copier(
-            (0..shards)
-                .map(|i| os.machine.core(case.tenants + i))
-                .collect(),
-            cfg,
-        );
-        let done = Rc::new(Cell::new(0usize));
-        let mut tenants = Vec::new();
-        for t in 0..case.tenants {
-            let proc = os.spawn_process();
-            let lib = proc.lib();
-            let uspace = Rc::clone(&lib.uspace);
-            let mut bufs = Vec::new();
-            for c in 0..case.ncopies {
-                let src = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                let dst = uspace.mmap(case.len, Prot::RW, true).unwrap();
-                uspace
-                    .write_bytes(src, &pattern(t, c, case.seed, case.len))
-                    .unwrap();
-                bufs.push((src, dst));
-            }
-            let descrs: Rc<RefCell<Vec<Rc<SegDescriptor>>>> = Rc::new(RefCell::new(Vec::new()));
-            let lib2 = Rc::clone(&lib);
-            let os2 = Rc::clone(&os);
-            let d2 = Rc::clone(&descrs);
-            let done2 = Rc::clone(&done);
-            let core = os.machine.core(t);
-            let bufs2 = bufs.clone();
-            let len = case.len;
-            let ntenants = case.tenants;
-            sim.spawn("tenant", async move {
-                for &(src, dst) in &bufs2 {
-                    let d = lib2.amemcpy(&core, dst, src, len).await.expect("admitted");
-                    d2.borrow_mut().push(d);
-                }
-                let _ = lib2.csync_all(&core).await;
-                done2.set(done2.get() + 1);
-                if done2.get() == ntenants {
-                    os2.copier().stop();
-                }
-            });
-            tenants.push((lib, uspace, bufs, descrs));
-        }
-        let end = sim.run();
-        let svc = os.copier();
-        let mut per_copy = Vec::new();
-        for (t, (_lib, uspace, bufs, descrs)) in tenants.iter().enumerate() {
-            for (c, d) in descrs.borrow().iter().enumerate() {
-                let (_src, dst) = bufs[c];
-                let mut got = vec![0u8; case.len];
-                uspace.read_bytes(dst, &mut got).unwrap();
-                let digest = fnv_bytes(FNV_OFFSET, &got);
-                per_copy.push((t, c, d.fault(), digest));
-            }
-        }
-        let s = svc.stats();
-        Exact {
-            per_copy,
-            end: end.as_nanos(),
-            stats: stats_to_vec(&s),
-            per_shard: (0..svc.nshards()).map(|i| svc.shard_stats(i)).collect(),
-            pinned: os.pm.pinned_frames(),
-            phantom: None,
-        }
-    }
-
     check_with(
         &cases(8),
         gen_chaos,
@@ -705,9 +670,9 @@ fn fast_recording_replays_through_full_sweep() {
         |case: &SoakCase| -> PropResult {
             for shards in [1, 4] {
                 let rec = Tracer::record();
-                let recorded = run_traced(case, shards, false, Rc::clone(&rec));
+                let (recorded, _) = run_soak(case, shards, false, None, Some(&rec));
                 let rep = Tracer::replay(rec.finish());
-                let replayed = run_traced(case, shards, true, Rc::clone(&rep));
+                let (replayed, _) = run_soak(case, shards, true, None, Some(&rep));
                 prop_assert!(
                     rep.divergence().is_none(),
                     "full-sweep replay of a fast-path trace diverged at {shards} shard(s): {:?}",
