@@ -62,10 +62,23 @@ fn gen_base(rng: &mut TestRng) -> SoakCase {
         ncopies: rng.range_usize(2, 5),
         len: rng.range_usize(2, 12) * 4 * 1024 + rng.range_usize(0, 3) * 512,
         faults: None,
-        late: (0..rng.range_usize(0, 3))
-            .map(|_| rng.range_usize(1_000, 60_000) as u64)
-            .collect(),
+        late: Vec::new(),
     }
+}
+
+/// Join times for up to two late tenants. Drawn after everything else a
+/// generator draws, so adding them left every other generated field as
+/// it was.
+fn gen_late(rng: &mut TestRng) -> Vec<u64> {
+    (0..rng.range_usize(0, 3))
+        .map(|_| rng.range_usize(1_000, 60_000) as u64)
+        .collect()
+}
+
+fn gen_churn(rng: &mut TestRng) -> SoakCase {
+    let mut case = gen_base(rng);
+    case.late = gen_late(rng);
+    case
 }
 
 fn gen_chaos(rng: &mut TestRng) -> SoakCase {
@@ -91,6 +104,7 @@ fn gen_chaos(rng: &mut TestRng) -> SoakCase {
         },
         ..Default::default()
     });
+    case.late = gen_late(rng);
     case
 }
 
@@ -216,7 +230,7 @@ fn run_soak(
         let done2 = Rc::clone(&done);
         let core = os.machine.core(t % case.tenants);
         let bufs2 = bufs.clone();
-        let len = case.len;
+        let (len, seed) = (case.len, case.seed);
         sim.spawn("tenant", async move {
             if let Some(at) = join {
                 h2.sleep(Nanos(at)).await;
@@ -225,10 +239,12 @@ fn run_soak(
             let lib2 = lib2.get().unwrap();
             for &(src, dst) in &bufs2 {
                 // A reap can kill this tenant mid-loop; submissions then
-                // fail and the tenant just stops submitting.
+                // fail and the tenant just stops submitting. A live tenant
+                // is always admitted.
                 match lib2.amemcpy(&core, dst, src, len).await {
                     Ok(d) => d2.borrow_mut().push(d),
-                    Err(_) => break,
+                    Err(_) if lib2.client.dead.get() => break,
+                    Err(e) => panic!("tenant {t} not admitted (seed {seed}): {e:?}"),
                 }
             }
             if !lib2.client.dead.get() {
@@ -326,7 +342,7 @@ fn no_shrink(_: &SoakCase) -> Vec<SoakCase> {
 fn fast_rounds_match_full_sweep_reference_at_every_shard_count() {
     check_with(
         &cases(128),
-        gen_base,
+        gen_churn,
         no_shrink,
         |case: &SoakCase| -> PropResult {
             for shards in [1usize, 2, 3, 4] {
@@ -377,9 +393,10 @@ fn reap_midrun_matches_full_sweep() {
     check_with(
         &cases(48),
         |rng: &mut TestRng| {
-            let case = gen_base(rng);
+            let mut case = gen_base(rng);
             let kill = Nanos(rng.range_usize(5_000, 200_000) as u64);
             let shards = rng.range_usize(1, 5);
+            case.late = gen_late(rng);
             (case, shards, kill)
         },
         |_| Vec::new(),
@@ -528,8 +545,6 @@ fn crash_adoption_matches_full_sweep() {
         &cases(24),
         |rng: &mut TestRng| {
             let mut case = gen_base(rng);
-            // `run_crash` registers every tenant up front.
-            case.late.clear();
             case.faults = Some(FaultConfig {
                 seed: case.seed ^ 0xC4A5,
                 dma_transient_prob: rng.gen_f64() * 0.2,
