@@ -46,6 +46,17 @@
 //! admission's journal digest folded on `guarded_small`). The bar is on
 //! the page's speed-up.
 //!
+//! The `copy_engine` group sources the dispatcher's deferral threshold
+//! (`copier_hw::DEFER_MIN_BATCH`, DESIGN.md §12): what queueing one copy
+//! for the host copy engine costs the simulation thread, one fence round
+//! trip (a deferred 64-byte copy, then a read of its destination) with
+//! the worker awake and with it parked, and a 256 KiB batch of scattered
+//! 4 KiB pages copied inline and deferred, each page beside a fixed
+//! bookkeeping loop that stands for the dispatcher's own work. The bar is
+//! on the deferred/inline batch ratio; the break-even row divides the
+//! parked round trip — the fixed cost of a cold batch — by the saving per
+//! page, in bytes.
+//!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
 //! Set `HOSTPERF_SMOKE=1` for a tiny, fast run (CI smoke).
@@ -65,7 +76,7 @@ use copier_mem::{
 };
 use copier_sim::wire::{fnv_bytes, FNV_OFFSET};
 use copier_sim::{Machine, Nanos, Notify, Sim};
-use copier_testkit::{black_box, median, Bench};
+use copier_testkit::{black_box, median, Bench, PairedRuns};
 
 /// One measured layout: fast vs. per-page GB/s over the same bytes.
 struct LayoutResult {
@@ -385,6 +396,134 @@ fn run_digest(bench: &Bench, name: &'static str, off: usize, len: usize) -> Dige
     }
 }
 
+/// The deferred/inline ratio of the 256 KiB batch must stay at or below
+/// this: it read 0.61–0.64 when the engine went in, on a 2-vCPU Xeon
+/// KVM guest.
+const COPY_ENGINE_BATCH_BAR: f64 = 0.85;
+/// Pages of the batch rows: 256 KiB, the copy slice a bulk round serves.
+const BATCH_PAGES: usize = 64;
+/// Batches the rows rotate over, so a batch's pages come from a 64 MiB
+/// working set, as `bulk_stream`'s buffers (up to 40 MiB, plus what
+/// the rest of the process touches between two uses) do.
+const BATCH_SETS: usize = 128;
+/// Batches per timed run of the batch rows.
+const BATCHES_PER_RUN: usize = 16;
+/// Dependent multiply steps of the per-page bookkeeping loop: about what
+/// `bulk_stream` spends per landed page besides the copy.
+const BOOKKEEPING_STEPS: u64 = 512;
+
+/// What the `copy_engine` group measured, in host ns.
+struct CopyEngineRows {
+    submit_ns: u64,
+    fence_awake_ns: u64,
+    fence_parked_ns: u64,
+    batch_inline_ns: u64,
+    batch_deferred_ns: u64,
+    /// Median over interleaved pairs of the deferred run's time over the
+    /// inline one's.
+    batch_ratio: f64,
+    /// The pool's counters after the batch rows.
+    counters: copier_mem::CopyEngineStats,
+}
+
+impl CopyEngineRows {
+    /// The batch size, in KiB, above which deferring pays for a cold
+    /// start: the parked round trip over the saving per page.
+    fn breakeven_kib(&self) -> f64 {
+        let saved = self.batch_inline_ns as f64 - self.batch_deferred_ns as f64;
+        let per_page = saved.max(1.0) / BATCH_PAGES as f64;
+        self.fence_parked_ns as f64 / per_page * (PAGE_SIZE / 1024) as f64
+    }
+}
+
+/// The fixed per-page work beside each copy of a batch row: a chain of
+/// dependent multiplies the optimizer cannot fold.
+fn bookkeeping(seed: u64) -> u64 {
+    (0..BOOKKEEPING_STEPS).fold(black_box(seed), |h, i| {
+        (h ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(7)
+    })
+}
+
+/// Times the host copy engine: submission, fence round trips, and a
+/// scattered batch inline against deferred.
+fn run_copy_engine(bench: &Bench, parked_reps: usize, batch_reps: usize) -> CopyEngineRows {
+    // Scattered frames: every page of a batch is its own run, as on a
+    // long-running system.
+    let pages = BATCH_SETS * BATCH_PAGES;
+    let pm = PhysMem::new(2 * pages + 16, AllocPolicy::Scattered);
+    let src: Vec<FrameId> = (0..pages).map(|_| pm.alloc().unwrap()).collect();
+    let dst: Vec<FrameId> = (0..pages).map(|_| pm.alloc().unwrap()).collect();
+    for (i, &f) in src.iter().enumerate() {
+        pm.write(f, 0, &[(i % 251) as u8; PAGE_SIZE]);
+    }
+    let mut byte = [0u8; 1];
+    // Start the worker before anything is timed.
+    pm.defer_copy_run(dst[0], 0, src[0], 0, 64);
+    pm.read(dst[0], 0, &mut byte);
+    let mut at = 0usize;
+    let submit = bench.run_and_print("copy_engine/submit_64B", || {
+        at = (at + 64) % PAGE_SIZE;
+        pm.defer_copy_run(dst[0], at, src[0], at, 64);
+    });
+    let fence_awake = bench.run_and_print("copy_engine/fence_awake", || {
+        pm.defer_copy_run(dst[1], 0, src[1], 0, 64);
+        pm.read(dst[1], 0, &mut byte);
+    });
+    // Parked: the worker has sat idle past its spin before each trip.
+    let trips: Vec<f64> = (0..parked_reps)
+        .map(|_| {
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            let t = Instant::now();
+            pm.defer_copy_run(dst[2], 0, src[2], 0, 64);
+            pm.read(dst[2], 0, &mut byte);
+            t.elapsed().as_nanos() as f64
+        })
+        .collect();
+    let fence_parked_ns = median(&trips) as u64;
+    println!("  copy_engine/fence_parked     median={fence_parked_ns:>8}ns  (n={parked_reps})");
+    let mut set = 0usize;
+    let batch = |deferred: bool| {
+        set = (set + 1) % BATCH_SETS;
+        let pages = set * BATCH_PAGES..(set + 1) * BATCH_PAGES;
+        let mut h = 0u64;
+        for (i, (&d, &s)) in dst[pages.clone()].iter().zip(&src[pages]).enumerate() {
+            if deferred {
+                pm.defer_copy_run(d, 0, s, 0, PAGE_SIZE);
+            } else {
+                pm.copy_run(d, 0, s, 0, PAGE_SIZE);
+            }
+            h ^= bookkeeping(i as u64);
+        }
+        // The batch is done when its last page reads back.
+        let last = dst[(set + 1) * BATCH_PAGES - 1];
+        pm.read(last, PAGE_SIZE - 1, &mut [0u8]);
+        black_box(h);
+    };
+    // Interleaved pairs: this host's speed drifts within a run.
+    let batch = std::cell::RefCell::new(batch);
+    let runs = |deferred: bool| {
+        for _ in 0..BATCHES_PER_RUN {
+            batch.borrow_mut()(deferred);
+        }
+    };
+    let pairs = PairedRuns::measure(batch_reps, || runs(false), || runs(true));
+    let per_batch = |ms: &[f64]| (median(ms) * 1e6 / BATCHES_PER_RUN as f64) as u64;
+    let (batch_inline_ns, batch_deferred_ns) = (per_batch(&pairs.a_ms), per_batch(&pairs.b_ms));
+    println!(
+        "  copy_engine/batch_inline     median={batch_inline_ns:>8}ns\n  \
+         copy_engine/batch_deferred   median={batch_deferred_ns:>8}ns  (n={batch_reps} pairs)"
+    );
+    CopyEngineRows {
+        submit_ns: submit.median_ns(),
+        fence_awake_ns: fence_awake.median_ns(),
+        fence_parked_ns,
+        batch_inline_ns,
+        batch_deferred_ns,
+        batch_ratio: 1.0 + pairs.overhead(),
+        counters: pm.copy_engine_stats(),
+    }
+}
+
 /// One primitive and the bar on its cost over the floor.
 struct ExecCase {
     name: &'static str,
@@ -653,6 +792,42 @@ fn cases_json(rows: &[ExecRow]) -> Json {
     )
 }
 
+/// The `copy_engine` rows, the break-even and the pool's counters.
+fn copy_engine_json(e: &CopyEngineRows) -> Json {
+    let row =
+        |name: &str, ns: u64| Json::obj([("name", Json::Str(name.into())), ("ns", Json::Int(ns))]);
+    let c = e.counters;
+    Json::obj([
+        (
+            "rows",
+            Json::Arr(vec![
+                row("submit", e.submit_ns),
+                row("fence_awake", e.fence_awake_ns),
+                row("fence_parked", e.fence_parked_ns),
+                row("batch_inline", e.batch_inline_ns),
+                row("batch_deferred", e.batch_deferred_ns),
+            ]),
+        ),
+        ("batch_bytes", Json::Int((BATCH_PAGES * PAGE_SIZE) as u64)),
+        ("batch_ratio", Json::Num(e.batch_ratio)),
+        ("breakeven_kib", Json::Num(e.breakeven_kib())),
+        (
+            "threshold_kib",
+            Json::Int((copier_hw::DEFER_MIN_BATCH / 1024) as u64),
+        ),
+        (
+            "counters",
+            Json::obj([
+                ("deferred_copies", Json::Int(c.deferred_copies)),
+                ("deferred_bytes", Json::Int(c.deferred_bytes)),
+                ("fences_waited", Json::Int(c.fences_waited)),
+                ("self_drains", Json::Int(c.self_drains)),
+                ("wakeups", Json::Int(c.wakeups)),
+            ]),
+        ),
+    ])
+}
+
 fn main() {
     let smoke = std::env::var("HOSTPERF_SMOKE").is_ok_and(|v| v == "1");
     let bench = if smoke {
@@ -690,6 +865,18 @@ fn main() {
             d.speedup()
         );
     }
+    section("copy_engine: the host copy engine's costs");
+    let engine = if smoke {
+        run_copy_engine(&bench, 5, 3)
+    } else {
+        run_copy_engine(&bench, 200, 41)
+    };
+    println!(
+        "  deferred/inline batch = {:.2}, break-even = {:.1} KiB (threshold {} KiB)",
+        engine.batch_ratio,
+        engine.breakeven_kib(),
+        copier_hw::DEFER_MIN_BATCH / 1024
+    );
     section("executor: host cost of one simulated event");
     let (rounds, events) = if smoke { (3, 20_000) } else { (15, 400_000) };
     let (floor, executor) = run_cases(&EXEC_CASES, rounds, events);
@@ -750,6 +937,7 @@ fn main() {
                     .collect(),
             ),
         ),
+        ("copy_engine", copy_engine_json(&engine)),
         ("executor_floor_ns", Json::Num(floor)),
         ("executor", cases_json(&executor)),
         ("progress_floor_ns", Json::Num(progress_floor)),
@@ -786,12 +974,20 @@ fn main() {
                                 })
                             }),
                     )
-                    .chain(std::iter::once(Json::summary(
-                        "speedup_digest-page",
-                        "speedup_min",
-                        DIGEST_PAGE_BAR,
-                        digests[0].speedup(),
-                    )))
+                    .chain([
+                        Json::summary(
+                            "speedup_digest-page",
+                            "speedup_min",
+                            DIGEST_PAGE_BAR,
+                            digests[0].speedup(),
+                        ),
+                        Json::summary(
+                            "copy_engine_batch",
+                            "ratio_max",
+                            COPY_ENGINE_BATCH_BAR,
+                            engine.batch_ratio,
+                        ),
+                    ])
                     .collect(),
             ),
         ),

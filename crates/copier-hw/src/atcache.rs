@@ -133,10 +133,8 @@ impl ATCache {
         self.stats.set(s);
     }
 
-    /// The cached translation of `[va, va+len)`, if this space's entry
-    /// with the greatest base at or below `va` covers the range (for
-    /// `write`, inside its write-resolved prefix) and the space's mappings
-    /// have not changed since; if they have, its table is emptied.
+    /// [`Self::lookup_into`] into a fresh vector: the unit tests' spelling.
+    #[cfg(test)]
     pub fn lookup(
         &self,
         asp: &AddressSpace,
@@ -149,8 +147,12 @@ impl ATCache {
             .then_some(out)
     }
 
-    /// [`Self::lookup`] into a caller-owned buffer: on a hit `out` holds
-    /// the translation and the call is true; on a miss `out` is unchanged.
+    /// Looks up the cached translation of `[va, va+len)`: a hit if this
+    /// space's entry with the greatest base at or below `va` covers the
+    /// range (for `write`, inside its write-resolved prefix) and the
+    /// space's mappings have not changed since; if they have, its table
+    /// is emptied. On a hit `out` holds the translation and the call is
+    /// true; on a miss `out` is unchanged.
     pub fn lookup_into(
         &self,
         asp: &AddressSpace,

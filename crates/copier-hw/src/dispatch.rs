@@ -17,6 +17,14 @@
 //!
 //! Progress callbacks fire per subtask the moment its bytes land (from the
 //! device task for DMA subtasks), driving fine-grained descriptor updates.
+//!
+//! A batch that carries at least [`DEFER_MIN_BATCH`] bytes hands its
+//! landings — CPU subtasks and DMA descriptors alike — to the host copy
+//! engine ([`PhysMem::defer_copy_run`]): the bytes are queued for a
+//! worker thread and every later access to them waits for them, so what
+//! the simulation observes is unchanged and only host time moves. Smaller
+//! batches copy inline, where a queue round trip would cost more than the
+//! copy.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -88,6 +96,15 @@ pub struct DispatchReport {
     /// [`Dispatcher::take_corrupted`].
     pub repairs: u64,
 }
+
+/// The smallest batch whose landings go to the host copy engine. A cold
+/// batch pays a fixed cost — waking a parked worker, one fence round trip
+/// — against what each page saves the simulation thread; `fig_hostperf`'s
+/// `copy_engine` rows measure both and put the break-even at 17–25 KiB
+/// (44 KiB with the batch's pages in cache) on a 2-vCPU Xeon KVM guest. This is the power of two at
+/// four times that, so the fixed cost stays under a quarter of the saving
+/// (DESIGN.md §12).
+pub const DEFER_MIN_BATCH: usize = 128 * 1024;
 
 /// Progress notification: `(task_id, offset_within_task, len)`.
 pub type ProgressFn = Rc<dyn Fn(u64, usize, usize)>;
@@ -212,12 +229,8 @@ impl Dispatcher {
         if self.dma.as_ref().map_or(0, |d| d.live_channels()) == 0 {
             return None;
         }
-        // Balance against the bytes actually in this round's subtasks (a
-        // copy-slice round may carry only part of a large task).
-        let total: usize = batch
-            .iter()
-            .map(|t| t.subtasks.iter().map(|s| s.len()).sum::<usize>())
-            .sum();
+        // Balance against the bytes actually in this round's subtasks.
+        let total = batch_bytes(batch);
         let single_large = batch.len() == 1 && total >= self.cost.ipiggyback_min;
         let fused_small = batch.len() > 1;
         (single_large || fused_small).then(|| (total as f64 * self.cost.dma_share()) as usize)
@@ -293,6 +306,7 @@ impl Dispatcher {
         self.plan_into(&mut scr.normalized, &mut scr.assign, &mut scr.bool_pool);
         let batch = &scr.normalized;
         let assign = &scr.assign;
+        let defer = batch_bytes(batch) >= DEFER_MIN_BATCH;
         let mut report = DispatchReport::default();
         let mut completions = Vec::new();
 
@@ -334,6 +348,7 @@ impl Dispatcher {
                             Some(Box::new(move |s: &SubTask| {
                                 p(task_id, s.task_off, s.len());
                             })),
+                            defer,
                         );
                         completions.push((c, task_id, expect));
                         report.dma_descriptors += 1;
@@ -348,7 +363,7 @@ impl Dispatcher {
             for (si, st) in task.subtasks.iter().enumerate() {
                 if !assign[ti][si] {
                     core.advance(self.cpu_cost(st)).await;
-                    self.land_on_cpu(core, st);
+                    self.land_on_cpu(core, st, defer);
                     progress(task.task_id, st.task_off, st.len());
                     report.cpu_bytes += st.len();
                 }
@@ -431,13 +446,14 @@ impl Dispatcher {
                             Some(Box::new(move |s: &SubTask| {
                                 p(tid, s.task_off, s.len());
                             })),
+                            defer,
                         );
                         continue;
                     }
                     // CPU fallback: rescue the descriptor's bytes inline.
                     let st = c.subtask;
                     core.advance(self.cpu_cost(&st)).await;
-                    self.land_on_cpu(core, &st);
+                    self.land_on_cpu(core, &st, defer);
                     progress(task_id, st.task_off, st.len());
                     report.fallback_bytes += st.len();
                     report.cpu_bytes += st.len();
@@ -485,7 +501,7 @@ impl Dispatcher {
             let mut landed = false;
             if dma.live_channels() > 0 {
                 core.advance(self.cost.dma_submit).await;
-                let c = dma.submit(*st, None);
+                let c = dma.submit(*st, None, false);
                 c.wait().await;
                 landed = c.is_done();
                 // A corrupted *repair* is a verified strike too — a
@@ -498,7 +514,7 @@ impl Dispatcher {
                 // No channel left, or the re-copy failed outright: rescue
                 // on the CPU.
                 core.advance(self.cpu_cost(st)).await;
-                self.land_on_cpu(core, st);
+                self.land_on_cpu(core, st, false);
             }
             if self.pm.extent_digest(st.dst, full) == want {
                 return true;
@@ -514,12 +530,22 @@ impl Dispatcher {
 
     /// Lands `st` on the CPU unit once its [`Self::cpu_cost`] is charged:
     /// the data lands when the copy instruction stream ends, through
-    /// `core`'s cache. Synchronous, so a caller's round future holds only
-    /// the charge's own wait.
-    fn land_on_cpu(&self, core: &Core, st: &SubTask) {
-        copy_extent_pair(&self.pm, st.dst, st.src);
+    /// `core`'s cache — on the host, now or `deferred` to the copy engine.
+    /// Synchronous, so a caller's round future holds only the charge's own
+    /// wait.
+    fn land_on_cpu(&self, core: &Core, st: &SubTask, deferred: bool) {
+        copy_extent_pair(&self.pm, st.dst, st.src, deferred);
         core.cache.note_inline_copy(st.len());
     }
+}
+
+/// The bytes a (normalized) batch's subtasks carry: what this round
+/// actually copies, which for a copy-slice round may be part of a task.
+fn batch_bytes(batch: &[PlannedCopy]) -> usize {
+    batch
+        .iter()
+        .map(|t| t.subtasks.iter().map(|s| s.len()).sum::<usize>())
+        .sum()
 }
 
 // Small helper: a core doesn't expose its sim handle, so thread time via
@@ -910,6 +936,62 @@ mod tests {
             pm.read(FrameId(expect_dst.0 + p), 0, &mut dd);
             assert_eq!(s, dd, "page {p}");
         }
+    }
+
+    /// Runs one batch of `pages`-page tasks split into pages on a fresh
+    /// pool with DMA; returns the report, whether every destination
+    /// reads back as its source, and the pool's copy-engine counters.
+    fn run_batch(tasks: u64, pages: usize) -> (DispatchReport, bool, copier_mem::CopyEngineStats) {
+        let pm = Rc::new(PhysMem::new(512, AllocPolicy::Sequential));
+        let cost = Rc::new(CostModel::default());
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let d = Rc::new(Dispatcher::new(
+            Rc::clone(&pm),
+            cost,
+            Some(dma),
+            VerifyPolicy::Off,
+        ));
+        let batch: Vec<PlannedCopy> = (0..tasks)
+            .map(|i| split_pages(planned(&pm, i, pages)))
+            .collect();
+        let pairs: Vec<(FrameId, FrameId)> = batch
+            .iter()
+            .map(|t| (t.subtasks[0].src.frame, t.subtasks[0].dst.frame))
+            .collect();
+        let report = Rc::new(RefCell::new(DispatchReport::default()));
+        let (core, report2) = (m.core(0), Rc::clone(&report));
+        sim.spawn("copier", async move {
+            let cb: ProgressFn = Rc::new(|_, _, _| {});
+            *report2.borrow_mut() = d.execute_batch(&core, &batch, cb).await;
+        });
+        sim.run();
+        let (mut s, mut dd) = (vec![0u8; pages * PAGE_SIZE], vec![0u8; pages * PAGE_SIZE]);
+        let intact = pairs.iter().all(|&(src, dst)| {
+            pm.read_run(src, 0, &mut s);
+            pm.read_run(dst, 0, &mut dd);
+            s == dd
+        });
+        let r = *report.borrow();
+        (r, intact, pm.copy_engine_stats())
+    }
+
+    /// A batch of `DEFER_MIN_BATCH` bytes queues every landing — CPU
+    /// subtasks and DMA descriptors — for the host copy engine, and what
+    /// reads back is the source; one page less copies everything inline.
+    #[test]
+    fn a_large_batch_lands_through_the_copy_engine() {
+        let pages = DEFER_MIN_BATCH / PAGE_SIZE / 2;
+        let (r, intact, engine) = run_batch(2, pages);
+        assert!(r.dma_descriptors > 0 && r.cpu_bytes > 0, "{r:?}");
+        assert!(intact, "every destination reads back as its source");
+        assert_eq!(engine.deferred_bytes, DEFER_MIN_BATCH as u64);
+        assert_eq!(engine.deferred_copies, 2 * pages as u64);
+        let (r, intact, engine) = run_batch(1, 2 * pages - 1);
+        assert!(r.dma_descriptors > 0 && intact);
+        assert_eq!(engine, copier_mem::CopyEngineStats::default());
     }
 
     fn run_with_flips(policy: VerifyPolicy) -> (DispatchReport, Vec<u64>, bool, u64) {

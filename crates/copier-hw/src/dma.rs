@@ -110,6 +110,9 @@ struct Descriptor {
     /// Invoked in device context the moment the data lands — drives
     /// fine-grained descriptor-bitmap updates. Never invoked on failure.
     on_done: Option<DoneFn>,
+    /// Whether the landing is queued for the host copy engine instead of
+    /// copied on the simulation thread (the dispatcher's per-batch choice).
+    deferred: bool,
 }
 
 /// Statistics of the engine since creation.
@@ -276,7 +279,7 @@ impl DmaEngine {
                         fail(&d, DmaError::Timeout, &stats2);
                         continue;
                     }
-                    copy_extent_pair(&pm2, d.st.dst, d.st.src);
+                    copy_extent_pair(&pm2, d.st.dst, d.st.src, d.deferred);
                     // Silent corruption: consulted once per transfer that
                     // lands bytes, *after* the copy — the damage hits the
                     // landed destination, and the descriptor still reports
@@ -316,8 +319,15 @@ impl DmaEngine {
     ///
     /// The *CPU* cost of submission ([`CostModel::dma_submit`]) must be
     /// charged by the caller on its own core; this method only queues
-    /// device work.
-    pub fn submit(&self, st: SubTask, on_done: Option<DoneFn>) -> Rc<DmaCompletion> {
+    /// device work. A `deferred` descriptor's bytes land through
+    /// [`copy_extent_pair`]'s host copy engine: same virtual time, same
+    /// bytes for every later reader.
+    pub fn submit(
+        &self,
+        st: SubTask,
+        on_done: Option<DoneFn>,
+        deferred: bool,
+    ) -> Rc<DmaCompletion> {
         let n = self.channels.len();
         let start = self.next.get();
         let chosen = (0..n)
@@ -347,6 +357,7 @@ impl DmaEngine {
             st,
             completion: Rc::clone(&completion),
             on_done,
+            deferred,
         });
         completion
     }
@@ -465,7 +476,7 @@ mod tests {
         let h2 = h.clone();
         sim.spawn("driver", async move {
             let t0 = h2.now();
-            let c = eng2.submit(st, None);
+            let c = eng2.submit(st, None, false);
             // Submission returns immediately; data not yet there.
             assert!(!c.is_done());
             c.wait().await;
@@ -510,6 +521,7 @@ mod tests {
                 Some(Box::new(move |s: &SubTask| {
                     log2.borrow_mut().push(s.task_off);
                 })),
+                false,
             ));
         }
         let last = completions.pop().unwrap();
@@ -539,11 +551,11 @@ mod tests {
         let fired2 = Rc::clone(&fired);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))));
+            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))), false);
             c.wait().await;
             assert_eq!(c.error(), Some(DmaError::ChannelDead));
             // A second submit finds no live channel: fails synchronously.
-            let c2 = eng2.submit(st, None);
+            let c2 = eng2.submit(st, None, false);
             assert_eq!(c2.error(), Some(DmaError::ChannelDead));
         });
         sim.run();
@@ -575,12 +587,12 @@ mod tests {
         let dst = st.dst.frame;
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let mut c = eng2.submit(st, None);
+            let mut c = eng2.submit(st, None, false);
             c.wait().await;
             let mut resubmits = 0;
             while let Some(err) = c.error() {
                 assert_eq!(err, DmaError::Transient);
-                c = eng2.submit(st, None);
+                c = eng2.submit(st, None, false);
                 c.wait().await;
                 resubmits += 1;
                 assert!(resubmits < 32, "transient storm never drains");
@@ -614,7 +626,7 @@ mod tests {
         let eng2 = Rc::clone(&eng);
         let h2 = h.clone();
         sim.spawn("driver", async move {
-            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))));
+            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))), false);
             // Give up long before the stalled device would finish.
             h2.sleep(Nanos(cost.dma_transfer(1024).as_nanos() * 2))
                 .await;
@@ -651,7 +663,7 @@ mod tests {
         let fired2 = Rc::clone(&fired);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))));
+            let c = eng2.submit(st, Some(Box::new(move |_| fired2.set(true))), false);
             c.wait().await;
             assert!(c.is_done(), "silent corruption still reports success");
         });
@@ -682,7 +694,7 @@ mod tests {
         let (src, dst) = (st.src.frame, st.dst.frame);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let c = eng2.submit(st, None);
+            let c = eng2.submit(st, None, false);
             c.wait().await;
             assert!(c.is_done());
         });
@@ -721,7 +733,7 @@ mod tests {
         let st = subtask(&pm, 64);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let c = eng2.submit(st, None);
+            let c = eng2.submit(st, None, false);
             c.wait().await;
             assert!(c.is_done());
             assert_ne!(c.channel, 0);
@@ -745,14 +757,14 @@ mod tests {
         let st0 = subtask(&pm, 128);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {
-            let c0 = eng2.submit(st0, None);
+            let c0 = eng2.submit(st0, None, false);
             c0.wait().await;
             assert_eq!(c0.error(), Some(DmaError::ChannelDead));
             assert_eq!(eng2.live_channels(), 1);
             // With one channel dead the plan would also kill channel 1 on
             // its next decision — but routing must at least target a live
             // channel, never the quarantined one.
-            let c1 = eng2.submit(st0, None);
+            let c1 = eng2.submit(st0, None, false);
             assert_ne!(c1.channel, c0.channel);
         });
         sim.run();

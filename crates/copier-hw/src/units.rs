@@ -4,7 +4,8 @@
 //! destination are both physically contiguous — the unit a single DMA
 //! descriptor (or one CPU copy call) can handle. [`split_subtasks_into`] derives
 //! them from the two extent lists; [`copy_extent_pair`] performs the real
-//! data movement for one subtask (the dispatcher charges its cost).
+//! data movement for one subtask (the dispatcher charges its cost), now or
+//! on the host copy engine.
 
 use copier_mem::{Extent, FrameId, PhysMem, PAGE_SIZE};
 
@@ -114,10 +115,17 @@ pub fn slice_extents_into(extents: &[Extent], off: usize, len: usize, out: &mut 
 /// Physically copies one contiguous extent pair. This is the real data
 /// movement of the simulation: both sides are physically contiguous runs,
 /// so the whole pair is one `memcpy` (or `memmove` when they overlap)
-/// through the frame arena — no per-page tiling on the host.
-pub fn copy_extent_pair(pm: &PhysMem, dst: Extent, src: Extent) {
+/// through the frame arena — no per-page tiling on the host. A `deferred`
+/// pair is queued for the host copy engine's worker
+/// ([`PhysMem::defer_copy_run`]); either way every later read of the pool
+/// sees the copied bytes.
+pub fn copy_extent_pair(pm: &PhysMem, dst: Extent, src: Extent, deferred: bool) {
     debug_assert_eq!(dst.len, src.len);
-    pm.copy_run(dst.frame, dst.off, src.frame, src.off, src.len);
+    if deferred {
+        pm.defer_copy_run(dst.frame, dst.off, src.frame, src.off, src.len);
+    } else {
+        pm.copy_run(dst.frame, dst.off, src.frame, src.off, src.len);
+    }
 }
 
 #[cfg(test)]
@@ -240,7 +248,7 @@ mod tests {
             off: 50,
             len: 2 * PAGE_SIZE,
         };
-        copy_extent_pair(&pm, dst, src);
+        copy_extent_pair(&pm, dst, src, false);
         let mut got = vec![0u8; 2 * PAGE_SIZE];
         for p in 0..3 {
             let mut page = vec![0u8; PAGE_SIZE];

@@ -154,27 +154,24 @@ fn translate(
     len: usize,
     write: bool,
 ) -> Result<bool, String> {
-    match atc.lookup(asp, va, len, write) {
-        Some(hit) => {
-            prop_assert_eq!(asp.extents(va, len), Ok(hit), "va {va} len {len}");
-            if write && len > 0 {
-                for vpn in va.vpn()..=va.add(len - 1).vpn() {
-                    let pte = asp.translate(VirtAddr(vpn * PAGE_SIZE as u64));
-                    prop_assert!(
-                        pte.is_some_and(|p| p.writable),
-                        "write hit on a page that is not writable: vpn {vpn:#x} {pte:?}"
-                    );
-                }
-            }
-            Ok(true)
+    let mut hit = Vec::new();
+    if !atc.lookup_into(asp, va, len, write, &mut hit) {
+        if let Ok((extents, _)) = asp.resolve_range(va, len, write) {
+            atc.insert(asp, va, len, write, &extents);
         }
-        None => {
-            if let Ok((extents, _)) = asp.resolve_range(va, len, write) {
-                atc.insert(asp, va, len, write, &extents);
-            }
-            Ok(false)
+        return Ok(false);
+    }
+    prop_assert_eq!(asp.extents(va, len), Ok(hit), "va {va} len {len}");
+    if write && len > 0 {
+        for vpn in va.vpn()..=va.add(len - 1).vpn() {
+            let pte = asp.translate(VirtAddr(vpn * PAGE_SIZE as u64));
+            prop_assert!(
+                pte.is_some_and(|p| p.writable),
+                "write hit on a page that is not writable: vpn {vpn:#x} {pte:?}"
+            );
         }
     }
+    Ok(true)
 }
 
 /// One process: its space, its forked child, and every mapping it ever

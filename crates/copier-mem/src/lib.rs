@@ -13,7 +13,7 @@
 pub mod phys;
 pub mod space;
 
-pub use phys::{AllocPolicy, FrameId, PhysError, PhysMem, PAGE_SIZE};
+pub use phys::{AllocPolicy, CopyEngineStats, FrameId, PhysError, PhysMem, PAGE_SIZE};
 pub use space::{
     frames_of, AddressSpace, AsId, Extent, FaultWork, MemError, Prot, Pte, VirtAddr, KERNEL_BASE,
     USER_BASE,

@@ -15,15 +15,24 @@
 //! zeroed once — the host OS commits its pages lazily on first touch), with
 //! per-frame bookkeeping in a flat metadata table. Frame `f` occupies arena
 //! bytes `[f·4096, (f+1)·4096)`, so a run of physically contiguous frames is
-//! a single contiguous arena slice and the batched primitives
+//! one contiguous arena range and the batched primitives
 //! ([`PhysMem::copy_run`], [`PhysMem::read_run`], [`PhysMem::write_run`])
-//! move a whole multi-page run with one borrow and one `memcpy`/`memmove`
-//! instead of a cell borrow plus bounds dance per 4 KiB page. The per-page
-//! tiling it replaced lives on only as `fig_hostperf`'s baseline, built
-//! in the bench over `copy_run`.
+//! move a whole multi-page run with one `memcpy`/`memmove`.
+//!
+//! The arena is a raw allocation owned by the private `arena` module, the
+//! host copy engine (DESIGN.md §12): [`PhysMem::defer_copy_run`] queues a
+//! copy for one worker thread, spawned on the first such copy, that runs
+//! the queue in FIFO order. Nothing here touches arena bytes except
+//! through that module's three fenced calls — a read view, a write view
+//! and a synchronous copy — each of which first waits for the queued
+//! copies that overlap its range: a read for those writing it, a write for
+//! those reading or writing it. The view covers exactly the fenced range
+//! for the length of one call, so no reference ever covers bytes the
+//! worker is writing, and every byte read here is the byte a synchronous
+//! copy would have left.
 //!
 //! Only host wall-clock changes: virtual-time costs are charged by callers
-//! from byte counts, which the arena leaves untouched.
+//! from byte counts, which the arena and its worker leave untouched.
 //!
 //! ## One digest kernel
 //!
@@ -44,6 +53,13 @@
 use std::cell::{Cell, RefCell};
 
 use crate::space::Extent;
+
+mod arena;
+#[cfg(test)]
+mod queue_differential;
+
+pub use arena::CopyEngineStats;
+use arena::{Arena, RingShape, RING};
 
 /// Size of one page/frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
@@ -87,8 +103,8 @@ pub enum PhysError {
 
 /// A fixed-capacity pool of frames.
 pub struct PhysMem {
-    /// One allocation backing every frame's bytes.
-    arena: RefCell<Box<[u8]>>,
+    /// Every frame's bytes, and the queue of copies deferred onto them.
+    arena: Arena,
     meta: Vec<FrameMeta>,
     /// The hand-out order of [`Self::alloc`], popped from the back. A free
     /// frame's entry is the last one naming it; `alloc_contiguous` takes
@@ -195,12 +211,31 @@ fn frame_term(id: usize, bytes: &[u8]) -> u64 {
     z ^ (z >> 31)
 }
 
+/// An extent's digest over its bytes: the offset basis with the length
+/// folded in, then every byte in 4 KiB chunks from the start when `full`,
+/// else the first 64 bytes and the rest of the last 64.
+fn digest_bytes(bytes: &[u8], full: bool) -> u64 {
+    let h = extent_seed(bytes.len());
+    if full {
+        bytes.chunks(PAGE_SIZE).fold(h, fold_words)
+    } else {
+        let head = bytes.len().min(64);
+        let tail = bytes.len().saturating_sub(64).max(head);
+        fold_words(fold_words(h, &bytes[..head]), &bytes[tail..])
+    }
+}
+
 impl PhysMem {
     /// Creates a pool of `frames` frames under the given policy.
     ///
     /// `Scattered` pre-shuffles the free list with a fixed multiplicative
     /// permutation so runs are reproducible.
     pub fn new(frames: usize, policy: AllocPolicy) -> Self {
+        Self::with_ring(frames, policy, RING)
+    }
+
+    /// [`Self::new`] with a copy queue of `ring`'s bounds.
+    fn with_ring(frames: usize, policy: AllocPolicy, ring: RingShape) -> Self {
         assert!(frames > 0 && frames < u32::MAX as usize);
         let meta = (0..frames)
             .map(|_| FrameMeta {
@@ -224,7 +259,7 @@ impl PhysMem {
         // Pop from the back; reverse so low ids come out first under Sequential.
         free.reverse();
         PhysMem {
-            arena: RefCell::new(vec![0u8; frames * PAGE_SIZE].into_boxed_slice()),
+            arena: Arena::new(frames * PAGE_SIZE, ring),
             meta,
             free: RefCell::new(free),
             stale: Cell::new(0),
@@ -274,8 +309,8 @@ impl PhysMem {
         // Fresh frames must read as zero; the arena starts zeroed, so only
         // previously used frames pay for re-zeroing.
         if slot.touched.replace(true) {
-            let base = f.0 as usize * PAGE_SIZE;
-            self.arena.borrow_mut()[base..base + PAGE_SIZE].fill(0);
+            self.arena
+                .write(f.0 as usize * PAGE_SIZE, PAGE_SIZE, |b| b.fill(0));
         }
         self.allocated.set(self.allocated.get() + 1);
         self.mark_dirty(f.0 as usize, 1);
@@ -309,15 +344,13 @@ impl PhysMem {
             (run == n).then(|| i + 1 - n)
         });
         let start = found.ok_or(PhysError::Fragmented)?;
-        let mut arena = self.arena.borrow_mut();
         for i in start..start + n {
             let slot = &self.meta[i];
             slot.refcnt.set(1);
             if slot.touched.replace(true) {
-                arena[i * PAGE_SIZE..(i + 1) * PAGE_SIZE].fill(0);
+                self.arena.write(i * PAGE_SIZE, PAGE_SIZE, |b| b.fill(0));
             }
         }
-        drop(arena);
         self.allocated.set(self.allocated.get() + n);
         self.stale.set(self.stale.get() + n);
         if self.stale.get() > unallocated - n {
@@ -473,7 +506,7 @@ impl PhysMem {
         assert!(len > 0 && off + len <= PAGE_SIZE);
         self.check_run(f, off, len);
         let base = f.0 as usize * PAGE_SIZE + off;
-        fold_words(h, &self.arena.borrow()[base..base + len])
+        self.arena.read(base, len, |b| fold_words(h, b))
     }
 
     /// Reads a physically contiguous run (may span many frames) into
@@ -484,7 +517,7 @@ impl PhysMem {
         }
         self.check_run(f, off, buf.len());
         let base = f.0 as usize * PAGE_SIZE + off;
-        buf.copy_from_slice(&self.arena.borrow()[base..base + buf.len()]);
+        self.arena.read(base, buf.len(), |b| buf.copy_from_slice(b));
     }
 
     /// Digest of the physical extent `ext` — every byte when `full`, else
@@ -492,21 +525,19 @@ impl PhysMem {
     /// start. Only comparable with digests from this same function at the
     /// same coverage (the dispatcher's copy verification).
     pub fn extent_digest(&self, ext: Extent, full: bool) -> u64 {
-        let h = extent_seed(ext.len);
-        if ext.len == 0 {
-            return h;
+        self.run_digest(ext.frame, ext.off, ext.len, full)
+    }
+
+    /// [`Self::extent_digest`] of the run of `len` bytes from `off` in
+    /// frame `f`.
+    fn run_digest(&self, f: FrameId, off: usize, len: usize, full: bool) -> u64 {
+        if len == 0 {
+            return extent_seed(0);
         }
-        self.check_run(ext.frame, ext.off, ext.len);
-        let base = ext.frame.0 as usize * PAGE_SIZE + ext.off;
-        let arena = self.arena.borrow();
-        let bytes = &arena[base..base + ext.len];
-        if full {
-            bytes.chunks(PAGE_SIZE).fold(h, fold_words)
-        } else {
-            let head = ext.len.min(64);
-            let tail = ext.len.saturating_sub(64).max(head);
-            fold_words(fold_words(h, &bytes[..head]), &bytes[tail..])
-        }
+        self.check_run(f, off, len);
+        let base = f.0 as usize * PAGE_SIZE + off;
+        self.arena
+            .read(base, len, |bytes| digest_bytes(bytes, full))
     }
 
     /// Writes `buf` over a physically contiguous run (may span many
@@ -517,7 +548,8 @@ impl PhysMem {
         }
         self.check_run(f, off, buf.len());
         let base = f.0 as usize * PAGE_SIZE + off;
-        self.arena.borrow_mut()[base..base + buf.len()].copy_from_slice(buf);
+        self.arena
+            .write(base, buf.len(), |b| b.copy_from_slice(buf));
         self.mark_bytes_dirty(base, buf.len());
     }
 
@@ -532,39 +564,65 @@ impl PhysMem {
     }
 
     /// Copies a physically contiguous run of bytes — possibly spanning
-    /// many frames — with a single arena borrow and one
-    /// `memcpy`/`memmove`. Overlapping source and destination runs get
-    /// `memmove` semantics (the destination reads as the source did
-    /// before the call), so `amemmove`-style tasks are safe.
+    /// many frames — with one `memmove` through the arena. Overlapping
+    /// source and destination runs get `memmove` semantics (the
+    /// destination reads as the source did before the call), so
+    /// `amemmove`-style tasks are safe.
     ///
     /// This is the fast-path engine primitive: the caller hands it a
     /// whole contiguous extent pair and the arena moves it in one shot
     /// instead of nibbling per 4 KiB page.
     pub fn copy_run(&self, dst: FrameId, dst_off: usize, src: FrameId, src_off: usize, len: usize) {
+        if let Some((d0, s0)) = self.copy_ends(dst, dst_off, src, src_off, len) {
+            self.arena.copy(d0, s0, len);
+        }
+    }
+
+    /// [`Self::copy_run`] on the host copy engine's worker thread: the
+    /// copy is queued and this returns. Every later access to the pool
+    /// first waits for the queued copies it overlaps, so what any caller
+    /// reads — bytes, digests — is what `copy_run` would have left.
+    pub fn defer_copy_run(
+        &self,
+        dst: FrameId,
+        dst_off: usize,
+        src: FrameId,
+        src_off: usize,
+        len: usize,
+    ) {
+        if let Some((d0, s0)) = self.copy_ends(dst, dst_off, src, src_off, len) {
+            self.arena.defer(d0, s0, len);
+        }
+    }
+
+    /// The arena offsets of a copy's destination and source, with the
+    /// destination's frames queued for the next digest; `None` when the
+    /// copy moves nothing.
+    fn copy_ends(
+        &self,
+        dst: FrameId,
+        dst_off: usize,
+        src: FrameId,
+        src_off: usize,
+        len: usize,
+    ) -> Option<(usize, usize)> {
         if len == 0 {
-            return;
+            return None;
         }
         self.check_run(src, src_off, len);
         self.check_run(dst, dst_off, len);
         let s0 = src.0 as usize * PAGE_SIZE + src_off;
         let d0 = dst.0 as usize * PAGE_SIZE + dst_off;
         if s0 == d0 {
-            return;
-        }
-        let mut arena = self.arena.borrow_mut();
-        if s0 + len <= d0 {
-            // Disjoint, source below destination: one memcpy.
-            let (head, tail) = arena.split_at_mut(d0);
-            tail[..len].copy_from_slice(&head[s0..s0 + len]);
-        } else if d0 + len <= s0 {
-            // Disjoint, destination below source: one memcpy.
-            let (head, tail) = arena.split_at_mut(s0);
-            head[d0..d0 + len].copy_from_slice(&tail[..len]);
-        } else {
-            // Overlapping runs: memmove.
-            arena.copy_within(s0..s0 + len, d0);
+            return None;
         }
         self.mark_bytes_dirty(d0, len);
+        Some((d0, s0))
+    }
+
+    /// The host copy engine's counters (host-side only).
+    pub fn copy_engine_stats(&self) -> CopyEngineStats {
+        self.arena.stats()
     }
 
     /// Copies a whole frame (CoW break helper). Returns bytes copied.
@@ -620,13 +678,13 @@ impl PhysMem {
         }
         let mut d = self.digest.borrow_mut();
         let d = &mut *d;
-        let arena = self.arena.borrow();
         for f in d.dirty.drain(..) {
             let f = f as usize;
             d.queued[f] = false;
             let term = if self.meta[f].refcnt.get() > 0 {
                 d.hashed += 1;
-                frame_term(f, &arena[f * PAGE_SIZE..(f + 1) * PAGE_SIZE])
+                self.arena
+                    .read(f * PAGE_SIZE, PAGE_SIZE, |b| frame_term(f, b))
             } else {
                 0
             };
@@ -962,11 +1020,13 @@ mod tests {
     /// The digest recomputed from nothing: every allocated frame through
     /// the same per-frame function, no tracking state read.
     fn digest_from_scratch(pm: &PhysMem) -> u64 {
-        let arena = pm.arena.borrow();
         (0..pm.meta.len())
             .filter(|&f| pm.meta[f].refcnt.get() > 0)
             .fold(0u64, |sum, f| {
-                sum.wrapping_add(frame_term(f, &arena[f * PAGE_SIZE..(f + 1) * PAGE_SIZE]))
+                let term = pm
+                    .arena
+                    .read(f * PAGE_SIZE, PAGE_SIZE, |b| frame_term(f, b));
+                sum.wrapping_add(term)
             })
     }
 

@@ -151,6 +151,30 @@ pollers=$(awk '
 unruly=$(grep -rnE 'poll_fn|impl(<[^>]*>)? +([a-z_]+::)*Future +for|\.poll\(|\b(try_)?(join|select)(_biased)?!|\b(join|select)_all\b' \
     $(ls -d crates/*/src | grep -v '^crates/copier-sim/') || true)
 [ -z "$unruly" ] || { echo "a future polled by hand, joined or selected in:"; echo "$unruly"; exit 1; }
+# Arena bytes are reached one way (DESIGN.md §12, "Host copy engine"):
+# `phys.rs` touches the arena only through the fenced calls of its
+# `arena` module (a read view, a write view, a synchronous copy, a
+# deferred one, the counters), so no byte is read or written without first
+# waiting out the queued copies that overlap it, and it holds no raw
+# pointer. `unsafe` in copier-mem lives only in that module (the views,
+# the copy and the worker), each block under a `// SAFETY:` comment.
+arena_calls=$(perl -0777 -ne 's{//[^\n]*}{}g;
+    while (/\barena\s*\.\s*([A-Za-z_]+)/g) { print "arena.$1\n" unless $1 =~ /^(read|write|copy|defer|stats)$/ }
+    while (/(\bunsafe\b|\bas_(?:mut_)?ptr\b|\bfrom_raw_parts\w*|\bptr::\w+)/g) { print "$1\n" }' \
+    crates/copier-mem/src/phys.rs)
+[ -z "$arena_calls" ] || { echo "arena bytes reached outside the fenced calls in phys.rs:"; echo "$arena_calls"; exit 1; }
+unsafes=$(awk '
+    FNR == 1 { safety = 0 }
+    /^[[:space:]]*\/\// { if ($0 ~ /SAFETY:/) safety = 1; next }
+    {
+        line = $0; sub(/\/\/.*/, "", line)
+        if (line ~ /(^|[^A-Za-z_])unsafe([^A-Za-z_]|$)/ \
+            && (FILENAME != "crates/copier-mem/src/phys/arena.rs" || !safety))
+            print FILENAME ":" FNR ": " $0
+        safety = 0
+    }
+' $(find crates/copier-mem/src -name '*.rs' | sort))
+[ -z "$unsafes" ] || { echo "unsafe outside the arena module, or without a SAFETY comment:"; echo "$unsafes"; exit 1; }
 # Reach census (ROADMAP item 6c): no public item of non-test crates/*/src
 # code is reached by nothing, or only by its own crate's unit tests, unless
 # scripts/census.allow names it with a reason. `scripts/census.sh --table`
@@ -184,6 +208,12 @@ TESTKIT_CASES=20000 cargo test -q -p copier-sim --offline --locked _oracle::
 TESTKIT_CASES=2000 cargo test -q -p copier-hw --offline --locked --test atcache_oracle
 TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --lib descriptor::
 TESTKIT_CASES=20000 cargo test -q -p copier-core --offline --locked --test interval_props
+
+# The host copy engine (DESIGN.md §12) against a synchronous model, deeper
+# than the workspace run above: random scripts of deferred, inline,
+# overlapping and chained copies mixed with every arena reader, writer and
+# allocation, on rings of 2–4 slots, every read and digest compared.
+TESTKIT_CASES=2000 cargo test -q -p copier-mem --offline --locked --lib phys::queue_differential
 
 # Abort retires, promotion by byte range, the dispatcher's balance cut
 # (DESIGN.md §3), deeper than the workspace run above: random
@@ -232,9 +262,13 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 # with all six executor rows (a sleep and a free-core advance each in place
 # and evented, a contended advance, a notify round trip), both progress
 # rows (a landed page, a csync poll) and an over-floor summary row for each
-# of the eight, and both digest rows (the lane kernel against the serial
+# of the eight, both digest rows (the lane kernel against the serial
 # fold on a 4 KiB page and a 1,506-byte extent) with the page's speed-up
-# summary row.
+# summary row, and the five copy-engine rows the deferral threshold is
+# sourced from (submission, a fence round trip with the worker awake and
+# parked, a 256 KiB scattered batch inline and deferred) with the batch
+# ratio's summary row and the counters that show the batch went through
+# the queue.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 if command -v jq >/dev/null 2>&1; then
     jq -e '(.layouts | length > 0)
@@ -244,7 +278,11 @@ if command -v jq >/dev/null 2>&1; then
        and ([.summary[] | select(.metric == "over_floor_max")] | length == 8)
        and ([.digest[].name] == ["digest-page", "digest-extent"])
        and ([.digest[] | .lane_ns > 0 and .serial_ns > 0] | all)
-       and ([.summary[] | select(.name == "speedup_digest-page")] | length == 1)' BENCH_hostperf.json >/dev/null
+       and ([.summary[] | select(.name == "speedup_digest-page")] | length == 1)
+       and ([.copy_engine.rows[].name] == ["submit", "fence_awake", "fence_parked", "batch_inline", "batch_deferred"])
+       and ([.copy_engine.rows[] | .ns > 0] | all)
+       and (.copy_engine.counters.deferred_copies > 0)
+       and ([.summary[] | select(.name == "copy_engine_batch")] | length == 1)' BENCH_hostperf.json >/dev/null
 else
     python3 - <<'PY'
 import json, sys
@@ -257,6 +295,10 @@ ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) ==
 ok = ok and [r["name"] for r in d["digest"]] == ["digest-page", "digest-extent"]
 ok = ok and all(r["lane_ns"] > 0 and r["serial_ns"] > 0 for r in d["digest"])
 ok = ok and len([r for r in d["summary"] if r["name"] == "speedup_digest-page"]) == 1
+ce = d["copy_engine"]
+ok = ok and [r["name"] for r in ce["rows"]] == ["submit", "fence_awake", "fence_parked", "batch_inline", "batch_deferred"]
+ok = ok and all(r["ns"] > 0 for r in ce["rows"]) and ce["counters"]["deferred_copies"] > 0
+ok = ok and len([r for r in d["summary"] if r["name"] == "copy_engine_batch"]) == 1
 sys.exit(0 if ok else 1)
 PY
 fi

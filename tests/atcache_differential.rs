@@ -461,7 +461,9 @@ fn a_reused_space_id_copies_its_own_memory() {
 
             svc2.reap_client(&lib.client);
             assert!(
-                svc2.atcache().lookup(&space, src, LEN, false).is_none(),
+                !svc2
+                    .atcache()
+                    .lookup_into(&space, src, LEN, false, &mut Vec::new()),
                 "reap must purge the client's translations"
             );
             // Another process takes over the frames the dead one frees,
