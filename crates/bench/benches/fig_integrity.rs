@@ -29,6 +29,7 @@ use copier::os::Os;
 use copier::sim::{FaultConfig, FaultPlan, Machine, Sim};
 use copier_bench::json::Json;
 use copier_bench::{kb, section};
+use copier_testkit::bench::median;
 
 struct RunOut {
     end: u64,
@@ -130,15 +131,14 @@ fn run_once(ncopies: usize, len: usize, seed: u64, policy: VerifyPolicy, corrupt
 
 /// Median wall-clock milliseconds of `reps` runs of `f`.
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps)
+    let samples: Vec<f64> = (0..reps)
         .map(|_| {
             let t0 = Instant::now();
             f();
             t0.elapsed().as_secs_f64() * 1e3
         })
         .collect();
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
+    median(&samples)
 }
 
 fn policy_name(p: VerifyPolicy) -> &'static str {

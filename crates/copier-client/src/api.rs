@@ -885,7 +885,7 @@ impl CopierHandle {
         let sets: Vec<_> = self.client.sets.borrow().iter().cloned().collect();
         for set in sets {
             let overflow = std::iter::from_fn(|| set.handler_overflow.borrow_mut().pop_front());
-            for h in overflow.chain(std::iter::from_fn(|| set.uq.handler.pop())) {
+            for h in overflow.chain(std::iter::from_fn(|| set.handler.pop())) {
                 if let Handler::UFunc(f) = h {
                     core.advance(Nanos(60)).await;
                     f();

@@ -20,7 +20,7 @@ use crate::descriptor::CopyFault;
 use crate::interval::IntervalSet;
 use crate::pendindex::PendIndex;
 use crate::ring::Ring;
-use crate::task::{CopyTask, Handler, Privilege, QueueEntry, SyncTask, TaskId};
+use crate::task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};
 
 /// Client identifier.
 pub type ClientId = u32;
@@ -28,15 +28,12 @@ pub type ClientId = u32;
 /// Default capacity (slots) of each CSH queue.
 pub const DEFAULT_QUEUE_CAP: usize = 1024;
 
-/// One privilege level's CSH queues.
+/// One privilege level's submission queues.
 pub struct QueuePair {
     /// Copy Queue — `QueueEntry::Copy` and `QueueEntry::Barrier`.
     pub copy: Ring<QueueEntry>,
     /// Sync Queue — promotion and abort requests.
     pub sync: Ring<SyncTask>,
-    /// Handler Queue — completed UFUNCs for `post_handlers()` (u-mode only;
-    /// unused on the k-mode pair).
-    pub handler: Ring<Handler>,
 }
 
 impl QueuePair {
@@ -46,7 +43,6 @@ impl QueuePair {
         QueuePair {
             copy: Ring::new(cap),
             sync: Ring::new(cap),
-            handler: Ring::new(cap),
         }
     }
 }
@@ -259,6 +255,9 @@ pub struct QueueSet {
     pub uq: QueuePair,
     /// k-mode queues (used by kernel services in this process context).
     pub kq: QueuePair,
+    /// Handler Queue — completed UFUNCs for `post_handlers()`, mapped into
+    /// the client beside the u-mode pair.
+    pub handler: Ring<Handler>,
     /// Current k-mode barrier key (peer u-queue position at last barrier).
     pub cur_k_key: Cell<u64>,
     /// Count of u-mode copy tasks drained so far (the u key).
@@ -284,6 +283,7 @@ impl QueueSet {
         Rc::new(QueueSet {
             uq: QueuePair::new(cap),
             kq: QueuePair::new(cap),
+            handler: Ring::new(cap),
             cur_k_key: Cell::new(0),
             u_index: Cell::new(0),
             seq: Cell::new(0),
@@ -298,14 +298,6 @@ impl QueueSet {
     /// (invariant checked after chaos teardown).
     pub fn index_consistent(&self) -> Result<(), String> {
         self.index.check_against(self.pending.borrow().iter())
-    }
-
-    /// The queue pair for a privilege level.
-    pub fn pair(&self, p: Privilege) -> &QueuePair {
-        match p {
-            Privilege::K => &self.kq,
-            Privilege::U => &self.uq,
-        }
     }
 }
 

@@ -43,4 +43,4 @@ pub use ring::{Ring, RingFull};
 pub use sched::min_live_vruntime;
 pub use sched::{CGroup, RunOrder, Scheduler, DEFAULT_COPY_SLICE};
 pub use service::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, Copier, CopierStats};
-pub use task::{CopyTask, Handler, Privilege, QueueEntry, SyncTask, TaskId};
+pub use task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};

@@ -106,7 +106,7 @@ impl Copier {
                     // runs it in post_handlers(). A full ring spills into
                     // the unbounded overflow list (drained first by
                     // post_handlers) — handlers are never dropped.
-                    if let Err(rejected) = set.uq.handler.push(Handler::UFunc(Rc::clone(f))) {
+                    if let Err(rejected) = set.handler.push(Handler::UFunc(Rc::clone(f))) {
                         set.handler_overflow.borrow_mut().push_back(rejected.0);
                     }
                 }

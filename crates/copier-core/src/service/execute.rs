@@ -188,7 +188,7 @@ impl Copier {
             if self.crashed.get() {
                 return self.drain_batch_pins(client, sel);
             }
-            self.account_dispatch(client, sel, &report);
+            self.account_dispatch(client, sel, planned, &report);
             self.charge_client(client, planned_bytes);
         }
         // Crash point: bytes landed (descriptor segments are marked, the
@@ -218,9 +218,15 @@ impl Copier {
         }
     }
 
-    /// Books one dispatch report, and fails the tasks whose verification
-    /// mismatch survived bounded repair.
-    fn account_dispatch(&self, client: &Rc<Client>, sel: &[Selected], report: &DispatchReport) {
+    /// Books one dispatch report, and fails the tasks of the batch whose
+    /// verification mismatch survived bounded repair.
+    fn account_dispatch(
+        &self,
+        client: &Rc<Client>,
+        sel: &[Selected],
+        planned: &[PlannedCopy],
+        report: &DispatchReport,
+    ) {
         {
             let mut st = self.shard_of(client).count();
             st.bytes_copied += (report.cpu_bytes + report.dma_bytes) as u64;
@@ -240,8 +246,8 @@ impl Copier {
         // marked, so the descriptor is poisoned `Corrupted` and the
         // taint cascades exactly like a mid-copy fault — nothing
         // downstream may consume the range.
-        for tid in self.dispatcher.take_corrupted() {
-            let Some(s) = sel.iter().find(|s| s.entry.tid == tid) else {
+        for pc in planned.iter().filter(|pc| pc.corrupted) {
+            let Some(s) = sel.iter().find(|s| s.entry.tid == pc.task_id) else {
                 continue;
             };
             let e = &s.entry;
@@ -396,7 +402,7 @@ impl Copier {
                     .await?;
                 hold(&p.space, src_frames);
                 slice_extents_into(dst_ex, lo - glo, hi - lo, dst_slice);
-                split_subtasks_into(dst_slice, src_ex, lo, &mut subtasks);
+                split_subtasks_into(dst_slice, src_ex, lo, self.cost.max_subtask, &mut subtasks);
             }
         }
         subtasks.sort_unstable_by_key(|st| st.task_off);
@@ -405,6 +411,7 @@ impl Copier {
             len: t.len,
             subtasks,
             verify: t.verify,
+            corrupted: false,
         })
     }
 

@@ -37,8 +37,8 @@ impl Copier {
                     }
                 }
                 while pair.sync.pop().is_some() {}
-                while pair.handler.pop().is_some() {}
             }
+            while set.handler.pop().is_some() {}
             // Drain the window front-to-back instead of snapshot-cloning
             // it; `finalize` drops each popped entry's index records. The
             // count is latched up front so a completion handler submitting

@@ -9,15 +9,6 @@ use crate::descriptor::SegDescriptor;
 /// Service-assigned task identifier.
 pub type TaskId = u64;
 
-/// Privilege level of the submitting queue.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Privilege {
-    /// Kernel-mode queue (sorts first on order ties — §4.2.1).
-    K,
-    /// User-mode queue.
-    U,
-}
-
 /// A post-copy handler (§4.1 delegation-based handling).
 ///
 /// `KFunc`s run in Copier's own context upon completion; `UFunc`s are

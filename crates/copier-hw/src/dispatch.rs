@@ -26,14 +26,13 @@
 //! batches copy inline, where a queue round trip would cost more than the
 //! copy.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use copier_mem::PhysMem;
 use copier_sim::{Again, Core, Nanos};
 
 use crate::cost::{CostModel, CpuCopyKind};
-use crate::dma::{DmaEngine, DmaError};
+use crate::dma::{DmaCompletion, DmaEngine, DmaError};
 use crate::units::{copy_extent_pair, SubTask};
 
 /// How much of each DMA transfer the dispatcher digest-verifies.
@@ -65,11 +64,18 @@ pub struct PlannedCopy {
     pub task_id: u64,
     /// Total length in bytes.
     pub len: usize,
-    /// Subtasks in task order (offsets strictly increasing).
+    /// Subtasks in task order (offsets strictly increasing), none longer
+    /// than [`CostModel::max_subtask`] ([`crate::split_subtasks_into`]).
+    /// [`Dispatcher::execute_batch`] plans them in place: it cuts one at
+    /// the balance point and marks those it sends to DMA.
     pub subtasks: Vec<SubTask>,
     /// Force full verification for this task regardless of the
     /// dispatcher-wide [`VerifyPolicy`] (`amemcpy_verified`).
     pub verify: bool,
+    /// Set by [`Dispatcher::execute_batch`] when a detected corruption of
+    /// this task's bytes survived bounded repair: its destination is
+    /// wrong although every byte was reported landed.
+    pub corrupted: bool,
 }
 
 /// What the dispatcher did for one batch.
@@ -92,8 +98,8 @@ pub struct DispatchReport {
     /// detected).
     pub corruptions: u64,
     /// Detected corruptions healed by a bounded re-copy from a
-    /// still-valid source. `corruptions - repairs` tasks surface through
-    /// [`Dispatcher::take_corrupted`].
+    /// still-valid source. `corruptions - repairs` tasks come back
+    /// [`PlannedCopy::corrupted`].
     pub repairs: u64,
 }
 
@@ -109,32 +115,15 @@ pub const DEFER_MIN_BATCH: usize = 128 * 1024;
 /// Progress notification: `(task_id, offset_within_task, len)`.
 pub type ProgressFn = Rc<dyn Fn(u64, usize, usize)>;
 
-/// Per-batch working vectors, kept across rounds so steady-state dispatch
-/// does no per-round heap allocation (host-only; plans are unchanged).
-/// One per batch in flight: the dispatcher keeps as many as service
-/// threads ever overlapped in `execute_batch`.
-#[derive(Default)]
-struct Scratch {
-    /// Re-chunked batch (`normalize` output).
-    normalized: Vec<PlannedCopy>,
-    /// Per-(task, subtask) DMA assignment (`plan` output).
-    assign: Vec<Vec<bool>>,
-    /// Recycled inner vectors for `normalized`.
-    subtask_pool: Vec<Vec<SubTask>>,
-    /// Recycled inner vectors for `assign`.
-    bool_pool: Vec<Vec<bool>>,
-}
-
-/// The hardware dispatcher.
+/// The hardware dispatcher: what every batch shares. A batch's own state
+/// — its plan, its DMA completions, its unrepaired corruptions — lives in
+/// its [`Self::execute_batch`] call and in the caller's batch, so batches
+/// of different service threads may overlap freely.
 pub struct Dispatcher {
     pm: Rc<PhysMem>,
     cost: Rc<CostModel>,
     dma: Option<Rc<DmaEngine>>,
-    scratch: RefCell<Vec<Scratch>>,
     verify: VerifyPolicy,
-    /// Task ids whose corruption survived the repair budget this batch,
-    /// drained by the service after `execute_batch`.
-    corrupted: RefCell<Vec<u64>>,
 }
 
 impl Dispatcher {
@@ -151,17 +140,8 @@ impl Dispatcher {
             pm,
             cost,
             dma,
-            scratch: RefCell::new(Vec::new()),
             verify,
-            corrupted: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Drains the task ids whose detected corruption could not be
-    /// repaired in the last `execute_batch` (the service poisons them as
-    /// `CopyFault::Corrupted`).
-    pub fn take_corrupted(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.corrupted.borrow_mut())
     }
 
     /// The attached DMA engine, if any (for quarantine observability).
@@ -172,52 +152,6 @@ impl Dispatcher {
     /// The cost model in use.
     pub fn cost_model(&self) -> &Rc<CostModel> {
         &self.cost
-    }
-
-    /// Re-chunks any subtask larger than [`CostModel::max_subtask`] (real
-    /// DMA engines cap per-descriptor transfer sizes) into caller-owned
-    /// storage, drawing inner vectors from `pool` instead of the allocator.
-    fn normalize_into(
-        &self,
-        batch: &[PlannedCopy],
-        out: &mut Vec<PlannedCopy>,
-        pool: &mut Vec<Vec<SubTask>>,
-    ) {
-        let max = self.cost.max_subtask.max(4096);
-        out.clear();
-        for t in batch {
-            let mut subtasks = pool.pop().unwrap_or_default();
-            debug_assert!(subtasks.is_empty());
-            for st in &t.subtasks {
-                if st.len() <= max {
-                    subtasks.push(*st);
-                    continue;
-                }
-                let mut off = 0usize;
-                while off < st.len() {
-                    let take = (st.len() - off).min(max);
-                    subtasks.push(st.slice(off, take));
-                    off += take;
-                }
-            }
-            out.push(PlannedCopy {
-                task_id: t.task_id,
-                len: t.len,
-                subtasks,
-                verify: t.verify,
-            });
-        }
-    }
-
-    /// Plans a batch: returns it as the hardware will see it — re-chunked,
-    /// and with the subtask at the balance point cut in two — plus the
-    /// per-(batch-index, subtask) assignments, `true` meaning DMA.
-    #[cfg(test)]
-    fn plan(&self, batch: &[PlannedCopy]) -> (Vec<PlannedCopy>, Vec<Vec<bool>>) {
-        let (mut planned, mut assign) = (Vec::new(), Vec::new());
-        self.normalize_into(batch, &mut planned, &mut Vec::new());
-        self.plan_into(&mut planned, &mut assign, &mut Vec::new());
-        (planned, assign)
     }
 
     /// The DMA byte count that lets AVX and DMA finish together on a round
@@ -236,52 +170,41 @@ impl Dispatcher {
         (single_large || fused_small).then(|| (total as f64 * self.cost.dma_share()) as usize)
     }
 
-    /// Assigns subtasks of the (normalized) `batch` to DMA, into
-    /// caller-owned storage, drawing inner vectors from `pool` instead of
-    /// the allocator. Walks candidates from the batch tail — later bytes
-    /// have longer Copy-Use windows — taking each whole while the device
-    /// stays within a quarter of [`Self::dma_target`] past it. A candidate
-    /// that would overshoot is cut instead: its last `target − picked`
-    /// bytes become a DMA subtask of their own when that is still a
-    /// candidate's worth, which lands DMA exactly on the target; otherwise
-    /// it is passed over. So DMA never carries more than `target +
-    /// target / 4`, and ends less than one `dma_candidate_min` short of
-    /// `target` unless every candidate went to it.
-    fn plan_into(
-        &self,
-        batch: &mut [PlannedCopy],
-        assign: &mut Vec<Vec<bool>>,
-        pool: &mut Vec<Vec<bool>>,
-    ) {
-        assign.clear();
-        for t in batch.iter() {
-            let mut row = pool.pop().unwrap_or_default();
-            debug_assert!(row.is_empty());
-            row.resize(t.subtasks.len(), false);
-            assign.push(row);
-        }
+    /// Marks subtasks of `batch` for DMA, in place. Walks candidates from
+    /// the batch tail — later bytes have longer Copy-Use windows — taking
+    /// each whole while the device stays within a quarter of
+    /// [`Self::dma_target`] past it. A candidate that would overshoot is
+    /// cut instead: its last `target − picked` bytes become a DMA subtask
+    /// of their own when that is still a candidate's worth, which lands
+    /// DMA exactly on the target; otherwise it is passed over. So DMA
+    /// never carries more than `target + target / 4`, and ends less than
+    /// one `dma_candidate_min` short of `target` unless every candidate
+    /// went to it.
+    fn plan(&self, batch: &mut [PlannedCopy]) {
         let Some(target) = self.dma_target(batch) else {
             return;
         };
         let min = self.cost.dma_candidate_min;
         let mut picked = 0usize;
-        for (ti, task) in batch.iter_mut().enumerate().rev() {
+        for task in batch.iter_mut().rev() {
             for si in (0..task.subtasks.len()).rev() {
                 let st = task.subtasks[si];
                 if st.len() < min {
                     continue;
                 }
                 if picked + st.len() <= target + target / 4 {
-                    assign[ti][si] = true;
+                    task.subtasks[si].dma = true;
                     picked += st.len();
                 } else if target - picked >= min {
                     // A too-large pick leaves the CPU idle-waiting on the
                     // device: give it the tail up to the balance point.
                     let head = st.len() - (target - picked);
+                    let tail = SubTask {
+                        dma: true,
+                        ..st.slice(head, st.len() - head)
+                    };
                     task.subtasks[si] = st.slice(0, head);
-                    task.subtasks
-                        .insert(si + 1, st.slice(head, st.len() - head));
-                    assign[ti].insert(si + 1, true);
+                    task.subtasks.insert(si + 1, tail);
                     picked = target;
                 }
                 if picked >= target {
@@ -291,21 +214,17 @@ impl Dispatcher {
         }
     }
 
-    /// Executes a batch of independent copies on the given copier core,
-    /// invoking `progress` as bytes land. Returns a report.
+    /// Plans `batch` in place ([`PlannedCopy::subtasks`]) and executes it
+    /// on the given copier core, invoking `progress` as bytes land. Marks
+    /// the tasks whose corruption survived repair
+    /// [`PlannedCopy::corrupted`]. Returns a report.
     pub async fn execute_batch(
         &self,
         core: &Rc<Core>,
-        batch: &[PlannedCopy],
+        batch: &mut [PlannedCopy],
         progress: ProgressFn,
     ) -> DispatchReport {
-        // Take a scratch by value: nothing borrows the cell across an
-        // await, and a call overlapping another thread's takes its own.
-        let mut scr = self.scratch.borrow_mut().pop().unwrap_or_default();
-        self.normalize_into(batch, &mut scr.normalized, &mut scr.subtask_pool);
-        self.plan_into(&mut scr.normalized, &mut scr.assign, &mut scr.bool_pool);
-        let batch = &scr.normalized;
-        let assign = &scr.assign;
+        self.plan(batch);
         let defer = batch_bytes(batch) >= DEFER_MIN_BATCH;
         let mut report = DispatchReport::default();
         let mut completions = Vec::new();
@@ -316,57 +235,39 @@ impl Dispatcher {
         // *before* submission (host-side; no virtual time charged) —
         // the reference the destination is checked against in phase 3.
         if let Some(dma) = &self.dma {
-            let mut first = true;
+            // The first descriptor pays the doorbell; the rest chain onto
+            // the open batch.
+            let mut charge = self.cost.dma_submit;
             for (ti, task) in batch.iter().enumerate() {
                 let policy = if task.verify {
                     VerifyPolicy::Full
                 } else {
                     self.verify
                 };
-                for (si, st) in task.subtasks.iter().enumerate() {
-                    if assign[ti][si] {
-                        // First descriptor pays the doorbell; the rest
-                        // chain onto the open batch.
-                        core.advance(if first {
-                            self.cost.dma_submit
-                        } else {
-                            self.cost.dma_chain
-                        })
-                        .await;
-                        first = false;
-                        let expect = match policy {
-                            VerifyPolicy::Off => None,
-                            VerifyPolicy::Sampled => {
-                                Some((self.pm.extent_digest(st.src, false), false))
-                            }
-                            VerifyPolicy::Full => Some((self.pm.extent_digest(st.src, true), true)),
-                        };
-                        let p = Rc::clone(&progress);
-                        let task_id = task.task_id;
-                        let c = dma.submit(
-                            *st,
-                            Some(Box::new(move |s: &SubTask| {
-                                p(task_id, s.task_off, s.len());
-                            })),
-                            defer,
-                        );
-                        completions.push((c, task_id, expect));
-                        report.dma_descriptors += 1;
-                        report.dma_bytes += st.len();
-                    }
+                for st in task.subtasks.iter().filter(|st| st.dma) {
+                    core.advance(charge).await;
+                    charge = self.cost.dma_chain;
+                    let expect = match policy {
+                        VerifyPolicy::Off => None,
+                        VerifyPolicy::Sampled => {
+                            Some((self.pm.extent_digest(st.src, false), false))
+                        }
+                        VerifyPolicy::Full => Some((self.pm.extent_digest(st.src, true), true)),
+                    };
+                    let c = submit(dma, task.task_id, *st, &progress, defer);
+                    completions.push((c, ti, expect));
+                    report.dma_descriptors += 1;
+                    report.dma_bytes += st.len();
                 }
             }
         }
 
         // Phase 2: AVX subtasks execute meanwhile.
-        for (ti, task) in batch.iter().enumerate() {
-            for (si, st) in task.subtasks.iter().enumerate() {
-                if !assign[ti][si] {
-                    core.advance(self.cpu_cost(st)).await;
-                    self.land_on_cpu(core, st, defer);
-                    progress(task.task_id, st.task_off, st.len());
-                    report.cpu_bytes += st.len();
-                }
+        for task in batch.iter() {
+            for st in task.subtasks.iter().filter(|st| !st.dma) {
+                self.cpu_copy(core, st, defer, Some((&progress, task.task_id)))
+                    .await;
+                report.cpu_bytes += st.len();
             }
         }
 
@@ -380,7 +281,8 @@ impl Dispatcher {
         // the fallback copy otherwise (failed/cancelled descriptors never
         // fire `on_done`).
         if let Some(dma) = &self.dma {
-            for (mut c, task_id, expect) in completions {
+            for (mut c, ti, expect) in completions {
+                let task_id = batch[ti].task_id;
                 let mut attempts = 0u32;
                 loop {
                     core.advance(self.cost.dma_complete_check).await;
@@ -421,7 +323,7 @@ impl Dispatcher {
                                 if self.repair(core, dma, &c.subtask, want, full).await {
                                     report.repairs += 1;
                                 } else {
-                                    self.corrupted.borrow_mut().push(task_id);
+                                    batch[ti].corrupted = true;
                                 }
                             }
                         }
@@ -438,23 +340,13 @@ impl Dispatcher {
                             Nanos(self.cost.dma_retry_backoff.as_nanos() << (attempts - 1).min(16));
                         core.advance(backoff).await;
                         core.advance(self.cost.dma_submit).await;
-                        let p = Rc::clone(&progress);
-                        let tid = task_id;
-                        let st = c.subtask;
-                        c = dma.submit(
-                            st,
-                            Some(Box::new(move |s: &SubTask| {
-                                p(tid, s.task_off, s.len());
-                            })),
-                            defer,
-                        );
+                        c = submit(dma, task_id, c.subtask, &progress, defer);
                         continue;
                     }
                     // CPU fallback: rescue the descriptor's bytes inline.
                     let st = c.subtask;
-                    core.advance(self.cpu_cost(&st)).await;
-                    self.land_on_cpu(core, &st, defer);
-                    progress(task_id, st.task_off, st.len());
+                    self.cpu_copy(core, &st, defer, Some((&progress, task_id)))
+                        .await;
                     report.fallback_bytes += st.len();
                     report.cpu_bytes += st.len();
                     report.dma_bytes -= st.len();
@@ -462,16 +354,6 @@ impl Dispatcher {
                 }
             }
         }
-        // Recycle the round's vectors for the next batch.
-        for mut t in scr.normalized.drain(..) {
-            t.subtasks.clear();
-            scr.subtask_pool.push(t.subtasks);
-        }
-        for mut row in scr.assign.drain(..) {
-            row.clear();
-            scr.bool_pool.push(row);
-        }
-        self.scratch.borrow_mut().push(scr);
         report
     }
 
@@ -492,7 +374,7 @@ impl Dispatcher {
         full: bool,
     ) -> bool {
         /// Re-copy attempts per detected corruption before giving the
-        /// task up as [`Dispatcher::take_corrupted`].
+        /// task up as [`PlannedCopy::corrupted`].
         const REPAIR_LIMIT: u32 = 2;
         for _ in 0..REPAIR_LIMIT {
             if self.pm.extent_digest(st.src, full) != want {
@@ -513,8 +395,7 @@ impl Dispatcher {
             if !landed {
                 // No channel left, or the re-copy failed outright: rescue
                 // on the CPU.
-                core.advance(self.cpu_cost(st)).await;
-                self.land_on_cpu(core, st, false);
+                self.cpu_copy(core, st, false, None).await;
             }
             if self.pm.extent_digest(st.dst, full) == want {
                 return true;
@@ -523,24 +404,44 @@ impl Dispatcher {
         false
     }
 
-    /// What the CPU unit charges for `st`: the AVX2 curve (§4.3).
-    fn cpu_cost(&self, st: &SubTask) -> Nanos {
-        self.cost.cpu_copy(CpuCopyKind::Avx2, st.len())
-    }
-
-    /// Lands `st` on the CPU unit once its [`Self::cpu_cost`] is charged:
-    /// the data lands when the copy instruction stream ends, through
-    /// `core`'s cache — on the host, now or `deferred` to the copy engine.
-    /// Synchronous, so a caller's round future holds only the charge's own
-    /// wait.
-    fn land_on_cpu(&self, core: &Core, st: &SubTask, deferred: bool) {
+    /// Copies `st` on the CPU unit: charges the AVX2 curve (§4.3), then
+    /// lands the bytes through `core`'s cache — on the host, now or
+    /// `deferred` to the copy engine — and reports them to `progress` as
+    /// task `task_id`'s bytes when given one.
+    async fn cpu_copy(
+        &self,
+        core: &Rc<Core>,
+        st: &SubTask,
+        deferred: bool,
+        progress: Option<(&ProgressFn, u64)>,
+    ) {
+        core.advance(self.cost.cpu_copy(CpuCopyKind::Avx2, st.len()))
+            .await;
         copy_extent_pair(&self.pm, st.dst, st.src, deferred);
         core.cache.note_inline_copy(st.len());
+        if let Some((progress, task_id)) = progress {
+            progress(task_id, st.task_off, st.len());
+        }
     }
 }
 
-/// The bytes a (normalized) batch's subtasks carry: what this round
-/// actually copies, which for a copy-slice round may be part of a task.
+/// Queues `st` on the device, which reports its bytes to `progress` as
+/// task `task_id`'s when they land. The caller has charged the submission
+/// on its own core.
+fn submit(
+    dma: &DmaEngine,
+    task_id: u64,
+    st: SubTask,
+    progress: &ProgressFn,
+    deferred: bool,
+) -> Rc<DmaCompletion> {
+    let p = Rc::clone(progress);
+    let on_done = Box::new(move |s: &SubTask| p(task_id, s.task_off, s.len()));
+    dma.submit(st, Some(on_done), deferred)
+}
+
+/// The bytes a batch's subtasks carry: what this round actually copies,
+/// which for a copy-slice round may be part of a task.
 fn batch_bytes(batch: &[PlannedCopy]) -> usize {
     batch
         .iter()
@@ -548,10 +449,10 @@ fn batch_bytes(batch: &[PlannedCopy]) -> usize {
         .sum()
 }
 
-// Small helper: a core doesn't expose its sim handle, so thread time via
-// busy accounting — we instead measure wait with the core's own busy time,
-// which equals elapsed virtual time while polling (the poll loop is the
-// only demand during confirmation in copier's dedicated-core setup).
+/// The confirmation loop's clock. A [`Core`] holds no sim handle, so the
+/// loop reads the core's busy time: it charges and spins on the core for
+/// the whole wait, so on a copier core that runs nothing else meanwhile
+/// busy time advances with virtual time.
 fn core_now(core: &Rc<Core>) -> Nanos {
     core.busy_time()
 }
@@ -559,9 +460,85 @@ fn core_now(core: &Rc<Core>) -> Nanos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::split_subtasks_into;
     use copier_mem::{AllocPolicy, Extent, FrameId, PAGE_SIZE};
     use copier_sim::{Machine, Sim};
     use std::cell::RefCell;
+
+    /// A batch's subtasks per task, and which of them are on DMA.
+    type Plan = (Vec<Vec<SubTask>>, Vec<Vec<bool>>);
+
+    /// `batch` as [`Dispatcher::plan`] leaves it, the marks read off into
+    /// a table of their own.
+    fn planned_by(d: &Dispatcher, batch: &[PlannedCopy]) -> Plan {
+        let mut batch = batch.to_vec();
+        d.plan(&mut batch);
+        let assign = batch
+            .iter()
+            .map(|t| t.subtasks.iter().map(|st| st.dma).collect())
+            .collect();
+        let subtasks = batch
+            .into_iter()
+            .map(|t| {
+                let unmark = |st: SubTask| SubTask { dma: false, ..st };
+                t.subtasks.into_iter().map(unmark).collect()
+            })
+            .collect();
+        (subtasks, assign)
+    }
+
+    /// The plan as the dispatcher made it before subtasks were cut at
+    /// `max_subtask` where they are made: it re-chunked a copy of the
+    /// batch, then assigned the copy's subtasks in a table of its own.
+    /// The differential oracle of [`Dispatcher::plan`].
+    fn oracle(d: &Dispatcher, batch: &[PlannedCopy]) -> Plan {
+        let max = d.cost.max_subtask.max(4096);
+        let mut normalized: Vec<PlannedCopy> = batch.to_vec();
+        for t in &mut normalized {
+            t.subtasks = t
+                .subtasks
+                .iter()
+                .flat_map(|st| {
+                    (0..st.len())
+                        .step_by(max)
+                        .map(|off| st.slice(off, (st.len() - off).min(max)))
+                })
+                .collect();
+        }
+        let mut assign: Vec<Vec<bool>> = normalized
+            .iter()
+            .map(|t| vec![false; t.subtasks.len()])
+            .collect();
+        let mut subtasks: Vec<Vec<SubTask>> =
+            normalized.iter().map(|t| t.subtasks.clone()).collect();
+        let Some(target) = d.dma_target(&normalized) else {
+            return (subtasks, assign);
+        };
+        let min = d.cost.dma_candidate_min;
+        let mut picked = 0usize;
+        for ti in (0..subtasks.len()).rev() {
+            for si in (0..subtasks[ti].len()).rev() {
+                let st = subtasks[ti][si];
+                if st.len() < min {
+                    continue;
+                }
+                if picked + st.len() <= target + target / 4 {
+                    assign[ti][si] = true;
+                    picked += st.len();
+                } else if target - picked >= min {
+                    let head = st.len() - (target - picked);
+                    subtasks[ti][si] = st.slice(0, head);
+                    subtasks[ti].insert(si + 1, st.slice(head, st.len() - head));
+                    assign[ti].insert(si + 1, true);
+                    picked = target;
+                }
+                if picked >= target {
+                    return (subtasks, assign);
+                }
+            }
+        }
+        (subtasks, assign)
+    }
 
     fn planned(pm: &PhysMem, task_id: u64, pages: usize) -> PlannedCopy {
         let src = pm.alloc_contiguous(pages).unwrap();
@@ -586,12 +563,14 @@ mod tests {
                 off: 0,
                 len,
             },
+            dma: false,
         };
         PlannedCopy {
             task_id,
             len,
             subtasks: vec![st],
             verify: false,
+            corrupted: false,
         }
     }
 
@@ -612,6 +591,7 @@ mod tests {
                     off: 0,
                     len: PAGE_SIZE,
                 },
+                dma: false,
             })
             .collect();
         PlannedCopy { subtasks, ..p }
@@ -626,7 +606,7 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let task = planned(&pm, 1, 1); // 4 KB < 12 KB i-piggyback floor
-        let (_, plan) = d.plan(&[task]);
+        let (_, plan) = planned_by(&d, &[task]);
         assert!(plan[0].iter().all(|&x| !x));
     }
 
@@ -644,8 +624,8 @@ mod tests {
             VerifyPolicy::Off,
         );
         let task = split_pages(planned(&pm, 1, 8)); // 32 KB in 8 page subtasks
-        let (hw, plan) = d.plan(std::slice::from_ref(&task));
-        assert_eq!(hw[0].subtasks, task.subtasks, "pages fit: nothing is cut");
+        let (hw, plan) = planned_by(&d, std::slice::from_ref(&task));
+        assert_eq!(hw[0], task.subtasks, "pages fit: nothing is cut");
         let dma_idx: Vec<usize> = plan[0]
             .iter()
             .enumerate()
@@ -683,10 +663,10 @@ mod tests {
         let task = planned(&pm, 1, 4);
         let (whole, len) = (task.subtasks[0], task.len);
         let target = (len as f64 * cost.dma_share()) as usize;
-        let (hw, plan) = d.plan(&[task]);
+        let (hw, plan) = planned_by(&d, &[task]);
         assert_eq!(plan[0], vec![false, true], "the tail goes to DMA");
         assert_eq!(
-            hw[0].subtasks,
+            hw[0],
             vec![
                 whole.slice(0, len - target),
                 whole.slice(len - target, target)
@@ -705,9 +685,9 @@ mod tests {
         // 8 KB over two tasks: the balance point is 2.2 KB, below what a
         // descriptor amortizes, and a page would be 1.8 × that.
         let batch: Vec<PlannedCopy> = (0..2).map(|i| planned(&pm, i, 1)).collect();
-        let (hw, plan) = d.plan(&batch);
+        let (hw, plan) = planned_by(&d, &batch);
         assert!(plan.iter().flatten().all(|&dma| !dma));
-        assert!(hw.iter().zip(&batch).all(|(a, b)| a.subtasks == b.subtasks));
+        assert!(hw.iter().zip(&batch).all(|(a, b)| *a == b.subtasks));
     }
 
     /// A batch as extent lengths per task: one length is a physically
@@ -733,8 +713,9 @@ mod tests {
     }
 
     /// Source and destination runs far apart, each piece on frames of its
-    /// own: `plan` never touches the bytes.
-    fn shaped(shapes: &Shapes) -> Vec<PlannedCopy> {
+    /// own, split as the service splits them with a `max`-byte limit:
+    /// `plan` never touches the bytes.
+    fn shaped(shapes: &Shapes, max: usize) -> Vec<PlannedCopy> {
         let mut frame = 0u32;
         let mut take = |len: usize| {
             let e = Extent {
@@ -749,38 +730,39 @@ mod tests {
             .iter()
             .enumerate()
             .map(|(ti, lens)| {
-                let mut task_off = 0;
-                let subtasks: Vec<SubTask> = lens
-                    .iter()
-                    .map(|&len| {
-                        let st = SubTask {
-                            task_off,
-                            src: take(len),
-                            dst: take(len),
-                        };
-                        task_off += len;
-                        st
-                    })
-                    .collect();
+                let (mut task_off, mut subtasks) = (0, Vec::new());
+                for &len in lens {
+                    let src = take(len);
+                    split_subtasks_into(&[take(len)], &[src], task_off, max, &mut subtasks);
+                    task_off += len;
+                }
                 PlannedCopy {
                     task_id: ti as u64,
                     len: task_off,
                     subtasks,
                     verify: false,
+                    corrupted: false,
                 }
             })
             .collect()
     }
 
-    /// What `plan_into` guarantees, on random contiguous and scattered
-    /// batches: every byte planned once and in order; DMA carries at most
-    /// `target + target / 4`; it ends at `target` or beyond, or less than
-    /// one `dma_candidate_min` short of it, unless every candidate is on
-    /// it; at most one subtask is cut, and the device gets its tail.
+    /// What `plan` guarantees, on random contiguous and scattered batches
+    /// split at `max_subtask` as the service splits them: every byte
+    /// planned once and in order; DMA carries at most `target + target /
+    /// 4`; it ends at `target` or beyond, or less than one
+    /// `dma_candidate_min` short of it, unless every candidate is on it;
+    /// at most one subtask is cut, and the device gets its tail. And the
+    /// plan made in place equals, subtask for subtask and mark for mark,
+    /// what [`oracle`] makes of the same batch left whole.
     /// Mutants tried, each caught here: no cut (the shortfall bound, 16 KB
     /// contiguous), cutting the head off instead of the tail (the tail
     /// check), exempting the first pick from the overshoot guard (the
-    /// upper bound, two small tasks).
+    /// upper bound, two small tasks); and, by the oracle, a splitter that
+    /// does not cut at `max` (a contiguous run over 32 KiB) and a cut
+    /// whose tail is left off the device. A `SubTask::slice` that drops
+    /// the mark passes here, since the plan never slices a marked
+    /// subtask; `units::tests::a_long_run_is_cut_at_max` kills it.
     #[test]
     fn the_dma_share_lands_on_the_balance_point() {
         use copier_testkit::{check_with, prop_assert, prop_assert_eq, shrink_vec, Config};
@@ -812,13 +794,15 @@ mod tests {
             gen_shapes,
             shrink,
             |shapes: &Shapes| {
-                let batch = shaped(shapes);
-                let (hw, assign) = d.plan(&batch);
+                let batch = shaped(shapes, usize::MAX);
+                let plan = planned_by(&d, &shaped(shapes, max));
+                prop_assert_eq!(plan, oracle(&d, &batch), "the in-place plan");
+                let (hw, assign) = plan;
                 prop_assert_eq!(hw.len(), batch.len());
                 let (mut dma_bytes, mut cuts, mut idle_candidates) = (0, 0, 0);
                 for ((task, planned), row) in batch.iter().zip(&hw).zip(&assign) {
-                    prop_assert_eq!(row.len(), planned.subtasks.len());
-                    let mut pieces = planned.subtasks.iter().zip(row).peekable();
+                    prop_assert_eq!(row.len(), planned.len());
+                    let mut pieces = planned.iter().zip(row).peekable();
                     for whole in &task.subtasks {
                         // The pieces of `whole`, back to back from its start.
                         let mut off = 0;
@@ -874,7 +858,7 @@ mod tests {
         let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let batch: Vec<PlannedCopy> = (0..4).map(|i| planned(&pm, i, 1)).collect();
-        let (_, plan) = d.plan(&batch);
+        let (_, plan) = planned_by(&d, &batch);
         let picked: usize = plan.iter().flatten().filter(|&&b| b).count();
         assert!(picked >= 1, "fused batch should engage DMA");
         // Later tasks are preferred.
@@ -910,7 +894,7 @@ mod tests {
             let cb: ProgressFn = Rc::new(move |id, off, len| {
                 p2.borrow_mut().push((id, off, len));
             });
-            let r = d2.execute_batch(&core, &[task2], cb).await;
+            let r = d2.execute_batch(&core, &mut [task2], cb).await;
             *report2.borrow_mut() = r;
         });
         sim.run();
@@ -954,7 +938,7 @@ mod tests {
             Some(dma),
             VerifyPolicy::Off,
         ));
-        let batch: Vec<PlannedCopy> = (0..tasks)
+        let mut batch: Vec<PlannedCopy> = (0..tasks)
             .map(|i| split_pages(planned(&pm, i, pages)))
             .collect();
         let pairs: Vec<(FrameId, FrameId)> = batch
@@ -965,7 +949,7 @@ mod tests {
         let (core, report2) = (m.core(0), Rc::clone(&report));
         sim.spawn("copier", async move {
             let cb: ProgressFn = Rc::new(|_, _, _| {});
-            *report2.borrow_mut() = d.execute_batch(&core, &batch, cb).await;
+            *report2.borrow_mut() = d.execute_batch(&core, &mut batch, cb).await;
         });
         sim.run();
         let (mut s, mut dd) = (vec![0u8; pages * PAGE_SIZE], vec![0u8; pages * PAGE_SIZE]);
@@ -1018,9 +1002,14 @@ mod tests {
         let task2 = task.clone();
         let report = Rc::new(RefCell::new(DispatchReport::default()));
         let report2 = Rc::clone(&report);
+        let unrepaired = Rc::new(RefCell::new(Vec::new()));
+        let unrepaired2 = Rc::clone(&unrepaired);
         sim.spawn("copier", async move {
             let cb: ProgressFn = Rc::new(|_, _, _| {});
-            *report2.borrow_mut() = d2.execute_batch(&core, &[task2], cb).await;
+            let mut batch = [task2];
+            *report2.borrow_mut() = d2.execute_batch(&core, &mut batch, cb).await;
+            let corrupted = batch.iter().filter(|t| t.corrupted).map(|t| t.task_id);
+            unrepaired2.borrow_mut().extend(corrupted);
         });
         sim.run();
         let mut intact = true;
@@ -1034,7 +1023,7 @@ mod tests {
             }
         }
         let r = *report.borrow();
-        (r, d.take_corrupted(), intact, eng.corrupt_quarantined())
+        (r, unrepaired.take(), intact, eng.corrupt_quarantined())
     }
 
     #[test]
@@ -1079,7 +1068,7 @@ mod tests {
         let report2 = Rc::clone(&report);
         sim.spawn("copier", async move {
             let cb: ProgressFn = Rc::new(|_, _, _| {});
-            *report2.borrow_mut() = d2.execute_batch(&core, &[task], cb).await;
+            *report2.borrow_mut() = d2.execute_batch(&core, &mut [task], cb).await;
         });
         sim.run();
         let r = *report.borrow();
@@ -1107,7 +1096,7 @@ mod tests {
             let core = m.core(0);
             sim.spawn("copier", async move {
                 let cb: ProgressFn = Rc::new(|_, _, _| {});
-                d.execute_batch(&core, &[task], cb).await;
+                d.execute_batch(&core, &mut [task], cb).await;
             });
             sim.run()
         }

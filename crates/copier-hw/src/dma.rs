@@ -444,6 +444,7 @@ mod tests {
                 off: 0,
                 len,
             },
+            dma: true,
         }
     }
 
@@ -470,6 +471,7 @@ mod tests {
                 off: 0,
                 len: 11,
             },
+            dma: true,
         };
         let eng2 = Rc::clone(&eng);
         let pm2 = Rc::clone(&pm);
@@ -514,6 +516,7 @@ mod tests {
                     off: i * 100,
                     len: 100,
                 },
+                dma: true,
             };
             let log2 = Rc::clone(&log);
             completions.push(eng.submit(

@@ -3,7 +3,8 @@
 //! A *subtask* (§4.3) is the largest piece of a copy whose source and
 //! destination are both physically contiguous — the unit a single DMA
 //! descriptor (or one CPU copy call) can handle. [`split_subtasks_into`] derives
-//! them from the two extent lists; [`copy_extent_pair`] performs the real
+//! them from the two extent lists, cut at the device's per-descriptor
+//! limit; [`copy_extent_pair`] performs the real
 //! data movement for one subtask (the dispatcher charges its cost), now or
 //! on the host copy engine.
 
@@ -18,6 +19,9 @@ pub struct SubTask {
     pub src: Extent,
     /// Physically contiguous destination (same length as `src`).
     pub dst: Extent,
+    /// Planned onto the DMA engine rather than the CPU unit. The splitter
+    /// makes every subtask unmarked; the dispatcher's plan marks them.
+    pub dma: bool,
 }
 
 impl SubTask {
@@ -31,24 +35,34 @@ impl SubTask {
         self.src.len == 0
     }
 
-    /// The piece `[off, off + len)` of this subtask: both extents are
-    /// contiguous, so it may be cut at any byte.
+    /// The piece `[off, off + len)` of this subtask, on the same unit:
+    /// both extents are contiguous, so it may be cut at any byte.
     pub fn slice(&self, off: usize, len: usize) -> SubTask {
         debug_assert!(off + len <= self.len());
         SubTask {
             task_off: self.task_off + off,
             src: sub_extent(&self.src, off, len),
             dst: sub_extent(&self.dst, off, len),
+            dma: self.dma,
         }
     }
 }
 
 /// Splits a copy into subtasks at every source or destination
-/// discontinuity and appends them to `out`, their offsets counted from
-/// `base` (where the piece starts within its task).
+/// discontinuity, and every `max` bytes within a contiguous run (the
+/// device's per-descriptor limit, [`crate::CostModel::max_subtask`];
+/// never less than a page), and appends them to `out`, their offsets
+/// counted from `base` (where the piece starts within its task).
 ///
 /// Both extent lists must cover the same total length.
-pub fn split_subtasks_into(dst: &[Extent], src: &[Extent], base: usize, out: &mut Vec<SubTask>) {
+pub fn split_subtasks_into(
+    dst: &[Extent],
+    src: &[Extent],
+    base: usize,
+    max: usize,
+    out: &mut Vec<SubTask>,
+) {
+    let max = max.max(PAGE_SIZE);
     let total: usize = src.iter().map(|e| e.len).sum();
     debug_assert_eq!(total, dst.iter().map(|e| e.len).sum::<usize>());
     let (mut si, mut di) = (0usize, 0usize);
@@ -57,11 +71,12 @@ pub fn split_subtasks_into(dst: &[Extent], src: &[Extent], base: usize, out: &mu
     while task_off < total {
         let s = &src[si];
         let d = &dst[di];
-        let take = (s.len - s_used).min(d.len - d_used);
+        let take = (s.len - s_used).min(d.len - d_used).min(max);
         out.push(SubTask {
             task_off: base + task_off,
             src: sub_extent(s, s_used, take),
             dst: sub_extent(d, d_used, take),
+            dma: false,
         });
         task_off += take;
         s_used += take;
@@ -139,7 +154,7 @@ mod tests {
 
     fn split_subtasks(dst: &[Extent], src: &[Extent]) -> Vec<SubTask> {
         let mut out = Vec::new();
-        split_subtasks_into(dst, src, 0, &mut out);
+        split_subtasks_into(dst, src, 0, usize::MAX, &mut out);
         out
     }
 
@@ -208,6 +223,33 @@ mod tests {
         assert_eq!(st[1].src.off, 0);
         assert_eq!(st[2].src.frame, FrameId(10));
         assert_eq!(st[2].src.off, 1096);
+    }
+
+    /// A contiguous run is cut every `max` bytes from its start, and a
+    /// discontinuity restarts the count; a cut piece keeps its unit.
+    /// Mutants: a splitter that ignores `max`, a `slice` that drops the
+    /// mark.
+    #[test]
+    fn a_long_run_is_cut_at_max() {
+        let ext = |frame, len| Extent {
+            frame: FrameId(frame),
+            off: 0,
+            len,
+        };
+        let mut st = Vec::new();
+        let (src, dst) = ([ext(0, 10_000), ext(9, 5000)], [ext(20, 15_000)]);
+        split_subtasks_into(&dst, &src, 100, 4096, &mut st);
+        let lens: Vec<usize> = st.iter().map(|s| s.len()).collect();
+        assert_eq!(lens, vec![4096, 4096, 1808, 4096, 904]);
+        let offs: Vec<usize> = st.iter().map(|s| s.task_off).collect();
+        assert_eq!(offs, vec![100, 4196, 8292, 10_100, 14_196]);
+        assert!(st.iter().all(|s| !s.dma), "made unmarked");
+        let marked = SubTask { dma: true, ..st[0] };
+        assert!(marked.slice(10, 20).dma, "a slice keeps its unit");
+        // A limit below a page is a page.
+        st.clear();
+        split_subtasks_into(&[ext(30, 9000)], &[ext(40, 9000)], 0, 1, &mut st);
+        assert_eq!(st.len(), 3);
     }
 
     #[test]

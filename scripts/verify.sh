@@ -59,6 +59,20 @@ regs=$(awk '
 vrs=$(grep -rnE '^[[:space:]]*(pub(\([a-z]+\))? +)?([a-z0-9_]*_)?(vruntime|vr)(_[a-z0-9_]*)?: .*Cell<' crates/*/src \
     | grep -vE '^crates/copier-core/src/(service/aggregates|client)\.rs:' || true)
 [ -z "$vrs" ] || { echo "a vruntime cell outside ShardState and Client in:"; echo "$vrs"; exit 1; }
+# A batch's state lives in its `execute_batch` call (DESIGN.md §3,
+# Dispatcher): the one dispatcher every shard shares has no
+# interior-mutable field a batch could leave state in for another shard's
+# batch to find, and no service-wide drain of per-batch results.
+dfile=$(grep -rlE '^pub struct Dispatcher \{' crates/*/src)
+[ "$(printf '%s\n' "$dfile" | grep -c .)" = 1 ] || { echo "struct Dispatcher not found once:"; echo "$dfile"; exit 1; }
+dcells=$(awk '
+    /^pub struct Dispatcher \{/ { on = 1; next }
+    on && /^\}/ { on = 0 }
+    on && /Cell</ { print FILENAME ":" FNR ": " $0 }
+' "$dfile")
+[ -z "$dcells" ] || { echo "per-batch state on the shared Dispatcher:"; echo "$dcells"; exit 1; }
+drains=$(grep -rn 'take_corrupted' crates/*/src tests || true)
+[ -z "$drains" ] || { echo "a service-wide drain of a batch's corruptions:"; echo "$drains"; exit 1; }
 # An address space translates a range one way (DESIGN.md §12): `resolve` is
 # the one fault handler, so each kind of fault is booked on one line of
 # `copier-mem/src/space.rs`, and its private `scan` is the one place
@@ -219,8 +233,9 @@ TESTKIT_CASES=2000 cargo test -q -p copier-mem --offline --locked --lib phys::qu
 # (DESIGN.md §3), deeper than the workspace run above: random
 # submit/copy/abort/csync interleavings (every abort returns its credit,
 # fires its handler once, leaves window == index == live tasks), partly
-# synced lazy chains against sequential memcpy, and the bounds `plan_into`
-# guarantees on random contiguous/scattered batches. `tests/proxy_soak.rs`
+# synced lazy chains against sequential memcpy, and the bounds the in-place
+# `Dispatcher::plan` guarantees on random contiguous/scattered batches, with
+# its equality to the retired re-chunk-then-plan oracle. `tests/proxy_soak.rs`
 # (20 000 messages end to end) and `absorb_differential` ran there in full.
 TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test abort_retire
 TESTKIT_CASES=2000 cargo test -q -p copier-client --offline --locked --test lazy_promotion

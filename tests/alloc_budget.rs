@@ -175,10 +175,10 @@ fn a_served_copy_costs_a_bounded_number_of_heap_calls() {
 }
 
 /// Bytes a registered tenant costs on a default-config service
-/// (`queue_cap` 1024): its client state and six ring headers. When
+/// (`queue_cap` 1024): its client state and five ring headers. When
 /// registration built every ring's slots, each queue pair behind its own
 /// `Rc`, it was 344,936 bytes.
-const REGISTRATION_BYTES: u64 = 920;
+const REGISTRATION_BYTES: u64 = 872;
 /// What a tenant's first copy asks for beyond a later copy and the u-mode
 /// Copy ring's slots: its first descriptor and the first capacity of the
 /// handle's and the service's per-tenant tables.
@@ -274,8 +274,8 @@ fn footprint() -> Footprint {
     let handler_slots = push_bytes(&Ring::new(cap), handler());
     assert!(copy_slots >= cap as u64, "a slot is at least a byte");
 
-    // The copies pushed only the u-mode Copy ring: the Sync and Handler
-    // rings of both levels, and the k-mode Copy ring, are still without
+    // The copies pushed only the u-mode Copy ring: the Sync rings of both
+    // levels, the k-mode Copy ring and the Handler ring are still without
     // slots (their first push allocates them now), and the u-mode Copy
     // ring has its slots (a push allocates nothing).
     let set = lib.client.default_set();
@@ -287,15 +287,10 @@ fn footprint() -> Footprint {
             copy_slots,
         ),
         ("k-mode Sync", push_bytes(&set.kq.sync, sync()), sync_slots),
-        (
-            "k-mode Handler",
-            push_bytes(&set.kq.handler, handler()),
-            handler_slots,
-        ),
         ("u-mode Sync", push_bytes(&set.uq.sync, sync()), sync_slots),
         (
-            "u-mode Handler",
-            push_bytes(&set.uq.handler, handler()),
+            "Handler",
+            push_bytes(&set.handler, handler()),
             handler_slots,
         ),
     ];

@@ -27,7 +27,9 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use copier::client::AmemcpyOpts;
-use copier::core::{Copier, CopierConfig, CopyFault, Handler, SegDescriptor, VerifyPolicy};
+use copier::core::{
+    Copier, CopierConfig, CopyFault, Handler, PollMode, SegDescriptor, VerifyPolicy,
+};
 use copier::mem::Prot;
 use copier::os::Os;
 use copier::sim::wire::{fnv_bytes, FNV_OFFSET};
@@ -711,6 +713,132 @@ fn amemcpy_verified_overrides_service_policy_off() {
     }
     assert_eq!(lib.integrity_stats(), (ncopies as u64, corrupted));
     assert_no_pinned_leaks(&os.pm);
+}
+
+/// Copies per tenant, tenants and copy length of
+/// `no_shard_drops_a_peers_unrepaired_corruption`.
+const SHARDED_COPIES: usize = 40;
+const SHARDED_TENANTS: usize = 4;
+const SHARDED_LEN: usize = 8 * 1024;
+
+/// One run of four tenants' 8 KiB copies at `shards` shards, every DMA
+/// transfer bit-flipped and no channel ever retired, so every repair
+/// re-copies on a flipping channel and fails. Returns how many copies
+/// ended intact, how many `Corrupted`, and the silent escapes: copies
+/// whose descriptor is clean and complete over wrong bytes.
+fn run_sharded_flips(seed: u64, shards: usize) -> (usize, usize, Vec<String>) {
+    let mut sim = Sim::new();
+    let h = sim.handle();
+    let machine = Machine::new(&h, SHARDED_TENANTS + shards);
+    let os = Os::boot(&h, machine, 4096);
+    let plan = FaultPlan::new(FaultConfig {
+        seed,
+        dma_flip_prob: 1.0,
+        ..Default::default()
+    });
+    os.install_copier(
+        (0..shards)
+            .map(|i| os.machine.core(SHARDED_TENANTS + i))
+            .collect(),
+        CopierConfig {
+            shards,
+            use_dma: true,
+            dma_channels: 2,
+            fault_plan: Some(plan),
+            verify: VerifyPolicy::Full,
+            corrupt_quarantine_threshold: 0,
+            polling: PollMode::Napi {
+                spin_rounds: 64,
+                park_timeout: Nanos(20_000),
+            },
+            ..Default::default()
+        },
+    );
+    let done = Rc::new(Cell::new(0));
+    let mut tenants = Vec::new();
+    for t in 0..SHARDED_TENANTS {
+        let lib = os.spawn_process().lib();
+        let bufs: Vec<_> = (0..SHARDED_COPIES)
+            .map(|c| {
+                let src = lib.uspace.mmap(SHARDED_LEN, Prot::RW, true).unwrap();
+                let dst = lib.uspace.mmap(SHARDED_LEN, Prot::RW, true).unwrap();
+                let bytes = pattern(t * SHARDED_COPIES + c, seed, SHARDED_LEN);
+                lib.uspace.write_bytes(src, &bytes).unwrap();
+                (src, dst)
+            })
+            .collect();
+        let descrs: Rc<RefCell<Vec<Rc<SegDescriptor>>>> = Rc::default();
+        let (lib2, os2, d2, done2) = (
+            Rc::clone(&lib),
+            Rc::clone(&os),
+            Rc::clone(&descrs),
+            Rc::clone(&done),
+        );
+        let (core, bufs2) = (os.machine.core(t), bufs.clone());
+        sim.spawn("tenant", async move {
+            for &(src, dst) in &bufs2 {
+                let d = lib2.amemcpy(&core, dst, src, SHARDED_LEN).await;
+                d2.borrow_mut().push(d.expect("admitted"));
+            }
+            let _ = lib2.csync_all(&core).await;
+            done2.set(done2.get() + 1);
+            if done2.get() == SHARDED_TENANTS {
+                os2.copier().stop();
+            }
+        });
+        tenants.push((lib, bufs, descrs));
+    }
+    sim.run();
+    let (mut intact, mut corrupted, mut escapes) = (0, 0, Vec::new());
+    for (t, (lib, bufs, descrs)) in tenants.iter().enumerate() {
+        for (c, d) in descrs.borrow().iter().enumerate() {
+            let mut got = vec![0u8; SHARDED_LEN];
+            lib.uspace.read_bytes(bufs[c].1, &mut got).unwrap();
+            let ok = got == pattern(t * SHARDED_COPIES + c, seed, SHARDED_LEN);
+            match d.fault() {
+                Some(CopyFault::Corrupted) => corrupted += 1,
+                Some(f) => panic!("tenant {t} copy {c}: unexpected fault {f:?}"),
+                None if ok => intact += 1,
+                None => escapes.push(format!(
+                    "tenant {t} copy {c} clean (all ready: {}) over wrong bytes \
+                     (seed {seed}, {shards} shards)",
+                    d.all_ready()
+                )),
+            }
+        }
+    }
+    assert_no_pinned_leaks(&os.pm);
+    (intact, corrupted, escapes)
+}
+
+/// An unrepaired corruption is reported to its own task at every shard
+/// count. Every DMA transfer is flipped and no channel is retired, so
+/// each copy either lands on the CPU alone or is poisoned `Corrupted`;
+/// none may end clean over wrong bytes. Mutant this kills: one list of
+/// unrepaired task ids shared by every shard's batches, drained by
+/// whichever batch ends first and filtered to its own selection, which
+/// dropped a peer's ids (80 of 1,600 copies escaped at 2 and at 4
+/// shards, none at 1).
+#[test]
+fn no_shard_drops_a_peers_unrepaired_corruption() {
+    for shards in [1, 2, 4] {
+        let (mut intact, mut corrupted, mut escapes) = (0, 0, Vec::new());
+        for seed in 0..10 {
+            let (i, c, e) = run_sharded_flips(seed, shards);
+            intact += i;
+            corrupted += c;
+            escapes.extend(e);
+        }
+        println!("{shards} shards: {intact} intact, {corrupted} corrupted");
+        assert!(
+            escapes.is_empty(),
+            "{} silent escapes at {shards} shards, first: {}",
+            escapes.len(),
+            escapes[0]
+        );
+        assert!(corrupted > 0, "no repair failed: the probe probes nothing");
+        assert_eq!(intact + corrupted, 10 * SHARDED_TENANTS * SHARDED_COPIES);
+    }
 }
 
 // ---------------------------------------------------------------------
