@@ -248,6 +248,8 @@ impl CopierHandle {
     /// a single attempt that spends no time. After a miss, `give_up` ends
     /// the retry at once; before each retry, `refresh` rebuilds the entry
     /// (a barrier re-reads its peer position). Returns whether it landed.
+    /// The only `Ring::push` of libCopier (this crate's `clippy.toml`).
+    #[allow(clippy::disallowed_methods)]
     async fn push_bounded<T>(
         &self,
         core: &Rc<Core>,

@@ -9,50 +9,45 @@
 //! contract shared across the client/service boundary; the identical type
 //! is exercised from real OS threads in the ring stress tests.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 
 use copier_mem::MemError;
 
 use crate::interval::IntervalSet;
 
-/// Why a copy failed; surfaced to `csync` as an error.
+/// Why a copy failed; surfaced to `csync` as an error. The discriminants
+/// are the wire codes (0 is "no fault").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u8)]
 pub enum CopyFault {
     /// The source or destination range was not legally addressable —
     /// the simulated process receives SIGSEGV.
-    Segv,
+    Segv = 1,
     /// Physical memory was exhausted while resolving pages.
-    OutOfMemory,
+    OutOfMemory = 2,
     /// The task was explicitly aborted (§4.4 `abort` sync task).
-    Aborted,
+    Aborted = 3,
     /// Admission control rejected the submission: the client was past its
     /// in-flight quota, or the service shed load above its global
     /// watermark. Retry after completions return credits.
-    Overloaded,
+    Overloaded = 4,
     /// Crash recovery found the destination range neither untouched nor
     /// fully copied (its sampled extent digest matches neither journaled
     /// side): the bytes are partial and must not be consumed. Healed by
     /// a later copy that fully overwrites the range.
-    Torn,
+    Torn = 5,
     /// End-to-end verification found the destination bytes differ from
     /// the source digest taken at dispatch (silent DMA corruption that
     /// the device reported as success), and bounded automatic repair
     /// could not restore them — or the scrubber found a rotted region
     /// with no intact replica. The bytes must not be consumed.
-    Corrupted,
+    Corrupted = 6,
 }
 
 impl CopyFault {
     /// Wire encoding for trace and journal records (0 = no fault).
     pub fn code(self) -> u8 {
-        match self {
-            CopyFault::Segv => 1,
-            CopyFault::OutOfMemory => 2,
-            CopyFault::Aborted => 3,
-            CopyFault::Overloaded => 4,
-            CopyFault::Torn => 5,
-            CopyFault::Corrupted => 6,
-        }
+        self as u8
     }
 
     /// Inverse of [`Self::code`] for journaled taints. Unknown codes
@@ -90,19 +85,14 @@ pub struct SegDescriptor {
     nsegs: usize,
     /// One bit per segment; bits past `nsegs` are never set.
     bits: Vec<AtomicU64>,
-    poisoned: AtomicBool,
-    fault: std::cell::Cell<Option<CopyFault>>,
+    /// The recorded fault's [`CopyFault::code`]; 0 while there is none.
+    fault: AtomicU8,
     /// Whether the completion side effects (handler delivery + credit
     /// grant) have fired. Lives in the descriptor — client-owned memory
     /// that survives a service crash — so a restarted service and a
     /// resubmitted duplicate settle each submission exactly once.
     delivered: AtomicBool,
 }
-
-// SAFETY: `fault` is only written by the (single-threaded) service before
-// `poisoned` is set with release ordering and read after an acquire load;
-// in the deterministic simulator there is exactly one host thread anyway.
-unsafe impl Sync for SegDescriptor {}
 
 impl SegDescriptor {
     /// Creates a descriptor for a copy of `len` bytes at `seg` granularity.
@@ -120,8 +110,7 @@ impl SegDescriptor {
             seg,
             nsegs,
             bits: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            poisoned: AtomicBool::new(false),
-            fault: std::cell::Cell::new(None),
+            fault: AtomicU8::new(0),
             delivered: AtomicBool::new(false),
         }
     }
@@ -234,23 +223,20 @@ impl SegDescriptor {
         for w in &self.bits {
             w.store(0, Ordering::Release);
         }
-        self.fault.set(None);
-        self.poisoned.store(false, Ordering::Release);
+        self.fault.store(0, Ordering::Release);
         self.delivered.store(false, Ordering::Release);
     }
 
     /// Poisons the descriptor with a fault; `csync` will surface it.
     pub fn poison(&self, fault: CopyFault) {
-        self.fault.set(Some(fault));
-        self.poisoned.store(true, Ordering::Release);
+        self.fault.store(fault.code(), Ordering::Release);
     }
 
     /// Returns the recorded fault, if any.
     pub fn fault(&self) -> Option<CopyFault> {
-        if self.poisoned.load(Ordering::Acquire) {
-            self.fault.get()
-        } else {
-            None
+        match self.fault.load(Ordering::Acquire) {
+            0 => None,
+            code => Some(CopyFault::from_code(code)),
         }
     }
 

@@ -24,6 +24,7 @@ pub mod descriptor;
 pub mod interval;
 pub mod journal;
 pub mod pendindex;
+#[allow(unsafe_code)]
 pub mod ring;
 pub mod sched;
 pub mod service;

@@ -2,10 +2,11 @@
 //!
 //! The paper's design, reproduced directly: producers *acquire* a slot by
 //! advancing `head` with a CAS-bounded fetch, fill the task fields, then set
-//! the slot's *valid* bit; the (single) consumer takes a slot at `tail` only
-//! once valid, clears it, and advances. Task order follows slot-acquisition
-//! order, so the ring is FIFO per queue while allowing concurrent producers
-//! (multi-threaded clients submitting to a shared per-process queue).
+//! the slot's *valid* bit; a consumer, holding the ring's consumer claim,
+//! takes a slot at `tail` only once valid, clears it, and advances. Task
+//! order follows slot-acquisition order, so the ring is FIFO per queue
+//! while allowing concurrent producers (multi-threaded clients submitting
+//! to a shared per-process queue).
 //!
 //! The same type serves two roles: inside the deterministic simulator
 //! (single host thread — the atomics cost nothing) and under real OS
@@ -37,12 +38,14 @@ struct Slot<T> {
     val: UnsafeCell<MaybeUninit<T>>,
 }
 
-/// A bounded MPSC ring buffer.
+/// A bounded ring buffer: many producers, consumers one at a time.
 pub struct Ring<T> {
     /// The slot array, `cap` long; unset until the first `push`.
     slots: OnceLock<Box<[Slot<T>]>>,
-    /// Capacity in slots (a power of two).
-    cap: usize,
+    /// Capacity in slots, a power of two (a `u32`, so `popping` fits beside).
+    cap: u32,
+    /// The consumer claim: held by the one `pop` that is taking a value.
+    popping: AtomicBool,
     /// Next slot to acquire (total enqueues attempted).
     head: AtomicUsize,
     /// Next slot to consume (total dequeues).
@@ -57,12 +60,12 @@ pub struct Ring<T> {
 // array is published, because a producer initialises it before it takes a
 // slot on `head`. From there slots are handed out exclusively — a producer
 // owns slot `h` after winning the CAS on `head` and publishes with a
-// release store to `valid`; the consumer reads after an acquire load of
-// `valid` and releases the slot by clearing `valid` only after moving the
-// value out. `cap` never changes after `new`, and `head`/`tail` are
-// atomics. `T: Send` therefore suffices to move values across threads.
+// release store to `valid`; a consumer holds the `popping` claim, reads
+// after an acquire load of `valid` and releases the slot by clearing
+// `valid` only after moving the value out. `cap` never changes after
+// `new`, and `head`/`tail` are atomics. `T: Send` therefore suffices to
+// move values across threads (and makes the ring `Send` by its fields).
 unsafe impl<T: Send> Sync for Ring<T> {}
-unsafe impl<T: Send> Send for Ring<T> {}
 
 impl<T> Ring<T> {
     /// Creates a ring with `capacity` slots (rounded up to a power of two).
@@ -70,7 +73,8 @@ impl<T> Ring<T> {
     pub fn new(capacity: usize) -> Self {
         Ring {
             slots: OnceLock::new(),
-            cap: capacity.next_power_of_two().max(2),
+            cap: u32::try_from(capacity.next_power_of_two().max(2)).expect("ring capacity"),
+            popping: AtomicBool::new(false),
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
         }
@@ -78,7 +82,7 @@ impl<T> Ring<T> {
 
     /// Capacity in slots.
     pub fn capacity(&self) -> usize {
-        self.cap
+        self.cap as usize
     }
 
     /// The slot array, allocated on first use.
@@ -119,7 +123,7 @@ impl<T> Ring<T> {
 
     /// Producer: enqueues a value; a full ring returns the value back.
     pub fn push(&self, v: T) -> Result<(), RingFull<T>> {
-        let (slots, cap) = (self.slots(), self.cap);
+        let (slots, cap) = (self.slots(), self.capacity());
         let mut h = self.head.load(Ordering::Relaxed);
         loop {
             let t = self.tail.load(Ordering::Acquire);
@@ -150,21 +154,33 @@ impl<T> Ring<T> {
 
     /// Consumer: dequeues the next value if one is ready.
     ///
-    /// Must be called from a single consumer at a time.
+    /// Any thread may pop. Only a pop that finds the next slot valid takes
+    /// the consumer claim, so an empty pop costs what it did with one
+    /// consumer; a pop that finds the claim held returns `None`.
     pub fn pop(&self) -> Option<T> {
-        let slots = self.slots.get()?;
-        let t = self.tail.load(Ordering::Relaxed);
-        let slot = &slots[t % self.cap];
-        if !slot.valid.load(Ordering::Acquire) {
+        let (slots, cap) = (self.slots.get()?, self.capacity());
+        let seen = self.tail.load(Ordering::Relaxed);
+        if !slots[seen % cap].valid.load(Ordering::Acquire)
+            || self.popping.swap(true, Ordering::Acquire)
+        {
             return None;
         }
-        // SAFETY: `valid` was observed with acquire ordering, so the
-        // producer's write to the slot happened-before this read; we are
-        // the only consumer, so the slot is ours until we clear `valid`.
-        let v = unsafe { (*slot.val.get()).assume_init_read() };
-        slot.valid.store(false, Ordering::Release);
-        self.tail.store(t.wrapping_add(1), Ordering::Release);
-        Some(v)
+        // The claim's acquire follows the last claimant's `tail` store, so
+        // `t` is current and slot `t` holds entry `t` or nothing yet.
+        let t = self.tail.load(Ordering::Relaxed);
+        let slot = &slots[t % cap];
+        let v = slot.valid.load(Ordering::Acquire).then(|| {
+            // SAFETY: `valid` was observed with acquire ordering, so the
+            // producer's write to the slot happened-before this read; we
+            // hold the consumer claim, so the slot is ours until we clear
+            // `valid`, and no producer reaches it again before `tail` moves.
+            let v = unsafe { (*slot.val.get()).assume_init_read() };
+            slot.valid.store(false, Ordering::Release);
+            self.tail.store(t.wrapping_add(1), Ordering::Release);
+            v
+        });
+        self.popping.store(false, Ordering::Release);
+        v
     }
 }
 

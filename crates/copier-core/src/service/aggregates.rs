@@ -61,6 +61,19 @@ pub(super) struct ShardState {
     pub(super) hashes: HashSums,
 }
 
+/// The service-wide registration order, stamped at registration and at
+/// adoption (a shard's list is in `reg_seq` order). Reading the counter
+/// takes a number from it, so no round can latch it.
+#[derive(Default)]
+pub(super) struct RegSeq(Cell<u64>);
+
+impl RegSeq {
+    /// The next registration sequence number.
+    pub(super) fn next(&self) -> u64 {
+        self.0.replace(self.0.get() + 1)
+    }
+}
+
 impl ShardState {
     /// The states of a service's shards, one per dedicated core.
     pub(super) fn all(cores: Vec<Rc<Core>>, cfg: &CopierConfig) -> Vec<ShardState> {
@@ -100,8 +113,9 @@ impl ShardState {
         self.row.borrow_mut()
     }
 
-    /// This shard's counter row, to read: the fold and the shard's own
-    /// round hashes, nothing that decides.
+    /// This shard's counter row, to read: the fold, nothing that decides.
+    /// Outside this file only `stats_fold` may call it (`clippy.toml`'s
+    /// `disallowed-methods`, allowed there).
     pub(super) fn row(&self) -> Ref<'_, CopierStats> {
         self.row.borrow()
     }
@@ -699,7 +713,7 @@ impl Copier {
     /// its share of the service totals, which the shard-scaling bench and
     /// the differential suite read. Valid for `idx < nshards()`.
     pub fn shard_stats(&self, idx: usize) -> (u64, u64, u64) {
-        let r = self.shards[idx].row();
+        let r = self.shards[idx].row.borrow();
         (r.bytes_copied, r.tasks_completed, r.rounds_active)
     }
 

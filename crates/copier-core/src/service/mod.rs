@@ -60,7 +60,7 @@ use crate::sched::Scheduler;
 use crate::task::TaskId;
 
 pub(crate) use aggregates::Marks;
-use aggregates::ShardState;
+use aggregates::{RegSeq, ShardState};
 use barrier::RoundBarrier;
 use scrub::ScrubRegion;
 pub use stats::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, CopierStats};
@@ -110,7 +110,7 @@ pub struct Copier {
     /// Walk resume position (chunk index across all regions).
     scrub_pos: Cell<usize>,
     /// Monotone registration sequence feeding [`Client::reg_seq`].
-    next_reg: Cell<u64>,
+    next_reg: RegSeq,
 }
 
 impl Copier {
@@ -195,7 +195,7 @@ impl Copier {
             scrub: RefCell::new(Vec::new()),
             scrub_tick: Cell::new(0),
             scrub_pos: Cell::new(0),
-            next_reg: Cell::new(0),
+            next_reg: RegSeq::default(),
         })
     }
 
@@ -278,17 +278,9 @@ impl Copier {
         c.set_credit_cap(self.cfg.admission.max_client_tasks);
         c.epoch.set(self.epoch.get());
         c.shard.set(self.shard_of_space(c.uspace.id()));
-        c.reg_seq.set(self.alloc_reg_seq());
+        c.reg_seq.set(self.next_reg.next());
         self.shard_of(&c).join(&c);
         c
-    }
-
-    /// Allocates the next registration sequence number (also stamped at
-    /// adoption — a shard's list is in `reg_seq` order).
-    fn alloc_reg_seq(&self) -> u64 {
-        let s = self.next_reg.get();
-        self.next_reg.set(s + 1);
-        s
     }
 
     /// Wakes parked Copier threads (`copier_awaken`).

@@ -129,7 +129,7 @@ impl Copier {
         client.shard.set(self.shard_of_space(client.uspace.id()));
         // Fresh control-plane identity under the successor: a new
         // registration sequence (a shard's list stays in reg_seq order).
-        client.reg_seq.set(self.alloc_reg_seq());
+        client.reg_seq.set(self.next_reg.next());
         let sh = self.shard_of(client);
         sh.join(client);
         // The adopted window may hold unfinished entries with no ring

@@ -189,6 +189,7 @@ macro_rules! stats_table {
             /// `restored` checkpoint and every shard's row in shard-id
             /// order, combined slot by slot as the table says, then the
             /// gauges read now. The journal checkpoint stores this.
+            #[allow(clippy::disallowed_methods)] // the one reader of a row
             pub(super) fn stats_fold(&self) -> [u64; stats_layout::LEN] {
                 let mut v = stats_slots(&self.restored);
                 for sh in &self.shards {

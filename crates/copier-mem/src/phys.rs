@@ -54,6 +54,7 @@ use std::cell::{Cell, RefCell};
 
 use crate::space::Extent;
 
+#[allow(unsafe_code)]
 mod arena;
 #[cfg(test)]
 mod queue_differential;

@@ -70,6 +70,19 @@ pub async fn handle_cow_fault(
         src_space: Some(Rc::clone(&os.kspace)),
         ..Default::default()
     };
+    // The in-handler synchronous copy of the replica's first `len` bytes.
+    let sync_replica = |len| {
+        sync_copy(
+            core,
+            &os.cost,
+            CpuCopyKind::Erms,
+            &os.kspace,
+            dst_kva,
+            &os.kspace,
+            src_kva,
+            len,
+        )
+    };
     if use_copier && region_len > PAGE_SIZE {
         // Split: Copier takes the tail; the handler copies the head while
         // the service streams (§5.2 "divides the work").
@@ -81,17 +94,7 @@ pub async fn handle_cow_fault(
             .await;
         match submitted {
             Ok(d) => {
-                sync_copy(
-                    core,
-                    &os.cost,
-                    CpuCopyKind::Erms,
-                    &os.kspace,
-                    dst_kva,
-                    &os.kspace,
-                    src_kva,
-                    head,
-                )
-                .await?;
+                sync_replica(head).await?;
                 // Sync before making the replica visible (csync
                 // guideline 4).
                 lib._csync(core, &d, 0, tail, 0, dst_kva.add(head), 0)
@@ -101,17 +104,7 @@ pub async fn handle_cow_fault(
             Err(_) => {
                 // Service overloaded: the whole replica is produced by
                 // the in-handler synchronous copy (§4.6 fallback).
-                sync_copy(
-                    core,
-                    &os.cost,
-                    CpuCopyKind::Erms,
-                    &os.kspace,
-                    dst_kva,
-                    &os.kspace,
-                    src_kva,
-                    region_len,
-                )
-                .await?;
+                sync_replica(region_len).await?;
             }
         }
     } else if use_copier {
@@ -131,31 +124,11 @@ pub async fn handle_cow_fault(
                     .expect("cow copy");
             }
             Err(_) => {
-                sync_copy(
-                    core,
-                    &os.cost,
-                    CpuCopyKind::Erms,
-                    &os.kspace,
-                    dst_kva,
-                    &os.kspace,
-                    src_kva,
-                    region_len,
-                )
-                .await?;
+                sync_replica(region_len).await?;
             }
         }
     } else {
-        sync_copy(
-            core,
-            &os.cost,
-            CpuCopyKind::Erms,
-            &os.kspace,
-            dst_kva,
-            &os.kspace,
-            src_kva,
-            region_len,
-        )
-        .await?;
+        sync_replica(region_len).await?;
         // The same bookkeeping, paid after the copy on the critical path.
         core.advance(Nanos(700)).await;
     }

@@ -41,7 +41,7 @@ use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::{Rc, Weak};
-use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
+use std::task::{Context, Poll, Waker};
 
 use crate::time::Nanos;
 
@@ -141,61 +141,68 @@ impl ReadyQueue {
     }
 }
 
-/// What a task waker points at: the slot to re-enqueue and where.
-struct WakeCell {
-    id: TaskId,
-    ready: Rc<ReadyQueue>,
-}
+/// The task waker's vtable, copier-sim's one `unsafe` module.
+#[allow(unsafe_code)]
+mod waker {
+    use super::*;
+    use std::task::{RawWaker, RawWakerVTable};
 
-/// A task's waker is an `Rc<WakeCell>` behind the `RawWaker` data pointer:
-/// clone and drop are plain counter bumps and wake is a `VecDeque` push.
-/// `Waker` is `Send + Sync` by type and an `Rc` is neither; what makes
-/// this sound is the single-thread contract documented on [`Sim`], which
-/// debug builds assert in every vtable entry.
-static TASK_WAKER: RawWakerVTable =
-    RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
+    /// What a task waker points at: the slot to re-enqueue and where.
+    pub(super) struct WakeCell {
+        id: TaskId,
+        ready: Rc<ReadyQueue>,
+    }
 
-fn task_waker(id: TaskId, ready: &Rc<ReadyQueue>) -> Waker {
-    let cell = Rc::new(WakeCell {
-        id,
-        ready: Rc::clone(ready),
-    });
-    // SAFETY: the data pointer comes from `Rc::into_raw` of a `WakeCell`,
-    // which is what every `TASK_WAKER` entry casts it back to, and the
-    // strong count that `into_raw` keeps is the one this `Waker` owns and
-    // `waker_drop` (or `waker_wake`) gives back.
-    unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(cell).cast(), &TASK_WAKER)) }
-}
+    /// A task's waker is an `Rc<WakeCell>` behind the `RawWaker` data pointer:
+    /// clone and drop are plain counter bumps and wake is a `VecDeque` push.
+    /// `Waker` is `Send + Sync` by type and an `Rc` is neither; what makes
+    /// this sound is the single-thread contract documented on [`Sim`], which
+    /// debug builds assert in every vtable entry.
+    pub(super) static TASK_WAKER: RawWakerVTable =
+        RawWakerVTable::new(waker_clone, waker_wake, waker_wake_by_ref, waker_drop);
 
-unsafe fn waker_clone(p: *const ()) -> RawWaker {
-    let p = p.cast::<WakeCell>();
-    // SAFETY: `p` is the `Rc::into_raw` pointer of a live waker (the
-    // caller holds one), so the cell is alive for this borrow.
-    unsafe { &*p }.ready.assert_owner();
-    // SAFETY: as above; the extra strong count belongs to the new waker.
-    unsafe { Rc::increment_strong_count(p) };
-    RawWaker::new(p.cast(), &TASK_WAKER)
-}
+    pub(super) fn task_waker(id: TaskId, ready: &Rc<ReadyQueue>) -> Waker {
+        let cell = Rc::new(WakeCell {
+            id,
+            ready: Rc::clone(ready),
+        });
+        // SAFETY: the data pointer comes from `Rc::into_raw` of a `WakeCell`,
+        // which is what every `TASK_WAKER` entry casts it back to, and the
+        // strong count that `into_raw` keeps is the one this `Waker` owns and
+        // `waker_drop` (or `waker_wake`) gives back.
+        unsafe { Waker::from_raw(RawWaker::new(Rc::into_raw(cell).cast(), &TASK_WAKER)) }
+    }
 
-unsafe fn waker_wake(p: *const ()) {
-    // SAFETY: `wake` consumes the waker, so its strong count is ours to
-    // turn back into the `Rc` it came from; dropped at the end of scope.
-    let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
-    cell.ready.push(Runnable::Task(cell.id));
-}
+    unsafe fn waker_clone(p: *const ()) -> RawWaker {
+        let p = p.cast::<WakeCell>();
+        // SAFETY: `p` is the `Rc::into_raw` pointer of a live waker (the
+        // caller holds one), so the cell is alive for this borrow.
+        unsafe { &*p }.ready.assert_owner();
+        // SAFETY: as above; the extra strong count belongs to the new waker.
+        unsafe { Rc::increment_strong_count(p) };
+        RawWaker::new(p.cast(), &TASK_WAKER)
+    }
 
-unsafe fn waker_wake_by_ref(p: *const ()) {
-    // SAFETY: the caller still holds the waker, so the cell outlives this
-    // borrow; no count changes hands.
-    let cell = unsafe { &*p.cast::<WakeCell>() };
-    cell.ready.push(Runnable::Task(cell.id));
-}
+    unsafe fn waker_wake(p: *const ()) {
+        // SAFETY: `wake` consumes the waker, so its strong count is ours to
+        // turn back into the `Rc` it came from; dropped at the end of scope.
+        let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
+        cell.ready.push(Runnable::Task(cell.id));
+    }
 
-unsafe fn waker_drop(p: *const ()) {
-    // SAFETY: the waker being dropped owns one strong count; turning the
-    // pointer back into an `Rc` and dropping it releases exactly that one.
-    let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
-    cell.ready.assert_owner();
+    unsafe fn waker_wake_by_ref(p: *const ()) {
+        // SAFETY: the caller still holds the waker, so the cell outlives this
+        // borrow; no count changes hands.
+        let cell = unsafe { &*p.cast::<WakeCell>() };
+        cell.ready.push(Runnable::Task(cell.id));
+    }
+
+    unsafe fn waker_drop(p: *const ()) {
+        // SAFETY: the waker being dropped owns one strong count; turning the
+        // pointer back into an `Rc` and dropping it releases exactly that one.
+        let cell = unsafe { Rc::from_raw(p.cast::<WakeCell>()) };
+        cell.ready.assert_owner();
+    }
 }
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
@@ -423,7 +430,7 @@ impl Kernel {
                 tasks.push(TaskSlot {
                     future: None,
                     name: None,
-                    waker: task_waker(id, &self.ready),
+                    waker: waker::task_waker(id, &self.ready),
                 });
                 id
             }
@@ -936,12 +943,15 @@ mod tests {
         }
     }
 
+    #[allow(unsafe_code)]
     fn strong_count(w: &Waker) -> usize {
-        assert!(std::ptr::eq(w.vtable(), &TASK_WAKER));
+        assert!(std::ptr::eq(w.vtable(), &waker::TASK_WAKER));
         // SAFETY: a waker with this vtable carries an `Rc<WakeCell>`
         // pointer; the `Rc` rebuilt here is never dropped, so the count
         // it reads is left as it was.
-        let rc = std::mem::ManuallyDrop::new(unsafe { Rc::from_raw(w.data().cast::<WakeCell>()) });
+        let rc = std::mem::ManuallyDrop::new(unsafe {
+            Rc::from_raw(w.data().cast::<waker::WakeCell>())
+        });
         Rc::strong_count(&rc)
     }
 

@@ -23,6 +23,9 @@
 //! Simulated *data is real*: higher layers really move bytes between real
 //! buffers at event time; only durations come from cost models.
 
+// Futures are polled here, and only here (the workspace `clippy.toml`).
+#![allow(clippy::disallowed_methods)]
+
 pub mod cache;
 pub mod cpu;
 pub mod exec;

@@ -14,6 +14,8 @@
 //! registered tenant costs: its six CSH rings allocate their slots on
 //! first push, so registration pays for ring headers only (DESIGN.md §18).
 
+#![allow(unsafe_code)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;

@@ -3,10 +3,12 @@
 //!
 //! Everything else in the repository runs on the deterministic simulator;
 //! this test exercises the identical `Ring` type under genuine OS-thread
-//! concurrency: many producers acquiring slots with CAS, one consumer.
+//! concurrency: many producers acquiring slots with CAS, one consumer; and
+//! two consumers taking turns through the ring's consumer claim.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use copier::core::Ring;
 use copier_testkit::TestRng;
@@ -145,22 +147,86 @@ fn randomized_interleavings_preserve_ring_contract() {
     }
 }
 
+/// One producer, two consumer threads, 200 000 values through 64 slots.
+/// `pop` is safe on a shared ring, so two consumers must each take a value
+/// whole or not at all: no value comes out twice, none is lost, each
+/// consumer sees the producer's order, and the producer never finds a ring
+/// full that the consumers have drained (a `tail` stored backwards would
+/// leave it full for good). A stall of 10 s counts as a wedge.
+#[test]
+fn two_consumers_take_each_value_once() {
+    const N: u64 = 200_000;
+    const STALL: Duration = Duration::from_secs(10);
+    let ring: Arc<Ring<u64>> = Arc::new(Ring::new(64));
+    let taken = Arc::new(AtomicU64::new(0));
+    let consumers: Vec<_> = (0..2)
+        .map(|_| {
+            let (ring, taken) = (Arc::clone(&ring), Arc::clone(&taken));
+            std::thread::spawn(move || {
+                let (mut got, mut idle) = (Vec::new(), Instant::now());
+                while taken.load(Ordering::Relaxed) < N && idle.elapsed() < STALL {
+                    if let Some(v) = ring.pop() {
+                        got.push(v);
+                        taken.fetch_add(1, Ordering::Relaxed);
+                        idle = Instant::now();
+                    } else {
+                        std::thread::yield_now();
+                    }
+                }
+                got
+            })
+        })
+        .collect();
+    let mut since = Instant::now();
+    for v in 0..N {
+        while ring.push(v).is_err() {
+            let n = taken.load(Ordering::Relaxed);
+            assert!(
+                since.elapsed() < STALL,
+                "producer wedged at {v} with {n} taken"
+            );
+            std::thread::yield_now();
+        }
+        since = Instant::now();
+    }
+    let mut all = Vec::new();
+    for h in consumers {
+        let got = h.join().unwrap();
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "a consumer saw values out of order"
+        );
+        all.extend(got);
+    }
+    all.sort_unstable();
+    let dups = all.windows(2).filter(|w| w[0] == w[1]).count();
+    assert_eq!(dups, 0, "{dups} values came out twice");
+    assert_eq!(all.len() as u64, N, "values lost");
+    assert!(ring.pop().is_none());
+}
+
 #[test]
 fn descriptor_visible_across_threads() {
-    // The descriptor contract: a consumer thread marking segments is
-    // observed by a producer-side csync poll (release/acquire pairing).
-    use copier::core::SegDescriptor;
+    // The descriptor contract: a consumer thread marking segments, then
+    // poisoning the descriptor, is observed by a producer-side csync poll
+    // (release/acquire pairing).
+    use copier::core::{CopyFault, SegDescriptor};
     let d = Arc::new(SegDescriptor::new(64 * 1024, 1024));
     let d2 = Arc::clone(&d);
     let marker = std::thread::spawn(move || {
         for i in 0..64 {
             d2.mark(i);
         }
+        d2.poison(CopyFault::Corrupted);
     });
     // Spin until fully ready; must terminate (no lost marks).
     while !d.all_ready() {
         std::hint::spin_loop();
     }
+    while d.fault().is_none() {
+        std::hint::spin_loop();
+    }
     marker.join().unwrap();
     assert_eq!(d.ready_segments(), 64);
+    assert_eq!(d.fault(), Some(CopyFault::Corrupted));
 }
