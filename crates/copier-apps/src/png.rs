@@ -107,25 +107,11 @@ impl CachedFile {
                 src_space: Some(Rc::clone(&os.kspace)),
                 ..Default::default()
             };
-            let submitted = proc
-                .lib()
-                .kernel_amemcpy(core, buf, self.kva, self.len, opts)
-                .await;
-            if submitted.is_err() {
-                // Overloaded: the page-cache read degrades to a
-                // synchronous kernel→user copy (§4.6 fallback).
-                sync_copy(
-                    core,
-                    &os.cost,
-                    CpuCopyKind::Erms,
-                    &proc.space,
-                    buf,
-                    &os.kspace,
-                    self.kva,
-                    self.len,
-                )
+            // Overloaded: the page-cache read degrades to a synchronous
+            // kernel→user copy (§4.6 fallback).
+            let lib = proc.lib();
+            lib.kernel_amemcpy_or_copy(core, buf, self.kva, self.len, opts)
                 .await?;
-            }
         } else {
             sync_copy(
                 core,

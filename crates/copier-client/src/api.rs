@@ -18,7 +18,7 @@ use copier_core::{
     SegDescriptor, SyncTask,
 };
 use copier_hw::{CostModel, CpuCopyKind};
-use copier_mem::{AddressSpace, VirtAddr};
+use copier_mem::{AddressSpace, MemError, VirtAddr};
 use copier_sim::{Again, Core, Nanos};
 
 use crate::pool::DescriptorPool;
@@ -157,9 +157,9 @@ impl CopierHandle {
     /// The control-plane shard serving this client (DESIGN.md §17):
     /// always 0 on an unsharded service. Purely observational — the
     /// library never routes by shard; the service stamps ownership at
-    /// registration/adoption from the address-space hash.
+    /// registration/adoption from this same address-space hash.
     pub fn shard(&self) -> usize {
-        self.client.shard.get()
+        self.service().shard_of_space(self.uspace.id())
     }
 
     /// Submission doorbell: marks this client active on its shard so the
@@ -392,6 +392,29 @@ impl CopierHandle {
         let copied = self.submit(Via::Kernel, core, dst, src, len, opts).await;
         self.plant_barrier(core, &set).await;
         copied
+    }
+
+    /// [`Self::kernel_amemcpy`] with the kernel's §4.6 fallback: when no
+    /// copy was queued, the caller's core copies synchronously (ERMS)
+    /// between `opts`' spaces and the result is `Ok(None)`, the bytes
+    /// already in place; `opts.func` never runs then.
+    pub async fn kernel_amemcpy_or_copy(
+        self: &Rc<Self>,
+        core: &Rc<Core>,
+        dst: VirtAddr,
+        src: VirtAddr,
+        len: usize,
+        opts: AmemcpyOpts,
+    ) -> Result<Option<Rc<SegDescriptor>>, MemError> {
+        let space = |s: &Option<Rc<AddressSpace>>| Rc::clone(s.as_ref().unwrap_or(&self.uspace));
+        let (dst_space, src_space) = (space(&opts.dst_space), space(&opts.src_space));
+        if let Ok(d) = self.kernel_amemcpy(core, dst, src, len, opts).await {
+            return Ok(Some(d));
+        }
+        let kind = CpuCopyKind::Erms;
+        let cost = &self.cost;
+        crate::syncops::sync_copy(core, cost, kind, &dst_space, dst, &src_space, src, len).await?;
+        Ok(None)
     }
 
     /// The one submission path behind [`Self::try_amemcpy`],

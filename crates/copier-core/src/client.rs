@@ -340,7 +340,8 @@ pub struct Client {
     /// the service at registration/adoption from the deterministic hash of
     /// the client's address-space id; 0 at one shard. Every
     /// drain/schedule/finalize touch of this client happens on its shard.
-    pub shard: Cell<usize>,
+    /// Only `service/aggregates.rs` reads it.
+    pub(crate) shard: crate::service::ShardStamp,
     /// Registration sequence number (DESIGN.md §18): stamped by the
     /// service at registration *and* adoption from a monotone counter, so
     /// iterating clients in `reg_seq` order is exactly their shard's list
@@ -370,7 +371,7 @@ impl Client {
             inflight_bytes: Cell::new(0),
             pinned: Cell::new(0),
             epoch: Cell::new(0),
-            shard: Cell::new(0),
+            shard: Default::default(),
             reg_seq: Cell::new(0),
             marks: Default::default(),
         })

@@ -115,8 +115,9 @@ pub struct CopierConfig {
     /// Verification failures attributed to a DMA channel before it is
     /// quarantined like a hard death (0 disables corruption quarantine).
     pub corrupt_quarantine_threshold: u32,
-    /// Scrubber cadence: one registered chunk is re-digested every this
-    /// many scheduling rounds (0 disables the scrubber walk).
+    /// Scrubber cadence, per shard: each shard re-digests one chunk of its
+    /// own clients' regions every this many of its rounds (0 disables the
+    /// scrubber walk).
     pub scrub_period: u64,
     /// Number of control-plane shards (DESIGN.md §17) — one service
     /// thread each, so it must equal the number of cores the service is

@@ -4,33 +4,33 @@
 //! trace-hash sums. Each is a type whose fields only this module can
 //! write, with an `audit` that recomputes it from scratch;
 //! [`Copier::audit_aggregates`] is their conjunction.
-//! `CopierConfig::full_sweep` — the reference behaviour every aggregate is
-//! tested against — is read here and nowhere else in the service: under it
-//! the min-vruntime is a scan on every read, the assignment list is every
-//! client the shard owns, and the hashes are recomputed each traced round.
+//! `CopierConfig::full_sweep`, the reference every aggregate is tested
+//! against, is read here and nowhere else in the service: under it the
+//! min-vruntime is a scan on every read, the assignment every client the
+//! shard owns, and the hashes are recomputed each traced round.
 
 use std::cell::{Cell, Ref, RefCell, RefMut};
 use std::collections::BTreeMap;
-use std::ptr;
 use std::rc::Rc;
 
 use copier_sim::trace::{fnv_fold, FNV_OFFSET};
 use copier_sim::Core;
 
+use super::scrub::Scrub;
 use super::{ControlObs, Copier, CopierStats};
 use crate::client::Client;
 use crate::config::CopierConfig;
 use crate::sched::{min_live_vruntime, vruntime_before};
 
 /// One control-plane shard's private state (DESIGN.md §17): its core, its
-/// clients and what it keeps about them. The hot counters (the admitted
-/// bytes, the stats row) are written only by the owning shard
-/// during its round; the one cross-shard value, the `peer_min_vr` mirror,
+/// clients and what it keeps about them, written only by the owning shard
+/// during its round. The one cross-shard value, the `peer_min_vr` mirror,
 /// is rewritten for every shard by the last arriver at the round barrier,
-/// in shard-id order — the deterministic "message round". Reads of
-/// cross-shard state therefore never observe a peer mid-round, which is
+/// in shard-id order, so no read of it observes a peer mid-round: that is
 /// what keeps N-shard runs bit-reproducible from a seed.
 pub(super) struct ShardState {
+    /// This shard's index: its trace frames' shard and its clients' stamp.
+    pub(super) id: usize,
     /// The dedicated core this shard's service thread runs on.
     pub(super) core: Rc<Core>,
     /// The clients this shard owns (by space hash, for their lifetime),
@@ -40,25 +40,36 @@ pub(super) struct ShardState {
     /// latch over the shard's share of the watermarks.
     pub(super) admit: AdmitLatch,
     /// Wrap-safe minimum live vruntime across every *other* shard as of
-    /// the last barrier (`None`: peers have no live clients). Keeps the
-    /// least-served admission exemption global without scanning peer
-    /// client lists mid-round.
+    /// the last barrier (`None`: peers have no live clients), so the
+    /// least-served exemption is global without a scan of peer lists.
     pub(super) peer_min_vr: Cell<Option<u64>>,
-    /// Monotone per-shard round counter: round identity in the
-    /// record/replay trace. Counts every traced poll round, active or
-    /// idle — idle rounds emit nothing thanks to lazy headers.
+    /// Monotone per-shard round counter, the round identity in the trace:
+    /// every traced poll round, active or idle (an idle one emits nothing).
     pub(super) round_no: Cell<u64>,
-    /// This shard's share of every counter: written through
-    /// [`Self::count`] by the thread doing the work, read only by the fold
-    /// in `stats.rs` and by this shard's own round hashes.
+    /// This shard's share of every counter, written through [`Self::count`];
+    /// only the fold in `stats.rs` and its own round hashes read it.
     row: RefCell<CopierStats>,
     pub(super) active: ActiveSet,
     min_vr: MinVr,
     /// This shard's cgroup vruntimes by cgroup id, charged for the bytes it
-    /// serves and read by its own round order. The default cgroup's slot
-    /// is there from the start: a first charge allocates nothing.
+    /// serves and read by its round order; the default cgroup's is preset.
     group_vr: RefCell<Vec<u64>>,
     pub(super) hashes: HashSums,
+    /// The regions its clients registered for background scrubbing.
+    pub(super) scrub: Scrub,
+}
+
+/// A client's shard stamp (DESIGN.md §17): the index of the shard that owns
+/// it, set at registration and adoption. Only this file reads it: a shard
+/// reaches its clients through its list, never by comparing stamps.
+#[derive(Default)]
+pub(crate) struct ShardStamp(Cell<usize>);
+
+impl ShardStamp {
+    /// Stamps the owning shard's index.
+    pub(super) fn set(&self, idx: usize) {
+        self.0.set(idx);
+    }
 }
 
 /// The service-wide registration order, stamped at registration and at
@@ -84,7 +95,9 @@ impl ShardState {
         let q = &cfg.admission;
         cores
             .into_iter()
-            .map(|core| ShardState {
+            .enumerate()
+            .map(|(id, core)| ShardState {
+                id,
                 core,
                 clients: RefCell::default(),
                 admit: AdmitLatch::new(share(q.global_low_bytes), share(q.global_high_bytes)),
@@ -104,6 +117,7 @@ impl ShardState {
                 // One thread owns all of a shard's clients, so nothing
                 // touches a client behind the round that marked it dirty.
                 hashes: HashSums::new(cfg.tracer.is_some() && !sweep),
+                scrub: Scrub::default(),
             })
             .collect()
     }
@@ -142,8 +156,8 @@ impl ShardState {
     }
 
     /// A reaped client leaves the shard's list, the active set, the cached
-    /// min-vruntime and the hash sums. `was_dead`: an earlier reap already
-    /// took it out of all four.
+    /// min-vruntime, the hash sums and the scrub walk. `was_dead`: an
+    /// earlier reap already took it out of all five.
     pub(super) fn leave(&self, client: &Rc<Client>, was_dead: bool) {
         self.clients.borrow_mut().retain(|c| !Rc::ptr_eq(c, client));
         self.active.deactivate(client);
@@ -151,6 +165,7 @@ impl ShardState {
             self.min_vr.reap(client.copied_total.get());
         }
         self.hashes.forget(client);
+        self.scrub.forget(client);
         self.active.bump_epoch();
     }
 
@@ -202,12 +217,13 @@ impl ShardState {
         self.min_vr.get(self.owned().iter())
     }
 
-    /// Membership (every listed client live and stamped with this shard
-    /// of `shards`, `reg_seq` strictly increasing), then each aggregate.
-    fn audit(&self, shards: &[ShardState]) -> Result<(), String> {
+    /// Membership (every listed client live and stamped with this shard,
+    /// `reg_seq` strictly increasing), then each aggregate.
+    fn audit(&self) -> Result<(), String> {
         let owned = self.owned();
-        let mine = |c: &Client| shards.get(c.shard.get()).is_some_and(|s| ptr::eq(s, self));
-        let stray = owned.iter().find(|c| c.dead.get() || !mine(c));
+        let stray = owned
+            .iter()
+            .find(|c| c.dead.get() || c.shard.0.get() != self.id);
         let twice = owned.windows(2).find(|w| w[0].reg_seq >= w[1].reg_seq);
         match (stray, twice) {
             (Some(c), _) => Err(format!("client {} reaped or misstamped", c.id)),
@@ -697,7 +713,7 @@ fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
 impl Copier {
     /// The state of the shard that owns `client`.
     pub(super) fn shard_of(&self, client: &Client) -> &ShardState {
-        &self.shards[client.shard.get()]
+        &self.shards[client.shard.0.get()]
     }
 
     /// Inserts `client` into its shard's active set and marks its
@@ -731,16 +747,15 @@ impl Copier {
     }
 
     /// The `(pending, index, stats)` state hashes closing an active
-    /// traced round of shard `idx`: its clients' sums, and the fold of
+    /// traced round of shard `sh`: its clients' sums, and the fold of
     /// its admitted bytes and its share of [`Copier::shard_stats`]
     /// continued over the service's stats.
     /// Closing every shard round with these is what lets replay
     /// divergence localize to a `(shard, round)` pair instead of
     /// "somewhere this generation".
-    pub(super) fn round_hashes(&self, idx: usize) -> (u64, u64, u64) {
-        let sh = &self.shards[idx];
+    pub(super) fn round_hashes(&self, sh: &ShardState) -> (u64, u64, u64) {
         let (hp, hx) = sh.hashes.sums(sh.owned().iter());
-        let (copied, completed, active) = self.shard_stats(idx);
+        let (copied, completed, active) = self.shard_stats(sh.id);
         let hs = [sh.admit.bytes(), copied, completed, active]
             .into_iter()
             .fold(FNV_OFFSET, fnv_fold);
@@ -769,11 +784,8 @@ impl Copier {
     /// under delta-folded hashing — the hash sums after a refold. Test
     /// instrumentation; returns the first discrepancy. Host-side only.
     pub fn audit_aggregates(&self) -> Result<(), String> {
-        let audit = |(i, sh): (usize, &ShardState)| {
-            sh.audit(&self.shards)
-                .map_err(|e| format!("shard {i}: {e}"))
-        };
-        self.shards.iter().enumerate().try_for_each(audit)
+        let audit = |sh: &ShardState| sh.audit().map_err(|e| format!("shard {}: {e}", sh.id));
+        self.shards.iter().try_for_each(audit)
     }
 }
 
@@ -979,7 +991,7 @@ mod tests {
         adopted.shard_of(&clients[0]).join(&clients[0]);
         fails(&adopted, "twice");
         let stale = service(4);
-        let (c, stamp) = (&clients[1], clients[1].shard.get());
+        let (c, stamp) = (&clients[1], clients[1].shard.0.get());
         c.shard.set((stamp + 1) % 4);
         stale.shard_of(c).join(c);
         c.shard.set(stamp);

@@ -50,7 +50,7 @@ impl Copier {
         // Descriptor state transition for the record/replay trace: one
         // TaskDone per window entry, in finalization order.
         self.temit(
-            client.shard.get(),
+            self.shard_of(client),
             TraceEvent::TaskDone {
                 tid: e.tid,
                 fault: fault_code,

@@ -73,7 +73,7 @@ impl Copier {
     fn admit_traced(&self, client: &Rc<Client>, t: &CopyTask) -> bool {
         let admitted = self.admit(client, t);
         self.temit(
-            client.shard.get(),
+            self.shard_of(client),
             TraceEvent::Admit {
                 client: client.id,
                 len: t.len as u64,

@@ -173,7 +173,7 @@ impl Copier {
         // window-entry pins, but no successor ever adopts when the crash
         // lands as the run winds down (tenants fail fast on a dead
         // service), and nothing else would unpin these frames.
-        if self.maybe_crash(client.shard.get(), CrashPoint::MidDispatch) {
+        if self.maybe_crash(self.shard_of(client), CrashPoint::MidDispatch) {
             return self.drain_batch_pins(client, sel);
         }
         if !planned.is_empty() {
@@ -195,7 +195,7 @@ impl Copier {
         // copied intervals recorded) but nothing finalized — no handler,
         // no credit, no Complete record. Adoption finds these entries
         // finished and settles them exactly once.
-        if self.maybe_crash(client.shard.get(), CrashPoint::PreFinalize) {
+        if self.maybe_crash(self.shard_of(client), CrashPoint::PreFinalize) {
             return self.drain_batch_pins(client, sel);
         }
         self.finalize_finished(client, sel);

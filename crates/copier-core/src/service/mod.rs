@@ -59,10 +59,9 @@ use crate::journal::{Journal, JournalStats, Recovered};
 use crate::sched::Scheduler;
 use crate::task::TaskId;
 
-pub(crate) use aggregates::Marks;
+pub(crate) use aggregates::{Marks, ShardStamp};
 use aggregates::{RegSeq, ShardState};
 use barrier::RoundBarrier;
-use scrub::ScrubRegion;
 pub use stats::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, CopierStats};
 
 /// The asynchronous-copy OS service.
@@ -101,14 +100,6 @@ pub struct Copier {
     /// What journal replay reconstructed at construction; consumed by
     /// [`Copier::adopt_client`] for digest reconciliation.
     recovered: RefCell<Option<Recovered>>,
-    /// Regions under background scrub (§integrity).
-    scrub: RefCell<Vec<ScrubRegion>>,
-    /// Scrub cadence counter. Deliberately not `round_no`: that one only
-    /// advances when tracing is on, and the walker must pace identically
-    /// either way.
-    scrub_tick: Cell<u64>,
-    /// Walk resume position (chunk index across all regions).
-    scrub_pos: Cell<usize>,
     /// Monotone registration sequence feeding [`Client::reg_seq`].
     next_reg: RegSeq,
 }
@@ -192,9 +183,6 @@ impl Copier {
             epoch: Cell::new(epoch),
             journal,
             recovered: RefCell::new(recovered),
-            scrub: RefCell::new(Vec::new()),
-            scrub_tick: Cell::new(0),
-            scrub_pos: Cell::new(0),
             next_reg: RegSeq::default(),
         })
     }
@@ -259,10 +247,10 @@ impl Copier {
         self.awaken();
     }
 
-    /// Emits a trace event attributed to `shard`.
-    fn temit(&self, shard: usize, ev: TraceEvent) {
+    /// Emits a trace event attributed to shard `sh`.
+    fn temit(&self, sh: &ShardState, ev: TraceEvent) {
         if let Some(t) = &self.cfg.tracer {
-            t.emit_on(shard as u32, ev);
+            t.emit_on(sh.id as u32, ev);
         }
     }
 
@@ -332,12 +320,12 @@ impl Copier {
         self.recovered.borrow().clone()
     }
 
-    /// Shard `idx` consults the crash oracle at `point`; on fire, this
+    /// Shard `sh` consults the crash oracle at `point`; on fire, this
     /// incarnation dies on the spot: every thread exits at its next check,
     /// no further journal flush happens (beyond what the point itself
     /// implies), and recovery is left to a successor service over the same
     /// store.
-    fn maybe_crash(&self, idx: usize, point: CrashPoint) -> bool {
+    fn maybe_crash(&self, sh: &ShardState, point: CrashPoint) -> bool {
         let Some(plan) = &self.cfg.fault_plan else {
             return false;
         };
@@ -346,7 +334,7 @@ impl Copier {
         }
         self.crashed.set(true);
         self.stopping.set(true);
-        self.shards[idx].count().crashes += 1;
+        sh.count().crashes += 1;
         self.wake.notify_all();
         // A crashed shard never reaches its next barrier; peers parked
         // there must be released to observe `stopping` and die too.

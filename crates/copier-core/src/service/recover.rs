@@ -72,13 +72,6 @@ impl Copier {
         // when the process's address space is torn down.
         self.atcache.purge(&client.uspace);
         sh.leave(client, was_dead);
-        // The dead client's scrub registrations go with it: any queued
-        // heal task was just reaped above (poisoned `Aborted`, pins
-        // released through finalize), and the walker must not keep
-        // digesting — or re-healing — memory nobody owns anymore.
-        self.scrub
-            .borrow_mut()
-            .retain(|r| !Rc::ptr_eq(&r.owner, client));
         sh.count().orphans_reclaimed += reclaimed;
         // The reaped client's Complete records become durable right away
         // so a crash after the reap never resurrects its tasks.

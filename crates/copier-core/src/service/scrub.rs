@@ -1,11 +1,13 @@
 //! Background integrity: scrub-registered regions, the bit-rot oracle and
-//! the walker that heals what it finds from a replica (DESIGN.md §16).
+//! the walker that heals what it finds from a replica (DESIGN.md §16). A
+//! region lives on its client's shard, which alone rots, walks and heals it.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use copier_mem::{AddressSpace, VirtAddr};
 
+use super::aggregates::ShardState;
 use super::Copier;
 use crate::client::Client;
 use crate::descriptor::{CopyFault, SegDescriptor};
@@ -15,9 +17,9 @@ use crate::task::{CopyTask, Handler, QueueEntry};
 /// (pinned I/O buffers, journaled state): the walker re-digests one chunk
 /// per `scrub_period` rounds against the golden digests taken at
 /// registration and heals rot from the replica.
-pub(super) struct ScrubRegion {
+struct ScrubRegion {
     /// Its client; reaping the client drops the region.
-    pub(super) owner: Rc<Client>,
+    owner: Rc<Client>,
     space: Rc<AddressSpace>,
     /// The guarded range.
     primary: VirtAddr,
@@ -35,72 +37,43 @@ pub(super) struct ScrubRegion {
     healing: Vec<Rc<Cell<bool>>>,
 }
 
-impl Copier {
-    /// Round step 0, on shard 0: one oracle rot draw per round (zero PRNG
-    /// draws unless `rot_prob` is enabled, so rot-free runs are
-    /// byte-identical), then the scrub walker. Both are host-side — no
-    /// virtual time is charged; heal copies enter the ordinary queues and
-    /// pace like any other submission. It runs *before* the round's
-    /// assignment snapshot so a heal push (which activates its owner) is
-    /// drained this round.
-    pub(super) fn background_integrity(self: &Rc<Self>) {
-        if let Some(plan) = &self.cfg.fault_plan {
-            if let Some(p) = plan.decide_rot() {
-                self.inject_rot(p);
-            }
-        }
-        if self.cfg.scrub_period > 0 && !self.scrub.borrow().is_empty() {
-            let t = self.scrub_tick.get() + 1;
-            self.scrub_tick.set(t);
-            if t.is_multiple_of(self.cfg.scrub_period) {
-                self.scrub_walk();
-            }
-        }
+/// A shard's background integrity: the regions its clients registered,
+/// its walk cadence and where the walk resumes. Only the owning shard's
+/// round step 0 walks it; `ShardState::leave` drops a reaped client's
+/// regions.
+#[derive(Default)]
+pub(super) struct Scrub {
+    regions: RefCell<Vec<ScrubRegion>>,
+    /// Cadence counter, in this shard's rounds. Deliberately not
+    /// `round_no`: that one only advances when tracing is on, and the
+    /// walker must pace identically either way.
+    tick: Cell<u64>,
+    /// Walk resume position (chunk index across this shard's regions).
+    pos: Cell<usize>,
+}
+
+impl Scrub {
+    /// Whether the shard guards no region.
+    pub(super) fn is_empty(&self) -> bool {
+        self.regions.borrow().is_empty()
     }
 
-    /// Registers a long-lived region for background scrubbing
-    /// (§integrity). `primary` is the guarded range; `replica` holds the
-    /// same bytes and is what heal copies source from when the walker
-    /// finds rot. Golden per-chunk digests are taken now, full-coverage
-    /// (stride 1) — the whole point of the scrubber is catching damage
-    /// anywhere in the extent. Digesting is host-side only.
-    pub fn register_scrub_region(
-        &self,
-        client: &Rc<Client>,
-        space: &Rc<AddressSpace>,
-        primary: VirtAddr,
-        replica: VirtAddr,
-        len: usize,
-        chunk: usize,
-    ) {
-        let chunk = chunk.max(1).min(len.max(1));
-        let n = len.div_ceil(chunk).max(1);
-        let mut golden = Vec::with_capacity(n);
-        for i in 0..n {
-            let off = i * chunk;
-            let clen = chunk.min(len - off);
-            golden.push(space.extent_digest(primary.add(off), clen, true));
-        }
-        self.scrub.borrow_mut().push(ScrubRegion {
-            owner: Rc::clone(client),
-            space: Rc::clone(space),
-            primary,
-            replica,
-            len,
-            chunk,
-            golden,
-            dead: (0..n).map(|_| Cell::new(false)).collect(),
-            healing: (0..n).map(|_| Rc::new(Cell::new(false))).collect(),
-        });
+    /// Drops `client`'s regions: any queued heal task was reaped with its
+    /// windows (poisoned `Aborted`, pins released through finalize), and
+    /// the walker must not keep digesting — or re-healing — memory nobody
+    /// owns anymore.
+    pub(super) fn forget(&self, client: &Rc<Client>) {
+        let mut regions = self.regions.borrow_mut();
+        regions.retain(|r| !Rc::ptr_eq(&r.owner, client));
     }
 
     /// Applies one oracle-drawn bit-rot event: `pos` selects a bit
-    /// uniformly across all registered primaries. The draw was already
-    /// consumed (and traced) by the oracle, so the event lands — or
-    /// no-ops, when nothing is registered or the page is unmapped —
+    /// uniformly across this shard's registered primaries. The draw was
+    /// already consumed (and traced) by the oracle, so the event lands —
+    /// or no-ops, when nothing is registered or the page is unmapped —
     /// without touching determinism.
     fn inject_rot(&self, pos: u64) {
-        let regions = self.scrub.borrow();
+        let regions = self.regions.borrow();
         let total_bits: u64 = regions.iter().map(|r| r.len as u64 * 8).sum();
         if total_bits == 0 {
             return;
@@ -125,6 +98,70 @@ impl Copier {
             return;
         }
     }
+}
+
+impl Copier {
+    /// Round step 0, on every shard over its own regions: one oracle rot
+    /// draw per round (zero PRNG draws unless `rot_prob` is enabled, so
+    /// rot-free runs are byte-identical), then the scrub walker every
+    /// `scrub_period` of the shard's rounds. Both are host-side — no
+    /// virtual time is charged; heal copies enter the ordinary queues and
+    /// pace like any other submission. It runs *before* the round's
+    /// assignment snapshot so a heal push (which activates its owner, a
+    /// client of this shard) is drained this round.
+    pub(super) fn background_integrity(self: &Rc<Self>, sh: &ShardState) {
+        let scrub = &sh.scrub;
+        if let Some(plan) = &self.cfg.fault_plan {
+            if let Some(p) = plan.decide_rot() {
+                scrub.inject_rot(p);
+            }
+        }
+        if self.cfg.scrub_period > 0 && !scrub.is_empty() {
+            let t = scrub.tick.get() + 1;
+            scrub.tick.set(t);
+            if t.is_multiple_of(self.cfg.scrub_period) {
+                self.scrub_walk(sh);
+            }
+        }
+    }
+
+    /// Registers a long-lived region for background scrubbing
+    /// (§integrity). `primary` is the guarded range; `replica` holds the
+    /// same bytes and is what heal copies source from when the walker
+    /// finds rot. Golden per-chunk digests are taken now, full-coverage
+    /// (stride 1) — the whole point of the scrubber is catching damage
+    /// anywhere in the extent. Digesting is host-side only. The region is
+    /// filed with `client`'s shard, which walks it.
+    pub fn register_scrub_region(
+        &self,
+        client: &Rc<Client>,
+        space: &Rc<AddressSpace>,
+        primary: VirtAddr,
+        replica: VirtAddr,
+        len: usize,
+        chunk: usize,
+    ) {
+        let chunk = chunk.max(1).min(len.max(1));
+        let n = len.div_ceil(chunk).max(1);
+        let mut golden = Vec::with_capacity(n);
+        for i in 0..n {
+            let off = i * chunk;
+            let clen = chunk.min(len - off);
+            golden.push(space.extent_digest(primary.add(off), clen, true));
+        }
+        let regions = &self.shard_of(client).scrub.regions;
+        regions.borrow_mut().push(ScrubRegion {
+            owner: Rc::clone(client),
+            space: Rc::clone(space),
+            primary,
+            replica,
+            len,
+            chunk,
+            golden,
+            dead: (0..n).map(|_| Cell::new(false)).collect(),
+            healing: (0..n).map(|_| Rc::new(Cell::new(false))).collect(),
+        });
+    }
 
     /// One scrubber step: re-digests the next live chunk and, on
     /// mismatch, queues a heal copy from the replica through the
@@ -132,13 +169,13 @@ impl Copier {
     /// shed-able copy task like any other, not a privileged side channel.
     /// A rotted chunk whose replica is also damaged is unrepairable: its
     /// range is remembered as `Corrupted` taint and retired.
-    fn scrub_walk(self: &Rc<Self>) {
-        let regions = self.scrub.borrow();
+    fn scrub_walk(self: &Rc<Self>, sh: &ShardState) {
+        let regions = sh.scrub.regions.borrow();
         let total: usize = regions.iter().map(|r| r.golden.len()).sum();
         if total == 0 {
             return;
         }
-        let mut pos = self.scrub_pos.get() % total;
+        let mut pos = sh.scrub.pos.get() % total;
         for _ in 0..total {
             let (ri, ci) = {
                 let mut p = pos;
@@ -157,10 +194,10 @@ impl Copier {
             if r.dead[ci].get() || r.healing[ci].get() {
                 continue;
             }
-            self.scrub_pos.set(pos);
+            sh.scrub.pos.set(pos);
             let off = ci * r.chunk;
             let clen = r.chunk.min(r.len - off);
-            self.shards[0].count().scrub_chunks += 1;
+            sh.count().scrub_chunks += 1;
             if r.space.extent_digest(r.primary.add(off), clen, true) == r.golden[ci] {
                 return;
             }
@@ -170,7 +207,7 @@ impl Copier {
                 return;
             };
             if r.space.extent_digest(r.replica.add(off), clen, true) != r.golden[ci] {
-                self.shards[0].count().scrub_unrepairable += 1;
+                sh.count().scrub_unrepairable += 1;
                 r.dead[ci].set(true);
                 let lo = r.primary.add(off).0;
                 self.remember_taint(
@@ -186,16 +223,19 @@ impl Copier {
             let descr = Rc::new(SegDescriptor::new(clen, self.cfg.segment));
             r.healing[ci].set(true);
             let healing = Rc::clone(&r.healing[ci]);
-            let me = Rc::downgrade(self);
+            let (me, owner) = (Rc::downgrade(self), Rc::downgrade(client));
             let d2 = Rc::clone(&descr);
-            // The heal is counted where its handler runs: on the owner's
-            // shard, which finalizes it.
-            let owner_shard = client.shard.get();
+            // The heal is counted where its handler runs: on the shard that
+            // finalizes it, its owner's. A crashed incarnation counts
+            // nothing (a successor that adopted the task may run another
+            // shard count).
             let func = Handler::KFunc(Rc::new(move || {
                 healing.set(false);
                 if d2.fault().is_none() {
-                    if let Some(svc) = me.upgrade() {
-                        svc.shards[owner_shard].count().scrub_heals += 1;
+                    if let (Some(svc), Some(c)) = (me.upgrade(), owner.upgrade()) {
+                        if !svc.has_crashed() {
+                            svc.shard_of(&c).count().scrub_heals += 1;
+                        }
                     }
                 }
             }));

@@ -6,9 +6,9 @@ use std::rc::Rc;
 
 use copier_hw::{PlannedCopy, ProgressFn};
 use copier_sim::trace::TraceEvent;
-use copier_sim::{Again, Core, CrashPoint, Nanos, Tracer};
+use copier_sim::{Again, CrashPoint, Nanos, Tracer};
 
-use super::aggregates::Assigned;
+use super::aggregates::{Assigned, ShardState};
 use super::execute::{mark_progress, ByTid, PlanScratch};
 use super::select::Selected;
 use super::Copier;
@@ -108,7 +108,8 @@ impl Copier {
         /// Scheduler latency to wake a parked Copier thread (kthread
         /// wakeup).
         const WAKE_LATENCY: Nanos = Nanos(700);
-        let core = Rc::clone(&self.shards[idx].core);
+        let sh = &self.shards[idx];
+        let core = &sh.core;
         let idle = Rc::new(Idle::default());
         let quiet = self.quiet_predicate(idx, &idle);
         // Per-thread round scratch: the dispatch progress list is cleared
@@ -140,12 +141,11 @@ impl Copier {
                 core.advance(WAKE_LATENCY).await;
                 continue;
             }
-            let did = self.round(idx, &core, &mut scratch).await;
+            let did = self.round(sh, &mut scratch).await;
             if did {
-                self.shards[idx].count().busy_rounds += 1;
+                sh.count().busy_rounds += 1;
             }
-            idle.empty_at
-                .set(self.shards[idx].active.empty_at(&scratch.assigned));
+            idle.empty_at.set(sh.active.empty_at(&scratch.assigned));
             let arrival = self.barrier.arrive(did, &self.stopping, || self.exchange());
             if arrival.await {
                 // Some shard did work this generation: everyone keeps
@@ -157,7 +157,7 @@ impl Copier {
             }
             // The idle poll, and every one after it that `quiet` answers
             // at its boundary without waking this task.
-            self.shards[idx].count().idle_polls += 1;
+            sh.count().idle_polls += 1;
             core.spin(self.cost.poll_idle, &quiet).await;
             idle.streak.set(idle.streak.get() + 1);
             let (spin_rounds, park_timeout) = self.idle_budget();
@@ -201,42 +201,40 @@ impl Copier {
         let (me, idle) = (Rc::downgrade(self), Rc::clone(idle));
         Rc::new(move |at| {
             me.upgrade()
-                .is_some_and(|svc| svc.quiet_poll(idx, &idle, at))
+                .is_some_and(|svc| svc.quiet_poll(&svc.shards[idx], &idle, at))
         })
     }
 
     /// Whether the idle poll that would start at `at` is one more of the
     /// spell: the loop would not park, and the round it runs first would
     /// do nothing and draw nothing — a lone shard (no barrier to meet),
-    /// no fault plan or scrub region (no draw, no walk), an open gate, no
-    /// stop (a crash stops too), spin budget left, and nobody assigned
-    /// since the last real round. If so, books what that loop iteration books, with no
-    /// virtual time: the streak, the settled round (its traced frame,
-    /// which stays empty and writes nothing) and the idle poll.
-    fn quiet_poll(&self, idx: usize, idle: &Idle, at: Nanos) -> bool {
+    /// no fault plan and no scrub region on this shard (no draw, no
+    /// walk), an open gate, no stop (a crash stops too), spin budget left,
+    /// and nobody assigned since the last real round. If so, books what
+    /// that loop iteration books, with no virtual time: the streak, the
+    /// settled round (its traced frame, which stays empty and writes
+    /// nothing) and the idle poll.
+    fn quiet_poll(&self, sh: &ShardState, idle: &Idle, at: Nanos) -> bool {
         #[cfg(test)]
         if ONE_POLL_SPELLS.with(Cell::get) {
             return false;
         }
         let quiet = self.barrier.lone()
             && self.cfg.fault_plan.is_none()
-            && self.scrub.borrow().is_empty()
+            && sh.scrub.is_empty()
             && !self.gate_closed()
             && !self.stopping.get()
             && idle.streak.get() < self.idle_budget().0
-            && idle
-                .empty_at
-                .get()
-                .is_some_and(|ep| self.shards[idx].active.still_at(ep));
+            && idle.empty_at.get().is_some_and(|ep| sh.active.still_at(ep));
         if !quiet {
             return false;
         }
         idle.streak.set(idle.streak.get() + 1);
         if let Some(tracer) = &self.cfg.tracer {
-            self.begin_traced_round(tracer, idx, at);
-            self.end_traced_round(tracer, idx);
+            self.begin_traced_round(tracer, sh, at);
+            self.end_traced_round(tracer, sh);
         }
-        let mut row = self.shards[idx].count();
+        let mut row = sh.count();
         row.rounds_settled += 1;
         row.idle_polls += 1;
         true
@@ -251,57 +249,45 @@ impl Copier {
     /// appends periodic physical-memory digests. The tracer is host-side
     /// bookkeeping only — no virtual time is charged, so traced and
     /// untraced runs have identical timelines.
-    async fn round(
-        self: &Rc<Self>,
-        idx: usize,
-        core: &Rc<Core>,
-        scratch: &mut RoundScratch,
-    ) -> bool {
+    async fn round(self: &Rc<Self>, sh: &ShardState, scratch: &mut RoundScratch) -> bool {
         let Some(tracer) = self.cfg.tracer.clone() else {
-            return self.round_inner(idx, core, scratch).await;
+            return self.round_inner(sh, scratch).await;
         };
-        self.begin_traced_round(&tracer, idx, self.h.now());
-        let did = self.round_inner(idx, core, scratch).await;
-        self.end_traced_round(&tracer, idx);
+        self.begin_traced_round(&tracer, sh, self.h.now());
+        let did = self.round_inner(sh, scratch).await;
+        self.end_traced_round(&tracer, sh);
         did
     }
 
-    /// Opens shard `idx`'s next traced round at `at`.
-    fn begin_traced_round(&self, tracer: &Tracer, idx: usize, at: Nanos) {
-        let sh = &self.shards[idx];
+    /// Opens shard `sh`'s next traced round at `at`.
+    fn begin_traced_round(&self, tracer: &Tracer, sh: &ShardState, at: Nanos) {
         let round_no = sh.round_no.get() + 1;
         sh.round_no.set(round_no);
-        tracer.begin_shard_round(idx as u32, round_no, at.as_nanos());
+        tracer.begin_shard_round(sh.id as u32, round_no, at.as_nanos());
     }
 
-    /// Closes shard `idx`'s traced round: its state hashes if it emitted
+    /// Closes shard `sh`'s traced round: its state hashes if it emitted
     /// anything, then a memory digest when one is due.
-    fn end_traced_round(&self, tracer: &Tracer, idx: usize) {
-        if tracer.end_shard_round(idx as u32, || self.round_hashes(idx)) {
+    fn end_traced_round(&self, tracer: &Tracer, sh: &ShardState) {
+        if tracer.end_shard_round(sh.id as u32, || self.round_hashes(sh)) {
             tracer.record_mem(self.pm.digest());
         }
     }
 
-    async fn round_inner(
-        self: &Rc<Self>,
-        idx: usize,
-        core: &Rc<Core>,
-        scratch: &mut RoundScratch,
-    ) -> bool {
+    async fn round_inner(self: &Rc<Self>, sh: &ShardState, scratch: &mut RoundScratch) -> bool {
         /// Copier-core nanoseconds charged per drained queue entry.
         const DRAIN_COST_NS: u64 = 25;
-        // 0. Background integrity (§integrity).
-        if idx == 0 {
-            self.background_integrity();
-        }
+        let core = &sh.core;
+        // 0. Background integrity (§integrity), over this shard's regions.
+        self.background_integrity(sh);
         // Stage-boundary refreshes below re-run the epoch check so a
         // client that joins or is activated mid-round (a push landing
         // during an await) is drained by the later stages.
-        self.shards[idx].assign(&mut scratch.assigned);
+        sh.assign(&mut scratch.assigned);
         // This round may mutate any assigned client's hashed state;
         // clients activated mid-round are marked by their doorbell.
         for c in scratch.assigned.clients.iter() {
-            self.shards[idx].hashes.mark_dirty(c);
+            sh.hashes.mark_dirty(c);
         }
         // 1. Drain queues into windows, once: a round never waits for a
         // batch to form. What lands while it executes is the next round's
@@ -311,20 +297,20 @@ impl Copier {
             core.advance(Nanos(DRAIN_COST_NS * drained as u64)).await;
         }
         // 2. Sync queues (k-mode before u-mode, §4.2.2).
-        self.shards[idx].assign(&mut scratch.assigned);
+        sh.assign(&mut scratch.assigned);
         let synced = self.serve_syncs(&scratch.assigned.clients);
         if synced > 0 {
             core.advance(Nanos(DRAIN_COST_NS * synced as u64)).await;
         }
         if drained + synced > 0 {
             self.temit(
-                idx,
+                sh,
                 TraceEvent::Drained {
                     copies: drained as u64,
                     syncs: synced as u64,
                 },
             );
-            if !self.admissions_durable(idx) {
+            if !self.admissions_durable(sh) {
                 return true;
             }
         }
@@ -335,10 +321,10 @@ impl Copier {
         // paid once per slice however little the least-served client had
         // queued. Nothing drained or charged while the round runs re-ranks
         // it; that is the next round's.
-        self.shards[idx].assign(&mut scratch.assigned);
+        sh.assign(&mut scratch.assigned);
         order_into(
             &scratch.assigned.clients,
-            &self.shards[idx].group_vr(),
+            &sh.group_vr(),
             self.h.now(),
             self.cfg.lazy_period,
             &mut scratch.order,
@@ -357,10 +343,7 @@ impl Copier {
             if !client.has_work(now, self.cfg.lazy_period) {
                 continue;
             }
-            self.temit(
-                client.shard.get(),
-                TraceEvent::SchedPick { client: client.id },
-            );
+            self.temit(sh, TraceEvent::SchedPick { client: client.id });
             // 4. Select a batch from what is left of the slice. A client
             // with nothing selectable (over its pin quota, head entry
             // hazard-blocked) spends none of it.
@@ -382,9 +365,9 @@ impl Copier {
             }
         }
         if acted {
-            self.shards[idx].count().rounds_active += 1;
+            sh.count().rounds_active += 1;
         } else {
-            self.shards[idx].count().rounds_settled += 1;
+            sh.count().rounds_settled += 1;
         }
         // Completion records staged by finalize become durable at round
         // end; a crash inside `execute` loses them and the tasks replay
@@ -392,7 +375,7 @@ impl Copier {
         if acted && !self.crashed.get() {
             self.journal_flush();
         }
-        self.shards[idx].settle(&mut scratch.assigned);
+        sh.settle(&mut scratch.assigned);
         acted || drained + synced > 0
     }
 
@@ -400,18 +383,18 @@ impl Copier {
     /// flush before any of their bytes can move, so a journaled-but-absent
     /// task is never one with partial undigested progress. False when the
     /// incarnation crashed at one of the two crash points on the way.
-    fn admissions_durable(&self, idx: usize) -> bool {
+    fn admissions_durable(&self, sh: &ShardState) -> bool {
         // Crash point: after draining, before the admissions became
         // durable — the staged Admit records die with this incarnation,
         // so adoption drops the entries undelivered and the library
         // resubmits them.
-        if self.maybe_crash(idx, CrashPoint::MidDrain) {
+        if self.maybe_crash(sh, CrashPoint::MidDrain) {
             return false;
         }
         // Crash point: mid-journal-flush — staged records reach the store
         // but the final one is torn halfway, exercising the replayer's
         // torn-tail truncation.
-        if self.maybe_crash(idx, CrashPoint::MidJournalFlush) {
+        if self.maybe_crash(sh, CrashPoint::MidJournalFlush) {
             if let Some(j) = &self.journal {
                 j.flush_torn();
             }
@@ -451,7 +434,7 @@ mod tests {
             CopierConfig::default(),
         );
         let mut scratch = RoundScratch::new(&svc);
-        let round = std::mem::size_of_val(&svc.round(0, &core, &mut scratch));
+        let round = std::mem::size_of_val(&svc.round(&svc.shards[0], &mut scratch));
         let shard_loop = std::mem::size_of_val(&Rc::clone(&svc).shard_loop(0));
         println!("future sizes: round {round} B, shard_loop {shard_loop} B");
         assert!(round <= ROUND_MAX, "round future {round} B > {ROUND_MAX}");

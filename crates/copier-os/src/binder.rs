@@ -95,37 +95,29 @@ impl BinderChannel {
         };
         self.cursor.set(offset + len);
         let dst = self.kbuf.add(offset);
-        let mut submitted = None;
-        if mode == IoMode::Copier {
+        let descr = if mode == IoMode::Copier {
             let opts = AmemcpyOpts {
                 dst_space: Some(Rc::clone(&self.os.kspace)),
                 ..Default::default()
             };
-            // Overload falls through to the synchronous path below — the
-            // transaction still happens, just without async offload
-            // (§4.6 break-even fallback).
-            submitted = client
-                .lib()
-                .kernel_amemcpy(core, dst, va, len, opts)
-                .await
-                .ok();
-        }
-        let descr = match submitted {
-            Some(d) => Some(d),
-            None => {
-                copier_client::sync_copy(
-                    core,
-                    &self.os.cost,
-                    CpuCopyKind::Erms,
-                    &self.os.kspace,
-                    dst,
-                    &client.space,
-                    va,
-                    len,
-                )
-                .await?;
-                None
-            }
+            // Overload degrades to the synchronous copy — the transaction
+            // still happens, just without async offload (§4.6 break-even
+            // fallback).
+            let lib = client.lib();
+            lib.kernel_amemcpy_or_copy(core, dst, va, len, opts).await?
+        } else {
+            copier_client::sync_copy(
+                core,
+                &self.os.cost,
+                CpuCopyKind::Erms,
+                &self.os.kspace,
+                dst,
+                &client.space,
+                va,
+                len,
+            )
+            .await?;
+            None
         };
         // Driver bookkeeping + server thread scheduling overlap the copy.
         core.advance(BINDER_DRIVER_WORK).await;

@@ -215,7 +215,10 @@ impl NetStack {
             if let Some(d) = descr {
                 while !d.all_ready() {
                     if d.fault().is_some() {
-                        return; // dropped packet on faulted copy
+                        // Dropped packet on a faulted copy: nothing will
+                        // transmit this skb, so it is freed here.
+                        me.free_skb(&skb);
+                        return;
                     }
                     h.sleep(Nanos(200)).await;
                 }
@@ -338,24 +341,11 @@ impl NetStack {
                     dst_space: Some(Rc::clone(&self.os.kspace)),
                     ..Default::default()
                 };
-                let submitted = proc
-                    .lib()
-                    .kernel_amemcpy(core, skb.kva, va, len, opts)
-                    .await;
-                let Ok(d) = submitted else {
-                    // Overloaded: degrade this send to the synchronous
-                    // kernel copy (§4.6) — the packet still goes out.
-                    sync_copy(
-                        core,
-                        &self.os.cost,
-                        CpuCopyKind::Erms,
-                        &self.os.kspace,
-                        skb.kva,
-                        &proc.space,
-                        va,
-                        len,
-                    )
-                    .await?;
+                // Overloaded: the send degrades to the synchronous kernel
+                // copy (§4.6) — the packet still goes out.
+                let lib = proc.lib();
+                let copied = lib.kernel_amemcpy_or_copy(core, skb.kva, va, len, opts);
+                let Some(d) = copied.await? else {
                     core.advance(NET_PROC).await;
                     self.transmit(sock, skb);
                     return Ok(SendHandle::Plain);
@@ -500,26 +490,14 @@ impl NetStack {
                     src_space: Some(Rc::clone(&self.os.kspace)),
                     ..Default::default()
                 };
-                match lib.kernel_amemcpy(core, va, skb.kva, len, opts).await {
-                    Ok(d) => Ok((len, Some(d))),
-                    Err(_) => {
-                        // Overloaded: deliver synchronously (§4.6). The
-                        // KFUNC never runs — free the skb here instead.
-                        sync_copy(
-                            core,
-                            &self.os.cost,
-                            CpuCopyKind::Erms,
-                            &proc.space,
-                            va,
-                            &self.os.kspace,
-                            skb.kva,
-                            len,
-                        )
-                        .await?;
-                        self.free_skb(&skb);
-                        Ok((len, None))
-                    }
+                // Overloaded: delivered synchronously (§4.6). The KFUNC
+                // never runs then — the skb is freed here instead.
+                let copied = lib.kernel_amemcpy_or_copy(core, va, skb.kva, len, opts);
+                let d = copied.await?;
+                if d.is_none() {
+                    self.free_skb(&skb);
                 }
+                Ok((len, d))
             }
         }
     }
@@ -643,6 +621,26 @@ mod tests {
             svc.stop();
         });
         sim.run();
+    }
+
+    /// A Copier send from an unmapped buffer faults its kernel copy; the
+    /// packet is dropped, and its skb is unmapped all the same.
+    #[test]
+    fn faulted_copier_send_frees_its_skb() {
+        let (mut sim, os, net) = setup(2, true);
+        let core = os.machine.core(0);
+        let p = os.spawn_process();
+        let (a, _b) = net.socket_pair();
+        let svc = os.copier();
+        sim.spawn("t", async move {
+            let unmapped = VirtAddr(0x7000_0000);
+            let sent = net.send(&core, &p, &a, unmapped, 8 * 1024, IoMode::Copier);
+            sent.await.expect("the send queues a kernel copy");
+            assert!(p.lib().csync_all(&core).await.is_err());
+            svc.stop();
+        });
+        sim.run();
+        assert_eq!(os.kspace.mapped_pages(), 0);
     }
 
     /// A zero-copy recv takes the `Sync` path: the same bytes land in the

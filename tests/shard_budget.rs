@@ -242,7 +242,7 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
     for (t, tenant) in case.tenants.iter().enumerate() {
         let space = space_on(tenant.shard);
         let lib = CopierHandle::new(&svc, Rc::clone(&space));
-        prop_assert_eq!(lib.client.shard.get(), tenant.shard);
+        prop_assert_eq!(lib.shard(), tenant.shard);
         let pool: Vec<(VirtAddr, VirtAddr)> = (0..POOL)
             .map(|b| {
                 let dst = space.mmap(LEN_MAX, Prot::RW, true).unwrap();
@@ -296,7 +296,10 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
     {
         let (svc, h2, over) = (Rc::clone(&svc), h.clone(), Rc::clone(&over_share));
         let at_horizon = Rc::clone(&copied_at_horizon);
-        let clients: Vec<_> = world.iter().map(|w| Rc::clone(&w.lib.client)).collect();
+        let clients: Vec<_> = world
+            .iter()
+            .map(|w| (w.lib.shard(), Rc::clone(&w.lib.client)))
+            .collect();
         let bound = case.share() + LEN_MAX as u64;
         let (share, sentinels) = (case.share(), case.sentinels);
         sim.spawn("sampler", async move {
@@ -312,8 +315,8 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
                 for (s, &bytes) in per.iter().enumerate() {
                     let all_served = clients
                         .iter()
-                        .filter(|c| c.shard.get() == s)
-                        .all(|c| c.copied_total.get() > 0);
+                        .filter(|(shard, _)| *shard == s)
+                        .all(|(_, c)| c.copied_total.get() > 0);
                     armed[s] |= sentinels && all_served && bytes <= share;
                     if armed[s] && bytes > bound && over.get().is_none() {
                         over.set(Some((s, bytes)));
@@ -354,7 +357,7 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
         }
         tenants.push(TenantOut {
             id: w.lib.client.id,
-            shard: w.lib.client.shard.get(),
+            shard: w.lib.shard(),
             served_bytes: w.lib.client.copied_total.get(),
             shed,
             refused: w.refused.get(),

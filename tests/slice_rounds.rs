@@ -399,7 +399,7 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
             .iter()
             .map(|w| ClientInfo {
                 id: w.lib.client.id,
-                shard: w.lib.client.shard.get(),
+                shard: w.lib.shard(),
             })
             .collect(),
     })

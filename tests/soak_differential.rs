@@ -565,16 +565,20 @@ fn crash_adoption_matches_full_sweep() {
     );
 }
 
-/// Tier 3c: an idle client re-activated by service-internal scrub heals
+/// Tier 3c: idle clients re-activated by service-internal scrub heals
 /// (the walker pushes repair copies into the client's kernel queue with
-/// a direct `activate`, no libCopier doorbell) behaves identically on
-/// the fast path. The client submits one burst, settles out of the
-/// active set, then only the scrubber touches it. At four shards the
-/// client is owned by a shard other than 0, where the walker runs, so
-/// every heal reaches it through its ring and doorbell.
+/// a direct `activate`, no libCopier doorbell) behave identically on the
+/// fast path. Each client submits one burst, settles out of the active
+/// set, then only the scrubber touches it. Every shard walks the regions
+/// of its own clients: at two shards each shard owns one scrubbed client,
+/// and at four the one client is owned by a shard other than 0.
 #[test]
 fn scrub_heal_reactivates_idle_clients_identically() {
-    fn run_scrub(seed: u64, shards: usize, full_sweep: bool) -> (Vec<u64>, u64, u64) {
+    /// Bytes each client copies in its burst.
+    const BURST: u64 = 4 * 8 * 1024;
+    /// `(stats, end, (primary digest, copied_total) per client)`.
+    type ScrubRun = (Vec<u64>, u64, Vec<(u64, u64)>);
+    fn run_scrub(seed: u64, shards: usize, clients: usize, full_sweep: bool) -> ScrubRun {
         let mut sim = Sim::new();
         let h = sim.handle();
         let machine = Machine::new(&h, 1 + shards);
@@ -596,45 +600,55 @@ fn scrub_heal_reactivates_idle_clients_identically() {
                 ..Default::default()
             },
         );
-        let proc = loop {
-            let proc = os.spawn_process();
-            if shards == 1 || proc.lib().shard() > 0 {
-                break proc;
+        // One client per shard it lands on, skipping shard 0 while there
+        // are more shards than clients.
+        let mut libs: Vec<Rc<CopierHandle>> = Vec::new();
+        while libs.len() < clients {
+            let lib = os.spawn_process().lib();
+            let shard = lib.shard();
+            if (shards == clients || shard > 0) && libs.iter().all(|l| l.shard() != shard) {
+                libs.push(lib);
             }
-        };
-        let lib = proc.lib();
-        let uspace = Rc::clone(&lib.uspace);
+        }
 
         let region = 16 * 1024usize;
-        let primary = uspace.mmap(region, Prot::RW, true).unwrap();
-        let replica = uspace.mmap(region, Prot::RW, true).unwrap();
-        let golden = pattern(7, 0, seed, region);
-        uspace.write_bytes(primary, &golden).unwrap();
-        uspace.write_bytes(replica, &golden).unwrap();
-        lib.register_scrub(primary, replica, region, 4 * 1024);
-
-        let lib2 = Rc::clone(&lib);
-        let svc2 = Rc::clone(&svc);
-        let h2 = h.clone();
-        let core = os.machine.core(0);
         let len = 8 * 1024usize;
-        let src = uspace.mmap(len, Prot::RW, true).unwrap();
-        let dst = uspace.mmap(len, Prot::RW, true).unwrap();
-        uspace.write_bytes(src, &pattern(1, 0, seed, len)).unwrap();
+        let mut work = Vec::new();
+        for (i, lib) in libs.iter().enumerate() {
+            let uspace = &lib.uspace;
+            let primary = uspace.mmap(region, Prot::RW, true).unwrap();
+            let replica = uspace.mmap(region, Prot::RW, true).unwrap();
+            let golden = pattern(7, i, seed, region);
+            uspace.write_bytes(primary, &golden).unwrap();
+            uspace.write_bytes(replica, &golden).unwrap();
+            lib.register_scrub(primary, replica, region, 4 * 1024);
+            let src = uspace.mmap(len, Prot::RW, true).unwrap();
+            let dst = uspace.mmap(len, Prot::RW, true).unwrap();
+            uspace.write_bytes(src, &pattern(1, i, seed, len)).unwrap();
+            work.push((Rc::clone(lib), primary, src, dst));
+        }
+
+        let (svc2, h2, core) = (Rc::clone(&svc), h.clone(), os.machine.core(0));
+        let bursts: Vec<_> = work
+            .iter()
+            .map(|(l, _, s, d)| (Rc::clone(l), *s, *d))
+            .collect();
         sim.spawn("client", async move {
-            // One burst, then idle: the client settles out of the active
-            // set and only scrub heals re-activate it while the walker
-            // keeps ticking on the park-timeout re-polls.
-            for _ in 0..4 {
-                if lib2
-                    ._amemcpy(&core, dst, src, len, AmemcpyOpts::default())
-                    .await
-                    .is_err()
-                {
-                    break;
-                }
-                if lib2.csync(&core, dst, len).await.is_err() {
-                    break;
+            // One burst each, then idle: the clients settle out of the
+            // active set and only scrub heals re-activate them while the
+            // walkers keep ticking on the park-timeout re-polls.
+            for (lib, src, dst) in bursts {
+                for _ in 0..4 {
+                    if lib
+                        ._amemcpy(&core, dst, src, len, AmemcpyOpts::default())
+                        .await
+                        .is_err()
+                    {
+                        break;
+                    }
+                    if lib.csync(&core, dst, len).await.is_err() {
+                        break;
+                    }
                 }
             }
             h2.sleep(Nanos(2_000_000)).await;
@@ -647,25 +661,39 @@ fn scrub_heal_reactivates_idle_clients_identically() {
 
         // The final primary contents race the per-round rot oracle (a rot
         // can land after the last heal), so the heal outcome is asserted
-        // through the scrub counters instead of buffer purity; the buffer
-        // state still participates in the fast==full equality through the
-        // stats vector and end time.
-        let s = svc.stats();
-        let mut primary_now = vec![0u8; region];
-        uspace.read_bytes(primary, &mut primary_now).unwrap();
-        let dig = fnv_bytes(FNV_OFFSET, &primary_now);
-        (stats_to_vec(&s), end.as_nanos(), dig)
+        // through the scrub counters and the heal bytes each client was
+        // charged instead of buffer purity; the buffer state still
+        // participates in the fast==full equality.
+        let per_client = work
+            .iter()
+            .map(|(lib, primary, _, _)| {
+                let mut now = vec![0u8; region];
+                lib.uspace.read_bytes(*primary, &mut now).unwrap();
+                (fnv_bytes(FNV_OFFSET, &now), lib.client.copied_total.get())
+            })
+            .collect();
+        (stats_to_vec(&svc.stats()), end.as_nanos(), per_client)
     }
 
-    for shards in [1, 4] {
+    for (shards, clients) in [(1, 1), (2, 2), (4, 1)] {
         for seed in [0x5C2B_0001u64, 0x5C2B_0002, 0x5C2B_0003, 0x5C2B_0004] {
-            let fast = run_scrub(seed, shards, false);
-            let full = run_scrub(seed, shards, true);
+            let fast = run_scrub(seed, shards, clients, false);
+            let full = run_scrub(seed, shards, clients, true);
             let at = format!("seed {seed:#x}, {shards} shard(s)");
             assert!(fast.0.iter().sum::<u64>() > 0, "no service activity ({at})");
             assert_eq!(fast, full, "scrub re-activation diverged ({at})");
-            assert!(fast.0[40] > 0, "scrub walker never ran ({at})");
-            assert!(fast.0[41] > 0, "rot was never healed ({at})");
+            let [chunks, heals, unrepairable] = fast.0[40..43] else {
+                unreachable!()
+            };
+            assert!(chunks > 0, "scrub walker never ran ({at})");
+            assert!(heals > 0, "rot was never healed ({at})");
+            // Every replica is intact, so every rot a walker found was
+            // healed, and each owner's shard healed it: every client was
+            // charged heal copies past its own burst.
+            assert_eq!(unrepairable, 0, "rot left unhealed ({at})");
+            for (i, &(_, copied)) in fast.2.iter().enumerate() {
+                assert!(copied > BURST, "client {i} was never healed ({at})");
+            }
         }
     }
 }
