@@ -10,7 +10,7 @@ use std::rc::Rc;
 
 use copier_client::{sync_copy, AmemcpyOpts};
 use copier_hw::CpuCopyKind;
-use copier_mem::{FrameId, MemError, Prot, VirtAddr, PAGE_SIZE};
+use copier_mem::{MemError, VirtAddr};
 use copier_os::{Os, Process};
 use copier_sim::{Core, Nanos};
 
@@ -74,22 +74,6 @@ pub struct CachedFile {
 }
 
 impl CachedFile {
-    /// Stores `data` into fresh page-cache pages.
-    pub fn create(os: &Rc<Os>, data: &[u8]) -> Result<CachedFile, MemError> {
-        let pages = data.len().div_ceil(PAGE_SIZE).max(1);
-        let first = os.pm.alloc_contiguous(pages)?;
-        let frames: Vec<FrameId> = (0..pages).map(|i| FrameId(first.0 + i as u32)).collect();
-        let kva = os.kspace.map_shared(&frames, Prot::RW)?;
-        for &f in &frames {
-            os.pm.decref(f);
-        }
-        os.kspace.write_bytes(kva, data)?;
-        Ok(CachedFile {
-            kva,
-            len: data.len(),
-        })
-    }
-
     /// `read()`: copies the file into `[buf, buf+len)` — synchronously or
     /// as a kernel Copy Task.
     pub async fn read(
@@ -162,8 +146,25 @@ pub async fn decode_png(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use copier_mem::{FrameId, Prot, PAGE_SIZE};
     use copier_sim::{Machine, Sim, SimRng};
     use std::cell::RefCell;
+
+    /// Stores `data` into fresh page-cache pages.
+    fn cached_file(os: &Rc<Os>, data: &[u8]) -> Result<CachedFile, MemError> {
+        let pages = data.len().div_ceil(PAGE_SIZE).max(1);
+        let first = os.pm.alloc_contiguous(pages)?;
+        let frames: Vec<FrameId> = (0..pages).map(|i| FrameId(first.0 + i as u32)).collect();
+        let kva = os.kspace.map_shared(&frames, Prot::RW)?;
+        for &f in &frames {
+            os.pm.decref(f);
+        }
+        os.kspace.write_bytes(kva, data)?;
+        Ok(CachedFile {
+            kva,
+            len: data.len(),
+        })
+    }
 
     #[test]
     fn filter_unfilter_round_trips() {
@@ -202,7 +203,7 @@ mod tests {
         let out = Rc::new(RefCell::new((Nanos::ZERO, false)));
         let out2 = Rc::clone(&out);
         sim.spawn("decode", async move {
-            let file = CachedFile::create(&os2, &filtered).unwrap();
+            let file = cached_file(&os2, &filtered).unwrap();
             let buf = proc.space.mmap(file.len, Prot::RW, true).unwrap();
             let (decoded, lat) = decode_png(&os2, &core, &proc, &file, buf, width, use_copier)
                 .await

@@ -962,11 +962,6 @@ impl ShmBinding {
         self.descrs.borrow_mut().insert(off as u64, (len, descr));
     }
 
-    /// The region's base address.
-    pub fn base(&self) -> VirtAddr {
-        self.base
-    }
-
     /// Waits until `[off, off+len)` of the shared region is ready.
     pub async fn csync_shm(
         &self,

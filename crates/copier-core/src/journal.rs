@@ -115,8 +115,9 @@ impl JournalStore {
         self.len() == 0
     }
 
-    /// A copy of the raw bytes (tests and tooling).
-    pub fn snapshot(&self) -> Vec<u8> {
+    /// A copy of the raw bytes.
+    #[cfg(test)]
+    pub(crate) fn snapshot(&self) -> Vec<u8> {
         self.bytes.borrow().clone()
     }
 
@@ -406,13 +407,15 @@ impl Journal {
     }
 
     /// Replays raw store bytes into a [`Recovered`] state.
-    pub fn replay(buf: &[u8]) -> Recovered {
+    #[cfg(test)]
+    pub(crate) fn replay(buf: &[u8]) -> Recovered {
         Self::replay_prefix(buf).0
     }
 
-    /// [`Journal::replay`], plus the length of the prefix it replayed: a
-    /// record that is short, fails its checksum or does not parse ends
-    /// replay there, and everything from it on is the torn tail.
+    /// Replays raw store bytes into a [`Recovered`] state, and returns the
+    /// length of the prefix it replayed: a record that is short, fails its
+    /// checksum or does not parse ends replay there, and everything from it
+    /// on is the torn tail.
     fn replay_prefix(buf: &[u8]) -> (Recovered, usize) {
         let mut rec = Recovered::default();
         let mut pos = 0usize;

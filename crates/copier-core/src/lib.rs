@@ -42,6 +42,6 @@ pub use journal::{AdmitRec, Journal, JournalStats, JournalStore, Recovered, Tain
 pub use pendindex::{PendIndex, RangeKind};
 pub use ring::{Ring, RingFull};
 pub use sched::min_live_vruntime;
-pub use sched::{CGroup, RunOrder, Scheduler, DEFAULT_COPY_SLICE};
+pub use sched::{RunOrder, Scheduler, DEFAULT_COPY_SLICE};
 pub use service::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, Copier, CopierStats};
 pub use task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};

@@ -49,8 +49,6 @@ pub struct PendIndex {
     map: RefCell<BTreeMap<RecKey, (u64, Rc<PendEntry>)>>,
     /// High-water mark of indexed range length (bounds query windows).
     max_len: Cell<u64>,
-    /// High-water mark of resident record count.
-    peak: Cell<usize>,
 }
 
 impl PendIndex {
@@ -76,10 +74,6 @@ impl PendIndex {
                 self.max_len.set(len);
             }
         }
-        let n = map.len();
-        if n > self.peak.get() {
-            self.peak.set(n);
-        }
     }
 
     /// Drops a window entry's records (idempotent).
@@ -98,11 +92,6 @@ impl PendIndex {
     /// Whether no records are resident.
     pub fn is_empty(&self) -> bool {
         self.map.borrow().is_empty()
-    }
-
-    /// High-water mark of resident record count.
-    pub fn peak(&self) -> usize {
-        self.peak.get()
     }
 
     /// Visits every record of `kind` in `space` whose range overlaps
@@ -269,7 +258,6 @@ mod tests {
         assert_eq!(dst_tids(&ix, 1, 0x8800, 0x9800), vec![1]);
         ix.remove(&b); // idempotent
         assert_eq!(ix.len(), 4);
-        assert_eq!(ix.peak(), 6);
     }
 
     #[test]

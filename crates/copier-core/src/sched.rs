@@ -150,11 +150,6 @@ impl Scheduler {
         g.len() - 1
     }
 
-    /// The cgroup handle (for inspection).
-    pub fn cgroup(&self, id: usize) -> Rc<CGroup> {
-        Rc::clone(&self.cgroups.borrow()[id])
-    }
-
     /// Charges `bytes` of copy to the client and, in `group_vr` (the
     /// serving thread's table), to its cgroup. The accumulators wrap
     /// (never saturate): saturation would freeze every client at

@@ -115,15 +115,14 @@ impl Copier {
         cfg: CopierConfig,
     ) -> Rc<Self> {
         let dma = cfg.use_dma.then(|| {
-            let d = DmaEngine::with_channels(
+            DmaEngine::new(
                 h,
                 Rc::clone(&pm),
                 Rc::clone(&cost),
                 cfg.dma_channels.max(1),
                 cfg.fault_plan.clone(),
-            );
-            d.set_corruption_threshold(cfg.corrupt_quarantine_threshold);
-            d
+                cfg.corrupt_quarantine_threshold,
+            )
         });
         let dispatcher = Rc::new(Dispatcher::new(
             Rc::clone(&pm),
@@ -195,11 +194,6 @@ impl Copier {
     /// The simulation handle (clients use it for yield-waits).
     pub fn sim_handle(&self) -> SimHandle {
         self.h.clone()
-    }
-
-    /// The physical pool.
-    pub fn phys(&self) -> &Rc<PhysMem> {
-        &self.pm
     }
 
     /// The active configuration.
@@ -312,12 +306,6 @@ impl Copier {
     /// Journal activity counters, if journaling is on.
     pub fn journal_stats(&self) -> Option<JournalStats> {
         self.journal.as_ref().map(|j| j.stats())
-    }
-
-    /// What journal replay reconstructed at construction (`None` when
-    /// journaling is off).
-    pub fn recovered(&self) -> Option<Recovered> {
-        self.recovered.borrow().clone()
     }
 
     /// Shard `sh` consults the crash oracle at `point`; on fire, this

@@ -54,10 +54,6 @@ pub struct CostModel {
     pub dma_chain: Nanos,
     /// CPU time to check/confirm one DMA completion.
     pub dma_complete_check: Nanos,
-    /// Minimum subtask size considered a DMA candidate (§4.3).
-    pub dma_candidate_min: usize,
-    /// Task size at/above which i-piggyback applies (§4.3: 12 KB).
-    pub ipiggyback_min: usize,
     /// Maximum bytes per hardware subtask: larger physically contiguous
     /// pieces are re-chunked so the AVX/DMA split can balance (and real
     /// DMA engines cap per-descriptor transfer sizes anyway).
@@ -74,19 +70,6 @@ pub struct CostModel {
     pub atc_hit: Nanos,
     /// TLB shootdown per remap/unmap operation (zero-copy/zIO tax).
     pub tlb_shootdown: Nanos,
-    /// Bounded-retry limit for transient DMA errors before the dispatcher
-    /// falls back to the CPU path.
-    pub dma_retry_limit: u32,
-    /// Base backoff before resubmitting a transient-failed descriptor;
-    /// doubles per attempt (deterministic exponential backoff).
-    pub dma_retry_backoff: Nanos,
-    /// Completion-wait budget per descriptor, as a multiple of its modeled
-    /// transfer time; past it the dispatcher cancels and falls back.
-    pub dma_wait_budget: u64,
-    /// How long a timeout-injected descriptor stalls the device, as a
-    /// multiple of its modeled transfer time (fault injection only). Must
-    /// comfortably exceed `dma_wait_budget` so cancellation wins the race.
-    pub dma_timeout_stall: u64,
     /// Enqueue of one task into a CSH queue (client side).
     pub task_submit: Nanos,
     /// A csync that finds its segments already complete.
@@ -122,8 +105,6 @@ impl Default for CostModel {
             dma_submit: avx2.cost(1434),
             dma_chain: Nanos(35),
             dma_complete_check: Nanos(30),
-            dma_candidate_min: 4096,
-            ipiggyback_min: 12 * 1024,
             max_subtask: 32 * 1024,
             syscall: Nanos(300),
             context_switch: Nanos(1200),
@@ -131,10 +112,6 @@ impl Default for CostModel {
             pte_walk: Nanos(83),
             atc_hit: Nanos(12),
             tlb_shootdown: Nanos(2000),
-            dma_retry_limit: 3,
-            dma_retry_backoff: Nanos(200),
-            dma_wait_budget: 8,
-            dma_timeout_stall: 64,
             task_submit: Nanos(40),
             csync_hit: Nanos(25),
             poll_idle: Nanos(80),

@@ -112,6 +112,36 @@ pub struct DispatchReport {
 /// (DESIGN.md §12).
 pub const DEFER_MIN_BATCH: usize = 128 * 1024;
 
+/// The smallest subtask that is a DMA candidate: one page. §4.3 makes a
+/// subtask a candidate when it is large enough to amortize a descriptor;
+/// submission (`dma_submit`) costs as much as a 1.4 KB AVX2 copy, so a
+/// page pays for its descriptor about three times over.
+const DMA_CANDIDATE_MIN: usize = 4096;
+
+/// The task size from which a lone task is split between AVX and DMA
+/// (i-piggyback): 12 KB, §4.3.
+const IPIGGYBACK_MIN: usize = 12 * 1024;
+
+/// Resubmissions a transient DMA error gets before the dispatcher falls
+/// back to the CPU. The paper has no figure for this: it is the fault
+/// model's choice (DESIGN.md §10), exercised by `tests/chaos.rs`.
+const DMA_RETRY_LIMIT: u32 = 3;
+
+/// The first resubmission's backoff; it doubles per attempt
+/// (deterministic exponential backoff). The fault model's choice, like
+/// [`DMA_RETRY_LIMIT`].
+const DMA_RETRY_BACKOFF: Nanos = Nanos(200);
+
+/// The wait a descriptor gets, as a multiple of its modeled transfer
+/// time, before the dispatcher cancels it and falls back to the CPU. The
+/// fault model's choice (DESIGN.md §10): far past any honest transfer,
+/// far short of a stalled one ([`crate::dma::DMA_TIMEOUT_STALL`]).
+const DMA_WAIT_BUDGET: u64 = 8;
+
+// A stalled descriptor must outlast the wait budget, so the dispatcher's
+// cancellation always wins the race against the stalled device.
+const _: () = assert!(crate::dma::DMA_TIMEOUT_STALL > DMA_WAIT_BUDGET);
+
 /// Progress notification: `(task_id, offset_within_task, len)`.
 pub type ProgressFn = Rc<dyn Fn(u64, usize, usize)>;
 
@@ -149,11 +179,6 @@ impl Dispatcher {
         self.dma.as_ref()
     }
 
-    /// The cost model in use.
-    pub fn cost_model(&self) -> &Rc<CostModel> {
-        &self.cost
-    }
-
     /// The DMA byte count that lets AVX and DMA finish together on a round
     /// of `total` bytes (§4.3), or `None` where submission overhead is not
     /// worth it: no live channel, or a lone task below the i-piggyback
@@ -165,7 +190,7 @@ impl Dispatcher {
         }
         // Balance against the bytes actually in this round's subtasks.
         let total = batch_bytes(batch);
-        let single_large = batch.len() == 1 && total >= self.cost.ipiggyback_min;
+        let single_large = batch.len() == 1 && total >= IPIGGYBACK_MIN;
         let fused_small = batch.len() > 1;
         (single_large || fused_small).then(|| (total as f64 * self.cost.dma_share()) as usize)
     }
@@ -178,13 +203,13 @@ impl Dispatcher {
     /// of their own when that is still a candidate's worth, which lands
     /// DMA exactly on the target; otherwise it is passed over. So DMA
     /// never carries more than `target + target / 4`, and ends less than
-    /// one `dma_candidate_min` short of `target` unless every candidate
+    /// one [`DMA_CANDIDATE_MIN`] short of `target` unless every candidate
     /// went to it.
     fn plan(&self, batch: &mut [PlannedCopy]) {
         let Some(target) = self.dma_target(batch) else {
             return;
         };
-        let min = self.cost.dma_candidate_min;
+        let min = DMA_CANDIDATE_MIN;
         let mut picked = 0usize;
         for task in batch.iter_mut().rev() {
             for si in (0..task.subtasks.len()).rev() {
@@ -290,7 +315,7 @@ impl Dispatcher {
                         self.cost
                             .dma_transfer(c.subtask.len())
                             .as_nanos()
-                            .saturating_mul(self.cost.dma_wait_budget.max(1)),
+                            .saturating_mul(DMA_WAIT_BUDGET),
                     );
                     let t0 = core_now(core);
                     if !c.is_settled() {
@@ -331,13 +356,12 @@ impl Dispatcher {
                     }
                     let err = c.error().unwrap_or(DmaError::Timeout);
                     if err == DmaError::Transient
-                        && attempts < self.cost.dma_retry_limit
+                        && attempts < DMA_RETRY_LIMIT
                         && dma.live_channels() > 0
                     {
                         attempts += 1;
                         report.retries += 1;
-                        let backoff =
-                            Nanos(self.cost.dma_retry_backoff.as_nanos() << (attempts - 1).min(16));
+                        let backoff = Nanos(DMA_RETRY_BACKOFF.as_nanos() << (attempts - 1).min(16));
                         core.advance(backoff).await;
                         core.advance(self.cost.dma_submit).await;
                         c = submit(dma, task_id, c.subtask, &progress, defer);
@@ -514,7 +538,7 @@ mod tests {
         let Some(target) = d.dma_target(&normalized) else {
             return (subtasks, assign);
         };
-        let min = d.cost.dma_candidate_min;
+        let min = DMA_CANDIDATE_MIN;
         let mut picked = 0usize;
         for ti in (0..subtasks.len()).rev() {
             for si in (0..subtasks[ti].len()).rev() {
@@ -603,7 +627,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let h = sim.handle();
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let task = planned(&pm, 1, 1); // 4 KB < 12 KB i-piggyback floor
         let (_, plan) = planned_by(&d, &[task]);
@@ -616,7 +640,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let h = sim.handle();
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(
             Rc::clone(&pm),
             Rc::clone(&cost),
@@ -651,7 +675,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let h = sim.handle();
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(
             Rc::clone(&pm),
             Rc::clone(&cost),
@@ -680,7 +704,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let h = sim.handle();
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         // 8 KB over two tasks: the balance point is 2.2 KB, below what a
         // descriptor amortizes, and a page would be 1.8 × that.
@@ -751,7 +775,7 @@ mod tests {
     /// split at `max_subtask` as the service splits them: every byte
     /// planned once and in order; DMA carries at most `target + target /
     /// 4`; it ends at `target` or beyond, or less than one
-    /// `dma_candidate_min` short of it, unless every candidate is on it;
+    /// [`DMA_CANDIDATE_MIN`] short of it, unless every candidate is on it;
     /// at most one subtask is cut, and the device gets its tail. And the
     /// plan made in place equals, subtask for subtask and mark for mark,
     /// what [`oracle`] makes of the same batch left whole.
@@ -769,9 +793,9 @@ mod tests {
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
-        let dma = DmaEngine::new(&sim.handle(), Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&sim.handle(), Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(pm, Rc::clone(&cost), Some(dma), VerifyPolicy::Off);
-        let (min, max) = (cost.dma_candidate_min, cost.max_subtask);
+        let (min, max) = (DMA_CANDIDATE_MIN, cost.max_subtask);
         let shrink = |shapes: &Shapes| {
             shrink_vec(shapes, |lens| {
                 shrink_vec(lens, |&len| {
@@ -855,7 +879,7 @@ mod tests {
         let cost = Rc::new(CostModel::default());
         let sim = Sim::new();
         let h = sim.handle();
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Dispatcher::new(Rc::clone(&pm), cost, Some(dma), VerifyPolicy::Off);
         let batch: Vec<PlannedCopy> = (0..4).map(|i| planned(&pm, i, 1)).collect();
         let (_, plan) = planned_by(&d, &batch);
@@ -872,7 +896,7 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let m = Machine::new(&h, 1);
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Rc::new(Dispatcher::new(
             Rc::clone(&pm),
             cost,
@@ -931,7 +955,7 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let m = Machine::new(&h, 1);
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
         let d = Rc::new(Dispatcher::new(
             Rc::clone(&pm),
             cost,
@@ -992,7 +1016,7 @@ mod tests {
             dma_flip_prob: 1.0,
             ..Default::default()
         });
-        let dma = DmaEngine::with_channels(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan));
+        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan), 2);
         let eng = Rc::clone(&dma);
         let d = Rc::new(Dispatcher::new(Rc::clone(&pm), cost, Some(dma), policy));
         let task = split_pages(planned(&pm, 3, 16));
@@ -1085,7 +1109,8 @@ mod tests {
             let mut sim = Sim::new();
             let h = sim.handle();
             let m = Machine::new(&h, 1);
-            let dma = with_dma.then(|| DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost)));
+            let dma =
+                with_dma.then(|| DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2));
             let d = Rc::new(Dispatcher::new(
                 Rc::clone(&pm),
                 cost,

@@ -115,24 +115,11 @@ struct Descriptor {
     deferred: bool,
 }
 
-/// Statistics of the engine since creation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DmaStats {
-    /// Descriptors completed.
-    pub transfers: u64,
-    /// Bytes moved by the device.
-    pub bytes: u64,
-    /// Total device busy time (successful transfers).
-    pub busy: Nanos,
-    /// Descriptors that failed (any [`DmaError`]) or were discarded after
-    /// cancellation.
-    pub failed: u64,
-    /// Descriptors whose landed bytes were silently damaged by an
-    /// injected corruption draw (the transfer still reported `Done`).
-    /// Only draws that actually changed bytes count — a misdirect that
-    /// rotates a uniform payload onto itself is a physical no-op.
-    pub corrupted: u64,
-}
+/// How long a timeout-injected descriptor stalls the device, as a multiple
+/// of its modeled transfer time (fault injection only). The fault model's
+/// choice (DESIGN.md §10); the dispatcher's wait budget must be shorter,
+/// which it asserts at compile time.
+pub(crate) const DMA_TIMEOUT_STALL: u64 = 64;
 
 struct Channel {
     queue: Chan<Descriptor>,
@@ -144,79 +131,62 @@ struct Channel {
 
 /// The simulated DMA engine.
 pub struct DmaEngine {
-    pm: Rc<PhysMem>,
-    cost: Rc<CostModel>,
     channels: Vec<Rc<Channel>>,
     next: Cell<usize>,
-    stats: Rc<Cell<DmaStats>>,
     /// Verified-corruption strikes after which a channel is quarantined
     /// (0 disables corruption-driven quarantine).
-    corrupt_threshold: Cell<u32>,
+    corrupt_threshold: u32,
     /// Channels quarantined by corruption strikes (disjoint from hard
     /// deaths, which flip `Channel::dead` directly).
     corrupt_quarantined: Cell<u64>,
 }
 
 /// Applies one silent-corruption decision to the *landed* destination
-/// bytes. Returns whether any byte actually changed (a misdirect can
-/// rotate a uniform payload onto itself).
-fn apply_corruption(pm: &PhysMem, st: &SubTask, c: SilentCorruption) -> bool {
+/// bytes. A misdirect that rotates a uniform payload onto itself writes
+/// nothing.
+fn apply_corruption(pm: &PhysMem, st: &SubTask, c: SilentCorruption) {
     let len = st.len();
-    if len == 0 {
-        return false;
-    }
     match c {
-        SilentCorruption::BitFlip { pos } => {
+        SilentCorruption::BitFlip { pos } if len > 0 => {
             let bit = (pos % (len as u64 * 8)) as usize;
             let mut byte = [0u8];
             pm.read_run(st.dst.frame, st.dst.off + bit / 8, &mut byte);
             byte[0] ^= 1 << (bit % 8);
             pm.write_run(st.dst.frame, st.dst.off + bit / 8, &byte);
-            true
         }
-        SilentCorruption::Misdirect { shift } => {
-            if len < 2 {
-                return false;
-            }
+        SilentCorruption::Misdirect { shift } if len >= 2 => {
             let s = 1 + (shift % (len as u64 - 1)) as usize;
             let mut buf = vec![0u8; len];
             pm.read_run(st.dst.frame, st.dst.off, &mut buf);
             let before = buf.clone();
             buf.rotate_right(s);
-            if buf == before {
-                return false;
+            if buf != before {
+                pm.write_run(st.dst.frame, st.dst.off, &buf);
             }
-            pm.write_run(st.dst.frame, st.dst.off, &buf);
-            true
         }
+        _ => {}
     }
 }
 
-fn fail(d: &Descriptor, err: DmaError, stats: &Cell<DmaStats>) {
+fn fail(d: &Descriptor, err: DmaError) {
     d.completion.state.set(State::Failed(err));
     d.completion.notify.notify_all();
-    let mut s = stats.get();
-    s.failed += 1;
-    stats.set(s);
 }
 
 impl DmaEngine {
-    /// Creates a healthy single-channel engine (the pre-fault-model shape).
-    pub fn new(h: &SimHandle, pm: Rc<PhysMem>, cost: Rc<CostModel>) -> Rc<Self> {
-        Self::with_channels(h, pm, cost, 1, None)
-    }
-
-    /// Creates an engine with `channels` independent channels and an
-    /// optional fault plan consulted per descriptor.
-    pub fn with_channels(
+    /// Creates an engine with `channels` independent channels, an
+    /// optional fault plan consulted per descriptor, and the count of
+    /// verified-corruption strikes that quarantines a channel (0 never
+    /// does).
+    pub fn new(
         h: &SimHandle,
         pm: Rc<PhysMem>,
         cost: Rc<CostModel>,
         channels: usize,
         plan: Option<Rc<FaultPlan>>,
+        corrupt_threshold: u32,
     ) -> Rc<Self> {
         assert!(channels > 0, "DMA engine needs at least one channel");
-        let stats = Rc::new(Cell::new(DmaStats::default()));
         let chans: Vec<Rc<Channel>> = (0..channels)
             .map(|_| {
                 Rc::new(Channel {
@@ -232,7 +202,6 @@ impl DmaEngine {
             let pm2 = Rc::clone(&pm);
             let cost2 = Rc::clone(&cost);
             let plan2 = plan.clone();
-            let stats2 = Rc::clone(&stats);
             h.spawn(&format!("dma-chan{i}"), async move {
                 loop {
                     let d = match ch.queue.recv().await {
@@ -240,11 +209,11 @@ impl DmaEngine {
                         None => break,
                     };
                     if d.completion.cancelled.get() {
-                        fail(&d, DmaError::Timeout, &stats2);
+                        fail(&d, DmaError::Timeout);
                         continue;
                     }
                     if ch.dead.get() {
-                        fail(&d, DmaError::ChannelDead, &stats2);
+                        fail(&d, DmaError::ChannelDead);
                         continue;
                     }
                     let dur = cost2.dma_transfer(d.st.len());
@@ -255,19 +224,19 @@ impl DmaEngine {
                             // quarantined for good.
                             h2.sleep(Nanos(dur.as_nanos() / 4)).await;
                             ch.dead.set(true);
-                            fail(&d, DmaError::ChannelDead, &stats2);
+                            fail(&d, DmaError::ChannelDead);
                             continue;
                         }
                         Some(DmaFault::Transient) => {
                             h2.sleep(Nanos(dur.as_nanos() / 4)).await;
-                            fail(&d, DmaError::Transient, &stats2);
+                            fail(&d, DmaError::Transient);
                             continue;
                         }
                         Some(DmaFault::Timeout) => {
                             // Stall far beyond the modeled time; the
                             // submitter's wait budget expires long before
                             // this sleep does and cancels the descriptor.
-                            h2.sleep(Nanos(dur.as_nanos().max(1) * cost2.dma_timeout_stall))
+                            h2.sleep(Nanos(dur.as_nanos().max(1) * DMA_TIMEOUT_STALL))
                                 .await;
                         }
                         None => {
@@ -276,7 +245,7 @@ impl DmaEngine {
                         }
                     }
                     if d.completion.cancelled.get() {
-                        fail(&d, DmaError::Timeout, &stats2);
+                        fail(&d, DmaError::Timeout);
                         continue;
                     }
                     copy_extent_pair(&pm2, d.st.dst, d.st.src, d.deferred);
@@ -284,31 +253,21 @@ impl DmaEngine {
                     // lands bytes, *after* the copy — the damage hits the
                     // landed destination, and the descriptor still reports
                     // Done and fires on_done below.
-                    let damaged = plan2
-                        .as_ref()
-                        .and_then(|p| p.decide_corrupt())
-                        .is_some_and(|c| apply_corruption(&pm2, &d.st, c));
+                    if let Some(c) = plan2.as_ref().and_then(|p| p.decide_corrupt()) {
+                        apply_corruption(&pm2, &d.st, c);
+                    }
                     d.completion.state.set(State::Done);
                     d.completion.notify.notify_all();
                     if let Some(cb) = &d.on_done {
                         cb(&d.st);
                     }
-                    let mut s = stats2.get();
-                    s.transfers += 1;
-                    s.bytes += d.st.len() as u64;
-                    s.busy += dur;
-                    s.corrupted += damaged as u64;
-                    stats2.set(s);
                 }
             });
         }
         Rc::new(DmaEngine {
-            pm,
-            cost,
             channels: chans,
             next: Cell::new(0),
-            stats,
-            corrupt_threshold: Cell::new(2),
+            corrupt_threshold,
             corrupt_quarantined: Cell::new(0),
         })
     }
@@ -334,9 +293,6 @@ impl DmaEngine {
             .map(|k| (start + k) % n)
             .find(|&i| !self.channels[i].dead.get());
         let Some(i) = chosen else {
-            let mut s = self.stats.get();
-            s.failed += 1;
-            self.stats.set(s);
             return Rc::new(DmaCompletion {
                 state: Cell::new(State::Failed(DmaError::ChannelDead)),
                 cancelled: Cell::new(false),
@@ -372,12 +328,6 @@ impl DmaEngine {
         self.channels.len() - self.quarantined()
     }
 
-    /// Sets the verified-corruption strike count after which a channel
-    /// is quarantined (0 disables corruption-driven quarantine).
-    pub fn set_corruption_threshold(&self, strikes: u32) {
-        self.corrupt_threshold.set(strikes);
-    }
-
     /// Records one *verified* corruption against `channel` — called by
     /// the dispatcher when digest verification catches a transfer that
     /// reported success with wrong bytes. At the configured threshold
@@ -390,7 +340,7 @@ impl DmaEngine {
         };
         let hits = ch.corrupt_hits.get() + 1;
         ch.corrupt_hits.set(hits);
-        let threshold = self.corrupt_threshold.get();
+        let threshold = self.corrupt_threshold;
         if threshold > 0 && hits >= threshold && !ch.dead.get() {
             ch.dead.set(true);
             self.corrupt_quarantined
@@ -403,21 +353,6 @@ impl DmaEngine {
     /// Channels quarantined because of verified-corruption strikes.
     pub fn corrupt_quarantined(&self) -> u64 {
         self.corrupt_quarantined.get()
-    }
-
-    /// Device statistics.
-    pub fn stats(&self) -> DmaStats {
-        self.stats.get()
-    }
-
-    /// The engine's physical pool (for diagnostics).
-    pub fn phys(&self) -> &Rc<PhysMem> {
-        &self.pm
-    }
-
-    /// The engine's cost model.
-    pub fn cost_model(&self) -> &Rc<CostModel> {
-        &self.cost
     }
 }
 
@@ -454,7 +389,7 @@ mod tests {
         let h = sim.handle();
         let pm = Rc::new(PhysMem::new(8, AllocPolicy::Sequential));
         let cost = Rc::new(CostModel::default());
-        let eng = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
 
         let a = pm.alloc().unwrap();
         let b = pm.alloc().unwrap();
@@ -488,8 +423,6 @@ mod tests {
             assert_eq!(&buf, b"dma payload");
         });
         sim.run();
-        assert_eq!(eng.stats().transfers, 1);
-        assert_eq!(eng.stats().bytes, 11);
     }
 
     #[test]
@@ -498,7 +431,7 @@ mod tests {
         let h = sim.handle();
         let pm = Rc::new(PhysMem::new(8, AllocPolicy::Sequential));
         let cost = Rc::new(CostModel::default());
-        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost);
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 1, None, 2);
         let a = pm.alloc().unwrap();
         let b = pm.alloc().unwrap();
         let log = Rc::new(std::cell::RefCell::new(Vec::new()));
@@ -547,7 +480,7 @@ mod tests {
             dma_hard_prob: 1.0,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 1, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 1, Some(plan), 2);
         let st = subtask(&pm, 256);
         let dst = st.dst.frame;
         let fired = Rc::new(Cell::new(false));
@@ -565,7 +498,6 @@ mod tests {
         assert!(!fired.get(), "on_done must not fire for a failed transfer");
         assert_eq!(eng.quarantined(), 1);
         assert_eq!(eng.live_channels(), 0);
-        assert_eq!(eng.stats().transfers, 0);
         // No bytes landed.
         let mut buf = [0u8; 256];
         pm.read(dst, 0, &mut buf);
@@ -585,7 +517,7 @@ mod tests {
             dma_transient_prob: 0.4,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 1, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 1, Some(plan), 2);
         let st = subtask(&pm, 512);
         let dst = st.dst.frame;
         let eng2 = Rc::clone(&eng);
@@ -601,10 +533,10 @@ mod tests {
                 assert!(resubmits < 32, "transient storm never drains");
             }
             assert!(c.is_done());
+            assert!(resubmits > 0, "the seeded plan fails the first descriptor");
         });
         sim.run();
         assert_eq!(eng.quarantined(), 0);
-        assert!(eng.stats().failed > 0);
         let mut buf = [0u8; 512];
         pm.read(dst, 0, &mut buf);
         assert_eq!(buf[13], 13);
@@ -621,7 +553,7 @@ mod tests {
             dma_timeout_prob: 1.0,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, Some(plan), 2);
         let st = subtask(&pm, 1024);
         let dst = st.dst.frame;
         let fired = Rc::new(Cell::new(false));
@@ -659,7 +591,7 @@ mod tests {
             dma_flip_prob: 1.0,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 1, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 1, Some(plan), 2);
         let st = subtask(&pm, 512);
         let (src, dst) = (st.src.frame, st.dst.frame);
         let fired = Rc::new(Cell::new(false));
@@ -672,7 +604,6 @@ mod tests {
         });
         sim.run();
         assert!(fired.get(), "on_done fires — the device believes it");
-        assert_eq!(eng.stats().corrupted, 1);
         let mut a = [0u8; 512];
         let mut b = [0u8; 512];
         pm.read(src, 0, &mut a);
@@ -692,7 +623,7 @@ mod tests {
             dma_misdirect_prob: 1.0,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 1, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 1, Some(plan), 2);
         let st = subtask(&pm, 256); // non-uniform pattern: rotation must show
         let (src, dst) = (st.src.frame, st.dst.frame);
         let eng2 = Rc::clone(&eng);
@@ -702,7 +633,6 @@ mod tests {
             assert!(c.is_done());
         });
         sim.run();
-        assert_eq!(eng.stats().corrupted, 1);
         let mut a = [0u8; 256];
         let mut b = [0u8; 256];
         pm.read(src, 0, &mut a);
@@ -722,7 +652,7 @@ mod tests {
         let h = sim.handle();
         let pm = Rc::new(PhysMem::new(16, AllocPolicy::Sequential));
         let cost = Rc::new(CostModel::default());
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 2, None);
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 2, None, 2);
         assert!(!eng.note_corruption(0), "first strike is below threshold");
         assert_eq!(eng.live_channels(), 2);
         assert!(eng.note_corruption(0), "second strike retires the channel");
@@ -756,7 +686,7 @@ mod tests {
             dma_hard_prob: 1.0,
             ..Default::default()
         });
-        let eng = DmaEngine::with_channels(&h, Rc::clone(&pm), cost, 2, Some(plan));
+        let eng = DmaEngine::new(&h, Rc::clone(&pm), cost, 2, Some(plan), 2);
         let st0 = subtask(&pm, 128);
         let eng2 = Rc::clone(&eng);
         sim.spawn("driver", async move {

@@ -22,5 +22,5 @@ pub use cost::{CopyCurve, CostModel, CpuCopyKind};
 pub use dispatch::{
     DispatchReport, Dispatcher, PlannedCopy, ProgressFn, VerifyPolicy, DEFER_MIN_BATCH,
 };
-pub use dma::{DmaCompletion, DmaEngine, DmaError, DmaStats};
+pub use dma::{DmaCompletion, DmaEngine, DmaError};
 pub use units::{copy_extent_pair, slice_extents_into, split_subtasks_into, SubTask};

@@ -117,7 +117,6 @@ pub struct PhysMem {
     stale: Cell<usize>,
     /// No frame below this index is free: where `alloc_contiguous` starts.
     lowest_free: Cell<usize>,
-    policy: Cell<AllocPolicy>,
     allocated: Cell<usize>,
     /// Allocated-frame high watermark: at or above, the pool reports
     /// memory pressure (graceful-degradation signal).
@@ -265,7 +264,6 @@ impl PhysMem {
             free: RefCell::new(free),
             stale: Cell::new(0),
             lowest_free: Cell::new(0),
-            policy: Cell::new(policy),
             allocated: Cell::new(0),
             // Default watermarks: pressure at 7/8 of the pool, recovery at
             // 3/4 — headroom for pinned in-flight copies without flapping.
@@ -286,11 +284,6 @@ impl PhysMem {
     /// Frames currently allocated.
     pub fn allocated(&self) -> usize {
         self.allocated.get()
-    }
-
-    /// Current allocation policy.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy.get()
     }
 
     /// Allocates one frame with refcount 1. Its contents are zeroed.

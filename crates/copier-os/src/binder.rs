@@ -31,8 +31,11 @@ pub struct BinderMessage {
     pub offset: usize,
     /// Payload length.
     pub len: usize,
-    /// Copy descriptor (present when the driver used Copier); bound to the
-    /// shared memory per `shm_descr_bind`.
+    /// The descriptor of the driver's kernel copy into the transaction
+    /// buffer (present when the driver used Copier and was not degraded to
+    /// a synchronous copy). It travels with the message; [`Parcel`]
+    /// `_csync`s each read's message-relative range on it. Binder does not
+    /// call `shm_descr_bind`.
     pub descr: Option<Rc<SegDescriptor>>,
 }
 

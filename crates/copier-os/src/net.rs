@@ -91,7 +91,8 @@ pub struct ZcCompletion {
 
 impl ZcCompletion {
     /// Whether the NIC has finished with the pinned pages.
-    pub fn is_done(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_done(&self) -> bool {
         self.done.get()
     }
 
@@ -319,7 +320,8 @@ impl NetStack {
                     va,
                     len,
                 )
-                .await?;
+                .await
+                .inspect_err(|_| self.free_skb(&skb))?;
                 if mode == IoMode::Ub {
                     // Instrumented user-buffer access tax.
                     let tax = self
@@ -345,7 +347,7 @@ impl NetStack {
                 // copy (§4.6) — the packet still goes out.
                 let lib = proc.lib();
                 let copied = lib.kernel_amemcpy_or_copy(core, skb.kva, va, len, opts);
-                let Some(d) = copied.await? else {
+                let Some(d) = copied.await.inspect_err(|_| self.free_skb(&skb))? else {
                     core.advance(NET_PROC).await;
                     self.transmit(sock, skb);
                     return Ok(SendHandle::Plain);
@@ -461,7 +463,8 @@ impl NetStack {
                     skb.kva,
                     len,
                 )
-                .await?;
+                .await
+                .inspect_err(|_| self.free_skb(&skb))?;
                 if mode == IoMode::Ub {
                     let tax = self
                         .os
@@ -493,7 +496,7 @@ impl NetStack {
                 // Overloaded: delivered synchronously (§4.6). The KFUNC
                 // never runs then — the skb is freed here instead.
                 let copied = lib.kernel_amemcpy_or_copy(core, va, skb.kva, len, opts);
-                let d = copied.await?;
+                let d = copied.await.inspect_err(|_| self.free_skb(&skb))?;
                 if d.is_none() {
                     self.free_skb(&skb);
                 }
@@ -638,6 +641,44 @@ mod tests {
             sent.await.expect("the send queues a kernel copy");
             assert!(p.lib().csync_all(&core).await.is_err());
             svc.stop();
+        });
+        sim.run();
+        assert_eq!(os.kspace.mapped_pages(), 0);
+    }
+
+    /// A synchronous send from an unmapped buffer fails its copy into the
+    /// skb; the skb is unmapped all the same.
+    #[test]
+    fn failed_sync_send_frees_its_skb() {
+        let (mut sim, os, net) = setup(1, false);
+        let core = os.machine.core(0);
+        let p = os.spawn_process();
+        let (a, _b) = net.socket_pair();
+        sim.spawn("t", async move {
+            let unmapped = VirtAddr(0x7000_0000);
+            let sent = net.send(&core, &p, &a, unmapped, 8 * 1024, IoMode::Sync);
+            assert!(sent.await.is_err());
+        });
+        sim.run();
+        assert_eq!(os.kspace.mapped_pages(), 0);
+    }
+
+    /// A receive into an unmapped buffer fails its copy out of the skb; the
+    /// message is dropped and its skb unmapped.
+    #[test]
+    fn failed_sync_recv_frees_its_skb() {
+        let (mut sim, os, net) = setup(1, false);
+        let core = os.machine.core(0);
+        let p = os.spawn_process();
+        let (a, b) = net.socket_pair();
+        sim.spawn("t", async move {
+            let tx = p.space.mmap(8 * 1024, Prot::RW, true).unwrap();
+            net.send(&core, &p, &a, tx, 8 * 1024, IoMode::Sync)
+                .await
+                .unwrap();
+            let unmapped = VirtAddr(0x7000_0000);
+            let got = net.recv(&core, &p, &b, unmapped, 8 * 1024, IoMode::Sync);
+            assert!(got.await.is_err());
         });
         sim.run();
         assert_eq!(os.kspace.mapped_pages(), 0);

@@ -12,7 +12,7 @@ use copier_client::CopierHandle;
 use copier_core::Copier;
 use copier_hw::CostModel;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem};
-use copier_sim::{Core, Machine, Nanos, SimHandle};
+use copier_sim::{Core, Machine, SimHandle};
 
 /// A simulated process.
 pub struct Process {
@@ -127,11 +127,6 @@ impl Os {
     /// Charges a context switch.
     pub async fn context_switch(&self, core: &Rc<Core>) {
         core.advance(self.cost.context_switch).await;
-    }
-
-    /// Sleeps in virtual time (helper).
-    pub async fn sleep(&self, d: Nanos) {
-        self.h.sleep(d).await;
     }
 }
 

@@ -68,13 +68,9 @@ impl CacheModel {
         }
     }
 
-    /// Whether the model currently applies.
-    pub fn enabled(&self) -> bool {
-        self.enabled.get()
-    }
-
     /// Current hot-data residency in [0, 1].
-    pub fn residency(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn residency(&self) -> f64 {
         self.residency.get()
     }
 

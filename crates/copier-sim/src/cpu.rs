@@ -68,7 +68,6 @@ struct Sched {
 
 /// One simulated CPU core.
 pub struct Core {
-    id: usize,
     port: Port,
     sched: RefCell<Sched>,
     quantum: Cell<Nanos>,
@@ -78,23 +77,20 @@ pub struct Core {
 }
 
 impl Core {
-    /// The core's index within its machine.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Total virtual time this core has spent executing.
     pub fn busy_time(&self) -> Nanos {
         Nanos(self.busy.get())
     }
 
     /// Overrides the round-robin quantum (contended advances only).
-    pub fn set_quantum(&self, q: Nanos) {
+    #[cfg(test)]
+    pub(crate) fn set_quantum(&self, q: Nanos) {
         self.quantum.set(q);
     }
 
     /// Number of threads queued on this core behind the one it is serving.
-    pub fn load(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn load(&self) -> usize {
         self.sched.borrow().queue.len()
     }
 
@@ -349,7 +345,6 @@ impl Default for PowerModel {
 
 /// A simulated machine: a set of cores sharing one virtual clock.
 pub struct Machine {
-    h: SimHandle,
     cores: Vec<Rc<Core>>,
 }
 
@@ -358,14 +353,13 @@ impl Machine {
     pub fn new(h: &SimHandle, n: usize) -> Rc<Self> {
         assert!(n > 0, "a machine needs at least one core");
         let cores = (0..n)
-            .map(|id| {
+            .map(|_| {
                 h.add_resource(|port| {
                     // Each core looks at its queue once when the executor
                     // first reaches it, so a demand filed before then is
                     // served from that position and not from its own.
                     port.kick();
                     Core {
-                        id,
                         port,
                         sched: RefCell::new(Sched {
                             demands: Vec::new(),
@@ -381,10 +375,7 @@ impl Machine {
                 })
             })
             .collect();
-        Rc::new(Machine {
-            h: h.clone(),
-            cores,
-        })
+        Rc::new(Machine { cores })
     }
 
     /// Returns core `id`.
@@ -395,11 +386,6 @@ impl Machine {
     /// All cores.
     pub fn cores(&self) -> &[Rc<Core>] {
         &self.cores
-    }
-
-    /// The simulation handle this machine runs on.
-    pub fn handle(&self) -> SimHandle {
-        self.h.clone()
     }
 
     /// Total busy time across all cores.

@@ -94,7 +94,7 @@ pub(crate) fn sim_wait<T>(poll: impl FnOnce() -> Poll<T>) -> Poll<T> {
 }
 
 /// Identifies a spawned task within one simulation.
-pub type TaskId = usize;
+pub(crate) type TaskId = usize;
 
 /// One ready-queue entry: what the executor runs next.
 enum Runnable {
@@ -296,7 +296,6 @@ pub(crate) struct Kernel {
     timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
     now: Cell<Nanos>,
     seq: Cell<u64>,
-    live_tasks: Cell<usize>,
     /// The deadline of the `run_until` in progress.
     deadline: Cell<Nanos>,
     stats: Cell<SimStats>,
@@ -342,7 +341,6 @@ impl Kernel {
             timers: RefCell::new(BinaryHeap::new()),
             now: Cell::new(Nanos::ZERO),
             seq: Cell::new(0),
-            live_tasks: Cell::new(0),
             deadline: Cell::new(Nanos(u64::MAX)),
             stats: Cell::new(SimStats::default()),
         })
@@ -421,7 +419,7 @@ impl Kernel {
         Rc::clone(&self.resources.borrow()[index])
     }
 
-    fn spawn_boxed(&self, name: &str, fut: BoxFuture) -> TaskId {
+    fn spawn_boxed(&self, name: &str, fut: BoxFuture) {
         let mut tasks = self.tasks.borrow_mut();
         let id = match self.free.borrow_mut().pop() {
             Some(id) => id,
@@ -437,10 +435,8 @@ impl Kernel {
         };
         tasks[id].future = Some(fut);
         tasks[id].name = Some(name.to_string());
-        self.live_tasks.set(self.live_tasks.get() + 1);
         self.count(|s| s.spawns += 1);
         self.ready.push(Runnable::Task(id));
-        id
     }
 
     /// Polls one task once. A wake-up for a vacant slot does nothing.
@@ -466,7 +462,6 @@ impl Kernel {
         if finished {
             tasks[id].name = None;
             self.free.borrow_mut().push(id);
-            self.live_tasks.set(self.live_tasks.get() - 1);
         } else {
             tasks[id].future = Some(fut);
         }
@@ -565,7 +560,7 @@ impl Sim {
     ///
     /// Returns the final virtual time. Tasks that are blocked forever (e.g.
     /// waiting on a notification that never comes) are abandoned; use
-    /// [`Sim::live_tasks`] to detect leaks in tests.
+    /// [`Sim::live_task_names`] to detect leaks in tests.
     pub fn run(&mut self) -> Nanos {
         self.run_until(Nanos(u64::MAX))
     }
@@ -606,8 +601,14 @@ impl Sim {
 
     /// Number of tasks that have been spawned but not yet completed.
     /// Simulated cores are not tasks and are not counted.
-    pub fn live_tasks(&self) -> usize {
-        self.kernel.live_tasks.get()
+    #[cfg(test)]
+    pub(crate) fn live_tasks(&self) -> usize {
+        self.kernel
+            .tasks
+            .borrow()
+            .iter()
+            .filter(|t| t.name.is_some())
+            .count()
     }
 
     /// What the executor has done so far, counted (ROADMAP item 5).
@@ -657,8 +658,8 @@ impl SimHandle {
                 w.wake();
             }
         };
-        let id = self.kernel.spawn_boxed(name, Box::pin(wrapped));
-        JoinHandle { state, id }
+        self.kernel.spawn_boxed(name, Box::pin(wrapped));
+        JoinHandle { state }
     }
 
     /// Sleeps for `dur` of virtual time without occupying any core.
@@ -676,7 +677,8 @@ impl SimHandle {
     }
 
     /// Yields to other ready tasks once.
-    pub fn yield_now(&self) -> YieldNow {
+    #[cfg(test)]
+    pub(crate) fn yield_now(&self) -> YieldNow {
         YieldNow { yielded: false }
     }
 
@@ -709,14 +711,6 @@ struct JoinState<T> {
 /// Awaits completion of a spawned task.
 pub struct JoinHandle<T> {
     state: Rc<RefCell<JoinState<T>>>,
-    id: TaskId,
-}
-
-impl<T> JoinHandle<T> {
-    /// The spawned task's id (for diagnostics).
-    pub fn id(&self) -> TaskId {
-        self.id
-    }
 }
 
 impl<T> Future for JoinHandle<T> {
@@ -763,10 +757,12 @@ impl Future for Sleep<'_> {
 }
 
 /// Future returned by [`SimHandle::yield_now`].
-pub struct YieldNow {
+#[cfg(test)]
+pub(crate) struct YieldNow {
     yielded: bool,
 }
 
+#[cfg(test)]
 impl Future for YieldNow {
     type Output = ();
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
@@ -987,11 +983,11 @@ mod tests {
         let mut sim = Sim::new();
         let h = sim.handle();
         let grabbed = Rc::new(RefCell::new(None));
-        let first = sim.spawn("first", GrabWaker(Rc::clone(&grabbed)));
+        let _first = sim.spawn("first", GrabWaker(Rc::clone(&grabbed)));
         sim.run();
         let polls = Rc::new(Cell::new(0));
         let polls2 = Rc::clone(&polls);
-        let second = sim.spawn(
+        let _second = sim.spawn(
             "second",
             std::future::poll_fn(move |_| {
                 polls2.set(polls2.get() + 1);
@@ -1002,7 +998,6 @@ mod tests {
                 }
             }),
         );
-        assert_eq!(first.id(), second.id(), "the slot is reused");
         sim.run();
         assert_eq!((polls.get(), sim.live_tasks()), (1, 1));
         grabbed.borrow_mut().take().expect("first ran").wake();

@@ -209,11 +209,6 @@ impl FaultPlan {
         })
     }
 
-    /// The configuration this plan was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.cfg
-    }
-
     /// Attaches a record/replay tracer to this oracle's decision stream.
     pub fn set_tracer(&self, tracer: &Rc<Tracer>) {
         *self.tracer.borrow_mut() = Some(Rc::clone(tracer));
@@ -481,15 +476,19 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    fn chaotic(seed: u64) -> Rc<FaultPlan> {
-        FaultPlan::new(FaultConfig {
+    fn chaotic_config(seed: u64) -> FaultConfig {
+        FaultConfig {
             seed,
             dma_transient_prob: 0.3,
             dma_hard_prob: 0.1,
             dma_timeout_prob: 0.1,
             atc_stale_prob: 0.2,
             ..Default::default()
-        })
+        }
+    }
+
+    fn chaotic(seed: u64) -> Rc<FaultPlan> {
+        FaultPlan::new(chaotic_config(seed))
     }
 
     #[test]
@@ -557,7 +556,7 @@ mod tests {
         let no_timeout = FaultPlan::new(FaultConfig {
             seed: 9,
             dma_timeout_prob: 0.0,
-            ..chaotic(9).config().clone()
+            ..chaotic_config(9)
         });
         let mut hard_a = 0;
         let mut hard_b = 0;

@@ -47,7 +47,7 @@ pub mod workload;
 
 pub use cache::{CacheConfig, CacheModel};
 pub use cpu::{Again, Core, Machine, PowerModel, DEFAULT_QUANTUM};
-pub use exec::{JoinHandle, Sim, SimHandle, SimStats, TaskId};
+pub use exec::{JoinHandle, Sim, SimHandle, SimStats};
 pub use fault::{CrashPoint, DmaFault, FaultConfig, FaultLog, FaultPlan, SilentCorruption};
 pub use rng::{stream_seed, SimRng};
 pub use sync::{Chan, Notify};

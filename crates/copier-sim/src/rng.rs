@@ -107,14 +107,6 @@ impl SimRng {
             rem.copy_from_slice(&b[..rem.len()]);
         }
     }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&self, v: &mut [T]) {
-        for i in (1..v.len()).rev() {
-            let j = self.gen_range((i + 1) as u64) as usize;
-            v.swap(i, j);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,16 +175,5 @@ mod tests {
         for t in 0..64 {
             assert!(seen.insert(stream_seed(seed, t)));
         }
-    }
-
-    #[test]
-    fn shuffle_permutes() {
-        let r = SimRng::new(5);
-        let mut v: Vec<u32> = (0..32).collect();
-        r.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort();
-        assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-        assert_ne!(v, sorted);
     }
 }

@@ -324,13 +324,9 @@ impl<T> Chan<T> {
     }
 
     /// Number of queued values.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.queue.borrow().len()
-    }
-
-    /// Whether the queue is currently empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.queue.borrow().is_empty()
     }
 
     /// Marks the channel closed; pending and future `recv`s see `None` once drained.

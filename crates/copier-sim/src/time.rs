@@ -50,11 +50,6 @@ impl Nanos {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: Nanos) -> Nanos {
-        Nanos(self.0.saturating_sub(rhs.0))
-    }
-
     /// Scales the span by a dimensionless factor, rounding to nearest.
     pub fn mul_f64(self, f: f64) -> Nanos {
         Nanos((self.0 as f64 * f).round() as u64)
@@ -63,11 +58,6 @@ impl Nanos {
     /// Returns the larger of two spans.
     pub fn max(self, other: Nanos) -> Nanos {
         Nanos(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two spans.
-    pub fn min(self, other: Nanos) -> Nanos {
-        Nanos(self.0.min(other.0))
     }
 }
 
@@ -123,10 +113,8 @@ mod tests {
         let b = Nanos(40);
         assert_eq!(a + b, Nanos(140));
         assert_eq!(a - b, Nanos(60));
-        assert_eq!(b.saturating_sub(a), Nanos::ZERO);
         assert_eq!(a.mul_f64(0.5), Nanos(50));
         assert_eq!(a.max(b), a);
-        assert_eq!(a.min(b), b);
     }
 
     #[test]

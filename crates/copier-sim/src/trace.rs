@@ -101,11 +101,6 @@ pub struct Trace {
 }
 
 impl Trace {
-    /// Wraps an event list.
-    pub fn new(events: Vec<TraceEvent>) -> Self {
-        Trace { events }
-    }
-
     /// The events, in emission order.
     pub fn events(&self) -> &[TraceEvent] {
         &self.events
@@ -627,7 +622,9 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_every_event() {
-        let t = Trace::new(sample_events());
+        let t = Trace {
+            events: sample_events(),
+        };
         let bytes = t.encode();
         assert_eq!(&bytes[..4], b"CPTR");
         let back = Trace::decode(&bytes).unwrap();
@@ -639,7 +636,10 @@ mod tests {
         assert!(Trace::decode(b"").is_err());
         assert!(Trace::decode(b"NOPE\x01\x00").is_err());
         assert!(Trace::decode(b"CPTR\x04\x00").is_err(), "bad version");
-        let mut bytes = Trace::new(sample_events()).encode();
+        let mut bytes = Trace {
+            events: sample_events(),
+        }
+        .encode();
         bytes.push(0xff);
         assert!(Trace::decode(&bytes).is_err(), "trailing bytes");
         bytes.pop();
@@ -652,7 +652,10 @@ mod tests {
     /// divergence.
     #[test]
     fn earlier_version_headers_are_refused() {
-        let mut bytes = Trace::new(sample_events()).encode();
+        let mut bytes = Trace {
+            events: sample_events(),
+        }
+        .encode();
         assert_eq!(bytes[4], TRACE_VERSION);
         for v in [1u8, 2] {
             bytes[4] = v;
@@ -787,7 +790,9 @@ mod tests {
 
     #[test]
     fn offline_first_divergence_localizes() {
-        let a = Trace::new(sample_events());
+        let a = Trace {
+            events: sample_events(),
+        };
         let mut b = a.clone();
         b.events_mut()[7] = TraceEvent::DmaDraw { fault: 0 };
         let d = a.first_divergence(&b).expect("must differ");
@@ -812,10 +817,12 @@ mod tests {
         let max = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01];
         assert_eq!(
             Trace::decode(&meta_stream(&[1], &max)),
-            Ok(Trace::new(vec![TraceEvent::Meta {
-                key: 1,
-                val: u64::MAX
-            }]))
+            Ok(Trace {
+                events: vec![TraceEvent::Meta {
+                    key: 1,
+                    val: u64::MAX
+                }]
+            })
         );
         let mut over = max;
         over[9] = 0x02;
@@ -915,7 +922,9 @@ mod tests {
             gen,
             |_| Vec::new(),
             |(events, damage)| {
-                let trace = Trace::new(events.clone());
+                let trace = Trace {
+                    events: events.clone(),
+                };
                 let mut buf = trace.encode();
                 if let Some(damage) = damage {
                     damage.apply(&mut buf);

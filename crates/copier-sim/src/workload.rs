@@ -242,11 +242,6 @@ impl WorkloadPlan {
         }
     }
 
-    /// The configuration this plan was built from.
-    pub fn config(&self) -> &WorkloadConfig {
-        &self.cfg
-    }
-
     /// Tenant `t`'s schedule, sorted by arrival instant.
     pub fn tenant(&self, t: usize) -> &[Arrival] {
         &self.per_tenant[t]
@@ -315,7 +310,7 @@ mod tests {
         for t in 0..3 {
             let s = p.tenant(t);
             assert!(s.windows(2).all(|w| w[0].at < w[1].at));
-            assert!(s.iter().all(|a| a.at < p.config().horizon));
+            assert!(s.iter().all(|a| a.at < cfg(7).horizon));
             assert!(s.iter().all(|a| (4 * 1024..=32 * 1024).contains(&a.len)));
         }
     }
