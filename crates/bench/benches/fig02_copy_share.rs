@@ -1,10 +1,13 @@
 //! Fig. 2-a: the cycle proportion of copy in the evaluation applications
 //! (baseline, no Copier).
 //!
-//! We run each miniature on the baseline path and attribute its serving
-//! core's busy time between modeled copy work and everything else. The
-//! paper measures 10–66% across Redis / zlib / OpenSSL / proxy / libpng
-//! at 16 KB and 256 KB operand sizes.
+//! The Redis column runs the mini-Redis on the baseline path and
+//! attributes its serving core's busy time between modeled copy work and
+//! everything else. The zlib, OpenSSL, proxy and libpng columns run
+//! nothing: each is `stream_share`, copy cost over copy plus compute,
+//! from the miniature's per-KB cost constant. The paper measures 10–66%
+//! across Redis / zlib / OpenSSL / proxy / libpng at 16 KB and 256 KB
+//! operand sizes.
 
 use std::rc::Rc;
 

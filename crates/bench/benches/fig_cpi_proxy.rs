@@ -1,9 +1,10 @@
 //! §6.3.5 micro-architectural impact: the cache-pollution proxy.
 //!
 //! Inline copies evict the app's hot data; offloading them to Copier's
-//! core keeps the app's CPI low. We run compute+copy rounds with the
-//! cache-residency model enabled and report the copy-irrelevant compute
-//! time with and without Copier (paper: −4–16% CPI).
+//! core keeps the app's CPI low. We run compute+copy rounds on a core
+//! whose cache-residency model notes each inline copy and report the
+//! copy-irrelevant compute time with and without Copier (paper: −4–16%
+//! CPI).
 
 use std::rc::Rc;
 
@@ -12,7 +13,7 @@ use copier_client::{sync_memcpy, CopierHandle};
 use copier_core::{Copier, CopierConfig};
 use copier_hw::CostModel;
 use copier_mem::{AddressSpace, AllocPolicy, PhysMem, Prot};
-use copier_sim::{Machine, Nanos, Sim};
+use copier_sim::{CacheModel, Machine, Nanos, Sim};
 
 const ROUNDS: usize = 50;
 const COMPUTE: Nanos = Nanos::from_micros(8);
@@ -21,7 +22,6 @@ fn run(size: usize, use_copier: bool) -> Nanos {
     let mut sim = Sim::new();
     let h = sim.handle();
     let machine = Machine::new(&h, 2);
-    machine.core(0).cache.set_enabled(true);
     let pm = Rc::new(PhysMem::new(8192, AllocPolicy::Scattered));
     let cost = Rc::new(CostModel::default());
     let svc = Copier::new(
@@ -41,7 +41,7 @@ fn run(size: usize, use_copier: bool) -> Nanos {
     sim.spawn("driver", async move {
         let src = space.mmap(size, Prot::RW, true).unwrap();
         let dst = space.mmap(size, Prot::RW, true).unwrap();
-        let mut compute_time = Nanos::ZERO;
+        let (mut cache, mut compute_time) = (CacheModel::default(), Nanos::ZERO);
         for _ in 0..ROUNDS {
             if use_copier {
                 lib.amemcpy(&core, dst, src, size).await.expect("admitted");
@@ -49,11 +49,12 @@ fn run(size: usize, use_copier: bool) -> Nanos {
                 sync_memcpy(&core, &cost, &space, dst, src, size)
                     .await
                     .unwrap();
+                cache.note_inline_copy(size);
             }
             // Copy-irrelevant hot-data compute; its CPI reflects how much
             // of the working set the copy evicted.
             let before = core.busy_time();
-            core.advance_cached(COMPUTE).await;
+            core.advance(cache.compute_cost(COMPUTE)).await;
             compute_time += core.busy_time() - before;
             if use_copier {
                 lib.csync(&core, dst, size).await.unwrap();

@@ -1,5 +1,5 @@
 //! Micro-benchmarks of the real (host-executed) data structures: the
-//! lock-free CSH ring, segment descriptors, interval sets, and the
+//! CSH ring, segment descriptors, interval sets, and the
 //! ChaCha20 / LZ77 codecs. These measure actual wall-clock cost on the
 //! build machine — the only host-time measurements in the suite
 //! (everything else is virtual time).

@@ -902,15 +902,19 @@ impl CopierHandle {
         placed
     }
 
-    /// Runs completed UFUNC handlers (Fig. 4 `post_handlers`). Handlers
-    /// that overflowed the bounded ring are drained first so delivery
-    /// order is preserved (overflow entries are always older).
+    /// Runs completed UFUNC handlers (Fig. 4 `post_handlers`) in the
+    /// order their copies completed: the bounded ring first, then the
+    /// handlers that overflowed it (every overflow entry is younger than
+    /// every ring entry).
     pub async fn post_handlers(self: &Rc<Self>, core: &Rc<Core>) -> usize {
         let mut n = 0;
         let sets: Vec<_> = self.client.sets.borrow().iter().cloned().collect();
         for set in sets {
-            let overflow = std::iter::from_fn(|| set.handler_overflow.borrow_mut().pop_front());
-            for h in overflow.chain(std::iter::from_fn(|| set.handler.pop())) {
+            let next = || {
+                let ring = set.handler.pop();
+                ring.or_else(|| set.handler_overflow.borrow_mut().pop_front())
+            };
+            for h in std::iter::from_fn(next) {
                 if let Handler::UFunc(f) = h {
                     core.advance(Nanos(60)).await;
                     f();

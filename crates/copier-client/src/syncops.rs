@@ -50,7 +50,6 @@ pub async fn sync_copy(
         t += cost.cpu_copy(CpuCopyKind::Avx2, work.bytes_copied);
     }
     core.advance(t).await;
-    core.cache.note_inline_copy(len);
     Ok(work)
 }
 
@@ -86,7 +85,6 @@ pub async fn sync_memmove(
     space.read_bytes(src, &mut buf)?;
     space.write_bytes(dst, &buf)?;
     core.advance(cost.cpu_copy(CpuCopyKind::Avx2, len)).await;
-    core.cache.note_inline_copy(len);
     Ok(FaultWork::default())
 }
 

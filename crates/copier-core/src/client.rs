@@ -271,8 +271,9 @@ pub struct QueueSet {
     pub index: PendIndex,
     /// Destinations garbaged by faulted copies (bounded; oldest evicted).
     pub tainted: RefCell<Vec<TaintRange>>,
-    /// Handlers that did not fit the (bounded) handler ring; drained by
-    /// `post_handlers` before the ring so delivery order is preserved.
+    /// Handlers that did not fit the (bounded) handler ring, and every
+    /// handler completed while this list is not empty; drained by
+    /// `post_handlers` after the ring, so delivery order is preserved.
     /// Never dropped silently.
     pub handler_overflow: RefCell<VecDeque<Handler>>,
 }

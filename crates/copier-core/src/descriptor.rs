@@ -1,15 +1,15 @@
 //! Segment descriptors: the shared bitmap clients poll in `csync` (§4.1).
 //!
 //! A descriptor divides a copy of `len` bytes into fixed-size segments and
-//! exposes one atomic bit per segment. Copier sets a bit only after the
+//! exposes one bit per segment. Copier sets a bit only after the
 //! segment's bytes have physically landed; a client that observes the bit
 //! may use those bytes immediately — the fine-grained copy-use pipeline.
 //!
-//! Atomics are used (rather than `Cell`s) because the descriptor is the
-//! contract shared across the client/service boundary; the identical type
-//! is exercised from real OS threads in the ring stress tests.
+//! The descriptor is the contract shared across the client/service
+//! boundary, but client and service run on the simulator's one host
+//! thread, so its state is plain `Cell`s (and the type is `!Sync`).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 
 use copier_mem::MemError;
 
@@ -84,14 +84,14 @@ pub struct SegDescriptor {
     seg: usize,
     nsegs: usize,
     /// One bit per segment; bits past `nsegs` are never set.
-    bits: Vec<AtomicU64>,
-    /// The recorded fault's [`CopyFault::code`]; 0 while there is none.
-    fault: AtomicU8,
+    bits: Vec<Cell<u64>>,
+    /// The recorded fault, if any.
+    fault: Cell<Option<CopyFault>>,
     /// Whether the completion side effects (handler delivery + credit
     /// grant) have fired. Lives in the descriptor — client-owned memory
     /// that survives a service crash — so a restarted service and a
     /// resubmitted duplicate settle each submission exactly once.
-    delivered: AtomicBool,
+    delivered: Cell<bool>,
 }
 
 impl SegDescriptor {
@@ -109,9 +109,9 @@ impl SegDescriptor {
             len,
             seg,
             nsegs,
-            bits: (0..words).map(|_| AtomicU64::new(0)).collect(),
-            fault: AtomicU8::new(0),
-            delivered: AtomicBool::new(false),
+            bits: (0..words).map(|_| Cell::new(0)).collect(),
+            fault: Cell::new(None),
+            delivered: Cell::new(false),
         }
     }
 
@@ -138,22 +138,27 @@ impl SegDescriptor {
     /// Marks segment `idx` complete.
     pub fn mark(&self, idx: usize) {
         assert!(idx < self.num_segments());
-        self.bits[idx / 64].fetch_or(1 << (idx % 64), Ordering::Release);
+        self.set_bits(idx / 64, 1 << (idx % 64));
     }
 
     /// Whether segment `idx` is complete.
     pub fn is_marked(&self, idx: usize) -> bool {
         assert!(idx < self.num_segments());
-        self.bits[idx / 64].load(Ordering::Acquire) & (1 << (idx % 64)) != 0
+        self.bits[idx / 64].get() & (1 << (idx % 64)) != 0
     }
 
-    /// Marks segments `first..=last` complete: one `fetch_or` per bitmap
+    /// Marks segments `first..=last` complete: one write per bitmap
     /// word, however many segments a landing finished.
     pub fn mark_range(&self, first: usize, last: usize) {
         assert!(first <= last && last < self.nsegs);
         for (w, mask) in words(first, last) {
-            self.bits[w].fetch_or(mask, Ordering::Release);
+            self.set_bits(w, mask);
         }
+    }
+
+    /// Sets `mask`'s bits in bitmap word `w`.
+    fn set_bits(&self, w: usize, mask: u64) {
+        self.bits[w].set(self.bits[w].get() | mask);
     }
 
     /// Service side of a landing: flips the bits that `[off, end)` (not
@@ -191,9 +196,7 @@ impl SegDescriptor {
         let end = (off + len).min(self.len);
         let first = off / self.seg;
         let last = (end - 1) / self.seg;
-        first > last
-            || words(first, last)
-                .all(|(w, mask)| self.bits[w].load(Ordering::Acquire) & mask == mask)
+        first > last || words(first, last).all(|(w, mask)| self.bits[w].get() & mask == mask)
     }
 
     /// Whether the whole copy is complete.
@@ -205,7 +208,7 @@ impl SegDescriptor {
     pub fn ready_segments(&self) -> usize {
         self.bits
             .iter()
-            .map(|w| w.load(Ordering::Acquire).count_ones() as usize)
+            .map(|w| w.get().count_ones() as usize)
             .sum()
     }
 
@@ -221,36 +224,33 @@ impl SegDescriptor {
     /// Only safe once no in-flight copy references the descriptor.
     pub fn reset(&self) {
         for w in &self.bits {
-            w.store(0, Ordering::Release);
+            w.set(0);
         }
-        self.fault.store(0, Ordering::Release);
-        self.delivered.store(false, Ordering::Release);
+        self.fault.set(None);
+        self.delivered.set(false);
     }
 
     /// Poisons the descriptor with a fault; `csync` will surface it.
     pub fn poison(&self, fault: CopyFault) {
-        self.fault.store(fault.code(), Ordering::Release);
+        self.fault.set(Some(fault));
     }
 
     /// Returns the recorded fault, if any.
     pub fn fault(&self) -> Option<CopyFault> {
-        match self.fault.load(Ordering::Acquire) {
-            0 => None,
-            code => Some(CopyFault::from_code(code)),
-        }
+        self.fault.get()
     }
 
     /// Claims the one-shot right to deliver this submission's completion
     /// side effects (handler + credit). Returns `true` exactly once per
-    /// descriptor lifetime — the atomic swap is the exactly-once gate
-    /// that makes duplicate window entries after a crash harmless.
+    /// descriptor lifetime — the exactly-once gate that makes duplicate
+    /// window entries after a crash harmless.
     pub fn claim_delivery(&self) -> bool {
-        !self.delivered.swap(true, Ordering::AcqRel)
+        !self.delivered.replace(true)
     }
 
     /// Whether completion side effects already fired.
     pub fn delivered(&self) -> bool {
-        self.delivered.load(Ordering::Acquire)
+        self.delivered.get()
     }
 }
 

@@ -3,8 +3,9 @@
 //! The paper's primary contribution (§4): coordinated asynchronous memory
 //! copy as a first-class OS service. This crate provides:
 //!
-//! * the queue-based **CSH abstractions** — Copy/Sync/Handler rings with
-//!   the lock-free slot-acquisition protocol of §5.1 ([`ring::Ring`]);
+//! * the queue-based **CSH abstractions** — Copy/Sync/Handler rings,
+//!   bounded single-threaded FIFOs ([`ring::Ring`]; the paper's §5.1
+//!   lock-free protocol is not reproduced, see the module docs);
 //! * **segment descriptors** for fine-grained copy-use pipelining
 //!   ([`descriptor::SegDescriptor`]);
 //! * **order dependency** across privilege levels via barrier keys and
@@ -24,7 +25,6 @@ pub mod descriptor;
 pub mod interval;
 pub mod journal;
 pub mod pendindex;
-#[allow(unsafe_code)]
 pub mod ring;
 pub mod sched;
 pub mod service;

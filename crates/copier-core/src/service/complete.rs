@@ -104,10 +104,16 @@ impl Copier {
                 Handler::UFunc(f) => {
                     // Deliver to the client's handler queue; libCopier
                     // runs it in post_handlers(). A full ring spills into
-                    // the unbounded overflow list (drained first by
-                    // post_handlers) — handlers are never dropped.
-                    if let Err(rejected) = set.handler.push(Handler::UFunc(Rc::clone(f))) {
-                        set.handler_overflow.borrow_mut().push_back(rejected.0);
+                    // the unbounded overflow list, and while that list
+                    // holds anything every later handler joins it, so each
+                    // overflow entry is younger than every ring entry —
+                    // handlers are never dropped nor reordered.
+                    let h = Handler::UFunc(Rc::clone(f));
+                    let mut overflow = set.handler_overflow.borrow_mut();
+                    if !overflow.is_empty() {
+                        overflow.push_back(h);
+                    } else if let Err(rejected) = set.handler.push(h) {
+                        overflow.push_back(rejected.0);
                     }
                 }
             }

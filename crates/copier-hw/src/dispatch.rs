@@ -429,8 +429,8 @@ impl Dispatcher {
     }
 
     /// Copies `st` on the CPU unit: charges the AVX2 curve (§4.3), then
-    /// lands the bytes through `core`'s cache — on the host, now or
-    /// `deferred` to the copy engine — and reports them to `progress` as
+    /// lands the bytes — on the host, now or `deferred` to the copy
+    /// engine — and reports them to `progress` as
     /// task `task_id`'s bytes when given one.
     async fn cpu_copy(
         &self,
@@ -442,7 +442,6 @@ impl Dispatcher {
         core.advance(self.cost.cpu_copy(CpuCopyKind::Avx2, st.len()))
             .await;
         copy_extent_pair(&self.pm, st.dst, st.src, deferred);
-        core.cache.note_inline_copy(st.len());
         if let Some((progress, task_id)) = progress {
             progress(task_id, st.task_off, st.len());
         }

@@ -3,9 +3,8 @@
 //! Each [`Core`] is a processor-sharing resource in virtual time: simulated
 //! threads consume CPU with [`Core::advance`], and concurrent demands on the
 //! same core are interleaved round-robin with a configurable quantum. A core
-//! also carries a tiny cache-residency model (see [`crate::cache`]) used by
-//! the §6.3.5 micro-architectural experiment, and per-core busy-time
-//! accounting used by the energy proxy (Fig. 13-c).
+//! keeps per-core busy-time accounting, used by the energy proxy
+//! (Fig. 13-c).
 //!
 //! A core is not a task. It is an executor [`Resource`] with two steps,
 //! "take the next demand and arm one slice" and "the slice elapsed", which
@@ -28,7 +27,6 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::cache::CacheModel;
 use crate::exec::{sim_wait, Kernel, Port, Resource, SimHandle};
 use crate::time::Nanos;
 
@@ -72,8 +70,6 @@ pub struct Core {
     sched: RefCell<Sched>,
     quantum: Cell<Nanos>,
     busy: Cell<u64>,
-    /// Cache-residency model for the micro-architectural proxy experiment.
-    pub cache: CacheModel,
 }
 
 impl Core {
@@ -131,15 +127,6 @@ impl Core {
             state: AdvanceState::New(step.as_nanos()),
             again: Some(Rc::clone(again)),
         }
-    }
-
-    /// Consumes core time inflated by the cache model and updates residency.
-    ///
-    /// Used by applications to represent "copy-irrelevant" compute whose CPI
-    /// suffers when large copies evict hot data (§6.3.5 of the paper).
-    pub async fn advance_cached(self: &Rc<Self>, dur: Nanos) {
-        let inflated = self.cache.compute_cost(dur);
-        self.advance(inflated).await;
     }
 
     /// Serves `ns` on the spot if the core is free and nothing can come
@@ -370,7 +357,6 @@ impl Machine {
                         }),
                         quantum: Cell::new(DEFAULT_QUANTUM),
                         busy: Cell::new(0),
-                        cache: CacheModel::default_enabled(false),
                     }
                 })
             })

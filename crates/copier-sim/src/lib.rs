@@ -45,7 +45,7 @@ pub mod trace;
 pub mod wire;
 pub mod workload;
 
-pub use cache::{CacheConfig, CacheModel};
+pub use cache::CacheModel;
 pub use cpu::{Again, Core, Machine, PowerModel, DEFAULT_QUANTUM};
 pub use exec::{JoinHandle, Sim, SimHandle, SimStats};
 pub use fault::{CrashPoint, DmaFault, FaultConfig, FaultLog, FaultPlan, SilentCorruption};

@@ -1,7 +1,7 @@
 //! Record/replay trace layer (rr-style, ROADMAP item 4).
 //!
 //! A [`Trace`] is a compact binary event log of one service execution:
-//! per round, the submissions drained, the fault-plan draws consumed, the
+//! per round, the entries drained, the fault-plan draws consumed, the
 //! scheduling and admission decisions taken, and the round boundaries
 //! with state hashes (pending window, address index, stats, and periodic
 //! physical-memory digests). Because the simulator is deterministic, the
@@ -10,7 +10,7 @@
 //! * **Record** — a [`Tracer`] in record mode appends every event a run
 //!   emits; the harness saves the encoded trace next to a failing seed.
 //! * **Replay** — a tracer in replay mode feeds the recorded fault draws
-//!   and submissions back to the service and checks every emitted event
+//!   back to the service and checks every emitted event
 //!   against the log in lockstep. The first mismatch is latched as a
 //!   [`Divergence`] naming the round and position where the re-execution
 //!   left the recorded timeline — the divergence checker.
@@ -41,17 +41,15 @@ crate::wire_table! {
     /// then each field in row order ([`crate::wire`]: `u8`/`bool` a raw
     /// byte, `u32`/`u64` a LEB128 varint, `Vec<u64>` a count then
     /// varints), so common events are 2–6 bytes. A new event takes a new
-    /// tag: never 15 or 16 (version 2's retired per-shard round frame), and
-    /// a changed row bumps [`TRACE_VERSION`].
+    /// tag: never 1 (the retired workload `Submission`, which nothing
+    /// wrote) nor 15 or 16 (version 2's retired per-shard round frame),
+    /// and a changed row bumps [`TRACE_VERSION`].
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum TraceEvent {
         /// Harness-defined metadata (workload parameters, case seeds). Keys
         /// are owned by the recording harness; replay reconstructs its case
         /// from them.
         0 => Meta { key: u32, val: u64 },
-        /// One workload submission (tenant, virtual instant, bytes) — the
-        /// consume-from-log input for [`crate::workload::WorkloadPlan`].
-        1 => Submission { tenant: u32, at: u64, len: u64 },
         /// A batch of race instants drawn from the fault plan.
         2 => RaceTimes { times: Vec<u64> },
         /// A shard's service round began (lazy: only emitted for rounds that
@@ -117,17 +115,6 @@ impl Trace {
             TraceEvent::Meta { key: k, val } if *k == key => Some(*val),
             _ => None,
         })
-    }
-
-    /// All recorded submissions as `(tenant, at, len)`.
-    pub fn submissions(&self) -> Vec<(u32, u64, u64)> {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Submission { tenant, at, len } => Some((*tenant, *at, *len)),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Number of distinct `(shard, round)` rounds that produced events.
@@ -291,8 +278,8 @@ pub struct Tracer {
     diverged: RefCell<Option<Divergence>>,
     active_rounds: Cell<u64>,
     mem_interval: Cell<u64>,
-    /// The shard whose round an anonymous emit (fault-plan draw,
-    /// `Submission`, memory digest) attributes to: the last shard that
+    /// The shard whose round an anonymous emit (fault-plan draw, memory
+    /// digest) attributes to: the last shard that
     /// opened or closed a round or emitted through `emit_on` (DESIGN.md
     /// §17). A lone shard is shard 0.
     shard_cur: Cell<u32>,
@@ -556,11 +543,6 @@ mod tests {
     fn sample_events() -> Vec<TraceEvent> {
         vec![
             TraceEvent::Meta { key: 1, val: 42 },
-            TraceEvent::Submission {
-                tenant: 3,
-                at: 1_000_000,
-                len: 65536,
-            },
             TraceEvent::RaceTimes {
                 times: vec![5, 1 << 40, 0],
             },
@@ -664,11 +646,12 @@ mod tests {
         }
     }
 
-    /// Tags 15 and 16 were version 2's per-shard round frame. A
-    /// version-3 buffer carrying either is refused by the event decoder.
+    /// Tag 1 was the workload `Submission`, which nothing wrote; tags 15
+    /// and 16 were version 2's per-shard round frame. A version-3 buffer
+    /// carrying any of them is refused by the event decoder.
     #[test]
-    fn retired_shard_round_tags_are_refused() {
-        for tag in [15u8, 16] {
+    fn retired_tags_are_refused() {
+        for tag in [1u8, 15, 16] {
             let err = TraceEvent::get(&[tag, 3, 17, 0, 0, 0], &mut 0).unwrap_err();
             assert_eq!(err, format!("unknown TraceEvent tag {tag}"));
         }
@@ -838,17 +821,14 @@ mod tests {
         assert!(Trace::decode(&meta_stream(&u32_max, &[0])).is_ok());
     }
 
+    /// An event of a random kind, each arm numbered by its tag; a draw of
+    /// the retired tag 1 falls to the last arm.
     fn random_event(rng: &mut TestRng) -> TraceEvent {
         let mut v = || edge_u64(rng);
         match v() % 15 {
             0 => TraceEvent::Meta {
                 key: v() as u32,
                 val: v(),
-            },
-            1 => TraceEvent::Submission {
-                tenant: v() as u32,
-                at: v(),
-                len: v(),
             },
             2 => TraceEvent::RaceTimes {
                 times: (0..v() % 5).map(|_| v()).collect(),

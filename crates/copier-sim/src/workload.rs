@@ -17,7 +17,6 @@ use std::rc::Rc;
 
 use crate::rng::{stream_seed, SimRng};
 use crate::time::Nanos;
-use crate::trace::{Trace, TraceEvent, Tracer};
 
 /// One scheduled submission for one tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,46 +201,6 @@ impl WorkloadPlan {
         Rc::new(WorkloadPlan { cfg, per_tenant })
     }
 
-    /// Rebuilds a plan from the `Submission` events of a recorded trace
-    /// (consume-from-log mode). `cfg` supplies the envelope the original
-    /// run used; only its `tenants` count must cover the recorded tenant
-    /// indices — the schedule itself comes entirely from the log, so no
-    /// PRNG is consulted.
-    pub fn from_trace(cfg: WorkloadConfig, trace: &Trace) -> Rc<Self> {
-        assert!(cfg.tenants > 0, "workload needs at least one tenant");
-        let mut per_tenant: Vec<Vec<Arrival>> = vec![Vec::new(); cfg.tenants];
-        for (tenant, at, len) in trace.submissions() {
-            let t = tenant as usize;
-            assert!(
-                t < cfg.tenants,
-                "trace names tenant {t} but config has {}",
-                cfg.tenants
-            );
-            per_tenant[t].push(Arrival {
-                at: Nanos(at),
-                len: len as usize,
-            });
-        }
-        for sched in &mut per_tenant {
-            sched.sort_by_key(|a| a.at);
-        }
-        Rc::new(WorkloadPlan { cfg, per_tenant })
-    }
-
-    /// Records the full merged schedule into `tracer` as `Submission`
-    /// events. In record mode this captures the workload for later
-    /// `from_trace` reconstruction; in replay mode the same call
-    /// lockstep-verifies that the regenerated schedule matches the log.
-    pub fn record_to(&self, tracer: &Tracer) {
-        for (t, a) in self.merged() {
-            tracer.emit(TraceEvent::Submission {
-                tenant: t as u32,
-                at: a.at.as_nanos(),
-                len: a.len as u64,
-            });
-        }
-    }
-
     /// Tenant `t`'s schedule, sorted by arrival instant.
     pub fn tenant(&self, t: usize) -> &[Arrival] {
         &self.per_tenant[t]
@@ -360,23 +319,6 @@ mod tests {
         assert_eq!(first, &[(457, 9986), (12939, 28916), (9899, 32699)]);
         assert_eq!(p.total_arrivals(), 1168);
         assert_eq!(p.offered_bytes(), 21_486_559);
-    }
-
-    #[test]
-    fn trace_roundtrip_reconstructs_schedule() {
-        use crate::trace::Tracer;
-        let p = WorkloadPlan::new(cfg(13));
-        let rec = Tracer::record();
-        p.record_to(&rec);
-        let trace = rec.finish();
-        let back = WorkloadPlan::from_trace(cfg(13), &trace);
-        for t in 0..3 {
-            assert_eq!(back.tenant(t), p.tenant(t));
-        }
-        // Replaying the same plan against its own log is divergence-free.
-        let rep = Tracer::replay(trace);
-        p.record_to(&rep);
-        assert_eq!(rep.divergence(), None);
     }
 
     fn pareto_cfg(seed: u64) -> WorkloadConfig {

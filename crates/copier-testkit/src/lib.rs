@@ -9,7 +9,7 @@
 //!
 //! * [`rng`] replaces `rand` — a splitmix64-seeded **xoshiro256++**
 //!   generator with the `gen_range` / `fill_bytes` / `shuffle` surface
-//!   the tests need, plus `fork()` for independent per-thread streams.
+//!   the tests need.
 //! * [`prop`] replaces `proptest` — a minimal property-testing runner:
 //!   case generation from the PRNG, greedy failure shrinking, and a
 //!   fixed-seed regression mode (`TESTKIT_REPRO`) so any reported

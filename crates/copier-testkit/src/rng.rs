@@ -1,9 +1,8 @@
 //! Seed-deterministic PRNG: splitmix64 seeding a xoshiro256++ core.
 //!
 //! Distinct from `copier_sim::SimRng` (xoshiro256**, interior
-//! mutability, single-threaded workload generation): this generator is
-//! `&mut self`-based and `Send`, so stress tests can hand each OS
-//! thread its own independent stream via [`TestRng::fork`].
+//! mutability, workload generation inside the simulation): this
+//! generator is `&mut self`-based and drives test-case generation.
 
 /// One step of the splitmix64 sequence (also used to derive seeds).
 pub(crate) fn splitmix64(state: &mut u64) -> u64 {
@@ -46,14 +45,6 @@ impl TestRng {
         s[2] ^= t;
         s[3] = s[3].rotate_left(45);
         result
-    }
-
-    /// Splits off an independent generator (for per-thread streams).
-    ///
-    /// The child is seeded from this stream, so a parent seed fully
-    /// determines every forked stream.
-    pub fn fork(&mut self) -> TestRng {
-        TestRng::new(self.next_u64())
     }
 
     /// Uniform value in `[0, bound)`. `bound` must be nonzero.
@@ -134,23 +125,6 @@ mod tests {
         let mut b = TestRng::new(2);
         let same = (0..64).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same < 2, "{same} collisions in 64 draws");
-    }
-
-    #[test]
-    fn fork_streams_are_independent_and_deterministic() {
-        let mut parent1 = TestRng::new(11);
-        let mut parent2 = TestRng::new(11);
-        let mut c1a = parent1.fork();
-        let mut c1b = parent1.fork();
-        let mut c2a = parent2.fork();
-        // Same parent seed ⇒ same child stream.
-        for _ in 0..64 {
-            assert_eq!(c1a.next_u64(), c2a.next_u64());
-        }
-        // Sibling forks diverge.
-        let mut c1a = TestRng::new(11).fork();
-        let same = (0..64).filter(|_| c1a.next_u64() == c1b.next_u64()).count();
-        assert!(same < 2);
     }
 
     #[test]

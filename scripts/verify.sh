@@ -229,48 +229,30 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 # ratio's summary row and the counters that show the batch went through
 # the queue.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
-if command -v jq >/dev/null 2>&1; then
-    jq -e '(.layouts | length > 0)
-       and ([.executor[].name] == ["sleep", "sleep_evented", "advance", "advance_evented", "advance_contended", "notify_round_trip"])
-       and ([.progress[].name] == ["landing_4k", "range_ready_256"])
-       and ([.executor[], .progress[] | .ns > 0 and .over_floor > 0] | all)
-       and ([.summary[] | select(.metric == "over_floor_max")] | length == 8)
-       and ([.digest[].name] == ["digest-page", "digest-extent"])
-       and ([.digest[] | .lane_ns > 0 and .serial_ns > 0] | all)
-       and ([.summary[] | select(.name == "speedup_digest-page")] | length == 1)
-       and ([.copy_engine.rows[].name] == ["submit", "fence_awake", "fence_parked", "batch_inline", "batch_deferred"])
-       and ([.copy_engine.rows[] | .ns > 0] | all)
-       and (.copy_engine.counters.deferred_copies > 0)
-       and ([.summary[] | select(.name == "copy_engine_batch")] | length == 1)' BENCH_hostperf.json >/dev/null
-else
-    python3 - <<'PY'
+python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_hostperf.json"))
-ok = bool(d["layouts"])
+summary = lambda key, name: [r for r in d["summary"] if r.get(key) == name]
+ce = d["copy_engine"]
+ok = len(d["layouts"]) > 0
 ok = ok and [r["name"] for r in d["executor"]] == ["sleep", "sleep_evented", "advance", "advance_evented", "advance_contended", "notify_round_trip"]
 ok = ok and [r["name"] for r in d["progress"]] == ["landing_4k", "range_ready_256"]
 ok = ok and all(r["ns"] > 0 and r["over_floor"] > 0 for r in d["executor"] + d["progress"])
-ok = ok and len([r for r in d["summary"] if r["metric"] == "over_floor_max"]) == 8
+ok = ok and len(summary("metric", "over_floor_max")) == 8
 ok = ok and [r["name"] for r in d["digest"]] == ["digest-page", "digest-extent"]
 ok = ok and all(r["lane_ns"] > 0 and r["serial_ns"] > 0 for r in d["digest"])
-ok = ok and len([r for r in d["summary"] if r["name"] == "speedup_digest-page"]) == 1
-ce = d["copy_engine"]
+ok = ok and len(summary("name", "speedup_digest-page")) == 1
 ok = ok and [r["name"] for r in ce["rows"]] == ["submit", "fence_awake", "fence_parked", "batch_inline", "batch_deferred"]
 ok = ok and all(r["ns"] > 0 for r in ce["rows"]) and ce["counters"]["deferred_copies"] > 0
-ok = ok and len([r for r in d["summary"] if r["name"] == "copy_engine_batch"]) == 1
+ok = ok and len(summary("name", "copy_engine_batch")) == 1
 sys.exit(0 if ok else 1)
 PY
-fi
 echo "BENCH_hostperf.json OK"
 
 # Control-plane smoke: same plumbing check for the pending-index bench
 # (it also re-asserts linear/indexed plan identity on every window).
 CTRLPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_ctrlperf
-if command -v jq >/dev/null 2>&1; then
-    jq -e '.depths | length > 0' BENCH_ctrlperf.json >/dev/null
-else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_ctrlperf.json")); sys.exit(0 if d["depths"] else 1)'
-fi
+python3 -c 'import json,sys; sys.exit(0 if len(json.load(open("BENCH_ctrlperf.json"))["depths"]) > 0 else 1)'
 echo "BENCH_ctrlperf.json OK"
 
 # Trace smoke: record a fig07-class run, replay it in lockstep, and
@@ -280,13 +262,13 @@ echo "BENCH_ctrlperf.json OK"
 # mode to have taken a periodic memory checkpoint (the incremental
 # digest path, not just the closing one).
 TRACE_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_trace
-if command -v jq >/dev/null 2>&1; then
-    jq -e '.replay.identical == true
-       and .small_ops.checkpoints >= 1
-       and ([.summary[] | select(.name == "record_overhead_small_ops")] | length == 1)' BENCH_trace.json >/dev/null
-else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_trace.json")); rows=[r for r in d["summary"] if r["name"]=="record_overhead_small_ops"]; sys.exit(0 if d["replay"]["identical"] and d["small_ops"]["checkpoints"] >= 1 and len(rows) == 1 else 1)'
-fi
+python3 - <<'PY'
+import json, sys
+d = json.load(open("BENCH_trace.json"))
+rows = [r for r in d["summary"] if r["name"] == "record_overhead_small_ops"]
+ok = d["replay"]["identical"] is True and d["small_ops"]["checkpoints"] >= 1 and len(rows) == 1
+sys.exit(0 if ok else 1)
+PY
 echo "BENCH_trace.json OK"
 
 # Crash smoke: journaled run + seeded crash/restart sweep — the bench
@@ -294,11 +276,7 @@ echo "BENCH_trace.json OK"
 # zero exactly-once violations (DESIGN.md §15). The 5% record-overhead
 # bar is full-mode only (smoke timings are too short to be meaningful).
 CRASH_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_crash
-if command -v jq >/dev/null 2>&1; then
-    jq -e '.exactly_once.violations == 0 and .exactly_once.crashes > 0' BENCH_crash.json >/dev/null
-else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_crash.json"))["exactly_once"]; sys.exit(0 if d["violations"] == 0 and d["crashes"] > 0 else 1)'
-fi
+python3 -c 'import json,sys; d=json.load(open("BENCH_crash.json"))["exactly_once"]; sys.exit(0 if d["violations"] == 0 and d["crashes"] > 0 else 1)'
 echo "BENCH_crash.json OK"
 
 # Integrity smoke: verified copies under injected silent corruption —
@@ -306,11 +284,7 @@ echo "BENCH_crash.json OK"
 # zero escapes under Full; the JSON must confirm no corruption escaped
 # (DESIGN.md §16). The 5% verify-overhead bar is full-mode only.
 INTEGRITY_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_integrity
-if command -v jq >/dev/null 2>&1; then
-    jq -e '[.coverage[] | select(.policy == "full")] | all(.escapes == 0 and .detected > 0)' BENCH_integrity.json >/dev/null
-else
-    python3 -c 'import json,sys; c=[x for x in json.load(open("BENCH_integrity.json"))["coverage"] if x["policy"]=="full"]; sys.exit(0 if c and all(x["escapes"]==0 and x["detected"]>0 for x in c) else 1)'
-fi
+python3 -c 'import json,sys; c=[x for x in json.load(open("BENCH_integrity.json"))["coverage"] if x["policy"]=="full"]; sys.exit(0 if c and all(x["escapes"]==0 and x["detected"]>0 for x in c) else 1)'
 echo "BENCH_integrity.json OK"
 
 # Shard-scale smoke: the sharded control plane must sweep 1→N shards
@@ -326,16 +300,20 @@ echo "BENCH_integrity.json OK"
 # and the run with more shards must not end later (virtual time, so exact
 # in smoke mode too).
 SHARDSCALE_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_shardscale
-if command -v jq >/dev/null 2>&1; then
-    jq -e '(.sweep | length > 0)
-       and ([.sweep[] | select(.shards == 4) | .atc_hit_frac > 0.5] == [true])
-       and ([.sweep[] | .barrier_wait_frac | type == "number" and . >= 0 and . < 1] | all)
-       and ([.sweep[] | select(.shards == 1) | .barrier_wait_frac == 0] | all)
-       and ([.summary[] | select(.name == "end_ns_monotone") | .value] == [1])
-       and ([.summary[] | select(.name == "shard_determinism")] | all(.value == 1))' BENCH_shardscale.json >/dev/null
-else
-    python3 -c 'import json,sys; d=json.load(open("BENCH_shardscale.json")); det=[r for r in d["summary"] if r["name"]=="shard_determinism"]; mono=[r["value"] for r in d["summary"] if r["name"]=="end_ns_monotone"]; hit=[p["atc_hit_frac"] for p in d["sweep"] if p["shards"]==4]; wait=all(isinstance(p.get("barrier_wait_frac"),(int,float)) and 0<=p["barrier_wait_frac"]<1 and (p["shards"]>1 or p["barrier_wait_frac"]==0) for p in d["sweep"]); sys.exit(0 if d["sweep"] and len(hit)==1 and hit[0]>0.5 and wait and mono==[1] and det and all(r["value"]==1 for r in det) else 1)'
-fi
+python3 - <<'PY'
+import json, sys
+d = json.load(open("BENCH_shardscale.json"))
+vals = lambda name: [r["value"] for r in d["summary"] if r["name"] == name]
+number = lambda x: isinstance(x, (int, float)) and not isinstance(x, bool)
+ok = len(d["sweep"]) > 0
+ok = ok and [p["atc_hit_frac"] > 0.5 for p in d["sweep"] if p["shards"] == 4] == [True]
+ok = ok and all(number(p.get("barrier_wait_frac")) and 0 <= p["barrier_wait_frac"] < 1 for p in d["sweep"])
+ok = ok and all(p["barrier_wait_frac"] == 0 for p in d["sweep"] if p["shards"] == 1)
+ok = ok and vals("end_ns_monotone") == [1]
+det = vals("shard_determinism")
+ok = ok and len(det) > 0 and all(v == 1 for v in det)
+sys.exit(0 if ok else 1)
+PY
 echo "BENCH_shardscale.json OK"
 
 # Soak smoke: the O(active)-per-round control plane must beat the
@@ -346,24 +324,17 @@ echo "BENCH_shardscale.json OK"
 # bars are full-mode only — smoke tenant counts are too small for the
 # sweep cost to dominate honestly.
 SOAK_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_soak
-if command -v jq >/dev/null 2>&1; then
-    jq -e '(([.points[] | select(.settled > 0)] | length) == (.points | length))
-       and ([.points[] | .p50_ns <= .p99_ns and .p99_ns <= .p999_ns] | all)
-       and ([.points[] | has("reg_bytes_per_tenant")] | all)
-       and ([.summary[] | select(.name == "soak_determinism")] | all(.value == 1))
-       and ([.summary[] | select(.name == "round_cost_reduction_1e5")] | all(.value > 1))' BENCH_soak.json >/dev/null
-else
-    python3 - <<'PY'
+python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_soak.json"))
+vals = lambda name: [r["value"] for r in d["summary"] if r["name"] == name]
 ok = all(p["settled"] > 0 and p["p50_ns"] <= p["p99_ns"] <= p["p999_ns"]
          and "reg_bytes_per_tenant" in p for p in d["points"])
-det = [r for r in d["summary"] if r["name"] == "soak_determinism"]
-red = [r for r in d["summary"] if r["name"] == "round_cost_reduction_1e5"]
-ok = ok and det and all(r["value"] == 1 for r in det) and red and all(r["value"] > 1 for r in red)
+det, red = vals("soak_determinism"), vals("round_cost_reduction_1e5")
+ok = ok and len(det) > 0 and all(v == 1 for v in det)
+ok = ok and len(red) > 0 and all(v > 1 for v in red)
 sys.exit(0 if ok else 1)
 PY
-fi
 echo "BENCH_soak.json OK"
 
 # Fig. 12 smoke: the proxy chain through a verifying sink (150 messages a
@@ -373,26 +344,17 @@ echo "BENCH_soak.json OK"
 # and Copier ahead of the baseline at every size. Virtual time, so the
 # smoke values are exact too.
 FIG12_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig12_proxy
-if command -v jq >/dev/null 2>&1; then
-    jq -e '([.summary[] | select(.name == "copied_per_payload_16k") | .value <= 1.15] == [true])
-       and ([.summary[] | select(.name == "index_entries_peak") | .value <= 16] == [true])
-       and ([.summary[] | select(.name == "damaged_payloads") | .value == 0] == [true])
-       and ([.summary[] | select(.name | startswith("copier_vs_baseline_")) | .value >= 1] == [true, true, true, true])
-       and (.points | length == 24)
-       and ([.points[] | .damaged == 0] | all)' BENCH_fig12.json >/dev/null
-else
-    python3 - <<'PY'
+python3 - <<'PY'
 import json, sys
 d = json.load(open("BENCH_fig12.json"))
-rows = {r["name"]: r["value"] for r in d["summary"]}
-ok = rows["copied_per_payload_16k"] <= 1.15 and rows["index_entries_peak"] <= 16
-ok = ok and rows["damaged_payloads"] == 0
-vs = [v for n, v in rows.items() if n.startswith("copier_vs_baseline_")]
-ok = ok and len(vs) == 4 and all(v >= 1 for v in vs)
+vals = lambda match: [r["value"] for r in d["summary"] if match(r["name"])]
+ok = [v <= 1.15 for v in vals(lambda n: n == "copied_per_payload_16k")] == [True]
+ok = ok and [v <= 16 for v in vals(lambda n: n == "index_entries_peak")] == [True]
+ok = ok and [v == 0 for v in vals(lambda n: n == "damaged_payloads")] == [True]
+ok = ok and [v >= 1 for v in vals(lambda n: n.startswith("copier_vs_baseline_"))] == [True] * 4
 ok = ok and len(d["points"]) == 24 and all(p["damaged"] == 0 for p in d["points"])
 sys.exit(0 if ok else 1)
 PY
-fi
 echo "BENCH_fig12.json OK"
 
 # Fig. 11: the mini-Redis under two connections in all five systems. The

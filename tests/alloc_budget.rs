@@ -180,7 +180,7 @@ fn a_served_copy_costs_a_bounded_number_of_heap_calls() {
 /// (`queue_cap` 1024): its client state and five ring headers. When
 /// registration built every ring's slots, each queue pair behind its own
 /// `Rc`, it was 344,936 bytes.
-const REGISTRATION_BYTES: u64 = 864;
+const REGISTRATION_BYTES: u64 = 824;
 /// What a tenant's first copy asks for beyond a later copy and the u-mode
 /// Copy ring's slots: its first descriptor and the first capacity of the
 /// handle's and the service's per-tenant tables.
