@@ -46,16 +46,18 @@
 //! admission's journal digest folded on `guarded_small`). The bar is on
 //! the page's speed-up.
 //!
-//! The `copy_engine` group sources the dispatcher's deferral threshold
-//! (`copier_hw::DEFER_MIN_BATCH`, DESIGN.md §12): what queueing one copy
-//! for the host copy engine costs the simulation thread, one fence round
-//! trip (a deferred 64-byte copy, then a read of its destination) with
-//! the worker awake and with it parked, and a 256 KiB batch of scattered
-//! 4 KiB pages copied inline and deferred, each page beside a fixed
-//! bookkeeping loop that stands for the dispatcher's own work. The bar is
-//! on the deferred/inline batch ratio; the break-even row divides the
-//! parked round trip — the fixed cost of a cold batch — by the saving per
-//! page, in bytes.
+//! The `copy_engine` group sources the dispatcher's two deferral
+//! thresholds (`copier_mem::DEFER_MIN_BATCH` for a cold engine,
+//! `DEFER_WARM_MIN_BATCH` for an awake one; DESIGN.md §12): what queueing
+//! one copy for the host copy engine costs the simulation thread, one
+//! fence round trip (a deferred 64-byte copy, then a read of its
+//! destination) with the worker awake and with it parked, and a 256 KiB
+//! batch of scattered 4 KiB pages copied inline and deferred, each page
+//! beside a fixed bookkeeping loop that stands for the dispatcher's own
+//! work. One bar is on the deferred/inline batch ratio. The two
+//! break-even rows divide a round trip — parked for a cold batch, awake
+//! for a warm one — by the saving per page, in bytes, and each threshold
+//! is gated to sit at or above its break-even.
 //!
 //! Writes `BENCH_hostperf.json` at the repo root (host GB/s per layout
 //! plus suite wall-clock) — the seed point of the BENCH perf trajectory.
@@ -427,14 +429,28 @@ struct CopyEngineRows {
 }
 
 impl CopyEngineRows {
-    /// The batch size, in KiB, above which deferring pays for a cold
-    /// start: the parked round trip over the saving per page.
-    fn breakeven_kib(&self) -> f64 {
+    /// The batch size, in KiB, at which deferring pays for a fixed cost
+    /// of `round_trip_ns`: that over the saving per page.
+    fn breakeven_at(&self, round_trip_ns: u64) -> f64 {
         let saved = self.batch_inline_ns as f64 - self.batch_deferred_ns as f64;
         let per_page = saved.max(1.0) / BATCH_PAGES as f64;
-        self.fence_parked_ns as f64 / per_page * (PAGE_SIZE / 1024) as f64
+        round_trip_ns as f64 / per_page * (PAGE_SIZE / 1024) as f64
+    }
+
+    /// The break-even of a cold batch, whose first fence wakes the worker.
+    fn breakeven_kib(&self) -> f64 {
+        self.breakeven_at(self.fence_parked_ns)
+    }
+
+    /// The break-even of a batch queued while the worker is awake.
+    fn breakeven_warm_kib(&self) -> f64 {
+        self.breakeven_at(self.fence_awake_ns)
     }
 }
+
+/// The cold and the warm deferral thresholds, in KiB.
+const COLD_KIB: usize = copier_mem::DEFER_MIN_BATCH / 1024;
+const WARM_KIB: usize = copier_mem::DEFER_WARM_MIN_BATCH / 1024;
 
 /// The fixed per-page work beside each copy of a batch row: a chain of
 /// dependent multiplies the optimizer cannot fold.
@@ -811,10 +827,9 @@ fn copy_engine_json(e: &CopyEngineRows) -> Json {
         ("batch_bytes", Json::Int((BATCH_PAGES * PAGE_SIZE) as u64)),
         ("batch_ratio", Json::Num(e.batch_ratio)),
         ("breakeven_kib", Json::Num(e.breakeven_kib())),
-        (
-            "threshold_kib",
-            Json::Int((copier_hw::DEFER_MIN_BATCH / 1024) as u64),
-        ),
+        ("breakeven_warm_kib", Json::Num(e.breakeven_warm_kib())),
+        ("threshold_kib", Json::Int(COLD_KIB as u64)),
+        ("threshold_warm_kib", Json::Int(WARM_KIB as u64)),
         (
             "counters",
             Json::obj([
@@ -872,10 +887,13 @@ fn main() {
         run_copy_engine(&bench, 200, 41)
     };
     println!(
-        "  deferred/inline batch = {:.2}, break-even = {:.1} KiB (threshold {} KiB)",
+        "  deferred/inline batch = {:.2}, break-even cold = {:.1} KiB (threshold {} KiB), \
+         warm = {:.1} KiB (threshold {} KiB)",
         engine.batch_ratio,
         engine.breakeven_kib(),
-        copier_hw::DEFER_MIN_BATCH / 1024
+        COLD_KIB,
+        engine.breakeven_warm_kib(),
+        WARM_KIB
     );
     section("executor: host cost of one simulated event");
     let (rounds, events) = if smoke { (3, 20_000) } else { (15, 400_000) };
@@ -986,6 +1004,19 @@ fn main() {
                             "ratio_max",
                             COPY_ENGINE_BATCH_BAR,
                             engine.batch_ratio,
+                        ),
+                        // Each threshold at or above its break-even.
+                        Json::summary(
+                            "defer_threshold_cold",
+                            "ratio_min",
+                            1.0,
+                            COLD_KIB as f64 / engine.breakeven_kib(),
+                        ),
+                        Json::summary(
+                            "defer_threshold_warm",
+                            "ratio_min",
+                            1.0,
+                            WARM_KIB as f64 / engine.breakeven_warm_kib(),
                         ),
                     ])
                     .collect(),

@@ -45,8 +45,10 @@ pub async fn sync_copy(
     }
     let mut t = cost.cpu_copy(kind, len);
     let faults = (work.demand_zero + work.cow_remap + work.cow_copy) as u64;
-    if faults > 0 {
-        t += Nanos(cost.page_fault.as_nanos() * faults);
+    t += Nanos(cost.page_fault.as_nanos() * faults);
+    // A CoW break copies its page in the fault handler; a demand-zero or
+    // remap fault copies nothing and pays no copy's fixed cost.
+    if work.bytes_copied > 0 {
         t += cost.cpu_copy(CpuCopyKind::Avx2, work.bytes_copied);
     }
     core.advance(t).await;
@@ -119,6 +121,34 @@ mod tests {
             let mut out = vec![0u8; 5000];
             space.read_bytes(dst, &mut out).unwrap();
             assert_eq!(out, data);
+        });
+        sim.run();
+    }
+
+    /// Demand-zero faults on the destination cost `page_fault` each and
+    /// nothing more: they copy no bytes, so no copy's fixed cost is due.
+    #[test]
+    fn a_demand_zero_fault_charges_no_copy() {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let m = Machine::new(&h, 1);
+        let pm = Rc::new(PhysMem::new(64, AllocPolicy::Sequential));
+        let space = AddressSpace::new(1, pm);
+        let cost = Rc::new(CostModel::default());
+        let core = m.core(0);
+        sim.spawn("t", async move {
+            let src = space.mmap(8192, Prot::RW, false).unwrap();
+            let dst = space.mmap(8192, Prot::RW, false).unwrap();
+            space.write_bytes(src, &[7; 6000]).unwrap();
+            let t0 = h.now();
+            let kind = CpuCopyKind::Erms;
+            let w = sync_copy(&core, &cost, kind, &space, dst, &space, src, 6000)
+                .await
+                .unwrap();
+            assert_eq!((w.demand_zero, w.bytes_copied), (2, 0), "{w:?}");
+            let faults = u64::from(w.demand_zero);
+            let want = cost.cpu_copy(kind, 6000) + Nanos(cost.page_fault.as_nanos() * faults);
+            assert_eq!(h.now() - t0, want);
         });
         sim.run();
     }

@@ -18,13 +18,14 @@
 //! Progress callbacks fire per subtask the moment its bytes land (from the
 //! device task for DMA subtasks), driving fine-grained descriptor updates.
 //!
-//! A batch that carries at least [`DEFER_MIN_BATCH`] bytes hands its
-//! landings — CPU subtasks and DMA descriptors alike — to the host copy
-//! engine ([`PhysMem::defer_copy_run`]): the bytes are queued for a
+//! Whether a batch's landings — CPU subtasks and DMA descriptors alike —
+//! go to the host copy engine ([`PhysMem::defer_copy_run`]) is decided
+//! once per batch by [`PhysMem::worth_deferring`], from the batch's bytes
+//! and whether the engine's worker is awake: the bytes are queued for a
 //! worker thread and every later access to them waits for them, so what
-//! the simulation observes is unchanged and only host time moves. Smaller
-//! batches copy inline, where a queue round trip would cost more than the
-//! copy.
+//! the simulation observes is unchanged and only host time moves. The
+//! batch decides, not the subtask: subtasks are page-sized, and only the
+//! batch sees the total that pays for a queue round trip (DESIGN.md §12).
 
 use std::rc::Rc;
 
@@ -102,15 +103,6 @@ pub struct DispatchReport {
     /// [`PlannedCopy::corrupted`].
     pub repairs: u64,
 }
-
-/// The smallest batch whose landings go to the host copy engine. A cold
-/// batch pays a fixed cost — waking a parked worker, one fence round trip
-/// — against what each page saves the simulation thread; `fig_hostperf`'s
-/// `copy_engine` rows measure both and put the break-even at 17–25 KiB
-/// (44 KiB with the batch's pages in cache) on a 2-vCPU Xeon KVM guest. This is the power of two at
-/// four times that, so the fixed cost stays under a quarter of the saving
-/// (DESIGN.md §12).
-pub const DEFER_MIN_BATCH: usize = 128 * 1024;
 
 /// The smallest subtask that is a DMA candidate: one page. §4.3 makes a
 /// subtask a candidate when it is large enough to amortize a descriptor;
@@ -250,7 +242,7 @@ impl Dispatcher {
         progress: ProgressFn,
     ) -> DispatchReport {
         self.plan(batch);
-        let defer = batch_bytes(batch) >= DEFER_MIN_BATCH;
+        let defer = self.pm.worth_deferring(batch_bytes(batch));
         let mut report = DispatchReport::default();
         let mut completions = Vec::new();
 
@@ -484,7 +476,7 @@ fn core_now(core: &Rc<Core>) -> Nanos {
 mod tests {
     use super::*;
     use crate::units::split_subtasks_into;
-    use copier_mem::{AllocPolicy, Extent, FrameId, PAGE_SIZE};
+    use copier_mem::{AllocPolicy, Extent, FrameId, DEFER_MIN_BATCH, PAGE_SIZE};
     use copier_sim::{Machine, Sim};
     use std::cell::RefCell;
 
@@ -949,20 +941,32 @@ mod tests {
     /// pool with DMA; returns the report, whether every destination
     /// reads back as its source, and the pool's copy-engine counters.
     fn run_batch(tasks: u64, pages: usize) -> (DispatchReport, bool, copier_mem::CopyEngineStats) {
-        let pm = Rc::new(PhysMem::new(512, AllocPolicy::Sequential));
+        run_batch_on(
+            &Rc::new(PhysMem::new(512, AllocPolicy::Sequential)),
+            tasks,
+            pages,
+        )
+    }
+
+    /// [`run_batch`] on `pm`, whose counters it returns as they stand.
+    fn run_batch_on(
+        pm: &Rc<PhysMem>,
+        tasks: u64,
+        pages: usize,
+    ) -> (DispatchReport, bool, copier_mem::CopyEngineStats) {
         let cost = Rc::new(CostModel::default());
         let mut sim = Sim::new();
         let h = sim.handle();
         let m = Machine::new(&h, 1);
-        let dma = DmaEngine::new(&h, Rc::clone(&pm), Rc::clone(&cost), 1, None, 2);
+        let dma = DmaEngine::new(&h, Rc::clone(pm), Rc::clone(&cost), 1, None, 2);
         let d = Rc::new(Dispatcher::new(
-            Rc::clone(&pm),
+            Rc::clone(pm),
             cost,
             Some(dma),
             VerifyPolicy::Off,
         ));
         let mut batch: Vec<PlannedCopy> = (0..tasks)
-            .map(|i| split_pages(planned(&pm, i, pages)))
+            .map(|i| split_pages(planned(pm, i, pages)))
             .collect();
         let pairs: Vec<(FrameId, FrameId)> = batch
             .iter()
@@ -999,6 +1003,32 @@ mod tests {
         let (r, intact, engine) = run_batch(1, 2 * pages - 1);
         assert!(r.dma_descriptors > 0 && intact);
         assert_eq!(engine, copier_mem::CopyEngineStats::default());
+    }
+
+    /// While the engine's worker is awake, a batch far below
+    /// `DEFER_MIN_BATCH` queues its landings too; on a fresh pool, whose
+    /// worker never started, the same batch lands inline.
+    #[test]
+    fn a_small_batch_lands_through_a_warm_copy_engine() {
+        let pages = 16 * 1024 / PAGE_SIZE;
+        let (r, intact, engine) = run_batch(1, pages);
+        assert!(r.dma_descriptors > 0 && r.cpu_bytes > 0, "{r:?}");
+        assert!(intact, "every destination reads back as its source");
+        assert_eq!(engine, copier_mem::CopyEngineStats::default());
+        let pm = Rc::new(PhysMem::new(512, AllocPolicy::Sequential));
+        let (src, dst) = (pm.alloc().unwrap(), pm.alloc().unwrap());
+        // A queued copy wakes the worker, which then stays awake for its
+        // idle spin (50 µs of host time). A host that takes this thread
+        // off its core for longer before the batch gets another try.
+        let warm = (0..20).any(|_| {
+            pm.defer_copy_run(dst, 0, src, 0, 64);
+            let before = pm.copy_engine_stats().deferred_bytes;
+            let (r, intact, engine) = run_batch_on(&pm, 1, pages);
+            assert!(r.dma_descriptors > 0 && r.cpu_bytes > 0, "{r:?}");
+            assert!(intact, "every destination reads back as its source");
+            engine.deferred_bytes - before == (pages * PAGE_SIZE) as u64
+        });
+        assert!(warm, "a 16 KiB batch never went through the awake engine");
     }
 
     fn run_with_flips(policy: VerifyPolicy) -> (DispatchReport, Vec<u64>, bool, u64) {

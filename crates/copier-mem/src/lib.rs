@@ -13,7 +13,10 @@
 pub mod phys;
 pub mod space;
 
-pub use phys::{AllocPolicy, CopyEngineStats, FrameId, PhysError, PhysMem, PAGE_SIZE};
+pub use phys::{
+    AllocPolicy, CopyEngineStats, FrameId, PhysError, PhysMem, DEFER_MIN_BATCH,
+    DEFER_WARM_MIN_BATCH, PAGE_SIZE,
+};
 pub use space::{
     frames_of, AddressSpace, AsId, Extent, FaultWork, MemError, Prot, Pte, VirtAddr, KERNEL_BASE,
     USER_BASE,

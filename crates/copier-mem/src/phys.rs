@@ -22,14 +22,15 @@
 //! The arena is a raw allocation owned by the private `arena` module, the
 //! host copy engine (DESIGN.md §12): [`PhysMem::defer_copy_run`] queues a
 //! copy for one worker thread, spawned on the first such copy, that runs
-//! the queue in FIFO order. Nothing here touches arena bytes except
-//! through that module's three fenced calls — a read view, a write view
-//! and a synchronous copy — each of which first waits for the queued
-//! copies that overlap its range: a read for those writing it, a write for
-//! those reading or writing it. The view covers exactly the fenced range
-//! for the length of one call, so no reference ever covers bytes the
-//! worker is writing, and every byte read here is the byte a synchronous
-//! copy would have left.
+//! the queue in FIFO order, and [`PhysMem::worth_deferring`] says which
+//! dispatch batches are worth queueing. Nothing here touches arena bytes
+//! except through that module's three fenced calls — a read view, a
+//! write view and a synchronous copy — each of which first waits for the
+//! queued copies that overlap its range: a read for those writing it, a
+//! write for those reading or writing it. The view covers exactly the
+//! fenced range for the length of one call, so no reference ever covers
+//! bytes the worker is writing, and every byte read here is the byte a
+//! synchronous copy would have left.
 //!
 //! Only host wall-clock changes: virtual-time costs are charged by callers
 //! from byte counts, which the arena and its worker leave untouched.
@@ -64,6 +65,24 @@ use arena::{Arena, RingShape, RING};
 
 /// Size of one page/frame in bytes.
 pub const PAGE_SIZE: usize = 4096;
+
+/// The smallest dispatch batch worth a *cold* start of the host copy
+/// engine, one whose worker must be spawned or woken first
+/// ([`PhysMem::worth_deferring`]). `fig_hostperf`'s `copy_engine` rows
+/// (`BENCH_hostperf.json`, a 2-vCPU Xeon KVM guest) put a fence round
+/// trip with the worker parked at ≈ 3.8–5.4 µs and the saving of a
+/// deferred page at ≈ 0.5–0.6 µs, so a cold batch breaks even at
+/// 17–43 KiB. This is the power of two at four times the first such
+/// measurement (25 KiB), so the fixed cost stays well under what the
+/// batch saves (DESIGN.md §12).
+pub const DEFER_MIN_BATCH: usize = 128 * 1024;
+
+/// The smallest dispatch batch worth queueing while the worker is awake.
+/// The same rows put the awake round trip at ≈ 0.3–0.4 µs, so a warm
+/// batch breaks even at 1.9–3.2 KiB; this is the power of two at four
+/// times the lower figure. Below ≈ 2 KiB a batch costs more queued than
+/// inline.
+pub const DEFER_WARM_MIN_BATCH: usize = 8 * 1024;
 
 /// Index of a physical frame. Consecutive ids are physically contiguous.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -612,6 +631,17 @@ impl PhysMem {
         }
         self.mark_bytes_dirty(d0, len);
         Some((d0, s0))
+    }
+
+    /// Whether a dispatch batch of `batch_bytes` should land through the
+    /// host copy engine ([`Self::defer_copy_run`]) rather than inline:
+    /// when it is worth a cold start ([`DEFER_MIN_BATCH`]), or when the
+    /// worker is awake and it is worth a warm round trip
+    /// ([`DEFER_WARM_MIN_BATCH`]). Which thread lands a byte moves host
+    /// time only, so the answer may depend on host timing.
+    pub fn worth_deferring(&self, batch_bytes: usize) -> bool {
+        batch_bytes >= DEFER_MIN_BATCH
+            || (batch_bytes >= DEFER_WARM_MIN_BATCH && self.arena.awake())
     }
 
     /// The host copy engine's counters (host-side only).

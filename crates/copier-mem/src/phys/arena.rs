@@ -305,6 +305,14 @@ impl Arena {
         self.stats.get()
     }
 
+    /// Whether the worker is awake — spawned and not parked — so a copy
+    /// queued now pays no spawn and no wake-up. A hint: the worker may
+    /// park a moment later, which costs host time and nothing else, so
+    /// the load is `Relaxed`: no byte or counter is read on its word.
+    pub(super) fn awake(&self) -> bool {
+        self.worker.get().is_some() && !self.queue.parked.0.load(Ordering::Relaxed)
+    }
+
     fn count(&self, f: impl FnOnce(&mut CopyEngineStats)) {
         let mut s = self.stats.get();
         f(&mut s);

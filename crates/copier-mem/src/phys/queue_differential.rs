@@ -370,3 +370,46 @@ fn a_copy_over_the_byte_bound_runs_inline() {
     pm.read_run(FrameId(f.0 + 4), 0, &mut got);
     assert!(got.iter().all(|&b| b == 3));
 }
+
+/// The deferral rule reads the engine's state: with no worker yet, or
+/// with one that parked, only a batch worth a cold start
+/// (`DEFER_MIN_BATCH`) is worth deferring; with the worker awake in its
+/// idle spin, a batch of `DEFER_WARM_MIN_BATCH` is too.
+#[test]
+fn a_warm_engine_takes_smaller_batches() {
+    let cold_only = |pm: &PhysMem| {
+        !pm.worth_deferring(DEFER_WARM_MIN_BATCH)
+            && !pm.worth_deferring(DEFER_MIN_BATCH - 1)
+            && pm.worth_deferring(DEFER_MIN_BATCH)
+    };
+    let queue_one = |pm: &PhysMem| {
+        let f = pm.alloc_contiguous(2).unwrap();
+        pm.defer_copy_run(FrameId(f.0 + 1), 0, f, 0, 64);
+        pm.read(FrameId(f.0 + 1), 0, &mut [0u8; 64]);
+    };
+    // A spin long enough that the worker stays awake for the whole test.
+    let lingering = RingShape {
+        idle_spin: Duration::from_secs(600),
+        ..shape(4, 1 << 20, false)
+    };
+    let pm = PhysMem::with_ring(4, AllocPolicy::Sequential, lingering);
+    assert!(cold_only(&pm), "no worker yet");
+    queue_one(&pm);
+    assert!(pm.worth_deferring(DEFER_WARM_MIN_BATCH));
+    assert!(!pm.worth_deferring(DEFER_WARM_MIN_BATCH - 1));
+    drop(pm);
+
+    let pm = PhysMem::with_ring(4, AllocPolicy::Sequential, shape(4, 1 << 20, true));
+    assert!(cold_only(&pm), "no worker yet");
+    queue_one(&pm);
+    // The eager worker parks as soon as the queue is empty.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while pm.worth_deferring(DEFER_WARM_MIN_BATCH) {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the worker never parked"
+        );
+        std::thread::yield_now();
+    }
+    assert!(cold_only(&pm), "a parked worker");
+}

@@ -227,7 +227,9 @@ cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 # sourced from (submission, a fence round trip with the worker awake and
 # parked, a 256 KiB scattered batch inline and deferred) with the batch
 # ratio's summary row and the counters that show the batch went through
-# the queue.
+# the queue, and both deferral thresholds' summary rows (cold and warm,
+# each threshold over its break-even): in smoke mode only that they
+# exist, in full mode that each sits at or above its break-even.
 HOSTPERF_SMOKE=1 cargo bench -q -p copier-bench --offline --locked --bench fig_hostperf
 python3 - <<'PY'
 import json, sys
@@ -245,6 +247,10 @@ ok = ok and len(summary("name", "speedup_digest-page")) == 1
 ok = ok and [r["name"] for r in ce["rows"]] == ["submit", "fence_awake", "fence_parked", "batch_inline", "batch_deferred"]
 ok = ok and all(r["ns"] > 0 for r in ce["rows"]) and ce["counters"]["deferred_copies"] > 0
 ok = ok and len(summary("name", "copy_engine_batch")) == 1
+ok = ok and ce["breakeven_kib"] > 0 and ce["breakeven_warm_kib"] > 0
+for name in ("defer_threshold_cold", "defer_threshold_warm"):
+    rows = summary("name", name)
+    ok = ok and len(rows) == 1 and (d["smoke"] or rows[0]["value"] >= rows[0]["bar"])
 sys.exit(0 if ok else 1)
 PY
 echo "BENCH_hostperf.json OK"
