@@ -271,11 +271,11 @@ fn crashed_run(seed: u64, ncopies: usize, pages: usize, crash_prob: f64) -> Swee
             }
         }
     }
-    if lib.client.credits.get() != lib.client.credit_cap.get() {
+    if lib.client.credits.get() != lib.client.view().credit_cap {
         violations.push(format!(
             "seed {seed}: credits {} != cap {}",
             lib.client.credits.get(),
-            lib.client.credit_cap.get()
+            lib.client.view().credit_cap
         ));
     }
     if os.pm.pinned_frames() != 0 {

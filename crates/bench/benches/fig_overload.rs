@@ -171,7 +171,7 @@ pub fn run(load: f64, seed: u64, pressured: bool) -> Out {
 
     let per_tenant: Vec<u64> = tenants
         .iter()
-        .map(|(lib, _)| lib.client.copied_total.get())
+        .map(|(lib, _)| lib.client.view().copied_total)
         .collect();
     let served: u64 = per_tenant.iter().sum();
     Out {

@@ -187,7 +187,7 @@ fn run(shards: usize, tenants: usize, horizon: Nanos, load: f64, seed: u64) -> O
 
     let per_tenant: Vec<u64> = handles
         .iter()
-        .map(|(lib, _)| lib.client.copied_total.get())
+        .map(|(lib, _)| lib.client.view().copied_total)
         .collect();
     let served: u64 = per_tenant.iter().sum();
     Out {

@@ -280,7 +280,7 @@ impl CopierHandle {
     async fn acquire_credit(&self, core: &Rc<Core>) -> Result<(), SubmitError> {
         let mut attempt = 0u32;
         while !self.client.take_credit() {
-            if self.client.dead.get() {
+            if self.client.view().dead {
                 // A dead client's credits never refill; the caller's
                 // dead-check right after handles it.
                 return Ok(());
@@ -457,7 +457,7 @@ impl CopierHandle {
         } else {
             core.advance(self.cost.task_submit).await;
             let user = via != Via::Kernel;
-            let reaped = || self.client.dead.get();
+            let reaped = || self.client.view().dead;
             if !reaped() {
                 let set = self.client.set(opts.fd);
                 let ring = if user { &set.uq.copy } else { &set.kq.copy };
@@ -796,7 +796,7 @@ impl CopierHandle {
     /// so the waiter must not spin forever.
     async fn spin_until(&self, core: &Rc<Core>, done: impl Fn() -> bool + Clone + 'static) {
         let client = Rc::clone(&self.client);
-        let waiting = move || !done() && !client.dead.get();
+        let waiting = move || !done() && !client.view().dead;
         if !waiting() {
             return;
         }
@@ -908,7 +908,7 @@ impl CopierHandle {
     /// every ring entry).
     pub async fn post_handlers(self: &Rc<Self>, core: &Rc<Core>) -> usize {
         let mut n = 0;
-        let sets: Vec<_> = self.client.sets.borrow().iter().cloned().collect();
+        let sets = (0..).map_while(|fd| self.client.set_at(fd));
         for set in sets {
             let next = || {
                 let ring = set.handler.pop();

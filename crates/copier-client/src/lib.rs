@@ -432,8 +432,8 @@ mod e2e {
             for (lib, dst) in &bufs {
                 lib.csync(&core_app, *dst, len * 8).await.unwrap();
             }
-            let a = libs[0].0.client.copied_total.get();
-            let b = libs[1].0.client.copied_total.get();
+            let a = libs[0].0.client.view().copied_total;
+            let b = libs[1].0.client.view().copied_total;
             assert_eq!(a, b, "equal work → equal served bytes");
             svc.stop();
         });

@@ -161,15 +161,15 @@ async fn quiesce_and_check(
     prop_assert!(set.uq.copy.is_empty() && set.uq.sync.is_empty());
     // One more round, so that what was just drained has been served.
     h.sleep(Nanos(1000)).await;
-    let live = set.pending.borrow().len() as u64;
+    let live = set.window_len() as u64;
     prop_assert_eq!(live + fired(), submitted, "window vs unsettled tasks");
-    prop_assert_eq!(set.index.len() as u64, 2 * live, "two records per entry");
-    if let Err(e) = set.index_consistent() {
+    // The index holds exactly the window's records: two per entry.
+    if let Err(e) = lib.client.index_consistent() {
         return Err(format!("index inconsistent: {e}"));
     }
     prop_assert_eq!(
         lib.client.credits.get() + live,
-        lib.client.credit_cap.get(),
+        lib.client.view().credit_cap,
         "a credit per settled task"
     );
     Ok(())

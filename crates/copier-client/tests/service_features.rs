@@ -45,8 +45,8 @@ fn idle_world(cfg: CopierConfig) -> (Sim, Rc<Machine>, Rc<PhysMem>, Rc<Copier>) 
 fn cgroup_shares_divide_service_bandwidth() {
     let (mut sim, machine, pm, svc) = idle_world(CopierConfig::default());
     // Two clients in cgroups with a 3:1 copier.shares ratio.
-    let fast_g = svc.sched.create_cgroup("fast", 3072);
-    let slow_g = svc.sched.create_cgroup("slow", 1024);
+    let fast_g = svc.create_cgroup(3072);
+    let slow_g = svc.create_cgroup(1024);
     let spaces: Vec<_> = (0..2)
         .map(|i| AddressSpace::new(i + 1, Rc::clone(&pm)))
         .collect();
@@ -54,8 +54,8 @@ fn cgroup_shares_divide_service_bandwidth() {
         .iter()
         .map(|s| CopierHandle::new(&svc, Rc::clone(s)))
         .collect();
-    libs[0].client.cgroup.set(fast_g);
-    libs[1].client.cgroup.set(slow_g);
+    svc.set_cgroup(&libs[0].client, fast_g).unwrap();
+    svc.set_cgroup(&libs[1].client, slow_g).unwrap();
     let core = machine.core(0);
     let svc2 = Rc::clone(&svc);
     let h = sim.handle();
@@ -82,12 +82,12 @@ fn cgroup_shares_divide_service_bandwidth() {
         svc2.start();
         // Both still have a backlog when the fast client reaches 24 of
         // its 32 copies: compare shares there.
-        while libs[0].client.copied_total.get() < 24 * len as u64 {
+        while libs[0].client.view().copied_total < 24 * len as u64 {
             h.sleep(Nanos::from_micros(1)).await;
         }
         served2.set((
-            libs[0].client.copied_total.get(),
-            libs[1].client.copied_total.get(),
+            libs[0].client.view().copied_total,
+            libs[1].client.view().copied_total,
         ));
         // Drain fully before teardown.
         for lib in &libs {

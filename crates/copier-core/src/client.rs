@@ -8,6 +8,100 @@
 //! The service drains queue entries into the set's *pending window*, a list
 //! of [`PendEntry`] ordered by the merged cross-privilege key computed from
 //! barrier tasks.
+//!
+//! # The privilege boundary
+//!
+//! A tenant maps its queue sets' rings and handler overflow, its credit
+//! word and its signals: the public fields of [`Client`] and [`QueueSet`].
+//! The rest is the service's books, written only inside this crate and
+//! read through [`Client::view`]. Each book a tenant might write fails to
+//! compile outside it; beside each failing block, a twin that differs only
+//! in reading the value compiles, so a misspelt name cannot pass for the
+//! boundary.
+//!
+//! The vruntime:
+//! ```compile_fail
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     client.copied_total.set(0);
+//! }
+//! ```
+//! ```
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     let _: u64 = client.view().copied_total;
+//! }
+//! ```
+//!
+//! The cgroup (`Copier::set_cgroup` moves it):
+//! ```compile_fail
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     client.cgroup.set(99);
+//! }
+//! ```
+//! ```
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     let _: usize = client.view().cgroup;
+//! }
+//! ```
+//!
+//! An in-flight count:
+//! ```compile_fail
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     client.inflight_tasks.set(0);
+//! }
+//! ```
+//! ```
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     let _: u64 = client.view().inflight_tasks;
+//! }
+//! ```
+//!
+//! The pins:
+//! ```compile_fail
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     client.pinned.set(0);
+//! }
+//! ```
+//! ```
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     let _: u64 = client.view().pinned;
+//! }
+//! ```
+//!
+//! `dead`:
+//! ```compile_fail
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     client.dead.set(true);
+//! }
+//! ```
+//! ```
+//! # use copier_core::Client;
+//! fn tenant(client: &Client) {
+//!     let _: bool = client.view().dead;
+//! }
+//! ```
+//!
+//! A merge cell (no view reads one; the twin reaches the same set):
+//! ```compile_fail
+//! # use copier_core::QueueSet;
+//! fn tenant(set: &QueueSet) {
+//!     set.seq.set(u64::MAX);
+//! }
+//! ```
+//! ```
+//! # use copier_core::QueueSet;
+//! fn tenant(set: &QueueSet) {
+//!     let _: usize = set.window_len();
+//! }
+//! ```
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -39,7 +133,7 @@ pub struct QueuePair {
 impl QueuePair {
     /// Creates a queue pair of `cap`-slot rings; each ring allocates its
     /// slots on its first push.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         QueuePair {
             copy: Ring::new(cap),
             sync: Ring::new(cap),
@@ -61,29 +155,29 @@ pub struct PendEntry {
     /// Byte ranges physically copied so far.
     pub copied: RefCell<IntervalSet>,
     /// Byte ranges currently handed to the dispatcher (in flight).
-    pub inflight: RefCell<IntervalSet>,
+    pub(crate) inflight: RefCell<IntervalSet>,
     /// Byte ranges deferred by copy absorption (§4.4) — still owed, but
     /// intentionally off the fast path.
-    pub deferred: RefCell<IntervalSet>,
+    pub(crate) deferred: RefCell<IntervalSet>,
     /// Don't execute deferred/lazy bytes before this virtual instant.
-    pub defer_until: Cell<Nanos>,
+    pub(crate) defer_until: Cell<Nanos>,
     /// Byte ranges a Sync Task asked for (§4.2.2): they run ahead of the
     /// FIFO and of the lazy and deferral timers. A whole-task promotion is
     /// the full range `[0, len)`; a `csync` of part of a lazy task is the
     /// segments it touches. The promotion is over once those bytes landed.
-    pub promoted: RefCell<IntervalSet>,
+    pub(crate) promoted: RefCell<IntervalSet>,
     /// Abort requested (§4.4): discard the remaining work.
     pub aborted: Cell<bool>,
     /// Planning failed (fault); the descriptor has been poisoned.
     pub failed: Cell<Option<CopyFault>>,
     /// When the task entered the window (drives lazy expiry).
-    pub submitted_at: Nanos,
+    pub(crate) submitted_at: Nanos,
     /// Pinned frames to release at completion: `(space, frames)`.
-    pub pins: RefCell<Vec<(Rc<AddressSpace>, Vec<FrameId>)>>,
+    pub(crate) pins: RefCell<Vec<(Rc<AddressSpace>, Vec<FrameId>)>>,
     /// Set by the first finalizer — makes completion idempotent: an orphan
     /// sweep or an adoption may finalize an entry that a suspended round
     /// still holds in its batch.
-    pub finalized: Cell<bool>,
+    pub(crate) finalized: Cell<bool>,
 }
 
 impl PendEntry {
@@ -107,17 +201,17 @@ impl PendEntry {
     }
 
     /// Promotes the task-relative bytes `[lo, hi)`.
-    pub fn promote(&self, lo: usize, hi: usize) {
+    pub(crate) fn promote(&self, lo: usize, hi: usize) {
         self.promoted.borrow_mut().insert(lo, hi.min(self.task.len));
     }
 
     /// Promotes the whole task.
-    pub fn promote_all(&self) {
+    pub(crate) fn promote_all(&self) {
         self.promote(0, self.task.len);
     }
 
     /// Whether promoted bytes are still to land.
-    pub fn is_promoted(&self) -> bool {
+    pub(crate) fn is_promoted(&self) -> bool {
         let copied = self.copied.borrow();
         self.promoted
             .borrow()
@@ -126,7 +220,7 @@ impl PendEntry {
     }
 
     /// Bytes not yet copied, aborted, or in flight.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         let done = self.copied.borrow().total() + self.inflight.borrow().total();
         self.task.len.saturating_sub(done)
     }
@@ -192,7 +286,7 @@ impl PendEntry {
 
     /// Whether [`Self::runnable_gaps_into`] would find any, without building
     /// the list.
-    pub fn has_runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> bool {
+    pub(crate) fn has_runnable_gaps(&self, now: Nanos, lazy_period: Nanos) -> bool {
         (!self.held_lazy(now, lazy_period)
             && self.has_gap_in(0, self.task.len, now >= self.defer_until.get()))
             || self
@@ -206,7 +300,7 @@ impl PendEntry {
     /// byte, and — once a lazy task's period is over — every other byte
     /// that is not deferred, or all of them after the deferral timer.
     /// Bytes copied or in flight are never in it.
-    pub fn runnable_gaps_into(
+    pub(crate) fn runnable_gaps_into(
         &self,
         now: Nanos,
         lazy_period: Nanos,
@@ -238,15 +332,15 @@ impl PendEntry {
 /// are failed in dependency order (§4.4) instead of silently reading
 /// stale bytes; a fresh copy that fully overwrites the range clears it.
 #[derive(Debug, Clone, Copy)]
-pub struct TaintRange {
+pub(crate) struct TaintRange {
     /// Address-space id of the garbaged destination.
-    pub space: u32,
+    pub(crate) space: u32,
     /// Start virtual address (inclusive).
-    pub lo: u64,
+    pub(crate) lo: u64,
     /// End virtual address (exclusive).
-    pub hi: u64,
+    pub(crate) hi: u64,
     /// The fault to propagate to dependents.
-    pub fault: CopyFault,
+    pub(crate) fault: CopyFault,
 }
 
 /// A paired u-mode/k-mode queue set with its merge and window state.
@@ -259,18 +353,18 @@ pub struct QueueSet {
     /// the client beside the u-mode pair.
     pub handler: Ring<Handler>,
     /// Current k-mode barrier key (peer u-queue position at last barrier).
-    pub cur_k_key: Cell<u64>,
+    pub(crate) cur_k_key: Cell<u64>,
     /// Count of u-mode copy tasks drained so far (the u key).
-    pub u_index: Cell<u64>,
+    pub(crate) u_index: Cell<u64>,
     /// Monotone drain sequence for stable ties.
-    pub seq: Cell<u64>,
+    pub(crate) seq: Cell<u64>,
     /// The in-flight window, sorted by `key`.
-    pub pending: RefCell<VecDeque<Rc<PendEntry>>>,
+    pub(crate) pending: RefCell<VecDeque<Rc<PendEntry>>>,
     /// Address index over the window's src/dst ranges, kept in lockstep
     /// with `pending` by the service (submit / finalize / reap).
-    pub index: PendIndex,
+    pub(crate) index: PendIndex,
     /// Destinations garbaged by faulted copies (bounded; oldest evicted).
-    pub tainted: RefCell<Vec<TaintRange>>,
+    pub(crate) tainted: RefCell<Vec<TaintRange>>,
     /// Handlers that did not fit the (bounded) handler ring, and every
     /// handler completed while this list is not empty; drained by
     /// `post_handlers` after the ring, so delivery order is preserved.
@@ -280,7 +374,7 @@ pub struct QueueSet {
 
 impl QueueSet {
     /// Creates an empty set with the given per-ring capacity.
-    pub fn new(cap: usize) -> Rc<Self> {
+    pub(crate) fn new(cap: usize) -> Rc<Self> {
         Rc::new(QueueSet {
             uq: QueuePair::new(cap),
             kq: QueuePair::new(cap),
@@ -295,11 +389,39 @@ impl QueueSet {
         })
     }
 
-    /// Whether the address index exactly mirrors the pending window
-    /// (invariant checked after chaos teardown).
-    pub fn index_consistent(&self) -> Result<(), String> {
+    /// Tasks in the in-flight window.
+    pub fn window_len(&self) -> usize {
+        self.pending.borrow().len()
+    }
+
+    /// Whether the address index exactly mirrors the pending window.
+    pub(crate) fn index_consistent(&self) -> Result<(), String> {
         self.index.check_against(self.pending.borrow().iter())
     }
+}
+
+/// The service's books on one client, read at one instant
+/// ([`Client::view`]). Only the service writes them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClientView {
+    /// Bytes copied for the client: its vruntime (§4.5.3).
+    pub copied_total: u64,
+    /// The cgroup the client is charged to ([`Copier::set_cgroup`]).
+    ///
+    /// [`Copier::set_cgroup`]: crate::service::Copier::set_cgroup
+    pub cgroup: usize,
+    /// Tasks in the service window.
+    pub inflight_tasks: u64,
+    /// Bytes in the service window.
+    pub inflight_bytes: u64,
+    /// Frames pinned on the client's behalf.
+    pub pinned: u64,
+    /// Epoch of the service incarnation the client is attached to.
+    pub epoch: u64,
+    /// Reaped: the library must stop submitting and waiting.
+    pub dead: bool,
+    /// Credit-pool capacity (the in-flight task quota).
+    pub credit_cap: u64,
 }
 
 /// A registered client.
@@ -307,36 +429,36 @@ pub struct Client {
     /// Identifier (also used to match Sync Tasks to spaces).
     pub id: ClientId,
     /// The client's user address space.
-    pub uspace: Rc<AddressSpace>,
+    pub(crate) uspace: Rc<AddressSpace>,
     /// Queue sets; index 0 is the default per-process set.
-    pub sets: RefCell<Vec<Rc<QueueSet>>>,
+    pub(crate) sets: RefCell<Vec<Rc<QueueSet>>>,
     /// Scheduler state: total copied length (the CFS vruntime analogue).
-    pub copied_total: Cell<u64>,
+    pub(crate) copied_total: Cell<u64>,
     /// The cgroup this client is charged to.
-    pub cgroup: Cell<usize>,
+    pub(crate) cgroup: Cell<usize>,
     /// Signals delivered on unrecoverable faults (simulated SIGSEGV).
     pub signals: RefCell<Vec<CopyFault>>,
     /// Set by orphan reclamation when the owning process died; the library
     /// side must stop submitting and waiting.
-    pub dead: Cell<bool>,
+    pub(crate) dead: Cell<bool>,
     /// Submission credits (the quota the service has granted this client).
     /// libCopier consumes one per copy submission; the service returns one
     /// on the completion path of each finished task. Shared state mapped
     /// into the client, like the CSH rings.
     pub credits: Cell<u64>,
     /// Credit-pool capacity (== the per-client in-flight task quota).
-    pub credit_cap: Cell<u64>,
+    pub(crate) credit_cap: Cell<u64>,
     /// Tasks currently in the service window (admission accounting).
-    pub inflight_tasks: Cell<u64>,
+    pub(crate) inflight_tasks: Cell<u64>,
     /// Bytes currently in the service window (admission accounting).
-    pub inflight_bytes: Cell<u64>,
+    pub(crate) inflight_bytes: Cell<u64>,
     /// Frames currently pinned on this client's behalf.
-    pub pinned: Cell<u64>,
+    pub(crate) pinned: Cell<u64>,
     /// Epoch of the service incarnation the client is attached to —
     /// stamped at registration and re-attach; the rings' epoch tag. A
     /// mismatch against the live service tells the library its rings
     /// predate a restart.
-    pub epoch: Cell<u64>,
+    pub(crate) epoch: Cell<u64>,
     /// Control-plane shard owning this client (DESIGN.md §17). Stamped by
     /// the service at registration/adoption from the deterministic hash of
     /// the client's address-space id; 0 at one shard. Every
@@ -348,7 +470,7 @@ pub struct Client {
     /// iterating clients in `reg_seq` order is exactly their shard's list
     /// (registration) order, which the full sweep uses — scheduler
     /// tie-breaks stay identical under active-set iteration.
-    pub reg_seq: Cell<u64>,
+    pub(crate) reg_seq: Cell<u64>,
     /// The client's cells in its shard's incremental aggregates (§18):
     /// active-set membership and the cached trace-hash contribution.
     /// Written only by the types that own those invariants.
@@ -357,7 +479,7 @@ pub struct Client {
 
 impl Client {
     /// Creates a client with one default queue set.
-    pub fn new(id: ClientId, uspace: Rc<AddressSpace>, cap: usize) -> Rc<Self> {
+    pub(crate) fn new(id: ClientId, uspace: Rc<AddressSpace>, cap: usize) -> Rc<Self> {
         Rc::new(Client {
             id,
             uspace,
@@ -380,7 +502,7 @@ impl Client {
 
     /// Resizes the credit pool (set by the service at registration from
     /// its admission quota). Outstanding credits are topped up to the cap.
-    pub fn set_credit_cap(&self, cap: u64) {
+    pub(crate) fn set_credit_cap(&self, cap: u64) {
         self.credit_cap.set(cap);
         self.credits.set(cap);
     }
@@ -403,6 +525,21 @@ impl Client {
         let c = self.credits.get();
         if c < self.credit_cap.get() {
             self.credits.set(c + 1);
+        }
+    }
+
+    /// A snapshot of the service's books on this client.
+    #[inline]
+    pub fn view(&self) -> ClientView {
+        ClientView {
+            copied_total: self.copied_total.get(),
+            cgroup: self.cgroup.get(),
+            inflight_tasks: self.inflight_tasks.get(),
+            inflight_bytes: self.inflight_bytes.get(),
+            pinned: self.pinned.get(),
+            epoch: self.epoch.get(),
+            dead: self.dead.get(),
+            credit_cap: self.credit_cap.get(),
         }
     }
 
@@ -430,9 +567,18 @@ impl Client {
         self.sets.borrow().get(idx).map(Rc::clone)
     }
 
+    /// Whether each set's address index exactly mirrors its pending
+    /// window (invariant checked after chaos teardown).
+    pub fn index_consistent(&self) -> Result<(), String> {
+        self.sets
+            .borrow()
+            .iter()
+            .try_for_each(|s| s.index_consistent())
+    }
+
     /// Whether any set has queued or windowed work runnable at `now`
     /// (mirrors the service's batch-selection rules).
-    pub fn has_work(&self, now: Nanos, lazy_period: Nanos) -> bool {
+    pub(crate) fn has_work(&self, now: Nanos, lazy_period: Nanos) -> bool {
         if self.dead.get() {
             return false;
         }

@@ -32,7 +32,7 @@ pub mod task;
 
 pub use absorb::{AbsorbPlan, SrcPiece, MAX_ABSORB_DEPTH};
 pub use client::{
-    Client, ClientId, OrderKey, PendEntry, QueuePair, QueueSet, TaintRange, DEFAULT_QUEUE_CAP,
+    Client, ClientId, ClientView, OrderKey, PendEntry, QueuePair, QueueSet, DEFAULT_QUEUE_CAP,
 };
 pub use config::{AdmissionConfig, CopierConfig, PollMode};
 pub use copier_hw::VerifyPolicy;
@@ -41,7 +41,6 @@ pub use interval::IntervalSet;
 pub use journal::{AdmitRec, Journal, JournalStats, JournalStore, Recovered, TaintRec};
 pub use pendindex::{PendIndex, RangeKind};
 pub use ring::{Ring, RingFull};
-pub use sched::min_live_vruntime;
-pub use sched::{RunOrder, Scheduler, DEFAULT_COPY_SLICE};
+pub use sched::DEFAULT_COPY_SLICE;
 pub use service::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, Copier, CopierStats};
 pub use task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};

@@ -273,7 +273,7 @@ impl Copier {
     /// DMA: each gap is resolved and copied page by page with the kernel
     /// ERMS copier, so a pressured pool is never asked to hold more
     /// frames. Recovery is automatic: once allocations fall below the low
-    /// watermark, [`PhysMem::pressure`] clears and the next round takes
+    /// watermark, [`PhysMem::pressure`](copier_mem::PhysMem::pressure) clears and the next round takes
     /// the pinned asynchronous path again.
     async fn execute_degraded(
         self: &Rc<Self>,
@@ -304,7 +304,7 @@ impl Copier {
 
     /// One entry's gaps, copied synchronously page by page. Pages are
     /// resolved (faulting on demand, cost-charged) but never pinned, and
-    /// the data moves through [`PhysMem::copy`] under the ERMS cost curve
+    /// the data moves through [`PhysMem::copy`](copier_mem::PhysMem::copy) under the ERMS cost curve
     /// — slower per byte and paying per-page startup, which is exactly
     /// the break-even trade the paper's §4.6 fallback makes.
     async fn degraded_copy(

@@ -72,8 +72,8 @@ pub struct Copier {
     cfg: CopierConfig,
     dispatcher: Rc<Dispatcher>,
     atcache: Rc<ATCache>,
-    /// The cgroup controller's registry: names and shares (§4.5.3).
-    pub sched: Scheduler,
+    /// The cgroup controller's registry (§4.5.3).
+    pub(crate) sched: Scheduler,
     scenario_active: Cell<bool>,
     wake: Rc<Notify>,
     parked: Cell<usize>,
@@ -235,7 +235,7 @@ impl Copier {
     /// Submission doorbell (DESIGN.md §18): marks `client` active on its
     /// shard and wakes parked service threads. Called by libCopier after
     /// every ring push; service-internal producers (scrub heals,
-    /// adoption) call [`Self::activate`] directly.
+    /// adoption) call `activate` directly.
     pub fn doorbell(&self, client: &Rc<Client>) {
         self.activate(client);
         self.awaken();
@@ -263,6 +263,24 @@ impl Copier {
         c.reg_seq.set(self.next_reg.next());
         self.shard_of(&c).join(&c);
         c
+    }
+
+    /// Creates a `copier` cgroup weighted `shares` (like `cpu.shares`; at
+    /// least 1) and returns its id. Cgroup 0, at 1024, holds every client
+    /// until [`Self::set_cgroup`] moves it.
+    pub fn create_cgroup(&self, shares: u64) -> usize {
+        self.sched.create_cgroup(shares)
+    }
+
+    /// Charges `client`'s copies from now on to cgroup `id`, as a cgroup
+    /// attach does. Refuses an id other than 0 and those
+    /// [`Self::create_cgroup`] returned.
+    pub fn set_cgroup(&self, client: &Client, id: usize) -> Result<(), String> {
+        if !self.sched.holds(id) {
+            return Err(format!("no cgroup {id}"));
+        }
+        client.cgroup.set(id);
+        Ok(())
     }
 
     /// Wakes parked Copier threads (`copier_awaken`).

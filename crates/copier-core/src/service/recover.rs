@@ -113,7 +113,15 @@ impl Copier {
     /// holding their original submission credits — so they run under
     /// the new incarnation.
     pub fn adopt_client(&self, client: &Rc<Client>) -> Vec<(u32, CopyTask)> {
+        // An internal invariant, not a tenant input: only `reap_client`
+        // sets `dead`, so only an OS adopting a client it reaped gets here.
         assert!(!client.dead.get(), "cannot adopt a reaped client");
+        // This incarnation's registry holds only the cgroups re-created
+        // since the restart: a client in one it lacks joins the default
+        // rather than go uncharged.
+        if !self.sched.holds(client.cgroup.get()) {
+            client.cgroup.set(0);
+        }
         if client.id >= self.next_client.get() {
             self.next_client.set(client.id + 1);
         }

@@ -112,10 +112,10 @@ pub struct CopierStats {
     /// undelivered at adoption — recovered via client resubmission.
     pub dropped_unjournaled: u64,
     /// Journaled tasks whose destination was found torn at recovery and
-    /// poisoned [`CopyFault::Torn`].
+    /// poisoned [`CopyFault::Torn`](crate::descriptor::CopyFault::Torn).
     pub torn_poisoned: u64,
     /// Tasks whose verification mismatch survived bounded repair and were
-    /// poisoned [`CopyFault::Corrupted`].
+    /// poisoned [`CopyFault::Corrupted`](crate::descriptor::CopyFault::Corrupted).
     pub corrupted_poisoned: u64,
     /// Scrub chunks re-digested by the background walker.
     pub scrub_chunks: u64,

@@ -201,7 +201,7 @@ impl Parcel<'_> {
         self.pos += buf.len();
     }
 
-    /// Reads a length-prefixed string written by [`write_string_to`].
+    /// Reads a length-prefixed string written by [`write_strings`].
     pub async fn read_string(&mut self, core: &Rc<Core>) -> Vec<u8> {
         let mut lenb = [0u8; 4];
         self.read_bytes(core, &mut lenb).await;

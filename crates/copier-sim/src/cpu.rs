@@ -6,7 +6,7 @@
 //! keeps per-core busy-time accounting, used by the energy proxy
 //! (Fig. 13-c).
 //!
-//! A core is not a task. It is an executor [`Resource`] with two steps,
+//! A core is not a task. It is an executor `Resource` with two steps,
 //! "take the next demand and arm one slice" and "the slice elapsed", which
 //! the executor calls where a driver task's wake-up and its sleep timer
 //! would have sat in the schedule (DESIGN.md §12). Neither blocks or runs

@@ -11,7 +11,7 @@
 //!
 //! Simulated "threads" are ordinary futures spawned with [`SimHandle::spawn`].
 //! Simulated hardware that only ever reacts to "a demand arrived" and "my
-//! timer fired" (a [`crate::Core`]) is a [`Resource`]: it takes the same
+//! timer fired" (a [`crate::Core`]) is a `Resource`: it takes the same
 //! ready-queue and timer positions a driver task would, but the executor
 //! calls it directly, with no future to poll and no waker to clone. A
 //! resource may not block or run user code, with the one exception of a

@@ -2,7 +2,7 @@
 //! ([`crate::trace`]) and the control-plane journal (`copier-core`'s
 //! `journal`). It owns the LEB128 varint, byte-at-a-time FNV-1a and its
 //! word fold, the [`Field`] kinds a record is made of, and
-//! [`wire_table!`], which spells each record once: a row declares the
+//! [`wire_table!`](crate::wire_table), which spells each record once: a row declares the
 //! variant, its tag and its fields in wire order, and the enum, its
 //! encoder and its decoder all come from that row.
 //!
@@ -77,7 +77,7 @@ fn get_varint(buf: &[u8], pos: &mut usize) -> Result<u64, String> {
 /// A value with one wire spelling. The kinds both formats use: a raw
 /// byte for `u8` and `bool`, a varint for `u64` and for a range-checked
 /// `u32`, a count-prefixed `Vec<u64>`, a tuple of fields in order — and
-/// every type [`wire_table!`] generates.
+/// every type [`wire_table!`](crate::wire_table) generates.
 pub trait Field: Sized {
     /// Appends the encoding of `self`.
     fn put(&self, out: &mut Vec<u8>);

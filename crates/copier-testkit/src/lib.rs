@@ -14,7 +14,7 @@
 //!   case generation from the PRNG, greedy failure shrinking, and a
 //!   fixed-seed regression mode (`TESTKIT_REPRO`) so any reported
 //!   counterexample replays exactly.
-//! * [`bench`] replaces `criterion` — warmup, per-sample iteration
+//! * [`bench`](mod@bench) replaces `criterion` — warmup, per-sample iteration
 //!   calibration, and raw nanosecond samples that feed directly into
 //!   `copier-bench`'s `stats()`.
 //!

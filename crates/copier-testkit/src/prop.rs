@@ -5,7 +5,9 @@
 //! what the suites actually need:
 //!
 //! * a property is a closure `Fn(&T) -> PropResult`; the
-//!   [`prop_assert!`] / [`prop_assert_eq!`] / [`prop_assert_ne!`]
+//!   [`prop_assert!`](crate::prop_assert) /
+//!   [`prop_assert_eq!`](crate::prop_assert_eq) /
+//!   [`prop_assert_ne!`](crate::prop_assert_ne)
 //!   macros early-return an `Err(String)` on failure;
 //! * generation is an arbitrary closure `Fn(&mut TestRng) -> T`
 //!   (or the [`Arbitrary`] trait for common types);

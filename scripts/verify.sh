@@ -141,6 +141,10 @@ scripts/census.sh
 cargo build --release --offline --locked
 cargo test -q --workspace --offline --locked
 cargo clippy --workspace --all-targets --offline --locked -- -D warnings
+# The docs resolve: every intra-doc link names a live item, and no public
+# doc links to a private one, so renaming or deleting an item breaks the
+# doc build instead of leaving a stale reference.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps --offline --locked --document-private-items
 
 # Order oracle: the executor, Notify/Chan and Core against their
 # `#[cfg(test)]` reference (the Arc/Mutex executor and driver-task cores

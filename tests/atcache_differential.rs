@@ -403,7 +403,7 @@ fn a_multi_round_task_pins_each_frame_once() {
     );
     sim.spawn("sampler", async move {
         while !fin2.get() {
-            peak2.set(peak2.get().max(client.pinned.get()));
+            peak2.set(peak2.get().max(client.view().pinned));
             h2.sleep(Nanos(50)).await;
         }
     });

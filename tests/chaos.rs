@@ -319,13 +319,11 @@ fn run_chaos_traced(case: &ChaosCase, mode: TraceMode) -> (Outcome, Option<Rc<Tr
     // faults, aborts, taint cascades, and the reap sweep all route
     // through the same submit/finalize bookkeeping.
     assert_no_pinned_leaks(&os.pm);
-    for set in lib.client.sets.borrow().iter() {
-        if let Err(msg) = set.index_consistent() {
-            panic!(
-                "pending index diverged after chaos run (seed {}): {msg}",
-                case.seed
-            );
-        }
+    if let Err(msg) = lib.client.index_consistent() {
+        panic!(
+            "pending index diverged after chaos run (seed {}): {msg}",
+            case.seed
+        );
     }
 
     (

@@ -310,13 +310,11 @@ fn run_crash_traced(case: &CrashCase, mode: TraceMode) -> (CrashOutcome, Option<
     // property the caller asserts on: recovery must leave nothing pinned
     // and the address index must still mirror each set's window.
     assert_no_pinned_leaks(&os.pm);
-    for set in lib.client.sets.borrow().iter() {
-        if let Err(msg) = set.index_consistent() {
-            panic!(
-                "pending index diverged after crash run (seed {}): {msg}",
-                case.seed
-            );
-        }
+    if let Err(msg) = lib.client.index_consistent() {
+        panic!(
+            "pending index diverged after crash run (seed {}): {msg}",
+            case.seed
+        );
     }
 
     (
@@ -329,7 +327,7 @@ fn run_crash_traced(case: &CrashCase, mode: TraceMode) -> (CrashOutcome, Option<
             digest,
             restarts: restarts.get(),
             epoch: svc.epoch(),
-            credits: (lib.client.credits.get(), lib.client.credit_cap.get()),
+            credits: (lib.client.credits.get(), lib.client.view().credit_cap),
             pinned: os.pm.pinned_frames(),
             store_len: store.len(),
         },
@@ -573,7 +571,7 @@ fn torn_destination_is_poisoned_at_recovery() {
             "torn destination not detected at adoption"
         );
         assert_eq!(
-            lib2.client.epoch.get(),
+            lib2.client.view().epoch,
             svc3.epoch(),
             "client epoch not restamped"
         );
@@ -744,7 +742,7 @@ fn sync_fallback_and_resubmission_across_restart() {
             old_epoch + 1,
             "restart must advance the epoch"
         );
-        assert_eq!(lib2.client.epoch.get(), new_svc.epoch());
+        assert_eq!(lib2.client.view().epoch, new_svc.epoch());
 
         let _ = lib2.csync_all(&core0).await;
         let mut spins = 0u32;
@@ -768,11 +766,9 @@ fn sync_fallback_and_resubmission_across_restart() {
     assert_eq!(got, pattern(2, 0x5FB0, len), "sync-fallback bytes");
     assert_eq!(
         lib.client.credits.get(),
-        lib.client.credit_cap.get(),
+        lib.client.view().credit_cap,
         "credits must be fully returned (fallback takes none)"
     );
     assert_no_pinned_leaks(&os.pm);
-    for set in lib.client.sets.borrow().iter() {
-        set.index_consistent().expect("index consistent");
-    }
+    lib.client.index_consistent().expect("index consistent");
 }

@@ -544,7 +544,7 @@ fn run_scrub(seed: u64, damage_replica: bool, kill_at: Option<Nanos>) -> (Vec<u6
             let opts = AmemcpyOpts {
                 func: Some(Handler::UFunc(Rc::new(move || {
                     assert!(
-                        !fired_dead.dead.get(),
+                        !fired_dead.view().dead,
                         "handler fired for a dead client (post-reap delivery)"
                     );
                 }))),
@@ -556,7 +556,7 @@ fn run_scrub(seed: u64, damage_replica: bool, kill_at: Option<Nanos>) -> (Vec<u6
             if lib2.csync(&core, dst, len).await.is_err() {
                 break;
             }
-            if lib2.client.dead.get() {
+            if lib2.client.view().dead {
                 break;
             }
         }

@@ -218,7 +218,7 @@ fn run_on(
     assert_no_pinned_leaks(&pm);
     let per_tenant: Vec<u64> = libs
         .iter()
-        .map(|(lib, _)| lib.client.copied_total.get())
+        .map(|(lib, _)| lib.client.view().copied_total)
         .collect();
     let served: u64 = per_tenant.iter().sum();
     Out {
@@ -550,7 +550,7 @@ fn teardown_after_reap_frees_every_arena_frame() {
     });
     sim.run();
 
-    assert!(lib.client.dead.get());
+    assert!(lib.client.view().dead);
     assert_no_pinned_leaks(&pm);
     drop(lib);
     drop(space);
@@ -634,15 +634,15 @@ fn reap_returns_all_quota_credits_and_pins() {
             sim.run();
 
             let c = &lib.client;
-            prop_assert!(c.dead.get(), "client must be dead after reap");
+            prop_assert!(c.view().dead, "client must be dead after reap");
             prop_assert_eq!(
                 c.credits.get(),
-                c.credit_cap.get(),
+                c.view().credit_cap,
                 "credits not fully returned"
             );
-            prop_assert_eq!(c.inflight_tasks.get(), 0, "in-flight task quota leaked");
-            prop_assert_eq!(c.inflight_bytes.get(), 0, "in-flight byte quota leaked");
-            prop_assert_eq!(c.pinned.get(), 0, "pinned-frame quota leaked");
+            prop_assert_eq!(c.view().inflight_tasks, 0, "in-flight task quota leaked");
+            prop_assert_eq!(c.view().inflight_bytes, 0, "in-flight byte quota leaked");
+            prop_assert_eq!(c.view().pinned, 0, "pinned-frame quota leaked");
             prop_assert_eq!(
                 svc.admitted_bytes(),
                 0,
@@ -719,25 +719,23 @@ fn reap_during_pressure_degraded_mode_reconciles() {
             "seed {seed}: pressure never latched: {st:?}"
         );
         let c = &lib.client;
-        assert!(c.dead.get(), "seed {seed}: client must be dead after reap");
+        assert!(c.view().dead, "seed {seed}: client must be dead after reap");
         assert_eq!(
             c.credits.get(),
-            c.credit_cap.get(),
+            c.view().credit_cap,
             "seed {seed}: credits must end exactly at the cap"
         );
-        assert_eq!(c.inflight_tasks.get(), 0, "seed {seed}: task quota leaked");
-        assert_eq!(c.inflight_bytes.get(), 0, "seed {seed}: byte quota leaked");
-        assert_eq!(c.pinned.get(), 0, "seed {seed}: pinned quota leaked");
+        assert_eq!(c.view().inflight_tasks, 0, "seed {seed}: task quota leaked");
+        assert_eq!(c.view().inflight_bytes, 0, "seed {seed}: byte quota leaked");
+        assert_eq!(c.view().pinned, 0, "seed {seed}: pinned quota leaked");
         assert_eq!(
             svc.admitted_bytes(),
             0,
             "seed {seed}: global admitted window not returned"
         );
         assert_no_pinned_leaks(&pm);
-        for set in c.sets.borrow().iter() {
-            set.index_consistent()
-                .unwrap_or_else(|m| panic!("seed {seed}: index diverged: {m}"));
-        }
+        c.index_consistent()
+            .unwrap_or_else(|m| panic!("seed {seed}: index diverged: {m}"));
     }
 }
 

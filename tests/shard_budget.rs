@@ -316,7 +316,7 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
                     let all_served = clients
                         .iter()
                         .filter(|(shard, _)| *shard == s)
-                        .all(|(_, c)| c.copied_total.get() > 0);
+                        .all(|(_, c)| c.view().copied_total > 0);
                     armed[s] |= sentinels && all_served && bytes <= share;
                     if armed[s] && bytes > bound && over.get().is_none() {
                         over.set(Some((s, bytes)));
@@ -358,7 +358,7 @@ fn run(case: &Case, tracer: Option<&Rc<Tracer>>) -> Result<RunOut, String> {
         tenants.push(TenantOut {
             id: w.lib.client.id,
             shard: w.lib.shard(),
-            served_bytes: w.lib.client.copied_total.get(),
+            served_bytes: w.lib.client.view().copied_total,
             shed,
             refused: w.refused.get(),
         });

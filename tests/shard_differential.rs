@@ -224,13 +224,7 @@ fn run_diff(case: &DiffCase, shards: usize) -> Exact {
             let digest = fnv_bytes(FNV_OFFSET, &got);
             per_copy.push((t, c, d.fault(), digest));
         }
-        if let Err(msg) = lib
-            .client
-            .sets
-            .borrow()
-            .iter()
-            .try_for_each(|s| s.index_consistent())
-        {
+        if let Err(msg) = lib.client.index_consistent() {
             panic!("pending index diverged (seed {}): {msg}", case.seed);
         }
     }
@@ -469,7 +463,7 @@ fn crash_restart_at_n_shards_recovers_exactly_once() {
                 fired.push((t, c, d.fault(), counters[c].get()));
             }
             assert_eq!(
-                lib.client.epoch.get(),
+                lib.client.view().epoch,
                 svc.epoch(),
                 "client epoch not restamped after restart"
             );

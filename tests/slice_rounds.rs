@@ -274,10 +274,10 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
             ..Default::default()
         },
     );
-    // `Scheduler::new` made cgroup 0; the ids handed out here follow it,
+    // Cgroup 0 is the service's default; the ids handed out here follow it,
     // so an index into `case.shares` is the service's cgroup id.
     for (g, &s) in case.shares.iter().enumerate().skip(1) {
-        assert_eq!(svc.sched.create_cgroup(&format!("g{g}"), s), g);
+        assert_eq!(svc.create_cgroup(s), g);
     }
     if !case.upfront {
         svc.start();
@@ -295,7 +295,7 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
     for (t, tenant) in case.tenants.iter().enumerate() {
         let space = AddressSpace::new(t as u32 + 1, Rc::clone(&pm));
         let lib = CopierHandle::new(&svc, Rc::clone(&space));
-        lib.client.cgroup.set(tenant.cgroup);
+        svc.set_cgroup(&lib.client, tenant.cgroup).unwrap();
         let bufs: Vec<VirtAddr> = (0..tenant.nbufs)
             .map(|b| {
                 let va = space.mmap(MAX_LEN, Prot::RW, true).unwrap();
@@ -380,9 +380,7 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
             w.space.read_bytes(w.bufs[b], &mut got).unwrap();
             prop_assert!(&got == want, "tenant {t} buffer {b} != sequential memcpy");
         }
-        for set in w.lib.client.sets.borrow().iter() {
-            set.index_consistent()?;
-        }
+        w.lib.client.index_consistent()?;
     }
     prop_assert_eq!(pm.pinned_frames(), 0, "pins leaked");
     svc.audit_aggregates()?;
@@ -393,7 +391,7 @@ fn run(case: &Case, shards: usize, tracer: &Rc<Tracer>) -> Result<RunOut, String
         stats: stats_to_vec(&s),
         copied: world
             .iter()
-            .map(|w| w.lib.client.copied_total.get())
+            .map(|w| w.lib.client.view().copied_total)
             .collect(),
         clients: world
             .iter()
@@ -892,7 +890,7 @@ fn a_deferred_least_served_client_does_not_end_the_round() {
         // it pinned, and from then on selects nothing — still the
         // least-served of the two, one slice against two.
         let big = stuck2.amemcpy(&core_s, s_dst, s_src, BIG).await.unwrap();
-        while stuck2.client.pinned.get() < 8 {
+        while stuck2.client.view().pinned < 8 {
             h.sleep(Nanos(500)).await;
         }
         let beside = busy2.amemcpy(&core_b, b_dst, b_src, SLICE).await.unwrap();
@@ -906,7 +904,7 @@ fn a_deferred_least_served_client_does_not_end_the_round() {
         assert!(!big.all_ready(), "the quota defers the big task for good");
         // Retire the stuck task so the run ends with nothing pinned.
         assert!(stuck2.abort_task(&core_s, &big, 0).await);
-        while stuck2.client.pinned.get() > 0 {
+        while stuck2.client.view().pinned > 0 {
             h.sleep(Nanos(500)).await;
         }
         svc.stop();

@@ -243,11 +243,11 @@ fn run_soak(
                 // is always admitted.
                 match lib2.amemcpy(&core, dst, src, len).await {
                     Ok(d) => d2.borrow_mut().push(d),
-                    Err(_) if lib2.client.dead.get() => break,
+                    Err(_) if lib2.client.view().dead => break,
                     Err(e) => panic!("tenant {t} not admitted (seed {seed}): {e:?}"),
                 }
             }
-            if !lib2.client.dead.get() {
+            if !lib2.client.view().dead {
                 let _ = lib2.csync_all(&core).await;
             }
             done2.set(done2.get() + 1);
@@ -266,7 +266,7 @@ fn run_soak(
         let h2 = h.clone();
         sim.spawn("killer", async move {
             h2.sleep(t).await;
-            if !victim.client.dead.get() {
+            if !victim.client.view().dead {
                 os2.copier().reap_client(&victim.client);
             }
         });
@@ -295,15 +295,7 @@ fn run_soak(
             let digest = fnv_bytes(FNV_OFFSET, &got);
             per_copy.push((t, c, d.fault(), digest));
         }
-        if let Err(msg) = lib
-            .get()
-            .unwrap()
-            .client
-            .sets
-            .borrow()
-            .iter()
-            .try_for_each(|s| s.index_consistent())
-        {
+        if let Err(msg) = lib.get().unwrap().client.index_consistent() {
             panic!("pending index diverged (seed {}): {msg}", case.seed);
         }
     }
@@ -669,7 +661,7 @@ fn scrub_heal_reactivates_idle_clients_identically() {
             .map(|(lib, primary, _, _)| {
                 let mut now = vec![0u8; region];
                 lib.uspace.read_bytes(*primary, &mut now).unwrap();
-                (fnv_bytes(FNV_OFFSET, &now), lib.client.copied_total.get())
+                (fnv_bytes(FNV_OFFSET, &now), lib.client.view().copied_total)
             })
             .collect();
         (stats_to_vec(&svc.stats()), end.as_nanos(), per_client)
