@@ -529,6 +529,13 @@ fn run_copy_engine(bench: &Bench, parked_reps: usize, batch_reps: usize) -> Copy
         "  copy_engine/batch_inline     median={batch_inline_ns:>8}ns\n  \
          copy_engine/batch_deferred   median={batch_deferred_ns:>8}ns  (n={batch_reps} pairs)"
     );
+    let counters = pm.copy_engine_stats();
+    println!(
+        "  copy_engine self-drains: {} ({} cold, {} racing an awake worker)",
+        counters.self_drains,
+        counters.self_drains - counters.racing_drains,
+        counters.racing_drains
+    );
     CopyEngineRows {
         submit_ns: submit.median_ns(),
         fence_awake_ns: fence_awake.median_ns(),
@@ -536,7 +543,7 @@ fn run_copy_engine(bench: &Bench, parked_reps: usize, batch_reps: usize) -> Copy
         batch_inline_ns,
         batch_deferred_ns,
         batch_ratio: 1.0 + pairs.overhead(),
-        counters: pm.copy_engine_stats(),
+        counters,
     }
 }
 
@@ -837,6 +844,7 @@ fn copy_engine_json(e: &CopyEngineRows) -> Json {
                 ("deferred_bytes", Json::Int(c.deferred_bytes)),
                 ("fences_waited", Json::Int(c.fences_waited)),
                 ("self_drains", Json::Int(c.self_drains)),
+                ("racing_drains", Json::Int(c.racing_drains)),
                 ("wakeups", Json::Int(c.wakeups)),
             ]),
         ),

@@ -41,7 +41,7 @@ const GAP_SPREAD: f64 = 1000.0;
 /// Heavy-tailed copy lengths.
 const LEN_ALPHA: f64 = 1.2;
 /// Resident bytes a registered tenant may add at the 10⁶-tenant point.
-const REG_BYTES_PER_TENANT_MAX: f64 = 1536.0;
+const REG_BYTES_PER_TENANT_MAX: f64 = 768.0;
 
 struct Scale {
     /// Registered tenants (the population the legacy sweeps iterate).

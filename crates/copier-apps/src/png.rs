@@ -42,7 +42,7 @@ pub fn filter_image(rows: &[Vec<u8>]) -> Vec<u8> {
 }
 
 /// A decoded image: unfiltered rows.
-pub fn unfilter_rows(filtered: &[u8], width: usize) -> Vec<Vec<u8>> {
+pub(crate) fn unfilter_rows(filtered: &[u8], width: usize) -> Vec<Vec<u8>> {
     let stride = width + 1;
     let nrows = filtered.len() / stride;
     let mut rows: Vec<Vec<u8>> = Vec::with_capacity(nrows);
@@ -76,7 +76,7 @@ pub struct CachedFile {
 impl CachedFile {
     /// `read()`: copies the file into `[buf, buf+len)` — synchronously or
     /// as a kernel Copy Task.
-    pub async fn read(
+    pub(crate) async fn read(
         &self,
         os: &Rc<Os>,
         core: &Rc<Core>,

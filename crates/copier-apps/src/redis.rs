@@ -450,7 +450,7 @@ pub async fn run_client(
 }
 
 /// Encodes a request into `tx`; returns its length.
-pub fn encode_request(
+pub(crate) fn encode_request(
     proc: &Rc<Process>,
     tx: VirtAddr,
     op: Op,

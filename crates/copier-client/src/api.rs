@@ -10,6 +10,7 @@
 //! copy takes one submission path, and every ring entry one bounded push.
 
 use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::rc::Rc;
 
@@ -68,6 +69,13 @@ fn retired(d: &SegDescriptor) -> bool {
     d.fault().is_some() || (d.all_ready() && (!d.is_empty() || d.delivered()))
 }
 
+/// Whether a tracked copy can leave the table at once: it landed clean
+/// (no fault to report), and the table holds its descriptor's only
+/// reference, so no caller can re-arm it and no `csync` can wait on it.
+fn landed_clean(d: &Rc<SegDescriptor>) -> bool {
+    Rc::strong_count(d) == 1 && d.fault().is_none() && retired(d)
+}
+
 /// Options for the low-level `_amemcpy` (§5.1, Table 2), `try_amemcpy`
 /// and `kernel_amemcpy`.
 #[derive(Default)]
@@ -120,7 +128,10 @@ pub struct CopierHandle {
     /// The process's user address space.
     pub uspace: Rc<AddressSpace>,
     pool: DescriptorPool,
-    tracked: RefCell<Vec<Tracked>>,
+    /// Copies `csync` can find, oldest first. `track` lets go of landed
+    /// ones from the front ([`landed_clean`]), so a tenant that never
+    /// calls `csync_all` does not hold every descriptor it ever used.
+    tracked: RefCell<VecDeque<Tracked>>,
     /// §4.6 synchronous copies performed because the service was down.
     sync_fallbacks: Cell<u64>,
     /// Tasks submitted with per-task full verification
@@ -141,7 +152,7 @@ impl CopierHandle {
             cost: Rc::clone(svc.cost_model()),
             uspace,
             pool: DescriptorPool::new(),
-            tracked: RefCell::new(Vec::new()),
+            tracked: RefCell::new(VecDeque::new()),
             sync_fallbacks: Cell::new(0),
             verified_submitted: Cell::new(0),
             corrupted_seen: Cell::new(0),
@@ -653,11 +664,14 @@ impl CopierHandle {
     /// Registers a copy so `csync` can find it by destination address.
     fn track(&self, space_id: u32, start: VirtAddr, len: usize, descr: Rc<SegDescriptor>) {
         let mut t = self.tracked.borrow_mut();
+        while t.front().is_some_and(|x| landed_clean(&x.descr)) {
+            t.pop_front();
+        }
         if t.len() > 128 {
             t.retain(|x| !retired(&x.descr));
             self.pool.recycle();
         }
-        t.push(Tracked {
+        t.push_back(Tracked {
             space_id,
             start: start.0,
             len,
@@ -1097,5 +1111,109 @@ mod tests {
             kernel <= KERNEL_MAX,
             "kernel_amemcpy future {kernel} B > {KERNEL_MAX}"
         );
+    }
+
+    const TABLE_LEN: usize = 4096;
+
+    /// Runs `body` as the one tenant of a default-config service, with a
+    /// 4 KiB source of 0x5A and two destinations, then stops the service.
+    fn with_tenant<F: Future<Output = ()> + 'static>(
+        body: impl FnOnce(Rc<CopierHandle>, Rc<Core>, VirtAddr, [VirtAddr; 2]) -> F,
+    ) {
+        let mut sim = Sim::new();
+        let h = sim.handle();
+        let machine = Machine::new(&h, 2);
+        let pm = Rc::new(PhysMem::new(16, AllocPolicy::Sequential));
+        let svc = Copier::new(
+            &h,
+            Rc::clone(&pm),
+            vec![machine.core(1)],
+            Rc::new(CostModel::default()),
+            CopierConfig::default(),
+        );
+        svc.start();
+        let lib = CopierHandle::new(&svc, AddressSpace::new(1, pm));
+        let map = || lib.uspace.mmap(TABLE_LEN, Prot::RW, true).unwrap();
+        let (src, dst) = (map(), [map(), map()]);
+        lib.uspace.write_bytes(src, &[0x5A; TABLE_LEN]).unwrap();
+        let fut = body(lib, machine.core(0), src, dst);
+        sim.spawn("tenant", async move {
+            fut.await;
+            svc.stop();
+        });
+        sim.run();
+    }
+
+    /// Copies `src` to `dst` through a descriptor the caller owns, as the
+    /// benchmark's open-loop tenants do, and waits until the copy landed
+    /// or faulted. Returns the descriptor.
+    async fn owned_copy(
+        lib: &Rc<CopierHandle>,
+        core: &Rc<Core>,
+        src: VirtAddr,
+        dst: VirtAddr,
+    ) -> Rc<SegDescriptor> {
+        let svc = lib.service();
+        let d = Rc::new(SegDescriptor::new(TABLE_LEN, svc.config().segment));
+        let opts = AmemcpyOpts {
+            descr: Some(Rc::clone(&d)),
+            ..Default::default()
+        };
+        let _ = lib._amemcpy(core, dst, src, TABLE_LEN, opts).await;
+        while d.fault().is_none() && !d.all_ready() {
+            svc.sim_handle().sleep(Nanos(1_000)).await;
+        }
+        d
+    }
+
+    /// A tenant that never calls `csync` holds no landed copy: each
+    /// submission lets go of the ones before it that landed clean and
+    /// that nobody else holds.
+    #[test]
+    fn landed_copies_leave_the_table() {
+        with_tenant(|lib, core, src, [dst, _]| async move {
+            for i in 0..1_000 {
+                drop(owned_copy(&lib, &core, src, dst).await);
+                let n = lib.tracked.borrow().len();
+                assert!(n <= 2, "copy {i}: {n} tracked entries");
+            }
+        });
+    }
+
+    /// A faulted copy among landed ones stays in the table, and the next
+    /// `csync` over its destination reports it, once.
+    #[test]
+    fn a_fault_among_landed_copies_is_reported_once() {
+        with_tenant(|lib, core, src, [dst, faulted]| async move {
+            for i in 0..1_000 {
+                let from = if i == 950 { VirtAddr(0xDEAD_0000) } else { src };
+                let to = if i == 950 { faulted } else { dst };
+                drop(owned_copy(&lib, &core, from, to).await);
+            }
+            assert_eq!(lib.csync(&core, dst, TABLE_LEN).await, Ok(()));
+            let first = lib.csync(&core, faulted, TABLE_LEN).await;
+            assert!(first.is_err(), "the fault was dropped unreported");
+            assert_eq!(lib.csync(&core, faulted, TABLE_LEN).await, Ok(()));
+        });
+    }
+
+    /// A descriptor its caller still holds keeps its entry however long
+    /// ago it landed: the caller may re-arm it and `csync` the range.
+    #[test]
+    fn a_held_descriptor_keeps_its_entry() {
+        with_tenant(|lib, core, src, [dst, _]| async move {
+            let mut held = Vec::new();
+            for _ in 0..50 {
+                held.push(owned_copy(&lib, &core, src, dst).await);
+            }
+            assert_eq!(lib.tracked.borrow().len(), 50);
+            // Let go, and the next copies drop them all: the service's
+            // round lets go of the newest a round later.
+            drop(held);
+            for _ in 0..2 {
+                drop(owned_copy(&lib, &core, src, dst).await);
+            }
+            assert!(lib.tracked.borrow().len() <= 2);
+        });
     }
 }

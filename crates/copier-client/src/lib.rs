@@ -7,12 +7,11 @@
 //! synchronous baselines Copier is compared against.
 
 pub mod api;
-pub mod pool;
+mod pool;
 pub mod syncops;
 
 pub use api::{AmemcpyOpts, CopierHandle, CsyncResult, ShmBinding, SubmitError, SubmitResult};
-pub use pool::DescriptorPool;
-pub use syncops::{sync_copy, sync_memcpy, sync_memmove};
+pub use syncops::{sync_copy, sync_memcpy};
 
 #[cfg(test)]
 mod e2e {

@@ -68,7 +68,7 @@ pub async fn sync_memcpy(
 }
 
 /// Synchronous `memmove`: correct for overlapping ranges.
-pub async fn sync_memmove(
+pub(crate) async fn sync_memmove(
     core: &Rc<Core>,
     cost: &Rc<CostModel>,
     space: &Rc<AddressSpace>,

@@ -5,6 +5,16 @@
 //! queues (§4.2.1) — and may create extra per-thread sets (§5.1 multi-queue
 //! support; dependencies are only tracked within a set).
 //!
+//! An idle tenant costs only its identity (DESIGN.md §18). Registration
+//! builds no queue set: the default one is built by the first call that
+//! writes a set — [`Client::set`], [`Client::default_set`] or
+//! [`Client::create_queue_set`], which libCopier's submit, sync and abort
+//! paths take — and its rings allocate their slots on their first push.
+//! The service's walkers read sets through [`Client::set_at`], which never
+//! builds one, so a tenant that never copies never gets a set. Nothing
+//! virtual can tell the two apart: a missing set holds exactly what a
+//! fresh one would, empty rings and an empty window.
+//!
 //! The service drains queue entries into the set's *pending window*, a list
 //! of [`PendEntry`] ordered by the merged cross-privilege key computed from
 //! barrier tasks.
@@ -103,7 +113,7 @@
 //! }
 //! ```
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::rc::Rc;
 
@@ -430,8 +440,11 @@ pub struct Client {
     pub id: ClientId,
     /// The client's user address space.
     pub(crate) uspace: Rc<AddressSpace>,
-    /// Queue sets; index 0 is the default per-process set.
+    /// Queue sets; index 0 is the default per-process set. Empty until a
+    /// call writes a set ([`Client::set`]).
     pub(crate) sets: RefCell<Vec<Rc<QueueSet>>>,
+    /// Ring capacity the default set is built with.
+    queue_cap: usize,
     /// Scheduler state: total copied length (the CFS vruntime analogue).
     pub(crate) copied_total: Cell<u64>,
     /// The cgroup this client is charged to.
@@ -478,12 +491,14 @@ pub struct Client {
 }
 
 impl Client {
-    /// Creates a client with one default queue set.
+    /// Creates a client whose default queue set, of `cap`-slot rings, is
+    /// built on first use.
     pub(crate) fn new(id: ClientId, uspace: Rc<AddressSpace>, cap: usize) -> Rc<Self> {
         Rc::new(Client {
             id,
             uspace,
-            sets: RefCell::new(vec![QueueSet::new(cap)]),
+            sets: RefCell::new(Vec::new()),
+            queue_cap: cap,
             copied_total: Cell::new(0),
             cgroup: Cell::new(0),
             signals: RefCell::new(Vec::new()),
@@ -543,26 +558,40 @@ impl Client {
         }
     }
 
-    /// The default queue set.
+    /// The sets, with the default one built if no call has written one.
+    fn built(&self) -> RefMut<'_, Vec<Rc<QueueSet>>> {
+        let mut sets = self.sets.borrow_mut();
+        if sets.is_empty() {
+            *sets = vec![QueueSet::new(self.queue_cap)];
+        }
+        sets
+    }
+
+    /// The default queue set, built on first use.
     pub fn default_set(&self) -> Rc<QueueSet> {
-        Rc::clone(&self.sets.borrow()[0])
+        self.set(0)
     }
 
     /// Creates an additional per-thread queue set, returning its index
-    /// (the `fd` of `copier_create_queue`).
+    /// (the `fd` of `copier_create_queue`). The default set is built
+    /// first, so the first extra set is always fd 1.
     pub fn create_queue_set(&self, cap: usize) -> usize {
-        let mut sets = self.sets.borrow_mut();
+        let mut sets = self.built();
         sets.push(QueueSet::new(cap));
         sets.len() - 1
     }
 
-    /// Queue set by index.
+    /// Queue set by index, for a caller that writes it: the default set
+    /// (index 0) is built here on first use, so registration builds none
+    /// (see the [module docs](crate::client)). A reader walks sets with
+    /// [`Client::set_at`] instead.
     pub fn set(&self, idx: usize) -> Rc<QueueSet> {
-        Rc::clone(&self.sets.borrow()[idx])
+        Rc::clone(&self.built()[idx])
     }
 
     /// Queue set by index, or `None` past the end — lets the service walk
-    /// sets without snapshot-cloning the whole list each poll.
+    /// sets without snapshot-cloning the whole list each poll. Never
+    /// builds a set: a client that has written none has none to read.
     pub fn set_at(&self, idx: usize) -> Option<Rc<QueueSet>> {
         self.sets.borrow().get(idx).map(Rc::clone)
     }
@@ -689,7 +718,11 @@ mod tests {
         let space = AddressSpace::new(7, pm);
         let c = Client::new(7, space, 16);
         assert!(!c.has_work(Nanos::ZERO, Nanos::ZERO));
+        assert!(c.index_consistent().is_ok());
+        assert!(c.set_at(0).is_none(), "a read built the default set");
         let set = c.default_set();
+        assert!(c.set_at(0).is_some_and(|s| Rc::ptr_eq(&s, &set)));
+        assert!(!c.has_work(Nanos::ZERO, Nanos::ZERO));
         set.uq.copy.push(QueueEntry::Copy(dummy_task(64))).unwrap();
         assert!(c.has_work(Nanos::ZERO, Nanos::ZERO));
     }
@@ -699,8 +732,10 @@ mod tests {
         let pm = Rc::new(PhysMem::new(4, AllocPolicy::Sequential));
         let space = AddressSpace::new(7, pm);
         let c = Client::new(7, space, 16);
+        // The default set is built first, so fd numbering starts at 1.
         let fd = c.create_queue_set(16);
         assert_eq!(fd, 1);
+        assert!(c.set_at(2).is_none());
         let s1 = c.set(1);
         s1.uq.copy.push(QueueEntry::Copy(dummy_task(64))).unwrap();
         assert!(c.set(0).uq.copy.is_empty());

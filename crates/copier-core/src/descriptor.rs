@@ -46,13 +46,13 @@ pub enum CopyFault {
 
 impl CopyFault {
     /// Wire encoding for trace and journal records (0 = no fault).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         self as u8
     }
 
     /// Inverse of [`Self::code`] for journaled taints. Unknown codes
     /// decode as `Torn` — the conservative "do not consume these bytes".
-    pub fn from_code(code: u8) -> CopyFault {
+    pub(crate) fn from_code(code: u8) -> CopyFault {
         match code {
             1 => CopyFault::Segv,
             2 => CopyFault::OutOfMemory,

@@ -159,12 +159,12 @@ impl IntervalSet {
 
     /// The end of the stored range containing `pos`, if any. Lets callers
     /// skip covered prefixes without materializing gap lists.
-    pub fn end_of_covering_range(&self, pos: usize) -> Option<usize> {
+    pub(crate) fn end_of_covering_range(&self, pos: usize) -> Option<usize> {
         self.range_containing(pos).map(|(_, e)| e)
     }
 
     /// The stored range containing `pos`, if any.
-    pub fn range_containing(&self, pos: usize) -> Option<(usize, usize)> {
+    pub(crate) fn range_containing(&self, pos: usize) -> Option<(usize, usize)> {
         let i = self.ranges.partition_point(|&(s, _)| s <= pos);
         (i > 0 && self.ranges[i - 1].1 > pos).then(|| self.ranges[i - 1])
     }

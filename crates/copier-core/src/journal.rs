@@ -122,7 +122,7 @@ impl JournalStore {
     }
 
     /// Overwrites the raw bytes (tests constructing corrupt stores).
-    pub fn restore(&self, bytes: Vec<u8>) {
+    pub(crate) fn restore(&self, bytes: Vec<u8>) {
         *self.bytes.borrow_mut() = bytes;
     }
 }
@@ -273,7 +273,7 @@ impl Journal {
     }
 
     /// This incarnation's epoch.
-    pub fn epoch(&self) -> u64 {
+    pub(crate) fn epoch(&self) -> u64 {
         self.epoch
     }
 
@@ -283,7 +283,7 @@ impl Journal {
     }
 
     /// Journal activity counters.
-    pub fn stats(&self) -> JournalStats {
+    pub(crate) fn stats(&self) -> JournalStats {
         self.stats.get()
     }
 
@@ -309,7 +309,7 @@ impl Journal {
 
     /// Stages a completion record (fault 0 = clean), releasing the task
     /// from the live set.
-    pub fn record_complete(&self, tid: u64, fault: u8) {
+    pub(crate) fn record_complete(&self, tid: u64, fault: u8) {
         self.stage(&Record::Complete {
             epoch: self.epoch,
             tid,
@@ -319,7 +319,7 @@ impl Journal {
     }
 
     /// Stages a taint record (bounded mirror of the service's list).
-    pub fn record_taint(&self, rec: TaintRec) {
+    pub(crate) fn record_taint(&self, rec: TaintRec) {
         self.stage(&Record::Taint {
             epoch: self.epoch,
             rec,
@@ -329,7 +329,7 @@ impl Journal {
 
     /// Makes staged records durable. Returns whether the store has
     /// outgrown the compaction threshold (the caller then provides the
-    /// stats snapshot and calls [`Journal::compact`]).
+    /// stats snapshot and calls `Journal::compact`).
     pub fn flush(&self) -> bool {
         let mut staged = self.staged.borrow_mut();
         if !staged.is_empty() {
@@ -346,7 +346,7 @@ impl Journal {
     /// The `MidJournalFlush` crash: flushes staged records but tears the
     /// final one mid-write — only half of its bytes reach the store, so
     /// replay sees a checksum-failing tail.
-    pub fn flush_torn(&self) {
+    pub(crate) fn flush_torn(&self) {
         let mut staged = self.staged.borrow_mut();
         if staged.is_empty() {
             return;
@@ -366,7 +366,7 @@ impl Journal {
 
     /// Rewrites the store as `Checkpoint(stats) + Epoch + live Admits +
     /// Taints` — the replay fixed point — bounding the log by live state.
-    pub fn compact(&self, stats_vec: &[u64]) {
+    pub(crate) fn compact(&self, stats_vec: &[u64]) {
         let (epoch, next_tid) = (self.epoch, self.max_tid.get().saturating_add(1));
         let mut out = Vec::new();
         frame(

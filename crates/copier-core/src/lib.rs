@@ -42,5 +42,5 @@ pub use journal::{AdmitRec, Journal, JournalStats, JournalStore, Recovered, Tain
 pub use pendindex::{PendIndex, RangeKind};
 pub use ring::{Ring, RingFull};
 pub use sched::DEFAULT_COPY_SLICE;
-pub use service::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, Copier, CopierStats};
+pub use service::{stats_layout, stats_to_vec, ControlObs, Copier, CopierStats};
 pub use task::{CopyTask, Handler, QueueEntry, SyncTask, TaskId};

@@ -139,7 +139,7 @@ impl PendIndex {
     /// `(space, kind, lo, tid, hi)` — the PendIndex component of the
     /// record/replay round hash (DESIGN.md §14). BTreeMap iteration
     /// order makes it independent of insertion history.
-    pub fn digest(&self) -> u64 {
+    pub(crate) fn digest(&self) -> u64 {
         use copier_sim::trace::{fnv_fold, FNV_OFFSET};
         let map = self.map.borrow();
         let mut h = FNV_OFFSET;

@@ -52,7 +52,7 @@ impl<T> Ring<T> {
     }
 
     /// Capacity in slots.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.cap as usize
     }
 
@@ -62,7 +62,7 @@ impl<T> Ring<T> {
     }
 
     /// Entries currently enqueued.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         (self.head.get() - self.tail.get()) as usize
     }
 

@@ -538,21 +538,13 @@ impl ActiveSet {
 /// false, finished-but-unfinalized leftovers are never selected), so
 /// skipping it is outcome- and virtual-time-identical.
 fn settled(client: &Client) -> bool {
-    let mut si = 0;
-    while let Some(set) = client.set_at(si) {
-        si += 1;
-        if !set.uq.copy.is_empty()
-            || !set.kq.copy.is_empty()
-            || !set.uq.sync.is_empty()
-            || !set.kq.sync.is_empty()
-        {
-            return false;
-        }
-        if set.pending.borrow().iter().any(|p| !p.finished()) {
-            return false;
-        }
-    }
-    true
+    (0..).map_while(|si| client.set_at(si)).all(|set| {
+        set.uq.copy.is_empty()
+            && set.kq.copy.is_empty()
+            && set.uq.sync.is_empty()
+            && set.kq.sync.is_empty()
+            && set.pending.borrow().iter().all(|p| p.finished())
+    })
 }
 
 /// The `(pending, index)` client-state hashes of a shard (DESIGN.md §14),
@@ -706,6 +698,10 @@ fn fold_client_commutative(c: &Rc<Client>) -> (u64, u64) {
             }
         }
         hx = fnv_fold(hx, set.index.digest());
+    }
+    // An unbuilt default set folds as the empty set it stands for.
+    if si == 0 {
+        hx = fnv_fold(hx, FNV_OFFSET);
     }
     (hp, hx)
 }

@@ -62,7 +62,8 @@ use crate::task::TaskId;
 pub(crate) use aggregates::{Marks, ShardStamp};
 use aggregates::{RegSeq, ShardState};
 use barrier::RoundBarrier;
-pub use stats::{stats_from_vec, stats_layout, stats_to_vec, ControlObs, CopierStats};
+use stats::stats_from_vec;
+pub use stats::{stats_layout, stats_to_vec, ControlObs, CopierStats};
 
 /// The asynchronous-copy OS service.
 pub struct Copier {

@@ -272,7 +272,12 @@ struct Swept {
 /// recreated).
 fn reinstall_taints(client: &Client, taints: &[TaintRec]) {
     for t in taints.iter().filter(|t| t.client == client.id) {
-        let Some(set) = client.set_at(t.set_idx as usize) else {
+        // Set 0 is built if the client has written none since.
+        let set = match t.set_idx {
+            0 => Some(client.default_set()),
+            i => client.set_at(i as usize),
+        };
+        let Some(set) = set else {
             continue;
         };
         let dup = set

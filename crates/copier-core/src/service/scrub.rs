@@ -203,9 +203,7 @@ impl Copier {
             }
             // Rot found. Heal from the replica if it is still intact.
             let client = &r.owner;
-            let Some(set) = client.set_at(0) else {
-                return;
-            };
+            let set = client.default_set();
             if r.space.extent_digest(r.replica.add(off), clen, true) != r.golden[ci] {
                 sh.count().scrub_unrepairable += 1;
                 r.dead[ci].set(true);

@@ -154,7 +154,7 @@ impl Copier {
 macro_rules! stats_table {
     ($($slot:ident = $($field:ident).+ as $conv:ident by $kind:ident $(($read:expr))?,)+) => {
         /// Named indexes of the canonical [`CopierStats`] flattening
-        /// ([`stats_to_vec`] / [`stats_from_vec`]) — the single shape the
+        /// ([`stats_to_vec`] / `stats_from_vec`) — the single shape the
         /// trace state hash and the journal checkpoint both use, one const
         /// per `CopierStats` field. The assignment is **append-only**:
         /// committed traces and journal stores encode these positions, so
@@ -177,7 +177,7 @@ macro_rules! stats_table {
         /// Inverse of [`stats_to_vec`] for checkpoint restore. Fields
         /// missing from an older (shorter) checkpoint read as zero, so the
         /// vector stays append-only like the digest it feeds.
-        pub fn stats_from_vec(v: &[u64]) -> CopierStats {
+        pub(crate) fn stats_from_vec(v: &[u64]) -> CopierStats {
             let g = |i: usize| v.get(i).copied().unwrap_or(0);
             let mut s = CopierStats::default();
             $(s.$($field).+ = stats_table!(@restore $conv, g(stats_layout::$slot));)+

@@ -31,7 +31,7 @@ pub struct CopyCurve {
 
 impl CopyCurve {
     /// The modeled time to move `bytes`.
-    pub fn cost(&self, bytes: usize) -> Nanos {
+    pub(crate) fn cost(&self, bytes: usize) -> Nanos {
         Nanos(self.fixed.as_nanos() + (bytes as f64 / self.bytes_per_ns).round() as u64)
     }
 }
@@ -122,7 +122,7 @@ impl Default for CostModel {
 
 impl CostModel {
     /// The curve for a CPU copy method.
-    pub fn cpu_curve(&self, kind: CpuCopyKind) -> CopyCurve {
+    pub(crate) fn cpu_curve(&self, kind: CpuCopyKind) -> CopyCurve {
         match kind {
             CpuCopyKind::Avx2 => self.avx2,
             CpuCopyKind::Erms => self.erms,
@@ -142,7 +142,7 @@ impl CostModel {
 
     /// The DMA/AVX split ratio that equalizes completion times: assign this
     /// fraction of piggybacked bytes to DMA.
-    pub fn dma_share(&self) -> f64 {
+    pub(crate) fn dma_share(&self) -> f64 {
         self.dma.bytes_per_ns / (self.dma.bytes_per_ns + self.avx2.bytes_per_ns)
     }
 }

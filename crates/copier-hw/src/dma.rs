@@ -21,7 +21,7 @@
 //! *wrong* bytes (one bit flipped in flight, or the payload rotated to a
 //! wrong destination offset) and still reports `Done` and fires
 //! `on_done`. Detection is the dispatcher's job (digest verification);
-//! when it catches a mismatch it calls [`DmaEngine::note_corruption`] so
+//! when it catches a mismatch it calls `DmaEngine::note_corruption` so
 //! a channel that repeatedly corrupts is quarantined like one that died.
 //!
 //! Constraints mirrored from real hardware: each descriptor's source and
@@ -69,12 +69,12 @@ pub struct DmaCompletion {
 
 impl DmaCompletion {
     /// Whether the transfer finished successfully.
-    pub fn is_done(&self) -> bool {
+    pub(crate) fn is_done(&self) -> bool {
         self.state.get() == State::Done
     }
 
     /// The failure, if the transfer failed.
-    pub fn error(&self) -> Option<DmaError> {
+    pub(crate) fn error(&self) -> Option<DmaError> {
         match self.state.get() {
             State::Failed(e) => Some(e),
             _ => None,
@@ -82,18 +82,18 @@ impl DmaCompletion {
     }
 
     /// Whether the descriptor reached a terminal state (done or failed).
-    pub fn is_settled(&self) -> bool {
+    pub(crate) fn is_settled(&self) -> bool {
         self.state.get() != State::Pending
     }
 
     /// Withdraws the descriptor: the device will discard it instead of
     /// copying. Safe to call at any point; a no-op once settled.
-    pub fn cancel(&self) {
+    pub(crate) fn cancel(&self) {
         self.cancelled.set(true);
     }
 
     /// Waits (in virtual time) for the transfer to settle.
-    pub async fn wait(&self) {
+    pub(crate) async fn wait(&self) {
         if !self.is_settled() {
             self.notify.notified().await;
             debug_assert!(self.is_settled());
@@ -281,7 +281,7 @@ impl DmaEngine {
     /// device work. A `deferred` descriptor's bytes land through
     /// [`copy_extent_pair`]'s host copy engine: same virtual time, same
     /// bytes for every later reader.
-    pub fn submit(
+    pub(crate) fn submit(
         &self,
         st: SubTask,
         on_done: Option<DoneFn>,
@@ -324,7 +324,7 @@ impl DmaEngine {
     }
 
     /// Channels still accepting work.
-    pub fn live_channels(&self) -> usize {
+    pub(crate) fn live_channels(&self) -> usize {
         self.channels.len() - self.quarantined()
     }
 
@@ -334,7 +334,7 @@ impl DmaEngine {
     /// the channel is quarantined exactly like a hard death (every
     /// later descriptor fails [`DmaError::ChannelDead`]). Returns
     /// whether this strike retired the channel.
-    pub fn note_corruption(&self, channel: usize) -> bool {
+    pub(crate) fn note_corruption(&self, channel: usize) -> bool {
         let Some(ch) = self.channels.get(channel) else {
             return false;
         };

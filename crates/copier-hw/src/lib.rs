@@ -21,4 +21,4 @@ pub use atcache::{ATCache, AtcStats};
 pub use cost::{CopyCurve, CostModel, CpuCopyKind};
 pub use dispatch::{DispatchReport, Dispatcher, PlannedCopy, ProgressFn, VerifyPolicy};
 pub use dma::{DmaCompletion, DmaEngine, DmaError};
-pub use units::{copy_extent_pair, slice_extents_into, split_subtasks_into, SubTask};
+pub use units::{slice_extents_into, split_subtasks_into, SubTask};

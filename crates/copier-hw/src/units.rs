@@ -4,7 +4,7 @@
 //! destination are both physically contiguous — the unit a single DMA
 //! descriptor (or one CPU copy call) can handle. [`split_subtasks_into`] derives
 //! them from the two extent lists, cut at the device's per-descriptor
-//! limit; [`copy_extent_pair`] performs the real
+//! limit; `copy_extent_pair` performs the real
 //! data movement for one subtask (the dispatcher charges its cost), now or
 //! on the host copy engine.
 
@@ -37,7 +37,7 @@ impl SubTask {
 
     /// The piece `[off, off + len)` of this subtask, on the same unit:
     /// both extents are contiguous, so it may be cut at any byte.
-    pub fn slice(&self, off: usize, len: usize) -> SubTask {
+    pub(crate) fn slice(&self, off: usize, len: usize) -> SubTask {
         debug_assert!(off + len <= self.len());
         SubTask {
             task_off: self.task_off + off,
@@ -134,7 +134,7 @@ pub fn slice_extents_into(extents: &[Extent], off: usize, len: usize, out: &mut 
 /// pair is queued for the host copy engine's worker
 /// ([`PhysMem::defer_copy_run`]); either way every later read of the pool
 /// sees the copied bytes.
-pub fn copy_extent_pair(pm: &PhysMem, dst: Extent, src: Extent, deferred: bool) {
+pub(crate) fn copy_extent_pair(pm: &PhysMem, dst: Extent, src: Extent, deferred: bool) {
     debug_assert_eq!(dst.len, src.len);
     if deferred {
         pm.defer_copy_run(dst.frame, dst.off, src.frame, src.off, src.len);

@@ -420,12 +420,12 @@ impl PhysMem {
     }
 
     /// Current share count of a frame.
-    pub fn refcount(&self, f: FrameId) -> u16 {
+    pub(crate) fn refcount(&self, f: FrameId) -> u16 {
         self.meta[f.0 as usize].refcnt.get()
     }
 
     /// Pins a frame (its mapping is locked for an in-flight copy).
-    pub fn pin(&self, f: FrameId) {
+    pub(crate) fn pin(&self, f: FrameId) {
         let slot = &self.meta[f.0 as usize];
         assert!(slot.refcnt.get() > 0, "pin of free frame");
         slot.pins.set(slot.pins.get() + 1);
@@ -440,7 +440,7 @@ impl PhysMem {
     }
 
     /// Whether the frame is currently pinned.
-    pub fn is_pinned(&self, f: FrameId) -> bool {
+    pub(crate) fn is_pinned(&self, f: FrameId) -> bool {
         self.meta[f.0 as usize].pins.get() > 0
     }
 
@@ -650,7 +650,7 @@ impl PhysMem {
     }
 
     /// Copies a whole frame (CoW break helper). Returns bytes copied.
-    pub fn copy_frame(&self, dst: FrameId, src: FrameId) -> usize {
+    pub(crate) fn copy_frame(&self, dst: FrameId, src: FrameId) -> usize {
         self.copy(dst, 0, src, 0, PAGE_SIZE);
         PAGE_SIZE
     }

@@ -57,8 +57,12 @@ pub struct CopyEngineStats {
     /// that found the ring full, and waited.
     pub fences_waited: u64,
     /// Waits in which the waiting thread took the run token and ran the
-    /// queue up to the entry it needed itself.
+    /// queue up to the entry it needed itself. Those that found the worker
+    /// absent or asleep are cold; the rest are `racing_drains`.
     pub self_drains: u64,
+    /// Self-drains that found the worker awake, between two entries: the
+    /// waiting thread took the token in a race it could have left to it.
+    pub racing_drains: u64,
     /// Times a queued copy woke a parked worker.
     pub wakeups: u64,
 }
@@ -79,6 +83,23 @@ pub(super) struct RingShape {
 /// this: below it, scanning its own record is cheaper than pulling the
 /// line the worker writes on every entry.
 const FRESH_SCAN: u64 = 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Test hook: while set, `defer` spawns no worker, so every queued
+    /// copy is run by a waiting simulation thread (a cold self-drain).
+    pub(super) static NO_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Whether `defer` may start the worker: always, unless a test has
+/// turned it off (`NO_WORKER`).
+fn worker_allowed() -> bool {
+    #[cfg(test)]
+    if NO_WORKER.with(Cell::get) {
+        return false;
+    }
+    true
+}
 
 /// Spins of a wait before it starts yielding its core.
 const SPINS: u32 = 64;
@@ -143,6 +164,10 @@ struct Queue {
     /// bytes and `done` the previous holder left.
     running: Line<AtomicBool>,
     parked: Line<AtomicBool>,
+    /// Set by the worker around `thread::park`: unlike `parked`, which a
+    /// waker clears before the unpark, it stays set until the worker runs
+    /// again. Only the self-drain count reads it, so it is `Relaxed`.
+    asleep: AtomicBool,
     shutdown: AtomicBool,
 }
 
@@ -234,7 +259,9 @@ fn work(q: &Queue) {
         if q.slot(next).published.load(Ordering::SeqCst) != next + 1
             && !q.shutdown.load(Ordering::SeqCst)
         {
+            q.asleep.store(true, Ordering::Relaxed);
             thread::park();
+            q.asleep.store(false, Ordering::Relaxed);
         }
         q.parked.0.store(false, Ordering::SeqCst);
         idle_since = Instant::now();
@@ -288,6 +315,7 @@ impl Arena {
                 done: Line::default(),
                 running: Line::default(),
                 parked: Line::default(),
+                asleep: AtomicBool::new(false),
                 shutdown: AtomicBool::new(false),
             }),
             worker: OnceCell::new(),
@@ -337,11 +365,12 @@ impl Arena {
         let q = &*self.queue;
         let mut done = q.done.0.load(Ordering::Acquire);
         if done < upto {
-            let mut ran = false;
+            let (mut ran, mut racing) = (false, false);
             let mut backoff = Backoff::default();
             loop {
                 if q.try_run() {
                     if q.done.0.load(Ordering::Acquire) < upto {
+                        racing = self.awake() && !q.asleep.load(Ordering::Relaxed);
                         q.run_to(upto);
                         ran = true;
                     }
@@ -356,6 +385,7 @@ impl Arena {
             self.count(|s| {
                 s.fences_waited += 1;
                 s.self_drains += ran as u64;
+                s.racing_drains += racing as u64;
             });
         }
         self.seen_done.set(done);
@@ -488,7 +518,7 @@ impl Arena {
                 w.thread().unpark();
                 self.count(|s| s.wakeups += 1);
             }
-        } else {
+        } else if worker_allowed() {
             let q = Arc::clone(&self.queue);
             let w = thread::Builder::new()
                 .name("copier-mem-copy".into())

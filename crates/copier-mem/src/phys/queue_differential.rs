@@ -276,12 +276,45 @@ fn shape(slots: usize, max_bytes: usize, eager_park: bool) -> RingShape {
     }
 }
 
-#[test]
-fn the_queue_reads_like_a_synchronous_pool() {
+/// Runs `case` against the model; returns the pool's engine counters.
+fn run_case(case: &Case) -> Result<CopyEngineStats, String> {
+    let pm = PhysMem::with_ring(
+        POOL,
+        AllocPolicy::Sequential,
+        shape(case.slots, case.max_bytes, case.eager_park),
+    );
+    let mut model = Model {
+        bytes: vec![0; POOL * PAGE_SIZE],
+    };
+    for (i, op) in case.ops.iter().enumerate() {
+        step(&pm, &mut model, op).map_err(|e| format!("step {i}: {e}"))?;
+    }
+    // Whatever is still queued lands before anything reads it.
+    let mut end = vec![0u8; POOL * PAGE_SIZE];
+    for f in (0..POOL as u32).map(FrameId) {
+        if pm.refcount(f) > 0 {
+            let page = &mut end[f.0 as usize * PAGE_SIZE..][..PAGE_SIZE];
+            pm.read(f, 0, page);
+            prop_assert_eq!(
+                &*page,
+                model.run(f, 0, PAGE_SIZE),
+                "frame {} at the end",
+                f.0
+            );
+        }
+    }
+    let s = pm.copy_engine_stats();
+    if s.racing_drains > s.self_drains {
+        return Err(format!("racing drains outnumber self-drains: {s:?}"));
+    }
+    Ok(s)
+}
+
+/// Runs the differential at `cfg` and returns the summed counters.
+fn check_cases(cfg: &Config) -> CopyEngineStats {
     let totals = Cell::new(CopyEngineStats::default());
-    let cfg = Config::from_env();
     check_with(
-        &cfg,
+        cfg,
         gen_case,
         |case: &Case| {
             shrink_vec(&case.ops, |_| Vec::new())
@@ -293,50 +326,47 @@ fn the_queue_reads_like_a_synchronous_pool() {
                 .collect()
         },
         |case: &Case| {
-            let pm = PhysMem::with_ring(
-                POOL,
-                AllocPolicy::Sequential,
-                shape(case.slots, case.max_bytes, case.eager_park),
-            );
-            let mut model = Model {
-                bytes: vec![0; POOL * PAGE_SIZE],
-            };
-            for (i, op) in case.ops.iter().enumerate() {
-                step(&pm, &mut model, op).map_err(|e| format!("step {i}: {e}"))?;
-            }
-            // Whatever is still queued lands before anything reads it.
-            let mut end = vec![0u8; POOL * PAGE_SIZE];
-            for f in (0..POOL as u32).map(FrameId) {
-                if pm.refcount(f) > 0 {
-                    let page = &mut end[f.0 as usize * PAGE_SIZE..][..PAGE_SIZE];
-                    pm.read(f, 0, page);
-                    prop_assert_eq!(
-                        &*page,
-                        model.run(f, 0, PAGE_SIZE),
-                        "frame {} at the end",
-                        f.0
-                    );
-                }
-            }
-            let (mut t, s) = (totals.get(), pm.copy_engine_stats());
+            let (mut t, s) = (totals.get(), run_case(case)?);
             t.deferred_copies += s.deferred_copies;
             t.deferred_bytes += s.deferred_bytes;
             t.fences_waited += s.fences_waited;
             t.self_drains += s.self_drains;
+            t.racing_drains += s.racing_drains;
             t.wakeups += s.wakeups;
             totals.set(t);
             Ok(())
         },
     );
+    totals.get()
+}
+
+#[test]
+fn the_queue_reads_like_a_synchronous_pool() {
+    let cfg = Config::from_env();
+    let t = check_cases(&cfg);
     // Both paths ran somewhere in the cases (a lone replayed case need not
     // take them).
     if cfg.repro.is_some() {
         return;
     }
-    let t = totals.get();
     assert!(t.deferred_copies > 0 && t.deferred_bytes > 0, "{t:?}");
     assert!(t.fences_waited > 0, "no fence waited: {t:?}");
     assert!(t.self_drains > 0, "no waiting thread ran the queue: {t:?}");
+}
+
+/// With no worker to race, every copy is run by a waiting thread, and
+/// every such self-drain is cold; the bytes still read as the model's.
+#[test]
+fn with_no_worker_every_self_drain_is_cold() {
+    arena::NO_WORKER.with(|c| c.set(true));
+    let env = Config::from_env();
+    let t = check_cases(&Config {
+        cases: env.cases.min(64),
+        ..env
+    });
+    arena::NO_WORKER.with(|c| c.set(false));
+    assert_eq!(t.racing_drains, 0, "{t:?}");
+    assert!(t.self_drains > 0 && t.wakeups == 0, "{t:?}");
 }
 
 /// A pool dropped with copies still queued: the worker drains them and

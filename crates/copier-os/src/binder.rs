@@ -188,7 +188,7 @@ impl Parcel<'_> {
     }
 
     /// Reads `len` raw bytes through the server's read-only window.
-    pub async fn read_bytes(&mut self, core: &Rc<Core>, buf: &mut [u8]) {
+    pub(crate) async fn read_bytes(&mut self, core: &Rc<Core>, buf: &mut [u8]) {
         self.ensure(core, buf.len()).await;
         let va = self.chan.server_window.add(self.msg.offset + self.pos);
         self.chan

@@ -125,7 +125,7 @@ impl Os {
     }
 
     /// Charges a context switch.
-    pub async fn context_switch(&self, core: &Rc<Core>) {
+    pub(crate) async fn context_switch(&self, core: &Rc<Core>) {
         core.advance(self.cost.context_switch).await;
     }
 }

@@ -375,7 +375,7 @@ impl Machine {
     }
 
     /// Total busy time across all cores.
-    pub fn total_busy(&self) -> Nanos {
+    pub(crate) fn total_busy(&self) -> Nanos {
         Nanos(self.cores.iter().map(|c| c.busy.get()).sum())
     }
 

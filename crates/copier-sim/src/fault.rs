@@ -79,7 +79,7 @@ pub enum CrashPoint {
 
 impl CrashPoint {
     /// Wire encoding of the crash point.
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             CrashPoint::MidDrain => 0,
             CrashPoint::MidDispatch => 1,
@@ -282,7 +282,7 @@ impl FaultPlan {
 
     /// Wire encoding of a DMA decision: 0 none, 1 transient, 2 hard,
     /// 3 timeout.
-    pub fn dma_code(fault: Option<DmaFault>) -> u8 {
+    pub(crate) fn dma_code(fault: Option<DmaFault>) -> u8 {
         match fault {
             None => 0,
             Some(DmaFault::Transient) => 1,
@@ -398,7 +398,7 @@ impl FaultPlan {
 
     /// Wire encoding of a corruption decision: kind 0 none, 1 bit flip,
     /// 2 misdirect; `arg` carries the position/shift payload.
-    pub fn corrupt_code(c: Option<SilentCorruption>) -> (u8, u64) {
+    pub(crate) fn corrupt_code(c: Option<SilentCorruption>) -> (u8, u64) {
         match c {
             None => (0, 0),
             Some(SilentCorruption::BitFlip { pos }) => (1, pos),

@@ -36,12 +36,12 @@ impl Nanos {
     }
 
     /// The span in (possibly fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    pub(crate) fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 
     /// The span in (possibly fractional) milliseconds.
-    pub fn as_millis_f64(self) -> f64 {
+    pub(crate) fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
     }
 

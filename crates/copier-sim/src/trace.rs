@@ -337,7 +337,7 @@ impl Tracer {
     }
 
     /// Whether this tracer is in replay mode.
-    pub fn is_replay(&self) -> bool {
+    pub(crate) fn is_replay(&self) -> bool {
         self.mode == Mode::Replay
     }
 

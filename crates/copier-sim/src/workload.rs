@@ -226,7 +226,7 @@ impl WorkloadPlan {
     }
 
     /// Total bytes the workload offers the service over the horizon.
-    pub fn offered_bytes(&self) -> u64 {
+    pub(crate) fn offered_bytes(&self) -> u64 {
         self.per_tenant.iter().flatten().map(|a| a.len as u64).sum()
     }
 

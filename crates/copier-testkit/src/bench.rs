@@ -52,7 +52,7 @@ impl BenchResult {
     }
 
     /// Minimum per-iteration nanoseconds (least-noise estimate).
-    pub fn min_ns(&self) -> u64 {
+    pub(crate) fn min_ns(&self) -> u64 {
         *self.samples_ns.iter().min().expect("non-empty samples")
     }
 }
@@ -132,7 +132,7 @@ pub fn median(xs: &[f64]) -> f64 {
 
 /// Median absolute deviation of `xs` from their median: the spread
 /// statistic that, like the median, one slow outlier does not move.
-pub fn mad(xs: &[f64]) -> f64 {
+pub(crate) fn mad(xs: &[f64]) -> f64 {
     let m = median(xs);
     median(&xs.iter().map(|x| (x - m).abs()).collect::<Vec<_>>())
 }
@@ -175,7 +175,7 @@ impl PairedRuns {
     }
 
     /// B's cost over A's, per pair: `b / a − 1`.
-    pub fn overheads(&self) -> Vec<f64> {
+    pub(crate) fn overheads(&self) -> Vec<f64> {
         self.a_ms
             .iter()
             .zip(&self.b_ms)

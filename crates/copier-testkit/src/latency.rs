@@ -75,7 +75,7 @@ impl LatencyRecorder {
     /// Per-tenant SLO attainment: for every tenant with at least one
     /// sample, the fraction of its samples at or under `slo`. Sorted by
     /// tenant id, so the result is deterministic.
-    pub fn slo_attainment(&self, slo: u64) -> Vec<(u32, f64)> {
+    pub(crate) fn slo_attainment(&self, slo: u64) -> Vec<(u32, f64)> {
         let samples = self.samples.borrow();
         let mut per: std::collections::BTreeMap<u32, (u64, u64)> =
             std::collections::BTreeMap::new();

@@ -27,11 +27,9 @@ pub mod latency;
 pub mod prop;
 pub mod rng;
 
-pub use bench::{black_box, mad, median, Bench, BenchResult, PairedRuns};
+pub use bench::{black_box, median, Bench, BenchResult, PairedRuns};
 pub use latency::{peak_rss_bytes, rss_bytes, LatencyRecorder, Percentiles};
-pub use prop::{
-    check, check_with, edge_u64, minimize, shrink_vec, Arbitrary, Config, Damage, PropResult,
-};
+pub use prop::{check_with, edge_u64, minimize, shrink_vec, Arbitrary, Config, Damage, PropResult};
 pub use rng::TestRng;
 
 /// Asserts that a [`copier_mem::PhysMem`] has no pinned frames left.

@@ -223,11 +223,6 @@ pub trait Arbitrary: Sized + std::fmt::Debug + Clone {
     }
 }
 
-/// [`check_with`] using [`Arbitrary`] and `Config::from_env()`.
-pub fn check<T: Arbitrary, P: Fn(&T) -> PropResult>(prop: P) {
-    check_with(&Config::from_env(), T::arbitrary, T::shrink, prop);
-}
-
 macro_rules! arb_int {
     ($($t:ty),+) => {$(
         impl Arbitrary for $t {

@@ -16,14 +16,16 @@
 # line numbers stay), runs `cargo check --all-targets` on the workspace
 # and on the repo benchmark, and counts each "use of deprecated" warning
 # against its item, by the class of the line that uses it:
-#   prod    non-test code in crates/*/src (crates/bench aside) and src/
+#   self    non-test code of the item's own crate
+#   prod    non-test code in other crates' src (crates/bench aside) and src/
 #   own     unit tests of the item's own crate
 #   other   unit tests of other crates
 #   integ   integration tests (tests/, crates/*/tests/)
 #   figs    figures (crates/bench: benches and their support library)
 #   ex      examples (examples/, crates/*/examples/)
 #   bench   the repo benchmark (benchmark/src, benchmark/tests)
-# A `use` line is not a reach: a re-export is not a caller. rustc also
+# A `use` statement, on all its lines, is not a reach: a re-export is not a
+# caller. rustc also
 # warns inside a deprecated item (each item's attribute is an origin of
 # its own), so one pass sees a use from one marked item to another. Were
 # it ever silent there, the gate would fail a reached item, never pass an
@@ -36,7 +38,9 @@
 #
 # Usage:
 #   scripts/census.sh           gate: fail on any item reached by nothing
-#                               or only by its own crate's unit tests,
+#                               or only by its own crate's unit tests, and
+#                               on a fn reached only from its own crate
+#                               (`pub(crate)` says that),
 #                               unless scripts/census.allow names it and
 #                               the DESIGN.md section or ROADMAP.md item
 #                               the entry cites names it too; also fail
@@ -95,7 +99,7 @@ function sanitize(l) {
 function class(f) {
     if (f ~ /^crates\/bench\//) return "figs"
     if (f ~ /^crates\/[^\/]+\/src\//) return "unit"
-    if (f ~ /^src\//) return "prod"
+    if (f ~ /^src\//) return "prod:"
     if (f ~ /^(tests|crates\/[^\/]+\/tests)\//) return "integ"
     if (f ~ /^(examples|crates\/[^\/]+\/examples)\//) return "ex"
     return "bench"
@@ -114,7 +118,7 @@ BEGIN {
     }
 }
 FNR == 1 {
-    depth = 0; instr = 0; pend = 0; intest = 0; sdecl = 0; edecl = 0; sopen = 0; eopen = 0; iopen = 0
+    depth = 0; instr = 0; inuse = 0; pend = 0; intest = 0; sdecl = 0; edecl = 0; sopen = 0; eopen = 0; iopen = 0
     insrc = FILENAME ~ /^crates\/[^\/]+\/src\//
     crate = ""
     if (FILENAME ~ /^crates\//) { crate = FILENAME; sub(/^crates\//, "", crate); sub(/\/.*/, "", crate) }
@@ -168,13 +172,20 @@ FNR == 1 {
     if (eopen && depth <= edepth) eopen = 0
     if (iopen && depth <= idepth) iopen = 0
 
-    if (phase == "reach" && ((FILENAME ":" FNR) in used) && l !~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/) {
+    # A `use` may span lines; none of them is a reach.
+    if (l ~ /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?use[[:space:]]/) inuse = 1
+    if (phase == "reach" && ((FILENAME ":" FNR) in used) && !inuse) {
         # Unit-test code in crates/bench is figure code like the rest of it.
         key = class(FILENAME)
-        if (key == "unit") key = t ? "unit:" crate : "prod"
+        if (key == "unit") key = (t ? "unit:" : "prod:") crate
         m = split(used[FILENAME ":" FNR], ids, " ")
-        for (i = 1; i <= m; i++) { cnt[ids[i] SUBSEP key]++; if (key ~ /^unit:/) unit[ids[i]]++ }
+        for (i = 1; i <= m; i++) {
+            cnt[ids[i] SUBSEP key]++
+            if (key ~ /^unit:/) unit[ids[i]]++
+            if (key ~ /^prod:/) prod[ids[i]]++
+        }
     }
+    if (inuse && l ~ /;/) inuse = 0
 }
 '
 
@@ -248,33 +259,40 @@ END {
         isfn[w[3]] = w[2] == "fn"
     }
     if (mode == "table")
-        printf "%-18s %-40s %-8s %6s %5s %5s %5s %5s %5s %5s\n", "crate", "item", "kind",
-            "prod", "own", "other", "integ", "figs", "ex", "bench"
+        printf "%-18s %-40s %-8s %5s %6s %5s %5s %5s %5s %5s %5s\n", "crate", "item", "kind",
+            "self", "prod", "own", "other", "integ", "figs", "ex", "bench"
     for (i = 1; i <= n; i++) {
         id = iid[i]; m = names[i]
         own = cnt[id SUBSEP "unit:" icrate[i]] + 0
         other = unit[id] - own
-        p = cnt[id SUBSEP "prod"] + 0; ig = cnt[id SUBSEP "integ"] + 0
+        sp = cnt[id SUBSEP "prod:" icrate[i]] + 0
+        p = prod[id] - sp; ig = cnt[id SUBSEP "integ"] + 0
         fg = cnt[id SUBSEP "figs"] + 0; ex = cnt[id SUBSEP "ex"] + 0; bn = cnt[id SUBSEP "bench"] + 0
         beyond = p + other + ig + fg + ex + bn
         # clippy (`len_without_is_empty`) asks for an `is_empty` beside
         # every public `len` method.
         paired = m ~ /::is_empty$/ && isfn[substr(m, 1, length(m) - 8) "len"]
         if (mode == "table")
-            printf "%-18s %-40s %-8s %6d %5d %5d %5d %5d %5d %5d%s\n", icrate[i], m, ikind[i],
-                p, own, other, ig, fg, ex, bn,
-                beyond ? "" : (m in allowed) ? "  (allowed)" : paired ? "  (beside len)" : "  <- fails the gate"
-        if (beyond == 0) {
+            printf "%-18s %-40s %-8s %5d %6d %5d %5d %5d %5d %5d %5d%s\n", icrate[i], m, ikind[i],
+                sp, p, own, other, ig, fg, ex, bn,
+                beyond || (sp && ikind[i] != "fn") ? "" : (m in allowed) ? "  (allowed)" \
+                : paired ? "  (beside len)" : "  <- fails the gate"
+        # Only a fn can be narrowed on its own: a variant is as visible as
+        # its enum, and a struct another crate builds with `..Default`
+        # needs every field public. Fields and variants reached only from
+        # their own crate show in the `self` column of the table.
+        if (beyond == 0 && (sp == 0 || ikind[i] == "fn")) {
             flagged[m] = 1
             if (mode == "gate" && !(m in allowed) && !paired) {
                 printf "%s: %s `%s` is reached %s\n", iwhere[i], ikind[i], m,
-                    own ? "only by its own crate'"'"'s unit tests (" own ")" : "by nothing"
+                    sp ? "only from its own crate (" sp " production uses): make it pub(crate)" \
+                    : own ? "only by its own crate'"'"'s unit tests (" own ")" : "by nothing"
                 bad = 1
             }
         }
     }
     if (mode == "gate") for (i = 1; i <= nallow; i++) if (!(allowname[i] in flagged)) {
-        printf "%s: `%s` is reached beyond its own unit tests now; drop it\n", allowfile, allowname[i]
+        printf "%s: `%s` is reached from another crate now; drop it\n", allowfile, allowname[i]
         bad = 1
     }
     if (mode == "gate" && bad) exit 1

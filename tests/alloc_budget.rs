@@ -11,8 +11,9 @@
 //! a count, not a timing. Virtual time does not depend on it.
 //!
 //! The same allocator also sums the bytes asked for, which pins what a
-//! registered tenant costs: its six CSH rings allocate their slots on
-//! first push, so registration pays for ring headers only (DESIGN.md §18).
+//! registered tenant costs: its queue set is built by its first copy and
+//! each CSH ring allocates its slots on its first push, so registration
+//! pays for the client's identity only (DESIGN.md §18).
 
 #![allow(unsafe_code)]
 
@@ -177,14 +178,17 @@ fn a_served_copy_costs_a_bounded_number_of_heap_calls() {
 }
 
 /// Bytes a registered tenant costs on a default-config service
-/// (`queue_cap` 1024): its client state and five ring headers. When
-/// registration built every ring's slots, each queue pair behind its own
-/// `Rc`, it was 344,936 bytes.
-const REGISTRATION_BYTES: u64 = 824;
+/// (`queue_cap` 1024): its client state and its libCopier handle, with no
+/// queue set and no descriptor pool. When registration built every ring's
+/// slots, each queue pair behind its own `Rc`, it was 344,936 bytes; with
+/// a default queue set of five ring headers and the pool's tables built
+/// up front, 824.
+const REGISTRATION_BYTES: u64 = 368;
 /// What a tenant's first copy asks for beyond a later copy and the u-mode
-/// Copy ring's slots: its first descriptor and the first capacity of the
-/// handle's and the service's per-tenant tables.
-const FIRST_USE_BYTES: u64 = 768;
+/// Copy ring's slots: its default queue set, its descriptor pool's
+/// tables, its first descriptor and the first capacity of the handle's
+/// and the service's per-tenant tables.
+const FIRST_USE_BYTES: u64 = 1248;
 
 /// What the footprint scenario measured, all in heap bytes asked for.
 #[derive(Debug, PartialEq, Eq)]
